@@ -33,7 +33,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -202,6 +201,33 @@ def _parse_plane(raw, n: int, path: str = "initial_plane") -> np.ndarray:
     return plane
 
 
+def _merge_tolerances(base: dict, raw) -> dict:
+    """Validate tolerance overrides ``raw`` and return ``base`` updated by them.
+
+    The one validator for scenario ``tolerances`` and ``--tol-overrides``.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError("tolerances: expected an object")
+    _check_keys(raw, set(DEFAULT_TOLERANCES), "tolerances.")
+    tolerances = dict(base)
+    for key, value in raw.items():
+        if key in ("nterms", "imax"):
+            tolerances[key] = _as_int(value, f"tolerances.{key}")
+        elif key == "eps_family":
+            eps = _float_list(value, "tolerances.eps_family")
+            if any(e <= 0 for e in eps):
+                raise ConfigError("tolerances.eps_family: entries must be positive")
+            tolerances[key] = tuple(eps)
+        else:
+            value = _as_float(value, f"tolerances.{key}")
+            if value <= 0:
+                raise ConfigError(f"tolerances.{key}: must be positive")
+            tolerances[key] = value
+    if tolerances["nterms"] < 4 or tolerances["nterms"] > D_MAX:
+        raise ConfigError(f"tolerances.nterms: must lie in [4, {D_MAX}]")
+    return tolerances
+
+
 def parse_scenario(path: str | Path) -> ScenarioConfig:
     """Load and validate one scenario file, applying defaults."""
 
@@ -236,26 +262,7 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError("grid.t1: must exceed grid.t0")
     grid = np.linspace(t0, t1, steps)
 
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tol_raw = raw.get("tolerances", {})
-    if not isinstance(tol_raw, dict):
-        raise ConfigError("tolerances: expected an object")
-    _check_keys(tol_raw, set(DEFAULT_TOLERANCES), "tolerances.")
-    for key, value in tol_raw.items():
-        if key in ("nterms", "imax"):
-            tolerances[key] = _as_int(value, f"tolerances.{key}")
-        elif key == "eps_family":
-            eps = _float_list(value, "tolerances.eps_family")
-            if any(e <= 0 for e in eps):
-                raise ConfigError("tolerances.eps_family: entries must be positive")
-            tolerances[key] = tuple(eps)
-        else:
-            value = _as_float(value, f"tolerances.{key}")
-            if value <= 0:
-                raise ConfigError(f"tolerances.{key}: must be positive")
-            tolerances[key] = value
-    if tolerances["nterms"] < 4 or tolerances["nterms"] > D_MAX:
-        raise ConfigError(f"tolerances.nterms: must lie in [4, {D_MAX}]")
+    tolerances = _merge_tolerances(DEFAULT_TOLERANCES, raw.get("tolerances", {}))
 
     seed = _as_int(raw.get("seed", 0), "seed")
 
@@ -662,7 +669,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=FORMATS, default="csv")
     common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     common.add_argument("--tol-overrides", default=None, help="JSON object merged into tolerances")
-    common.add_argument("--batch", action="store_true", help="process several scenarios concurrently")
+    common.add_argument("--batch", action="store_true", help="process several scenarios in one run")
     parser = _Parser(prog="jacobiflow", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
     for verb in VERBS:
@@ -704,15 +711,7 @@ def _process_one(path_str: str, verb: str, fmt: str, out: Path | None,
         if seed is not None:
             config.seed = seed
         if overrides:
-            for key, value in overrides.items():
-                if key not in DEFAULT_TOLERANCES:
-                    raise ConfigError(f"tolerances.{key}: unknown field")
-                if key in ("nterms", "imax"):
-                    config.tolerances[key] = _as_int(value, f"tolerances.{key}")
-                elif key == "eps_family":
-                    config.tolerances[key] = tuple(_float_list(value, "tolerances.eps_family"))
-                else:
-                    config.tolerances[key] = _as_float(value, f"tolerances.{key}")
+            config.tolerances = _merge_tolerances(config.tolerances, overrides)
         stage = "run"
         result = run(config, verb)
         stage = "emit"
@@ -745,16 +744,10 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out) if args.out else None
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
-        jobs = [
-            (path, args.verb, args.format,
-             _default_out(Path(path), args.format, out_dir) if out_dir else None,
-             args.seed, overrides)
-            for path in args.scenario
-        ]
-        with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-            results = list(pool.map(lambda j: _process_one(*j), jobs))
         code = EXIT_OK
-        for err, one_code in results:
+        for path in args.scenario:
+            target = _default_out(Path(path), args.format, out_dir) if out_dir else None
+            err, one_code = _process_one(path, args.verb, args.format, target, args.seed, overrides)
             if err is not None:
                 print(json.dumps(err, sort_keys=True), file=sys.stderr)
                 if code == EXIT_OK:

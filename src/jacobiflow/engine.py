@@ -41,6 +41,7 @@ from .grassmann import (
     extend_by_isotropic,
     validate_lagrangian,
 )
+from .series import meval, strim
 from .symplectic import apply_j, dim_to_n, frame_rank, gram, isotropy_residual
 
 __all__ = [
@@ -70,11 +71,17 @@ class PiecewiseAnalytic:
     breakpoints : (npieces + 1,) strictly increasing array
     b_pieces : list of 1-D coefficient arrays, lowest order first
     x_pieces : list of (2n, d+1) coefficient arrays, one row per component
+
+    :meth:`b` and :meth:`x` compile the coefficient stack of each piece and
+    derivative order on first use and evaluate it with
+    :func:`~jacobiflow.series.meval`, so an integrator calling them per
+    stage never differentiates a polynomial again.
     """
 
     breakpoints: np.ndarray
     b_pieces: list[np.ndarray]
     x_pieces: list[np.ndarray]
+    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.breakpoints = np.asarray(self.breakpoints, dtype=float)
@@ -121,17 +128,23 @@ class PiecewiseAnalytic:
         i = int(np.searchsorted(bp, t, side="left")) - 1
         return max(i, 0)
 
+    def _stack(self, name: str, piece: int, deriv: int) -> np.ndarray:
+        """Trimmed coefficient stack of the deriv-th derivative of ``b`` or ``X``."""
+        key = (name, piece, deriv)
+        stack = self._stacks.get(key)
+        if stack is None:
+            if name == "b":
+                stack = npp.polyder(self.b_pieces[piece], deriv)
+            else:
+                stack = self.x_coeff(piece, deriv).T
+            stack = self._stacks[key] = strim(stack)
+        return stack
+
     def b(self, t: float, deriv: int = 0, side: str = "+") -> float:
-        c = self.b_pieces[self.piece_index(t, side)]
-        return float(npp.polyval(t, npp.polyder(c, deriv) if deriv else c))
+        return float(meval(self._stack("b", self.piece_index(t, side), deriv), t))
 
     def x(self, t: float, deriv: int = 0, side: str = "+") -> np.ndarray:
-        c = self.x_pieces[self.piece_index(t, side)]
-        if deriv:
-            if deriv >= c.shape[1]:
-                return np.zeros(self.dim)
-            c = np.apply_along_axis(lambda row: npp.polyder(row, deriv), 1, c)
-        return npp.polyval(t, c.T)
+        return meval(self._stack("x", self.piece_index(t, side), deriv), t)
 
     def x_coeff(self, piece: int, deriv: int = 0) -> np.ndarray:
         """(2n, d+1-deriv) coefficient array of the deriv-th derivative of X."""
@@ -151,7 +164,7 @@ class PiecewiseAnalytic:
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             c = self.x_pieces[self.piece_index(0.5 * (lo + hi))]
             prim = _polyint_rows(c)
-            out += npp.polyval(hi, prim.T) - npp.polyval(lo, prim.T)
+            out += meval(prim.T, hi) - meval(prim.T, lo)
         return out
 
 
@@ -204,7 +217,7 @@ class LegendreSequence:
 
     def value(self, i: int, t: float, data: "PiecewiseAnalytic") -> float:
         p = data.piece_index(t)
-        return float(npp.polyval(t, self.entries[i][p]))
+        return float(meval(self.entries[i][p], t))
 
 
 def legendre_sequence(data: PiecewiseAnalytic, interval: tuple[float, float],
@@ -407,7 +420,7 @@ def infinite_order_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
     c = data.x_pieces[p]
     d = c.shape[1]
     cols = np.column_stack([
-        npp.polyval(t0, np.vstack([npp.polyder(row, k) for row in c]).T)
+        data.x(t0, deriv=k, side="+")
         for k in range(d)
     ])
     gamma = canonicalize(cols)
@@ -487,7 +500,7 @@ def _cell_numerator(data: PiecewiseAnalytic, ta: float, tb: float) -> float:
         p = data.piece_index(0.5 * (lo + hi))
         c = data.x_pieces[p]
         prim = _polyint_rows(c)
-        base = npp.polyval(lo, prim.T)
+        base = meval(prim.T, lo)
         # int_ta^tau X = carry + prim(tau) - prim(lo), componentwise polynomials
         shifted = prim.copy()
         shifted[:, 0] += carry - base
@@ -496,6 +509,6 @@ def _cell_numerator(data: PiecewiseAnalytic, ta: float, tb: float) -> float:
         bpoly[: integrand.size] += integrand
         bpoly[: data.b_pieces[p].size] += data.b_pieces[p]
         pint = npp.polyint(bpoly)
-        total += float(npp.polyval(hi, pint) - npp.polyval(lo, pint))
-        carry = carry + npp.polyval(hi, prim.T) - base
+        total += float(meval(pint, hi) - meval(pint, lo))
+        carry = carry + meval(prim.T, hi) - base
     return total

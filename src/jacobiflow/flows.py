@@ -5,11 +5,12 @@ Systems are ``lambda' = M(t) lambda`` with the Hamiltonian system matrix
     M(t) = [[A(t), B(t)/t^m], [C(t), -A(t)^T]]
 
 given through :class:`HamiltonianCoefficients` (polynomial coefficient
-blocks, with an optional pole of order m at t = 0) or any callable
-``t -> (2n, 2n) array``.  The integrator is an embedded adaptive
-Runge-Kutta scheme (DOP853); nothing is ever re-projected onto the
-symplectic group, drift is only monitored, and the tolerance ladder is
-tightened until the monitored residual passes.
+blocks, with an optional pole of order m at t = 0, compiled at construction
+into one stack that :func:`~jacobiflow.series.meval` evaluates in a single
+Horner pass) or any callable ``t -> (2n, 2n) array``.  The integrator is
+an embedded adaptive Runge-Kutta scheme (DOP853); nothing is ever
+re-projected onto the symplectic group, drift is only monitored, and the
+tolerance ladder is tightened until the monitored residual passes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 from scipy.integrate import solve_ivp
 
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
     PreconditionError,
 )
 from .grassmann import ChartPoint, GrassmannCurve, canonicalize, to_chart
+from .series import meval, strim
 from .symplectic import apply_j, dim_to_n
 
 __all__ = [
@@ -53,7 +54,7 @@ def _as_coeff_array(x, n: int) -> np.ndarray:
     return a
 
 
-@dataclass
+@dataclass(frozen=True)
 class HamiltonianCoefficients:
     """Polynomial coefficient blocks of a linear Hamiltonian system.
 
@@ -61,6 +62,12 @@ class HamiltonianCoefficients:
     first: ``A(t) = sum_k a[k] t^k`` and so on.  When ``pole_order = m > 0``
     the B-block of the system is ``B(t)/t^m`` where ``B(t)`` is the stored
     (analytic) numerator series; ``b`` and ``c`` must be symmetric.
+
+    The blocks are compiled once, at construction, into one stack of
+    ``[[A, B], [C, -A^T]]`` without trailing zero orders; a call is one
+    :func:`~jacobiflow.series.meval` pass plus the division of the B-block by
+    ``t^m``.  The instance and its arrays are read-only, so the compiled
+    stack cannot go stale.
     """
 
     a: np.ndarray
@@ -68,52 +75,45 @@ class HamiltonianCoefficients:
     c: np.ndarray
     pole_order: int = 0
     n: int = field(init=False)
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         first = np.asarray(self.a, dtype=float)
         n = first.shape[-1]
-        self.a = _as_coeff_array(self.a, n)
-        self.b = _as_coeff_array(self.b, n)
-        self.c = _as_coeff_array(self.c, n)
-        self.n = n
+        a = _as_coeff_array(self.a, n)
+        b = _as_coeff_array(self.b, n)
+        c = _as_coeff_array(self.c, n)
         if self.pole_order < 0:
             raise PreconditionError("pole_order must be nonnegative")
-        for name, blk in (("b", self.b), ("c", self.c)):
+        for name, blk in (("b", b), ("c", c)):
             asym = np.max(np.abs(blk - np.transpose(blk, (0, 2, 1))))
             scale = max(1.0, float(np.max(np.abs(blk))))
             if asym > 1e-10 * scale:
                 raise PreconditionError(f"coefficient block {name!r} is not symmetric")
-
-    def _eval_block(self, coeffs: np.ndarray, t: float) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        tk = 1.0
-        for k in range(coeffs.shape[0]):
-            out += coeffs[k] * tk
-            tk *= t
-        return out
+        stack = np.zeros((max(a.shape[0], b.shape[0], c.shape[0]), 2 * n, 2 * n))
+        stack[: a.shape[0], :n, :n] = a
+        stack[: a.shape[0], n:, n:] = -np.transpose(a, (0, 2, 1))
+        stack[: b.shape[0], :n, n:] = b
+        stack[: c.shape[0], n:, :n] = c
+        object.__setattr__(self, "n", n)
+        for name, arr in (("a", a), ("b", b), ("c", c), ("_stack", strim(stack))):
+            arr = np.array(arr)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def blocks(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(A(t), B_eff(t), C(t)) with the pole of the B-block evaluated."""
-        a = self._eval_block(self.a, t)
-        b = self._eval_block(self.b, t)
-        c = self._eval_block(self.c, t)
+        m = self(t)
+        n = self.n
+        return m[:n, :n], m[:n, n:], m[n:, :n]
+
+    def __call__(self, t: float) -> np.ndarray:
+        out = meval(self._stack, t)
         if self.pole_order > 0:
             if t == 0.0:
                 raise PoleError("coefficients have a pole at t = 0")
-            b = b / t**self.pole_order
-        return a, b, c
-
-    def __call__(self, t: float) -> np.ndarray:
-        a, b, c = self.blocks(t)
-        top = np.hstack([a, b])
-        bot = np.hstack([c, -a.T])
-        return np.vstack([top, bot])
-
-    def quadratic_form(self, t: float) -> np.ndarray:
-        """Symmetric matrix of the Hamiltonian quadratic form, J M(t)."""
-        m = self(t)
-        h = apply_j(m)
-        return 0.5 * (h + h.T)
+            out[: self.n, self.n :] /= t**self.pole_order
+        return out
 
 
 SystemLike = Callable[[float], np.ndarray]

@@ -22,7 +22,6 @@ from .errors import ChartError, NondegeneracyError, PreconditionError
 from .symplectic import (
     TOL_ISO,
     TOL_RANK,
-    apply_j,
     dim_to_n,
     frame_rank,
     gram,
@@ -275,11 +274,6 @@ def random_lagrangian(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = np.linalg.qr(z)
     q = q @ np.diag(np.sign(np.where(np.real(np.diag(r)) == 0, 1.0, np.real(np.diag(r)))))
     return np.vstack([np.real(q), np.imag(q)])
-
-
-# Backwards reference for callers that want the J action without importing
-# symplectic directly.
-j_apply = apply_j
 
 
 @dataclass

@@ -24,8 +24,8 @@ __all__ = [
     "sder",
     "sint",
     "mconv",
-    "mder",
     "meval",
+    "strim",
     "taylor_recenter",
 ]
 
@@ -165,7 +165,7 @@ class TruncatedSeries:
 
     # -- evaluation ----------------------------------------------------
     def __call__(self, tau: float) -> float:
-        return float(np.polynomial.polynomial.polyval(tau, self.coeffs))
+        return float(meval(self.coeffs, tau))
 
     def tail_estimate(self, tau: float) -> float:
         """Crude geometric bound on the truncation error at ``tau``.
@@ -260,17 +260,30 @@ def mconv(a: np.ndarray, b: np.ndarray, nterms: int | None = None) -> np.ndarray
     return out
 
 
-def mder(a: np.ndarray) -> np.ndarray:
-    return sder(a)
+def strim(a: np.ndarray) -> np.ndarray:
+    """Drop the trailing all-zero coefficient slices of a stack (keeps one).
+
+    Trailing zeros do not change a value of :func:`meval`: Horner's rule
+    carries an exact zero until the first nonzero slice.
+    """
+    a = np.asarray(a, dtype=float)
+    nonzero = np.flatnonzero(a.reshape(a.shape[0], -1).any(axis=1))
+    return a[: nonzero[-1] + 1 if nonzero.size else 1]
 
 
 def meval(a: np.ndarray, tau: float, deriv: int = 0) -> np.ndarray:
-    """Evaluate a coefficient stack (or a derivative of it) at ``tau``."""
+    """Evaluate a coefficient stack (or a derivative of it) at a scalar ``tau``.
+
+    This is the one polynomial evaluator of the package.  It is Horner's rule
+    in the order of ``numpy.polynomial.polynomial.polyval``, so each entry is
+    bit-for-bit the value ``polyval`` gives for that entry's coefficients.
+    A 1-D stack evaluates to a scalar.  The stack must not be empty.
+    """
     a = np.asarray(a, dtype=float)
     for _ in range(deriv):
         a = sder(a)
-    out = np.zeros(a.shape[1:])
-    for k in range(a.shape[0] - 1, -1, -1):
+    out = a[-1] + tau * 0.0
+    for k in range(a.shape[0] - 2, -1, -1):
         out = out * tau + a[k]
     return out
 
@@ -282,9 +295,7 @@ def taylor_recenter(coeffs: np.ndarray, t0: float) -> np.ndarray:
     fact = 1.0
     work = c.copy()
     for k in range(c.shape[0]):
-        out[k] = np.polynomial.polynomial.polyval(t0, work) / fact
-        work = np.asarray(np.polynomial.polynomial.polyder(work), dtype=float)
-        if work.size == 0:
-            break
+        out[k] = meval(work, t0) / fact
+        work = sder(work)
         fact *= k + 1
     return out

@@ -23,6 +23,7 @@ from scipy.integrate import solve_ivp
 
 from ..errors import PreconditionError, SingularityError
 from ..grassmann import random_lagrangian
+from ..series import meval
 from .frame import NormalFormCoefficients, NormalFormFrame
 
 __all__ = [
@@ -166,15 +167,9 @@ def oscillation_count_oracle(
     k = bnf.shape[1]
 
     def sys(t: float) -> np.ndarray:
-        bt = np.zeros((k, k))
-        for coeff in bnf[::-1]:
-            bt = bt * t + coeff
-        ct = np.zeros((k, k))
-        for coeff in cnf[::-1]:
-            ct = ct * t + coeff
         out = np.zeros((2 * k, 2 * k))
-        out[:k, k:] = bt / t**m
-        out[k:, :k] = ct
+        out[:k, k:] = meval(bnf, t) / t**m
+        out[k:, :k] = meval(cnf, t)
         return out
 
     def rhs(t, y):

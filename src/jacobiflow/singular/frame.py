@@ -22,6 +22,10 @@ normal form (classification, model solutions, blow-up jets, jump operators)
 sees one consistent sign convention.  ``B`` is negative definite for small
 positive times; when the raw frame violates this in the (2,2) entry the
 ``f2`` column is sheared by ``a(t) * e2`` with a polynomial ``a``.
+
+The block system is evaluated on every integrator stage, so
+:class:`NormalFormCoefficients` compiles its stacks once at construction
+and evaluates them in a single Horner pass (see its docstring).
 """
 
 from __future__ import annotations
@@ -43,12 +47,12 @@ from ..flows import HamiltonianCoefficients
 from ..series import (
     TruncatedSeries,
     mconv,
-    mder,
     meval,
     sconv,
     sder,
     sint,
     srecip,
+    strim,
     taylor_recenter,
 )
 
@@ -167,13 +171,21 @@ def _series_solve(rows: list[list[np.ndarray]], rhs: list[np.ndarray]) -> list[n
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalFormCoefficients:
     """Block-system data ``B = 1/b + [[b11, b12], [b12, b22]]``, ``C`` diagonal.
 
     All entries are coefficient stacks in the local time (lowest order
     first); ``b`` vanishes to order ``m`` at zero.  For ``k == 1`` only
     ``b11`` and ``c11`` are meaningful.
+
+    The stacks are compiled once, at construction: the analytic part of
+    ``[[0, B], [C, 0]]`` becomes one ``(L, 2k, 2k)`` stack and ``b`` one
+    stack, both without trailing zero orders.  :meth:`system` is then one
+    :func:`~jacobiflow.series.meval` pass plus the pole term ``1/b(t)``
+    added to entry ``(0, k)``; every value equals the entrywise ``polyval``
+    assembly bit for bit.  The instance and its arrays are read-only, so the
+    compiled stacks cannot go stale.
     """
 
     k: int
@@ -184,6 +196,8 @@ class NormalFormCoefficients:
     b12: np.ndarray = field(default_factory=lambda: np.zeros(1))
     b22: np.ndarray = field(default_factory=lambda: np.zeros(1))
     c22: np.ndarray = field(default_factory=lambda: np.zeros(1))
+    _system_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _b_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k not in (1, 2):
@@ -191,7 +205,9 @@ class NormalFormCoefficients:
         if self.m < 0:
             raise PreconditionError("vanishing order must be nonnegative")
         for name in ("b", "b11", "c11", "b12", "b22", "c22"):
-            setattr(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
+            arr = np.array(getattr(self, name), dtype=float, ndmin=1)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         scale = float(np.max(np.abs(self.b))) if self.b.size else 0.0
         if scale == 0.0:
             raise PreconditionError("weight series is identically zero")
@@ -199,40 +215,41 @@ class NormalFormCoefficients:
         if abs(lead) <= 1e-12 * scale:
             raise PreconditionError("weight series does not have the stated vanishing order")
 
+        k = self.k
+        entries = [((0, k), self.b11), ((k, 0), self.c11)]
+        if k == 2:
+            entries += [((0, 3), self.b12), ((1, 2), self.b12), ((1, 3), self.b22),
+                        ((3, 1), self.c22)]
+        stack = np.zeros((max(c.size for _, c in entries), 2 * k, 2 * k))
+        for (i, j), c in entries:
+            stack[: c.size, i, j] = c
+        for name, arr in (("_system_stack", strim(stack)), ("_b_stack", strim(self.b))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
     @property
     def b_m(self) -> float:
         return float(self.b[self.m])
 
     def b_value(self, tau: float) -> float:
-        return float(np.polynomial.polynomial.polyval(tau, self.b))
+        return float(meval(self._b_stack, tau))
 
     def bhat(self, tau: float) -> np.ndarray:
         """Full ``B(tau)`` including the ``1/b`` pole; exact rational."""
-        bval = self.b_value(tau)
-        if bval == 0.0:
-            raise PoleError(f"weight vanishes at t={tau!r}")
-        pv = np.polynomial.polynomial.polyval
-        if self.k == 1:
-            return np.array([[1.0 / bval + pv(tau, self.b11)]])
-        return np.array(
-            [
-                [1.0 / bval + pv(tau, self.b11), pv(tau, self.b12)],
-                [pv(tau, self.b12), pv(tau, self.b22)],
-            ]
-        )
+        k = self.k
+        return self.system(tau)[:k, k:]
 
     def chat(self, tau: float) -> np.ndarray:
-        pv = np.polynomial.polynomial.polyval
-        if self.k == 1:
-            return np.array([[pv(tau, self.c11)]])
-        return np.diag([pv(tau, self.c11), pv(tau, self.c22)])
+        k = self.k
+        return meval(self._system_stack, tau)[k:, :k]
 
     def system(self, tau: float) -> np.ndarray:
         """Block system matrix ``[[0, B], [C, 0]]`` at ``tau``."""
-        k = self.k
-        out = np.zeros((2 * k, 2 * k))
-        out[:k, k:] = self.bhat(tau)
-        out[k:, :k] = self.chat(tau)
+        bval = self.b_value(tau)
+        if bval == 0.0:
+            raise PoleError(f"weight vanishes at t={tau!r}")
+        out = meval(self._system_stack, tau)
+        out[0, self.k] += 1.0 / bval
         return out
 
     def bnum_stack(self, nterms: int) -> np.ndarray:
@@ -269,7 +286,7 @@ class NormalFormCoefficients:
         )
 
     def as_callable(self):
-        return lambda t: self.system(t)
+        return self.system
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +460,7 @@ def _assemble(
 
     minv = _symplectic_inverse_stack(frame)
     # the padded derivative has an unknown top coefficient; drop that order
-    g_mat = -mconv(minv, _pad(mder(frame), nterms))[: nterms - 1]
+    g_mat = -mconv(minv, _pad(sder(frame), nterms))[: nterms - 1]
 
     ps = list(range(k))
     qs = list(range(n, n + k))

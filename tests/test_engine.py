@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npp
 
 from jacobiflow.engine import (
     PiecewiseAnalytic,
@@ -20,6 +23,37 @@ from jacobiflow.grassmann import (
     vertical_plane,
 )
 from jacobiflow.symplectic import gram, isotropy_residual
+
+
+def _polyder_x(data, t, deriv, side):
+    """Reference: the per-call ``polyder`` evaluation the cached stacks replaced."""
+    c = data.x_pieces[data.piece_index(t, side)]
+    if deriv:
+        if deriv >= c.shape[1]:
+            return np.zeros(data.dim)
+        c = np.apply_along_axis(lambda row: npp.polyder(row, deriv), 1, c)
+    return npp.polyval(t, c.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.floats(-1.0, 1.0), st.sampled_from("+-"),
+       st.integers(0, 2**31 - 1))
+def test_piecewise_evaluation_matches_polyder_path(deriv, t, side, seed):
+    rng = np.random.default_rng(seed)
+    x_pieces, b_pieces = [], []
+    for _ in range(2):
+        x = rng.normal(size=(4, int(rng.integers(1, 7))))
+        x[:, int(rng.integers(1, x.shape[1] + 1)):] = 0.0  # trailing zero columns
+        x_pieces.append(x)
+        b_pieces.append(rng.normal(size=int(rng.integers(1, 7))))
+    data = PiecewiseAnalytic(
+        breakpoints=np.array([-1.0, 0.0, 1.0]), b_pieces=b_pieces, x_pieces=x_pieces
+    )
+    ref = _polyder_x(data, t, deriv, side)
+    bref = npp.polyval(t, npp.polyder(b_pieces[data.piece_index(t, side)], deriv))
+    for _ in range(2):  # the second call reads the cached stacks
+        assert np.array_equal(data.x(t, deriv=deriv, side=side), ref)
+        assert data.b(t, deriv=deriv, side=side) == bref
 
 
 def _data_m0(n=1):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobiflow.errors import PoleError, PreconditionError
 from jacobiflow.flows import (
@@ -43,6 +45,40 @@ def test_coefficients_pole():
     assert h(0.5)[0, 1] == pytest.approx(4.0)
     with pytest.raises(PoleError):
         h(0.0)
+
+
+def _power_sum(coeffs, t):
+    """Reference: the power sum ``sum_k coeffs[k] t^k`` the Horner pass replaced."""
+    out = np.zeros(coeffs.shape[1:])
+    tk = 1.0
+    for ck in coeffs:
+        out += ck * tk
+        tk *= t
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(0, 2), st.floats(-1.0, 1.0),
+       st.integers(0, 2**31 - 1))
+def test_coefficients_match_power_sum(n, pole, t, seed):
+    if pole and abs(t) < 1e-3:
+        t = 0.5
+    rng = np.random.default_rng(seed)
+
+    def stack(sym):
+        c = rng.normal(size=(int(rng.integers(1, 7)), n, n))
+        c[int(rng.integers(1, c.shape[0] + 1)):] = 0.0  # trailing zero orders
+        return 0.5 * (c + np.transpose(c, (0, 2, 1))) if sym else c
+
+    a, b, c = stack(False), stack(True), stack(True)
+    h = HamiltonianCoefficients(a=a, b=b, c=c, pole_order=pole)
+
+    at, bt, ct = (_power_sum(x, t) for x in (a, b, c))
+    ref = np.block([[at, bt / t**pole], [ct, -at.T]])
+    aa, ab, ac = (_power_sum(np.abs(x), abs(t)) for x in (a, b, c))
+    scale = np.block([[aa, ab / abs(t) ** pole], [ac, aa.T]])
+    assert np.all(np.abs(h(t) - ref) <= 1e-14 * scale)
+    assert np.array_equal(np.hstack(h.blocks(t)[:2]), h(t)[:n])
 
 
 def test_coefficients_reject_nonsymmetric_blocks():

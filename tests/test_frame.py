@@ -1,5 +1,9 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jacobiflow.engine import PiecewiseAnalytic
 from jacobiflow.errors import (
@@ -101,6 +105,73 @@ def test_coefficients_pole_and_validation():
     with pytest.raises(PreconditionError):
         # stated order 0 but the series starts at order 1
         NormalFormCoefficients(k=1, m=0, b=[0.0, 1.0], b11=[0.0], c11=[0.0])
+
+
+def _polyval_system(c, tau):
+    """Reference: the entrywise ``polyval`` assembly of ``[[0, B], [C, 0]]``."""
+    pv = np.polynomial.polynomial.polyval
+    bval = pv(tau, c.b)
+    if bval == 0.0:
+        raise PoleError(f"weight vanishes at t={tau!r}")
+    k = c.k
+    out = np.zeros((2 * k, 2 * k))
+    if k == 1:
+        out[:k, k:] = [[1.0 / bval + pv(tau, c.b11)]]
+        out[k:, :k] = [[pv(tau, c.c11)]]
+    else:
+        out[:k, k:] = [
+            [1.0 / bval + pv(tau, c.b11), pv(tau, c.b12)],
+            [pv(tau, c.b12), pv(tau, c.b22)],
+        ]
+        out[k:, :k] = np.diag([pv(tau, c.c11), pv(tau, c.c22)])
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(0, 3), st.floats(1e-6, 1.0),
+       st.integers(0, 2**31 - 1))
+def test_compiled_system_matches_polyval_assembly(k, m, tau, seed):
+    rng = np.random.default_rng(seed)
+
+    def stack(head=()):
+        # random coefficients, then a random run of trailing zeros (possibly all)
+        c = np.concatenate([head, rng.normal(size=int(rng.integers(1, 8)))])
+        c[int(rng.integers(len(head), c.size + 1)):] = 0.0
+        return np.concatenate([c, np.zeros(int(rng.integers(0, 30)))])
+
+    b = stack(np.concatenate([np.zeros(m), [-0.5 - rng.random()]]))
+    names = ("b11", "c11") if k == 1 else ("b11", "c11", "b12", "b22", "c22")
+    c = NormalFormCoefficients(k=k, m=m, b=b, **{name: stack() for name in names})
+    ref = _polyval_system(c, tau)
+    assert np.array_equal(c.system(tau), ref)
+    assert np.array_equal(c.as_callable()(tau), ref)
+    assert np.array_equal(c.bhat(tau), ref[:k, k:])
+    assert np.array_equal(c.chat(tau), ref[k:, :k])
+    assert c.b_value(tau) == np.polynomial.polynomial.polyval(tau, b)
+
+
+def test_compiled_system_raises_where_the_weight_vanishes():
+    # b = -t + t^2 vanishes exactly at 0 and at 1
+    c = NormalFormCoefficients(
+        k=2, m=1, b=[0.0, -1.0, 1.0, 0.0], b11=[0.0], c11=[1.0], b22=[-1.0, 0.0]
+    )
+    for tau in (0.0, 1.0):
+        with pytest.raises(PoleError):
+            c.system(tau)
+        with pytest.raises(PoleError):
+            c.bhat(tau)
+    assert np.isfinite(c.system(0.5)).all()
+
+
+def test_coefficients_are_read_only():
+    b11 = np.array([0.3])
+    c = NormalFormCoefficients(k=1, m=2, b=[0.0, 0.0, -2.0], b11=b11, c11=[-0.7])
+    with pytest.raises(FrozenInstanceError):
+        c.b11 = np.array([1.0])
+    with pytest.raises(ValueError):
+        c.b11[0] = 1.0
+    b11[0] = 5.0  # the caller's array is copied, not shared
+    assert c.system(0.5)[0, 1] == 1.0 / -0.5 + 0.3
 
 
 def test_coefficients_hamiltonian_view_matches_system():

@@ -7,12 +7,12 @@ from jacobiflow.errors import DegenerateError, PreconditionError
 from jacobiflow.series import (
     TruncatedSeries,
     mconv,
-    mder,
     meval,
     sconv,
     sder,
     sint,
     srecip,
+    strim,
     taylor_recenter,
 )
 
@@ -126,7 +126,26 @@ def test_meval_derivative():
     a[:, 0, 0] = [1.0, 0.0, 3.0, -2.0]  # 1 + 3 t^2 - 2 t^3
     assert meval(a, 0.5)[0, 0] == pytest.approx(1.0 + 0.75 - 0.25)
     assert meval(a, 0.5, deriv=1)[0, 0] == pytest.approx(3.0 - 1.5)
-    assert mder(a).shape == (3, 1, 1)
+    assert sder(a).shape == (3, 1, 1)
+
+
+def test_strim_drops_trailing_zero_slices_only():
+    a = np.zeros((6, 2))
+    a[1, 0] = 2.0
+    a[3, 1] = -1.0
+    assert strim(a).shape == (4, 2)
+    assert strim(np.zeros((5, 2, 2))).shape == (1, 2, 2)
+    assert strim(np.array([1.0, 0.0, 3.0])).shape == (3,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 10), st.floats(-2.0, 2.0),
+       st.integers(0, 2**31 - 1))
+def test_meval_of_trimmed_stack_equals_polyval(nonzero, zeros, tau, seed):
+    c = np.concatenate([np.random.default_rng(seed).normal(size=(nonzero, 3)),
+                        np.zeros((zeros, 3))])
+    assert np.array_equal(meval(strim(c), tau), polyval(tau, c))
+    assert meval(strim(c[:, 0]), tau) == polyval(tau, c[:, 0])
 
 
 @settings(max_examples=40, deadline=None)
