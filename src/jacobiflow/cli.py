@@ -18,7 +18,8 @@ A scenario is a single JSON object::
 one ``b`` row and one ``(2n) x (deg+1)`` coefficient block per interval), a
 bang-bang list ``{"x_list": [[...2n...], ...]}``, or a portrait model
 ``{"c": 2.0, "u0": [...], "v0": [...]}``.  Unknown keys are rejected with
-the offending field path.
+the offending field path.  ``seed`` (default 0) is a label: it is echoed in
+the summary and drives nothing, since every pipeline is deterministic.
 
 Verbs: ``classify``, ``jump``, ``trace``, ``maslov``, ``bangbang``,
 ``portrait``.  Exit codes: 0 ok, 2 configuration, 3 mathematical failure,
@@ -54,12 +55,10 @@ from .grassmann import (
     ChartError,
     GrassmannCurve,
     canonicalize,
-    horizontal_plane,
     plane_distance,
-    to_chart,
     vertical_plane,
 )
-from .maslov import maslov_index, maslov_partial_sums
+from .maslov import _CurveMemo, maslov_index
 from .singular.classify import classify_frame, kneser_classify
 from .singular.firstjet import first_jet_case, first_jet_continuation
 from .singular.frame import NormalFormCoefficients, build_normal_frame
@@ -95,7 +94,10 @@ EXIT_IO = 4
 
 @dataclass
 class ScenarioConfig:
-    """Validated scenario with defaults applied."""
+    """Validated scenario with defaults applied.
+
+    ``seed`` is a label echoed in the summary; no computation reads it.
+    """
 
     n: int
     mode: str
@@ -327,16 +329,17 @@ def _trace_columns(n: int) -> list[str]:
 
 
 def _trace_rows(curve: GrassmannCurve, jumps: list[JumpEvent], n: int) -> list[list]:
-    delta = horizontal_plane(n)
-    pi_ref = vertical_plane(n)
-    partial = maslov_partial_sums(curve, pi_ref)
+    # one pass gives the partial sums and the chart columns: the chart
+    # (Sigma, Pi) of the columns is chart 0 of the Maslov catalogue over Pi
+    charts = _CurveMemo(curve.planes, vertical_plane(n))
+    partial = charts.partial_sums()
     jump_times = [j.time for j in jumps]
     rows = []
-    for t, plane, psum in zip(curve.times, curve.planes, partial):
+    for k, (t, plane, psum) in enumerate(zip(curve.times, curve.planes, partial)):
         row: list = [float(t)]
         row += [float(v) for v in np.asarray(plane).ravel()]
         try:
-            s = to_chart(plane, delta, pi_ref).s
+            s = charts.chart_matrix(k, 0)
             row += [float(v) for v in s.ravel()]
         except ChartError:
             row += [None] * (n * n)
@@ -667,7 +670,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("scenario", nargs="+", help="scenario JSON file(s)")
     common.add_argument("--out", help="output path (directory in batch runs)")
     common.add_argument("--format", choices=FORMATS, default="csv")
-    common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    common.add_argument("--seed", type=int, default=None,
+                        help="override the scenario seed (a label echoed in the summary)")
     common.add_argument("--tol-overrides", default=None, help="JSON object merged into tolerances")
     common.add_argument("--batch", action="store_true", help="process several scenarios in one run")
     parser = _Parser(prog="jacobiflow", description=__doc__.splitlines()[0])

@@ -143,8 +143,11 @@ def transversality_margin(a: np.ndarray, b: np.ndarray) -> float:
     Zero iff the subspaces intersect nontrivially; pi/2 for orthogonal
     complements.
     """
-    qa = _orthonormal(_as_frame(a))
-    qb = _orthonormal(_as_frame(b))
+    return _basis_margin(_orthonormal(_as_frame(a)), _orthonormal(_as_frame(b)))
+
+
+def _basis_margin(qa: np.ndarray, qb: np.ndarray) -> float:
+    """:func:`transversality_margin` of two orthonormal bases."""
     if qa.shape[1] == 0 or qb.shape[1] == 0:
         return float(np.pi / 2)
     s = np.linalg.svd(qa.T @ qb, compute_uv=False)
@@ -155,8 +158,11 @@ def plane_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Gap distance between subspaces: spectral norm of the projector difference."""
     a = _as_frame(a)
     b = _as_frame(b)
-    qa = _orthonormal(a)
-    qb = _orthonormal(b)
+    return _basis_distance(_orthonormal(a), _orthonormal(b))
+
+
+def _basis_distance(qa: np.ndarray, qb: np.ndarray) -> float:
+    """:func:`plane_distance` of two orthonormal bases."""
     pa = qa @ qa.T
     pb = qb @ qb.T
     return float(np.linalg.norm(pa - pb, 2))
@@ -216,6 +222,12 @@ def to_chart(
     """
     plane = validate_lagrangian(plane)
     p, d, m = _chart_basis(delta, pi_ref)
+    return ChartPoint(s=_chart_matrix(plane, m, tol), delta=canonicalize(d), pi_ref=p)
+
+
+def _chart_matrix(plane: np.ndarray, m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Symmetric chart matrix of a validated plane over the basis ``m`` of
+    :func:`_chart_basis`; the solving step of :func:`to_chart`."""
     n = plane.shape[0] // 2
     y = np.linalg.solve(m, plane)
     u, v = y[:n], y[n:]
@@ -223,8 +235,7 @@ def to_chart(
     if su[0] == 0.0 or su[-1] < tol * su[0]:
         raise ChartError("plane is not transversal to the chart plane delta")
     s = v @ np.linalg.inv(u)
-    s = 0.5 * (s + s.T)
-    return ChartPoint(s=s, delta=canonicalize(d), pi_ref=p)
+    return 0.5 * (s + s.T)
 
 
 def from_chart(point: ChartPoint) -> np.ndarray:

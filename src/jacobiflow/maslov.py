@@ -12,6 +12,14 @@ matrix moving from -1 to +1 through 0) has index +1.
 :func:`maslov_index` sums simple-arc indices over a sampled curve, choosing
 chart planes from a fixed catalogue and bisecting the sample range when no
 single catalogue plane covers an arc.
+
+Both counting functions work through one memo per curve (``_CurveMemo``):
+each node is validated, tested against the reference plane and
+orthonormalised once, each catalogue chart is prepared once, and each
+(node, chart) margin and chart matrix is computed once.
+:func:`maslov_partial_sums` is therefore one pass over the intervals; each
+increment follows the rule :func:`maslov_index` applies to a two-node arc.
+The trace chart columns of the CLI are read from the same memo.
 """
 
 from __future__ import annotations
@@ -20,18 +28,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ArcError, ChartError, PreconditionError, RefinementError
+from .errors import ArcError, ChartError, JacobiflowError, PreconditionError, RefinementError
 from .flows import _system, fundamental_solution
 from .symplectic import apply_j
 from .grassmann import (
     GrassmannCurve,
-    canonicalize,
+    _as_frame,
+    _basis_distance,
+    _basis_margin,
+    _chart_basis,
+    _chart_matrix,
+    _orthonormal,
     horizontal_plane,
     intersection_dimension,
-    plane_distance,
     random_lagrangian,
     to_chart,
-    transversality_margin,
     validate_lagrangian,
     vertical_plane,
 )
@@ -74,6 +85,11 @@ def _signature(s: np.ndarray, tol: float = 1e-9) -> int:
     return int(np.sum(w > 0) - np.sum(w < 0))
 
 
+def _signature_change(s0: np.ndarray, s1: np.ndarray) -> int:
+    """Index of a simple arc from its endpoint chart matrices."""
+    return (_signature(s1) - _signature(s0)) // 2
+
+
 def simple_arc_index(l0: np.ndarray, l1: np.ndarray, pi: np.ndarray, delta: np.ndarray) -> int:
     """Index of a simple arc from l0 to l1 in the chart ``(delta, pi)``.
 
@@ -83,108 +99,174 @@ def simple_arc_index(l0: np.ndarray, l1: np.ndarray, pi: np.ndarray, delta: np.n
     """
     s0 = to_chart(l0, delta, pi).s
     s1 = to_chart(l1, delta, pi).s
-    diff = _signature(s1) - _signature(s0)
-    return diff // 2
+    return _signature_change(s0, s1)
 
 
-def _arc_chart(
-    planes: Sequence[np.ndarray],
-    pi: np.ndarray,
-    catalogue: Sequence[np.ndarray],
-    gaps: Sequence[float] | None = None,
-):
-    """First catalogue plane transversal (with margin) to pi and to every plane.
+class _CurveMemo:
+    """What Maslov counting computes along one sampled curve, each piece once.
 
-    When ``gaps`` holds the angular distances between consecutive samples,
-    the chart plane must additionally clear each pair by more than its gap:
-    otherwise the short path between the samples can wrap around the chart
-    plane and the signature difference counts a spurious reference crossing.
+    Per node: the validated frame, ``dim(node ∩ pi)`` and an orthonormal
+    basis; per catalogue chart: the prepared chart basis over ``pi`` and its
+    margin to ``pi``; per (node, chart): the margin and the chart matrix;
+    per interval: the angular sample gap.  Entries are computed on first
+    use by the same arithmetic as the direct ``grassmann`` calls, and a
+    library error raised while computing one is raised again on every later
+    use, so answers and failures are those of the uncached computation.
     """
-    for delta in catalogue:
-        if transversality_margin(delta, pi) <= CHART_MARGIN:
-            continue
-        margins = [transversality_margin(delta, p) for p in planes]
-        if any(m <= CHART_MARGIN for m in margins):
-            continue
-        if gaps is not None and any(
-            max(margins[i], margins[i + 1]) <= g for i, g in enumerate(gaps)
-        ):
-            continue
-        return delta
-    return None
 
+    def __init__(self, planes: Sequence[np.ndarray], pi: np.ndarray) -> None:
+        self.planes = planes
+        self._pi = pi
+        self._cache: dict[tuple, object] = {}
 
-def _sample_gaps(planes: Sequence[np.ndarray]) -> list[float]:
-    """Angular upper bound of the distance between consecutive samples."""
-    return [
-        float(np.arcsin(min(1.0, plane_distance(planes[i], planes[i + 1]))))
-        for i in range(len(planes) - 1)
-    ]
-
-
-def maslov_index(curve: GrassmannCurve, pi: np.ndarray, *, max_depth: int = MAX_DEPTH) -> int:
-    """Maslov index of a sampled curve with respect to the plane ``pi``.
-
-    The sample range is split adaptively: each piece needs one catalogue
-    plane transversal to all its samples, and split points must be
-    transversal to ``pi``.  Raises :class:`RefinementError` when the
-    recursion exceeds ``max_depth`` or runs out of usable split points, and
-    :class:`PreconditionError` when a curve endpoint touches ``pi``.
-    """
-    pi = validate_lagrangian(np.asarray(pi, dtype=float))
-    if len(curve) < 2:
-        return 0
-    for end in (curve.planes[0], curve.planes[-1]):
-        if intersection_dimension(end, pi) > 0:
-            raise PreconditionError("curve endpoint is not transversal to the reference plane")
-    catalogue = reference_catalogue(curve.n)
-
-    def arc(i: int, j: int, depth: int) -> int:
-        if depth > max_depth:
-            raise RefinementError(f"chart refinement exceeded depth {max_depth}")
-        samples = curve.planes[i : j + 1]
-        delta = _arc_chart(samples, pi, catalogue, gaps=_sample_gaps(samples))
-        if delta is not None:
+    def _get(self, key: tuple, compute):
+        try:
+            hit = self._cache[key]
+        except KeyError:
             try:
-                return simple_arc_index(curve.planes[i], curve.planes[j], pi, delta)
+                hit = compute()
+            except JacobiflowError as exc:
+                hit = exc
+            self._cache[key] = hit
+        if isinstance(hit, JacobiflowError):
+            raise hit
+        return hit
+
+    # -- cached pieces ---------------------------------------------------
+
+    def pi(self) -> np.ndarray:
+        return self._get(("pi",), lambda: validate_lagrangian(np.asarray(self._pi, dtype=float)))
+
+    def catalogue(self) -> list[np.ndarray]:
+        return reference_catalogue(self.pi().shape[0] // 2)
+
+    def _pi_dimension(self, k: int) -> int:
+        """``intersection_dimension(node k, pi)``."""
+        return self._get(("pi_dim", k), lambda: intersection_dimension(self.planes[k], self.pi()))
+
+    def _basis(self, k: int) -> np.ndarray:
+        return self._get(("basis", k), lambda: _orthonormal(_as_frame(self.planes[k])))
+
+    def _chart_orthonormal(self, c: int) -> np.ndarray:
+        return self._get(("chart_orthonormal", c),
+                         lambda: _orthonormal(_as_frame(self.catalogue()[c])))
+
+    def _gap(self, k: int) -> float:
+        """Angular upper bound of the distance between nodes k and k + 1."""
+        return self._get(("gap", k), lambda: float(
+            np.arcsin(min(1.0, _basis_distance(self._basis(k), self._basis(k + 1))))))
+
+    def _chart_margin(self, c: int) -> float:
+        """``transversality_margin(chart c, pi)``."""
+        pi_basis = self._get(("pi_basis",), lambda: _orthonormal(_as_frame(self.pi())))
+        return self._get(("chart_margin", c),
+                         lambda: _basis_margin(self._chart_orthonormal(c), pi_basis))
+
+    def _margin(self, k: int, c: int) -> float:
+        """``transversality_margin(chart c, node k)``."""
+        return self._get(("margin", k, c),
+                         lambda: _basis_margin(self._chart_orthonormal(c), self._basis(k)))
+
+    def chart_matrix(self, k: int, c: int) -> np.ndarray:
+        """``to_chart(node k, chart c, pi).s``."""
+        def compute():
+            frame = self._get(("frame", k), lambda: validate_lagrangian(self.planes[k]))
+            _, _, m = self._get(("chart_pair", c),
+                                lambda: _chart_basis(self.catalogue()[c], self.pi()))
+            return _chart_matrix(frame, m)
+        return self._get(("s", k, c), compute)
+
+    # -- counting --------------------------------------------------------
+
+    def arc_chart(self, i: int, j: int) -> int | None:
+        """First catalogue chart transversal (with margin) to pi and to nodes i..j.
+
+        The chart must additionally clear each pair of consecutive nodes by
+        more than their gap: otherwise the short path between the samples
+        can wrap around the chart plane and the signature difference counts
+        a spurious reference crossing.
+        """
+        gaps = [self._gap(k) for k in range(i, j)]
+        for c in range(len(self.catalogue())):
+            if self._chart_margin(c) <= CHART_MARGIN:
+                continue
+            margins = [self._margin(k, c) for k in range(i, j + 1)]
+            if any(m <= CHART_MARGIN for m in margins):
+                continue
+            if any(max(margins[k], margins[k + 1]) <= g for k, g in enumerate(gaps)):
+                continue
+            return c
+        return None
+
+    def index(self, i: int, j: int) -> int:
+        """Maslov index of the curve between nodes i and j (see :func:`maslov_index`)."""
+        self.pi()  # a bad pi is refused even when there is no arc to count
+        if j <= i:
+            return 0
+        for end in (i, j):
+            if self._pi_dimension(end) > 0:
+                raise PreconditionError(
+                    "curve endpoint is not transversal to the reference plane")
+        return self._arc(i, j, 0)
+
+    def _arc(self, i: int, j: int, depth: int) -> int:
+        if depth > MAX_DEPTH:
+            raise RefinementError(f"chart refinement exceeded depth {MAX_DEPTH}")
+        c = self.arc_chart(i, j)
+        if c is not None:
+            try:
+                return _signature_change(self.chart_matrix(i, c), self.chart_matrix(j, c))
             except ArcError:
                 pass  # endpoint touches pi in this chart: fall through to split
         if j == i + 1:
             raise RefinementError(
                 f"no catalogue chart covers the arc between samples {i} and {j}"
             )
-        mid = _split_point(curve, pi, i, j)
-        return arc(i, mid, depth + 1) + arc(mid, j, depth + 1)
+        mid = self._split_point(i, j)
+        return self._arc(i, mid, depth + 1) + self._arc(mid, j, depth + 1)
 
-    return arc(0, len(curve) - 1, 0)
+    def _split_point(self, i: int, j: int) -> int:
+        """Node in (i, j) transversal to pi, nearest to the midpoint."""
+        mid = (i + j) // 2
+        for k in sorted(range(i + 1, j), key=lambda k: (abs(k - mid), k)):
+            if self._pi_dimension(k) == 0:
+                return k
+        raise RefinementError("no split sample is transversal to the reference plane")
+
+    def partial_sums(self) -> list[float]:
+        """See :func:`maslov_partial_sums`."""
+        sums: list[float] = [0.0]
+        total = 0.0
+        for k in range(1, len(self.planes)):
+            try:
+                total += self.index(k - 1, k)
+                sums.append(total)
+            except (ArcError, RefinementError, PreconditionError):
+                sums.append(float("nan"))
+        return sums
 
 
-def _split_point(curve: GrassmannCurve, pi: np.ndarray, i: int, j: int) -> int:
-    """Sample index in (i, j) transversal to pi, nearest to the midpoint."""
-    mid = (i + j) // 2
-    order = sorted(range(i + 1, j), key=lambda k: (abs(k - mid), k))
-    for k in order:
-        if intersection_dimension(curve.planes[k], pi) == 0:
-            return k
-    raise RefinementError("no split sample is transversal to the reference plane")
+def maslov_index(curve: GrassmannCurve, pi: np.ndarray) -> int:
+    """Maslov index of a sampled curve with respect to the plane ``pi``.
+
+    The sample range is split adaptively: each piece needs one catalogue
+    plane transversal to all its samples, and split points must be
+    transversal to ``pi``.  Raises :class:`RefinementError` when the
+    recursion exceeds ``MAX_DEPTH`` or runs out of usable split points, and
+    :class:`PreconditionError` when a curve endpoint touches ``pi``.
+    """
+    return _CurveMemo(curve.planes, pi).index(0, len(curve) - 1)
 
 
 def maslov_partial_sums(curve: GrassmannCurve, pi: np.ndarray) -> list[float]:
     """Cumulative Maslov index along the sampled curve, one value per node.
 
-    Nodes where the increment cannot be computed (endpoint on pi, no usable
-    chart) carry ``nan``; subsequent sums resume from the last good value.
+    Each increment is :func:`maslov_index` of the two-node arc between
+    consecutive nodes.  Nodes where the increment cannot be computed
+    (endpoint on pi, no usable chart) carry ``nan``; subsequent sums resume
+    from the last good value.
     """
-    sums: list[float] = [0.0]
-    total = 0.0
-    for k in range(1, len(curve)):
-        sub = GrassmannCurve(times=curve.times[k - 1 : k + 1], planes=curve.planes[k - 1 : k + 1])
-        try:
-            total += maslov_index(sub, pi)
-            sums.append(total)
-        except (ArcError, RefinementError, PreconditionError):
-            sums.append(float("nan"))
-    return sums
+    return _CurveMemo(curve.planes, pi).partial_sums()
 
 
 def _restricted_form_sign(h, delta_q: np.ndarray, ts: np.ndarray, tol: float = 1e-10) -> int:
@@ -226,7 +308,6 @@ def vertical_intersection_count(h, l0: np.ndarray, delta: np.ndarray,
     if grid.size < 2:
         raise PreconditionError("grid needs at least two nodes")
     delta = validate_lagrangian(np.asarray(delta, dtype=float))
-    n = delta.shape[0] // 2
     qd, _ = np.linalg.qr(delta)
 
     refine = 6
@@ -240,14 +321,6 @@ def vertical_intersection_count(h, l0: np.ndarray, delta: np.ndarray,
     def plane(t: float) -> np.ndarray:
         q, _ = np.linalg.qr(interp(t) @ l0)
         return q
-
-    catalogue = reference_catalogue(n)
-
-    def pick_aux(samples: list[np.ndarray]) -> np.ndarray:
-        aux = _arc_chart(samples, delta, catalogue, gaps=_sample_gaps(samples))
-        if aux is None:
-            raise RefinementError("no catalogue chart covers the counting segment")
-        return aux
 
     def n_neg(p: np.ndarray, aux: np.ndarray) -> int:
         s = to_chart(p, aux, delta).s
@@ -277,11 +350,14 @@ def vertical_intersection_count(h, l0: np.ndarray, delta: np.ndarray,
         return (count_segment(ta, tm, pa, pm, na, nm, aux, depth + 1)
                 + count_segment(tm, tb, pm, pb, nm, nb, aux, depth + 1))
 
-    k = 0
-    while k < ts.size - 1:
-        pa, pb = plane(ts[k]), plane(ts[k + 1])
-        aux = pick_aux([pa, pb])
+    planes = [plane(t) for t in ts]
+    charts = _CurveMemo(planes, delta)
+    for k in range(ts.size - 1):
+        c = charts.arc_chart(k, k + 1)
+        if c is None:
+            raise RefinementError("no catalogue chart covers the counting segment")
+        aux = charts.catalogue()[c]
+        pa, pb = planes[k], planes[k + 1]
         na, nb = n_neg(pa, aux), n_neg(pb, aux)
         total += count_segment(ts[k], ts[k + 1], pa, pb, na, nb, aux)
-        k += 1
     return total

@@ -67,8 +67,36 @@ def test_batch_reports_errors_in_input_order(tmp_path, capsys):
     ]
 
 
+def _assert_golden(tmp_path, verb: str, scenario: str, csv: str, summary: str) -> None:
+    """Run one verb and compare its CSV and summary with files captured earlier."""
+    out = tmp_path / "out.csv"
+    assert main([verb, str(GOLDEN / f"{scenario}.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / csv).read_bytes()
+    summary_out = tmp_path / "out.csv.summary.json"
+    assert summary_out.read_bytes() == (GOLDEN / summary).read_bytes()
+
+
 def test_golden_degen_m3_trace_is_byte_stable(tmp_path):
-    out = tmp_path / "degen_m3_short.csv"
-    assert main(["trace", str(SCENARIO), "--out", str(out)]) == 0
-    for name in ("degen_m3_short.csv", "degen_m3_short.csv.summary.json"):
-        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    _assert_golden(tmp_path, "trace", "degen_m3_short",
+                   "degen_m3_short.csv", "degen_m3_short.csv.summary.json")
+
+
+# chart columns, Maslov partial sums (0 -> 1 on [0, 4]; nan and blank chart
+# cells in bangbang), the maslov_index summary key and the jump flags; the
+# maslov verb writes the same CSV as trace
+@pytest.mark.parametrize("verb, scenario, csv, summary", [
+    ("trace", "regular_short", "regular_short.trace.csv", "regular_short.trace.csv.summary.json"),
+    ("maslov", "regular_short", "regular_short.trace.csv", "regular_short.maslov.csv.summary.json"),
+    ("bangbang", "bangbang_short", "bangbang_short.csv", "bangbang_short.csv.summary.json"),
+], ids=["regular-trace", "regular-maslov", "bangbang"])
+def test_golden_curve_outputs_are_byte_stable(tmp_path, verb, scenario, csv, summary):
+    _assert_golden(tmp_path, verb, scenario, csv, summary)
+
+
+def test_maslov_refuses_curve_starting_on_reference_plane(tmp_path, capsys):
+    # order2's X(0) lies in Pi, so the curve's first node does
+    out = tmp_path / "o.csv"
+    assert main(["maslov", str(GOLDEN / "order2_short.json"), "--out", str(out)]) == 3
+    [err] = _errors(capsys)
+    assert (err["error"], err["stage"]) == ("PreconditionError", "run")
+    assert not out.exists()

@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from jacobiflow.errors import ArcError, PreconditionError
-from jacobiflow.flows import HamiltonianCoefficients
+from jacobiflow.errors import ArcError, NondegeneracyError, PreconditionError, RefinementError
+from jacobiflow.flows import HamiltonianCoefficients, flow_plane
 from jacobiflow.grassmann import (
     GrassmannCurve,
     canonicalize,
     horizontal_plane,
     intersection_dimension,
+    plane_distance,
     random_lagrangian,
+    transversality_margin,
+    validate_lagrangian,
     vertical_plane,
 )
 from jacobiflow.maslov import (
+    CHART_MARGIN,
+    MAX_DEPTH,
     maslov_index,
     maslov_partial_sums,
     reference_catalogue,
@@ -96,6 +103,168 @@ def test_partial_sums_accumulate_to_index():
     assert sums[0] == 0.0
     assert not np.isnan(sums[-1])
     assert sums[-1] == maslov_index(curve, pi)
+
+
+# -- reference: the chart search, index and per-interval partial-sum loop
+# as they were before one memo per curve shared nodes and charts across
+# intervals; every call recomputes everything from the public functions
+
+def _reference_arc_chart(planes, pi, catalogue, gaps):
+    for delta in catalogue:
+        if transversality_margin(delta, pi) <= CHART_MARGIN:
+            continue
+        margins = [transversality_margin(delta, p) for p in planes]
+        if any(m <= CHART_MARGIN for m in margins):
+            continue
+        if any(max(margins[i], margins[i + 1]) <= g for i, g in enumerate(gaps)):
+            continue
+        return delta
+    return None
+
+
+def _reference_gaps(planes):
+    return [float(np.arcsin(min(1.0, plane_distance(planes[i], planes[i + 1]))))
+            for i in range(len(planes) - 1)]
+
+
+def _reference_index(curve, pi):
+    pi = validate_lagrangian(np.asarray(pi, dtype=float))
+    if len(curve) < 2:
+        return 0
+    for end in (curve.planes[0], curve.planes[-1]):
+        if intersection_dimension(end, pi) > 0:
+            raise PreconditionError("curve endpoint is not transversal to the reference plane")
+    catalogue = reference_catalogue(curve.n)
+
+    def arc(i, j, depth):
+        if depth > MAX_DEPTH:
+            raise RefinementError(f"chart refinement exceeded depth {MAX_DEPTH}")
+        samples = curve.planes[i : j + 1]
+        delta = _reference_arc_chart(samples, pi, catalogue, _reference_gaps(samples))
+        if delta is not None:
+            try:
+                return simple_arc_index(curve.planes[i], curve.planes[j], pi, delta)
+            except ArcError:
+                pass
+        if j == i + 1:
+            raise RefinementError(f"no catalogue chart covers the arc between samples {i} and {j}")
+        mid = (i + j) // 2
+        for k in sorted(range(i + 1, j), key=lambda k: (abs(k - mid), k)):
+            if intersection_dimension(curve.planes[k], pi) == 0:
+                return arc(i, k, depth + 1) + arc(k, j, depth + 1)
+        raise RefinementError("no split sample is transversal to the reference plane")
+
+    return arc(0, len(curve) - 1, 0)
+
+
+def _reference_partial_sums(curve, pi):
+    sums = [0.0]
+    total = 0.0
+    for k in range(1, len(curve)):
+        sub = GrassmannCurve(times=curve.times[k - 1 : k + 1], planes=curve.planes[k - 1 : k + 1])
+        try:
+            total += _reference_index(sub, pi)
+            sums.append(total)
+        except (ArcError, RefinementError, PreconditionError):
+            sums.append(float("nan"))
+    return sums
+
+
+def _assert_same_sums(curve, pi):
+    sums = maslov_partial_sums(curve, pi)
+    expected = _reference_partial_sums(curve, pi)
+    assert len(sums) == len(expected) == len(curve)
+    np.testing.assert_array_equal(sums, expected)  # nan equals nan
+    return sums
+
+
+def _line_curve(angles):
+    """n = 1 lines at the given angles from Pi = span(e_1)."""
+    planes = [np.array([[np.cos(a)], [np.sin(a)]]) for a in angles]
+    return GrassmannCurve(times=np.arange(len(angles), dtype=float), planes=planes)
+
+
+@pytest.mark.parametrize("omegas", [[1.0], [-1.0], [2.0], [1.0, -1.0]])
+def test_partial_sums_match_reference_on_rotation_loops(omegas):
+    n = len(omegas)
+    l0 = random_lagrangian(np.random.default_rng(3), n)
+    curve = _rotation_loop(omegas, l0)
+    pi = next(p for p in reference_catalogue(n) if intersection_dimension(l0, p) == 0)
+    sums = _assert_same_sums(curve, pi)
+    assert not np.any(np.isnan(sums))
+    assert maslov_index(curve, pi) == _reference_index(curve, pi) == sums[-1]
+
+
+def test_partial_sums_match_reference_with_nodes_on_reference():
+    # the line meets Pi at angles 0, pi and 2 pi: every interval touching
+    # those nodes has no increment
+    curve = _line_curve(np.linspace(0.0, 2.0 * np.pi, 25))
+    sums = _assert_same_sums(curve, vertical_plane(1))
+    assert [k for k, v in enumerate(sums) if np.isnan(v)] == [1, 12, 13, 24]
+    # n = 2: one of the two rotating directions passes through Pi
+    ts = np.linspace(0.0, np.pi, 13)
+    planes = [np.array([[np.cos(t), 0.0], [0.0, 0.6], [np.sin(t), 0.0], [0.0, 0.8]]) for t in ts]
+    curve = GrassmannCurve(times=ts, planes=planes)
+    sums = _assert_same_sums(curve, vertical_plane(2))
+    assert np.isnan(sums[1]) and np.isnan(sums[-1]) and not np.isnan(sums[6])
+
+
+def test_partial_sums_match_reference_when_no_chart_clears_an_interval():
+    # consecutive lines a right angle apart: the gap pi/2 bounds every margin
+    curve = _line_curve([0.3, 0.3 + 0.5 * np.pi, 0.35 + 0.5 * np.pi, 0.4 + 0.5 * np.pi])
+    sums = _assert_same_sums(curve, vertical_plane(1))
+    assert np.isnan(sums[1]) and not np.isnan(sums[2])
+
+
+def test_partial_sums_reject_non_lagrangian_node():
+    n = 2
+    curve = _rotation_loop([1.0, -1.0], random_lagrangian(np.random.default_rng(3), n))
+    curve.planes[5] = curve.planes[5] + np.array([[1e-3, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    assert isotropy_residual(curve.planes[5]) > 1e-6
+    pi = reference_catalogue(n)[1]
+    with pytest.raises(NondegeneracyError):
+        _reference_partial_sums(curve, pi)
+    with pytest.raises(NondegeneracyError):
+        maslov_partial_sums(curve, pi)
+
+
+def _random_rotation_curve(rng):
+    n = int(rng.integers(1, 3))
+    omegas = rng.uniform(-2.0, 2.0, n)
+    gen = np.block([[np.zeros((n, n)), np.diag(omegas)], [-np.diag(omegas), np.zeros((n, n))]])
+    span = rng.uniform(1.0, 2.0 * np.pi)
+    ts = np.linspace(0.0, span, int(4 * (np.sum(np.abs(omegas)) + 1) * span) + 3)
+    l0 = random_lagrangian(rng, n)
+    return GrassmannCurve(times=ts, planes=[canonicalize(expm(t * gen) @ l0) for t in ts])
+
+
+def _random_flow_curve(rng):
+    # unit-scale blocks keep the turn between samples well below the chart margins
+    n = 2
+    a, b, c = (m / np.linalg.norm(m, 2) for m in rng.standard_normal((3, n, n)))
+    h = HamiltonianCoefficients(a=a, b=b @ b.T + 0.5 * np.eye(n), c=-(c @ c.T))
+    return flow_plane(h, random_lagrangian(rng, n), np.linspace(0.0, 3.0, 31))
+
+
+def _sub_curve(curve, i, j):
+    return GrassmannCurve(times=curve.times[i : j + 1], planes=curve.planes[i : j + 1])
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([_random_rotation_curve, _random_flow_curve]),
+       st.integers(0, 2**31 - 1))
+def test_maslov_index_is_additive(make_curve, seed):
+    rng = np.random.default_rng(seed)
+    curve = make_curve(rng)
+    pi = random_lagrangian(rng, curve.n)
+    sums = maslov_partial_sums(curve, pi)
+    index = maslov_index(curve, pi)
+    if not np.any(np.isnan(sums)):
+        assert index == sums[-1]
+    cut = int(rng.integers(1, len(curve) - 1))
+    pieces = maslov_index(_sub_curve(curve, 0, cut), pi) + maslov_index(
+        _sub_curve(curve, cut, len(curve) - 1), pi)
+    assert index == pieces
 
 
 def _harmonic():
