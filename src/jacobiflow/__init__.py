@@ -21,13 +21,7 @@ from .engine import (
     singular_jacobi_curve,
 )
 from .errors import ConfigError, JacobiflowError, MathError
-from .flows import (
-    HamiltonianCoefficients,
-    RiccatiResult,
-    flow_plane,
-    fundamental_matrix,
-    riccati_flow,
-)
+from .flows import HamiltonianCoefficients, flow_plane, fundamental_matrix
 from .grassmann import (
     ChartPoint,
     GrassmannCurve,
@@ -73,7 +67,6 @@ __all__ = [
     "LegendreSequence",
     "MathError",
     "PiecewiseAnalytic",
-    "RiccatiResult",
     "apply_j",
     "bang_bang_sequence",
     "canonicalize",
@@ -100,7 +93,6 @@ __all__ = [
     "plane_distance",
     "random_lagrangian",
     "reference_catalogue",
-    "riccati_flow",
     "series",
     "simple_arc_index",
     "singular",

@@ -58,7 +58,7 @@ from .grassmann import (
     plane_distance,
     vertical_plane,
 )
-from .maslov import _CurveMemo, maslov_index
+from .maslov import _CurveMemo
 from .singular.classify import classify_frame, kneser_classify
 from .singular.firstjet import first_jet_case, first_jet_continuation
 from .singular.frame import NormalFormCoefficients, build_normal_frame
@@ -116,6 +116,7 @@ class TraceOutput:
     rows: list[list]
     summary: dict
     trace: JacobiTrace | None = field(default=None, repr=False)
+    memo: _CurveMemo | None = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +329,11 @@ def _trace_columns(n: int) -> list[str]:
     return cols
 
 
-def _trace_rows(curve: GrassmannCurve, jumps: list[JumpEvent], n: int) -> list[list]:
+def _trace_rows(curve: GrassmannCurve, jumps: list[JumpEvent],
+                n: int) -> tuple[list[list], _CurveMemo]:
     # one pass gives the partial sums and the chart columns: the chart
-    # (Sigma, Pi) of the columns is chart 0 of the Maslov catalogue over Pi
+    # (Sigma, Pi) of the columns is chart 0 of the Maslov catalogue over Pi;
+    # the memo is returned so that the maslov verb counts on it too
     charts = _CurveMemo(curve.planes, vertical_plane(n))
     partial = charts.partial_sums()
     jump_times = [j.time for j in jumps]
@@ -347,7 +350,7 @@ def _trace_rows(curve: GrassmannCurve, jumps: list[JumpEvent], n: int) -> list[l
         hit = any(abs(t - jt) <= 1e-9 * max(1.0, abs(jt)) for jt in jump_times)
         row.append(1 if hit else 0)
         rows.append(row)
-    return rows
+    return rows, charts
 
 
 def _event_summaries(jumps: list[JumpEvent]) -> list[dict]:
@@ -402,8 +405,8 @@ def _run_interval_mode(config: ScenarioConfig) -> TraceOutput:
         "events": _event_summaries(trace.jumps),
         "diagnostics": _jsonable(trace.diagnostics),
     }
-    rows = _trace_rows(trace.curve, trace.jumps, config.n)
-    return TraceOutput(_trace_columns(config.n), rows, summary, trace)
+    rows, memo = _trace_rows(trace.curve, trace.jumps, config.n)
+    return TraceOutput(_trace_columns(config.n), rows, summary, trace, memo)
 
 
 def _run_bangbang(config: ScenarioConfig) -> TraceOutput:
@@ -431,8 +434,8 @@ def _run_bangbang(config: ScenarioConfig) -> TraceOutput:
         "event_count": len(jumps),
         "events": _event_summaries(jumps),
     }
-    rows = _trace_rows(curve, jumps, config.n)
-    return TraceOutput(_trace_columns(config.n), rows, summary, trace)
+    rows, memo = _trace_rows(curve, jumps, config.n)
+    return TraceOutput(_trace_columns(config.n), rows, summary, trace, memo)
 
 
 def _degeneracy_stage(config: ScenarioConfig):
@@ -515,8 +518,8 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
     planes = [canonicalize(frame.frame_at(float(t)) @ p) for t, p in zip(grid, nf_planes)]
     curve = GrassmannCurve(times=grid, planes=planes)
     trace = JacobiTrace(curve=curve, jumps=[jump], diagnostics={})
-    rows = _trace_rows(curve, [jump], config.n)
-    return TraceOutput(columns, rows, summary, trace)
+    rows, memo = _trace_rows(curve, [jump], config.n)
+    return TraceOutput(columns, rows, summary, trace, memo)
 
 
 def _run_portrait(config: ScenarioConfig) -> TraceOutput:
@@ -596,7 +599,8 @@ def run(config: ScenarioConfig, verb: str = "trace") -> TraceOutput:
         out = _run_interval_mode(config)
 
     if verb == "maslov":
-        out.summary["maslov_index"] = maslov_index(out.trace.curve, vertical_plane(config.n))
+        # the same count as maslov_index(curve, Pi), on the memo of the rows
+        out.summary["maslov_index"] = out.memo.index(0, len(out.trace.curve) - 1)
     return out
 
 

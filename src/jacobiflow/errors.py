@@ -37,10 +37,6 @@ class RefinementError(MathError):
     """Adaptive chart refinement exhausted its depth or candidate budget."""
 
 
-class ChartExhaustedError(MathError):
-    """No chart in the fixed catalogue keeps the chart matrix bounded."""
-
-
 class PoleError(MathError):
     """Integration stalled approaching a pole of the coefficients."""
 

@@ -1,4 +1,4 @@
-"""Linear Hamiltonian flows and matrix Riccati integration.
+"""Linear Hamiltonian flows: fundamental matrices and plane transport.
 
 Systems are ``lambda' = M(t) lambda`` with the Hamiltonian system matrix
 
@@ -8,9 +8,13 @@ given through :class:`HamiltonianCoefficients` (polynomial coefficient
 blocks, with an optional pole of order m at t = 0, compiled at construction
 into one stack that :func:`~jacobiflow.series.meval` evaluates in a single
 Horner pass) or any callable ``t -> (2n, 2n) array``.  The integrator is
-an embedded adaptive Runge-Kutta scheme (DOP853); nothing is ever
-re-projected onto the symplectic group, drift is only monitored, and the
-tolerance ladder is tightened until the monitored residual passes.
+an embedded adaptive Runge-Kutta scheme (DOP853), and ``_integrate`` is the
+package's only call into it: every transport, fundamental solution and
+crossing count of the package goes through it.  Planes are always moved as
+frames, never as chart matrices, so a chart pole cannot stop a transport.
+Nothing is ever re-projected onto the symplectic group, drift is only
+monitored, and the tolerance ladder is tightened until the monitored
+residual passes.
 """
 
 from __future__ import annotations
@@ -21,12 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import (
-    ChartExhaustedError,
-    PoleError,
-    PreconditionError,
-)
-from .grassmann import ChartPoint, GrassmannCurve, canonicalize, to_chart
+from .errors import PoleError, PreconditionError
+from .grassmann import GrassmannCurve, canonicalize
 from .series import meval, strim
 from .symplectic import apply_j, dim_to_n
 
@@ -34,14 +34,11 @@ __all__ = [
     "HamiltonianCoefficients",
     "fundamental_matrix",
     "flow_plane",
-    "riccati_flow",
-    "RiccatiResult",
 ]
 
 RTOL_LADDER = (1e-10, 1e-12, 1e-13)
 ATOL = 1e-13
 SYMPLECTICITY_TOL = 1e-8
-SWITCH_THRESHOLD = 1e3
 
 
 def _as_coeff_array(x, n: int) -> np.ndarray:
@@ -308,151 +305,3 @@ def _apply_j_right(m: np.ndarray) -> np.ndarray:
 def symplectic_inverse(t: np.ndarray) -> np.ndarray:
     """Inverse of a symplectic matrix via T^{-1} = -J T^T J."""
     return -_apply_j_right(apply_j(t.T))
-
-
-def _swap_catalogue(n: int) -> list[np.ndarray]:
-    """Darboux pair swaps (p_i, q_i) -> (q_i, -p_i) for index subsets, plus the
-    two constant singular-chart moves in dimension two."""
-    cats: list[np.ndarray] = []
-    from itertools import combinations
-
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            u = np.eye(2 * n)
-            for i in subset:
-                u[:, [i, n + i]] = u[:, [n + i, i]]
-                u[:, n + i] *= -1.0
-            cats.append(u)
-    if n == 2:
-        m2 = np.array(
-            [
-                [1.0, 0.0, 0.0, 0.0],
-                [0.0, 0.0, 0.0, -1.0],
-                [0.0, 0.0, 1.0, 0.0],
-                [0.0, 1.0, 0.0, 0.0],
-            ]
-        )
-        m3 = np.array(
-            [
-                [1.0, 0.0, -1.0, 0.0],
-                [0.0, 0.0, 0.0, -1.0],
-                [0.0, 0.0, 1.0, 0.0],
-                [0.0, 1.0, 0.0, 0.0],
-            ]
-        )
-        cats.extend([m2, m3])
-    return cats
-
-
-@dataclass
-class RiccatiResult:
-    """Output of :func:`riccati_flow`.
-
-    ``points`` holds one :class:`ChartPoint` per grid node; ``events`` is a
-    list of ``(time, chart_index)`` chart-switch records; ``max_asymmetry``
-    is the largest symmetry drift of S seen at any node before
-    symmetrisation.
-    """
-
-    times: np.ndarray
-    points: list[ChartPoint]
-    events: list[tuple[float, int]]
-    max_asymmetry: float
-
-    def curve(self) -> GrassmannCurve:
-        from .grassmann import from_chart
-
-        return GrassmannCurve(
-            times=self.times, planes=[canonicalize(from_chart(p)) for p in self.points]
-        )
-
-
-def riccati_flow(s0: np.ndarray, h, grid: Sequence[float], *, rtol: float = 1e-12,
-                 switch_threshold: float = SWITCH_THRESHOLD) -> RiccatiResult:
-    """Integrate the matrix Riccati equation S' = C - S A - A^T S - S B S.
-
-    The plane ``graph(S)`` is tracked through moving charts: when the
-    max-norm of S crosses ``switch_threshold`` the solver switches to the
-    first catalogue chart that brings the norm below a tenth of the
-    threshold and keeps integrating.  The chart at each output node is part
-    of the returned :class:`ChartPoint`.
-    """
-    sys = _system(h)
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
-        raise PreconditionError("riccati_flow needs a strictly increasing grid")
-    s = np.asarray(s0, dtype=float).copy()
-    n = s.shape[0]
-    dim = 2 * n
-    t_frame = np.eye(dim)  # global coords = t_frame @ chart coords
-    catalogue = _swap_catalogue(n)
-    events: list[tuple[float, int]] = []
-    max_asym = 0.0
-
-    def conj_sys(t: float, tf: np.ndarray, tf_inv: np.ndarray) -> np.ndarray:
-        return tf_inv @ sys(t) @ tf
-
-    def rhs_factory(tf, tf_inv):
-        def rhs(t, y):
-            m = conj_sys(t, tf, tf_inv)
-            a, b, c = m[:n, :n], m[:n, n:], m[n:, :n]
-            smat = y.reshape(n, n)
-            ds = c - smat @ a - a.T @ smat - smat @ b @ smat
-            return ds.ravel()
-
-        return rhs
-
-    def norm_event(t, y):
-        return float(np.max(np.abs(y)) - switch_threshold)
-
-    norm_event.terminal = True
-    norm_event.direction = 1.0
-
-    def chart_point(t_cur: float, s_cur: np.ndarray) -> ChartPoint:
-        plane = t_frame[:, :n] + t_frame[:, n:] @ s_cur
-        return to_chart(plane, t_frame[:, n:], t_frame[:, :n])
-
-    points: list[ChartPoint] = []
-    t_cur = grid[0]
-    points.append(chart_point(t_cur, s))
-    for t_next in grid[1:]:
-        while t_cur < t_next:
-            tf_inv = symplectic_inverse(t_frame)
-            sol = solve_ivp(
-                rhs_factory(t_frame, tf_inv),
-                (t_cur, t_next),
-                s.ravel(),
-                method="DOP853",
-                rtol=rtol,
-                atol=ATOL,
-                events=norm_event,
-            )
-            if sol.status == -1:
-                raise PoleError(f"Riccati integration stalled at t = {sol.t[-1]:.6g}")
-            s = sol.y[:, -1].reshape(n, n)
-            asym = float(np.max(np.abs(s - s.T)))
-            max_asym = max(max_asym, asym / max(1.0, float(np.max(np.abs(s)))))
-            s = 0.5 * (s + s.T)
-            t_cur = float(sol.t[-1])
-            if sol.status == 1:  # hit the norm threshold: switch chart
-                switched = False
-                for ci, u in enumerate(catalogue):
-                    y = symplectic_inverse(u) @ np.vstack([np.eye(n), s])
-                    p_blk, q_blk = y[:n], y[n:]
-                    sv = np.linalg.svd(p_blk, compute_uv=False)
-                    if sv[-1] < 1e-10 * sv[0]:
-                        continue
-                    s_new = q_blk @ np.linalg.inv(p_blk)
-                    s_new = 0.5 * (s_new + s_new.T)
-                    if np.max(np.abs(s_new)) <= switch_threshold / 10.0:
-                        t_frame = t_frame @ u
-                        s = s_new
-                        events.append((t_cur, ci))
-                        switched = True
-                        break
-                if not switched:
-                    raise ChartExhaustedError(
-                        f"no catalogue chart bounds the Riccati state at t = {t_cur:.6g}"
-                    )
-        points.append(chart_point(t_cur, s))
-    return RiccatiResult(times=grid, points=points, events=events, max_asymmetry=max_asym)

@@ -1,147 +1,31 @@
 """Modified Bessel functions I_a and K_a for the closed-form models.
 
-Design:
-
-* ``I_a(x)``: ascending series in float64 (all terms are positive, so no
-  cancellation), switching to the large-argument asymptotic expansion once
-  the argument dominates both the fixed cutoff and ``2 a**2`` (below that
-  the expansion diverges from its first term).
-* ``K_a(x)``: reflection formula ``K_a = pi (I_{-a} - I_a) / (2 sin(pi a))``
-  evaluated in arbitrary precision (mpmath), with the working precision
-  scaled by ``x`` to absorb the ``e^{2x}`` cancellation between the two
-  I-terms.  For ``a`` within 0.05 of an integer the reflection degenerates;
-  there ``K`` is Richardson-extrapolated in the order from four nearby
-  non-integer orders.
-
-Target relative accuracy is 1e-10 on ``a in [0, 5]``, ``x in [1e-3, 50]``.
+Thin wrappers over :func:`scipy.special.iv` and :func:`scipy.special.kv`
+that add the package's argument checks; derivatives follow from the ladder
+identities.  Orders are ``a >= 0`` and arguments ``0 < x <= 700``, where
+both values are finite in double precision.
 """
 
 from __future__ import annotations
 
-import math
-
-import mpmath as mp
 import numpy as np
+from scipy.special import iv, kv
 
 from ..errors import PreconditionError
 
 __all__ = ["bessel_ik", "bessel_i", "bessel_k", "i_derivative", "k_derivative"]
 
-X_SWITCH = 18.0
-#: beyond this argument the reflection route is replaced by the asymptotic
-#: expansion, whose optimal-truncation error ~ e^(-2x) is already << 1e-13
-X_SWITCH_K = 30.0
-_INT_BAND = 0.05
-_RICHARDSON_H = 1e-3
-
-
-def _asymptotic_applies(a: float, x: float, cutoff: float) -> bool:
-    """The expansion in 1/x starts with ratio (4a^2 - 1)/(8x); demand <= 1/4."""
-    return x > cutoff and x >= 2.0 * a * a
-
-
-def _i_series_float(a: float, x: float) -> float:
-    """Ascending series; safe in float64 since every term is positive."""
-    t = math.exp(a * math.log(x / 2.0) - math.lgamma(a + 1.0)) if x > 0 else (1.0 if a == 0 else 0.0)
-    total = t
-    z = 0.25 * x * x
-    for k in range(1, 2000):
-        t *= z / (k * (k + a))
-        total += t
-        if t < 1e-18 * total:
-            break
-    return total
-
-
-def _i_asymptotic(a: float, x: float) -> float:
-    """Uniform large-argument expansion, truncated at the smallest term."""
-    mu = 4.0 * a * a
-    term = 1.0
-    total = 1.0
-    prev = abs(term)
-    for k in range(1, 60):
-        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(term) > prev:
-            break
-        total += term
-        prev = abs(term)
-        if prev < 1e-17 * abs(total):
-            break
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * total
-
 
 def bessel_i(a: float, x: float) -> float:
     """Modified Bessel function of the first kind, order a >= 0."""
     _check(a, x)
-    if _asymptotic_applies(a, x, X_SWITCH):
-        return _i_asymptotic(a, x)
-    return _i_series_float(a, x)
-
-
-def _i_series_mp(a, x):
-    """Ascending series with mpmath scalars (a may be negative non-integer)."""
-    t = (x / 2) ** a / mp.gamma(a + 1)
-    total = t
-    z = x * x / 4
-    for k in range(1, 2000):
-        t *= z / (k * (k + a))
-        total += t
-        if abs(t) < mp.mpf(10) ** (-mp.mp.dps - 2) * abs(total):
-            break
-    return total
-
-
-def _k_reflection_mp(a, x):
-    return mp.pi * (_i_series_mp(-a, x) - _i_series_mp(a, x)) / (2 * mp.sin(mp.pi * a))
-
-
-def _k_asymptotic(a: float, x: float) -> float:
-    mu = 4.0 * a * a
-    term = 1.0
-    total = 1.0
-    prev = abs(term)
-    for k in range(1, 80):
-        term *= (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(term) > prev:
-            break
-        total += term
-        prev = abs(term)
-        if prev < 1e-17 * abs(total):
-            break
-    return math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) * total
+    return float(iv(a, x))
 
 
 def bessel_k(a: float, x: float) -> float:
     """Modified Bessel function of the second kind, order a >= 0."""
     _check(a, x)
-    if _asymptotic_applies(a, x, X_SWITCH_K):
-        return _k_asymptotic(a, x)
-    dps = 30 + int(math.ceil(0.9 * x))
-    n0 = round(a)
-    delta = a - n0
-    with mp.workdps(dps):
-        xm = mp.mpf(x)
-        if abs(delta) >= _INT_BAND:
-            val = _k_reflection_mp(mp.mpf(a), xm)
-        else:
-            # Richardson extrapolation in the order through four non-integer
-            # offsets around the integer n0, evaluated at offset = delta
-            h = mp.mpf(_RICHARDSON_H)
-            hs = [-h, -h / 2, h / 2, h]
-            ys = [_k_reflection_mp(n0 + hh, xm) for hh in hs]
-            val = _neville(hs, ys, mp.mpf(delta))
-        return float(val)
-
-
-def _neville(xs, ys, x0):
-    p = list(ys)
-    k = len(xs)
-    for level in range(1, k):
-        for i in range(k - level):
-            p[i] = ((x0 - xs[i + level]) * p[i] + (xs[i] - x0) * p[i + 1]) / (
-                xs[i] - xs[i + level]
-            )
-    return p[0]
+    return float(kv(a, x))
 
 
 def bessel_ik(a: float, x: float) -> tuple[float, float]:

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..errors import PreconditionError, SingularityError
+from ..flows import _integrate
 from ..grassmann import random_lagrangian
 from ..series import meval
 from .frame import NormalFormCoefficients, NormalFormFrame
@@ -172,9 +172,6 @@ def oscillation_count_oracle(
         out[k:, :k] = meval(cnf, t)
         return out
 
-    def rhs(t, y):
-        return (sys(t) @ y.reshape(2 * k, k)).ravel()
-
     rng = np.random.default_rng(seed)
     counts = []
     for _ in range(n_solutions):
@@ -187,26 +184,16 @@ def oscillation_count_oracle(
             t_next = min(t * 2.0, tau_max)
             n_samp = max(8, int(samples_per_decade * np.log10(t_next / t)) + 2)
             ts = np.geomspace(t, t_next, n_samp)
-            sol = solve_ivp(
-                rhs,
-                (t, t_next),
-                frame.ravel(),
-                method="DOP853",
-                rtol=rtol,
-                atol=1e-13,
-                t_eval=ts,
-                dense_output=False,
-            )
-            if sol.status != 0:
-                raise PreconditionError(f"oracle integration failed: {sol.message}")
-            for col in sol.y.T:
+            sol = _integrate(sys, frame, t, t_next, rtol, dense=True)
+            samples = sol.sol(ts)
+            for col in samples.T:
                 det = np.linalg.det(col.reshape(2 * k, k)[k:, :]) * parity
                 sign = np.sign(det)
                 if prev_sign is not None and sign != 0 and prev_sign != 0 and sign != prev_sign:
                     count += 1
                 if sign != 0:
                     prev_sign = sign
-            end = sol.y[:, -1].reshape(2 * k, k)
+            end = samples[:, -1].reshape(2 * k, k)
             q, r = np.linalg.qr(end)
             # renormalizing rescales the determinant by det(R)^-1; fold its
             # sign into the running parity so crossings stay comparable

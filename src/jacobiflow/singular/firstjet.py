@@ -10,9 +10,12 @@ the post-jump plane is the zero point:
 2. the chart matrix is blown up as ``S(t) = t * S1(t)``; the blown-up Riccati
    equation has an algebraic fixed point ``S1(0)`` and a unique formal power
    series through it, built order by order from linear solves;
-3. the series is summed at a small ``series_start`` point and the full
-   Riccati equation is integrated forward from there, with the coefficient
-   blocks evaluated exactly (rationally) at every step.
+3. the series is summed at grid points up to a small ``series_start``
+   point; from there the plane ``[I; t S1(t)]``, mapped back by the chart
+   transform, is transported as a frame by the block system itself
+   (:func:`~jacobiflow.flows._integrate`), so the continuation goes on where
+   the curve leaves the chart.  ``S1`` is read back wherever the chart
+   exists.
 
 The transformed block system keeps its pole in the same entry for all three
 transforms, so the conjugation is done numerically order by order instead of
@@ -27,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..engine import JacobiTrace, JumpEvent
 from ..errors import (
@@ -39,8 +41,11 @@ from ..errors import (
     ResonanceError,
     SeriesResonanceError,
 )
+from ..flows import _integrate
 from ..grassmann import (
     GrassmannCurve,
+    _chart_basis,
+    _chart_matrix,
     canonicalize,
     extend_by_isotropic,
     horizontal_plane,
@@ -220,7 +225,6 @@ class CaseSystem:
     g: np.ndarray
     matrix: np.ndarray
     minv: np.ndarray
-    coeffs: NormalFormCoefficients
 
     @property
     def k(self) -> int:
@@ -234,12 +238,6 @@ class CaseSystem:
         """Frozen blow-up Hamiltonian ``[[I/2, G0], [C'(0), -I/2]]``."""
         eye = np.eye(self.k)
         return np.block([[0.5 * eye, self.g0], [self.cprime[0], -0.5 * eye]])
-
-    def blocks_at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Exact (rational) values ``A'(t), C'(t), G(t)`` for the integrator."""
-        k = self.k
-        sys = self.matrix @ self.coeffs.system(t) @ self.minv
-        return sys[:k, :k], sys[k:, :k], t * t * sys[:k, k:]
 
 
 def case_system(
@@ -319,7 +317,6 @@ def case_system(
         g=g,
         matrix=mat,
         minv=minv,
-        coeffs=coeffs,
     )
 
 
@@ -495,9 +492,11 @@ def first_jet_continuation(
 
     ``case`` is the chart transform data of the incoming plane (a raw frame
     is accepted and classified first).  Grid points inside the certified
-    series window are summed directly; beyond it the full chart equation is
-    integrated with exact coefficient evaluation.  The jump at time zero is
-    recorded on the returned trace.
+    series window are summed directly; beyond it the plane is transported as
+    a frame by one dense integration of ``coeffs.as_callable()`` from
+    ``series_start``.  ``diagnostics["blowup_values"]`` holds ``S1`` at every
+    node, and NaN where the plane has left the blow-up chart.  The jump at
+    time zero is recorded on the returned trace.
     """
 
     if isinstance(case, np.ndarray):
@@ -515,44 +514,31 @@ def first_jet_continuation(
     stack = blowup_series(system)
     t0 = series_start(stack)
 
-    values: dict[int, np.ndarray] = {}
-    below = [i for i, t in enumerate(grid) if t <= t0]
-    above = [i for i, t in enumerate(grid) if t > t0]
-    for i in below:
-        values[i] = meval(stack, float(grid[i]))
-
-    if above:
-
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            s1 = y.reshape(kk, kk)
-            ap, cp, gp = system.blocks_at(float(t))
-            ds = (cp - s1 - s1 @ gp @ s1) / t - ap.T @ s1 - s1 @ ap
-            return ds.ravel()
-
-        y0 = meval(stack, t0).ravel()
-        sol = solve_ivp(
-            rhs,
-            (t0, float(grid[above[-1]])),
-            y0,
-            method="DOP853",
-            rtol=rtol,
-            atol=1e-14,
-            t_eval=[float(grid[i]) for i in above],
-            dense_output=False,
-        )
-        if sol.status != 0 or not np.all(np.isfinite(sol.y)):
-            raise PoleError(f"chart integration failed: {sol.message}")
-        for col, i in enumerate(above):
-            s1 = sol.y[:, col].reshape(kk, kk)
-            values[i] = 0.5 * (s1 + s1.T)
-
     planes = []
-    blown = np.zeros((grid.size, kk, kk))
-    for i, t in enumerate(grid):
-        s1 = values[i]
-        blown[i] = s1
-        frame = np.vstack([np.eye(kk), float(t) * s1])
-        planes.append(canonicalize(case.minv @ frame))
+    blown = np.full((grid.size, kk, kk), np.nan)
+    above = grid[grid > t0]
+    for i, t in enumerate(grid[: grid.size - above.size]):
+        blown[i] = meval(stack, float(t))
+        planes.append(canonicalize(case.minv @ np.vstack([np.eye(kk), float(t) * blown[i]])))
+
+    if above.size:
+        # past the series window the plane is moved as a frame, so leaving
+        # the blow-up chart ends nothing; S1 is read back where the chart exists
+        start = case.minv @ np.vstack([np.eye(kk), t0 * meval(stack, t0)])
+        sol = _integrate(coeffs.as_callable(), start, t0, float(above[-1]), rtol, dense=True)
+        if not np.all(np.isfinite(sol.y[:, -1])):
+            raise PoleError(f"frame transport lost finiteness near t = {sol.t[-1]:.6g}")
+        # the chart of to_chart(case.matrix @ plane, Sigma, Pi), its basis
+        # prepared once for all nodes
+        chart = _chart_basis(horizontal_plane(kk), vertical_plane(kk))[2]
+        for t, y in zip(above, sol.sol(above).T):
+            plane = canonicalize(y.reshape(start.shape))
+            try:
+                blown[len(planes)] = _chart_matrix(case.matrix @ plane, chart) / t
+            except ChartError:
+                pass
+            planes.append(plane)
+
     curve = GrassmannCurve(times=grid, planes=planes)
     jump = JumpEvent(
         time=0.0,

@@ -45,11 +45,11 @@ from ..errors import (
 )
 from ..flows import HamiltonianCoefficients
 from ..series import (
-    TruncatedSeries,
     mconv,
     meval,
     sconv,
     sder,
+    sexp,
     sint,
     srecip,
     strim,
@@ -410,7 +410,7 @@ def _assemble(
         # the raw pair carries a diagonal drift sigma(e2', f2); rescaling the
         # pair by exp(-integral) removes it and is the Q factor of the block
         rate = _vsigma(_pad(sder(e2), nterms), f2, n)
-        q22 = TruncatedSeries(sint(rate)[:nterms]).exp().coeffs
+        q22 = sexp(sint(rate)[:nterms])
         e2 = _svmul(srecip(q22), e2)
         f2 = _svmul(q22, f2)
         columns.append(e2)

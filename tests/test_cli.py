@@ -9,6 +9,7 @@ import pytest
 from jacobiflow.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
 SCENARIO = GOLDEN / "degen_m3_short.json"
 
 # each entry slipped past the --tol-overrides path before it shared the
@@ -91,6 +92,16 @@ def test_golden_degen_m3_trace_is_byte_stable(tmp_path):
 ], ids=["regular-trace", "regular-maslov", "bangbang"])
 def test_golden_curve_outputs_are_byte_stable(tmp_path, verb, scenario, csv, summary):
     _assert_golden(tmp_path, verb, scenario, csv, summary)
+
+
+@pytest.mark.parametrize("name", ["degen_m1", "degen_m2"])
+def test_corpus_first_jet_traces_reach_t1(tmp_path, name):
+    # both curves leave the blow-up chart before t = 1
+    out = tmp_path / "o.csv"
+    assert main(["trace", str(CORPUS / f"{name}.json"), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 200
+    assert float(rows[-1].split(",")[0]) == 1.0
 
 
 def test_maslov_refuses_curve_starting_on_reference_plane(tmp_path, capsys):

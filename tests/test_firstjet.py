@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from jacobiflow.errors import (
     ChartError,
@@ -8,11 +11,15 @@ from jacobiflow.errors import (
     RadiusError,
     ResonanceError,
 )
+from jacobiflow.cli import parse_scenario
+from jacobiflow.flows import flow_plane, symplectic_inverse
 from jacobiflow.grassmann import canonicalize, isotropy_residual, plane_distance
+from jacobiflow.series import meval
 from jacobiflow.singular.firstjet import (
     blowup_equilibrium,
     blowup_linearization,
     blowup_residual,
+    blowup_series,
     case_system,
     first_jet_case,
     first_jet_continuation,
@@ -20,7 +27,10 @@ from jacobiflow.singular.firstjet import (
     shayman_flag,
     shayman_membership,
 )
-from jacobiflow.singular.frame import NormalFormCoefficients
+from jacobiflow.singular.frame import NormalFormCoefficients, build_normal_frame
+from jacobiflow.singular.jump import epsilon_family_oracle
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
 
 
 def _graph(s):
@@ -119,10 +129,20 @@ def test_case_system_blocks_and_root():
     sys2 = case_system(_coeffs_c2(), 1)
     assert sys2.d == pytest.approx(3.0)
     assert sys2.b2 == -1.0
-    ap, cp, gp = sys2.blocks_at(0.5)
-    assert np.allclose(ap, 0.0)
-    assert cp[0, 0] == pytest.approx(-2.0)
-    assert gp[0, 0] == pytest.approx(-1.0)  # t^2 / (b2 t^2)
+    assert np.allclose(meval(sys2.aprime, 0.5), 0.0)
+    assert meval(sys2.cprime, 0.5)[0, 0] == pytest.approx(-2.0)
+    assert meval(sys2.g, 0.5)[0, 0] == pytest.approx(-1.0)  # t^2 / (b2 t^2)
+
+
+def test_case_system_stacks_sum_to_the_conjugated_system():
+    # A'(t), C'(t) and G(t) = t^2 B'(t) of the transformed system
+    case = first_jet_case(_graph([[0.0, 1.0], [1.0, 0.5]]))
+    system = case_system(_coeffs_k2(), case)
+    for t in (0.05, 0.3, 0.9):
+        conj = case.matrix @ _coeffs_k2().system(t) @ case.minv
+        assert np.allclose(meval(system.aprime, t), conj[:2, :2], atol=1e-12)
+        assert np.allclose(meval(system.cprime, t), conj[2:, :2], atol=1e-12)
+        assert np.allclose(meval(system.g, t), t * t * conj[:2, 2:], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +235,62 @@ def test_continuation_two_block_stays_lagrangian():
     # the chart values are symmetric by construction
     for s1 in trace.diagnostics["blowup_values"]:
         assert np.allclose(s1, s1.T)
+
+
+def _corpus_problem(name):
+    """Normal-form data, incoming plane and grid of a benchmark corpus scenario."""
+    config = parse_scenario(CORPUS / f"{name}.json")
+    frame = build_normal_frame(config.data["piecewise"], 0.0,
+                               nterms=config.tolerances["nterms"])
+    l0 = canonicalize(symplectic_inverse(frame.frame_at(0.0)) @ config.initial_plane)
+    return frame.coeffs, l0, config.grid
+
+
+@pytest.mark.parametrize("name", ["degen_m1", "degen_m2"])
+def test_continuation_matches_independent_frame_transport(name):
+    # the corpus curves leave the blow-up chart before t = 1
+    coeffs, l0, grid = _corpus_problem(name)
+    case = first_jet_case(l0)
+    trace = first_jet_continuation(coeffs, case, grid)
+    t0 = trace.diagnostics["series_start"]
+    s1 = meval(blowup_series(case_system(coeffs, case)), t0)
+    start = case.minv @ np.vstack([np.eye(2), t0 * s1])
+    above = grid > t0
+    flow = flow_plane(coeffs.as_callable(), start, np.concatenate([[t0], grid[above]]))
+    got = [p for p, keep in zip(trace.curve.planes, above) if keep]
+    assert max(plane_distance(a, b) for a, b in zip(got, flow.planes[1:])) < 1e-10
+
+
+@pytest.mark.parametrize("name, last_below", [("degen_m1", 0.05), ("degen_m2", 1e-4)])
+def test_epsilon_family_approaches_the_continuation(name, last_below):
+    coeffs, l0, _ = _corpus_problem(name)
+    trace = first_jet_continuation(coeffs, l0, np.array([0.5, 1.0]))
+    family = epsilon_family_oracle(coeffs, l0, 1.0, [1e-2, 1e-3, 1e-4, 1e-5])
+    dists = [plane_distance(p, trace.curve.planes[-1]) for p in family]
+    assert all(b < a for a, b in zip(dists, dists[1:]))
+    assert dists[-1] < last_below
+
+
+def test_blowup_values_are_nan_where_the_chart_ends():
+    # the corpus degen_m2 curve leaves the blow-up chart between 0.7 and 0.85:
+    # one eigenvalue of S1 runs off to +inf and comes back from -inf.  With
+    # the last node fixed the transport is the same for every first node, so
+    # the root of 1/tr S1 is the time at which the plane leaves the chart.
+    coeffs, l0, _ = _corpus_problem("degen_m2")
+
+    def values(t):
+        trace = first_jet_continuation(coeffs, l0, np.array([t, 1.0]))
+        return trace.diagnostics["blowup_values"][0]
+
+    def inverse_trace(t):
+        s1 = values(t)
+        return 0.0 if np.isnan(s1).any() else 1.0 / np.trace(s1)
+
+    pole = brentq(inverse_trace, 0.7, 0.85, xtol=1e-15)
+    assert np.isnan(values(pole)).all()
+    for t in (pole - 1e-3, pole + 1e-3):
+        s1 = values(t)
+        assert np.all(np.isfinite(s1)) and np.max(np.abs(s1)) > 100.0
 
 
 def test_continuation_grid_validation():

@@ -9,10 +9,14 @@ from jacobiflow.flows import (
     flow_plane,
     fundamental_matrix,
     fundamental_solution,
-    riccati_flow,
     symplectic_inverse,
 )
-from jacobiflow.grassmann import plane_distance, random_lagrangian, vertical_plane
+from jacobiflow.grassmann import (
+    horizontal_plane,
+    plane_distance,
+    to_chart,
+    vertical_plane,
+)
 from jacobiflow.symplectic import check_structure, isotropy_residual
 
 
@@ -155,29 +159,33 @@ def test_flow_plane_matches_matrix_action():
         assert isotropy_residual(p) < 1e-10
 
 
+# The Riccati flow of a chart matrix S is the flow of the plane graph(S); the
+# package moves planes as frames only, so these check flow_plane against the
+# fundamental matrix and against closed-form Riccati solutions.
+
+
+def _harmonic_chart(p):
+    return to_chart(p, horizontal_plane(1), vertical_plane(1)).s[0, 0]
+
+
 def test_riccati_flow_harmonic_chart_switch():
-    # S' = 1 + S^2 from S(0) = 0 is tan(t): blows up at pi/2, forcing a swap
+    # graph(S) with S' = -1 - S^2, S(0) = 0: S = -tan(t) has a chart pole at
+    # pi/2, which ends no frame transport
     grid = np.linspace(0.0, 3.0, 7)
-    res = riccati_flow(np.zeros((1, 1)), _harmonic(), grid)
-    assert len(res.events) == 1
-    t_event, chart_index = res.events[0]
-    assert chart_index == 0
-    assert abs(t_event - 1.5698) < 1e-3
-    assert res.max_asymmetry == 0.0
-    curve = res.curve()
     flow = flow_plane(_harmonic(), vertical_plane(1), grid)
-    dists = [plane_distance(a, b) for a, b in zip(curve.planes, flow.planes)]
-    assert max(dists) < 1e-12
+    for t, p in zip(grid, flow.planes):
+        phi = fundamental_matrix(_harmonic(), 0.0, float(t))
+        assert plane_distance(p, phi @ vertical_plane(1)) < 1e-10
+        assert _harmonic_chart(p) == pytest.approx(-np.tan(t), rel=1e-10, abs=1e-12)
 
 
 def test_riccati_flow_records_one_point_per_node():
     grid = np.linspace(0.0, 1.0, 5)
-    res = riccati_flow(np.array([[0.2]]), _harmonic(), grid)
-    assert len(res.points) == grid.size
-    assert res.events == []
-    # chart values stay symmetric for symmetric input
-    for pt in res.points:
-        assert np.allclose(pt.s, pt.s.T)
+    flow = flow_plane(_harmonic(), np.array([[1.0], [0.2]]), grid)
+    assert len(flow.planes) == grid.size
+    assert np.array_equal(flow.times, grid)
+    for t, p in zip(grid, flow.planes):
+        assert _harmonic_chart(p) == pytest.approx(np.tan(np.arctan(0.2) - t), rel=1e-10)
 
 
 def test_riccati_flow_n2():
@@ -190,13 +198,12 @@ def test_riccati_flow_n2():
     s0 = rng.normal(size=(2, 2))
     s0 = 0.5 * (s0 + s0.T)
     grid = np.linspace(0.0, 1.5, 7)
-    res = riccati_flow(s0, h, grid)
     start = np.vstack([np.eye(2), s0])
     flow = flow_plane(h, start, grid)
-    curve = res.curve()
-    dists = [plane_distance(a, b_) for a, b_ in zip(curve.planes, flow.planes)]
-    assert max(dists) < 1e-9
-    assert res.max_asymmetry < 1e-9
+    for t, p in zip(grid, flow.planes):
+        phi = fundamental_matrix(h, 0.0, float(t))
+        assert plane_distance(p, phi @ start) < 1e-9
+        assert isotropy_residual(p) < 1e-10
 
 
 if __name__ == "__main__":
