@@ -40,7 +40,6 @@ from .grassmann import (
 from .maslov import (
     maslov_index,
     maslov_partial_sums,
-    reference_catalogue,
     simple_arc_index,
     vertical_intersection_count,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "maslov_partial_sums",
     "plane_distance",
     "random_lagrangian",
-    "reference_catalogue",
     "series",
     "simple_arc_index",
     "singular",

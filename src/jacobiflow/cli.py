@@ -49,16 +49,20 @@ from .engine import (
     legendre_sequence,
     singular_jacobi_curve,
 )
-from .errors import ConfigError, JacobiflowError, MathError
+from .errors import ConfigError, JacobiflowError, MathError, NondegeneracyError
 from .flows import flow_plane, symplectic_inverse
 from .grassmann import (
     ChartError,
     GrassmannCurve,
+    _chart_basis,
+    _chart_matrix,
     canonicalize,
+    horizontal_plane,
     plane_distance,
+    validate_lagrangian,
     vertical_plane,
 )
-from .maslov import _CurveMemo
+from .maslov import _SpectralFlow, _spectral_flow
 from .singular.classify import classify_frame, kneser_classify
 from .singular.firstjet import first_jet_case, first_jet_continuation
 from .singular.frame import NormalFormCoefficients, build_normal_frame
@@ -116,7 +120,7 @@ class TraceOutput:
     rows: list[list]
     summary: dict
     trace: JacobiTrace | None = field(default=None, repr=False)
-    memo: _CurveMemo | None = field(default=None, repr=False)
+    flow: _SpectralFlow | None = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +205,10 @@ def _parse_plane(raw, n: int, path: str = "initial_plane") -> np.ndarray:
     plane = np.array(rows)
     if np.linalg.matrix_rank(plane) < n:
         raise ConfigError(f"{path}: columns must be linearly independent")
+    try:
+        validate_lagrangian(plane)
+    except NondegeneracyError as exc:
+        raise ConfigError(f"{path}: columns must span a Lagrangian plane ({exc})") from exc
     return plane
 
 
@@ -303,12 +311,19 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     else:
         data = {"piecewise": _parse_piecewise(data_raw, n)}
         plane = _parse_plane(_need(raw, "initial_plane", ""), n)
+        bps = data["piecewise"].breakpoints
         if mode == "legendre_degeneracy":
-            bps = data["piecewise"].breakpoints
             if not (bps[0] <= 0.0 < bps[-1]):
                 raise ConfigError("data.breakpoints: the marked instant 0 must lie in the support")
             if grid[0] <= 0.0:
                 raise ConfigError("grid.t0: continuation must start after the marked instant")
+        else:
+            if steps < 2:
+                raise ConfigError(f"grid.steps: mode {mode} traces an interval and needs >= 2")
+            for key, t in (("t0", t0), ("t1", t1)):
+                if not bps[0] <= t <= bps[-1]:
+                    raise ConfigError(
+                        f"grid.{key}: {t} lies outside data.breakpoints [{bps[0]}, {bps[-1]}]")
 
     return ScenarioConfig(
         n=n, mode=mode, data=data, initial_plane=plane,
@@ -330,19 +345,20 @@ def _trace_columns(n: int) -> list[str]:
 
 
 def _trace_rows(curve: GrassmannCurve, jumps: list[JumpEvent],
-                n: int) -> tuple[list[list], _CurveMemo]:
-    # one pass gives the partial sums and the chart columns: the chart
-    # (Sigma, Pi) of the columns is chart 0 of the Maslov catalogue over Pi;
-    # the memo is returned so that the maslov verb counts on it too
-    charts = _CurveMemo(curve.planes, vertical_plane(n))
-    partial = charts.partial_sums()
+                n: int) -> tuple[list[list], _SpectralFlow]:
+    # the Maslov pass over Pi is returned so that the maslov verb counts on
+    # it too; it validates every node, so the chart columns (chart (Sigma,
+    # Pi), prepared once) solve on the planes as they are
+    flow = _spectral_flow(curve.planes, vertical_plane(n))
+    partial = flow.partial_sums()
+    _, _, chart = _chart_basis(horizontal_plane(n), vertical_plane(n))
     jump_times = [j.time for j in jumps]
     rows = []
-    for k, (t, plane, psum) in enumerate(zip(curve.times, curve.planes, partial)):
+    for t, plane, psum in zip(curve.times, curve.planes, partial):
         row: list = [float(t)]
         row += [float(v) for v in np.asarray(plane).ravel()]
         try:
-            s = charts.chart_matrix(k, 0)
+            s = _chart_matrix(plane, chart)
             row += [float(v) for v in s.ravel()]
         except ChartError:
             row += [None] * (n * n)
@@ -350,7 +366,7 @@ def _trace_rows(curve: GrassmannCurve, jumps: list[JumpEvent],
         hit = any(abs(t - jt) <= 1e-9 * max(1.0, abs(jt)) for jt in jump_times)
         row.append(1 if hit else 0)
         rows.append(row)
-    return rows, charts
+    return rows, flow
 
 
 def _event_summaries(jumps: list[JumpEvent]) -> list[dict]:
@@ -405,8 +421,8 @@ def _run_interval_mode(config: ScenarioConfig) -> TraceOutput:
         "events": _event_summaries(trace.jumps),
         "diagnostics": _jsonable(trace.diagnostics),
     }
-    rows, memo = _trace_rows(trace.curve, trace.jumps, config.n)
-    return TraceOutput(_trace_columns(config.n), rows, summary, trace, memo)
+    rows, flow = _trace_rows(trace.curve, trace.jumps, config.n)
+    return TraceOutput(_trace_columns(config.n), rows, summary, trace, flow)
 
 
 def _run_bangbang(config: ScenarioConfig) -> TraceOutput:
@@ -434,8 +450,8 @@ def _run_bangbang(config: ScenarioConfig) -> TraceOutput:
         "event_count": len(jumps),
         "events": _event_summaries(jumps),
     }
-    rows, memo = _trace_rows(curve, jumps, config.n)
-    return TraceOutput(_trace_columns(config.n), rows, summary, trace, memo)
+    rows, flow = _trace_rows(curve, jumps, config.n)
+    return TraceOutput(_trace_columns(config.n), rows, summary, trace, flow)
 
 
 def _degeneracy_stage(config: ScenarioConfig):
@@ -518,8 +534,8 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
     planes = [canonicalize(frame.frame_at(float(t)) @ p) for t, p in zip(grid, nf_planes)]
     curve = GrassmannCurve(times=grid, planes=planes)
     trace = JacobiTrace(curve=curve, jumps=[jump], diagnostics={})
-    rows, memo = _trace_rows(curve, [jump], config.n)
-    return TraceOutput(columns, rows, summary, trace, memo)
+    rows, flow = _trace_rows(curve, [jump], config.n)
+    return TraceOutput(columns, rows, summary, trace, flow)
 
 
 def _run_portrait(config: ScenarioConfig) -> TraceOutput:
@@ -599,8 +615,8 @@ def run(config: ScenarioConfig, verb: str = "trace") -> TraceOutput:
         out = _run_interval_mode(config)
 
     if verb == "maslov":
-        # the same count as maslov_index(curve, Pi), on the memo of the rows
-        out.summary["maslov_index"] = out.memo.index(0, len(out.trace.curve) - 1)
+        # the same count as maslov_index(curve, Pi), on the pass of the rows
+        out.summary["maslov_index"] = out.flow.index()
     return out
 
 

@@ -34,7 +34,12 @@ class ArcError(MathError):
 
 
 class RefinementError(MathError):
-    """Adaptive chart refinement exhausted its depth or candidate budget."""
+    """Two consecutive samples of a curve are too far apart to count on.
+
+    Raised by Maslov counting when two consecutive samples have a principal
+    angle of pi/2, so that no single shortest path joins them (see
+    :mod:`jacobiflow.maslov`): the curve must be sampled more finely.
+    """
 
 
 class PoleError(MathError):

@@ -143,11 +143,8 @@ def transversality_margin(a: np.ndarray, b: np.ndarray) -> float:
     Zero iff the subspaces intersect nontrivially; pi/2 for orthogonal
     complements.
     """
-    return _basis_margin(_orthonormal(_as_frame(a)), _orthonormal(_as_frame(b)))
-
-
-def _basis_margin(qa: np.ndarray, qb: np.ndarray) -> float:
-    """:func:`transversality_margin` of two orthonormal bases."""
+    qa = _orthonormal(_as_frame(a))
+    qb = _orthonormal(_as_frame(b))
     if qa.shape[1] == 0 or qb.shape[1] == 0:
         return float(np.pi / 2)
     s = np.linalg.svd(qa.T @ qb, compute_uv=False)
@@ -156,16 +153,9 @@ def _basis_margin(qa: np.ndarray, qb: np.ndarray) -> float:
 
 def plane_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Gap distance between subspaces: spectral norm of the projector difference."""
-    a = _as_frame(a)
-    b = _as_frame(b)
-    return _basis_distance(_orthonormal(a), _orthonormal(b))
-
-
-def _basis_distance(qa: np.ndarray, qb: np.ndarray) -> float:
-    """:func:`plane_distance` of two orthonormal bases."""
-    pa = qa @ qa.T
-    pb = qb @ qb.T
-    return float(np.linalg.norm(pa - pb, 2))
+    qa = _orthonormal(_as_frame(a))
+    qb = _orthonormal(_as_frame(b))
+    return float(np.linalg.norm(qa @ qa.T - qb @ qb.T, 2))
 
 
 @dataclass

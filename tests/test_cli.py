@@ -111,3 +111,46 @@ def test_maslov_refuses_curve_starting_on_reference_plane(tmp_path, capsys):
     [err] = _errors(capsys)
     assert (err["error"], err["stage"]) == ("PreconditionError", "run")
     assert not out.exists()
+
+
+def _run_variant(tmp_path, capsys, scenario: str, verb: str, edit) -> tuple[int, list[dict]]:
+    """Run ``verb`` on a golden scenario after ``edit`` changed its JSON."""
+    raw = json.loads((GOLDEN / f"{scenario}.json").read_text())
+    edit(raw)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "o.csv"
+    code = main([verb, str(path), "--out", str(out)])
+    assert not out.exists()
+    return code, _errors(capsys)
+
+
+# each of these used to pass the parser and exit 3 at stage run
+def test_grid_outside_the_breakpoints_is_a_config_error(tmp_path, capsys):
+    code, [err] = _run_variant(tmp_path, capsys, "regular_short", "trace",
+                               lambda raw: raw["grid"].update(t1=4.01))
+    assert code == 2
+    assert (err["error"], err["stage"]) == ("ConfigError", "parse")
+    assert err["message"].startswith("grid.t1:")
+
+
+def test_single_node_grid_is_a_config_error_for_interval_modes(tmp_path, capsys):
+    code, [err] = _run_variant(tmp_path, capsys, "regular_short", "trace",
+                               lambda raw: raw["grid"].update(steps=1))
+    assert code == 2
+    assert (err["error"], err["stage"]) == ("ConfigError", "parse")
+    assert err["message"].startswith("grid.steps:")
+
+
+@pytest.mark.parametrize("scenario, verb", [
+    ("regular_short", "trace"), ("bangbang_short", "bangbang"), ("degen_m3_short", "jump"),
+])
+def test_non_lagrangian_initial_plane_is_a_config_error(tmp_path, capsys, scenario, verb):
+    # independent columns, but sigma(l_1, l_2) = 0.2 - 0.1 != 0
+    def edit(raw):
+        raw["initial_plane"] = [[1, 0], [0, 1], [0.3, 0.2], [0.1, -0.5]]
+
+    code, [err] = _run_variant(tmp_path, capsys, scenario, verb, edit)
+    assert code == 2
+    assert (err["error"], err["stage"]) == ("ConfigError", "parse")
+    assert err["message"].startswith("initial_plane:")

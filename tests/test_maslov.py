@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -18,15 +18,36 @@ from jacobiflow.grassmann import (
     vertical_plane,
 )
 from jacobiflow.maslov import (
-    CHART_MARGIN,
-    MAX_DEPTH,
     maslov_index,
     maslov_partial_sums,
-    reference_catalogue,
     simple_arc_index,
     vertical_intersection_count,
 )
-from jacobiflow.symplectic import isotropy_residual
+from jacobiflow.symplectic import apply_j, isotropy_residual
+
+# -- reference: the chart-catalogue route that the spectral-flow counter
+# replaced, kept here as the oracle.  Charts come from a fixed catalogue
+# (Sigma, Pi, then seeded random planes); arcs no single chart covers are
+# split at nodes transversal to the reference plane.
+
+N_RANDOM_CHARTS = 16
+_CATALOGUE_SEED = 20240913
+#: minimal principal angle for a chart plane to be considered usable
+CHART_MARGIN = 1e-5
+MAX_DEPTH = 40
+
+_catalogue_cache: dict[int, list[np.ndarray]] = {}
+
+
+def reference_catalogue(n: int) -> list[np.ndarray]:
+    """Fixed catalogue of candidate chart planes: Sigma, Pi, then 16
+    pseudo-random Lagrangian planes drawn with a fixed seed."""
+    if n not in _catalogue_cache:
+        rng = np.random.default_rng(_CATALOGUE_SEED + n)
+        cats = [horizontal_plane(n), vertical_plane(n)]
+        cats.extend(random_lagrangian(rng, n) for _ in range(N_RANDOM_CHARTS))
+        _catalogue_cache[n] = cats
+    return _catalogue_cache[n]
 
 
 def _rotation_loop(omegas, l0, samples_per_unit=24):
@@ -40,17 +61,6 @@ def _rotation_loop(omegas, l0, samples_per_unit=24):
     planes = [canonicalize(expm(t * gen) @ l0) for t in ts]
     planes[-1] = planes[0]
     return GrassmannCurve(times=ts, planes=planes)
-
-
-def test_reference_catalogue():
-    cat = reference_catalogue(2)
-    assert len(cat) == 18
-    assert np.allclose(cat[0], horizontal_plane(2))
-    assert np.allclose(cat[1], vertical_plane(2))
-    for plane in cat:
-        assert isotropy_residual(plane) < 1e-12
-    # cached: same objects on repeat call
-    assert reference_catalogue(2)[5] is cat[5]
 
 
 def test_simple_arc_sign_convention():
@@ -105,9 +115,9 @@ def test_partial_sums_accumulate_to_index():
     assert sums[-1] == maslov_index(curve, pi)
 
 
-# -- reference: the chart search, index and per-interval partial-sum loop
-# as they were before one memo per curve shared nodes and charts across
-# intervals; every call recomputes everything from the public functions
+# -- reference (continued): the chart search, index and per-interval
+# partial-sum loop; every call recomputes everything from the public
+# functions
 
 def _reference_arc_chart(planes, pi, catalogue, gaps):
     for delta in catalogue:
@@ -214,6 +224,9 @@ def test_partial_sums_match_reference_when_no_chart_clears_an_interval():
     curve = _line_curve([0.3, 0.3 + 0.5 * np.pi, 0.35 + 0.5 * np.pi, 0.4 + 0.5 * np.pi])
     sums = _assert_same_sums(curve, vertical_plane(1))
     assert np.isnan(sums[1]) and not np.isnan(sums[2])
+    for index in (maslov_index, _reference_index):
+        with pytest.raises(RefinementError):
+            index(curve, vertical_plane(1))
 
 
 def test_partial_sums_reject_non_lagrangian_node():
@@ -228,22 +241,24 @@ def test_partial_sums_reject_non_lagrangian_node():
         maslov_partial_sums(curve, pi)
 
 
-def _random_rotation_curve(rng):
+def _random_rotation_curve(rng, refine=1):
+    """A rotation curve; ``refine`` - 1 exact samples are added inside each interval."""
     n = int(rng.integers(1, 3))
     omegas = rng.uniform(-2.0, 2.0, n)
     gen = np.block([[np.zeros((n, n)), np.diag(omegas)], [-np.diag(omegas), np.zeros((n, n))]])
     span = rng.uniform(1.0, 2.0 * np.pi)
-    ts = np.linspace(0.0, span, int(4 * (np.sum(np.abs(omegas)) + 1) * span) + 3)
+    nodes = int(4 * (np.sum(np.abs(omegas)) + 1) * span) + 3
+    ts = np.linspace(0.0, span, refine * (nodes - 1) + 1)
     l0 = random_lagrangian(rng, n)
     return GrassmannCurve(times=ts, planes=[canonicalize(expm(t * gen) @ l0) for t in ts])
 
 
-def _random_flow_curve(rng):
+def _random_flow_curve(rng, refine=1):
     # unit-scale blocks keep the turn between samples well below the chart margins
     n = 2
     a, b, c = (m / np.linalg.norm(m, 2) for m in rng.standard_normal((3, n, n)))
     h = HamiltonianCoefficients(a=a, b=b @ b.T + 0.5 * np.eye(n), c=-(c @ c.T))
-    return flow_plane(h, random_lagrangian(rng, n), np.linspace(0.0, 3.0, 31))
+    return flow_plane(h, random_lagrangian(rng, n), np.linspace(0.0, 3.0, 30 * refine + 1))
 
 
 def _sub_curve(curve, i, j):
@@ -265,6 +280,95 @@ def test_maslov_index_is_additive(make_curve, seed):
     pieces = maslov_index(_sub_curve(curve, 0, cut), pi) + maslov_index(
         _sub_curve(curve, cut, len(curve) - 1), pi)
     assert index == pieces
+
+
+def _index_or_none(curve, pi):
+    """The index, or None when some step between samples is refused."""
+    try:
+        return maslov_index(curve, pi)
+    except RefinementError:
+        return None
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([_random_rotation_curve, _random_flow_curve]),
+       st.integers(0, 2**31 - 1))
+def test_index_is_unchanged_by_inserting_exact_midpoints(make_curve, seed):
+    rng = np.random.default_rng(seed)
+    fine = make_curve(rng, refine=2)
+    pi = random_lagrangian(rng, fine.n)
+    coarse = GrassmannCurve(times=fine.times[::2], planes=fine.planes[::2])
+    index = _index_or_none(coarse, pi)
+    assume(index is not None)
+    assert maslov_index(fine, pi) == index
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([_random_rotation_curve, _random_flow_curve]),
+       st.integers(0, 2**31 - 1))
+def test_reversing_the_curve_negates_the_index(make_curve, seed):
+    rng = np.random.default_rng(seed)
+    curve = make_curve(rng)
+    pi = random_lagrangian(rng, curve.n)
+    back = GrassmannCurve(times=-curve.times[::-1], planes=curve.planes[::-1])
+    index, back_index = _index_or_none(curve, pi), _index_or_none(back, pi)
+    assume(index is not None and back_index is not None)
+    assert back_index == -index
+
+
+def _random_symplectic(rng, n):
+    """exp(J S) for a random symmetric S of norm about one."""
+    s = rng.standard_normal((2 * n, 2 * n))
+    s = 0.5 * (s + s.T) / np.linalg.norm(s, 2)
+    return expm(apply_j(s))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([_random_rotation_curve, _random_flow_curve]),
+       st.integers(0, 2**31 - 1))
+def test_index_is_symplectically_invariant(make_curve, seed):
+    rng = np.random.default_rng(seed)
+    curve = make_curve(rng)
+    pi = random_lagrangian(rng, curve.n)
+    phi = _random_symplectic(rng, curve.n)
+    moved = GrassmannCurve(times=curve.times, planes=[phi @ p for p in curve.planes])
+    index, moved_index = _index_or_none(curve, pi), _index_or_none(moved, phi @ pi)
+    assume(index is not None and moved_index is not None)
+    assert moved_index == index
+
+
+def _geodesic_chart(l0, l1):
+    """J times the midpoint of the shortest path from l0 to l1.
+
+    Every plane on that path is within a principal angle below pi/4 of the
+    midpoint, so it is transversal to this orthogonal complement.
+    """
+    q0, q1 = np.linalg.qr(l0)[0], np.linalg.qr(l1)[0]
+    v0, _, v1t = np.linalg.svd(q0.T @ q1)
+    return apply_j(q0 @ v0 + q1 @ v1t.T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**31 - 1))
+def test_step_index_is_the_index_of_the_shortest_path(n, seed):
+    # independent random samples are far apart: most principal angles are
+    # large, where a fixed catalogue often has no chart covering the step
+    rng = np.random.default_rng(seed)
+    l0, l1, pi = (random_lagrangian(rng, n) for _ in range(3))
+    delta = _geodesic_chart(l0, l1)
+    assume(min(transversality_margin(p, q) for p, q in ((delta, pi), (l0, pi), (l1, pi))) > 1e-6)
+    curve = GrassmannCurve(times=np.array([0.0, 1.0]), planes=[l0, l1])
+    assert maslov_index(curve, pi) == simple_arc_index(l0, l1, pi, delta)
+
+
+def test_index_across_interior_nodes_on_reference():
+    # one full turn of a line from 0.1 to 2 pi + 0.1, sampled on Pi at pi and 2 pi
+    curve = _line_curve(np.union1d(np.linspace(0.1, 2.0 * np.pi + 0.1, 25), [np.pi, 2.0 * np.pi]))
+    pi = vertical_plane(1)
+    on_pi = [k for k, p in enumerate(curve.planes) if intersection_dimension(p, pi) > 0]
+    assert len(on_pi) == 2 and 0 < min(on_pi) and max(on_pi) < len(curve) - 1
+    assert maslov_index(curve, pi) == _reference_index(curve, pi) == 2
+    _assert_same_sums(curve, pi)
 
 
 def _harmonic():

@@ -1,10 +1,15 @@
-"""Guards on the shape of the package: one integrator call site, a lean import."""
+"""Guards on the shape of the package: one integrator call site, a lean import,
+exports that resolve."""
 
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import jacobiflow
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -57,3 +62,14 @@ def test_cli_import_does_not_load_mpmath():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    modules = [jacobiflow] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(jacobiflow.__path__, prefix="jacobiflow.")
+    ]
+    stale = [f"{module.__name__}.{name}" for module in modules
+             for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert len(modules) > 10
+    assert stale == []
