@@ -352,9 +352,14 @@ def _trace_rows(curve: GrassmannCurve, jumps: list[JumpEvent],
     flow = _spectral_flow(curve.planes, vertical_plane(n))
     partial = flow.partial_sums()
     _, _, chart = _chart_basis(horizontal_plane(n), vertical_plane(n))
-    jump_times = [j.time for j in jumps]
+    # jump rows: within 1e-9 max(1, |t_jump|) of a jump time; only the two around a row can be
+    times = np.asarray(curve.times, dtype=float)
+    jt = np.sort([float(j.time) for j in jumps] + [np.nan])  # NaN sorts last, never matches
+    right = np.searchsorted(jt, times)
+    near = jt[[np.maximum(right - 1, 0), right]]
+    hits = np.any(np.abs(times - near) <= 1e-9 * np.maximum(1.0, np.abs(near)), axis=0)
     rows = []
-    for t, plane, psum in zip(curve.times, curve.planes, partial):
+    for t, plane, psum, hit in zip(curve.times, curve.planes, partial, hits):
         row: list = [float(t)]
         row += [float(v) for v in np.asarray(plane).ravel()]
         try:
@@ -363,7 +368,6 @@ def _trace_rows(curve: GrassmannCurve, jumps: list[JumpEvent],
         except ChartError:
             row += [None] * (n * n)
         row.append(float(psum))
-        hit = any(abs(t - jt) <= 1e-9 * max(1.0, abs(jt)) for jt in jump_times)
         row.append(1 if hit else 0)
         rows.append(row)
     return rows, flow
@@ -412,7 +416,8 @@ def _run_interval_mode(config: ScenarioConfig) -> TraceOutput:
             raise ConfigError("mode: sequence has a nonzero entry; the order is finite")
         trace = infinite_order_curve(data, config.initial_plane, interval)
     else:
-        trace = singular_jacobi_curve(data, config.initial_plane, interval, grid)
+        trace = singular_jacobi_curve(data, config.initial_plane, interval, grid,
+                                      rtol=config.tolerances["rtol"])
     summary = {
         "mode": config.mode,
         "n": config.n,

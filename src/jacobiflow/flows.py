@@ -12,6 +12,14 @@ an embedded adaptive Runge-Kutta scheme (DOP853), and ``_integrate`` is the
 package's only call into it: every transport, fundamental solution and
 crossing count of the package goes through it.  Planes are always moved as
 frames, never as chart matrices, so a chart pole cannot stop a transport.
+
+A transport is one march over its node list (:func:`_transport`), read off
+the solver's dense output.  It restarts, after a QR, only where the frame's
+norm has grown by ``_AMP_LIMIT``.  Its steps span at most ``_NODE_STEPS``
+node spacings: rtol controls the error at step ends only, and the 7th-order
+interpolant's error at the nodes inside a long step would exceed it.
+Piecewise analytic data march once per piece.
+
 Nothing is ever re-projected onto the symplectic group, drift is only
 monitored, and the tolerance ladder is tightened until the monitored
 residual passes.
@@ -135,10 +143,13 @@ def _symplecticity_residual(m: np.ndarray) -> float:
 
 
 def _integrate(sys: SystemLike, y0: np.ndarray, t0: float, t1: float, rtol: float,
-               events=None, dense: bool = False):
+               events=None, dense: bool = False, t_eval=None, max_step: float = np.inf):
+    """One DOP853 solve of ``Y' = sys(t) Y``, sampled at ``t_eval`` if given."""
     shape = y0.shape
+    reached = [t0]
 
     def rhs(t, y):
+        reached[0] = t
         m = sys(t)
         with np.errstate(over="ignore", invalid="ignore"):
             return (m @ y.reshape(shape)).ravel()
@@ -152,10 +163,12 @@ def _integrate(sys: SystemLike, y0: np.ndarray, t0: float, t1: float, rtol: floa
         atol=ATOL,
         dense_output=dense,
         events=events,
+        t_eval=t_eval,
+        max_step=max_step,
     )
     if sol.status == -1:
         raise PoleError(
-            f"integration stalled at t = {sol.t[-1]:.6g} (step size underflow near a pole)"
+            f"integration stalled at t = {reached[0]:.6g} (step size underflow near a pole)"
         )
     return sol
 
@@ -206,93 +219,76 @@ def fundamental_solution(h, t0: float, t1: float, rtol: float = 1e-12):
 
 
 _AMP_LIMIT = 1e8
+_NODE_STEPS = 3
 _MAX_RENORM = 100000
 
 
-def _evolve_step(sys: SystemLike, f: np.ndarray, a: float, b: float,
-                 rtol: float) -> np.ndarray:
-    """One renormalised hop from ``a`` to ``b``.
+def _transport(sys: SystemLike, f0: np.ndarray, nodes: Sequence[float],
+               rtol: float, *, node_steps: float = _NODE_STEPS) -> np.ndarray:
+    """Frames at the strictly monotone ``nodes`` of one march from ``f0``.
 
-    Near a strong pole the dominant mode can gain hundreds of e-foldings over
-    a single sub-interval.  Long before the frame overflows, the subdominant
-    directions of the span drop below the dominant column's round-off floor
-    and the endpoint QR would return noise for them.  A terminal event stops
-    the integration whenever the frame has grown by ``_AMP_LIMIT`` so it can
-    be re-orthonormalised in place; genuine poles still underflow the step
-    size inside and surface as :class:`PoleError`.
+    The first frame is ``f0``.  Only the spans are meaningful, so callers
+    orthonormalise or canonicalise what they emit.  Restarts and step cap: see
+    the module docstring; ``node_steps=np.inf`` lifts the cap.  A pole
+    underflows the step size and raises :class:`PoleError`.
     """
-    t = float(a)
-    cur = f
+    nodes = np.asarray(nodes, dtype=float)
+    out = np.empty((nodes.size,) + f0.shape)
+    out[0] = f0
+    max_step = node_steps * float(np.max(np.abs(np.diff(nodes)), initial=0.0))
+    t, cur, k = float(nodes[0]), f0, 1
     for _ in range(_MAX_RENORM):
-        scale = max(1.0, float(np.linalg.norm(cur)))
+        if k == nodes.size:
+            return out
 
-        def grew(tt, y, _s=scale):
-            return float(np.linalg.norm(y)) - _AMP_LIMIT * _s
+        def grew(tt, y, _lim=_AMP_LIMIT * max(1.0, float(np.linalg.norm(cur)))):
+            return float(np.linalg.norm(y)) - _lim
 
         grew.terminal = True
         grew.direction = 1
-        sol = _integrate(sys, cur, t, b, rtol, events=grew)
-        y_end = sol.y[:, -1]
-        if not np.all(np.isfinite(y_end)):
-            raise PoleError(
-                f"frame transport lost finiteness near t = {sol.t[-1]:.6g}"
-            )
-        q, _ = np.linalg.qr(y_end.reshape(f.shape))
-        cur = q
+        sol = _integrate(sys, cur, t, float(nodes[-1]), rtol, events=grew, t_eval=nodes[k:],
+                         max_step=max_step)
+        got = len(sol.t)
+        if got:
+            out[k : k + got] = np.asarray(sol.y).T.reshape((got,) + f0.shape)
+        if not np.all(np.isfinite(out[k : k + got])):
+            raise PoleError(f"frame transport lost finiteness near t = {sol.t[-1]:.6g}")
+        k += got
         if sol.status == 0:
-            return cur
-        t_ev = float(sol.t_events[0][-1])
+            return out
+        t_ev, y_ev = float(sol.t_events[0][-1]), sol.y_events[0][-1]
         if t_ev == t:
             raise PoleError(
                 f"frame transport pinned at t = {t:.6g} (growth event makes no progress)"
             )
+        if not np.all(np.isfinite(y_ev)):
+            raise PoleError(f"frame transport lost finiteness near t = {t_ev:.6g}")
         t = t_ev
+        # R with a positive diagonal keeps the sign of every block determinant
+        cur, r = np.linalg.qr(y_ev.reshape(f0.shape))
+        cur = cur * np.where(np.diag(r) < 0.0, -1.0, 1.0)
     raise PoleError(
-        f"renormalisation budget exhausted between t = {a:.6g} and {b:.6g}"
+        f"renormalisation budget exhausted between t = {nodes[0]:.6g} and {nodes[-1]:.6g}"
     )
-
-
-def _evolve_frame(sys: SystemLike, f0: np.ndarray, t0: float, t1: float,
-                  rtol: float = 1e-12, max_ratio: float = 2.0) -> np.ndarray:
-    """Propagate a frame, orthonormalising between sub-intervals.
-
-    Renormalisation keeps the span while avoiding overflow when the flow has
-    strongly growing modes (e.g. approaching a pole).  Sub-intervals follow a
-    geometric progression when both endpoints have the same sign, linear
-    otherwise.
-    """
-    if t1 == t0:
-        return f0.copy()
-    if t0 * t1 > 0 and abs(t1) != abs(t0):
-        # geometric: constant ratio in |t|
-        k = max(1, int(np.ceil(abs(np.log(abs(t1) / abs(t0))) / np.log(max_ratio))))
-        ts = np.sign(t0) * np.exp(np.linspace(np.log(abs(t0)), np.log(abs(t1)), k + 1))
-        ts[0], ts[-1] = t0, t1
-    else:
-        ts = np.linspace(t0, t1, 9)
-    f = f0.copy()
-    for a, b in zip(ts[:-1], ts[1:]):
-        f = _evolve_step(sys, f, a, b, rtol)
-    return f
 
 
 def flow_plane(h, l0: np.ndarray, grid: Sequence[float], *, rtol: float = 1e-12) -> GrassmannCurve:
     """Transport a plane along the flow, sampled at the grid nodes.
 
-    Frames are orthonormalised at every node (a span-preserving operation);
-    the returned planes are canonical frames.
+    The grid must be strictly monotone and is one march (:func:`_transport`);
+    frames are orthonormalised at every node and returned as canonical frames.
     """
     sys = _system(h)
     grid = np.asarray(grid, dtype=float)
+    steps = np.diff(grid)
+    if not (np.all(steps > 0) or np.all(steps < 0)):
+        raise PreconditionError("grid must be strictly monotone")
     f = np.asarray(l0, dtype=float)
     if f.ndim == 1:
         f = f[:, None]
     q, _ = np.linalg.qr(f)
-    planes = [canonicalize(q)]
-    cur = q
-    for a, b in zip(grid[:-1], grid[1:]):
-        cur = _evolve_frame(sys, cur, a, b, rtol=rtol)
-        planes.append(canonicalize(cur))
+    frames = _transport(sys, q, grid, rtol)
+    planes = [canonicalize(q)] + [canonicalize(np.linalg.qr(y)[0]) for y in frames[1:]]
     return GrassmannCurve(times=grid, planes=planes)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import PreconditionError, SingularityError
-from ..flows import _integrate
+from ..flows import _transport
 from ..grassmann import random_lagrangian
 from ..series import meval
 from .frame import NormalFormCoefficients, NormalFormFrame
@@ -172,35 +172,23 @@ def oscillation_count_oracle(
         out[k:, :k] = meval(cnf, t)
         return out
 
+    # samples_per_decade per decade, and at least 8 per doubling of t
+    ts, t = [tau_min], tau_min
+    while t < tau_max:
+        t_next = min(t * 2.0, tau_max)
+        n_samp = max(8, int(samples_per_decade * np.log10(t_next / t)) + 2)
+        ts.extend(np.geomspace(t, t_next, n_samp)[1:])
+        t = t_next
     rng = np.random.default_rng(seed)
     counts = []
     for _ in range(n_solutions):
-        frame = random_lagrangian(rng, k)
-        count = 0
-        parity = 1.0
-        t = tau_min
-        prev_sign = None
-        while t < tau_max:
-            t_next = min(t * 2.0, tau_max)
-            n_samp = max(8, int(samples_per_decade * np.log10(t_next / t)) + 2)
-            ts = np.geomspace(t, t_next, n_samp)
-            sol = _integrate(sys, frame, t, t_next, rtol, dense=True)
-            samples = sol.sol(ts)
-            for col in samples.T:
-                det = np.linalg.det(col.reshape(2 * k, k)[k:, :]) * parity
-                sign = np.sign(det)
-                if prev_sign is not None and sign != 0 and prev_sign != 0 and sign != prev_sign:
-                    count += 1
-                if sign != 0:
-                    prev_sign = sign
-            end = samples[:, -1].reshape(2 * k, k)
-            q, r = np.linalg.qr(end)
-            # renormalizing rescales the determinant by det(R)^-1; fold its
-            # sign into the running parity so crossings stay comparable
-            parity *= np.sign(np.linalg.det(r))
-            frame = q
-            t = t_next
-        counts.append(count)
+        # the march renormalises with positive-diagonal QRs, which keep the
+        # sign of the vertical determinant; only signs are read, so the steps
+        # are not capped by the dense sample times
+        frames = _transport(sys, random_lagrangian(rng, k), ts, rtol, node_steps=np.inf)
+        signs = np.sign(np.linalg.det(frames[:, k:, :]))
+        signs = signs[signs != 0]
+        counts.append(int(np.count_nonzero(signs[1:] != signs[:-1])))
     return counts
 
 

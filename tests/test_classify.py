@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from jacobiflow.errors import PreconditionError, SingularityError
+from jacobiflow.grassmann import random_lagrangian
 from jacobiflow.singular.classify import (
     SingularityReport,
     autonomous_spectrum_test,
@@ -145,6 +147,51 @@ def test_oracle_counts_saturate_for_nonoscillating_data():
         for tau in (1e-2, 1e-3, 1e-4)
     ]
     assert counts[1] == counts[2]
+
+
+def _restart_oracle(bnf, cnf, m, tau_min, n_solutions, seed, rtol=1e-10, per_decade=400):
+    """Reference: the oracle before it became one march per solution.
+
+    Each doubling of t is its own dense solve; the frame is QR'd at its end
+    and the sign of det R is folded into a running parity.
+    """
+    k = bnf.shape[1]
+
+    def rhs(t, y):
+        mat = np.zeros((2 * k, 2 * k))
+        mat[:k, k:] = np.polynomial.polynomial.polyval(t, bnf) / t**m
+        mat[k:, :k] = np.polynomial.polynomial.polyval(t, cnf)
+        return (mat @ y.reshape(2 * k, k)).ravel()
+
+    rng = np.random.default_rng(seed)
+    counts = []
+    for _ in range(n_solutions):
+        frame, count, parity, prev, t = random_lagrangian(rng, k), 0, 1.0, 0.0, tau_min
+        while t < 1.0:
+            t_next = min(2.0 * t, 1.0)
+            ts = np.geomspace(t, t_next, max(8, int(per_decade * np.log10(t_next / t)) + 2))
+            sol = solve_ivp(rhs, (t, t_next), frame.ravel(), method="DOP853", rtol=rtol,
+                            atol=1e-13, dense_output=True)
+            for y in sol.sol(ts).T:
+                sign = np.sign(np.linalg.det(y.reshape(2 * k, k)[k:]) * parity)
+                count += bool(sign and prev and sign != prev)
+                prev = sign or prev
+            frame, r = np.linalg.qr(sol.sol(t_next).reshape(2 * k, k))
+            parity *= np.sign(np.linalg.det(r))
+            t = t_next
+        counts.append(count)
+    return counts
+
+
+# (3, -2.0, 1e-3) restarts the march at growth events, where the QR must
+# keep the determinant's sign
+@pytest.mark.parametrize("m, c11, tau_min", [(2, 2.5, 1e-3), (2, 1.2, 1e-4), (2, -0.3, 1e-3),
+                                             (3, 2.0, 1e-2), (3, -2.0, 1e-3)])
+def test_oracle_counts_match_the_restarting_reference(m, c11, tau_min):
+    coeffs = _coeffs(m, c11, b_m=-1.5 if m == 3 else -1.0)
+    bnf, cnf = coeffs.bnum_stack(6), coeffs.cnf_stack(6)
+    counts = oscillation_count_oracle(bnf, cnf, m, (tau_min, 1.0), n_solutions=3, seed=5)
+    assert counts == _restart_oracle(bnf, cnf, m, tau_min, 3, 5)
 
 
 @pytest.mark.parametrize(

@@ -4,9 +4,14 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from jacobiflow.cli import main
+from jacobiflow.cli import _trace_rows, main
+from jacobiflow.engine import JumpEvent
+from jacobiflow.grassmann import GrassmannCurve, horizontal_plane
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
@@ -92,6 +97,45 @@ def test_golden_degen_m3_trace_is_byte_stable(tmp_path):
 ], ids=["regular-trace", "regular-maslov", "bangbang"])
 def test_golden_curve_outputs_are_byte_stable(tmp_path, verb, scenario, csv, summary):
     _assert_golden(tmp_path, verb, scenario, csv, summary)
+
+
+def test_regular_mode_uses_the_scenario_rtol(tmp_path):
+    # a loose rtol reaches the transport, from the scenario or the override
+    raw = json.loads((GOLDEN / "regular_short.json").read_text())
+    raw["tolerances"] = {"rtol": 1e-8}
+    loose = tmp_path / "loose.json"
+    loose.write_text(json.dumps(raw))
+    runs = {
+        "default": [str(GOLDEN / "regular_short.json")],
+        "override": [str(GOLDEN / "regular_short.json"), "--tol-overrides", '{"rtol": 1e-8}'],
+        "scenario": [str(loose)],
+    }
+    csv = {}
+    for name, args in runs.items():
+        assert main(["trace", *args, "--out", str(tmp_path / f"{name}.csv")]) == 0
+        csv[name] = (tmp_path / f"{name}.csv").read_bytes()
+    assert csv["override"] == csv["scenario"] != csv["default"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=30, unique=True),
+       st.lists(st.tuples(st.integers(-40, 40), st.sampled_from([0.0, 5e-10, -2e-9, 1e-3])),
+                max_size=8),
+       st.sampled_from([1.0, 1e3]))
+@example([3], [(3, -2e-9)], 1e3)  # the jump lies just below the row: its left neighbour
+@example([3], [(1, 0.0), (3, 5e-10)], 1.0)  # just above: its right neighbour
+def test_jump_rows_match_the_scan_over_every_jump(steps, jumps, scale):
+    # the scan over every jump time that the two-neighbour search replaced
+    times = scale * np.sort(np.array(steps, dtype=float))
+    jump_times = [scale * (k + d) for k, d in jumps]
+    plane = horizontal_plane(1)
+    curve = GrassmannCurve(times=times, planes=[plane] * times.size)
+    events = [JumpEvent(time=jt, pre_plane=plane, post_plane=plane, inserted=np.ones(2))
+              for jt in jump_times]
+    rows, _ = _trace_rows(curve, events, 1)
+    scan = [int(any(abs(t - jt) <= 1e-9 * max(1.0, abs(jt)) for jt in jump_times))
+            for t in times]
+    assert [row[-1] for row in rows] == scan
 
 
 @pytest.mark.parametrize("name", ["degen_m1", "degen_m2"])

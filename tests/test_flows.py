@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from jacobiflow import flows
 from jacobiflow.errors import PoleError, PreconditionError
 from jacobiflow.flows import (
     HamiltonianCoefficients,
@@ -204,6 +206,57 @@ def test_riccati_flow_n2():
         phi = fundamental_matrix(h, 0.0, float(t))
         assert plane_distance(p, phi @ start) < 1e-9
         assert isotropy_residual(p) < 1e-10
+
+
+def _counted_integrate(monkeypatch) -> list:
+    """Record the (t0, t1) span of every call into the transport kernel."""
+    spans = []
+    integrate = flows._integrate
+    monkeypatch.setattr(flows, "_integrate",
+                        lambda *a, **k: spans.append(a[2:4]) or integrate(*a, **k))
+    return spans
+
+
+def test_flow_plane_on_a_refined_grid_makes_the_same_march(monkeypatch):
+    # refining the grid adds no solver call and moves no plane beyond the tolerance
+    rng = np.random.default_rng(4)
+    sym = [0.5 * (m + np.swapaxes(m, 1, 2)) for m in rng.normal(size=(2, 3, 2, 2))]
+    h = HamiltonianCoefficients(a=rng.normal(size=(3, 2, 2)), b=sym[0], c=sym[1])
+    start = np.vstack([np.eye(2), sym[0][0]])
+    spans = _counted_integrate(monkeypatch)
+    coarse = flow_plane(h, start, np.linspace(0.0, 3.0, 7))
+    coarse_spans = spans[:]
+    fine = flow_plane(h, start, np.linspace(0.0, 3.0, 25))
+    # the same solver calls, each to the end of the grid: no node restarts the solver
+    assert spans == 2 * coarse_spans
+    assert all(t1 == 3.0 for _, t1 in spans)
+    assert np.array_equal(fine.times[::4], coarse.times)
+    gaps = [plane_distance(a, b) for a, b in zip(coarse.planes, fine.planes[::4])]
+    assert max(gaps) < 1e-10
+
+
+def test_restarts_keep_a_fast_growing_frame_on_its_closed_form(monkeypatch):
+    # lambda' = [[A, 0], [0, -A]] lambda with A = R diag(1, 0.5) R^T: the
+    # frame grows by e^30, far past _AMP_LIMIT, and the plane is [I; S(t)]
+    # with S(t) = e^{-At} S0 e^{-At}
+    rot = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    a = rot @ np.diag([1.0, 0.5]) @ rot.T
+    s0 = np.array([[0.4, -0.3], [-0.3, 1.2]])
+    h = HamiltonianCoefficients(a=a, b=np.zeros((2, 2)), c=np.zeros((2, 2)))
+    grid = np.linspace(0.0, 30.0, 16)
+    spans = _counted_integrate(monkeypatch)
+    flow = flow_plane(h, np.vstack([np.eye(2), s0]), grid)
+    assert len(spans) >= 2  # the march restarted on the way
+    assert spans[0][0] == 0.0 and all(s[1] == 30.0 for s in spans)
+    for t, p in zip(grid, flow.planes):
+        decay = expm(-a * t)
+        exact = np.vstack([np.eye(2), decay @ s0 @ decay])
+        assert plane_distance(p, exact) < 1e-10
+
+
+def test_flow_plane_needs_a_monotone_grid():
+    with pytest.raises(PreconditionError):
+        flow_plane(_harmonic(), vertical_plane(1), [0.0, 1.0, 0.5])
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""Guards on the shape of the package: one integrator call site, a lean import,
-exports that resolve."""
+"""Guards on the shape of the package: one integrator call site, one solver call
+per transport, a lean import, exports that resolve."""
 
 import ast
 import importlib
@@ -9,9 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import jacobiflow
+from jacobiflow import cli, flows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
 
 
 class _SolveIvpSites(ast.NodeVisitor):
@@ -52,6 +56,19 @@ def test_solve_ivp_is_called_only_in_flows_integrate():
             assert module == "jacobiflow.flows", f"{module} mentions solve_ivp"
     assert sites == ["jacobiflow.flows._integrate"]
     assert imports == ["jacobiflow.flows"]
+
+
+# one march per transport: the regular curve is one piece, the portrait
+# moves each of its 14 start lines once; neither grows past a restart event
+@pytest.mark.parametrize("verb, scenario, calls", [
+    ("trace", "regular", 1), ("portrait", "portrait", 14),
+])
+def test_cli_makes_one_solver_call_per_transport(tmp_path, monkeypatch, verb, scenario, calls):
+    seen = []
+    integrate = flows._integrate
+    monkeypatch.setattr(flows, "_integrate", lambda *a, **k: seen.append(1) or integrate(*a, **k))
+    assert cli.main([verb, str(CORPUS / f"{scenario}.json"), "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(seen) == calls
 
 
 def test_cli_import_does_not_load_mpmath():
