@@ -16,12 +16,11 @@ from .engine import (
     bang_bang_sequence,
     goh_subspace,
     infinite_order_curve,
-    iterative_l_derivative,
     legendre_sequence,
     singular_jacobi_curve,
 )
 from .errors import ConfigError, JacobiflowError, MathError
-from .flows import HamiltonianCoefficients, flow_plane, fundamental_matrix
+from .flows import HamiltonianCoefficients, flow_plane
 from .grassmann import (
     ChartPoint,
     GrassmannCurve,
@@ -37,16 +36,10 @@ from .grassmann import (
     transversality_margin,
     vertical_plane,
 )
-from .maslov import (
-    maslov_index,
-    maslov_partial_sums,
-    simple_arc_index,
-    vertical_intersection_count,
-)
+from .maslov import maslov_index, maslov_partial_sums
 from .symplectic import (
     apply_j,
     check_structure,
-    darboux_complete,
     gram,
     skew_complement,
     symplectic_form,
@@ -70,21 +63,18 @@ __all__ = [
     "bang_bang_sequence",
     "canonicalize",
     "check_structure",
-    "darboux_complete",
     "engine",
     "errors",
     "extend_by_isotropic",
     "flow_plane",
     "flows",
     "from_chart",
-    "fundamental_matrix",
     "goh_subspace",
     "gram",
     "grassmann",
     "horizontal_plane",
     "infinite_order_curve",
     "intersection_dimension",
-    "iterative_l_derivative",
     "legendre_sequence",
     "maslov",
     "maslov_index",
@@ -92,7 +82,6 @@ __all__ = [
     "plane_distance",
     "random_lagrangian",
     "series",
-    "simple_arc_index",
     "singular",
     "singular_jacobi_curve",
     "skew_complement",
@@ -101,5 +90,4 @@ __all__ = [
     "to_chart",
     "transversality_margin",
     "vertical_plane",
-    "vertical_intersection_count",
 ]

@@ -11,12 +11,9 @@ and a curve of vectors ``X(tau)`` in R^(2n), both piecewise polynomial
 * the curve of Lagrangian planes solving the order-m Jacobi equation
   (:func:`singular_jacobi_curve`), its degenerate constant variant
   (:func:`infinite_order_curve`) and the purely combinatorial bang-bang
-  recursion (:func:`bang_bang_sequence`),
-* the iterative L-derivative fold over a partition, which rebuilds the same
-  planes from one-step extensions and converges to the direct construction
-  as the partition refines (:func:`iterative_l_derivative`).
+  recursion (:func:`bang_bang_sequence`).
 
-All integrals of polynomial data are computed exactly through coefficient
+Products and derivatives of polynomial data are exact coefficient
 arithmetic; quadrature is never used.  The Jacobi equation is marched once
 per interval of regularity (each piece of the data inside the interval):
 breakpoints restart the integrator, grid nodes only sample it.
@@ -44,7 +41,7 @@ from .grassmann import (
     validate_lagrangian,
 )
 from .series import meval, strim
-from .symplectic import apply_j, dim_to_n, frame_rank, gram, isotropy_residual
+from .symplectic import apply_j, dim_to_n, gram, isotropy_residual
 
 __all__ = [
     "PiecewiseAnalytic",
@@ -56,12 +53,10 @@ __all__ = [
     "singular_jacobi_curve",
     "infinite_order_curve",
     "bang_bang_sequence",
-    "iterative_l_derivative",
 ]
 
 #: hard cap on polynomial degrees accepted from scenario data
 D_MAX = 64
-TOL_MEMBER_REL = 1e-8
 
 
 @dataclass
@@ -156,32 +151,6 @@ class PiecewiseAnalytic:
         if deriv >= c.shape[1]:
             return np.zeros((self.dim, 1))
         return np.vstack([npp.polyder(row, deriv) for row in c])
-
-    def integral_x(self, a: float, b: float) -> np.ndarray:
-        """Exact integral of X over [a, b], split at interior breakpoints."""
-        if b < a:
-            return -self.integral_x(b, a)
-        out = np.zeros(self.dim)
-        cuts = [a] + [float(t) for t in self.breakpoints if a < t < b] + [b]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            c = self.x_pieces[self.piece_index(0.5 * (lo + hi))]
-            prim = _polyint_rows(c)
-            out += meval(prim.T, hi) - meval(prim.T, lo)
-        return out
-
-
-def _polyint_rows(c: np.ndarray) -> np.ndarray:
-    """Row-wise antiderivative at a fixed width.
-
-    ``polyint`` trims identically-zero rows to length one, so stacking its
-    raw outputs fails whenever one component vanishes; pad every row to the
-    common degree instead.
-    """
-    out = np.zeros((c.shape[0], c.shape[1] + 1))
-    for i, row in enumerate(c):
-        p = npp.polyint(row)
-        out[i, : p.size] = p
-    return out
 
 
 def _sigma_poly(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -450,71 +419,3 @@ def bang_bang_sequence(l0: np.ndarray, x_list: Sequence[np.ndarray]) -> list[np.
         plane = extend_by_isotropic(plane, np.asarray(x, dtype=float))
         out.append(plane)
     return out
-
-
-def iterative_l_derivative(data: PiecewiseAnalytic, l_start: np.ndarray,
-                           partition: Sequence[float]) -> GrassmannCurve:
-    """Fold of one-step L-derivative extensions over a partition.
-
-    On each cell ``[t, t+eps]`` the plane is extended by
-
-        eta = K eta_0 + (1/eps) int X,
-        K = -[ (1/eps) int (sigma(int X, X) + b) ] / sigma(eta_0, int X),
-
-    where ``eta_0`` is the canonical column of the current plane with the
-    largest pairing against ``int X``; when every pairing is below
-    ``1e-8 |int X|`` the integral already lies in the plane and the cell
-    leaves it unchanged.  All integrals are exact coefficient integrals.
-    """
-    partition = np.asarray(partition, dtype=float)
-    if partition.size < 2 or not np.all(np.diff(partition) > 0):
-        raise PreconditionError("partition must be strictly increasing")
-    plane = canonicalize(validate_lagrangian(np.asarray(l_start, dtype=float)))
-    planes = [plane]
-    for ta, tb in zip(partition[:-1], partition[1:]):
-        eps = tb - ta
-        ix = data.integral_x(ta, tb)
-        nix = float(np.linalg.norm(ix))
-        if nix == 0.0:
-            planes.append(plane)
-            continue
-        pairings = gram(plane, ix[:, None])[:, 0]
-        col_norms = np.linalg.norm(plane, axis=0)
-        rel = np.abs(pairings) / np.where(col_norms == 0, 1.0, col_norms)
-        if np.max(rel) <= TOL_MEMBER_REL * nix:
-            # int X already lies in the plane: the cell adds nothing new
-            planes.append(plane)
-            continue
-        j = int(np.argmax(rel))
-        eta0 = plane[:, j]
-        denom = float(pairings[j])
-        # numerator: int over the cell of sigma(int_ta^tau X, X(tau)) + b(tau)
-        num = _cell_numerator(data, ta, tb)
-        k = -num / eps / denom
-        eta = k * eta0 + ix / eps
-        plane = extend_by_isotropic(plane, eta)
-        planes.append(plane)
-    return GrassmannCurve(times=partition, planes=planes)
-
-
-def _cell_numerator(data: PiecewiseAnalytic, ta: float, tb: float) -> float:
-    """Exact integral of sigma(int_ta^tau X, X(tau)) + b(tau) over [ta, tb]."""
-    total = 0.0
-    cuts = [ta] + [float(t) for t in data.breakpoints if ta < t < tb] + [tb]
-    carry = np.zeros(data.dim)  # int_ta^lo X
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        p = data.piece_index(0.5 * (lo + hi))
-        c = data.x_pieces[p]
-        prim = _polyint_rows(c)
-        base = meval(prim.T, lo)
-        # int_ta^tau X = carry + prim(tau) - prim(lo), componentwise polynomials
-        shifted = prim.copy()
-        shifted[:, 0] += carry - base
-        integrand = _sigma_poly(shifted, c)
-        bpoly = np.zeros(max(integrand.size, data.b_pieces[p].size))
-        bpoly[: integrand.size] += integrand
-        bpoly[: data.b_pieces[p].size] += data.b_pieces[p]
-        pint = npp.polyint(bpoly)
-        total += float(meval(pint, hi) - meval(pint, lo))
-        carry = carry + meval(prim.T, hi) - base
-    return total

@@ -3,7 +3,9 @@
 All library errors derive from :class:`JacobiflowError` so callers can catch
 everything with one clause.  Configuration problems (bad user input) derive
 from :class:`ConfigError`, genuine mathematical obstructions from
-:class:`MathError`.  The CLI maps these onto exit codes 2 and 3.
+:class:`MathError`.  The CLI maps these onto exit codes 2 and 3.  Every
+class below these three bases is raised somewhere in the package; a class
+nothing raises is deleted.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ class ChartError(MathError):
     """A plane is not transversal to the chart plane, so no chart matrix exists."""
 
 
-class ArcError(MathError):
-    """A curve segment is not a simple arc for the requested chart."""
-
-
 class RefinementError(MathError):
     """Two consecutive samples of a curve are too far apart to count on.
 
@@ -44,10 +42,6 @@ class RefinementError(MathError):
 
 class PoleError(MathError):
     """Integration stalled approaching a pole of the coefficients."""
-
-
-class DegreeError(ConfigError):
-    """A polynomial degree exceeds the supported truncation order."""
 
 
 class SingularityError(MathError):
@@ -75,7 +69,7 @@ class OscillatingError(MathError):
 
 
 class ResonanceError(MathError):
-    """Closed-form model formulas degenerate (resonant exponents)."""
+    """The blow-up exponents of the continuation degenerate (resonance)."""
 
 
 class NoRightLimitError(MathError):

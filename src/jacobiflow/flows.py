@@ -1,4 +1,4 @@
-"""Linear Hamiltonian flows: fundamental matrices and plane transport.
+"""Linear Hamiltonian flows: plane transport.
 
 Systems are ``lambda' = M(t) lambda`` with the Hamiltonian system matrix
 
@@ -9,20 +9,17 @@ blocks, with an optional pole of order m at t = 0, compiled at construction
 into one stack that :func:`~jacobiflow.series.meval` evaluates in a single
 Horner pass) or any callable ``t -> (2n, 2n) array``.  The integrator is
 an embedded adaptive Runge-Kutta scheme (DOP853), and ``_integrate`` is the
-package's only call into it: every transport, fundamental solution and
-crossing count of the package goes through it.  Planes are always moved as
-frames, never as chart matrices, so a chart pole cannot stop a transport.
+package's only call into it: every transport of the package goes through it.
+Planes are always moved as frames, never as chart matrices, so a chart pole
+cannot stop a transport.
 
 A transport is one march over its node list (:func:`_transport`), read off
 the solver's dense output.  It restarts, after a QR, only where the frame's
 norm has grown by ``_AMP_LIMIT``.  Its steps span at most ``_NODE_STEPS``
 node spacings: rtol controls the error at step ends only, and the 7th-order
 interpolant's error at the nodes inside a long step would exceed it.
-Piecewise analytic data march once per piece.
-
-Nothing is ever re-projected onto the symplectic group, drift is only
-monitored, and the tolerance ladder is tightened until the monitored
-residual passes.
+Piecewise analytic data march once per piece.  Nothing is ever re-projected
+onto the symplectic group.
 """
 
 from __future__ import annotations
@@ -40,13 +37,10 @@ from .symplectic import apply_j, dim_to_n
 
 __all__ = [
     "HamiltonianCoefficients",
-    "fundamental_matrix",
     "flow_plane",
 ]
 
-RTOL_LADDER = (1e-10, 1e-12, 1e-13)
 ATOL = 1e-13
-SYMPLECTICITY_TOL = 1e-8
 
 
 def _as_coeff_array(x, n: int) -> np.ndarray:
@@ -132,90 +126,39 @@ def _system(h) -> SystemLike:
     raise PreconditionError("expected HamiltonianCoefficients or a callable t -> matrix")
 
 
-def _symplecticity_residual(m: np.ndarray) -> float:
-    dim = m.shape[0]
-    n = dim // 2
-    r = m.T @ apply_j(m)
-    r[:n, n:] -= np.eye(n)
-    r[n:, :n] += np.eye(n)
-    scale = max(1.0, float(np.max(np.abs(m))) ** 2)
-    return float(np.max(np.abs(r))) / scale
-
-
 def _integrate(sys: SystemLike, y0: np.ndarray, t0: float, t1: float, rtol: float,
-               events=None, dense: bool = False, t_eval=None, max_step: float = np.inf):
-    """One DOP853 solve of ``Y' = sys(t) Y``, sampled at ``t_eval`` if given."""
+               events=None, t_eval=None, max_step: float = np.inf):
+    """One DOP853 solve of ``Y' = sys(t) Y``, sampled at ``t_eval`` if given.
+
+    A solve that runs into a pole overflows in the coefficients, the stages
+    and the events before its step size underflows; those values are
+    expected, so floating-point warnings are silenced for the whole solve and
+    the stall is reported as one :class:`PoleError`.
+    """
     shape = y0.shape
     reached = [t0]
 
     def rhs(t, y):
         reached[0] = t
-        m = sys(t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (m @ y.reshape(shape)).ravel()
+        return (sys(t) @ y.reshape(shape)).ravel()
 
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        y0.ravel(),
-        method="DOP853",
-        rtol=rtol,
-        atol=ATOL,
-        dense_output=dense,
-        events=events,
-        t_eval=t_eval,
-        max_step=max_step,
-    )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sol = solve_ivp(
+            rhs,
+            (t0, t1),
+            y0.ravel(),
+            method="DOP853",
+            rtol=rtol,
+            atol=ATOL,
+            events=events,
+            t_eval=t_eval,
+            max_step=max_step,
+        )
     if sol.status == -1:
         raise PoleError(
             f"integration stalled at t = {reached[0]:.6g} (step size underflow near a pole)"
         )
     return sol
-
-
-def fundamental_matrix(h, t0: float, t1: float, *, rtol_ladder: Sequence[float] = RTOL_LADDER):
-    """Fundamental solution Phi(t1) of lambda' = M(t) lambda with Phi(t0) = I.
-
-    The tolerance ladder is walked until the symplecticity residual of the
-    result is below 1e-8; the final drift is only monitored, never projected
-    out.  Raises :class:`PoleError` if the step size underflows.
-    """
-    sys = _system(h)
-    dim = 2 * h.n if isinstance(h, HamiltonianCoefficients) else sys(t0).shape[0]
-    y0 = np.eye(dim)
-    if t1 == t0:
-        return y0
-    best = None
-    best_resid = np.inf
-    for rtol in rtol_ladder:
-        sol = _integrate(sys, y0, t0, t1, rtol)
-        phi = sol.y[:, -1].reshape(dim, dim)
-        resid = _symplecticity_residual(phi)
-        if resid < best_resid:
-            best, best_resid = phi, resid
-        if resid <= SYMPLECTICITY_TOL:
-            return phi
-    # drift is reported, not fixed
-    raise PoleError(
-        f"symplecticity drift {best_resid:.3e} exceeds {SYMPLECTICITY_TOL:.0e} "
-        "at the tightest tolerance"
-    )
-
-
-def fundamental_solution(h, t0: float, t1: float, rtol: float = 1e-12):
-    """Dense-output fundamental solution; returns ``(interpolant, dim)``.
-
-    ``interpolant(t)`` is the (2n, 2n) fundamental matrix at ``t``.
-    """
-    sys = _system(h)
-    probe = 0.5 * (t0 + t1)
-    dim = sys(probe if probe != 0 else t1).shape[0]
-    sol = _integrate(sys, np.eye(dim), t0, t1, rtol, dense=True)
-
-    def interp(t: float) -> np.ndarray:
-        return sol.sol(t).reshape(dim, dim)
-
-    return interp, dim
 
 
 _AMP_LIMIT = 1e8

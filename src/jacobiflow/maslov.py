@@ -12,14 +12,13 @@ Maslov index of a curve is the spectral flow of W through 1: the net
 number of eigenvalues that pass 1 counterclockwise (Robbin & Salamon,
 *Topology* 32, 1993).
 
-Sign convention.  Counterclockwise passages count +1.  This is the
-convention of :func:`simple_arc_index`, the half signature difference of
-the endpoint chart matrices
+Sign convention.  Counterclockwise passages count +1.  Along an arc that
+stays in one chart ``(Delta, Pi)``, whose chart matrix S is singular exactly
+where the plane meets Pi, the index is half the change of signature,
 
     index = (sign S_1 - sign S_0) / 2,
 
-so the arc ``S(t) = (t, .)`` in dimension one (chart matrix moving from -1
-to +1 through 0) has index +1.
+so a line whose chart matrix moves from -1 to +1 through 0 has index +1.
 
 Counting.  :func:`_spectral_flow` makes one vectorised pass over the nodes
 of a sampled curve: each node is validated and orthonormalised once and its
@@ -53,43 +52,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ArcError, PreconditionError, RefinementError
-from .flows import _system, fundamental_solution
-from .symplectic import apply_j
-from .grassmann import (
-    GrassmannCurve,
-    intersection_dimension,
-    to_chart,
-    validate_lagrangian,
-)
+from .errors import PreconditionError, RefinementError
+from .grassmann import GrassmannCurve, intersection_dimension, validate_lagrangian
 
 __all__ = [
-    "simple_arc_index",
     "maslov_index",
     "maslov_partial_sums",
-    "vertical_intersection_count",
 ]
-
-
-def _signature(s: np.ndarray, tol: float = 1e-9) -> int:
-    """Signature of a symmetric matrix; ArcError on (numerically) zero eigenvalues."""
-    w = np.linalg.eigvalsh(0.5 * (s + s.T))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if np.any(np.abs(w) <= tol * scale):
-        raise ArcError("chart matrix is singular: endpoint touches the reference plane")
-    return int(np.sum(w > 0) - np.sum(w < 0))
-
-
-def simple_arc_index(l0: np.ndarray, l1: np.ndarray, pi: np.ndarray, delta: np.ndarray) -> int:
-    """Index of a simple arc from l0 to l1 in the chart ``(delta, pi)``.
-
-    Both endpoints must be transversal to ``delta`` (so chart matrices
-    exist) and to ``pi`` (so the signatures are defined); the arc is assumed
-    to stay inside the chart.
-    """
-    s0 = to_chart(l0, delta, pi).s
-    s1 = to_chart(l1, delta, pi).s
-    return (_signature(s1) - _signature(s0)) // 2
 
 
 def _souriau(frames: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -176,70 +145,3 @@ def maslov_partial_sums(curve: GrassmannCurve, pi: np.ndarray) -> list[float]:
     from the last good value.
     """
     return _spectral_flow(curve.planes, pi).partial_sums()
-
-
-def _restricted_form_sign(h, delta_q: np.ndarray, ts: np.ndarray, tol: float = 1e-10) -> int:
-    """Uniform sign of the Hamiltonian form restricted to a plane, else raise."""
-    sys = _system(h)
-    sign = 0
-    for t in ts:
-        jm = apply_j(sys(t))
-        ham = 0.5 * (jm + jm.T)
-        w = np.linalg.eigvalsh(delta_q.T @ ham @ delta_q)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        pos = bool(np.any(w > tol * scale))
-        neg = bool(np.any(w < -tol * scale))
-        if pos and neg:
-            raise PreconditionError(
-                "Hamiltonian form restricted to the counting plane is indefinite"
-            )
-        here = 1 if pos else (-1 if neg else 0)
-        if here != 0:
-            if sign != 0 and here != sign:
-                raise PreconditionError(
-                    "restricted Hamiltonian form changes sign along the interval"
-                )
-            sign = here
-    return sign
-
-
-def vertical_intersection_count(h, l0: np.ndarray, delta: np.ndarray,
-                                grid: Sequence[float]) -> int:
-    """Total intersection count of the flow of ``l0`` with the plane ``delta``.
-
-    Requires the Hamiltonian form restricted to ``delta`` to be
-    sign-semidefinite on the whole interval, so crossings are one-way and
-    the count is the sum of the absolute spectral-flow steps over a refined
-    sample set (each eigenvalue of W that passes 1 is one dimension of an
-    intersection).  A refused step is bisected in t until it is accepted.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 2:
-        raise PreconditionError("grid needs at least two nodes")
-    delta = validate_lagrangian(np.asarray(delta, dtype=float))
-    qd, _ = np.linalg.qr(delta)
-
-    refine = 6
-    ts = np.unique(np.concatenate([np.linspace(a, b, refine + 1)
-                                   for a, b in zip(grid[:-1], grid[1:])]))
-    _restricted_form_sign(h, qd, ts)
-
-    interp, _ = fundamental_solution(h, grid[0], grid[-1])
-    l0 = validate_lagrangian(np.asarray(l0, dtype=float))
-
-    def plane(t: float) -> np.ndarray:
-        q, _ = np.linalg.qr(interp(t) @ l0)
-        return q
-
-    def count(ta: float, tb: float, pa: np.ndarray, pb: np.ndarray) -> int:
-        flow = _spectral_flow([pa, pb], delta)
-        if not flow.refused[0]:
-            return abs(int(flow.steps[0]))
-        tm = 0.5 * (ta + tb)
-        pm = plane(tm)
-        return count(ta, tm, pa, pm) + count(tm, tb, pm, pb)
-
-    planes = [plane(t) for t in ts]
-    flow = _spectral_flow(planes, delta)
-    return sum(count(ts[k], ts[k + 1], planes[k], planes[k + 1]) if refused else abs(int(step))
-               for k, (step, refused) in enumerate(zip(flow.steps, flow.refused)))

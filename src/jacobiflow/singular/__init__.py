@@ -1,36 +1,28 @@
 """Local analysis at an isolated vanishing instant of the control weight.
 
-Normal-form frame construction, oscillation classification, closed-form
-model solutions, the jump operator with its epsilon-family oracle, and the
-first-jet continuation through the singular instant.
+Normal-form frame construction, oscillation classification, the jump
+operator with its epsilon-family oracle, and the first-jet continuation
+through the singular instant.
 """
 
-from .bessel import bessel_i, bessel_ik, bessel_k, i_derivative, k_derivative
 from .classify import (
     NON_OSCILLATING,
     OSCILLATING,
     THRESHOLD,
     SingularityReport,
-    autonomous_spectrum_test,
     classify_coefficients,
     classify_frame,
     kneser_classify,
-    oscillation_count_oracle,
-    oscillation_verdict,
 )
 from .firstjet import (
     CaseSystem,
     JetCase,
     blowup_equilibrium,
-    blowup_linearization,
-    blowup_residual,
     blowup_series,
     case_system,
     first_jet_case,
     first_jet_continuation,
     series_start,
-    shayman_flag,
-    shayman_membership,
 )
 from .frame import (
     NormalFormCoefficients,
@@ -39,13 +31,6 @@ from .frame import (
     f2_negativity_adjust,
 )
 from .jump import epsilon_family_oracle, jump_operator
-from .models import (
-    ModelParams,
-    frobenius_fundamental,
-    model_backward_limit,
-    model_continuation,
-    model_fundamental,
-)
 
 __all__ = [
     "NON_OSCILLATING",
@@ -53,17 +38,10 @@ __all__ = [
     "THRESHOLD",
     "CaseSystem",
     "JetCase",
-    "ModelParams",
     "NormalFormCoefficients",
     "NormalFormFrame",
     "SingularityReport",
-    "autonomous_spectrum_test",
-    "bessel_i",
-    "bessel_ik",
-    "bessel_k",
     "blowup_equilibrium",
-    "blowup_linearization",
-    "blowup_residual",
     "blowup_series",
     "build_normal_frame",
     "case_system",
@@ -73,17 +51,7 @@ __all__ = [
     "f2_negativity_adjust",
     "first_jet_case",
     "first_jet_continuation",
-    "frobenius_fundamental",
-    "i_derivative",
     "jump_operator",
-    "k_derivative",
     "kneser_classify",
-    "model_backward_limit",
-    "model_continuation",
-    "model_fundamental",
-    "oscillation_count_oracle",
-    "oscillation_verdict",
     "series_start",
-    "shayman_flag",
-    "shayman_membership",
 ]

@@ -19,10 +19,7 @@ the post-jump plane is the zero point:
 
 The transformed block system keeps its pole in the same entry for all three
 transforms, so the conjugation is done numerically order by order instead of
-copying per-case formulas.  The fixed point of the truncated equation spans,
-together with the scaling direction, the attracting plane of the induced
-flow on the Grassmannian; membership in its stable set is decided by the
-flag-intersection test ``shayman_membership``.
+copying per-case formulas.
 """
 
 from __future__ import annotations
@@ -62,13 +59,9 @@ __all__ = [
     "first_jet_case",
     "case_system",
     "blowup_equilibrium",
-    "blowup_residual",
-    "blowup_linearization",
     "blowup_series",
     "series_start",
     "first_jet_continuation",
-    "shayman_flag",
-    "shayman_membership",
 ]
 
 CASE_TOL = 1e-9
@@ -233,11 +226,6 @@ class CaseSystem:
     def g0(self) -> np.ndarray:
         return self.g[0]
 
-    def h_autonomous(self) -> np.ndarray:
-        """Frozen blow-up Hamiltonian ``[[I/2, G0], [C'(0), -I/2]]``."""
-        eye = np.eye(self.k)
-        return np.block([[0.5 * eye, self.g0], [self.cprime[0], -0.5 * eye]])
-
 
 def case_system(
     coeffs: NormalFormCoefficients,
@@ -320,7 +308,7 @@ def case_system(
 
 
 # ---------------------------------------------------------------------------
-# equilibrium, linearization, series
+# equilibrium and series
 # ---------------------------------------------------------------------------
 
 
@@ -349,12 +337,6 @@ def blowup_equilibrium(case: int, m: int, system: CaseSystem) -> np.ndarray:
     s12 = c0[0, 1] / (1.0 + gg * s11)
     s22 = c0[1, 1] - gg * s12 * s12
     return np.array([[s11, s12], [s12, s22]])
-
-
-def blowup_residual(system: CaseSystem, s1: np.ndarray) -> float:
-    """Defect of a candidate fixed point in the truncated equation."""
-    s1 = np.asarray(s1, dtype=float)
-    return float(np.linalg.norm(s1 + s1 @ system.g0 @ s1 - system.cprime[0]))
 
 
 def _sym_basis(k: int) -> tuple[np.ndarray, ...]:
@@ -386,21 +368,6 @@ def _sym_operator(shift: float, gs: np.ndarray, sg: np.ndarray) -> np.ndarray:
         f = shift * b + b @ gs + sg @ b
         cols.append(_sym_pack(f))
     return np.array(cols).T
-
-
-def blowup_linearization(system: CaseSystem, s_star: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending) of the blow-up flow linearized at the fixed point.
-
-    All but one come from the action on symmetric chart perturbations; the
-    last (always ``+1``) from the scaling direction itself.
-    """
-
-    s_star = np.asarray(s_star, dtype=float)
-    op = _sym_operator(1.0, system.g0 @ s_star, s_star @ system.g0)
-    w = np.linalg.eigvals(-op)
-    if np.max(np.abs(w.imag)) > 1e-9 * max(1.0, float(np.max(np.abs(w)))):
-        raise PreconditionError("linearization spectrum is not real")
-    return np.sort(np.append(w.real, 1.0))
 
 
 def blowup_series(system: CaseSystem, nterms: int | None = None) -> np.ndarray:
@@ -554,70 +521,3 @@ def first_jet_continuation(
         "blowup_values": blown,
     }
     return JacobiTrace(curve=curve, jumps=[jump], diagnostics=diagnostics)
-
-
-# ---------------------------------------------------------------------------
-# stable-set membership
-# ---------------------------------------------------------------------------
-
-
-def shayman_flag(system: CaseSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalue flag of the frozen blow-up Hamiltonian.
-
-    Returns the eigenvalues in ascending order and the matching eigenvector
-    columns; the nested spans of the leading columns form the flag used by
-    the membership test.
-
-    Raises
-    ------
-    PreconditionError
-        If the spectrum is complex, tied, or the eigenbasis is defective
-        (for vanishing order one the spectrum is always tied).
-    """
-
-    h = system.h_autonomous()
-    w, v = np.linalg.eig(h)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if np.max(np.abs(w.imag)) > 1e-9 * scale:
-        raise PreconditionError("flag spectrum is not real")
-    w = w.real
-    v = v.real
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    if np.min(np.diff(w)) <= 1e-9 * scale:
-        raise PreconditionError("eigenvalue flag is defective (tied eigenvalues)")
-    sv = np.linalg.svd(v, compute_uv=False)
-    if sv[-1] <= 1e-9 * sv[0]:
-        raise PreconditionError("eigenbasis is defective")
-    return w, v / np.linalg.norm(v, axis=0)
-
-
-def shayman_membership(
-    plane: np.ndarray,
-    eigenflag: np.ndarray,
-    target: tuple[int, int],
-) -> bool:
-    """Flag-intersection test for stable-set membership of a plane.
-
-    ``eigenflag`` holds eigenvector columns ordered by ascending eigenvalue;
-    ``target = (i, j)`` (1-based) names the coordinate plane spanned by the
-    ``i``-th and ``j``-th eigenvectors.  The plane belongs to the stable set
-    of that coordinate plane exactly when its intersection dimension with
-    every flag member matches the cumulative indicator pattern.
-    """
-
-    plane = canonicalize(np.asarray(plane, dtype=float))
-    flag = np.asarray(eigenflag, dtype=float)
-    if flag.shape != (4, 4):
-        raise PreconditionError("eigenflag must hold four eigenvector columns")
-    if plane.shape != (4, 2):
-        raise PreconditionError("membership test expects a plane in four dimensions")
-    i, j = int(target[0]), int(target[1])
-    if not (1 <= i < j <= 4):
-        raise PreconditionError("target must name two distinct eigenvector indices")
-    expected = np.cumsum([1 if k + 1 in (i, j) else 0 for k in range(4)])
-    for mdim in range(1, 5):
-        if intersection_dimension(plane, flag[:, :mdim]) != int(expected[mdim - 1]):
-            return False
-    return True

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NondegeneracyError, PreconditionError
+from .errors import PreconditionError
 
 __all__ = [
     "apply_j",
@@ -21,7 +21,6 @@ __all__ = [
     "gram",
     "skew_complement",
     "check_structure",
-    "darboux_complete",
 ]
 
 #: relative tolerance used for numerical rank decisions
@@ -144,75 +143,3 @@ def check_structure(m: np.ndarray, kind: str, tol: float = 1e-9) -> bool:
         scale = max(1.0, float(np.max(np.abs(m))))
         return bool(np.max(np.abs(resid)) <= tol * scale)
     raise PreconditionError(f"unknown structure kind {kind!r}")
-
-
-def _solve_pairing(rows: list[np.ndarray], rhs: list[float], dim: int) -> np.ndarray:
-    """Minimum-norm solution v of sigma(w_i, v) = rhs_i for given vectors w_i."""
-    a = np.array([gram(w, np.eye(dim))[0] for w in rows])
-    b = np.asarray(rhs, dtype=float)
-    v, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < len(rows):
-        raise NondegeneracyError("pairing system is rank deficient; frame is degenerate")
-    resid = a @ v - b
-    if np.max(np.abs(resid)) > 1e-9 * max(1.0, float(np.max(np.abs(b)))):
-        raise NondegeneracyError("pairing system could not be solved accurately")
-    return v
-
-
-def darboux_complete(g: np.ndarray) -> np.ndarray:
-    """Complete an isotropic frame to a Darboux basis of R^(2n).
-
-    Given an isotropic frame ``g`` with k independent columns, returns a
-    symplectic matrix ``M = [e_1 .. e_n | f_1 .. f_n]`` with ``e_i = g_i``
-    for ``i <= k`` and ``sigma(e_i, f_j) = delta_ij``.
-
-    Raises
-    ------
-    PreconditionError
-        If ``g`` is rank deficient or not isotropic to tolerance.
-    NondegeneracyError
-        If the completion system degenerates numerically.
-    """
-    g = np.asarray(g, dtype=float)
-    if g.ndim == 1:
-        g = g[:, None]
-    dim = g.shape[0]
-    n = dim_to_n(dim)
-    k = g.shape[1]
-    if k > n:
-        raise PreconditionError(f"isotropic frame can have at most n={n} columns, got {k}")
-    if k > 0:
-        if frame_rank(g) < k:
-            raise PreconditionError("input frame is rank deficient")
-        if isotropy_residual(g) > TOL_ISO:
-            raise PreconditionError("input frame is not isotropic to tolerance")
-
-    es: list[np.ndarray] = [g[:, i].copy() for i in range(k)]
-
-    # Grow the isotropic half to n columns, picking each new vector from the
-    # sigma-orthogonal complement of everything chosen so far.
-    while len(es) < n:
-        span = np.column_stack(es) if es else np.zeros((dim, 0))
-        comp = skew_complement(span) if es else np.eye(dim)
-        # remove components inside the current span to keep columns independent
-        if es:
-            qs, _ = np.linalg.qr(span)
-            comp = comp - qs @ (qs.T @ comp)
-        # first sufficiently independent candidate column
-        norms = np.linalg.norm(comp, axis=0)
-        idx = int(np.argmax(norms))
-        if norms[idx] < 1e-12:
-            raise NondegeneracyError("could not extend isotropic frame")
-        es.append(comp[:, idx] / norms[idx])
-
-    fs: list[np.ndarray] = []
-    for i in range(n):
-        rows = es + fs
-        rhs = [0.0] * len(rows)
-        rhs[i] = 1.0
-        fs.append(_solve_pairing(rows, rhs, dim))
-
-    m = np.column_stack(es + fs)
-    if not check_structure(m, "symplectic", tol=1e-9):
-        raise NondegeneracyError("Darboux completion residual exceeds tolerance")
-    return m

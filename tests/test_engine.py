@@ -9,22 +9,25 @@ from jacobiflow import flows
 
 from jacobiflow.engine import (
     PiecewiseAnalytic,
+    _sigma_poly,
     bang_bang_sequence,
     goh_subspace,
     infinite_order_curve,
-    iterative_l_derivative,
     legendre_sequence,
     singular_jacobi_curve,
 )
 from jacobiflow.errors import PreconditionError, UndecidedError
 from jacobiflow.grassmann import (
+    GrassmannCurve,
     canonicalize,
     extend_by_isotropic,
     horizontal_plane,
     plane_distance,
     to_chart,
+    validate_lagrangian,
     vertical_plane,
 )
+from jacobiflow.series import meval
 from jacobiflow.symplectic import gram, isotropy_residual
 
 
@@ -133,7 +136,7 @@ def test_piecewise_evaluation():
     assert np.allclose(data.x(0.5, deriv=1), [1.0, 0.0])
     assert np.allclose(data.x(0.5, deriv=5), [0.0, 0.0])
     # exact integral across the interior breakpoint
-    assert np.allclose(data.integral_x(0.5, 1.5), [0.375 + 0.5, 1.0 + 1.0])
+    assert np.allclose(_integral_x(data, 0.5, 1.5), [0.375 + 0.5, 1.0 + 1.0])
     with pytest.raises(PreconditionError):
         data.piece_index(3.0)
 
@@ -256,6 +259,105 @@ def test_bang_bang_sequence():
     # a direction already inside the plane leaves it unchanged
     same = bang_bang_sequence(l0, [np.array([1.0, 0.0, 0.0, 0.0])])
     assert plane_distance(same[0], same[1]) < 1e-12
+
+
+# -- reference: the iterative L-derivative fold over a partition.  It rebuilds
+# the planes of singular_jacobi_curve from one-step extensions and converges
+# to them as the partition refines.
+
+
+def _polyint_rows(c: np.ndarray) -> np.ndarray:
+    """Row-wise antiderivative at a fixed width.
+
+    ``polyint`` trims identically-zero rows to length one, so stacking its
+    raw outputs fails whenever one component vanishes; pad every row to the
+    common degree instead.
+    """
+    out = np.zeros((c.shape[0], c.shape[1] + 1))
+    for i, row in enumerate(c):
+        p = npp.polyint(row)
+        out[i, : p.size] = p
+    return out
+
+
+def _integral_x(data, a, b):
+    """Exact integral of X over [a, b], split at interior breakpoints."""
+    if b < a:
+        return -_integral_x(data, b, a)
+    out = np.zeros(data.dim)
+    cuts = [a] + [float(t) for t in data.breakpoints if a < t < b] + [b]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        c = data.x_pieces[data.piece_index(0.5 * (lo + hi))]
+        prim = _polyint_rows(c)
+        out += meval(prim.T, hi) - meval(prim.T, lo)
+    return out
+
+
+def iterative_l_derivative(data, l_start, partition):
+    """Fold of one-step L-derivative extensions over a partition.
+
+    On each cell ``[t, t+eps]`` the plane is extended by
+
+        eta = K eta_0 + (1/eps) int X,
+        K = -[ (1/eps) int (sigma(int X, X) + b) ] / sigma(eta_0, int X),
+
+    where ``eta_0`` is the canonical column of the current plane with the
+    largest pairing against ``int X``; when every pairing is below
+    ``1e-8 |int X|`` the integral already lies in the plane and the cell
+    leaves it unchanged.  All integrals are exact coefficient integrals.
+    """
+    partition = np.asarray(partition, dtype=float)
+    if partition.size < 2 or not np.all(np.diff(partition) > 0):
+        raise PreconditionError("partition must be strictly increasing")
+    plane = canonicalize(validate_lagrangian(np.asarray(l_start, dtype=float)))
+    planes = [plane]
+    for ta, tb in zip(partition[:-1], partition[1:]):
+        eps = tb - ta
+        ix = _integral_x(data, ta, tb)
+        nix = float(np.linalg.norm(ix))
+        if nix == 0.0:
+            planes.append(plane)
+            continue
+        pairings = gram(plane, ix[:, None])[:, 0]
+        col_norms = np.linalg.norm(plane, axis=0)
+        rel = np.abs(pairings) / np.where(col_norms == 0, 1.0, col_norms)
+        if np.max(rel) <= 1e-8 * nix:
+            # int X already lies in the plane: the cell adds nothing new
+            planes.append(plane)
+            continue
+        j = int(np.argmax(rel))
+        eta0 = plane[:, j]
+        denom = float(pairings[j])
+        # numerator: int over the cell of sigma(int_ta^tau X, X(tau)) + b(tau)
+        num = _cell_numerator(data, ta, tb)
+        k = -num / eps / denom
+        eta = k * eta0 + ix / eps
+        plane = extend_by_isotropic(plane, eta)
+        planes.append(plane)
+    return GrassmannCurve(times=partition, planes=planes)
+
+
+def _cell_numerator(data, ta, tb):
+    """Exact integral of sigma(int_ta^tau X, X(tau)) + b(tau) over [ta, tb]."""
+    total = 0.0
+    cuts = [ta] + [float(t) for t in data.breakpoints if ta < t < tb] + [tb]
+    carry = np.zeros(data.dim)  # int_ta^lo X
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        p = data.piece_index(0.5 * (lo + hi))
+        c = data.x_pieces[p]
+        prim = _polyint_rows(c)
+        base = meval(prim.T, lo)
+        # int_ta^tau X = carry + prim(tau) - prim(lo), componentwise polynomials
+        shifted = prim.copy()
+        shifted[:, 0] += carry - base
+        integrand = _sigma_poly(shifted, c)
+        bpoly = np.zeros(max(integrand.size, data.b_pieces[p].size))
+        bpoly[: integrand.size] += integrand
+        bpoly[: data.b_pieces[p].size] += data.b_pieces[p]
+        pint = npp.polyint(bpoly)
+        total += float(meval(pint, hi) - meval(pint, lo))
+        carry = carry + meval(prim.T, hi) - base
+    return total
 
 
 def test_iterative_l_derivative_constant_field():

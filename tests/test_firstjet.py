@@ -16,16 +16,13 @@ from jacobiflow.flows import flow_plane, symplectic_inverse
 from jacobiflow.grassmann import canonicalize, isotropy_residual, plane_distance
 from jacobiflow.series import meval
 from jacobiflow.singular.firstjet import (
+    _sym_operator,
     blowup_equilibrium,
-    blowup_linearization,
-    blowup_residual,
     blowup_series,
     case_system,
     first_jet_case,
     first_jet_continuation,
     series_start,
-    shayman_flag,
-    shayman_membership,
 )
 from jacobiflow.singular.frame import NormalFormCoefficients, build_normal_frame
 from jacobiflow.singular.jump import epsilon_family_oracle
@@ -148,6 +145,23 @@ def test_case_system_stacks_sum_to_the_conjugated_system():
 # ---------------------------------------------------------------------------
 # fixed point, linearization, series window
 # ---------------------------------------------------------------------------
+
+
+def blowup_residual(system, s1):
+    """Defect of a candidate fixed point in the truncated equation."""
+    return float(np.linalg.norm(s1 + s1 @ system.g0 @ s1 - system.cprime[0]))
+
+
+def blowup_linearization(system, s_star):
+    """Eigenvalues (ascending) of the blow-up flow linearized at the fixed point.
+
+    All but one come from the action on symmetric chart perturbations; the
+    last (always ``+1``) from the scaling direction itself.
+    """
+    op = _sym_operator(1.0, system.g0 @ s_star, s_star @ system.g0)
+    w = np.linalg.eigvals(-op)
+    assert np.max(np.abs(w.imag)) <= 1e-9 * max(1.0, float(np.max(np.abs(w))))
+    return np.sort(np.append(w.real, 1.0))
 
 
 def test_equilibrium_scalar_order_two():
@@ -302,38 +316,6 @@ def test_continuation_grid_validation():
         first_jet_continuation(coeffs, plane, np.array([0.5, 0.2]))
     with pytest.raises(PreconditionError):
         first_jet_continuation(coeffs, "not a case", np.array([0.5]))
-
-
-# ---------------------------------------------------------------------------
-# stable-set membership
-# ---------------------------------------------------------------------------
-
-
-def test_shayman_flag_scalar_exponents():
-    sys2 = case_system(_coeffs_c2(), 1)
-    w, v = shayman_flag(sys2)
-    assert np.allclose(w, [-1.5, 1.5])  # +- d/2
-    assert np.allclose(np.linalg.norm(v, axis=0), 1.0)
-
-
-def test_shayman_flag_rejects_tied_spectrum():
-    c2 = NormalFormCoefficients(
-        k=2, m=1, b=[0.0, -1.0], b11=[0.2], c11=[0.7], b22=[-0.3], c22=[-0.1]
-    )
-    with pytest.raises(PreconditionError):
-        shayman_flag(case_system(c2, 1))
-
-
-def test_shayman_membership_indicator_pattern():
-    flag = np.eye(4)
-    assert shayman_membership(np.eye(4)[:, :2], flag, (1, 2))
-    plane13 = np.eye(4)[:, [0, 2]]
-    assert not shayman_membership(plane13, flag, (1, 2))
-    assert shayman_membership(plane13, flag, (1, 3))
-    with pytest.raises(PreconditionError):
-        shayman_membership(np.eye(4)[:, :2], np.eye(3), (1, 2))
-    with pytest.raises(PreconditionError):
-        shayman_membership(np.eye(4)[:, :2], flag, (2, 2))
 
 
 if __name__ == "__main__":

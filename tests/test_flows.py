@@ -8,9 +8,8 @@ from jacobiflow import flows
 from jacobiflow.errors import PoleError, PreconditionError
 from jacobiflow.flows import (
     HamiltonianCoefficients,
+    _transport,
     flow_plane,
-    fundamental_matrix,
-    fundamental_solution,
     symplectic_inverse,
 )
 from jacobiflow.grassmann import (
@@ -96,9 +95,19 @@ def test_coefficients_reject_nonsymmetric_blocks():
         HamiltonianCoefficients(a=np.zeros((2, 2)), b=sym, c=b)
 
 
+def _fundamental(h, t):
+    """Fundamental matrix at ``t`` of ``h``: one march of the identity from 0."""
+    return _transport(h, np.eye(2 * h.n), [0.0, t], 1e-12)[-1]
+
+
+def _expm_flow(h, t):
+    """Reference for constant coefficients: exp(t M), independent of the kernel."""
+    return expm(t * h(0.0))
+
+
 @pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
 def test_fundamental_matrix_rotation(t):
-    phi = fundamental_matrix(_harmonic(), 0.0, t)
+    phi = _fundamental(_harmonic(), t)
     expected = np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
     assert np.max(np.abs(phi - expected)) < 1e-10
     assert abs(np.linalg.det(phi) - 1.0) < 1e-10
@@ -108,7 +117,7 @@ def test_fundamental_matrix_reverse_rotation():
     h = HamiltonianCoefficients(
         a=np.zeros((1, 1)), b=np.array([[-1.0]]), c=np.array([[1.0]])
     )
-    phi = fundamental_matrix(h, 0.0, 1.0)
+    phi = _fundamental(h, 1.0)
     expected = np.array([[np.cos(1.0), -np.sin(1.0)], [np.sin(1.0), np.cos(1.0)]])
     assert np.max(np.abs(phi - expected)) < 1e-10
 
@@ -120,34 +129,38 @@ def test_fundamental_matrix_is_symplectic():
     c = rng.normal(size=(2, 2))
     c = c + c.T
     h = HamiltonianCoefficients(a=rng.normal(size=(2, 2)), b=b, c=c)
-    phi = fundamental_matrix(h, 0.0, 1.5)
+    phi = _fundamental(h, 1.5)
+    ref = _expm_flow(h, 1.5)
+    assert np.max(np.abs(phi - ref)) < 1e-9 * np.max(np.abs(ref))
     assert check_structure(phi, "symplectic", tol=1e-8)
-    assert np.allclose(fundamental_matrix(h, 0.0, 0.0), np.eye(4))
 
 
-def test_fundamental_matrix_refuses_to_cross_pole():
+@pytest.mark.filterwarnings("error")
+def test_flow_plane_refuses_to_cross_pole():
+    # the march stalls at the order-2 pole at t = 0: one PoleError, and no
+    # floating-point warning on the way there
     h = HamiltonianCoefficients(
         a=np.zeros((1, 1)), b=np.array([[1.0]]), c=np.array([[0.5]]), pole_order=2
     )
-    with pytest.raises(PoleError):
-        fundamental_matrix(h, 1.0, -1.0)
+    with pytest.raises(PoleError, match="stalled"):
+        flow_plane(h, vertical_plane(1), [1.0, -1.0])
 
 
 def test_fundamental_solution_interpolant():
-    interp, dim = fundamental_solution(_harmonic(), 0.0, 2.0)
-    assert dim == 2
-    for t in (0.4, 1.1, 2.0):
-        direct = fundamental_matrix(_harmonic(), 0.0, t)
-        assert np.max(np.abs(interp(t) - direct)) < 1e-9
+    # nodes inside the march are read off the solver's interpolant
+    ts = [0.0, 0.4, 1.1, 2.0]
+    frames = _transport(_harmonic(), np.eye(2), ts, 1e-12)
+    for t, phi in zip(ts, frames):
+        assert np.max(np.abs(phi - _expm_flow(_harmonic(), t))) < 1e-9
 
 
 def test_symplectic_inverse():
-    phi = fundamental_matrix(_harmonic(), 0.0, 0.8)
+    phi = _expm_flow(_harmonic(), 0.8)
     assert np.allclose(symplectic_inverse(phi), np.linalg.inv(phi), atol=1e-12)
     rng = np.random.default_rng(6)
     b = rng.normal(size=(2, 2))
     h = HamiltonianCoefficients(a=rng.normal(size=(2, 2)), b=b + b.T, c=np.zeros((2, 2)))
-    phi = fundamental_matrix(h, 0.0, 1.0)
+    phi = _expm_flow(h, 1.0)
     assert np.allclose(symplectic_inverse(phi) @ phi, np.eye(4), atol=1e-8)
 
 
@@ -156,32 +169,32 @@ def test_flow_plane_matches_matrix_action():
     curve = flow_plane(_harmonic(), vertical_plane(1), grid)
     assert len(curve) == grid.size
     for t, p in zip(curve.times, curve.planes):
-        phi = fundamental_matrix(_harmonic(), 0.0, float(t))
+        phi = _expm_flow(_harmonic(), float(t))
         assert plane_distance(p, phi @ vertical_plane(1)) < 1e-10
         assert isotropy_residual(p) < 1e-10
 
 
-# The Riccati flow of a chart matrix S is the flow of the plane graph(S); the
-# package moves planes as frames only, so these check flow_plane against the
-# fundamental matrix and against closed-form Riccati solutions.
+# A chart matrix S solves the Riccati equation exactly when graph(S) is moved
+# by the flow; the package moves planes as frames only, so these check
+# flow_plane against exp(t M) and against closed-form Riccati solutions.
 
 
 def _harmonic_chart(p):
     return to_chart(p, horizontal_plane(1), vertical_plane(1)).s[0, 0]
 
 
-def test_riccati_flow_harmonic_chart_switch():
+def test_flow_plane_passes_a_chart_pole():
     # graph(S) with S' = -1 - S^2, S(0) = 0: S = -tan(t) has a chart pole at
     # pi/2, which ends no frame transport
     grid = np.linspace(0.0, 3.0, 7)
     flow = flow_plane(_harmonic(), vertical_plane(1), grid)
     for t, p in zip(grid, flow.planes):
-        phi = fundamental_matrix(_harmonic(), 0.0, float(t))
+        phi = _expm_flow(_harmonic(), float(t))
         assert plane_distance(p, phi @ vertical_plane(1)) < 1e-10
         assert _harmonic_chart(p) == pytest.approx(-np.tan(t), rel=1e-10, abs=1e-12)
 
 
-def test_riccati_flow_records_one_point_per_node():
+def test_flow_plane_records_one_plane_per_node():
     grid = np.linspace(0.0, 1.0, 5)
     flow = flow_plane(_harmonic(), np.array([[1.0], [0.2]]), grid)
     assert len(flow.planes) == grid.size
@@ -190,7 +203,7 @@ def test_riccati_flow_records_one_point_per_node():
         assert _harmonic_chart(p) == pytest.approx(np.tan(np.arctan(0.2) - t), rel=1e-10)
 
 
-def test_riccati_flow_n2():
+def test_flow_plane_n2():
     rng = np.random.default_rng(12)
     b = rng.normal(size=(2, 2))
     b = 0.5 * (b + b.T)
@@ -203,7 +216,7 @@ def test_riccati_flow_n2():
     start = np.vstack([np.eye(2), s0])
     flow = flow_plane(h, start, grid)
     for t, p in zip(grid, flow.planes):
-        phi = fundamental_matrix(h, 0.0, float(t))
+        phi = _expm_flow(h, float(t))
         assert plane_distance(p, phi @ start) < 1e-9
         assert isotropy_residual(p) < 1e-10
 

@@ -8,8 +8,7 @@ from jacobiflow.errors import (
 )
 from jacobiflow.grassmann import canonicalize, plane_distance
 from jacobiflow.singular.classify import SingularityReport
-from jacobiflow.singular.jump import epsilon_family_oracle, jump_operator
-from jacobiflow.singular.models import ModelParams, model_continuation
+from jacobiflow.singular.jump import jump_operator
 
 
 def _report(verdict, sigma=1.0):
@@ -40,30 +39,6 @@ def test_jump_verdict_gating():
         jump_operator(plane, x0, _report("Oscillating"))
     with pytest.raises(PreconditionError):
         jump_operator(plane, x0, _report("NonOscillating", sigma=0.0))
-
-
-def test_epsilon_family_validates_times():
-    p = ModelParams(m=2, b_m=-1.0, c11=-2.0, k=1)
-    l0 = np.array([[1.0], [0.4]])
-    with pytest.raises(PreconditionError):
-        epsilon_family_oracle(p.coefficients(), l0, 0.0, [1e-3])
-    with pytest.raises(PreconditionError):
-        epsilon_family_oracle(p.coefficients(), l0, 0.5, [0.6])
-    with pytest.raises(PreconditionError):
-        epsilon_family_oracle(p.coefficients(), l0, 0.5, [0.0])
-
-
-def test_epsilon_family_converges_to_continuation():
-    p = ModelParams(m=2, b_m=-1.0, c11=-2.0, k=1)
-    l0 = canonicalize(np.array([[1.0], [0.4]]))
-    target = model_continuation(2, p, l0, 0.5)
-    planes = epsilon_family_oracle(
-        p.coefficients(), l0, 0.5, [1e-2, 1e-3, 1e-4], rtol=1e-12
-    )
-    dists = [plane_distance(pl, target) for pl in planes]
-    assert dists[0] > dists[1] > dists[2]
-    assert dists[0] < 1e-4
-    assert dists[2] < 1e-10
 
 
 if __name__ == "__main__":

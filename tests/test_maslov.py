@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from jacobiflow.errors import ArcError, NondegeneracyError, PreconditionError, RefinementError
+from jacobiflow.errors import NondegeneracyError, PreconditionError, RefinementError
 from jacobiflow.flows import HamiltonianCoefficients, flow_plane
 from jacobiflow.grassmann import (
     GrassmannCurve,
@@ -13,16 +13,12 @@ from jacobiflow.grassmann import (
     intersection_dimension,
     plane_distance,
     random_lagrangian,
+    to_chart,
     transversality_margin,
     validate_lagrangian,
     vertical_plane,
 )
-from jacobiflow.maslov import (
-    maslov_index,
-    maslov_partial_sums,
-    simple_arc_index,
-    vertical_intersection_count,
-)
+from jacobiflow.maslov import maslov_index, maslov_partial_sums
 from jacobiflow.symplectic import apply_j, isotropy_residual
 
 # -- reference: the chart-catalogue route that the spectral-flow counter
@@ -37,6 +33,32 @@ CHART_MARGIN = 1e-5
 MAX_DEPTH = 40
 
 _catalogue_cache: dict[int, list[np.ndarray]] = {}
+
+
+class ArcError(Exception):
+    """An endpoint of an arc touches the reference plane: no signature."""
+
+
+def _signature(s: np.ndarray, tol: float = 1e-9) -> int:
+    """Signature of a symmetric matrix; ArcError on (numerically) zero eigenvalues."""
+    w = np.linalg.eigvalsh(0.5 * (s + s.T))
+    scale = max(1.0, float(np.max(np.abs(w))))
+    if np.any(np.abs(w) <= tol * scale):
+        raise ArcError("chart matrix is singular: endpoint touches the reference plane")
+    return int(np.sum(w > 0) - np.sum(w < 0))
+
+
+def simple_arc_index(l0: np.ndarray, l1: np.ndarray, pi: np.ndarray, delta: np.ndarray) -> int:
+    """Index of a simple arc from l0 to l1 in the chart ``(delta, pi)``.
+
+    Half the signature change of the chart matrices, the sign convention of
+    :mod:`jacobiflow.maslov`.  Both endpoints must be transversal to
+    ``delta`` (so chart matrices exist) and to ``pi`` (so the signatures are
+    defined); the arc is assumed to stay inside the chart.
+    """
+    s0 = to_chart(l0, delta, pi).s
+    s1 = to_chart(l1, delta, pi).s
+    return (_signature(s1) - _signature(s0)) // 2
 
 
 def reference_catalogue(n: int) -> list[np.ndarray]:
@@ -369,41 +391,6 @@ def test_index_across_interior_nodes_on_reference():
     assert len(on_pi) == 2 and 0 < min(on_pi) and max(on_pi) < len(curve) - 1
     assert maslov_index(curve, pi) == _reference_index(curve, pi) == 2
     _assert_same_sums(curve, pi)
-
-
-def _harmonic():
-    return HamiltonianCoefficients(
-        a=np.zeros((1, 1)), b=np.array([[1.0]]), c=np.array([[-1.0]])
-    )
-
-
-def test_vertical_intersection_count_harmonic():
-    # the rotating line crosses the horizontal plane once per half period
-    grid = np.linspace(0.1, np.pi - 0.1, 5)
-    count = vertical_intersection_count(
-        _harmonic(), vertical_plane(1), horizontal_plane(1), grid
-    )
-    assert count == 1
-    two_periods = np.linspace(0.1, 2.0 * np.pi + 0.1, 9)
-    assert vertical_intersection_count(
-        _harmonic(), vertical_plane(1), horizontal_plane(1), two_periods
-    ) == 2
-
-
-def test_vertical_intersection_count_needs_semidefinite_form():
-    b = np.diag([1.0, -1.0])
-    h = HamiltonianCoefficients(a=np.zeros((2, 2)), b=b, c=np.zeros((2, 2)))
-    grid = np.linspace(0.0, 1.0, 3)
-    with pytest.raises(PreconditionError):
-        vertical_intersection_count(h, vertical_plane(2), horizontal_plane(2), grid)
-
-
-def test_vertical_intersection_count_zero_when_no_crossing():
-    grid = np.linspace(0.1, 1.2, 4)
-    count = vertical_intersection_count(
-        _harmonic(), vertical_plane(1), horizontal_plane(1), grid
-    )
-    assert count == 0
 
 
 if __name__ == "__main__":

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jacobiflow.errors import NondegeneracyError, PreconditionError
+from jacobiflow.errors import PreconditionError
 from jacobiflow.symplectic import (
     apply_j,
     check_structure,
-    darboux_complete,
     dim_to_n,
     frame_rank,
     gram,
@@ -139,43 +138,6 @@ def test_check_structure():
         check_structure(np.eye(4), "unitary")
     with pytest.raises(PreconditionError):
         check_structure(np.ones((2, 3)), "symplectic")
-
-
-def test_darboux_complete_empty():
-    m = darboux_complete(np.zeros((4, 0)))
-    assert check_structure(m, "symplectic")
-
-
-def test_darboux_complete_keeps_input_columns():
-    g = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-    m = darboux_complete(g)
-    assert check_structure(m, "symplectic")
-    assert np.allclose(m[:, :2], g)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 2**31 - 1))
-def test_darboux_complete_random_isotropic(n, seed):
-    rng = np.random.default_rng(seed)
-    # random isotropic frame: k columns of a random Lagrangian plane
-    from jacobiflow.grassmann import random_lagrangian
-
-    k = int(rng.integers(1, n + 1))
-    g = random_lagrangian(rng, n)[:, :k]
-    m = darboux_complete(g)
-    assert check_structure(m, "symplectic")
-    assert np.allclose(m[:, :k], g, atol=1e-12)
-
-
-def test_darboux_complete_rejects_bad_frames():
-    with pytest.raises(PreconditionError):
-        darboux_complete(np.eye(4)[:, :3])  # too many columns for n = 2
-    bad = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(PreconditionError):
-        darboux_complete(bad)  # not isotropic
-    dep = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(PreconditionError):
-        darboux_complete(dep)  # rank deficient
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Guards on the shape of the package: one integrator call site, one solver call
-per transport, a lean import, exports that resolve."""
+per transport, no scipy.special in the package, a lean import, exports that
+resolve, and an error taxonomy with no class that nothing raises."""
 
 import ast
 import importlib
@@ -56,6 +57,52 @@ def test_solve_ivp_is_called_only_in_flows_integrate():
             assert module == "jacobiflow.flows", f"{module} mentions solve_ivp"
     assert sites == ["jacobiflow.flows._integrate"]
     assert imports == ["jacobiflow.flows"]
+
+
+def _src_modules():
+    """(dotted module name, parsed tree) of every module of the package."""
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).with_suffix("").as_posix().replace("/", ".")
+        yield module, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_no_module_imports_scipy_special():
+    # the closed-form models and their Bessel functions are test oracles
+    found = []
+    for module, tree in _src_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{module}: {name}" for name in names
+                      if name == "scipy.special" or name.startswith("scipy.special.")]
+    assert found == []
+
+
+def _raised_names(tree) -> set[str]:
+    """Names of the classes raised, called or bare, in a module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_error_class_has_a_raise_site():
+    modules = dict(_src_modules())
+    classes = [node.name for node in modules["jacobiflow.errors"].body
+               if isinstance(node, ast.ClassDef)]
+    raised = set().union(*(_raised_names(tree) for tree in modules.values()))
+    bases = {"JacobiflowError", "ConfigError", "MathError"}
+    assert bases <= set(classes)
+    assert sorted(set(classes) - bases - raised) == []
 
 
 # one march per transport: the regular curve is one piece, the portrait
