@@ -50,7 +50,7 @@ from .engine import (
     singular_jacobi_curve,
 )
 from .errors import ConfigError, JacobiflowError, MathError, NondegeneracyError
-from .flows import flow_plane, symplectic_inverse
+from .flows import flow_plane
 from .grassmann import (
     ChartError,
     GrassmannCurve,
@@ -67,6 +67,7 @@ from .singular.classify import classify_frame, kneser_classify
 from .singular.firstjet import first_jet_case, first_jet_continuation
 from .singular.frame import NormalFormCoefficients, build_normal_frame
 from .singular.jump import epsilon_family_oracle, jump_operator
+from .symplectic import symplectic_inverse
 
 __all__ = ["ScenarioConfig", "TraceOutput", "parse_scenario", "run", "emit", "main"]
 
@@ -236,6 +237,8 @@ def _merge_tolerances(base: dict, raw) -> dict:
             tolerances[key] = value
     if tolerances["nterms"] < 4 or tolerances["nterms"] > D_MAX:
         raise ConfigError(f"tolerances.nterms: must lie in [4, {D_MAX}]")
+    if tolerances["imax"] < 0 or tolerances["imax"] > D_MAX:
+        raise ConfigError(f"tolerances.imax: must lie in [0, {D_MAX}] (0: derived from n)")
     return tolerances
 
 

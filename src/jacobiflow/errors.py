@@ -61,7 +61,7 @@ class RankDriftError(MathError):
 
 
 class AdjustError(MathError):
-    """A frame adjustment search failed within its degree budget."""
+    """The shear of ``f2`` could not make the reduced ``B(2,2)`` entry negative."""
 
 
 class OscillatingError(MathError):

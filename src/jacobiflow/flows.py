@@ -33,7 +33,6 @@ from scipy.integrate import solve_ivp
 from .errors import PoleError, PreconditionError
 from .grassmann import GrassmannCurve, canonicalize
 from .series import meval, strim
-from .symplectic import apply_j, dim_to_n
 
 __all__ = [
     "HamiltonianCoefficients",
@@ -234,13 +233,3 @@ def flow_plane(h, l0: np.ndarray, grid: Sequence[float], *, rtol: float = 1e-12)
     planes = [canonicalize(q)] + [canonicalize(np.linalg.qr(y)[0]) for y in frames[1:]]
     return GrassmannCurve(times=grid, planes=planes)
 
-
-def _apply_j_right(m: np.ndarray) -> np.ndarray:
-    """Right multiplication M J without materialising J."""
-    n = dim_to_n(m.shape[1])
-    return np.hstack([-m[:, n:], m[:, :n]])
-
-
-def symplectic_inverse(t: np.ndarray) -> np.ndarray:
-    """Inverse of a symplectic matrix via T^{-1} = -J T^T J."""
-    return -_apply_j_right(apply_j(t.T))

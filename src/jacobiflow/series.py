@@ -5,9 +5,16 @@ indexes the power of the variable, lowest order first.  Products truncate to
 the shorter operand unless told otherwise, so the stored window is always a
 window of exact coefficients: truncation never invents spurious terms.
 
-Only the handful of operations needed by the singular normal-form machinery
-is provided: products, the reciprocal of a unit, the exponential,
-derivative, antiderivative, evaluation and re-centring.
+This is the one module of the package that multiplies or inverts truncated
+series.  It provides what the singular normal form and the blow-up series
+need:
+
+- products: :func:`sconv` (a scalar series times a stack of any trailing
+  shape) and :func:`mconv` (matrix stacks);
+- inverses: :func:`srecip` (scalar) and :func:`minv` (square matrix stack);
+- :func:`sexp`, :func:`sder` and :func:`sint`;
+- :func:`meval` (evaluation), :func:`taylor_recenter` (re-centring),
+  :func:`strim` and ``_pad`` (window length).
 """
 
 from __future__ import annotations
@@ -23,22 +30,33 @@ __all__ = [
     "sder",
     "sint",
     "mconv",
+    "minv",
     "meval",
     "strim",
     "taylor_recenter",
 ]
 
 
+def _pad(a: np.ndarray, nterms: int) -> np.ndarray:
+    """Copy of a stack cut or zero-padded to ``nterms`` orders."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[0] >= nterms:
+        return a[:nterms].copy()
+    out = np.zeros((nterms,) + a.shape[1:])
+    out[: a.shape[0]] = a
+    return out
+
+
 def sconv(a: np.ndarray, b: np.ndarray, nterms: int | None = None) -> np.ndarray:
-    """Product of two scalar coefficient stacks, truncated to ``nterms``."""
+    """Scalar series ``a`` times the stack ``b`` (any trailing shape), to ``nterms``."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out_len = min(a.size, b.size) if nterms is None else nterms
-    out = np.zeros(out_len)
+    out_len = min(a.size, b.shape[0]) if nterms is None else nterms
+    out = np.zeros((out_len,) + b.shape[1:])
     for k in range(min(a.size, out_len)):
         if a[k] == 0.0:
             continue
-        hi = min(out_len - k, b.size)
+        hi = min(out_len - k, b.shape[0])
         out[k : k + hi] += a[k] * b[:hi]
     return out
 
@@ -94,10 +112,28 @@ def mconv(a: np.ndarray, b: np.ndarray, nterms: int | None = None) -> np.ndarray
     b = np.asarray(b, dtype=float)
     out_len = min(a.shape[0], b.shape[0]) if nterms is None else nterms
     out = np.zeros((out_len, a.shape[1], b.shape[2]))
-    for k in range(min(a.shape[0], out_len)):
+    head = a[:out_len]
+    for k in np.flatnonzero(head.reshape(head.shape[0], -1).any(axis=1)):
         hi = min(out_len - k, b.shape[0])
         if hi > 0:
             out[k : k + hi] += np.einsum("rs,lsc->lrc", a[k], b[:hi])
+    return out
+
+
+def minv(a: np.ndarray, nterms: int | None = None) -> np.ndarray:
+    """Inverse of a square matrix stack; requires an invertible constant term."""
+    a = np.asarray(a, dtype=float)
+    s = np.linalg.svd(a[0], compute_uv=False)
+    if s[-1] <= 1e-13 * s[0]:
+        raise DegenerateError("cannot invert a matrix series with singular constant term")
+    n = a.shape[0] if nterms is None else nterms
+    out = np.zeros((n,) + a.shape[1:])
+    inv0 = np.linalg.inv(a[0])
+    out[0] = inv0
+    for k in range(1, n):
+        hi = min(k, a.shape[0] - 1)
+        acc = np.einsum("jrs,jsc->rc", a[1 : hi + 1], out[k - hi : k][::-1])
+        out[k] = -inv0 @ acc
     return out
 
 

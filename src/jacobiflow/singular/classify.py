@@ -115,8 +115,10 @@ def classify_coefficients(
     sigma_xxdot: float | None = None,
     tol_thresh: float = TOL_THRESH,
 ) -> SingularityReport:
-    bnf0 = coeffs.bnum_stack(2)[0]
-    cnf0 = coeffs.cnf_stack(1)[0]
+    # B(0) of the analytic numerator t**m B(t) is diag(1/b_m, 0)
+    bnf0 = np.zeros((coeffs.k, coeffs.k))
+    bnf0[0, 0] = 1.0 / coeffs.b_m
+    cnf0 = coeffs.chat(0.0)
     verdict = kneser_classify(bnf0, cnf0, coeffs.m, tol_thresh)
     delta = None
     if coeffs.m == 2:

@@ -49,9 +49,8 @@ from ..grassmann import (
     to_chart,
     vertical_plane,
 )
-from ..series import meval
-from ..series import srecip
-from .frame import NormalFormCoefficients, _pad
+from ..series import _pad, meval, srecip
+from .frame import NormalFormCoefficients
 
 __all__ = [
     "JetCase",
@@ -69,6 +68,7 @@ RESONANCE_TOL = 1e-6
 SERIES_TERMS = 30
 TAIL_TOL = 1e-10
 START_MAX = 0.1
+MAX_SHRINKS = 60
 ENDPOINT_TOL = 1e-8
 
 
@@ -237,8 +237,8 @@ def case_system(
     """Conjugate the block system by the selected chart transform.
 
     The pole entry stays in the same place under all three transforms, so
-    only the analytic part is conjugated (order by order); the pole series
-    is added back into ``G`` afterwards.
+    only the analytic stack compiled by ``coeffs`` is conjugated (order by
+    order); the pole series is added back into ``G`` afterwards.
     """
 
     kk = coeffs.k
@@ -260,14 +260,7 @@ def case_system(
         raise PreconditionError("one degree of freedom admits only the identity chart")
 
     ln = int(nterms)
-    sysreg = np.zeros((ln, 2 * kk, 2 * kk))
-    sysreg[:, 0, kk] = _pad(coeffs.b11, ln)
-    if kk == 2:
-        sysreg[:, 0, 3] = _pad(coeffs.b12, ln)
-        sysreg[:, 1, 2] = _pad(coeffs.b12, ln)
-        sysreg[:, 1, 3] = _pad(coeffs.b22, ln)
-    sysreg[:, kk:, :kk] = coeffs.cnf_stack(ln)
-    conj = np.einsum("ij,ljk,km->lim", mat, sysreg, minv)
+    conj = np.einsum("ij,ljk,km->lim", mat, _pad(coeffs._system_stack, ln), minv)
     aprime = conj[:, :kk, :kk]
     cprime = conj[:, kk:, :kk]
     lower_right = conj[:, kk:, kk:]
@@ -312,7 +305,7 @@ def case_system(
 # ---------------------------------------------------------------------------
 
 
-def blowup_equilibrium(case: int, m: int, system: CaseSystem) -> np.ndarray:
+def blowup_equilibrium(system: CaseSystem) -> np.ndarray:
     """Algebraic fixed point ``S1(0)`` of the truncated blown-up equation.
 
     Solves ``S + S G0 S = C'(0)`` exactly: for order one ``G0 = 0`` and the
@@ -320,14 +313,8 @@ def blowup_equilibrium(case: int, m: int, system: CaseSystem) -> np.ndarray:
     (root with the minus sign, the attracting branch).
     """
 
-    if case not in (1, 2, 3):
-        raise PreconditionError("case index must be 1, 2 or 3")
-    if m not in (1, 2):
-        raise PreconditionError("equilibrium exists for vanishing orders one and two")
-    if case != system.case or m != system.m:
-        raise PreconditionError("case data does not match the transformed system")
     c0 = 0.5 * (system.cprime[0] + system.cprime[0].T)
-    if m == 1:
+    if system.m == 1:
         return c0.copy()
     d = system.d
     gg = 1.0 / system.b2
@@ -339,85 +326,49 @@ def blowup_equilibrium(case: int, m: int, system: CaseSystem) -> np.ndarray:
     return np.array([[s11, s12], [s12, s22]])
 
 
-def _sym_basis(k: int) -> tuple[np.ndarray, ...]:
-    if k == 1:
-        return (np.array([[1.0]]),)
-    return (
-        np.array([[1.0, 0.0], [0.0, 0.0]]),
-        np.array([[0.0, 0.0], [0.0, 1.0]]),
-        np.array([[0.0, 1.0], [1.0, 0.0]]),
-    )
-
-
-def _sym_pack(f: np.ndarray) -> list[float]:
-    if f.shape[0] == 1:
-        return [f[0, 0]]
-    return [f[0, 0], f[1, 1], f[0, 1]]
-
-
-def _sym_unpack(y: np.ndarray, k: int) -> np.ndarray:
-    if k == 1:
-        return np.array([[y[0]]])
-    return np.array([[y[0], y[2]], [y[2], y[1]]])
-
-
-def _sym_operator(shift: float, gs: np.ndarray, sg: np.ndarray) -> np.ndarray:
-    """Matrix of ``Y -> shift*Y + Y@gs + sg@Y`` on packed symmetric entries."""
-    cols = []
-    for b in _sym_basis(gs.shape[0]):
-        f = shift * b + b @ gs + sg @ b
-        cols.append(_sym_pack(f))
-    return np.array(cols).T
-
-
-def blowup_series(system: CaseSystem, nterms: int | None = None) -> np.ndarray:
+def blowup_series(system: CaseSystem) -> np.ndarray:
     """Coefficient stack of the blown-up chart series ``S1(t)``.
 
-    Order zero is the fixed point; each higher order solves a small linear
-    system on symmetric matrices whose operator is invertible away from the
-    resonant exponent collisions.
+    Order zero is the fixed point ``S*``.  Order ``k`` collects the products
+    of the orders already solved and solves ``(k+1) Y + Y G0 S* + S* G0 Y =
+    rhs`` on ``vec(Y)`` (row-major).  ``G0`` and ``S*`` are symmetric, so the
+    operator ``(k+1) I + I (x) (G0 S*)^T + (S* G0) (x) I`` has the same
+    eigenvalues as its restriction to symmetric matrices; it is invertible
+    away from the resonant exponent collisions.
     """
 
-    ln = system.cprime.shape[0] if nterms is None else int(nterms)
-    ln = min(ln, system.cprime.shape[0])
+    ln = system.cprime.shape[0]
     kk = system.k
-    s_star = blowup_equilibrium(system.case, system.m, system)
+    s_star = blowup_equilibrium(system)
+    a, c, g = system.aprime, system.cprime, system.g
+    eye = np.eye(kk)
+    ops = (np.arange(2.0, ln + 1.0)[:, None, None] * np.eye(kk * kk)
+           + np.kron(eye, (g[0] @ s_star).T) + np.kron(s_star @ g[0], eye))
+    sv = np.linalg.svd(ops, compute_uv=False)
+    singular = sv[:, -1] <= 1e-12 * np.maximum(1.0, sv[:, 0])
+    if singular.any():
+        raise SeriesResonanceError(
+            f"coefficient solve is singular at order {int(np.argmax(singular)) + 1}"
+        )
     out = np.zeros((ln, kk, kk))
     out[0] = s_star
-    g0 = system.g0
-    gs = g0 @ s_star
-    sg = s_star @ g0
-    a = system.aprime
-    c = system.cprime
-    g = system.g
+    # gy[j] = sum_{q + r = j} g[q] out[r], the G S1 product series so far
+    gy = np.zeros((ln, kk, kk))
+    gy[0] = g[0] @ s_star
     for k in range(1, ln):
-        rhs = c[k].copy()
-        for i in range(k):
-            j = k - 1 - i
-            rhs -= a[i].T @ out[j] + out[j] @ a[i]
-        for p in range(k + 1):
-            for q in range(k - p + 1):
-                r = k - p - q
-                if q == 0 and ((p == k and r == 0) or (p == 0 and r == k)):
-                    continue
-                rhs -= out[p] @ g[q] @ out[r]
-        rhs = 0.5 * (rhs + rhs.T)
-        tmat = _sym_operator(float(k + 1), gs, sg)
-        sv = np.linalg.svd(tmat, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(1.0, sv[0]):
-            raise SeriesResonanceError(f"coefficient solve is singular at order {k}")
-        y = np.linalg.solve(tmat, np.array(_sym_pack(rhs)))
-        out[k] = _sym_unpack(y, kk)
+        known = out[k - 1 :: -1]  # out[k-1], ..., out[0]
+        # the order-k part of G S1 without its unknown g[0] out[k]
+        gy_k = np.einsum("qrs,qsc->rc", g[1 : k + 1], known)
+        lin = np.einsum("irs,isc->rc", known, a[:k])
+        rhs = (c[k] - lin - lin.T - s_star @ gy_k
+               - np.einsum("prs,psc->rc", out[1:k], gy[k - 1 : 0 : -1]))
+        y = np.linalg.solve(ops[k - 1], (0.5 * (rhs + rhs.T)).ravel()).reshape(kk, kk)
+        out[k] = 0.5 * (y + y.T)
+        gy[k] = gy_k + g[0] @ out[k]
     return out
 
 
-def series_start(
-    stack: np.ndarray,
-    *,
-    start_max: float = START_MAX,
-    tail_tol: float = TAIL_TOL,
-    max_shrinks: int = 60,
-) -> float:
+def series_start(stack: np.ndarray) -> float:
     """Largest admissible evaluation point of the series below the cap.
 
     The tail is bounded by the last coefficient continued geometrically with
@@ -431,12 +382,12 @@ def series_start(
     last = float(norms[-1])
     head = norms[:-1]
     prev = float(np.max(head[-3:])) if head.size else 0.0
-    for j in range(max_shrinks + 1):
-        t0 = start_max * 0.8**j
+    for j in range(MAX_SHRINKS + 1):
+        t0 = START_MAX * 0.8**j
         growth = last * t0 / prev if prev > 0.0 else (1.0 if last > 0.0 else 0.0)
         if growth < 0.9:
             tail = last * t0**kmax / max(1.0 - growth, 0.1)
-            if tail <= tail_tol * scale:
+            if tail <= TAIL_TOL * scale:
                 return t0
     raise RadiusError("series has no admissible evaluation point below the cap")
 

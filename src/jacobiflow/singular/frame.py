@@ -18,10 +18,12 @@ two-dimensional, 2 when it is three-dimensional), ``Bnum`` is analytic with
 completed by constant-coefficient pairs spanning the skew complement.  The
 block matrices are extracted by exact truncated-series conjugation of the
 frame rather than from tabulated bracket formulas, so every consumer of the
-normal form (classification, model solutions, blow-up jets, jump operators)
-sees one consistent sign convention.  ``B`` is negative definite for small
-positive times; when the raw frame violates this in the (2,2) entry the
-``f2`` column is sheared by ``a(t) * e2`` with a polynomial ``a``.
+normal form (classification, blow-up jets, jump operators) sees one
+consistent sign convention.  ``B`` is negative definite for small positive
+times; when the raw frame violates this in the (2,2) entry the ``f2``
+column is sheared by ``a(t) * e2`` with a polynomial ``a``.  All series
+arithmetic goes through :mod:`jacobiflow.series`, and the frame is inverted
+by :func:`~jacobiflow.symplectic.symplectic_inverse`.
 
 The block system is evaluated on every integrator stage, so
 :class:`NormalFormCoefficients` compiles its stacks once at construction
@@ -37,16 +39,16 @@ import numpy as np
 
 from ..errors import (
     AdjustError,
-    DegenerateError,
     NondegeneracyError,
     PoleError,
     PreconditionError,
     SingularityError,
 )
-from ..flows import HamiltonianCoefficients
 from ..series import (
+    _pad,
     mconv,
     meval,
+    minv,
     sconv,
     sder,
     sexp,
@@ -55,6 +57,7 @@ from ..series import (
     strim,
     taylor_recenter,
 )
+from ..symplectic import apply_j, symplectic_inverse
 
 __all__ = [
     "NormalFormCoefficients",
@@ -68,102 +71,9 @@ BLOCK_TOL = 1e-8
 DEFAULT_NTERMS = 40
 
 
-# ---------------------------------------------------------------------------
-# stack utilities
-# ---------------------------------------------------------------------------
-
-
-def _pad(a: np.ndarray, nterms: int) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.shape[0] >= nterms:
-        return a[:nterms].copy()
-    out = np.zeros((nterms,) + a.shape[1:])
-    out[: a.shape[0]] = a
-    return out
-
-
-def _shift_up(a: np.ndarray, m: int) -> np.ndarray:
-    if m == 0:
-        return a.copy()
-    out = np.zeros_like(a)
-    out[m:] = a[: a.shape[0] - m]
-    return out
-
-
-def _vsigma(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """Series of sigma(u(t), v(t)) for vector stacks shaped (L, 2n)."""
-    length = min(u.shape[0], v.shape[0])
-    out = np.zeros(length)
-    for j in range(length):
-        a = u[j]
-        if not a.any():
-            continue
-        w = v[: length - j]
-        out[j:] += w[:, n:] @ a[:n] - w[:, :n] @ a[n:]
-    return out
-
-
-def _svmul(s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Scalar-series times vector-series, truncated to the vector window."""
-    length = v.shape[0]
-    out = np.zeros_like(v)
-    for j in range(min(s.shape[0], length)):
-        if s[j] == 0.0:
-            continue
-        out[j:] += s[j] * v[: length - j]
-    return out
-
-
-def _japply(a: np.ndarray) -> np.ndarray:
-    """Left multiplication by the structure matrix on a (L, 2n, 2n) stack."""
-    n = a.shape[1] // 2
-    return np.concatenate([a[:, n:, :], -a[:, :n, :]], axis=1)
-
-
-def _jright(a: np.ndarray) -> np.ndarray:
-    """Right multiplication by the structure matrix on a (L, 2n, 2n) stack."""
-    n = a.shape[2] // 2
-    return np.concatenate([-a[:, :, n:], a[:, :, :n]], axis=2)
-
-
-def _mtranspose(a: np.ndarray) -> np.ndarray:
-    return np.transpose(a, (0, 2, 1))
-
-
-def _symplectic_inverse_stack(m: np.ndarray) -> np.ndarray:
-    return -_japply(_jright(_mtranspose(m)))
-
-
-def _series_solve(rows: list[list[np.ndarray]], rhs: list[np.ndarray]) -> list[np.ndarray]:
-    """Solve a small square series system by Gaussian elimination.
-
-    Pivots on the largest constant term; every entry is a coefficient stack.
-    """
-    size = len(rows)
-    a = [[row[j].copy() for j in range(size)] for row in rows]
-    r = [x.copy() for x in rhs]
-    perm = list(range(size))
-    for col in range(size):
-        piv = max(range(col, size), key=lambda i: abs(a[i][col][0]))
-        if abs(a[piv][col][0]) < 1e-13:
-            raise DegenerateError("singular series system in frame construction")
-        a[col], a[piv] = a[piv], a[col]
-        r[col], r[piv] = r[piv], r[col]
-        perm[col], perm[piv] = perm[piv], perm[col]
-        inv = srecip(a[col][col])
-        for j in range(col, size):
-            a[col][j] = sconv(inv, a[col][j], inv.shape[0])
-        r[col] = sconv(inv, r[col], inv.shape[0])
-        for i in range(size):
-            if i == col:
-                continue
-            factor = a[i][col]
-            if not factor.any():
-                continue
-            for j in range(col, size):
-                a[i][j] = a[i][j] - sconv(factor, a[col][j], factor.shape[0])
-            r[i] = r[i] - sconv(factor, r[col], factor.shape[0])
-    return r
+def _vsigma(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Series of sigma(u(t), v(t)) = u^T J v for vector stacks shaped (L, 2n)."""
+    return mconv(u[:, None, :], apply_j(v.T).T[:, :, None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +94,9 @@ class NormalFormCoefficients:
     stack, both without trailing zero orders.  :meth:`system` is then one
     :func:`~jacobiflow.series.meval` pass plus the pole term ``1/b(t)``
     added to entry ``(0, k)``; every value equals the entrywise ``polyval``
-    assembly bit for bit.  The instance and its arrays are read-only, so the
-    compiled stacks cannot go stale.
+    assembly bit for bit.  The analytic stack is the one layout of the block
+    system: the first-jet continuation conjugates it as it is.  The instance
+    and its arrays are read-only, so the compiled stacks cannot go stale.
     """
 
     k: int
@@ -252,39 +163,6 @@ class NormalFormCoefficients:
         out[0, self.k] += 1.0 / bval
         return out
 
-    def bnum_stack(self, nterms: int) -> np.ndarray:
-        """Stack of the analytic numerator ``t**m * B(t)``."""
-        sb = srecip(_pad(self.b, nterms + self.m)[self.m :], nterms)
-        out = np.zeros((nterms, self.k, self.k))
-        out[:, 0, 0] = sb + _shift_up(_pad(self.b11, nterms), self.m)
-        if self.k == 2:
-            off = _shift_up(_pad(self.b12, nterms), self.m)
-            out[:, 0, 1] = off
-            out[:, 1, 0] = off
-            out[:, 1, 1] = _shift_up(_pad(self.b22, nterms), self.m)
-        return out
-
-    def cnf_stack(self, nterms: int) -> np.ndarray:
-        out = np.zeros((nterms, self.k, self.k))
-        out[:, 0, 0] = _pad(self.c11, nterms)
-        if self.k == 2:
-            out[:, 1, 1] = _pad(self.c22, nterms)
-        return out
-
-    def hamiltonian(self, nterms: int = DEFAULT_NTERMS) -> HamiltonianCoefficients:
-        """Polynomial-coefficient view usable by the adaptive integrator.
-
-        The stacks are truncated series, so the view is only valid inside
-        their common convergence window; exact for polynomial inputs.
-        """
-        k = self.k
-        return HamiltonianCoefficients(
-            a=np.zeros((1, k, k)),
-            b=self.bnum_stack(nterms),
-            c=self.cnf_stack(nterms),
-            pole_order=self.m,
-        )
-
     def as_callable(self):
         return self.system
 
@@ -305,7 +183,6 @@ class NormalFormFrame:
     beta: int
     frame: np.ndarray
     coeffs: NormalFormCoefficients
-    q: np.ndarray
     sigma_xxdot: float
     b_m: float
     symplectic_residual: float
@@ -355,71 +232,49 @@ def _span_size(x: np.ndarray, dx: np.ndarray, ddx: np.ndarray) -> int:
     return int(np.sum(sv > 1e-7 * sv[0]))
 
 
-def _basis_pairing(u: np.ndarray, coord: int, n: int) -> np.ndarray:
-    """Series of sigma(u(t), basis_vector(coord))."""
-    if coord < n:
-        return -u[:, n + coord].copy()
-    return u[:, coord - n].copy()
-
-
-def _assemble(
-    x: np.ndarray,
-    b_loc: np.ndarray,
-    m: int,
-    k: int,
-    a_coeffs: np.ndarray | None,
-) -> dict:
+def _assemble(x: np.ndarray, k: int, a_coeffs: np.ndarray | None) -> dict:
     nterms, dim = x.shape
     n = dim // 2
     dx = _pad(sder(x), nterms)
     ddx = _pad(sder(dx), nterms)
 
-    s1 = _vsigma(x, dx, n)
+    s1 = _vsigma(x, dx)
     e1 = x.copy()
-    f1 = _svmul(srecip(s1), dx)
+    f1 = sconv(srecip(s1), dx, nterms)
 
     columns = [e1]
     f_columns = [f1]
     pairs = [(e1, f1)]
 
     if k == 2:
-        inv_rev = srecip(_vsigma(dx, x, n))
-        coef1 = sconv(_vsigma(ddx, x, n), inv_rev, nterms)
-        coef2 = sconv(_vsigma(ddx, dx, n), inv_rev, nterms)
-        e2 = ddx - _svmul(coef1, dx) + _svmul(coef2, x)
-        rows_src = (x, dx, ddx)
-        best = None
-        for triple in combinations(range(dim), 3):
-            det0 = np.linalg.det(
-                np.array([[_basis_pairing(u, c, n)[0] for c in triple] for u in rows_src])
-            )
-            if best is None or abs(det0) > abs(best[1]):
-                best = (triple, det0)
-        triple, det0 = best
-        if abs(det0) < 1e-10:
+        inv_rev = srecip(_vsigma(dx, x))
+        coef1 = sconv(_vsigma(ddx, x), inv_rev, nterms)
+        coef2 = sconv(_vsigma(ddx, dx), inv_rev, nterms)
+        e2 = ddx - sconv(coef1, dx, nterms) + sconv(coef2, x, nterms)
+        # f2 solves sigma(u, f2) = (0, 0, 1) for u = (X, X', X'') on the three
+        # coordinates whose pairings sigma(u, e_c) = -(J u)_c are best posed
+        pairing = -apply_j(np.stack([x, dx, ddx], axis=1).T).T
+        triple = list(max(combinations(range(dim), 3),
+                          key=lambda c: abs(np.linalg.det(pairing[0][:, c]))))
+        if abs(np.linalg.det(pairing[0][:, triple])) < 1e-10:
             raise NondegeneracyError("derivative pairings too degenerate to build f2")
-        rows = [[_basis_pairing(u, c, n) for c in triple] for u in rows_src]
-        rhs = [np.zeros(nterms), np.zeros(nterms), np.zeros(nterms)]
-        rhs[2][0] = 1.0
-        sol = _series_solve(rows, rhs)
         f2 = np.zeros_like(x)
-        for c, s in zip(triple, sol):
-            f2[:, c] += s
+        f2[:, triple] = minv(pairing[:, :, triple])[:, :, 2]
         if a_coeffs is not None:
-            f2 = f2 + _svmul(_pad(a_coeffs, nterms), e2)
+            f2 = f2 + sconv(_pad(a_coeffs, nterms), e2, nterms)
         # the raw pair carries a diagonal drift sigma(e2', f2); rescaling the
         # pair by exp(-integral) removes it and is the Q factor of the block
-        rate = _vsigma(_pad(sder(e2), nterms), f2, n)
+        rate = _vsigma(_pad(sder(e2), nterms), f2)
         q22 = sexp(sint(rate)[:nterms])
-        e2 = _svmul(srecip(q22), e2)
-        f2 = _svmul(q22, f2)
+        e2 = sconv(srecip(q22), e2, nterms)
+        f2 = sconv(q22, f2, nterms)
         columns.append(e2)
         f_columns.append(f2)
         pairs.append((e2, f2))
 
     def project(v: np.ndarray) -> np.ndarray:
         for e, f in pairs:
-            v = v - _svmul(_vsigma(v, f, n), e) + _svmul(_vsigma(v, e, n), f)
+            v = v - sconv(_vsigma(v, f), e, nterms) + sconv(_vsigma(v, e), f, nterms)
         return v
 
     pool = []
@@ -433,16 +288,16 @@ def _assemble(
     while len(pairs) < n:
         pool.sort(key=lambda v: -np.linalg.norm(v[0]))
         g = pool.pop(0)
-        scores = [abs(_vsigma(g, w, n)[0]) for w in pool]
+        scores = [abs(_vsigma(g, w)[0]) for w in pool]
         if not scores or max(scores) < 1e-8:
             raise NondegeneracyError("cannot complete the frame to a symplectic basis")
         w = pool.pop(int(np.argmax(scores)))
-        h = _svmul(srecip(_vsigma(g, w, n)), w)
+        h = sconv(srecip(_vsigma(g, w)), w, nterms)
         pairs.append((g, h))
         columns.append(g)
         f_columns.append(h)
         pool = [
-            v - _svmul(_vsigma(v, h, n), g) + _svmul(_vsigma(v, g, n), h) for v in pool
+            v - sconv(_vsigma(v, h), g, nterms) + sconv(_vsigma(v, g), h, nterms) for v in pool
         ]
 
     frame = np.zeros((nterms, dim, dim))
@@ -451,16 +306,15 @@ def _assemble(
     for j, col in enumerate(f_columns):
         frame[:, :, n + j] = col
 
-    # symplectic residual of the series frame
-    gram = mconv(_mtranspose(frame), _japply(frame))
-    gram[0, :n, n:] -= np.eye(n)
-    gram[0, n:, :n] += np.eye(n)
-    scale = max(1.0, float(np.max(np.abs(frame))) ** 2)
-    sym_res = float(np.max(np.abs(gram))) / scale
+    # symplectic residual of the series frame: -J M^T J M - I = -J (M^T J M - J)
+    # has the magnitudes of the Gram residual
+    inv = symplectic_inverse(frame)
+    res = mconv(inv, frame)
+    res[0] -= np.eye(dim)
+    sym_res = float(np.max(np.abs(res))) / max(1.0, float(np.max(np.abs(frame))) ** 2)
 
-    minv = _symplectic_inverse_stack(frame)
     # the padded derivative has an unknown top coefficient; drop that order
-    g_mat = -mconv(minv, _pad(sder(frame), nterms))[: nterms - 1]
+    g_mat = -mconv(inv, _pad(sder(frame), nterms))[: nterms - 1]
 
     ps = list(range(k))
     qs = list(range(n, n + k))
@@ -485,7 +339,6 @@ def _assemble(
         "c_blk": c_blk,
         "cross": cross,
         "s1": s1,
-        "q22": q22 if k == 2 else None,
         "n": n,
     }
 
@@ -498,7 +351,6 @@ def _frame_from_parts(
     parts: dict,
     a_coeffs: np.ndarray | None,
 ) -> NormalFormFrame:
-    nterms = x.shape[0]
     n = parts["n"]
     scale = max(1.0, float(np.max(np.abs(parts["b_an"]))), float(np.max(np.abs(parts["c_blk"]))))
     if parts["sym_res"] > SYMPLECTIC_TOL:
@@ -543,11 +395,6 @@ def _frame_from_parts(
             k=1, m=m, b=b_loc, b11=b_an[:, 0, 0], c11=c_blk[:, 0, 0]
         )
 
-    q = np.zeros((nterms, k, k))
-    q[0, 0, 0] = 1.0
-    if k == 2:
-        q[:, 1, 1] = _pad(parts["q22"], nterms)
-
     return NormalFormFrame(
         case="span3" if k == 2 else "span2",
         k=k,
@@ -556,7 +403,6 @@ def _frame_from_parts(
         beta=m - 2,
         frame=parts["frame"],
         coeffs=coeffs,
-        q=q,
         sigma_xxdot=float(parts["s1"][0]),
         b_m=float(b_loc[m]),
         symplectic_residual=parts["sym_res"],
@@ -590,7 +436,7 @@ def build_normal_frame(
 
     dx = _pad(sder(x), nterms)
     ddx = _pad(sder(dx), nterms)
-    s1 = _vsigma(x, dx, x.shape[1] // 2)
+    s1 = _vsigma(x, dx)
     x_scale = max(1.0, float(np.max(np.abs(x[0]))) ** 2)
     if abs(s1[0]) <= 1e-10 * x_scale:
         raise NondegeneracyError("sigma(X, Xdot) vanishes at the marked instant")
@@ -598,30 +444,27 @@ def build_normal_frame(
     if k < 1:
         raise NondegeneracyError("X and Xdot are parallel at the marked instant")
 
-    parts = _assemble(x, b_loc, m, k, None)
+    parts = _assemble(x, k, None)
     frame = _frame_from_parts(x, b_loc, m, k, parts, None)
     if adjust and k == 2:
         frame = f2_negativity_adjust(frame)
     return frame
 
 
-def f2_negativity_adjust(frame: NormalFormFrame, max_degree: int = 4) -> NormalFormFrame:
+def f2_negativity_adjust(frame: NormalFormFrame) -> NormalFormFrame:
     """Shear ``f2`` by ``a(t) e2`` so the reduced ``B(2,2)`` entry is negative at 0.
 
     The entry is affine in the linear coefficient of ``a``, so a degree-one
-    shear always suffices; the degree cap is kept as a guard for callers that
-    lower it.
+    shear always suffices.
     """
     if frame.k != 2:
         return frame
     v0 = float(frame.coeffs.b22[0])
     if v0 < -1e-10:
         return frame
-    if max_degree < 1:
-        raise AdjustError("negativity adjustment requires at least a degree-1 shear")
 
     def rebuild(a_coeffs: np.ndarray) -> NormalFormFrame:
-        parts = _assemble(frame.x_stack, frame.b_stack, frame.m, 2, a_coeffs)
+        parts = _assemble(frame.x_stack, 2, a_coeffs)
         return _frame_from_parts(frame.x_stack, frame.b_stack, frame.m, 2, parts, a_coeffs)
 
     probe = rebuild(np.array([0.0, 1.0]))

@@ -20,6 +20,7 @@ __all__ = [
     "symplectic_form",
     "gram",
     "skew_complement",
+    "symplectic_inverse",
     "check_structure",
 ]
 
@@ -111,6 +112,22 @@ def skew_complement(g: np.ndarray) -> np.ndarray:
     else:
         rank = 0
     return vt[rank:].T.copy()
+
+
+def symplectic_inverse(t: np.ndarray) -> np.ndarray:
+    """Inverse ``-J T^T J`` of a symplectic matrix, or of each matrix of a stack.
+
+    Blockwise ``[[T_qq^T, -T_pq^T], [-T_qp^T, T_pp^T]]``: only moves and
+    sign changes, so the result is exact.  ``t`` is ``(..., 2n, 2n)``.
+    """
+    x = np.swapaxes(np.asarray(t, dtype=float), -1, -2)
+    n = dim_to_n(x.shape[-1])
+    out = np.empty_like(x)
+    out[..., :n, :n] = x[..., n:, n:]
+    out[..., :n, n:] = -x[..., n:, :n]
+    out[..., n:, :n] = -x[..., :n, n:]
+    out[..., n:, n:] = x[..., :n, :n]
+    return out
 
 
 def check_structure(m: np.ndarray, kind: str, tol: float = 1e-9) -> bool:

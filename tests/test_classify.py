@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from jacobiflow.errors import PreconditionError, SingularityError
 from jacobiflow.flows import _transport
 from jacobiflow.grassmann import random_lagrangian
-from jacobiflow.series import meval
+from jacobiflow.series import meval, srecip
 from jacobiflow.singular.classify import (
     NON_OSCILLATING,
     OSCILLATING,
@@ -222,6 +222,22 @@ def test_oracle_counts_saturate_for_nonoscillating_data():
     assert counts[1] == counts[2]
 
 
+def _oracle_stacks(coeffs, nterms=6):
+    """Stacks of ``t**m B(t)`` and ``C(t)``, the input of the oscillation oracle."""
+    k, m = coeffs.k, coeffs.m
+    b_an = [[coeffs.b11, coeffs.b12], [coeffs.b12, coeffs.b22]]
+    c_an = [coeffs.c11, coeffs.c22]
+    bnf = np.zeros((nterms + m, k, k))
+    cnf = np.zeros((nterms, k, k))
+    for i in range(k):
+        cnf[: c_an[i].size, i, i] = c_an[i][:nterms]
+        for j in range(k):
+            bnf[m : m + b_an[i][j].size, i, j] = b_an[i][j][:nterms]
+    bnf = bnf[:nterms]
+    bnf[:, 0, 0] += srecip(coeffs.b[m:], nterms)
+    return bnf, cnf
+
+
 def _restart_oracle(bnf, cnf, m, tau_min, n_solutions, seed, rtol=1e-10, per_decade=400):
     """Reference: the oracle before it became one march per solution.
 
@@ -262,7 +278,7 @@ def _restart_oracle(bnf, cnf, m, tau_min, n_solutions, seed, rtol=1e-10, per_dec
                                              (3, 2.0, 1e-2), (3, -2.0, 1e-3)])
 def test_oracle_counts_match_the_restarting_reference(m, c11, tau_min):
     coeffs = _coeffs(m, c11, b_m=-1.5 if m == 3 else -1.0)
-    bnf, cnf = coeffs.bnum_stack(6), coeffs.cnf_stack(6)
+    bnf, cnf = _oracle_stacks(coeffs)
     counts = oscillation_count_oracle(bnf, cnf, m, (tau_min, 1.0), n_solutions=3, seed=5)
     assert counts == _restart_oracle(bnf, cnf, m, tau_min, 3, 5)
 
@@ -278,9 +294,7 @@ def test_oracle_counts_match_the_restarting_reference(m, c11, tau_min):
     ],
 )
 def test_verdict_protocol_agrees_with_spectrum(m, c11, expected):
-    coeffs = _coeffs(m, c11, b_m=-1.5 if m == 3 else -1.0)
-    bnf = coeffs.bnum_stack(6)
-    cnf = coeffs.cnf_stack(6)
+    bnf, cnf = _oracle_stacks(_coeffs(m, c11, b_m=-1.5 if m == 3 else -1.0))
     assert oscillation_verdict(bnf, cnf, m, n_solutions=2) == expected
     if m >= 2:
         assert kneser_classify(bnf[0], cnf[0], m) == expected
@@ -291,8 +305,7 @@ def test_verdict_protocol_two_block():
         k=2, m=2, b=[0.0, 0.0, -1.0], b11=np.zeros(1), c11=[2.0],
         b22=[-1.0], c22=[-0.5],
     )
-    bnf = coeffs.bnum_stack(6)
-    cnf = coeffs.cnf_stack(6)
+    bnf, cnf = _oracle_stacks(coeffs)
     assert kneser_classify(bnf[0], cnf[0], 2) == "Oscillating"
     assert oscillation_verdict(bnf, cnf, 2, n_solutions=2) == "Oscillating"
 

@@ -24,6 +24,8 @@ BAD_TOLERANCES = [
     {"nterms": 500},
     {"nterms": 2},
     {"eps_family": [-1]},
+    {"imax": -1},
+    {"imax": 65},
 ]
 
 
@@ -49,7 +51,7 @@ def test_scenario_tolerances_are_config_errors(tmp_path, capsys, bad):
     path.write_text(json.dumps(raw))
     assert main(["trace", str(path), "--out", str(tmp_path / "o.csv")]) == 2
     [err] = _errors(capsys)
-    assert err["error"] == "ConfigError"
+    assert err["error"] == "ConfigError" and err["stage"] == "parse"
 
 
 def test_batch_reports_errors_in_input_order(tmp_path, capsys):

@@ -10,13 +10,14 @@ from jacobiflow.errors import (
     PreconditionError,
     RadiusError,
     ResonanceError,
+    SeriesResonanceError,
 )
 from jacobiflow.cli import parse_scenario
-from jacobiflow.flows import flow_plane, symplectic_inverse
+from jacobiflow.flows import flow_plane
 from jacobiflow.grassmann import canonicalize, isotropy_residual, plane_distance
 from jacobiflow.series import meval
 from jacobiflow.singular.firstjet import (
-    _sym_operator,
+    CaseSystem,
     blowup_equilibrium,
     blowup_series,
     case_system,
@@ -26,6 +27,7 @@ from jacobiflow.singular.firstjet import (
 )
 from jacobiflow.singular.frame import NormalFormCoefficients, build_normal_frame
 from jacobiflow.singular.jump import epsilon_family_oracle
+from jacobiflow.symplectic import symplectic_inverse
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
 
@@ -147,6 +149,61 @@ def test_case_system_stacks_sum_to_the_conjugated_system():
 # ---------------------------------------------------------------------------
 
 
+def _sym_basis(k):
+    if k == 1:
+        return (np.array([[1.0]]),)
+    return (
+        np.array([[1.0, 0.0], [0.0, 0.0]]),
+        np.array([[0.0, 0.0], [0.0, 1.0]]),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+    )
+
+
+def _sym_pack(f):
+    if f.shape[0] == 1:
+        return [f[0, 0]]
+    return [f[0, 0], f[1, 1], f[0, 1]]
+
+
+def _sym_unpack(y, k):
+    if k == 1:
+        return np.array([[y[0]]])
+    return np.array([[y[0], y[2]], [y[2], y[1]]])
+
+
+def _sym_operator(shift, gs, sg):
+    """Matrix of ``Y -> shift*Y + Y@gs + sg@Y`` on packed symmetric entries."""
+    return np.array([_sym_pack(shift * b + b @ gs + sg @ b) for b in _sym_basis(gs.shape[0])]).T
+
+
+def _reference_blowup_series(system):
+    """The order loop, one triple product at a time, on packed symmetric entries."""
+    ln, kk = system.cprime.shape[0], system.k
+    s_star = blowup_equilibrium(system)
+    out = np.zeros((ln, kk, kk))
+    out[0] = s_star
+    gs, sg = system.g0 @ s_star, s_star @ system.g0
+    a, c, g = system.aprime, system.cprime, system.g
+    for k in range(1, ln):
+        rhs = c[k].copy()
+        for i in range(k):
+            j = k - 1 - i
+            rhs -= a[i].T @ out[j] + out[j] @ a[i]
+        for p in range(k + 1):
+            for q in range(k - p + 1):
+                r = k - p - q
+                if q == 0 and ((p == k and r == 0) or (p == 0 and r == k)):
+                    continue
+                rhs -= out[p] @ g[q] @ out[r]
+        rhs = 0.5 * (rhs + rhs.T)
+        tmat = _sym_operator(float(k + 1), gs, sg)
+        sv = np.linalg.svd(tmat, compute_uv=False)
+        if sv[-1] <= 1e-12 * max(1.0, sv[0]):
+            raise SeriesResonanceError(f"coefficient solve is singular at order {k}")
+        out[k] = _sym_unpack(np.linalg.solve(tmat, np.array(_sym_pack(rhs))), kk)
+    return out
+
+
 def blowup_residual(system, s1):
     """Defect of a candidate fixed point in the truncated equation."""
     return float(np.linalg.norm(s1 + s1 @ system.g0 @ s1 - system.cprime[0]))
@@ -166,7 +223,7 @@ def blowup_linearization(system, s_star):
 
 def test_equilibrium_scalar_order_two():
     sys2 = case_system(_coeffs_c2(), 1)
-    eq = blowup_equilibrium(1, 2, sys2)
+    eq = blowup_equilibrium(sys2)
     assert np.allclose(eq, [[-1.0]])
     assert blowup_residual(sys2, eq) < 1e-14
     assert np.allclose(blowup_linearization(sys2, eq), [-3.0, 1.0])
@@ -175,7 +232,7 @@ def test_equilibrium_scalar_order_two():
 def test_equilibrium_order_one_is_symmetrized_c():
     c1 = NormalFormCoefficients(k=1, m=1, b=[0.0, -1.0], b11=np.zeros(1), c11=[0.7])
     s1 = case_system(c1, 1)
-    eq = blowup_equilibrium(1, 1, s1)
+    eq = blowup_equilibrium(s1)
     assert np.allclose(eq, [[0.7]])
     assert blowup_residual(s1, eq) < 1e-14
     assert np.allclose(blowup_linearization(s1, eq), [-1.0, 1.0])
@@ -184,7 +241,7 @@ def test_equilibrium_order_one_is_symmetrized_c():
 def test_equilibrium_two_block_closed_spectrum():
     case = first_jet_case(_graph([[1.0, 0.3], [0.3, 2.0]]))
     sys2 = case_system(_coeffs_k2(), case)
-    eq = blowup_equilibrium(case.case, 2, sys2)
+    eq = blowup_equilibrium(sys2)
     assert blowup_residual(sys2, eq) < 1e-12
     d = sys2.d
     lin = blowup_linearization(sys2, eq)
@@ -196,18 +253,49 @@ def test_linearization_order_one_two_blocks():
         k=2, m=1, b=[0.0, -1.0], b11=[0.2], c11=[0.7], b22=[-0.3], c22=[-0.1]
     )
     s = case_system(c2, 1)
-    eq = blowup_equilibrium(1, 1, s)
+    eq = blowup_equilibrium(s)
     assert np.allclose(blowup_linearization(s, eq), [-1.0, -1.0, -1.0, 1.0])
 
 
-def test_equilibrium_guards():
-    sys2 = case_system(_coeffs_c2(), 1)
-    with pytest.raises(PreconditionError):
-        blowup_equilibrium(5, 2, sys2)
-    with pytest.raises(PreconditionError):
-        blowup_equilibrium(1, 3, sys2)
-    with pytest.raises(PreconditionError):
-        blowup_equilibrium(2, 2, sys2)  # case mismatch
+def _assert_matches_reference(system):
+    got, ref = blowup_series(system), _reference_blowup_series(system)
+    assert got.shape == ref.shape
+    for k, (a, b) in enumerate(zip(got, ref)):
+        assert np.max(np.abs(a - b)) <= 1e-13 * max(np.max(np.abs(b)), 1e-300), k
+
+
+@pytest.mark.parametrize("plane", [_graph([[1.0, 0.3], [0.3, 2.0]]),
+                                   _graph([[0.0, 1.0], [1.0, 0.5]]),
+                                   _graph([[0.0, 1.0], [1.0, 0.0]])])
+@pytest.mark.parametrize("coeffs", [
+    _coeffs_k2(),
+    NormalFormCoefficients(k=2, m=1, b=[0.0, -1.0, 0.3], b11=[0.2, 0.1], c11=[0.7, -0.2],
+                           b12=[0.0, 0.4], b22=[-0.3, 0.5], c22=[-0.1, 0.3]),
+    NormalFormCoefficients(k=2, m=2, b=[0.0, 0.0, -1.5, 0.4, 0.2], b11=[0.3, -0.2],
+                           c11=[-0.9, 0.1, 0.3], b12=[0.1, 0.2], b22=[-0.4, 0.3], c22=[0.6, -0.5]),
+], ids=["k2", "m1", "m2"])
+def test_blowup_series_matches_the_order_loop_two_blocks(coeffs, plane):
+    _assert_matches_reference(case_system(coeffs, first_jet_case(plane)))
+
+
+@pytest.mark.parametrize("name", ["degen_m1", "degen_m2"])
+def test_blowup_series_matches_the_order_loop_on_the_corpus(name):
+    coeffs, l0, _ = _corpus_problem(name)
+    _assert_matches_reference(case_system(coeffs, first_jet_case(l0)))
+
+
+def test_blowup_series_refuses_a_resonant_order():
+    # order one, S* = C'(0) = 1/2 and G0 = -3: (k + 1) + 2 G0 S* vanishes at k = 2
+    ln = 6
+    cprime = np.zeros((ln, 1, 1))
+    cprime[0] = 0.5
+    g = np.zeros((ln, 1, 1))
+    g[0] = -3.0
+    system = CaseSystem(case=1, m=1, b2=-1.0, d=None, aprime=np.zeros((ln, 1, 1)),
+                        cprime=cprime, g=g, matrix=np.eye(2), minv=np.eye(2))
+    for series in (blowup_series, _reference_blowup_series):
+        with pytest.raises(SeriesResonanceError, match="at order 2"):
+            series(system)
 
 
 def test_series_start_windows():

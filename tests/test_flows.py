@@ -10,7 +10,6 @@ from jacobiflow.flows import (
     HamiltonianCoefficients,
     _transport,
     flow_plane,
-    symplectic_inverse,
 )
 from jacobiflow.grassmann import (
     horizontal_plane,
@@ -18,7 +17,7 @@ from jacobiflow.grassmann import (
     to_chart,
     vertical_plane,
 )
-from jacobiflow.symplectic import check_structure, isotropy_residual
+from jacobiflow.symplectic import check_structure, isotropy_residual, symplectic_inverse
 
 
 def _harmonic():

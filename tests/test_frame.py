@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
 
 from jacobiflow.engine import PiecewiseAnalytic
 from jacobiflow.errors import (
@@ -64,18 +63,6 @@ def test_coefficients_basic_properties():
     assert c.as_callable()(0.5) == pytest.approx(sysm)
 
 
-def test_coefficients_numerator_stack():
-    c = NormalFormCoefficients(k=1, m=2, b=[0.0, 0.0, -2.0], b11=[0.3], c11=[-0.7])
-    bnum = c.bnum_stack(4)
-    # t^2 B(t) = t^2/b(t) + t^2 b11 = -1/2 + 0.3 t^2
-    assert bnum[0, 0, 0] == pytest.approx(-0.5)
-    assert bnum[1, 0, 0] == pytest.approx(0.0)
-    assert bnum[2, 0, 0] == pytest.approx(0.3)
-    cnf = c.cnf_stack(3)
-    assert cnf[0, 0, 0] == -0.7
-    assert np.all(cnf[1:] == 0.0)
-
-
 def test_coefficients_two_block_symmetry():
     c = NormalFormCoefficients(
         k=2, m=2, b=[0.0, 0.0, -1.0], b11=[0.0], c11=[-1.0],
@@ -87,9 +74,6 @@ def test_coefficients_two_block_symmetry():
     ch = c.chat(0.5)
     assert ch[0, 1] == ch[1, 0] == 0.0
     assert ch[1, 1] == pytest.approx(0.1)
-    bnum = c.bnum_stack(5)
-    assert bnum[2, 0, 1] == 0.4 and bnum[2, 1, 0] == 0.4
-    assert bnum[0, 1, 1] == 0.0 and bnum[2, 1, 1] == -1.0
 
 
 def test_coefficients_pole_and_validation():
@@ -172,20 +156,6 @@ def test_coefficients_are_read_only():
         c.b11[0] = 1.0
     b11[0] = 5.0  # the caller's array is copied, not shared
     assert c.system(0.5)[0, 1] == 1.0 / -0.5 + 0.3
-
-
-def test_coefficients_hamiltonian_view_matches_system():
-    c = NormalFormCoefficients(k=1, m=2, b=[0.0, 0.0, -2.0], b11=[0.3], c11=[-0.7])
-    h = c.hamiltonian(nterms=8)
-    assert h.pole_order == 2
-    for tau in (0.3, 0.7, 1.0):
-        assert np.allclose(h(tau), c.system(tau), atol=1e-12)
-    # the view integrates: a short transport stays symplectic
-    sol = solve_ivp(lambda t, y: (h(t) @ y.reshape(2, 2)).ravel(), (0.5, 1.0),
-                    np.eye(2).ravel(), method="DOP853", rtol=1e-12, atol=1e-13)
-    phi = sol.y[:, -1].reshape(2, 2)
-    j = _j(1)
-    assert np.max(np.abs(phi.T @ j @ phi - j)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

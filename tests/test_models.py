@@ -320,7 +320,7 @@ def _fundamental(sys, t0, t1):
 )
 def test_model_transport_and_determinant(m, b_m, c11, det_expected):
     p = ModelParams(m=m, b_m=b_m, c11=c11, k=1)
-    h = p.coefficients().hamiltonian(nterms=4)
+    h = p.coefficients().system
     phi1 = model_fundamental(m, p, 1.0)
     for tau in np.linspace(0.1, 1.0, 7):
         direct = model_fundamental(m, p, float(tau))

@@ -7,6 +7,7 @@ from jacobiflow.errors import DegenerateError
 from jacobiflow.series import (
     mconv,
     meval,
+    minv,
     sconv,
     sder,
     sexp,
@@ -82,6 +83,7 @@ def test_sder_sint_roundtrip():
 def test_mconv_matches_pointwise_product():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(3, 2, 2))
+    a[1] = 0.0  # an all-zero order is skipped
     b = rng.normal(size=(4, 2, 3))
     c = mconv(a, b, nterms=3)
     for tau in (0.0, 0.3, -0.7):
@@ -89,6 +91,49 @@ def test_mconv_matches_pointwise_product():
         # truncated product agrees up to the dropped O(tau^3) terms
         err = np.max(np.abs(meval(c, tau) - direct))
         assert err < 10.0 * abs(tau) ** 3 * np.max(np.abs(a)) * np.max(np.abs(b)) + 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**31 - 1))
+def test_minv_is_the_inverse_stack(r, nterms, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(nterms, r, r))
+    a[0] += 3.0 * np.eye(r)  # keep the constant term well conditioned
+    inv = minv(a)
+    assert inv.shape == a.shape
+    ident = np.zeros_like(a)
+    ident[0] = np.eye(r)
+    scale = max(1.0, float(np.max(np.abs(inv))))
+    assert np.max(np.abs(mconv(a, inv) - ident)) < 1e-12 * scale
+    assert np.max(np.abs(mconv(inv, a) - ident)) < 1e-12 * scale
+    assert np.array_equal(minv(a, nterms + 3)[:nterms], inv)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**31 - 1))
+def test_minv_refuses_a_singular_constant_term(r, nterms, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(nterms, r, r))
+    u = rng.normal(size=r)
+    a[0] = np.outer(u, rng.normal(size=r)) if r > 1 else 0.0  # rank <= 1 < r, or zero
+    if r > 1:
+        a[0] -= np.outer(a[0] @ u, u) / (u @ u)  # u is now in the kernel of a[0]
+    with pytest.raises(DegenerateError):
+        minv(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.sampled_from([(), (3,), (2, 3)]),
+       st.sampled_from([None, 1, 5, 10]), st.integers(0, 2**31 - 1))
+def test_sconv_broadcasts_over_the_trailing_shape(la, lb, shape, nterms, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=la)
+    a[rng.random(la) < 0.3] = 0.0  # zero orders are skipped
+    b = rng.normal(size=(lb,) + shape)
+    got = sconv(a, b, nterms)
+    flat = b.reshape(lb, -1)
+    ref = np.stack([sconv(a, flat[:, i], nterms) for i in range(flat.shape[1])], axis=1)
+    assert np.array_equal(got, ref.reshape((ref.shape[0],) + shape))
 
 
 def test_meval_derivative():

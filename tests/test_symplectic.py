@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from jacobiflow.errors import PreconditionError
 from jacobiflow.symplectic import (
@@ -13,6 +14,7 @@ from jacobiflow.symplectic import (
     isotropy_residual,
     skew_complement,
     symplectic_form,
+    symplectic_inverse,
 )
 
 
@@ -138,6 +140,27 @@ def test_check_structure():
         check_structure(np.eye(4), "unitary")
     with pytest.raises(PreconditionError):
         check_structure(np.ones((2, 3)), "symplectic")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.sampled_from([(), (4,), (2, 3)]), st.integers(0, 2**31 - 1))
+def test_symplectic_inverse_of_a_stack_inverts_each_matrix(n, lead, seed):
+    rng = np.random.default_rng(seed)
+    j = _j_matrix(n)
+    mats = []
+    for _ in range(int(np.prod(lead))):
+        h = rng.normal(size=(2 * n, 2 * n))
+        mats.append(expm(j @ (h + h.T) * 0.5))  # exp of a Hamiltonian matrix
+    stack = np.array(mats).reshape(lead + (2 * n, 2 * n))
+    got = symplectic_inverse(stack)
+    assert got.shape == stack.shape
+    for idx in np.ndindex(*lead):
+        m = stack[idx]
+        assert np.array_equal(got[idx], symplectic_inverse(m))
+        assert np.allclose(got[idx], np.linalg.inv(m), rtol=0.0,
+                           atol=1e-10 * np.linalg.cond(m))
+    with pytest.raises(PreconditionError):
+        symplectic_inverse(np.eye(3))
 
 
 if __name__ == "__main__":
