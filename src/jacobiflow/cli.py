@@ -41,7 +41,6 @@ import numpy as np
 
 from .engine import (
     D_MAX,
-    JacobiTrace,
     JumpEvent,
     PiecewiseAnalytic,
     bang_bang_sequence,
@@ -49,7 +48,7 @@ from .engine import (
     legendre_sequence,
     singular_jacobi_curve,
 )
-from .errors import ConfigError, JacobiflowError, MathError, NondegeneracyError
+from .errors import ConfigError, JacobiflowError, MathError, NondegeneracyError, RadiusError
 from .flows import flow_plane
 from .grassmann import (
     ChartError,
@@ -64,7 +63,7 @@ from .grassmann import (
 )
 from .maslov import _SpectralFlow, _spectral_flow
 from .singular.classify import classify_frame, kneser_classify
-from .singular.firstjet import first_jet_case, first_jet_continuation
+from .singular.firstjet import _tail_within, first_jet_case, first_jet_continuation
 from .singular.frame import NormalFormCoefficients, build_normal_frame
 from .singular.jump import epsilon_family_oracle, jump_operator
 from .symplectic import symplectic_inverse
@@ -120,7 +119,6 @@ class TraceOutput:
     columns: list[str]
     rows: list[list]
     summary: dict
-    trace: JacobiTrace | None = field(default=None, repr=False)
     flow: _SpectralFlow | None = field(default=None, repr=False)
 
 
@@ -320,6 +318,12 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
                 raise ConfigError("data.breakpoints: the marked instant 0 must lie in the support")
             if grid[0] <= 0.0:
                 raise ConfigError("grid.t0: continuation must start after the marked instant")
+            # the continuation reads only the piece of the data right of 0
+            end = float(bps[np.searchsorted(bps, 0.0, side="right")])
+            for key, t in (("t0", t0), ("t1", t1)):
+                if t > end:
+                    raise ConfigError(
+                        f"grid.{key}: {t} lies past {end}, the end of the data piece at 0")
         else:
             if steps < 2:
                 raise ConfigError(f"grid.steps: mode {mode} traces an interval and needs >= 2")
@@ -430,7 +434,7 @@ def _run_interval_mode(config: ScenarioConfig) -> TraceOutput:
         "diagnostics": _jsonable(trace.diagnostics),
     }
     rows, flow = _trace_rows(trace.curve, trace.jumps, config.n)
-    return TraceOutput(_trace_columns(config.n), rows, summary, trace, flow)
+    return TraceOutput(_trace_columns(config.n), rows, summary, flow)
 
 
 def _run_bangbang(config: ScenarioConfig) -> TraceOutput:
@@ -449,7 +453,6 @@ def _run_bangbang(config: ScenarioConfig) -> TraceOutput:
                 )
             )
     curve = GrassmannCurve(times=times, planes=planes)
-    trace = JacobiTrace(curve=curve, jumps=jumps, diagnostics={"switches": len(x_list)})
     summary = {
         "mode": config.mode,
         "n": config.n,
@@ -459,7 +462,7 @@ def _run_bangbang(config: ScenarioConfig) -> TraceOutput:
         "events": _event_summaries(jumps),
     }
     rows, flow = _trace_rows(curve, jumps, config.n)
-    return TraceOutput(_trace_columns(config.n), rows, summary, trace, flow)
+    return TraceOutput(_trace_columns(config.n), rows, summary, flow)
 
 
 def _degeneracy_stage(config: ScenarioConfig):
@@ -486,13 +489,7 @@ def _classification_summary(config: ScenarioConfig, frame, report) -> dict:
         "mode": config.mode,
         "n": config.n,
         "seed": config.seed,
-        "verdict": report.verdict,
-        "m": report.m,
-        "delta": report.delta,
-        "b_m": report.b_m,
-        "sigma_xxdot": report.sigma_xxdot,
-        "case": report.case,
-        "k": report.k,
+        **report.to_dict(),
         "symplectic_residual": frame.symplectic_residual,
     }
 
@@ -503,7 +500,7 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
     summary = _classification_summary(config, frame, report)
     if verb == "classify":
         summary["events"] = []
-        return TraceOutput(columns, [], summary, None)
+        return TraceOutput(columns, [], summary)
 
     if frame.k != config.n:
         raise ConfigError(
@@ -514,9 +511,15 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
     jump = jump_operator(config.initial_plane, x0, report, time=0.0)
     summary["events"] = _event_summaries([jump])
     if verb == "jump":
-        return TraceOutput(columns, [], summary, None)
+        return TraceOutput(columns, [], summary)
 
     grid = config.grid
+    # the frame is a truncated series: refuse, once, a grid that reaches past
+    # where its top orders are negligible, before anything evaluates it there
+    t_end = float(grid[-1])
+    if not _tail_within(np.linalg.norm(frame.frame, axis=(1, 2)), t_end):
+        raise RadiusError(
+            f"grid.t1: {t_end} lies beyond the radius of convergence of the normal form series")
     rtol = config.tolerances["rtol"]
     m0 = frame.frame_at(0.0)
     l0_nf = canonicalize(symplectic_inverse(m0) @ np.asarray(config.initial_plane, dtype=float))
@@ -540,10 +543,8 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
         summary["eps_family"] = list(map(float, eps))
         summary["oracle_distances"] = dists
     planes = [canonicalize(frame.frame_at(float(t)) @ p) for t, p in zip(grid, nf_planes)]
-    curve = GrassmannCurve(times=grid, planes=planes)
-    trace = JacobiTrace(curve=curve, jumps=[jump], diagnostics={})
-    rows, flow = _trace_rows(curve, [jump], config.n)
-    return TraceOutput(columns, rows, summary, trace, flow)
+    rows, flow = _trace_rows(GrassmannCurve(times=grid, planes=planes), [jump], config.n)
+    return TraceOutput(columns, rows, summary, flow)
 
 
 def _run_portrait(config: ScenarioConfig) -> TraceOutput:
@@ -596,7 +597,7 @@ def _run_portrait(config: ScenarioConfig) -> TraceOutput:
         "equilibria": equilibria,
         "events": [],
     }
-    return TraceOutput(columns, table, summary, None)
+    return TraceOutput(columns, table, summary)
 
 
 def run(config: ScenarioConfig, verb: str = "trace") -> TraceOutput:

@@ -28,7 +28,6 @@ from .frame import (
     NormalFormCoefficients,
     NormalFormFrame,
     build_normal_frame,
-    f2_negativity_adjust,
 )
 from .jump import epsilon_family_oracle, jump_operator
 
@@ -48,7 +47,6 @@ __all__ = [
     "classify_coefficients",
     "classify_frame",
     "epsilon_family_oracle",
-    "f2_negativity_adjust",
     "first_jet_case",
     "first_jet_continuation",
     "jump_operator",

@@ -368,27 +368,33 @@ def blowup_series(system: CaseSystem) -> np.ndarray:
     return out
 
 
+def _tail_within(norms: np.ndarray, t: float) -> bool:
+    """Whether a series with per-order norms ``norms`` has a negligible tail at ``t``.
+
+    The tail is bounded by the last coefficient continued geometrically with
+    the growth ratio read off the top of the stack; it must stay within
+    ``TAIL_TOL`` relative to ``max(1, |c0|)``.
+    """
+    kmax = norms.size - 1
+    last = float(norms[-1])
+    prev = float(np.max(norms[-4:-1])) if kmax else 0.0
+    growth = last * t / prev if prev > 0.0 else (1.0 if last > 0.0 else 0.0)
+    if growth >= 0.9:
+        return False
+    return last * t**kmax / max(1.0 - growth, 0.1) <= TAIL_TOL * max(1.0, float(norms[0]))
+
+
 def series_start(stack: np.ndarray) -> float:
     """Largest admissible evaluation point of the series below the cap.
 
-    The tail is bounded by the last coefficient continued geometrically with
-    the growth ratio read off the top of the stack.
+    Admissible means the tail test of :func:`_tail_within` passes there.
     """
 
-    stack = np.asarray(stack, dtype=float)
-    norms = np.array([np.linalg.norm(stack[k]) for k in range(stack.shape[0])])
-    kmax = stack.shape[0] - 1
-    scale = max(1.0, float(norms[0]))
-    last = float(norms[-1])
-    head = norms[:-1]
-    prev = float(np.max(head[-3:])) if head.size else 0.0
+    norms = np.array([np.linalg.norm(c) for c in np.asarray(stack, dtype=float)])
     for j in range(MAX_SHRINKS + 1):
         t0 = START_MAX * 0.8**j
-        growth = last * t0 / prev if prev > 0.0 else (1.0 if last > 0.0 else 0.0)
-        if growth < 0.9:
-            tail = last * t0**kmax / max(1.0 - growth, 0.1)
-            if tail <= TAIL_TOL * scale:
-                return t0
+        if _tail_within(norms, t0):
+            return t0
     raise RadiusError("series has no admissible evaluation point below the cap")
 
 

@@ -20,8 +20,11 @@ block matrices are extracted by exact truncated-series conjugation of the
 frame rather than from tabulated bracket formulas, so every consumer of the
 normal form (classification, blow-up jets, jump operators) sees one
 consistent sign convention.  ``B`` is negative definite for small positive
-times; when the raw frame violates this in the (2,2) entry the ``f2``
-column is sheared by ``a(t) * e2`` with a polynomial ``a``.  All series
+times.  Its (2,2) entry at zero has the closed form
+``-sigma(f2'(0), f2(0))`` in the raw ``f2``, and the shear
+``f2 += kappa t e2`` lowers it by ``kappa sigma(e2, f2)(0) = kappa``; when
+the raw entry is not negative, the frame is assembled once with the
+``kappa`` that makes it ``-1``, so no probe frame is built.  All series
 arithmetic goes through :mod:`jacobiflow.series`, and the frame is inverted
 by :func:`~jacobiflow.symplectic.symplectic_inverse`.
 
@@ -57,13 +60,12 @@ from ..series import (
     strim,
     taylor_recenter,
 )
-from ..symplectic import apply_j, symplectic_inverse
+from ..symplectic import apply_j, symplectic_form, symplectic_inverse
 
 __all__ = [
     "NormalFormCoefficients",
     "NormalFormFrame",
     "build_normal_frame",
-    "f2_negativity_adjust",
 ]
 
 SYMPLECTIC_TOL = 1e-8
@@ -188,12 +190,6 @@ class NormalFormFrame:
     symplectic_residual: float
     cross_residual: float
     adjust: np.ndarray | None
-    x_stack: np.ndarray
-    b_stack: np.ndarray
-
-    @property
-    def nterms(self) -> int:
-        return self.frame.shape[0]
 
     def frame_at(self, tau: float) -> np.ndarray:
         return meval(self.frame, tau)
@@ -232,19 +228,19 @@ def _span_size(x: np.ndarray, dx: np.ndarray, ddx: np.ndarray) -> int:
     return int(np.sum(sv > 1e-7 * sv[0]))
 
 
-def _assemble(x: np.ndarray, k: int, a_coeffs: np.ndarray | None) -> dict:
+def _assemble(
+    x: np.ndarray, dx: np.ndarray, ddx: np.ndarray, s1: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Series frame with columns ``(e1, e2.., f1, f2..)`` and the ``f2`` shear applied."""
     nterms, dim = x.shape
     n = dim // 2
-    dx = _pad(sder(x), nterms)
-    ddx = _pad(sder(dx), nterms)
-
-    s1 = _vsigma(x, dx)
     e1 = x.copy()
     f1 = sconv(srecip(s1), dx, nterms)
 
     columns = [e1]
     f_columns = [f1]
     pairs = [(e1, f1)]
+    shear = None
 
     if k == 2:
         inv_rev = srecip(_vsigma(dx, x))
@@ -260,8 +256,13 @@ def _assemble(x: np.ndarray, k: int, a_coeffs: np.ndarray | None) -> dict:
             raise NondegeneracyError("derivative pairings too degenerate to build f2")
         f2 = np.zeros_like(x)
         f2[:, triple] = minv(pairing[:, :, triple])[:, :, 2]
-        if a_coeffs is not None:
-            f2 = f2 + sconv(_pad(a_coeffs, nterms), e2, nterms)
+        # B(2,2)(0) = -sigma(f2'(0), f2(0)), and the shear f2 += kappa t e2
+        # lowers it by kappa sigma(e2, f2)(0) (= 1 by construction); the q22
+        # rescale below leaves the value at 0 alone, since q22(0) = 1
+        v0 = -symplectic_form(f2[1], f2[0])
+        if v0 >= -1e-10:
+            shear = np.array([0.0, (1.0 + v0) / symplectic_form(e2[0], f2[0])])
+            f2 = f2 + sconv(_pad(shear, nterms), e2, nterms)
         # the raw pair carries a diagonal drift sigma(e2', f2); rescaling the
         # pair by exp(-integral) removes it and is the Q factor of the block
         rate = _vsigma(_pad(sder(e2), nterms), f2)
@@ -305,112 +306,7 @@ def _assemble(x: np.ndarray, k: int, a_coeffs: np.ndarray | None) -> dict:
         frame[:, :, j] = col
     for j, col in enumerate(f_columns):
         frame[:, :, n + j] = col
-
-    # symplectic residual of the series frame: -J M^T J M - I = -J (M^T J M - J)
-    # has the magnitudes of the Gram residual
-    inv = symplectic_inverse(frame)
-    res = mconv(inv, frame)
-    res[0] -= np.eye(dim)
-    sym_res = float(np.max(np.abs(res))) / max(1.0, float(np.max(np.abs(frame))) ** 2)
-
-    # the padded derivative has an unknown top coefficient; drop that order
-    g_mat = -mconv(inv, _pad(sder(frame), nterms))[: nterms - 1]
-
-    ps = list(range(k))
-    qs = list(range(n, n + k))
-    a_blk = g_mat[:, ps, :][:, :, ps]
-    b_an = g_mat[:, ps, :][:, :, qs]
-    c_blk = g_mat[:, qs, :][:, :, ps]
-
-    comp = [i for i in range(dim) if i not in ps + qs]
-    if comp:
-        cross = max(
-            float(np.max(np.abs(g_mat[:, ps + qs, :][:, :, comp]))),
-            float(np.max(np.abs(g_mat[:, comp, :][:, :, ps + qs]))),
-        )
-    else:
-        cross = 0.0
-
-    return {
-        "frame": frame,
-        "sym_res": sym_res,
-        "a_blk": a_blk,
-        "b_an": b_an,
-        "c_blk": c_blk,
-        "cross": cross,
-        "s1": s1,
-        "n": n,
-    }
-
-
-def _frame_from_parts(
-    x: np.ndarray,
-    b_loc: np.ndarray,
-    m: int,
-    k: int,
-    parts: dict,
-    a_coeffs: np.ndarray | None,
-) -> NormalFormFrame:
-    n = parts["n"]
-    scale = max(1.0, float(np.max(np.abs(parts["b_an"]))), float(np.max(np.abs(parts["c_blk"]))))
-    if parts["sym_res"] > SYMPLECTIC_TOL:
-        raise NondegeneracyError(
-            f"frame symplectic residual {parts['sym_res']:.2e} exceeds {SYMPLECTIC_TOL:.0e}"
-        )
-    a_res = float(np.max(np.abs(parts["a_blk"]))) / scale
-    if a_res > BLOCK_TOL:
-        raise NondegeneracyError(f"diagonal block of the reduced system is not zero ({a_res:.2e})")
-    c_off = 0.0
-    if k == 2:
-        c_off = max(
-            float(np.max(np.abs(parts["c_blk"][:, 0, 1]))),
-            float(np.max(np.abs(parts["c_blk"][:, 1, 0]))),
-        ) / scale
-        if c_off > BLOCK_TOL:
-            raise NondegeneracyError(f"reduced C block is not diagonal ({c_off:.2e})")
-        b_asym = float(np.max(np.abs(parts["b_an"][:, 0, 1] - parts["b_an"][:, 1, 0]))) / scale
-        if b_asym > BLOCK_TOL:
-            raise NondegeneracyError(f"reduced B block is not symmetric ({b_asym:.2e})")
-    if parts["cross"] / scale > BLOCK_TOL:
-        raise NondegeneracyError(
-            "singular block couples to the skew complement; the derivative span "
-            "of X does not close at this instant"
-        )
-
-    b_an = parts["b_an"]
-    c_blk = parts["c_blk"]
-    if k == 2:
-        coeffs = NormalFormCoefficients(
-            k=2,
-            m=m,
-            b=b_loc,
-            b11=b_an[:, 0, 0],
-            b12=0.5 * (b_an[:, 0, 1] + b_an[:, 1, 0]),
-            b22=b_an[:, 1, 1],
-            c11=c_blk[:, 0, 0],
-            c22=c_blk[:, 1, 1],
-        )
-    else:
-        coeffs = NormalFormCoefficients(
-            k=1, m=m, b=b_loc, b11=b_an[:, 0, 0], c11=c_blk[:, 0, 0]
-        )
-
-    return NormalFormFrame(
-        case="span3" if k == 2 else "span2",
-        k=k,
-        n=n,
-        m=m,
-        beta=m - 2,
-        frame=parts["frame"],
-        coeffs=coeffs,
-        sigma_xxdot=float(parts["s1"][0]),
-        b_m=float(b_loc[m]),
-        symplectic_residual=parts["sym_res"],
-        cross_residual=parts["cross"],
-        adjust=None if a_coeffs is None else np.asarray(a_coeffs, dtype=float),
-        x_stack=x,
-        b_stack=b_loc,
-    )
+    return frame, shear
 
 
 def build_normal_frame(
@@ -418,14 +314,15 @@ def build_normal_frame(
     tau_star: float = 0.0,
     *,
     nterms: int = DEFAULT_NTERMS,
-    adjust: bool = True,
 ) -> NormalFormFrame:
     """Build the symplectic series frame at a vanishing instant of the weight.
 
     ``data`` is a :class:`~jacobiflow.engine.PiecewiseAnalytic`; the piece to
     the right of ``tau_star`` is recentred so the frame lives at local time
-    zero.  With ``adjust`` the (2,2) entry of the reduced ``B`` block is made
-    negative at zero by shearing ``f2``.
+    zero.  The frame is assembled once.  When the raw ``B(2,2)(0)``, which
+    is ``-sigma(f2'(0), f2(0))``, is not below ``-1e-10``, ``f2`` is sheared
+    by ``kappa t e2`` with the ``kappa`` that makes it ``-1``; ``adjust``
+    records ``[0, kappa]``.
     """
     b_loc, x = _local_data(data, tau_star, nterms)
     m = _vanishing_order(b_loc)
@@ -444,35 +341,81 @@ def build_normal_frame(
     if k < 1:
         raise NondegeneracyError("X and Xdot are parallel at the marked instant")
 
-    parts = _assemble(x, k, None)
-    frame = _frame_from_parts(x, b_loc, m, k, parts, None)
-    if adjust and k == 2:
-        frame = f2_negativity_adjust(frame)
-    return frame
+    frame, shear = _assemble(x, dx, ddx, s1, k)
+    dim = frame.shape[1]
+    n = dim // 2
 
+    # symplectic residual of the series frame: -J M^T J M - I = -J (M^T J M - J)
+    # has the magnitudes of the Gram residual
+    inv = symplectic_inverse(frame)
+    res = mconv(inv, frame)
+    res[0] -= np.eye(dim)
+    sym_res = float(np.max(np.abs(res))) / max(1.0, float(np.max(np.abs(frame))) ** 2)
+    if sym_res > SYMPLECTIC_TOL:
+        raise NondegeneracyError(
+            f"frame symplectic residual {sym_res:.2e} exceeds {SYMPLECTIC_TOL:.0e}"
+        )
 
-def f2_negativity_adjust(frame: NormalFormFrame) -> NormalFormFrame:
-    """Shear ``f2`` by ``a(t) e2`` so the reduced ``B(2,2)`` entry is negative at 0.
+    # the padded derivative has an unknown top coefficient; drop that order
+    g_mat = -mconv(inv, _pad(sder(frame), nterms))[: nterms - 1]
+    ps = list(range(k))
+    qs = list(range(n, n + k))
+    comp = [i for i in range(dim) if i not in ps + qs]
+    b_an = g_mat[:, ps, :][:, :, qs]
+    c_blk = g_mat[:, qs, :][:, :, ps]
+    scale = max(1.0, float(np.max(np.abs(b_an))), float(np.max(np.abs(c_blk))))
+    a_res = float(np.max(np.abs(g_mat[:, ps, :][:, :, ps]))) / scale
+    if a_res > BLOCK_TOL:
+        raise NondegeneracyError(f"diagonal block of the reduced system is not zero ({a_res:.2e})")
+    if k == 2:
+        c_off = max(float(np.max(np.abs(c_blk[:, 0, 1]))),
+                    float(np.max(np.abs(c_blk[:, 1, 0])))) / scale
+        if c_off > BLOCK_TOL:
+            raise NondegeneracyError(f"reduced C block is not diagonal ({c_off:.2e})")
+        b_asym = float(np.max(np.abs(b_an[:, 0, 1] - b_an[:, 1, 0]))) / scale
+        if b_asym > BLOCK_TOL:
+            raise NondegeneracyError(f"reduced B block is not symmetric ({b_asym:.2e})")
+    cross = 0.0
+    if comp:
+        cross = max(
+            float(np.max(np.abs(g_mat[:, ps + qs, :][:, :, comp]))),
+            float(np.max(np.abs(g_mat[:, comp, :][:, :, ps + qs]))),
+        )
+    if cross / scale > BLOCK_TOL:
+        raise NondegeneracyError(
+            "singular block couples to the skew complement; the derivative span "
+            "of X does not close at this instant"
+        )
 
-    The entry is affine in the linear coefficient of ``a``, so a degree-one
-    shear always suffices.
-    """
-    if frame.k != 2:
-        return frame
-    v0 = float(frame.coeffs.b22[0])
-    if v0 < -1e-10:
-        return frame
+    if k == 2:
+        coeffs = NormalFormCoefficients(
+            k=2,
+            m=m,
+            b=b_loc,
+            b11=b_an[:, 0, 0],
+            b12=0.5 * (b_an[:, 0, 1] + b_an[:, 1, 0]),
+            b22=b_an[:, 1, 1],
+            c11=c_blk[:, 0, 0],
+            c22=c_blk[:, 1, 1],
+        )
+        if coeffs.b22[0] >= 0.0:
+            raise AdjustError("the f2 shear failed to make B(2,2) negative at the instant")
+    else:
+        coeffs = NormalFormCoefficients(
+            k=1, m=m, b=b_loc, b11=b_an[:, 0, 0], c11=c_blk[:, 0, 0]
+        )
 
-    def rebuild(a_coeffs: np.ndarray) -> NormalFormFrame:
-        parts = _assemble(frame.x_stack, 2, a_coeffs)
-        return _frame_from_parts(frame.x_stack, frame.b_stack, frame.m, 2, parts, a_coeffs)
-
-    probe = rebuild(np.array([0.0, 1.0]))
-    slope = float(probe.coeffs.b22[0]) - v0
-    if abs(slope) < 1e-8:
-        raise AdjustError("shear has no effect on the B(2,2) entry")
-    kstar = (-1.0 - v0) / slope
-    adjusted = rebuild(np.array([0.0, kstar]))
-    if float(adjusted.coeffs.b22[0]) >= 0.0:
-        raise AdjustError("negativity adjustment failed to make B(2,2) negative")
-    return adjusted
+    return NormalFormFrame(
+        case="span3" if k == 2 else "span2",
+        k=k,
+        n=n,
+        m=m,
+        beta=m - 2,
+        frame=frame,
+        coeffs=coeffs,
+        sigma_xxdot=float(s1[0]),
+        b_m=float(b_loc[m]),
+        symplectic_residual=sym_res,
+        cross_residual=cross,
+        adjust=shear,
+    )

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,45 @@ def test_single_node_grid_is_a_config_error_for_interval_modes(tmp_path, capsys)
     assert code == 2
     assert (err["error"], err["stage"]) == ("ConfigError", "parse")
     assert err["message"].startswith("grid.steps:")
+
+
+def _two_pieces(raw):
+    # a second piece on [0.5, 1] with another X; the continuation never reads it
+    raw["data"] = {
+        "breakpoints": [-1, 0.5, 1],
+        "b": [[0, 0, 0, -1], [-0.125, -0.75, -1.5, -1]],
+        "x": [[[1], [0], [0, 1], [0, 0, 0.5]], [[1], [1], [0, 1], [0, 0, 0.5]]],
+    }
+
+
+# both used to exit 0: the trace ran on past the piece of the data at 0
+@pytest.mark.parametrize("edit", [lambda raw: raw["grid"].update(t1=5), _two_pieces],
+                         ids=["t1-past-breakpoints", "t1-past-first-piece"])
+def test_degeneracy_grid_past_the_data_piece_at_zero_is_a_config_error(tmp_path, capsys, edit):
+    code, [err] = _run_variant(tmp_path, capsys, "degen_m3_short", "trace", edit)
+    assert code == 2
+    assert (err["error"], err["stage"]) == ("ConfigError", "parse")
+    assert err["message"].startswith("grid.t1:")
+
+
+def test_trace_past_the_normal_form_radius_is_refused_at_once(tmp_path, capsys):
+    # the order-39 frame coefficient has norm 1.8e9 (root-test radius about
+    # 0.58), so the series is not summed at t1 = 1; the trace used to spend
+    # more than 20 s in the first-jet transport
+    def edit(raw):
+        raw["grid"] = {"t0": 0.01, "t1": 1, "steps": 20}
+        raw["data"]["b"] = [[0, 0, -1]]
+        raw["data"]["x"] = [[[2.0409, -2.5557, 0.4181, -0.5678],
+                             [-0.4526, -0.2156, -2.02, -0.2319],
+                             [-0.8652, 3.323, 0.2258, -0.3526],
+                             [-0.2813, -0.668, -1.0552, -0.3908]]]
+
+    start = time.perf_counter()
+    code, [err] = _run_variant(tmp_path, capsys, "degen_m3_short", "trace", edit)
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert (err["error"], err["stage"]) == ("RadiusError", "run")
+    assert err["message"].startswith("grid.t1:")
 
 
 @pytest.mark.parametrize("scenario, verb", [

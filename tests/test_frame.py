@@ -12,11 +12,8 @@ from jacobiflow.errors import (
     PreconditionError,
     SingularityError,
 )
-from jacobiflow.singular.frame import (
-    NormalFormCoefficients,
-    build_normal_frame,
-    f2_negativity_adjust,
-)
+from jacobiflow.singular import frame as frame_module
+from jacobiflow.singular.frame import NormalFormCoefficients, build_normal_frame
 
 
 def _data(b, xrows, breakpoints=(0.0, 1.0)):
@@ -35,6 +32,11 @@ def _data_m1():
 def _data_m2():
     # X = (1, 0, t, t^2/2), b = -t^2: second derivative enters the span
     return _data([0.0, 0.0, -1.0], [[1, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 0.5]])
+
+
+def _data_m2_negative():
+    # X = (2, 0, t, t^2/2 - 1), b = -t^2: the raw B(2,2)(0) is already -1/2
+    return _data([0.0, 0.0, -1.0], [[2, 0, 0], [0, 0, 0], [0, 1, 0], [-1, 0, 0.5]])
 
 
 def _j(n):
@@ -189,24 +191,54 @@ def test_build_frame_order_two_span_three():
     assert f.b_m == -1.0
     assert f.sigma_xxdot == pytest.approx(1.0)
     assert f.symplectic_residual < 1e-12
-    # shear was needed: the raw B(2,2) entry starts at zero
-    raw = build_normal_frame(_data_m2(), adjust=False)
-    assert abs(raw.coeffs.b22[0]) < 1e-12
-    assert raw.adjust is None
-    assert f.adjust is not None
-    assert f.coeffs.b22[0] < 0.0
+    # shear was needed: the raw B(2,2)(0) = -sigma(f2'(0), f2(0)) is zero,
+    # and sigma(e2, f2)(0) = 1, so kappa = 1 takes the entry to -1
+    assert np.array_equal(f.adjust, [0.0, 1.0])
+    assert f.coeffs.b22[0] == -1.0
     j = _j(f.n)
     mat = f.frame_at(0.2)
     assert np.max(np.abs(mat.T @ j @ mat - j)) < 1e-12
     assert f.block_columns() == [0, 1, 2, 3]
 
 
-def test_adjust_is_idempotent_when_already_negative():
-    f = build_normal_frame(_data_m2())
-    again = f2_negativity_adjust(f)
-    assert again is f
-    f1 = build_normal_frame(_data_m1())
-    assert f2_negativity_adjust(f1) is f1
+def test_no_shear_when_raw_entry_is_already_negative():
+    f = build_normal_frame(_data_m2_negative())
+    assert f.case == "span3"
+    assert f.adjust is None
+    assert f.coeffs.b22[0] == pytest.approx(-0.5, abs=1e-14)
+    assert f.symplectic_residual < 1e-12
+
+
+@pytest.mark.parametrize("data", [_data_m1, _data_m2, _data_m2_negative])
+def test_each_build_assembles_the_frame_once(data, monkeypatch):
+    calls = []
+    assemble = frame_module._assemble
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(frame_module, "_assemble", counted)
+    build_normal_frame(data())
+    assert len(calls) == 1
+
+
+def test_random_span_three_frames_end_with_negative_b22():
+    # seeded random cubic X with b = -t^2: either the raw entry is already
+    # negative and nothing is sheared, or the closed-form shear lands it on -1
+    sheared = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        f = build_normal_frame(_data([0.0, 0.0, -1.0], rng.normal(size=(4, 4))))
+        assert f.k == 2
+        if f.adjust is None:
+            assert f.coeffs.b22[0] < -1e-10
+        else:
+            sheared += 1
+            assert f.adjust[0] == 0.0
+            assert abs(f.coeffs.b22[0] + 1.0) <= 1e-12
+        assert f.symplectic_residual < 1e-8
+    assert 0 < sheared < 100
 
 
 def test_build_frame_away_from_zero():
