@@ -49,7 +49,7 @@ from .engine import (
     singular_jacobi_curve,
 )
 from .errors import ConfigError, JacobiflowError, MathError, NondegeneracyError, RadiusError
-from .flows import flow_plane
+from .flows import _integrate, flow_plane
 from .grassmann import (
     ChartError,
     GrassmannCurve,
@@ -66,6 +66,7 @@ from .singular.classify import classify_frame, kneser_classify
 from .singular.firstjet import _tail_within, first_jet_case, first_jet_continuation
 from .singular.frame import NormalFormCoefficients, build_normal_frame
 from .singular.jump import epsilon_family_oracle, jump_operator
+from .series import meval
 from .symplectic import symplectic_inverse
 
 __all__ = ["ScenarioConfig", "TraceOutput", "parse_scenario", "run", "emit", "main"]
@@ -542,7 +543,7 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
         nf_planes = nf_curve.planes
         summary["eps_family"] = list(map(float, eps))
         summary["oracle_distances"] = dists
-    planes = [canonicalize(frame.frame_at(float(t)) @ p) for t, p in zip(grid, nf_planes)]
+    planes = [canonicalize(m @ p) for m, p in zip(meval(frame.frame, grid), nf_planes)]
     rows, flow = _trace_rows(GrassmannCurve(times=grid, planes=planes), [jump], config.n)
     return TraceOutput(columns, rows, summary, flow)
 
@@ -555,25 +556,28 @@ def _run_portrait(config: ScenarioConfig) -> TraceOutput:
     coeffs = NormalFormCoefficients(
         k=1, m=2, b=np.array([0.0, 0.0, -1.0]), b11=np.zeros(1), c11=np.array([-c])
     )
-    sys = coeffs.as_callable()
-    rtol = config.tolerances["rtol"]
     t_first = float(grid[0])
-
-    def frames(start: np.ndarray) -> list[np.ndarray]:
-        return flow_plane(sys, start, grid, rtol=rtol).planes
+    # every start line in one march: the steps depend on the system and the
+    # grid only, so a line's values do not depend on the other lines
+    starts = [[[1.0], [-val]] for val in u0] + [[[-val], [t_first]] for val in v0]
+    lines = np.linalg.qr(np.array(starts, dtype=float).reshape(-1, 2, 1))[0]
+    marched = _integrate(coeffs.as_callable(), lines, grid, config.tolerances["rtol"])
+    # planes[node][line], canonical as flow_plane emits them
+    planes = [[canonicalize(q) for q in lines]] + [
+        [canonicalize(np.linalg.qr(y)[0]) for y in ys] for ys in marched[1:]]
 
     table: list[list] = [[float(t)] for t in grid]
     columns = ["time"]
-    for idx, val in enumerate(u0):
+    for idx in range(len(u0)):
         columns.append(f"u_{idx}")
-        for row, p in zip(table, frames(np.array([[1.0], [-val]]))):
-            den, num = float(p[0, 0]), float(p[1, 0])
+        for row, ps in zip(table, planes):
+            den, num = float(ps[idx][0, 0]), float(ps[idx][1, 0])
             u = -num / den if abs(den) > 1e-12 else math.inf
             row.append(u if abs(u) <= PORTRAIT_MASK else None)
-    for idx, val in enumerate(v0):
+    for idx in range(len(v0)):
         columns.append(f"v_{idx}")
-        for t, row, p in zip(grid, table, frames(np.array([[-val], [t_first]]))):
-            num, den = float(p[0, 0]), float(p[1, 0])
+        for t, row, ps in zip(grid, table, planes):
+            num, den = float(ps[len(u0) + idx][0, 0]), float(ps[len(u0) + idx][1, 0])
             v = -float(t) * num / den if abs(den) > 1e-12 else math.inf
             row.append(v if abs(v) <= PORTRAIT_MASK else None)
 

@@ -16,7 +16,7 @@ and a curve of vectors ``X(tau)`` in R^(2n), both piecewise polynomial
 Products and derivatives of polynomial data are exact coefficient
 arithmetic; quadrature is never used.  The Jacobi equation is marched once
 per interval of regularity (each piece of the data inside the interval):
-breakpoints restart the integrator, grid nodes only sample it.
+breakpoints start a new march, and grid nodes are step ends of it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     RankDriftError,
     UndecidedError,
 )
-from .flows import _integrate, _transport  # noqa: F401  (_integrate: for perfbench's tracer)
+from .flows import _integrate
 from .grassmann import (
     GrassmannCurve,
     canonicalize,
@@ -337,14 +337,14 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
             break
         p = data.piece_index(0.5 * (a_ + b_))
 
-        def rhs(t: float, xs=data._stack("x", p, m), bs=seq.entries[m][p]) -> np.ndarray:
+        def rhs(t: np.ndarray, xs=data._stack("x", p, m), bs=seq.entries[m][p]) -> np.ndarray:
             # mu' = X^(m) sigma(X^(m), mu) / b^m, sigma(X^(m), mu) = (-J X^(m)) . mu,
             # with the piece's own polynomials, also at its end breakpoint
             xm = meval(xs, t)
-            return np.outer(xm, -apply_j(xm)) / meval(bs, t)
+            return xm[:, :, None] * -apply_j(xm.T).T[:, None, :] / meval(bs, t)[:, None, None]
 
         inside = (grid > a_) & (grid <= b_)
-        marched = _transport(rhs, cur, np.union1d([a_, b_], grid[inside]), rtol)
+        marched = _integrate(rhs, cur, np.union1d([a_, b_], grid[inside]), rtol)
         frames[inside] = marched[1 : 1 + np.count_nonzero(inside)]
         cur = marched[-1]
 

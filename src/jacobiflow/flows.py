@@ -7,19 +7,19 @@ Systems are ``lambda' = M(t) lambda`` with the Hamiltonian system matrix
 given through :class:`HamiltonianCoefficients` (polynomial coefficient
 blocks, with an optional pole of order m at t = 0, compiled at construction
 into one stack that :func:`~jacobiflow.series.meval` evaluates in a single
-Horner pass) or any callable ``t -> (2n, 2n) array``.  The integrator is
-an embedded adaptive Runge-Kutta scheme (DOP853), and ``_integrate`` is the
-package's only call into it: every transport of the package goes through it.
-Planes are always moved as frames, never as chart matrices, so a chart pole
-cannot stop a transport.
+Horner pass) or any callable that maps a 1-D array of K times to the
+``(K, 2n, 2n)`` stack of system matrices.  Planes are always moved as
+frames, never as chart matrices, so a chart pole cannot stop a transport.
 
-A transport is one march over its node list (:func:`_transport`), read off
-the solver's dense output.  It restarts, after a QR, only where the frame's
-norm has grown by ``_AMP_LIMIT``.  Its steps span at most ``_NODE_STEPS``
-node spacings: rtol controls the error at step ends only, and the 7th-order
-interpolant's error at the nodes inside a long step would exceed it.
-Piecewise analytic data march once per piece.  Nothing is ever re-projected
-onto the symplectic group.
+Every transport of the package is one call of :func:`_integrate`: one march
+over a node list, with each node a step end.  A step is 3-stage
+Gauss-Legendre collocation (order 6).  On a linear system it is one small
+linear solve, so steps are computed in batches with numpy alone, and its
+propagator is symplectic up to rounding, because Gauss methods keep the
+quadratic invariants of the flow (Hairer, Lubich & Wanner, *Geometric
+Numerical Integration*, 2nd ed., 2006, sections IV.2 and VI.4).  Nothing is
+ever re-projected onto the symplectic group.  Piecewise analytic data march
+once per piece.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import PoleError, PreconditionError
 from .grassmann import GrassmannCurve, canonicalize
@@ -38,9 +37,6 @@ __all__ = [
     "HamiltonianCoefficients",
     "flow_plane",
 ]
-
-ATOL = 1e-13
-
 
 def _as_coeff_array(x, n: int) -> np.ndarray:
     """Coerce a constant matrix or (d+1, n, n) stack to coefficient form."""
@@ -105,16 +101,18 @@ class HamiltonianCoefficients:
         n = self.n
         return m[:n, :n], m[:n, n:], m[n:, :n]
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
+        """The system matrix at ``t``, or the ``(K, 2n, 2n)`` stack at a 1-D array."""
         out = meval(self._stack, t)
         if self.pole_order > 0:
-            if t == 0.0:
+            t = np.asarray(t, dtype=float)
+            if np.any(t == 0.0):
                 raise PoleError("coefficients have a pole at t = 0")
-            out[: self.n, self.n :] /= t**self.pole_order
+            out[..., : self.n, self.n :] /= (t**self.pole_order)[..., None, None]
         return out
 
 
-SystemLike = Callable[[float], np.ndarray]
+SystemLike = Callable[[np.ndarray], np.ndarray]
 
 
 def _system(h) -> SystemLike:
@@ -122,102 +120,140 @@ def _system(h) -> SystemLike:
         return h
     if callable(h):
         return h
-    raise PreconditionError("expected HamiltonianCoefficients or a callable t -> matrix")
+    raise PreconditionError("expected HamiltonianCoefficients or a callable of times")
 
 
-def _integrate(sys: SystemLike, y0: np.ndarray, t0: float, t1: float, rtol: float,
-               events=None, t_eval=None, max_step: float = np.inf):
-    """One DOP853 solve of ``Y' = sys(t) Y``, sampled at ``t_eval`` if given.
+# 3-stage Gauss-Legendre collocation (order 6): nodes, coefficients, weights
+_R15 = np.sqrt(15.0)
+_GAUSS_C = np.array([0.5 - _R15 / 10.0, 0.5, 0.5 + _R15 / 10.0])
+_GAUSS_A = np.array([
+    [5.0 / 36.0, 2.0 / 9.0 - _R15 / 15.0, 5.0 / 36.0 - _R15 / 30.0],
+    [5.0 / 36.0 + _R15 / 24.0, 2.0 / 9.0, 5.0 / 36.0 - _R15 / 24.0],
+    [5.0 / 36.0 + _R15 / 30.0, 2.0 / 9.0 + _R15 / 15.0, 5.0 / 36.0],
+])
+_GAUSS_B = np.array([5.0 / 18.0, 4.0 / 9.0, 5.0 / 18.0])
+#: steps proposed, and evaluated, per batch
+_BATCH = 32
+#: a frame entry beyond this bound triggers a QR of that frame
+_GROWTH = 1e4
+#: share of rtol a step's error estimate may use
+_SAFETY = 0.125
+#: smallest rtol honoured; below it the error estimate is rounding noise
+_RTOL_MIN = 100.0 * np.finfo(float).eps
 
-    A solve that runs into a pole overflows in the coefficients, the stages
-    and the events before its step size underflows; those values are
-    expected, so floating-point warnings are silenced for the whole solve and
-    the stall is reported as one :class:`PoleError`.
+
+def _increments(sys: SystemLike, t: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``P - I`` for the Gauss-Legendre propagators ``P`` of the steps ``[t, t + h]``.
+
+    On ``Y' = A(t) Y`` the stage values of the step from ``Y = I`` solve the
+    linear system ``(I - h [a_ij A(t + c_j h)]) Y = 1 (x) I``, and
+    ``P = I + h sum_i b_i A_i Y_i``.  The increment is kept apart from ``I``
+    so that chaining it rounds at the size of the increment.
     """
-    shape = y0.shape
-    reached = [t0]
+    a = sys((t[:, None] + h[:, None] * _GAUSS_C).ravel())
+    d = a.shape[-1]
+    ha = a.reshape(-1, 3, d, d) * h[:, None, None, None]
+    lhs = np.eye(3 * d) - np.einsum("ij,kjab->kiajb", _GAUSS_A, ha).reshape(-1, 3 * d, 3 * d)
+    rhs = np.broadcast_to(np.tile(np.eye(d), (3, 1)), lhs.shape[:1] + (3 * d, d))
+    y = np.linalg.solve(lhs, rhs).reshape(-1, 3, d, d)
+    return np.einsum("i,kiac->kac", _GAUSS_B, ha @ y)
 
-    def rhs(t, y):
-        reached[0] = t
-        return (sys(t) @ y.reshape(shape)).ravel()
 
+def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float):
+    """Propagator increments of a batch of steps and each step's error over its bound.
+
+    Each step is taken whole and as two halves; the halves' product is the
+    propagator, and the gap between the two, over ``2**6 - 1``, its error,
+    bounded by ``_SAFETY * rtol`` times the propagator's size.  A step whose
+    propagator is not finite, or a batch whose system has a pole at a stage
+    time or whose stage solve is singular, gets an infinite error.  Poles
+    overflow on the way, so floating-point warnings are off.
+    """
+    half = 0.5 * h
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sol = solve_ivp(
-            rhs,
-            (t0, t1),
-            y0.ravel(),
-            method="DOP853",
-            rtol=rtol,
-            atol=ATOL,
-            events=events,
-            t_eval=t_eval,
-            max_step=max_step,
-        )
-    if sol.status == -1:
-        raise PoleError(
-            f"integration stalled at t = {reached[0]:.6g} (step size underflow near a pole)"
-        )
-    return sol
+        try:
+            d = _increments(sys, np.concatenate([t, t, t + half]), np.concatenate([h, half, half]))
+        except (PoleError, np.linalg.LinAlgError):
+            return None, np.full(t.size, np.inf)
+        k = t.size
+        d1, d2 = d[k : 2 * k], d[2 * k :]
+        inc = d1 + d2 + d2 @ d1
+        scale = 1.0 + np.max(np.abs(inc), axis=(1, 2))
+        err = np.max(np.abs(inc - d[:k]), axis=(1, 2)) / (63.0 * _SAFETY * rtol * scale)
+    return inc, np.where(np.isfinite(err), err, np.inf)
 
 
-_AMP_LIMIT = 1e8
-_NODE_STEPS = 3
-_MAX_RENORM = 100000
+def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
+               rtol: float) -> np.ndarray:
+    """Frames at the strictly monotone ``nodes`` of one march from ``frames``.
 
-
-def _transport(sys: SystemLike, f0: np.ndarray, nodes: Sequence[float],
-               rtol: float, *, node_steps: float = _NODE_STEPS) -> np.ndarray:
-    """Frames at the strictly monotone ``nodes`` of one march from ``f0``.
-
-    The first frame is ``f0``.  Only the spans are meaningful, so callers
-    orthonormalise or canonicalise what they emit.  Restarts and step cap: see
-    the module docstring; ``node_steps=np.inf`` lifts the cap.  A pole
-    underflows the step size and raises :class:`PoleError`.
+    ``frames`` is one ``(2n, k)`` frame or a stack of them; the result has one
+    entry per node, the first being ``frames``.  Every node is a step end, so
+    nothing is interpolated.  Steps are proposed ``_BATCH`` at a time with
+    one length, shortened so that each node interval is split evenly, and
+    accepted up to the first one whose error estimate (:func:`_batch`)
+    exceeds its bound; the step length then follows the usual order-7 local
+    error rule.  The steps therefore depend on ``sys``, ``nodes`` and
+    ``rtol`` only, never on the frames.  An rtol below ``_RTOL_MIN`` is
+    raised to it, as DOP853 does.  Each frame is chained by the propagators
+    and given a QR (R with a positive diagonal, which keeps the sign of every
+    block determinant) when one of its entries passes ``_GROWTH``; only the
+    spans are meaningful.  Only the frames at the nodes and one batch of
+    propagators are held.  A step length that underflows, as near a pole,
+    raises :class:`PoleError`.
     """
     nodes = np.asarray(nodes, dtype=float)
-    out = np.empty((nodes.size,) + f0.shape)
-    out[0] = f0
-    max_step = node_steps * float(np.max(np.abs(np.diff(nodes)), initial=0.0))
-    t, cur, k = float(nodes[0]), f0, 1
-    for _ in range(_MAX_RENORM):
-        if k == nodes.size:
-            return out
-
-        def grew(tt, y, _lim=_AMP_LIMIT * max(1.0, float(np.linalg.norm(cur)))):
-            return float(np.linalg.norm(y)) - _lim
-
-        grew.terminal = True
-        grew.direction = 1
-        sol = _integrate(sys, cur, t, float(nodes[-1]), rtol, events=grew, t_eval=nodes[k:],
-                         max_step=max_step)
-        got = len(sol.t)
-        if got:
-            out[k : k + got] = np.asarray(sol.y).T.reshape((got,) + f0.shape)
-        if not np.all(np.isfinite(out[k : k + got])):
-            raise PoleError(f"frame transport lost finiteness near t = {sol.t[-1]:.6g}")
-        k += got
-        if sol.status == 0:
-            return out
-        t_ev, y_ev = float(sol.t_events[0][-1]), sol.y_events[0][-1]
-        if t_ev == t:
+    frames = np.asarray(frames, dtype=float)
+    rtol = max(rtol, _RTOL_MIN)
+    f = frames.reshape((-1,) + frames.shape[-2:]).copy()
+    out = np.empty((nodes.size,) + f.shape)
+    out[0] = f
+    span = abs(float(nodes[-1] - nodes[0]))
+    direction = 1.0 if nodes[-1] > nodes[0] else -1.0
+    t, k = float(nodes[0]), 1
+    h = abs(float(nodes[min(1, nodes.size - 1)] - nodes[0]))
+    while k < nodes.size:
+        # one length h, every node interval split into equal steps
+        starts, stops, ends = [], [], []
+        s, j = t, k
+        while len(starts) < _BATCH and j < nodes.size:
+            gap = abs(float(nodes[j]) - s)
+            parts = max(1, int(np.ceil(gap / h * (1.0 - 1e-12))))
+            starts.append(s)
+            ends.append(parts == 1)
+            s, j = (float(nodes[j]), j + 1) if parts == 1 else (s + direction * gap / parts, j)
+            stops.append(s)
+        starts, stops = np.array(starts), np.array(stops)
+        lengths = np.abs(stops - starts)
+        inc, err = _batch(sys, starts, stops - starts, rtol)
+        good = int(np.argmax(err > 1.0)) if np.any(err > 1.0) else err.size
+        for i in range(good):
+            f = f + inc[i] @ f
+            if np.abs(f).max() > _GROWTH:
+                big = np.abs(f).max(axis=(1, 2)) > _GROWTH
+                q, r = np.linalg.qr(f[big])
+                f[big] = q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None]
+            if ends[i]:
+                out[k] = f
+                k += 1
+        if good:
+            t = float(stops[good - 1])
+        if good < err.size:  # order-7 rule, from the rejected step
+            h = lengths[good] * max(0.1, 0.9 * err[good] ** (-1.0 / 7.0))
+        elif np.any(lengths >= 0.5 * h):  # from the steps h was not shortened for
+            full = lengths >= 0.5 * h
+            grow = 0.9 * np.maximum(err[full], 1e-300) ** (-1.0 / 7.0)
+            h = min(4.0 * h, float(np.min(lengths[full] * grow)))
+        if not h > 16.0 * np.spacing(max(abs(t), span)):
             raise PoleError(
-                f"frame transport pinned at t = {t:.6g} (growth event makes no progress)"
-            )
-        if not np.all(np.isfinite(y_ev)):
-            raise PoleError(f"frame transport lost finiteness near t = {t_ev:.6g}")
-        t = t_ev
-        # R with a positive diagonal keeps the sign of every block determinant
-        cur, r = np.linalg.qr(y_ev.reshape(f0.shape))
-        cur = cur * np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    raise PoleError(
-        f"renormalisation budget exhausted between t = {nodes[0]:.6g} and {nodes[-1]:.6g}"
-    )
+                f"integration stalled at t = {t:.6g} (step size underflow near a pole)")
+    return out.reshape((nodes.size,) + frames.shape)
 
 
 def flow_plane(h, l0: np.ndarray, grid: Sequence[float], *, rtol: float = 1e-12) -> GrassmannCurve:
     """Transport a plane along the flow, sampled at the grid nodes.
 
-    The grid must be strictly monotone and is one march (:func:`_transport`);
+    The grid must be strictly monotone and is one march (:func:`_integrate`);
     frames are orthonormalised at every node and returned as canonical frames.
     """
     sys = _system(h)
@@ -229,7 +265,7 @@ def flow_plane(h, l0: np.ndarray, grid: Sequence[float], *, rtol: float = 1e-12)
     if f.ndim == 1:
         f = f[:, None]
     q, _ = np.linalg.qr(f)
-    frames = _transport(sys, q, grid, rtol)
+    frames = _integrate(sys, q, grid, rtol)
     planes = [canonicalize(q)] + [canonicalize(np.linalg.qr(y)[0]) for y in frames[1:]]
     return GrassmannCurve(times=grid, planes=planes)
 

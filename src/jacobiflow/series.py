@@ -148,17 +148,21 @@ def strim(a: np.ndarray) -> np.ndarray:
     return a[: nonzero[-1] + 1 if nonzero.size else 1]
 
 
-def meval(a: np.ndarray, tau: float, deriv: int = 0) -> np.ndarray:
-    """Evaluate a coefficient stack (or a derivative of it) at a scalar ``tau``.
+def meval(a: np.ndarray, tau, deriv: int = 0) -> np.ndarray:
+    """Evaluate a coefficient stack (or a derivative of it) at ``tau``.
 
     This is the one polynomial evaluator of the package.  It is Horner's rule
     in the order of ``numpy.polynomial.polynomial.polyval``, so each entry is
     bit-for-bit the value ``polyval`` gives for that entry's coefficients.
-    A 1-D stack evaluates to a scalar.  The stack must not be empty.
+    A scalar ``tau`` gives one value (a scalar for a 1-D stack); a 1-D array
+    of K times gives the K values stacked on a new leading axis, each equal
+    bit for bit to the scalar call.  The stack must not be empty.
     """
     a = np.asarray(a, dtype=float)
     for _ in range(deriv):
         a = sder(a)
+    if np.ndim(tau) == 1:
+        tau = np.asarray(tau, dtype=float).reshape((-1,) + (1,) * (a.ndim - 1))
     out = a[-1] + tau * 0.0
     for k in range(a.shape[0] - 2, -1, -1):
         out = out * tau + a[k]

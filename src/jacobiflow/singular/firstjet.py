@@ -13,7 +13,7 @@ the post-jump plane is the zero point:
 3. the series is summed at grid points up to a small ``series_start``
    point; from there the plane ``[I; t S1(t)]``, mapped back by the chart
    transform, is transported as a frame by the block system itself
-   (:func:`~jacobiflow.flows._transport`), so the continuation goes on where
+   (:func:`~jacobiflow.flows._integrate`), so the continuation goes on where
    the curve leaves the chart.  ``S1`` is read back wherever the chart
    exists.
 
@@ -37,7 +37,7 @@ from ..errors import (
     ResonanceError,
     SeriesResonanceError,
 )
-from ..flows import _transport
+from ..flows import _integrate
 from ..grassmann import (
     GrassmannCurve,
     _chart_basis,
@@ -440,18 +440,16 @@ def first_jet_continuation(
     planes = []
     blown = np.full((grid.size, kk, kk), np.nan)
     above = grid[grid > t0]
-    for i, t in enumerate(grid[: grid.size - above.size]):
-        blown[i] = meval(stack, float(t))
-        planes.append(canonicalize(case.minv @ np.vstack([np.eye(kk), float(t) * blown[i]])))
+    inside = grid.size - above.size
+    blown[:inside] = meval(stack, grid[:inside])
+    for t, s1 in zip(grid[:inside], blown):
+        planes.append(canonicalize(case.minv @ np.vstack([np.eye(kk), float(t) * s1])))
 
     if above.size:
         # past the series window the plane is moved as a frame, so leaving
         # the blow-up chart ends nothing; S1 is read back where the chart exists
         start = case.minv @ np.vstack([np.eye(kk), t0 * meval(stack, t0)])
-        # nodes inside a step are read off the interpolant, uncapped: on the
-        # degen_m1/m2 corpus traces the planes stay within 6e-13 of a tight march
-        frames = _transport(coeffs.as_callable(), start, np.concatenate([[t0], above]), rtol,
-                            node_steps=np.inf)
+        frames = _integrate(coeffs.as_callable(), start, np.concatenate([[t0], above]), rtol)
         # the chart of to_chart(case.matrix @ plane, Sigma, Pi), its basis
         # prepared once for all nodes
         chart = _chart_basis(horizontal_plane(kk), vertical_plane(kk))[2]

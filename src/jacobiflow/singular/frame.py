@@ -156,13 +156,16 @@ class NormalFormCoefficients:
         k = self.k
         return meval(self._system_stack, tau)[k:, :k]
 
-    def system(self, tau: float) -> np.ndarray:
-        """Block system matrix ``[[0, B], [C, 0]]`` at ``tau``."""
-        bval = self.b_value(tau)
-        if bval == 0.0:
-            raise PoleError(f"weight vanishes at t={tau!r}")
+    def system(self, tau) -> np.ndarray:
+        """Block system matrix ``[[0, B], [C, 0]]`` at ``tau``.
+
+        A 1-D array of K times gives the ``(K, 2k, 2k)`` stack of the values.
+        """
+        bval = meval(self._b_stack, tau)
+        if np.any(bval == 0.0):
+            raise PoleError(f"weight vanishes at t={float(np.asarray(tau)[bval == 0.0][0])!r}")
         out = meval(self._system_stack, tau)
-        out[0, self.k] += 1.0 / bval
+        out[..., 0, self.k] += 1.0 / bval
         return out
 
     def as_callable(self):

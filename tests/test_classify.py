@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from jacobiflow.errors import PreconditionError, SingularityError
-from jacobiflow.flows import _transport
+from jacobiflow.flows import _integrate
 from jacobiflow.grassmann import random_lagrangian
 from jacobiflow.series import meval, srecip
 from jacobiflow.singular.classify import (
@@ -127,10 +127,10 @@ def oscillation_count_oracle(
         cnf = cnf[None, :, :]
     k = bnf.shape[1]
 
-    def sys(t: float) -> np.ndarray:
-        out = np.zeros((2 * k, 2 * k))
-        out[:k, k:] = meval(bnf, t) / t**m
-        out[k:, :k] = meval(cnf, t)
+    def sys(t: np.ndarray) -> np.ndarray:
+        out = np.zeros((t.size, 2 * k, 2 * k))
+        out[:, :k, k:] = meval(bnf, t) / (t**m)[:, None, None]
+        out[:, k:, :k] = meval(cnf, t)
         return out
 
     # samples_per_decade per decade, and at least 8 per doubling of t
@@ -144,9 +144,8 @@ def oscillation_count_oracle(
     counts = []
     for _ in range(n_solutions):
         # the march renormalises with positive-diagonal QRs, which keep the
-        # sign of the vertical determinant; only signs are read, so the steps
-        # are not capped by the dense sample times
-        frames = _transport(sys, random_lagrangian(rng, k), ts, rtol, node_steps=np.inf)
+        # sign of the vertical determinant
+        frames = _integrate(sys, random_lagrangian(rng, k), ts, rtol)
         signs = np.sign(np.linalg.det(frames[:, k:, :]))
         signs = signs[signs != 0]
         counts.append(int(np.count_nonzero(signs[1:] != signs[:-1])))

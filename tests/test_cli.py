@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jacobiflow.cli import _trace_rows, main
+from jacobiflow.cli import DEFAULT_U0, DEFAULT_V0, _trace_rows, main
 from jacobiflow.engine import JumpEvent
 from jacobiflow.grassmann import GrassmannCurve, horizontal_plane
 
@@ -103,14 +103,18 @@ def test_golden_curve_outputs_are_byte_stable(tmp_path, verb, scenario, csv, sum
 
 
 def test_regular_mode_uses_the_scenario_rtol(tmp_path):
-    # a loose rtol reaches the transport, from the scenario or the override
+    # a loose rtol reaches the transport, from the scenario or the override;
+    # every node is a step end, so the grid is coarse enough for rtol to bind
     raw = json.loads((GOLDEN / "regular_short.json").read_text())
+    raw["grid"]["steps"] = 4
+    coarse = tmp_path / "coarse.json"
+    coarse.write_text(json.dumps(raw))
     raw["tolerances"] = {"rtol": 1e-8}
     loose = tmp_path / "loose.json"
     loose.write_text(json.dumps(raw))
     runs = {
-        "default": [str(GOLDEN / "regular_short.json")],
-        "override": [str(GOLDEN / "regular_short.json"), "--tol-overrides", '{"rtol": 1e-8}'],
+        "default": [str(coarse)],
+        "override": [str(coarse), "--tol-overrides", '{"rtol": 1e-8}'],
         "scenario": [str(loose)],
     }
     csv = {}
@@ -118,6 +122,30 @@ def test_regular_mode_uses_the_scenario_rtol(tmp_path):
         assert main(["trace", *args, "--out", str(tmp_path / f"{name}.csv")]) == 0
         csv[name] = (tmp_path / f"{name}.csv").read_bytes()
     assert csv["override"] == csv["scenario"] != csv["default"]
+
+
+@pytest.mark.parametrize("c", [2.0, -2.0])
+def test_portrait_line_does_not_depend_on_the_other_lines(tmp_path, c):
+    # all start lines share one march, and its steps depend on the system and
+    # the grid only: a line listed alone gives the same bytes as in the full
+    # set.  From t0 = 1e-3, c = 2 grows some lines past the QR bound, which
+    # is decided per line.
+    raw = {"n": 1, "mode": "portrait", "data": {"c": c},
+           "grid": {"t0": 1e-3, "t1": 1, "steps": 60}}
+
+    def columns(data: dict) -> dict[str, list[str]]:
+        raw["data"] = {"c": c, **data}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(raw))
+        assert main(["portrait", str(path), "--out", str(tmp_path / "p.csv")]) == 0
+        lines = (tmp_path / "p.csv").read_text().splitlines()
+        return dict(zip(lines[0].split(","), zip(*(line.split(",") for line in lines[1:]))))
+
+    full = columns({})
+    for u, v in [(0, 6), (3, 1), (6, 3)]:
+        alone = columns({"u0": [DEFAULT_U0[u]], "v0": [DEFAULT_V0[v]]})
+        assert alone["u_0"] == full[f"u_{u}"]
+        assert alone["v_0"] == full[f"v_{v}"]
 
 
 @settings(max_examples=40, deadline=None)

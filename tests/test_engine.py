@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 from scipy.integrate import solve_ivp
 
-from jacobiflow import flows
+from jacobiflow import engine
 
 from jacobiflow.engine import (
     PiecewiseAnalytic,
@@ -442,9 +442,9 @@ def test_piecewise_curve_marches_once_per_piece(monkeypatch):
     l0 = canonicalize(np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.2], [0.2, -0.5]]))
     grid = np.linspace(0.0, 3.0, 31)
     calls = []
-    integrate = flows._integrate
-    monkeypatch.setattr(flows, "_integrate",
-                        lambda *a, **k: calls.append(a[2:4]) or integrate(*a, **k))
+    integrate = engine._integrate
+    monkeypatch.setattr(engine, "_integrate",
+                        lambda *a, **k: calls.append((a[2][0], a[2][-1])) or integrate(*a, **k))
     trace = singular_jacobi_curve(data, l0, (0.0, 3.0), grid)
     assert trace.diagnostics["order"] == 0
     assert calls == [(0.0, 1.234), (1.234, 3.0)]
@@ -453,9 +453,10 @@ def test_piecewise_curve_marches_once_per_piece(monkeypatch):
 
 
 def test_singular_jacobi_curve_honours_rtol():
+    # every node is a step end, so the nodes lie far enough apart for rtol to bind
     data = _two_piece_data()
     l0 = canonicalize(np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.2], [0.2, -0.5]]))
-    grid = np.linspace(0.0, 3.0, 31)
+    grid = np.linspace(0.0, 3.0, 4)
     ref = _piecewise_reference(data, l0, grid)
 
     def gap(rtol):
@@ -466,8 +467,9 @@ def test_singular_jacobi_curve_honours_rtol():
 
 
 def test_nodes_inside_a_step_keep_step_end_accuracy():
-    # a cubic order-zero curve on 200 nodes: with steps of any length, nodes
-    # read off DOP853's interpolant lay 2.6e-11 from the tight march
+    # a cubic order-zero curve on 200 nodes: nodes read off an interpolant
+    # inside long steps once lay 2.6e-11 from the tight march; every node is
+    # now a step end
     data = PiecewiseAnalytic(
         breakpoints=np.array([0.0, 2.0]),
         b_pieces=[np.array([-1.0])],

@@ -8,9 +8,11 @@ from jacobiflow import flows
 from jacobiflow.errors import PoleError, PreconditionError
 from jacobiflow.flows import (
     HamiltonianCoefficients,
-    _transport,
+    _batch,
+    _integrate,
     flow_plane,
 )
+from jacobiflow.singular.frame import NormalFormCoefficients
 from jacobiflow.grassmann import (
     horizontal_plane,
     plane_distance,
@@ -96,7 +98,7 @@ def test_coefficients_reject_nonsymmetric_blocks():
 
 def _fundamental(h, t):
     """Fundamental matrix at ``t`` of ``h``: one march of the identity from 0."""
-    return _transport(h, np.eye(2 * h.n), [0.0, t], 1e-12)[-1]
+    return _integrate(h, np.eye(2 * h.n), [0.0, t], 1e-12)[-1]
 
 
 def _expm_flow(h, t):
@@ -145,10 +147,10 @@ def test_flow_plane_refuses_to_cross_pole():
         flow_plane(h, vertical_plane(1), [1.0, -1.0])
 
 
-def test_fundamental_solution_interpolant():
-    # nodes inside the march are read off the solver's interpolant
+def test_every_node_is_a_step_end():
+    # the march steps onto each node; nothing is interpolated
     ts = [0.0, 0.4, 1.1, 2.0]
-    frames = _transport(_harmonic(), np.eye(2), ts, 1e-12)
+    frames = _integrate(_harmonic(), np.eye(2), ts, 1e-12)
     for t, phi in zip(ts, frames):
         assert np.max(np.abs(phi - _expm_flow(_harmonic(), t))) < 1e-9
 
@@ -221,11 +223,11 @@ def test_flow_plane_n2():
 
 
 def _counted_integrate(monkeypatch) -> list:
-    """Record the (t0, t1) span of every call into the transport kernel."""
+    """Record the (first, last) node of every call into the transport kernel."""
     spans = []
     integrate = flows._integrate
     monkeypatch.setattr(flows, "_integrate",
-                        lambda *a, **k: spans.append(a[2:4]) or integrate(*a, **k))
+                        lambda *a, **k: spans.append((a[2][0], a[2][-1])) or integrate(*a, **k))
     return spans
 
 
@@ -247,23 +249,64 @@ def test_flow_plane_on_a_refined_grid_makes_the_same_march(monkeypatch):
     assert max(gaps) < 1e-10
 
 
-def test_restarts_keep_a_fast_growing_frame_on_its_closed_form(monkeypatch):
-    # lambda' = [[A, 0], [0, -A]] lambda with A = R diag(1, 0.5) R^T: the
-    # frame grows by e^30, far past _AMP_LIMIT, and the plane is [I; S(t)]
-    # with S(t) = e^{-At} S0 e^{-At}
+def _decoupled(rates):
+    """``lambda' = [[A, 0], [0, -A]] lambda``, A = R diag(rates) R^T, R a rotation by 0.7."""
     rot = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
-    a = rot @ np.diag([1.0, 0.5]) @ rot.T
-    s0 = np.array([[0.4, -0.3], [-0.3, 1.2]])
-    h = HamiltonianCoefficients(a=a, b=np.zeros((2, 2)), c=np.zeros((2, 2)))
-    grid = np.linspace(0.0, 30.0, 16)
-    spans = _counted_integrate(monkeypatch)
-    flow = flow_plane(h, np.vstack([np.eye(2), s0]), grid)
-    assert len(spans) >= 2  # the march restarted on the way
-    assert spans[0][0] == 0.0 and all(s[1] == 30.0 for s in spans)
-    for t, p in zip(grid, flow.planes):
+    a = rot @ np.diag(rates) @ rot.T
+    return a, HamiltonianCoefficients(a=a, b=np.zeros((2, 2)), c=np.zeros((2, 2)))
+
+
+def _gap_to_closed_form(a, flow, s0):
+    """Max gap of the planes to [I; S(t)], S(t) = e^{-At} S0 e^{-At}."""
+    gaps = []
+    for t, p in zip(flow.times, flow.planes):
         decay = expm(-a * t)
-        exact = np.vstack([np.eye(2), decay @ s0 @ decay])
-        assert plane_distance(p, exact) < 1e-10
+        gaps.append(plane_distance(p, np.vstack([np.eye(2), decay @ s0 @ decay])))
+    return max(gaps)
+
+
+def test_restarts_keep_a_fast_growing_frame_on_its_closed_form(monkeypatch):
+    # the frame grows by e^30, far past the QR bound, in one march
+    a, h = _decoupled([1.0, 0.5])
+    s0 = np.array([[0.4, -0.3], [-0.3, 1.2]])
+    spans = _counted_integrate(monkeypatch)
+    flow = flow_plane(h, np.vstack([np.eye(2), s0]), np.linspace(0.0, 30.0, 16))
+    assert spans == [(0.0, 30.0)]
+    assert _gap_to_closed_form(a, flow, s0) < 1e-10
+
+
+def test_subdominant_directions_keep_their_closed_form():
+    # rates 1 and 0.01: between QRs the weak direction falls at most the
+    # QR bound below the strong one (a bound of 1e8 drifted by 4.5e-9)
+    a, h = _decoupled([1.0, 0.01])
+    s0 = np.array([[0.4, -0.3], [-0.3, 1.2]])
+    flow = flow_plane(h, np.vstack([np.eye(2), s0]), np.linspace(0.0, 30.0, 16))
+    assert _gap_to_closed_form(a, flow, s0) < 1e-11
+
+
+_J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.floats(0.01, 2.0), st.floats(-3.0, 3.0))
+def test_propagators_are_symplectic_to_rounding(seed, h, t):
+    # Gauss collocation keeps quadratic invariants: P^T J P = J up to rounding
+    rng = np.random.default_rng(seed)
+    sym = [0.5 * (m + np.swapaxes(m, 1, 2)) for m in rng.normal(size=(2, 3, 2, 2))]
+    sys = HamiltonianCoefficients(a=rng.normal(size=(3, 2, 2)), b=sym[0], c=sym[1])
+    starts = t + h * np.arange(4.0)
+    inc, _ = _batch(sys, starts, np.full(4, h), 1e-12)
+    for p in np.eye(4) + inc:
+        res = np.linalg.norm(p.T @ _J4 @ p - _J4, 2)
+        assert res <= 100 * np.finfo(float).eps * np.linalg.norm(p, 2) ** 2
+
+
+def test_normal_form_march_across_the_pole_is_a_pole_error():
+    # b = -t^2 vanishes at 0: the march from -0.5 to 0.5 stalls there
+    coeffs = NormalFormCoefficients(k=1, m=2, b=np.array([0.0, 0.0, -1.0]),
+                                    b11=np.zeros(1), c11=np.array([0.3]))
+    with pytest.raises(PoleError):
+        flow_plane(coeffs.as_callable(), vertical_plane(1), [-0.5, 0.5])
 
 
 def test_flow_plane_needs_a_monotone_grid():

@@ -163,6 +163,17 @@ def test_meval_of_trimmed_stack_equals_polyval(nonzero, zeros, tau, seed):
     assert meval(strim(c[:, 0]), tau) == polyval(tau, c[:, 0])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.sampled_from([(), (3,), (2, 2)]), st.integers(0, 3),
+       st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=9), st.integers(0, 2**31 - 1))
+def test_meval_at_an_array_equals_the_scalar_calls(orders, shape, deriv, taus, seed):
+    c = np.random.default_rng(seed).normal(size=(orders,) + shape)
+    got = meval(c, np.array(taus), deriv)
+    assert got.shape == (len(taus),) + shape
+    for tau, value in zip(taus, got):
+        assert np.array_equal(value, meval(c, tau, deriv))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 8), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0),
        st.integers(0, 2**31 - 1))
