@@ -62,11 +62,11 @@ from .grassmann import (
     vertical_plane,
 )
 from .maslov import _SpectralFlow, _spectral_flow
+from .series import meval
 from .singular.classify import classify_frame, kneser_classify
 from .singular.firstjet import _tail_within, first_jet_case, first_jet_continuation
 from .singular.frame import NormalFormCoefficients, build_normal_frame
 from .singular.jump import epsilon_family_oracle, jump_operator
-from .series import meval
 from .symplectic import symplectic_inverse
 
 __all__ = ["ScenarioConfig", "TraceOutput", "parse_scenario", "run", "emit", "main"]

@@ -38,6 +38,7 @@ __all__ = [
     "flow_plane",
 ]
 
+
 def _as_coeff_array(x, n: int) -> np.ndarray:
     """Coerce a constant matrix or (d+1, n, n) stack to coefficient form."""
     a = np.asarray(x, dtype=float)

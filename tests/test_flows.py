@@ -277,7 +277,7 @@ def test_restarts_keep_a_fast_growing_frame_on_its_closed_form(monkeypatch):
 
 def test_subdominant_directions_keep_their_closed_form():
     # rates 1 and 0.01: between QRs the weak direction falls at most the
-    # QR bound below the strong one (a bound of 1e8 drifted by 4.5e-9)
+    # QR bound below the strong one (DOP853 restarting at 1e8 drifted by 3e-9)
     a, h = _decoupled([1.0, 0.01])
     s0 = np.array([[0.4, -0.3], [-0.3, 1.2]])
     flow = flow_plane(h, np.vstack([np.eye(2), s0]), np.linspace(0.0, 30.0, 16))
