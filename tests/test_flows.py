@@ -12,13 +12,13 @@ from jacobiflow.flows import (
     _integrate,
     flow_plane,
 )
-from jacobiflow.singular.frame import NormalFormCoefficients
 from jacobiflow.grassmann import (
     horizontal_plane,
     plane_distance,
     to_chart,
     vertical_plane,
 )
+from jacobiflow.singular.frame import NormalFormCoefficients
 from jacobiflow.symplectic import check_structure, isotropy_residual, symplectic_inverse
 
 

@@ -89,7 +89,7 @@ def test_cli_makes_one_solver_call_per_transport(tmp_path, monkeypatch, verb, sc
 
 
 def test_cli_import_does_not_load_mpmath():
-    # nor scipy: no jacobiflow module imports it, eagerly or late
+    # nor scipy: numpy is the package's one runtime dependency
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     probe = "import sys, jacobiflow.cli; print(sorted({m.split('.')[0] for m in sys.modules}))"
