@@ -138,7 +138,7 @@ _BATCH = 32
 #: a frame entry beyond this bound triggers a QR of that frame
 _GROWTH = 1e4
 #: share of rtol a step's error estimate may use
-_SAFETY = 0.125
+_SAFETY = 0.0625
 #: smallest rtol honoured; below it the error estimate is rounding noise
 _RTOL_MIN = 100.0 * np.finfo(float).eps
 
