@@ -1,6 +1,6 @@
-"""Guards on the shape of the package: no scipy in the package, one solver call
-per transport, a lean import, exports that resolve, and an error taxonomy with
-no class that nothing raises."""
+"""Guards on the shape of the package: no scipy in the package, one integrator
+call site, one solver call per transport, a lean import, exports that resolve,
+and an error taxonomy with no class that nothing raises."""
 
 import ast
 import importlib
@@ -26,21 +26,74 @@ def _src_modules():
         yield module, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def test_no_src_module_imports_scipy():
-    # numpy is the one runtime dependency; scipy serves the tests as an
-    # independent reference.  The walk also sees imports inside functions.
+def _scipy_imports() -> list[str]:
+    """``module: imported name`` for every scipy import of the package.  The
+    walk also sees imports inside functions."""
     found = []
     for module, tree in _src_modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.module:
-                names = [node.module]
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
             found += [f"{module}: {name}" for name in names
                       if name == "scipy" or name.startswith("scipy.")]
-    assert found == []
+    return found
+
+
+def test_no_src_module_imports_scipy():
+    # numpy is the one runtime dependency; scipy serves the tests as an
+    # independent reference
+    assert _scipy_imports() == []
+
+
+def test_no_module_imports_scipy_special():
+    # the closed-form models and their Bessel functions are test oracles
+    assert [name for name in _scipy_imports() if ": scipy.special" in name] == []
+
+
+class _CallSites(ast.NodeVisitor):
+    """Names of the functions that mention ``name`` outside an import."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.scope: list[str] = []
+        self.sites: list[str] = []
+
+    def _scoped(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if node.id == self.name:
+            self.sites.append(".".join(self.scope) or "<module>")
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr == self.name:
+            self.sites.append(".".join(self.scope) or "<module>")
+        self.generic_visit(node)
+
+
+def _call_sites(name: str) -> list[str]:
+    sites = []
+    for module, tree in _src_modules():
+        visitor = _CallSites(name)
+        visitor.visit(tree)
+        sites += [f"{module}.{site}" for site in visitor.sites]
+    return sites
+
+
+def test_solve_ivp_is_called_only_in_flows_integrate():
+    # every ODE solve is one march of flows._integrate, which steps by
+    # batches of Gauss-Legendre steps (flows._batch) instead of solve_ivp
+    assert set(_call_sites("solve_ivp")) <= {"jacobiflow.flows._integrate"}
+    assert _call_sites("_batch") == ["jacobiflow.flows._integrate"]
+    assert _call_sites("_increments") == ["jacobiflow.flows._batch"]
 
 
 def _raised_names(tree) -> set[str]:
