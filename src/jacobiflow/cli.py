@@ -31,6 +31,7 @@ with a bare newline.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -51,7 +52,6 @@ from .engine import (
 from .errors import ConfigError, JacobiflowError, MathError, NondegeneracyError, RadiusError
 from .flows import _integrate, flow_plane
 from .grassmann import (
-    ChartError,
     GrassmannCurve,
     _chart_basis,
     _chart_matrix,
@@ -356,10 +356,13 @@ def _trace_rows(curve: GrassmannCurve, jumps: list[JumpEvent],
                 n: int) -> tuple[list[list], _SpectralFlow]:
     # the Maslov pass over Pi is returned so that the maslov verb counts on
     # it too; it validates every node, so the chart columns (chart (Sigma,
-    # Pi), prepared once) solve on the planes as they are
+    # Pi), prepared once) solve on the stack of planes as it is
     flow = _spectral_flow(curve.planes, vertical_plane(n))
     partial = flow.partial_sums()
     _, _, chart = _chart_basis(horizontal_plane(n), vertical_plane(n))
+    planes = np.stack(curve.planes)
+    charts = _chart_matrix(planes, chart).reshape(len(planes), -1)
+    off = np.isnan(charts).all(axis=1)
     # jump rows: within 1e-9 max(1, |t_jump|) of a jump time; only the two around a row can be
     times = np.asarray(curve.times, dtype=float)
     jt = np.sort([float(j.time) for j in jumps] + [np.nan])  # NaN sorts last, never matches
@@ -367,17 +370,10 @@ def _trace_rows(curve: GrassmannCurve, jumps: list[JumpEvent],
     near = jt[[np.maximum(right - 1, 0), right]]
     hits = np.any(np.abs(times - near) <= 1e-9 * np.maximum(1.0, np.abs(near)), axis=0)
     rows = []
-    for t, plane, psum, hit in zip(curve.times, curve.planes, partial, hits):
-        row: list = [float(t)]
-        row += [float(v) for v in np.asarray(plane).ravel()]
-        try:
-            s = _chart_matrix(plane, chart)
-            row += [float(v) for v in s.ravel()]
-        except ChartError:
-            row += [None] * (n * n)
-        row.append(float(psum))
-        row.append(1 if hit else 0)
-        rows.append(row)
+    for t, frame, s, skip, psum, hit in zip(
+            times.tolist(), planes.reshape(len(planes), -1).tolist(), charts.tolist(),
+            off.tolist(), partial, hits.tolist()):
+        rows.append([t, *frame, *([None] * (n * n) if skip else s), float(psum), 1 if hit else 0])
     return rows, flow
 
 
@@ -442,17 +438,9 @@ def _run_bangbang(config: ScenarioConfig) -> TraceOutput:
     x_list = config.data["x_list"]
     planes = bang_bang_sequence(config.initial_plane, x_list)
     times = np.arange(len(planes), dtype=float)
-    jumps = []
-    for i, x in enumerate(x_list):
-        if plane_distance(planes[i], planes[i + 1]) > 1e-10:
-            jumps.append(
-                JumpEvent(
-                    time=float(i + 1),
-                    pre_plane=planes[i],
-                    post_plane=planes[i + 1],
-                    inserted=x,
-                )
-            )
+    moved = plane_distance(np.stack(planes[:-1]), np.stack(planes[1:])) > 1e-10
+    jumps = [JumpEvent(time=float(i + 1), pre_plane=planes[i], post_plane=planes[i + 1],
+                       inserted=x_list[i]) for i in np.flatnonzero(moved).tolist()]
     curve = GrassmannCurve(times=times, planes=planes)
     summary = {
         "mode": config.mode,
@@ -538,13 +526,14 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
         if not eps:
             raise ConfigError("tolerances.eps_family: no entry lies below grid.t0")
         family = epsilon_family_oracle(frame.coeffs, l0_nf, float(grid[0]), eps, rtol=rtol)
-        dists = [float(plane_distance(a, b)) for a, b in zip(family, family[1:])]
+        family = np.stack(family)
+        dists = plane_distance(family[:-1], family[1:]).tolist()
         nf_curve = flow_plane(frame.coeffs.as_callable(), family[-1], grid, rtol=rtol)
         nf_planes = nf_curve.planes
         summary["eps_family"] = list(map(float, eps))
         summary["oracle_distances"] = dists
-    planes = [canonicalize(m @ p) for m, p in zip(meval(frame.frame, grid), nf_planes)]
-    rows, flow = _trace_rows(GrassmannCurve(times=grid, planes=planes), [jump], config.n)
+    planes = canonicalize(meval(frame.frame, grid) @ np.stack(nf_planes))
+    rows, flow = _trace_rows(GrassmannCurve(times=grid, planes=list(planes)), [jump], config.n)
     return TraceOutput(columns, rows, summary, flow)
 
 
@@ -562,22 +551,23 @@ def _run_portrait(config: ScenarioConfig) -> TraceOutput:
     starts = [[[1.0], [-val]] for val in u0] + [[[-val], [t_first]] for val in v0]
     lines = np.linalg.qr(np.array(starts, dtype=float).reshape(-1, 2, 1))[0]
     marched = _integrate(coeffs.as_callable(), lines, grid, config.tolerances["rtol"])
-    # planes[node][line], canonical as flow_plane emits them
-    planes = [[canonicalize(q) for q in lines]] + [
-        [canonicalize(np.linalg.qr(y)[0]) for y in ys] for ys in marched[1:]]
+    # coords[node][line]: the two coordinates of the canonical frame, as
+    # flow_plane emits it; every node and line in one stack
+    marched[1:] = np.linalg.qr(marched[1:])[0]
+    coords = canonicalize(marched.reshape(-1, 2, 1)).reshape(len(grid), -1, 2).tolist()
 
     table: list[list] = [[float(t)] for t in grid]
     columns = ["time"]
     for idx in range(len(u0)):
         columns.append(f"u_{idx}")
-        for row, ps in zip(table, planes):
-            den, num = float(ps[idx][0, 0]), float(ps[idx][1, 0])
+        for row, ps in zip(table, coords):
+            den, num = ps[idx]
             u = -num / den if abs(den) > 1e-12 else math.inf
             row.append(u if abs(u) <= PORTRAIT_MASK else None)
     for idx in range(len(v0)):
         columns.append(f"v_{idx}")
-        for t, row, ps in zip(grid, table, planes):
-            num, den = float(ps[len(u0) + idx][0, 0]), float(ps[len(u0) + idx][1, 0])
+        for t, row, ps in zip(grid, table, coords):
+            num, den = ps[len(u0) + idx]
             v = -float(t) * num / den if abs(den) > 1e-12 else math.inf
             row.append(v if abs(v) <= PORTRAIT_MASK else None)
 
@@ -698,7 +688,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"arguments: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     common = _Parser(add_help=False)
     common.add_argument("scenario", nargs="+", help="scenario JSON file(s)")
     common.add_argument("--out", help="output path (directory in batch runs)")
@@ -761,7 +753,7 @@ def _process_one(path_str: str, verb: str, fmt: str, out: Path | None,
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         overrides = None
         if args.tol_overrides:
             try:

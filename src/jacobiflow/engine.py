@@ -114,16 +114,22 @@ class PiecewiseAnalytic:
     def npieces(self) -> int:
         return len(self.b_pieces)
 
-    def piece_index(self, t: float, side: str = "+") -> int:
-        """Index of the piece containing t; breakpoints resolve by ``side``."""
+    def piece_index(self, t, side: str = "+"):
+        """Index of the piece containing t; breakpoints resolve by ``side``.
+
+        A 1-D array of times gives the array of their indices.
+        """
         bp = self.breakpoints
-        if t < bp[0] or t > bp[-1]:
-            raise PreconditionError(f"t = {t} outside [{bp[0]}, {bp[-1]}]")
+        ts = np.asarray(t)
+        outside = (ts < bp[0]) | (ts > bp[-1])
+        if np.any(outside):
+            bad = t if ts.ndim == 0 else ts[np.argmax(outside)]
+            raise PreconditionError(f"t = {bad} outside [{bp[0]}, {bp[-1]}]")
         if side == "+":
-            i = int(np.searchsorted(bp, t, side="right")) - 1
-            return min(i, self.npieces - 1)
-        i = int(np.searchsorted(bp, t, side="left")) - 1
-        return max(i, 0)
+            i = np.minimum(np.searchsorted(bp, t, side="right") - 1, self.npieces - 1)
+        else:
+            i = np.maximum(np.searchsorted(bp, t, side="left") - 1, 0)
+        return int(i) if ts.ndim == 0 else i
 
     def _stack(self, name: str, piece: int, deriv: int) -> np.ndarray:
         """Trimmed coefficient stack of the deriv-th derivative of ``b`` or ``X``."""
@@ -140,8 +146,16 @@ class PiecewiseAnalytic:
     def b(self, t: float, deriv: int = 0, side: str = "+") -> float:
         return float(meval(self._stack("b", self.piece_index(t, side), deriv), t))
 
-    def x(self, t: float, deriv: int = 0, side: str = "+") -> np.ndarray:
-        return meval(self._stack("x", self.piece_index(t, side), deriv), t)
+    def x(self, t, deriv: int = 0, side: str = "+") -> np.ndarray:
+        """X^(deriv) at ``t``; a 1-D array of K times gives the ``(K, 2n)`` values,
+        each equal bit for bit to the call at that time alone."""
+        pieces = np.atleast_1d(self.piece_index(t, side))
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.empty((ts.size, self.dim))
+        for p in np.unique(pieces).tolist():
+            at = pieces == p
+            out[at] = meval(self._stack("x", p, deriv), ts[at])
+        return out if np.ndim(t) else out[0]
 
     def x_coeff(self, piece: int, deriv: int = 0) -> np.ndarray:
         """(2n, d+1-deriv) coefficient array of the deriv-th derivative of X."""
@@ -231,12 +245,21 @@ def legendre_sequence(data: PiecewiseAnalytic, interval: tuple[float, float],
                             interval=(t0, t1))
 
 
-def goh_subspace(data: PiecewiseAnalytic, tau: float, i: int) -> np.ndarray:
-    """Canonical frame of ``Gamma^i(tau) = span{X^(j)(tau) : 0 <= j <= i}``."""
+def goh_subspace(data: PiecewiseAnalytic, tau, i: int) -> np.ndarray:
+    """Canonical frame of ``Gamma^i(tau) = span{X^(j)(tau) : 0 <= j <= i}``.
+
+    A 1-D array of times gives the stack of frames (see :func:`canonicalize`
+    for frames of lower rank).
+    """
     if i < 0:
-        return np.zeros((data.dim, 0))
-    cols = np.column_stack([data.x(tau, deriv=j) for j in range(i + 1)])
+        return np.zeros(np.shape(tau) + (data.dim, 0))
+    cols = np.stack([data.x(tau, deriv=j) for j in range(i + 1)], axis=-1)
     return canonicalize(cols)
+
+
+def _widths(frames: np.ndarray) -> np.ndarray:
+    """Rank of each canonical frame of a stack: its count of nonzero columns."""
+    return np.count_nonzero(np.any(frames != 0.0, axis=-2), axis=-1)
 
 
 @dataclass
@@ -348,27 +371,29 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
         frames[inside] = marched[1 : 1 + np.count_nonzero(inside)]
         cur = marched[-1]
 
-    goh_rank_ref = m
-    planes = []
+    # every node at once: the plane is span(Gamma^(m-1)(t), mu(t)); a node
+    # fails with the error of the first check it fails, the earliest node first
+    goh = goh_subspace(data, grid, m - 1)
+    planes = canonicalize(np.concatenate([goh, frames], axis=-1))
+    drifts, deficient = _widths(goh) != m, _widths(planes) != n
+    if np.any(drifts | deficient):
+        k = int(np.argmax(drifts | deficient))
+        if drifts[k]:
+            raise RankDriftError(f"Goh span rank drifts at t = {grid[k]:.6g}")
+        raise NondegeneracyError(f"plane rank deficient at t = {grid[k]:.6g}")
     drift = 0.0
-    for t, mu in zip(grid, frames):
-        goh = goh_subspace(data, t, m - 1)
-        if goh.shape[1] != goh_rank_ref:
-            raise RankDriftError(f"Goh span rank drifts at t = {t:.6g}")
-        plane = canonicalize(np.hstack([goh, mu]))
-        if plane.shape[1] != n:
-            raise NondegeneracyError(f"plane rank deficient at t = {t:.6g}")
-        planes.append(plane)
-        for i in range(m if mu.shape[1] else 0):
-            xi = data.x(t, deriv=i)
-            pair = np.abs(gram(xi, mu)).max() / max(1.0, np.linalg.norm(xi))
-            drift = max(drift, float(pair))
+    for i in range(m if mu0.shape[1] else 0):
+        xi = data.x(grid, deriv=i)[:, :, None]
+        # |X^(i)| as np.linalg.norm takes it: the square root of one dot product
+        norm = np.sqrt(np.swapaxes(xi, 1, 2) @ xi)[:, 0, 0]
+        pair = np.abs(gram(xi, frames)).max(axis=(1, 2)) / np.maximum(1.0, norm)
+        drift = max(drift, float(pair.max()))
 
-    curve = GrassmannCurve(times=grid, planes=planes)
+    curve = GrassmannCurve(times=grid, planes=list(planes))
     diag = {
         "order": m,
         "conservation_drift": drift,
-        "lagrangian_residual": max(isotropy_residual(p) for p in planes),
+        "lagrangian_residual": float(np.max(isotropy_residual(planes))),
     }
     return JacobiTrace(curve=curve, jumps=[], diagnostics=diag)
 

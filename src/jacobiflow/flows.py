@@ -255,7 +255,8 @@ def flow_plane(h, l0: np.ndarray, grid: Sequence[float], *, rtol: float = 1e-12)
     """Transport a plane along the flow, sampled at the grid nodes.
 
     The grid must be strictly monotone and is one march (:func:`_integrate`);
-    frames are orthonormalised at every node and returned as canonical frames.
+    frames are orthonormalised at every node and returned as canonical frames,
+    with one QR and one canonicalisation on the stack of nodes.
     """
     sys = _system(h)
     grid = np.asarray(grid, dtype=float)
@@ -267,6 +268,6 @@ def flow_plane(h, l0: np.ndarray, grid: Sequence[float], *, rtol: float = 1e-12)
         f = f[:, None]
     q, _ = np.linalg.qr(f)
     frames = _integrate(sys, q, grid, rtol)
-    planes = [canonicalize(q)] + [canonicalize(np.linalg.qr(y)[0]) for y in frames[1:]]
-    return GrassmannCurve(times=grid, planes=planes)
+    frames[1:] = np.linalg.qr(frames[1:])[0]
+    return GrassmannCurve(times=grid, planes=list(canonicalize(frames)))
 

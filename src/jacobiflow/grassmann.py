@@ -6,6 +6,15 @@ up to right multiplication by an invertible matrix; :func:`canonicalize`
 picks the reduced column-echelon representative so planes can be compared
 entry by entry.
 
+The helpers a sampled curve calls at every node (:func:`validate_lagrangian`,
+:func:`canonicalize`, :func:`intersection_dimension`, :func:`plane_distance`
+and the chart solve ``_chart_matrix``) take either one frame or a
+``(K, 2n, k)`` stack of frames, and a stack costs a fixed number of LAPACK
+calls.  There is one code path: a single frame is a stack of one.  numpy's
+``svd``, ``qr``, ``solve`` and ``inv`` run the same LAPACK routine on each
+matrix of a stack, and the stacked Gauss-Jordan makes the same elementwise
+operations, so every frame of a stack gets bit for bit what it gets alone.
+
 A chart is an ordered pair ``(delta, pi_ref)`` of transversal Lagrangian
 planes.  Every plane transversal to ``delta`` is the graph of a symmetric
 matrix over ``pi_ref``; :func:`to_chart` and :func:`from_chart` convert
@@ -52,21 +61,29 @@ def _as_frame(f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.ndim == 1:
         f = f[:, None]
-    if f.ndim != 2:
-        raise PreconditionError("frame must be a (2n, k) array")
-    dim_to_n(f.shape[0])
+    if f.ndim not in (2, 3):
+        raise PreconditionError("frame must be a (2n, k) array or a (K, 2n, k) stack")
+    dim_to_n(f.shape[-2])
     return f
 
 
 def validate_lagrangian(f: np.ndarray, tol_iso: float = TOL_ISO) -> np.ndarray:
-    """Check that a frame spans a Lagrangian plane (full rank, isotropic)."""
+    """Check that a frame, or each frame of a stack, spans a Lagrangian plane
+    (full rank, isotropic).
+
+    A stack fails at its first bad frame, with the error that checking the
+    frames one by one would raise.
+    """
     f = _as_frame(f)
-    n = f.shape[0] // 2
-    if f.shape[1] != n:
-        raise PreconditionError(f"Lagrangian frame must have n={n} columns, got {f.shape[1]}")
-    if frame_rank(f) < n:
-        raise NondegeneracyError("Lagrangian frame is rank deficient")
-    if isotropy_residual(f) > tol_iso:
+    n = f.shape[-2] // 2
+    if f.shape[-1] != n:
+        raise PreconditionError(f"Lagrangian frame must have n={n} columns, got {f.shape[-1]}")
+    deficient = np.atleast_1d(frame_rank(f) < n)
+    leaky = np.atleast_1d(isotropy_residual(f) > tol_iso)
+    bad = deficient | leaky
+    if bad.any():
+        if deficient[np.argmax(bad)]:
+            raise NondegeneracyError("Lagrangian frame is rank deficient")
         raise NondegeneracyError("frame is not isotropic to tolerance")
     return f
 
@@ -82,59 +99,76 @@ def horizontal_plane(n: int) -> np.ndarray:
 
 
 def canonicalize(f: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
-    """Reduced column-echelon representative of a frame.
+    """Reduced column-echelon representative of a frame, or of each frame of a stack.
 
     The result is the unique basis of span(f) in which each column has a
     leading coordinate equal to exactly 1, that coordinate vanishes in all
     other columns, and columns are ordered by leading coordinate.  Linearly
     dependent columns are dropped, so the output has ``rank(f)`` columns.
+    In a stack, a frame of lower rank than the highest is padded with zero
+    columns; a canonical column never vanishes, so the padding is plain.
 
     The representative is invariant under right multiplication by any
     invertible matrix and the map is idempotent.
     """
     f = _as_frame(f)
-    a = f.T.copy()  # rows are basis vectors, columns are coordinates
-    k, dim = a.shape
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if scale == 0.0:
-        return np.zeros((dim, 0))
+    # rows are basis vectors, columns are coordinates
+    a = np.swapaxes(f, -1, -2).reshape((-1,) + f.shape[:-3:-1]).copy()
+    count, k, dim = a.shape
+    scale = np.max(np.abs(a), axis=(1, 2), initial=0.0)
     thresh = tol * scale
-    pivots: list[tuple[int, int]] = []
-    r = 0
+    rank = np.zeros(count, dtype=int)
+    live = scale != 0.0
+    rows = np.arange(k)
     for c in range(dim):
-        if r >= k:
+        free = np.flatnonzero(live & (rank < k))
+        if not free.size:
             break
-        i = r + int(np.argmax(np.abs(a[r:, c])))
-        if abs(a[i, c]) <= thresh:
-            continue
-        a[[r, i]] = a[[i, r]]
-        a[r] = a[r] / a[r, c]
-        a[r, c] = 1.0
-        for j in range(k):
-            if j != r and a[j, c] != 0.0:
-                a[j] = a[j] - a[j, c] * a[r]
-                a[j, c] = 0.0
-        pivots.append((r, c))
-        r += 1
-    return a[: len(pivots)].T.copy()
+        # the largest entry of column c among each frame's unreduced rows
+        col = np.where(rows >= rank[:, None], np.abs(a[:, :, c]), -np.inf)
+        below = np.argmax(col, axis=1)
+        take = free[~(col[free, below[free]] <= thresh[free])]
+        r, i = rank[take], below[take]
+        a[take, r], a[take, i] = a[take, i], a[take, r]
+        block = a[take]
+        pivot = block[np.arange(take.size), r]
+        pivot /= pivot[:, c, None]
+        pivot[:, c] = 1.0
+        block[np.arange(take.size), r] = pivot
+        # rows with a zero in column c keep every bit, signed zeros included
+        lead = block[:, :, c, None]
+        reduced = block - lead * pivot[:, None, :]
+        reduced[:, :, c] = 0.0
+        hit = (lead != 0.0) & (rows != r[:, None])[:, :, None]
+        a[take] = np.where(hit, reduced, block)
+        rank[take] += 1
+    width = int(rank.max(initial=0))
+    out = a[:, :width]
+    out[rows[:width] >= rank[:, None]] = 0.0
+    return np.ascontiguousarray(np.swapaxes(out, 1, 2)).reshape(f.shape[:-2] + (dim, width))
 
 
-def intersection_dimension(a: np.ndarray, b: np.ndarray, tol: float = TOL_RANK) -> int:
-    """dim(span(a) ∩ span(b)) via rank arithmetic on stacked frames."""
+def intersection_dimension(a: np.ndarray, b: np.ndarray, tol: float = TOL_RANK):
+    """dim(span(a) ∩ span(b)) via rank arithmetic on stacked frames.
+
+    ``a`` may be a stack of frames; then the result has one dimension per
+    frame, and the rank of ``b`` is taken once.
+    """
     a = _as_frame(a)
     b = _as_frame(b)
-    if a.shape[0] != b.shape[0]:
+    if a.shape[-2] != b.shape[-2]:
         raise PreconditionError("frames live in different ambient spaces")
-    ra = frame_rank(a, tol)
-    rb = frame_rank(b, tol)
-    rab = frame_rank(np.hstack([a, b]), tol)
-    return ra + rb - rab
+    both = np.concatenate([a, np.broadcast_to(b, a.shape[:-1] + b.shape[-1:])], axis=-1)
+    return frame_rank(a, tol) + frame_rank(b, tol) - frame_rank(both, tol)
 
 
 def _orthonormal(f: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning ``f`` (or each frame of a stack); the
+    columns of dependent directions are zero."""
     q, r = np.linalg.qr(f)
-    keep = np.abs(np.diag(r)) > TOL_RANK * max(1.0, float(np.max(np.abs(r))))
-    return q[:, keep]
+    scale = np.maximum(1.0, np.max(np.abs(r), axis=(-2, -1), keepdims=True))
+    keep = np.abs(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :] > TOL_RANK * scale
+    return q * keep
 
 
 def transversality_margin(a: np.ndarray, b: np.ndarray) -> float:
@@ -151,11 +185,16 @@ def transversality_margin(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.arccos(min(1.0, float(s[0]))))
 
 
-def plane_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Gap distance between subspaces: spectral norm of the projector difference."""
+def plane_distance(a: np.ndarray, b: np.ndarray):
+    """Gap distance between subspaces: spectral norm of the projector difference.
+
+    A float for two frames, an array of the pairwise distances for stacks.
+    """
     qa = _orthonormal(_as_frame(a))
     qb = _orthonormal(_as_frame(b))
-    return float(np.linalg.norm(qa @ qa.T - qb @ qb.T, 2))
+    gap = np.linalg.norm(qa @ np.swapaxes(qa, -1, -2) - qb @ np.swapaxes(qb, -1, -2), 2,
+                         axis=(-2, -1))
+    return float(gap) if gap.ndim == 0 else gap
 
 
 @dataclass
@@ -212,20 +251,25 @@ def to_chart(
     """
     plane = validate_lagrangian(plane)
     p, d, m = _chart_basis(delta, pi_ref)
-    return ChartPoint(s=_chart_matrix(plane, m, tol), delta=canonicalize(d), pi_ref=p)
-
-
-def _chart_matrix(plane: np.ndarray, m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Symmetric chart matrix of a validated plane over the basis ``m`` of
-    :func:`_chart_basis`; the solving step of :func:`to_chart`."""
-    n = plane.shape[0] // 2
-    y = np.linalg.solve(m, plane)
-    u, v = y[:n], y[n:]
-    su = np.linalg.svd(u, compute_uv=False)
-    if su[0] == 0.0 or su[-1] < tol * su[0]:
+    s = _chart_matrix(plane, m, tol)
+    if np.isnan(s).all():
         raise ChartError("plane is not transversal to the chart plane delta")
-    s = v @ np.linalg.inv(u)
-    return 0.5 * (s + s.T)
+    return ChartPoint(s=s, delta=canonicalize(d), pi_ref=p)
+
+
+def _chart_matrix(planes: np.ndarray, m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Symmetric chart matrices of a validated plane, or a stack of them, over
+    the basis ``m`` of :func:`_chart_basis`; the solving step of :func:`to_chart`.
+
+    A plane not transversal to the chart plane delta gets a matrix of NaN.
+    """
+    n = planes.shape[-2] // 2
+    y = np.linalg.solve(m, planes)
+    u, v = y[..., :n, :], y[..., n:, :]
+    su = np.linalg.svd(u, compute_uv=False)
+    off = ((su[..., 0] == 0.0) | (su[..., -1] < tol * su[..., 0]))[..., None, None]
+    s = v @ np.linalg.inv(np.where(off, np.eye(n), u))
+    return np.where(off, np.nan, 0.5 * (s + np.swapaxes(s, -1, -2)))
 
 
 def from_chart(point: ChartPoint) -> np.ndarray:
@@ -297,6 +341,8 @@ class GrassmannCurve:
         if self.times.shape[0] >= 2 and not np.all(np.diff(self.times) > 0):
             raise PreconditionError("curve times must be strictly increasing")
         self.planes = [np.asarray(p, dtype=float) for p in self.planes]
+        if len({p.shape for p in self.planes}) > 1:
+            raise PreconditionError("curve planes must share one shape")
 
     def __len__(self) -> int:
         return int(self.times.shape[0])

@@ -21,17 +21,17 @@ where the plane meets Pi, the index is half the change of signature,
 so a line whose chart matrix moves from -1 to +1 through 0 has index +1.
 
 Counting.  :func:`_spectral_flow` makes one vectorised pass over the nodes
-of a sampled curve: each node is validated and orthonormalised once and its
-W and eigenvalue angles are computed once.  The increment of an interval is
-the spectral flow of W along the shortest path between its two samples, the
-geodesic of the Lagrangian Grassmannian (the path a chart covering both
-samples would count along).  On that path arg det W turns by the sum of the
-angles, each in (-pi, pi), of the eigenvalues of W_{k-1}^H W_k; these are
-twice the signed principal angles between the samples.  With G(W) the sum
-of the eigenvalue angles of W measured counterclockwise from 1 in
-[0, 2 pi), an eigenvalue passing 1 counterclockwise lowers G by 2 pi, so
-the increment is (turn of arg det W - change of G) / 2 pi.  No tolerance
-enters.
+of a sampled curve: the stack of nodes is validated in one call, each node
+is orthonormalised once and its W and eigenvalue angles are computed once.
+The increment of an interval is the spectral flow of W along the shortest
+path between its two samples, the geodesic of the Lagrangian Grassmannian
+(the path a chart covering both samples would count along).  On that path
+arg det W turns by the sum of the angles, each in (-pi, pi), of the
+eigenvalues of W_{k-1}^H W_k; these are twice the signed principal angles
+between the samples.  With G(W) the sum of the eigenvalue angles of W
+measured counterclockwise from 1 in [0, 2 pi), an eigenvalue passing 1
+counterclockwise lowers G by 2 pi, so the increment is (turn of arg det W -
+change of G) / 2 pi.  No tolerance enters.
 
 A step is refused when W_{k-1}^H W_k has the eigenvalue -1 (its angle
 evaluates to pi): a principal angle between the samples is pi/2, the
@@ -39,8 +39,10 @@ Bhatia-Davis bound 2 arcsin(||W_k - W_{k-1}||_2 / 2) on eigenvalue motion
 (*Linear Multilinear Algebra* 15, 1984) reaches pi, and no single shortest
 path joins the samples.  :func:`maslov_index` then raises
 :class:`RefinementError` and :func:`maslov_partial_sums` writes ``nan``.
-Whether a node meets Pi is decided by :func:`intersection_dimension`:
-:func:`maslov_index` refuses a curve whose endpoints meet Pi
+Whether a node meets Pi is decided by one stacked rank test,
+:func:`intersection_dimension` on the stack of nodes: the rank of Pi is
+taken once, and one batched SVD gives the rank of ``[L | Pi]`` at every
+node.  :func:`maslov_index` refuses a curve whose endpoints meet Pi
 (:class:`PreconditionError`) and counts across interior nodes on Pi, while
 the partial sums carry ``nan`` on both intervals at such a node.
 """
@@ -112,11 +114,11 @@ class _SpectralFlow:
 def _spectral_flow(planes: Sequence[np.ndarray], pi: np.ndarray) -> _SpectralFlow:
     """Validate ``pi`` and every node, then count each interval (see module doc)."""
     pi = validate_lagrangian(np.asarray(pi, dtype=float))
-    frames = [validate_lagrangian(p) for p in planes]
-    on_pi = np.array([intersection_dimension(f, pi) > 0 for f in frames], dtype=bool)
+    frames = validate_lagrangian(np.stack(planes) if len(planes) else np.empty((0,) + pi.shape))
+    on_pi = intersection_dimension(frames, pi) > 0
     if len(frames) < 2:
         return _SpectralFlow(on_pi, np.zeros(0, dtype=int), np.zeros(0, dtype=bool))
-    w = _souriau(np.stack(frames), pi)
+    w = _souriau(frames, pi)
     # a node on pi has an eigenvalue angle of +-0, placed at 0 or 2 pi; both
     # of its intervals read the same G, so its crossing is counted once
     g = np.sum(np.mod(np.angle(np.linalg.eigvals(w)), 2.0 * np.pi), axis=1)

@@ -62,19 +62,24 @@ def sconv(a: np.ndarray, b: np.ndarray, nterms: int | None = None) -> np.ndarray
 
 
 def srecip(a: np.ndarray, nterms: int | None = None) -> np.ndarray:
-    """Reciprocal series of ``a``; requires a nonzero constant term."""
+    """Reciprocal series of ``a``; requires a nonzero constant term.
+
+    The recursion runs on Python floats: the same IEEE operations in the
+    same order as on numpy scalars, at a fraction of the cost.
+    """
     a = np.asarray(a, dtype=float)
     if a[0] == 0.0:
         raise DegenerateError("cannot invert a series with zero constant term")
     n = a.size if nterms is None else nterms
-    out = np.zeros(n)
-    out[0] = 1.0 / a[0]
+    c = a.tolist()
+    out = [0.0] * n
+    out[0] = 1.0 / c[0]
     for k in range(1, n):
         acc = 0.0
-        for j in range(1, min(k, a.size - 1) + 1):
-            acc += a[j] * out[k - j]
-        out[k] = -acc / a[0]
-    return out
+        for j in range(1, min(k, len(c) - 1) + 1):
+            acc += c[j] * out[k - j]
+        out[k] = -acc / c[0]
+    return np.array(out, dtype=float)
 
 
 def sexp(a: np.ndarray) -> np.ndarray:

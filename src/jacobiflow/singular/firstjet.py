@@ -437,31 +437,30 @@ def first_jet_continuation(
     stack = blowup_series(system)
     t0 = series_start(stack)
 
-    planes = []
     blown = np.full((grid.size, kk, kk), np.nan)
     above = grid[grid > t0]
     inside = grid.size - above.size
     blown[:inside] = meval(stack, grid[:inside])
-    for t, s1 in zip(grid[:inside], blown):
-        planes.append(canonicalize(case.minv @ np.vstack([np.eye(kk), float(t) * s1])))
+    # the planes [I; t S1(t)] of the series window, mapped back, as one stack
+    frames = np.empty((grid.size, 2 * kk, kk))
+    frames[:inside, :kk] = np.eye(kk)
+    frames[:inside, kk:] = grid[:inside, None, None] * blown[:inside]
+    frames[:inside] = case.minv @ frames[:inside]
 
     if above.size:
         # past the series window the plane is moved as a frame, so leaving
-        # the blow-up chart ends nothing; S1 is read back where the chart exists
+        # the blow-up chart ends nothing; S1 is read back where the chart
+        # exists (NaN elsewhere)
         start = case.minv @ np.vstack([np.eye(kk), t0 * meval(stack, t0)])
-        frames = _integrate(coeffs.as_callable(), start, np.concatenate([[t0], above]), rtol)
-        # the chart of to_chart(case.matrix @ plane, Sigma, Pi), its basis
-        # prepared once for all nodes
-        chart = _chart_basis(horizontal_plane(kk), vertical_plane(kk))[2]
-        for t, frame in zip(above, frames[1:]):
-            plane = canonicalize(frame)
-            try:
-                blown[len(planes)] = _chart_matrix(case.matrix @ plane, chart) / t
-            except ChartError:
-                pass
-            planes.append(plane)
+        marched = _integrate(coeffs.as_callable(), start, np.concatenate([[t0], above]), rtol)
+        frames[inside:] = marched[1:]
+    planes = canonicalize(frames)
+    # the chart of to_chart(case.matrix @ plane, Sigma, Pi), its basis
+    # prepared once for all nodes
+    chart = _chart_basis(horizontal_plane(kk), vertical_plane(kk))[2]
+    blown[inside:] = _chart_matrix(case.matrix @ planes[inside:], chart) / above[:, None, None]
 
-    curve = GrassmannCurve(times=grid, planes=planes)
+    curve = GrassmannCurve(times=grid, planes=list(planes))
     jump = JumpEvent(
         time=0.0,
         pre_plane=case.plane,

@@ -6,7 +6,10 @@ structure matrix J is never materialised: :func:`apply_j` swaps the blocks
 in place, which is all any routine here needs.
 
 Unless stated otherwise a *frame* is a ``(2n, k)`` array whose columns span
-the subspace under discussion.
+the subspace under discussion.  :func:`gram`,
+:func:`isotropy_residual` and :func:`frame_rank` also take a ``(K, 2n, k)``
+stack of frames and then give one result per frame, each equal bit for bit
+to the call on that frame alone.
 """
 
 from __future__ import annotations
@@ -37,16 +40,17 @@ def dim_to_n(dim: int) -> int:
     return dim // 2
 
 
-def apply_j(v: np.ndarray) -> np.ndarray:
+def apply_j(v: np.ndarray, axis: int = 0) -> np.ndarray:
     """Apply the structure matrix J to a vector or to the columns of a matrix.
 
-    ``J (p, q) = (q, -p)`` in block form; works for 1-D and 2-D arrays.
+    ``J (p, q) = (q, -p)`` in block form, along ``axis``, the coordinate axis.
     """
     v = np.asarray(v, dtype=float)
-    n = dim_to_n(v.shape[0])
+    n = dim_to_n(v.shape[axis])
     out = np.empty_like(v)
-    out[:n] = v[n:]
-    out[n:] = -v[:n]
+    head = (slice(None),) * (axis % v.ndim)
+    out[head + (slice(None, n),)] = v[head + (slice(n, None),)]
+    out[head + (slice(n, None),)] = -v[head + (slice(None, n),)]
     return out
 
 
@@ -61,37 +65,48 @@ def symplectic_form(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def gram(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Matrix of sigma-pairings ``G[i, j] = sigma(f_i, g_j)`` between two frames."""
+    """Matrix of sigma-pairings ``G[i, j] = sigma(f_i, g_j)`` between two frames.
+
+    Stacks of frames give the stack of their Gram matrices.
+    """
     f = np.atleast_2d(np.asarray(f, dtype=float))
     g = np.atleast_2d(np.asarray(g, dtype=float))
     if f.ndim == 2 and f.shape[0] == 1:
         f = f.T
     if g.ndim == 2 and g.shape[0] == 1:
         g = g.T
-    return f.T @ apply_j(g)
+    return np.swapaxes(f, -1, -2) @ apply_j(g, axis=-2)
 
 
-def isotropy_residual(f: np.ndarray) -> float:
-    """Max |sigma(f_i, f_j)| scaled by the column norms (0 for exact isotropy)."""
+def isotropy_residual(f: np.ndarray):
+    """Max |sigma(f_i, f_j)| scaled by the column norms (0 for exact isotropy).
+
+    A float for one frame, an array with one residual per frame for a stack.
+    """
     f = np.asarray(f, dtype=float)
     if f.ndim == 1:
         f = f[:, None]
-    scale = np.linalg.norm(f, axis=0)
+    scale = np.linalg.norm(f, axis=-2)
     scale = np.where(scale == 0.0, 1.0, scale)
-    return float(np.max(np.abs(gram(f, f)) / np.outer(scale, scale)))
+    res = np.max(np.abs(gram(f, f)) / (scale[..., :, None] * scale[..., None, :]), axis=(-2, -1))
+    return float(res) if f.ndim == 2 else res
 
 
-def frame_rank(f: np.ndarray, tol: float = TOL_RANK) -> int:
-    """Numerical rank of a frame (relative threshold on singular values)."""
+def frame_rank(f: np.ndarray, tol: float = TOL_RANK):
+    """Numerical rank of a frame (relative threshold on singular values).
+
+    An int for one frame, an int array with one rank per frame for a stack.
+    """
     f = np.asarray(f, dtype=float)
     if f.ndim == 1:
         f = f[:, None]
     if f.size == 0:
-        return 0
-    s = np.linalg.svd(f, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+        rank = np.zeros(f.shape[:-2], dtype=int)
+    else:
+        # all singular values are 0 exactly when the largest is
+        s = np.linalg.svd(f, compute_uv=False)
+        rank = np.sum(s > tol * s[..., :1], axis=-1)
+    return int(rank) if f.ndim == 2 else rank
 
 
 def skew_complement(g: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jacobiflow import cli
 from jacobiflow.cli import DEFAULT_U0, DEFAULT_V0, _trace_rows, main
 from jacobiflow.engine import JumpEvent
 from jacobiflow.grassmann import GrassmannCurve, horizontal_plane
@@ -100,6 +101,28 @@ def test_golden_degen_m3_trace_is_byte_stable(tmp_path):
 ], ids=["regular-trace", "regular-maslov", "bangbang"])
 def test_golden_curve_outputs_are_byte_stable(tmp_path, verb, scenario, csv, summary):
     _assert_golden(tmp_path, verb, scenario, csv, summary)
+
+
+def test_consecutive_calls_share_one_parser_and_leak_no_state(tmp_path, capsys):
+    scenario = str(GOLDEN / "regular_short.json")
+
+    def plain(name: str) -> dict[str, bytes]:
+        directory = tmp_path / name
+        directory.mkdir()
+        assert main(["trace", scenario, "--out", str(directory / "o.csv")]) == 0
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    before = plain("before")
+    parser = cli._parser()
+    assert main(["maslov", scenario, "--out", str(tmp_path / "o.json"), "--format", "json",
+                 "--seed", "7", "--tol-overrides", '{"rtol": 1e-10}']) == 0
+    assert json.loads((tmp_path / "o.json").read_text())["summary"]["seed"] == 7
+    assert main(["trace", scenario, scenario, "--batch", "--out", str(tmp_path / "batch")]) == 0
+    # neither --batch nor the seed, format or tolerances of the calls before stick
+    assert main(["trace", scenario, scenario]) == 2
+    assert _errors(capsys)[0]["message"] == "arguments: several scenarios need --batch"
+    assert plain("after") == before
+    assert cli._parser() is parser
 
 
 def test_regular_mode_uses_the_scenario_rtol(tmp_path):

@@ -16,7 +16,7 @@ from jacobiflow.engine import (
     legendre_sequence,
     singular_jacobi_curve,
 )
-from jacobiflow.errors import PreconditionError, UndecidedError
+from jacobiflow.errors import PreconditionError, RankDriftError, UndecidedError
 from jacobiflow.grassmann import (
     GrassmannCurve,
     canonicalize,
@@ -213,6 +213,51 @@ def test_singular_curve_order_equals_n():
         goh = goh_subspace(data, float(t), 1)
         assert plane_distance(p, goh) < 1e-9
         assert isotropy_residual(p) < 1e-9
+
+
+def _vanishing_m2(roots):
+    """Order-2 data X = phi Y with phi = prod (t - c) and Y the curve of
+    :func:`_data_m2`: b^1 still vanishes, b^2 = -phi^2 is negative off the
+    roots, and Gamma^1 = span(X, X') drops to rank 1 at each root."""
+    y = _data_m2().x_pieces[0]
+    phi = npp.polyfromroots(roots)
+    x = np.zeros((4, y.shape[1] + len(roots)))
+    for row, coeffs in zip(x, y):
+        prod = npp.polymul(phi, coeffs)
+        row[: prod.size] = prod
+    return PiecewiseAnalytic(breakpoints=np.array([0.0, 1.0]), b_pieces=[np.zeros(1)],
+                             x_pieces=[x])
+
+
+@pytest.mark.parametrize("roots", [[0.375], [0.625], [0.375, 0.625]])
+def test_goh_rank_drift_names_the_first_node_where_the_rank_drops(roots):
+    # the roots are grid nodes (k/8) but not sign-check samples (k/100)
+    data = _vanishing_m2(roots)
+    grid = np.linspace(0.0, 1.0, 9)
+    first = next(t for t in grid if goh_subspace(data, float(t), 1).shape[1] != 2)
+    assert first == min(roots)
+    with pytest.raises(RankDriftError, match=f"at t = {first:.6g}$"):
+        singular_jacobi_curve(data, horizontal_plane(2), (0.0, 1.0), grid)
+
+
+def test_evaluation_at_an_array_of_times_is_the_scalar_calls():
+    rng = np.random.default_rng(4)
+    data = PiecewiseAnalytic(breakpoints=np.array([-1.0, 0.0, 1.0]),
+                             b_pieces=[np.zeros(1), np.zeros(1)],
+                             x_pieces=[rng.normal(size=(4, 5)), rng.normal(size=(4, 3))])
+    times = np.array([-1.0, -0.3, 0.0, 0.4, 1.0])
+    for side in "+-":
+        assert np.array_equal(data.piece_index(times, side),
+                              [data.piece_index(float(t), side) for t in times])
+        for deriv in (0, 2):
+            stacked = data.x(times, deriv=deriv, side=side)
+            for t, row in zip(times, stacked):
+                assert row.tobytes() == data.x(float(t), deriv=deriv, side=side).tobytes()
+        stacked = goh_subspace(data, times, 1)
+        for t, frame in zip(times, stacked):
+            assert frame.tobytes() == goh_subspace(data, float(t), 1).tobytes()
+    with pytest.raises(PreconditionError, match="t = 1.5 outside"):
+        data.x(np.array([0.5, 1.5, -2.0]))
 
 
 def test_singular_curve_rejects_bad_grid_and_sign():

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from jacobiflow.errors import ChartError, NondegeneracyError, PreconditionError
 from jacobiflow.grassmann import (
     GrassmannCurve,
+    _chart_basis,
+    _chart_matrix,
     canonicalize,
     extend_by_isotropic,
     from_chart,
@@ -18,7 +20,7 @@ from jacobiflow.grassmann import (
     validate_lagrangian,
     vertical_plane,
 )
-from jacobiflow.symplectic import isotropy_residual, symplectic_form
+from jacobiflow.symplectic import apply_j, frame_rank, isotropy_residual, symplectic_form
 
 
 def test_reference_planes():
@@ -189,6 +191,137 @@ def test_plane_distance_properties():
     assert plane_distance(a, b) == pytest.approx(plane_distance(b, a))
     assert plane_distance(a, a) < 1e-14
     assert 0.0 <= plane_distance(a, b) <= 1.0 + 1e-12
+
+
+
+def test_grassmann_curve_planes_share_one_shape():
+    with pytest.raises(PreconditionError, match="one shape"):
+        GrassmannCurve(times=np.array([0.0, 1.0]), planes=[vertical_plane(1), vertical_plane(2)])
+
+
+# -- stacks of frames: every helper a sampled curve calls per node takes a
+# (K, 2n, k) stack and must give each frame, bit for bit, what the frame gets
+# alone.  Entries include signed zeros and repeated values, so that pivot ties
+# and the zero test of the elimination are exercised.
+
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -0.5, 3.0]) | st.floats(-4.0, 4.0)
+
+
+@st.composite
+def _stacks(draw, lagrangian_width=False):
+    """A (K, 2n, k) stack mixing plain, zero, signed-zero and rank-deficient frames."""
+    n = draw(st.integers(1, 3))
+    k = n if lagrangian_width else draw(st.integers(1, 2 * n))
+    count = draw(st.integers(1, 6))
+    size = count * 2 * n * k
+    f = np.array(draw(st.lists(_ENTRIES, min_size=size, max_size=size))).reshape(count, 2 * n, k)
+    for frame in f:
+        kind = draw(st.sampled_from(["plain", "plain", "zero", "negative zero", "repeat"]))
+        if kind == "zero":
+            frame[:] = 0.0
+        elif kind == "negative zero":
+            frame[:] = -0.0
+        elif kind == "repeat":
+            frame[:, -1] = 2.0 * frame[:, 0]
+    return f
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _reference_canonicalize(f, tol=1e-9):
+    """The frame-by-frame Gauss-Jordan that the stacked one replaced."""
+    a = np.asarray(f, dtype=float).T.copy()
+    k, dim = a.shape
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    if scale == 0.0:
+        return np.zeros((dim, 0))
+    r = 0
+    for c in range(dim):
+        if r >= k:
+            break
+        i = r + int(np.argmax(np.abs(a[r:, c])))
+        if abs(a[i, c]) <= tol * scale:
+            continue
+        a[[r, i]] = a[[i, r]]
+        a[r] = a[r] / a[r, c]
+        a[r, c] = 1.0
+        for j in range(k):
+            if j != r and a[j, c] != 0.0:
+                a[j] = a[j] - a[j, c] * a[r]
+                a[j, c] = 0.0
+        r += 1
+    return a[:r].T.copy()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_stacks())
+def test_stacked_canonicalize_is_the_frame_by_frame_result(f):
+    out = canonicalize(f)
+    assert out.shape[:2] == f.shape[:2]
+    for frame, got in zip(f, out):
+        one = _reference_canonicalize(frame)
+        assert _same_bits(canonicalize(frame), one)
+        assert _same_bits(got[:, : one.shape[1]], one)
+        assert not got[:, one.shape[1]:].any()  # lower ranks are padded with zero columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacks())
+def test_stacked_ranks_residuals_and_distances_are_the_frame_by_frame_results(f):
+    other = f[::-1] + 0.25  # pairs frames of different kinds
+    assert _same_bits(frame_rank(f), np.array([frame_rank(x) for x in f]))
+    assert _same_bits(isotropy_residual(f), np.array([isotropy_residual(x) for x in f]))
+    assert _same_bits(intersection_dimension(f, other[0]),
+                      np.array([intersection_dimension(x, other[0]) for x in f]))
+    assert _same_bits(plane_distance(f, other),
+                      np.array([plane_distance(a, b) for a, b in zip(f, other)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacks(lagrangian_width=True))
+def test_stacked_chart_matrices_are_the_frame_by_frame_results(f):
+    n = f.shape[1] // 2
+    m = _chart_basis(horizontal_plane(n), vertical_plane(n))[2]
+    s = _chart_matrix(f, m)
+    for frame, got in zip(f, s):
+        assert _same_bits(got, _chart_matrix(frame, m))
+    # a plane that meets the chart plane delta has no chart matrix
+    assert np.isnan(_chart_matrix(horizontal_plane(n), m)).all()
+
+
+def _first_failure(check, frames):
+    """(class, message) of the first error of ``check`` over ``frames``, or None."""
+    try:
+        for f in frames:
+            check(f)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**31 - 1),
+       st.lists(st.sampled_from(["good", "leaky", "deficient"]), min_size=1, max_size=6))
+def test_stacked_validation_fails_where_the_frame_by_frame_check_fails(n, seed, kinds):
+    rng = np.random.default_rng(seed)
+    frames = []
+    for kind in kinds:
+        f = random_lagrangian(rng, n)
+        if kind == "leaky" and n > 1:  # sigma(f_0, f_1) = -|f_0|^2 / 2: full rank, not isotropic
+            f[:, 1] += 0.5 * apply_j(f[:, 0])
+        elif kind == "deficient":
+            f[:, -1] = 0.0
+        frames.append(f)
+    stack = np.stack(frames)
+    expected = _first_failure(validate_lagrangian, frames)
+    assert _first_failure(validate_lagrangian, [stack]) == expected
+    if expected is None:
+        assert validate_lagrangian(stack) is not None
+    else:
+        assert expected[0] is NondegeneracyError
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from jacobiflow.grassmann import (
     validate_lagrangian,
     vertical_plane,
 )
-from jacobiflow.maslov import maslov_index, maslov_partial_sums
+from jacobiflow.maslov import _spectral_flow, maslov_index, maslov_partial_sums
 from jacobiflow.symplectic import apply_j, isotropy_residual
 
 # -- reference: the chart-catalogue route that the spectral-flow counter
@@ -391,6 +391,32 @@ def test_index_across_interior_nodes_on_reference():
     assert len(on_pi) == 2 and 0 < min(on_pi) and max(on_pi) < len(curve) - 1
     assert maslov_index(curve, pi) == _reference_index(curve, pi) == 2
     _assert_same_sums(curve, pi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**31 - 1),
+       st.lists(st.integers(0, 3), min_size=1, max_size=8))
+def test_stacked_node_on_pi_test_is_the_frame_by_frame_rank_test(n, seed, meets):
+    # node k spans min(meets[k], n) p-axes and the lines q_i + s_i p_i, so it
+    # meets {q = 0} in that many dimensions; one symplectic map moves every
+    # node and the reference plane, and a right factor changes each frame
+    rng = np.random.default_rng(seed)
+    s1, s2 = rng.normal(size=(2, n, n))
+    shear = np.block([[np.eye(n), s1 + s1.T], [np.zeros((n, n)), np.eye(n)]])
+    tilt = np.block([[np.eye(n), np.zeros((n, n))], [s2 + s2.T, np.eye(n)]])
+    move = shear @ tilt
+    planes = []
+    for shared in meets:
+        shared = min(shared, n)
+        f = np.zeros((2 * n, n))
+        f[:n] = np.diag(np.where(np.arange(n) < shared, 1.0, rng.normal(size=n)))
+        f[n:][np.arange(shared, n), np.arange(shared, n)] = 1.0
+        planes.append(move @ f @ (rng.normal(size=(n, n)) + 3.0 * np.eye(n)))
+    pi = move @ vertical_plane(n)
+    loop = np.array([intersection_dimension(f, pi) for f in planes])
+    assert list(loop) == [min(m, n) for m in meets]
+    assert intersection_dimension(np.stack(planes), pi).tobytes() == loop.tobytes()
+    assert np.array_equal(_spectral_flow(planes, pi).on_pi, loop > 0)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jacobiflow.errors import DegenerateError
@@ -63,6 +63,32 @@ def test_srecip_is_inverse(nterms, seed):
     back = sconv(a, r)
     assert back[0] == pytest.approx(1.0)
     assert np.max(np.abs(back[1:])) < 1e-9 * max(1.0, np.max(np.abs(r)))
+
+
+def _reference_srecip(a, nterms=None):
+    """The recursion on numpy scalars that srecip replaced."""
+    a = np.asarray(a, dtype=float)
+    n = a.size if nterms is None else nterms
+    out = np.zeros(n)
+    out[0] = 1.0 / a[0]
+    for k in range(1, n):
+        acc = 0.0
+        for j in range(1, min(k, a.size - 1) + 1):
+            acc += a[j] * out[k - j]
+        out[k] = -acc / a[0]
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300]) | st.floats(-1e3, 1e3),
+                min_size=1, max_size=45),
+       st.none() | st.integers(1, 45))
+def test_srecip_is_bit_for_bit_the_numpy_scalar_recursion(a, nterms):
+    assume(a[0] != 0.0)
+    with np.errstate(all="ignore"):
+        ref = _reference_srecip(a, nterms)
+    assume(np.all(np.isfinite(ref)))
+    assert srecip(a, nterms).tobytes() == ref.tobytes()
 
 
 def test_sconv_matches_polynomial_product():

@@ -1,19 +1,23 @@
 """Guards on the shape of the package: no scipy in the package, one integrator
-call site, one solver call per transport, a lean import, exports that resolve,
-and an error taxonomy with no class that nothing raises."""
+call site, one solver call per transport, a number of LAPACK calls per trace
+that does not grow with its nodes, a lean import, exports that resolve, and
+an error taxonomy with no class that nothing raises."""
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jacobiflow
-from jacobiflow import cli, flows
+from jacobiflow import cli, engine, flows
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
@@ -139,6 +143,58 @@ def test_cli_makes_one_solver_call_per_transport(tmp_path, monkeypatch, verb, sc
             monkeypatch.setattr(module, "_integrate", counted)
     assert cli.main([verb, str(CORPUS / f"{scenario}.json"), "--out", str(tmp_path / "o.csv")]) == 0
     assert len(seen) == calls
+
+
+def _count_lapack(monkeypatch) -> Counter:
+    """Count the calls of numpy's LAPACK wrappers from now on, except those
+    made by the transport kernel (one batch of steps per solve) and by the
+    bang-bang recursion (each switch extends the plane the one before left);
+    both grow with the nodes by design."""
+    counts: Counter = Counter()
+    paused: list[int] = []
+    for name in ("svd", "qr", "solve", "inv", "eigvals"):
+        def counted(*a, _fn=getattr(np.linalg, name), _name=name, **k):
+            counts[_name] += not paused
+            return _fn(*a, **k)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for attr, fn in (("_integrate", flows._integrate),
+                     ("bang_bang_sequence", engine.bang_bang_sequence)):
+        def pausing(*a, _fn=fn, **k):
+            paused.append(1)
+            try:
+                return _fn(*a, **k)
+            finally:
+                paused.pop()
+
+        # every module that imported the function calls its own binding
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("jacobiflow") and getattr(module, attr, None) is fn:
+                monkeypatch.setattr(module, attr, pausing)
+    return counts
+
+
+# a trace costs a fixed number of LAPACK calls, however many nodes it has:
+# every per-node step of the Grassmannian and Maslov layers works on the stack
+@pytest.mark.parametrize("verb, scenario", [
+    ("trace", "regular"), ("maslov", "regular"), ("trace", "order2"), ("trace", "degen_m1"),
+    ("bangbang", "bangbang"), ("portrait", "portrait"),
+])
+def test_lapack_calls_do_not_grow_with_the_nodes(tmp_path, monkeypatch, verb, scenario):
+    counts = _count_lapack(monkeypatch)
+    seen = []
+    for nodes in (50, 400):
+        raw = json.loads((CORPUS / f"{scenario}.json").read_text())
+        raw["grid"]["steps"] = nodes
+        if scenario == "bangbang":  # its nodes are its switches, not its grid
+            raw["data"]["x_list"] = (raw["data"]["x_list"] * 2)[: nodes - 1]
+        path = tmp_path / f"{scenario}-{nodes}.json"
+        path.write_text(json.dumps(raw))
+        counts.clear()
+        assert cli.main([verb, str(path), "--out", str(tmp_path / "o.csv")]) == 0
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert sum(seen[0].values()) > 0
 
 
 def test_cli_import_does_not_load_mpmath():
