@@ -628,14 +628,27 @@ def run(config: ScenarioConfig, verb: str = "trace") -> TraceOutput:
 # ---------------------------------------------------------------------------
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % float(value)
+def _cell_format(kind: type) -> str:
+    """The %-format of a CSV cell of this type: empty for ``None``, integers
+    (``bool`` too) in decimal, anything else as a float to 17 digits."""
+    if kind is type(None):
+        return "%.0s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    return "%.17g"
+
+
+def _csv_lines(rows) -> list[str]:
+    """One CSV line per row, formatted by one %-format per distinct row of cell types."""
+    formats: dict[tuple, str] = {}
+    lines = []
+    for row in rows:
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(map(_cell_format, kinds))
+        lines.append(fmt % tuple(row))
+    return lines
 
 
 def emit(output: TraceOutput, out_path: str | Path, format: str = "csv") -> list[Path]:
@@ -654,7 +667,7 @@ def emit(output: TraceOutput, out_path: str | Path, format: str = "csv") -> list
     summary = _jsonable(output.summary)
     if format == "csv":
         lines = [",".join(output.columns)]
-        lines += [",".join(_format_cell(c) for c in row) for row in output.rows]
+        lines += _csv_lines(output.rows)
         out_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
         written.append(out_path)
         manifest = out_path.with_name(out_path.name + ".columns")

@@ -200,9 +200,16 @@ class LegendreSequence:
     imax: int
     interval: tuple[float, float]
 
-    def value(self, i: int, t: float, data: "PiecewiseAnalytic") -> float:
-        p = data.piece_index(t)
-        return float(meval(self.entries[i][p], t))
+    def value(self, i: int, t, data: "PiecewiseAnalytic"):
+        """``b^i`` at ``t``; a 1-D array of times gives the array of values,
+        each equal bit for bit to the call at that time alone."""
+        pieces = np.atleast_1d(data.piece_index(t))
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.empty(ts.size)
+        for p in np.unique(pieces).tolist():
+            at = pieces == p
+            out[at] = meval(self.entries[i][p], ts[at])
+        return out if np.ndim(t) else float(out[0])
 
 
 def legendre_sequence(data: PiecewiseAnalytic, interval: tuple[float, float],
@@ -295,7 +302,7 @@ def _order_and_check_sign(data: PiecewiseAnalytic, seq: LegendreSequence,
         )
     # sign condition: b^m strictly negative on the closed interval
     ts = np.linspace(interval[0], interval[1], 101)
-    vals = np.array([seq.value(m, t, data) for t in ts])
+    vals = seq.value(m, ts, data)
     if np.max(vals) >= 0.0:
         raise PreconditionError(
             f"b^{m} does not stay strictly negative on the interval (max {np.max(vals):.3g})"

@@ -20,6 +20,18 @@ quadratic invariants of the flow (Hairer, Lubich & Wanner, *Geometric
 Numerical Integration*, 2nd ed., 2006, sections IV.2 and VI.4).  Nothing is
 ever re-projected onto the symplectic group.  Piecewise analytic data march
 once per piece.
+
+Only the plane of a frame is meaningful, so a march of one frame of rank
+k < 2n accepts a step on the error of the plane it carries, where the
+system varies little over the step.  Near an order-3 singular instant the
+flow has an exponential dichotomy that the propagator must resolve step by
+step but the plane need not: the epsilon family takes from a third (from
+eps = 1e-3) to a sixteenth (from eps = 1e-6) of the steps it took on the
+propagator.  The steps of such a march therefore
+depend on its frame.  A stack of frames, or a full-rank frame, keeps the
+error of the propagator, so each frame of a stack moves as it would alone
+(step-size control: Hairer, Norsett & Wanner, *Solving Ordinary
+Differential Equations I*, 2nd ed., 1993, section II.4).
 """
 
 from __future__ import annotations
@@ -141,10 +153,27 @@ _GROWTH = 1e4
 _SAFETY = 0.0625
 #: smallest rtol honoured; below it the error estimate is rounding noise
 _RTOL_MIN = 100.0 * np.finfo(float).eps
+#: largest gap between a step's whole and halved propagators, as a share of
+#: their size, at which the plane test holds.  On y' = w y a Gauss step is the
+#: (3, 3) Pade approximant R(z) of e^z, z = h w, and the share is
+#: |R(z) - R(z/2)^2| / R(z/2)^2: 1.5e-3 at z = 2, 7.6e-3 at 2.5, 3.1e-2 at 3
+#: and 0.41 at 4, short of the pole of R at z = 4.64.  So 0.01 admits the
+#: steps of growth up to e^2.6 that a plane on the dominant directions
+#: allows, and keeps them where the gap still measures the error.
+_SHARE_MAX = 0.01
+#: largest ratio of the system's size between the stage times of a step that
+#: the plane test may take.  A step with a pole of order m inside samples the
+#: system at least 6 times nearer to the pole than farther away, so its sizes
+#: differ by at least 6^m; a step that ends within its own length of the
+#: pole, by at least (1.94 / 1.06)^m (3.4 for m = 2).  Such steps, and any
+#: other whose coefficients the step does not resolve, are tested on the
+#: propagator, as the steps of a stack are.
+_VARIATION_MAX = 2.0
 
 
-def _increments(sys: SystemLike, t: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``P - I`` for the Gauss-Legendre propagators ``P`` of the steps ``[t, t + h]``.
+def _increments(sys: SystemLike, t: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``P - I`` for the Gauss-Legendre propagators ``P`` of the steps ``[t, t + h]``,
+    and the system's size (largest entry) at each step's three stage times.
 
     On ``Y' = A(t) Y`` the stage values of the step from ``Y = I`` solve the
     linear system ``(I - h [a_ij A(t + c_j h)]) Y = 1 (x) I``, and
@@ -157,15 +186,21 @@ def _increments(sys: SystemLike, t: np.ndarray, h: np.ndarray) -> np.ndarray:
     lhs = np.eye(3 * d) - np.einsum("ij,kjab->kiajb", _GAUSS_A, ha).reshape(-1, 3 * d, 3 * d)
     rhs = np.broadcast_to(np.tile(np.eye(d), (3, 1)), lhs.shape[:1] + (3 * d, d))
     y = np.linalg.solve(lhs, rhs).reshape(-1, 3, d, d)
-    return np.einsum("i,kiac->kac", _GAUSS_B, ha @ y)
+    size = np.max(np.abs(a), axis=(1, 2)).reshape(-1, 3)
+    return np.einsum("i,kiac->kac", _GAUSS_B, ha @ y), size
 
 
-def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float):
+def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float,
+           frame: np.ndarray | None = None):
     """Propagator increments of a batch of steps and each step's error over its bound.
 
     Each step is taken whole and as two halves; the halves' product is the
     propagator, and the gap between the two, over ``2**6 - 1``, its error,
-    bounded by ``_SAFETY * rtol`` times the propagator's size.  A step whose
+    bounded by ``_SAFETY * rtol`` times the propagator's size.  With
+    ``frame``, a stack of one ``(2n, k)`` frame with k < 2n, a step whose
+    system varies by at most ``_VARIATION_MAX`` over its stage times is
+    tested on the plane it carries instead, and the frames after each step
+    (:func:`_plane_steps`) take the place of the increments.  A step whose
     propagator is not finite, or a batch whose system has a pole at a stage
     time or whose stage solve is singular, gets an infinite error.  Poles
     overflow on the way, so floating-point warnings are off.
@@ -173,7 +208,8 @@ def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float):
     half = 0.5 * h
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            d = _increments(sys, np.concatenate([t, t, t + half]), np.concatenate([h, half, half]))
+            d, size = _increments(sys, np.concatenate([t, t, t + half]),
+                                  np.concatenate([h, half, half]))
         except (PoleError, np.linalg.LinAlgError):
             return None, np.full(t.size, np.inf)
         k = t.size
@@ -181,7 +217,61 @@ def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float):
         inc = d1 + d2 + d2 @ d1
         scale = 1.0 + np.max(np.abs(inc), axis=(1, 2))
         err = np.max(np.abs(inc - d[:k]), axis=(1, 2)) / (63.0 * _SAFETY * rtol * scale)
+        if frame is not None:
+            size = size.reshape(3, k, 3)  # whole, first half, second half
+            smooth = np.max(size, axis=(0, 2)) <= _VARIATION_MAX * np.min(size, axis=(0, 2))
+            inc, err = _plane_steps(inc, d[:k] - inc, scale, frame, _SAFETY * rtol, err, smooth)
     return inc, np.where(np.isfinite(err), err, np.inf)
+
+
+def _advance(f: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """The stack of frames ``f`` moved by one step of increment ``inc``.
+
+    A frame one of whose entries passes ``_GROWTH`` is replaced by the Q of
+    its QR, with R given a positive diagonal, which keeps the sign of every
+    block determinant.
+    """
+    f = f + inc @ f
+    if np.abs(f).max() > _GROWTH:
+        big = np.abs(f).max(axis=(1, 2)) > _GROWTH
+        q, r = np.linalg.qr(f[big])
+        f[big] = q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None]
+    return f
+
+
+def _plane_steps(inc: np.ndarray, gap: np.ndarray, scale: np.ndarray, frame: np.ndarray,
+                 bound: float, err: np.ndarray,
+                 smooth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frames after each step from ``frame``, and each step's error over its bound.
+
+    ``gap`` is the whole step's propagator minus the halves' one, and ``err``
+    the propagator test's errors, kept for the steps that are not ``smooth``.
+    With W the orthonormal frame before a smooth step and V = P W, the error
+    of the step is the part of ``gap @ W`` outside span(V), over
+    sigma_min(V) and ``2**6 - 1``, against ``bound``: a first-order bound on
+    how far the gap moves the plane.  Near an order-3 singular instant the
+    flow has an exponential dichotomy, and a plane on its dominant directions
+    allows steps far longer than the propagator does.  The share of the gap
+    in the propagator's size, over ``_SHARE_MAX``, bounds the error too.
+
+    The frames before the steps are those the march carries: ``frame``
+    moved by :func:`_advance`, as far as the first step that fails whatever
+    the frame.  Steps after the first failing one are not evaluated.
+    """
+    share = np.max(np.abs(gap), axis=(1, 2)) / (_SHARE_MAX * scale)
+    err = np.where(smooth, share, err)
+    stop = int(np.argmax(~(err <= 1.0))) if not np.all(err <= 1.0) else err.size
+    moved = np.empty((stop,) + frame.shape)
+    f = frame
+    for i in range(stop):
+        f = moved[i] = _advance(f, inc[i])
+    q = np.linalg.qr(np.concatenate([frame, moved[:-1, 0]])[:stop])[0]
+    u, sv, _ = np.linalg.svd(q + inc[:stop] @ q, full_matrices=False)
+    eq = gap[:stop] @ q
+    out = eq - u @ (np.swapaxes(u, 1, 2) @ eq)
+    plane = np.sqrt(np.sum(out * out, axis=(1, 2))) / (63.0 * sv[:, -1] * bound)
+    err[:stop] = np.where(smooth[:stop], np.maximum(err[:stop], plane), err[:stop])
+    return moved, err
 
 
 def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
@@ -194,19 +284,22 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     one length, shortened so that each node interval is split evenly, and
     accepted up to the first one whose error estimate (:func:`_batch`)
     exceeds its bound; the step length then follows the usual order-7 local
-    error rule.  The steps therefore depend on ``sys``, ``nodes`` and
-    ``rtol`` only, never on the frames.  An rtol below ``_RTOL_MIN`` is
-    raised to it, as DOP853 does.  Each frame is chained by the propagators
-    and given a QR (R with a positive diagonal, which keeps the sign of every
-    block determinant) when one of its entries passes ``_GROWTH``; only the
-    spans are meaningful.  Only the frames at the nodes and one batch of
-    propagators are held.  A step length that underflows, as near a pole,
-    raises :class:`PoleError`.
+    error rule.  One frame of rank k < 2n is marched on the error of its
+    plane wherever the system varies little over a step, so its steps depend
+    on the frame too.  A stack of frames, or a full-rank frame, is marched on
+    the error of the propagator, so its steps depend on ``sys``, ``nodes``
+    and ``rtol`` only and each frame of a stack moves as it would alone.  An
+    rtol below ``_RTOL_MIN`` is raised to it, as DOP853 does.  Each frame is
+    chained by the propagators (:func:`_advance`); only the spans are
+    meaningful.  Only the frames at the nodes and one batch of propagators
+    are held.  A step length that underflows, as near a pole, raises
+    :class:`PoleError`.
     """
     nodes = np.asarray(nodes, dtype=float)
     frames = np.asarray(frames, dtype=float)
     rtol = max(rtol, _RTOL_MIN)
     f = frames.reshape((-1,) + frames.shape[-2:]).copy()
+    one_plane = frames.ndim == 2 and 0 < frames.shape[1] < frames.shape[0]
     out = np.empty((nodes.size,) + f.shape)
     out[0] = f
     span = abs(float(nodes[-1] - nodes[0]))
@@ -226,14 +319,10 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
             stops.append(s)
         starts, stops = np.array(starts), np.array(stops)
         lengths = np.abs(stops - starts)
-        inc, err = _batch(sys, starts, stops - starts, rtol)
+        steps, err = _batch(sys, starts, stops - starts, rtol, f if one_plane else None)
         good = int(np.argmax(err > 1.0)) if np.any(err > 1.0) else err.size
         for i in range(good):
-            f = f + inc[i] @ f
-            if np.abs(f).max() > _GROWTH:
-                big = np.abs(f).max(axis=(1, 2)) > _GROWTH
-                q, r = np.linalg.qr(f[big])
-                f[big] = q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None]
+            f = steps[i] if one_plane else _advance(f, steps[i])
             if ends[i]:
                 out[k] = f
                 k += 1

@@ -262,9 +262,12 @@ def _chart_matrix(planes: np.ndarray, m: np.ndarray, tol: float = 1e-10) -> np.n
     the basis ``m`` of :func:`_chart_basis`; the solving step of :func:`to_chart`.
 
     A plane not transversal to the chart plane delta gets a matrix of NaN.
+    Each frame is first scaled by a power of two, which changes no bit of
+    the result, so that a frame of tiny entries cannot overflow the inverse.
     """
     n = planes.shape[-2] // 2
-    y = np.linalg.solve(m, planes)
+    top = np.frexp(np.max(np.abs(planes), axis=(-2, -1), keepdims=True))[1]
+    y = np.linalg.solve(m, np.ldexp(planes, -top))
     u, v = y[..., :n, :], y[..., n:, :]
     su = np.linalg.svd(u, compute_uv=False)
     off = ((su[..., 0] == 0.0) | (su[..., -1] < tol * su[..., 0]))[..., None, None]

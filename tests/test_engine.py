@@ -149,6 +149,23 @@ def test_legendre_sequence_orders():
     assert seq2.value(2, 0.3, _data_m2()) == pytest.approx(-1.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12),
+       st.integers(0, 2**31 - 1))
+def test_legendre_sequence_values_over_times_are_the_scalar_values(i, times, seed):
+    # one call over an array of times, breakpoints included, gives each
+    # scalar call's value bit for bit
+    rng = np.random.default_rng(seed)
+    data = PiecewiseAnalytic(
+        breakpoints=np.array([-1.0, 0.0, 1.0]),
+        b_pieces=[rng.normal(size=int(rng.integers(1, 6))) for _ in range(2)],
+        x_pieces=[rng.normal(size=(2, int(rng.integers(1, 6)))) for _ in range(2)],
+    )
+    seq = legendre_sequence(data, (-1.0, 1.0), imax=3)
+    ts = np.array(times + [-1.0, 0.0, 1.0])
+    assert np.array_equal(seq.value(i, ts, data), [seq.value(i, t, data) for t in ts])
+
+
 def test_legendre_sequence_unequal_degree_products():
     # sigma(X', X) with mixed-degree components: -2 - t^2
     x = np.array([

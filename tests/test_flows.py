@@ -1,10 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from jacobiflow import flows
+from jacobiflow import cli, flows
 from jacobiflow.errors import PoleError, PreconditionError
 from jacobiflow.flows import (
     HamiltonianCoefficients,
@@ -20,6 +23,8 @@ from jacobiflow.grassmann import (
 )
 from jacobiflow.singular.frame import NormalFormCoefficients
 from jacobiflow.symplectic import check_structure, isotropy_residual, symplectic_inverse
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
 
 
 def _harmonic():
@@ -307,6 +312,74 @@ def test_normal_form_march_across_the_pole_is_a_pole_error():
                                     b11=np.zeros(1), c11=np.array([0.3]))
     with pytest.raises(PoleError):
         flow_plane(coeffs.as_callable(), vertical_plane(1), [-0.5, 0.5])
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_normal_form_march_across_poles_of_order_1_and_3_is_a_pole_error(m):
+    # b = -t^m: the plane test refuses to step over the pole as the
+    # propagator test did, also where the line collapses onto one direction
+    b = np.zeros(m + 1)
+    b[m] = -1.0
+    coeffs = NormalFormCoefficients(k=1, m=m, b=b, b11=np.zeros(1), c11=np.array([0.3]))
+    with pytest.raises(PoleError, match="stalled"):
+        flow_plane(coeffs.as_callable(), vertical_plane(1), [-0.5, 0.5])
+
+
+def test_plane_steps_stay_where_the_propagators_agree():
+    # e_1 is invariant under p' = p, q' = -q, so its plane error is 0 at any
+    # step; the gap of the propagators, 1.5e-3 of their size at h = 2 and
+    # 0.11 at h = 3.5, still bounds the step
+    h = HamiltonianCoefficients(a=np.array([[1.0]]), b=np.zeros((1, 1)), c=np.zeros((1, 1)))
+    line = np.array([[[1.0], [0.0]]])
+    _, err = _batch(h, np.zeros(2), np.array([2.0, 3.5]), 1e-12, line)
+    assert err[0] == pytest.approx(0.146, rel=0.01)
+    assert err[1] > 10.0
+
+
+# (c11, start, line) of marches to an order-2 pole that the share of the
+# propagator gap alone lets across: the line collapses onto e_1 from both
+# sides, and the gap of a step across the pole can be any size
+@pytest.mark.parametrize("c11, start, line", [
+    (0.3, -0.8, [1.0, 0.0]), (0.3, -0.6, [1.0, 0.0]), (0.3, -0.6, [1.0, 0.4]),
+    (0.3, -0.3, [1.0, 0.0]), (-0.3, -0.6, [1.0, 0.0]),
+])
+def test_lines_that_collapse_at_an_order_2_pole_do_not_cross_it(c11, start, line):
+    coeffs = NormalFormCoefficients(k=1, m=2, b=np.array([0.0, 0.0, -1.0]),
+                                    b11=np.zeros(1), c11=np.array([c11]))
+    with pytest.raises(PoleError, match="stalled"):
+        flow_plane(coeffs.as_callable(), np.array(line)[:, None], [start, 0.5])
+
+
+def _accepted_steps(monkeypatch) -> dict:
+    """Record the accepted steps of every march of the transport kernel, by its first node."""
+    counts: dict = {}
+    integrate, batch = flows._integrate, flows._batch
+
+    def marched(sys, frames, nodes, rtol):
+        counts[float(nodes[0])] = 0
+        return integrate(sys, frames, nodes, rtol)
+
+    def counted(*a):
+        steps, err = batch(*a)
+        counts[next(reversed(counts))] += int(np.argmax(err > 1.0)) if np.any(err > 1.0) else err.size
+        return steps, err
+
+    monkeypatch.setattr(flows, "_integrate", marched)
+    monkeypatch.setattr(flows, "_batch", counted)
+    return counts
+
+
+def test_epsilon_family_member_is_marched_on_its_plane(tmp_path, monkeypatch):
+    # the corpus degen_m3 member from eps = 1e-4 to 0.01 took 2,654 steps on
+    # the propagator test; on the plane test it takes about 520
+    raw = json.loads((CORPUS / "degen_m3.json").read_text())
+    raw["tolerances"] = {"eps_family": [1e-4]}
+    scenario = tmp_path / "member.json"
+    scenario.write_text(json.dumps(raw))
+    counts = _accepted_steps(monkeypatch)
+    assert cli.main(["trace", str(scenario), "--out", str(tmp_path / "o.csv")]) == 0
+    assert sorted(counts) == [1e-4, 0.01]
+    assert 0 < counts[1e-4] <= 1000
 
 
 def test_flow_plane_needs_a_monotone_grid():
