@@ -262,8 +262,9 @@ def _chart_matrix(planes: np.ndarray, m: np.ndarray, tol: float = 1e-10) -> np.n
     the basis ``m`` of :func:`_chart_basis`; the solving step of :func:`to_chart`.
 
     A plane not transversal to the chart plane delta gets a matrix of NaN.
-    Each frame is first scaled by a power of two, which changes no bit of
-    the result, so that a frame of tiny entries cannot overflow the inverse.
+    Each frame is first scaled by the power of two that brings its largest
+    entry into [0.5, 1), so that a frame of tiny entries cannot overflow the
+    inverse.  The scaling is exact, so elsewhere the result is unchanged.
     """
     n = planes.shape[-2] // 2
     top = np.frexp(np.max(np.abs(planes), axis=(-2, -1), keepdims=True))[1]

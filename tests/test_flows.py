@@ -316,8 +316,7 @@ def test_normal_form_march_across_the_pole_is_a_pole_error():
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_normal_form_march_across_poles_of_order_1_and_3_is_a_pole_error(m):
-    # b = -t^m: the plane test refuses to step over the pole as the
-    # propagator test did, also where the line collapses onto one direction
+    # b = -t^m vanishes at 0: the march stalls there, on the plane test too
     b = np.zeros(m + 1)
     b[m] = -1.0
     coeffs = NormalFormCoefficients(k=1, m=m, b=b, b11=np.zeros(1), c11=np.array([0.3]))
