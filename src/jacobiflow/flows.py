@@ -215,12 +215,15 @@ def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float,
         k = t.size
         d1, d2 = d[k : 2 * k], d[2 * k :]
         inc = d1 + d2 + d2 @ d1
+        gap = d[:k] - inc
         scale = 1.0 + np.max(np.abs(inc), axis=(1, 2))
-        err = np.max(np.abs(inc - d[:k]), axis=(1, 2)) / (63.0 * _SAFETY * rtol * scale)
+        top = np.max(np.abs(gap), axis=(1, 2))
+        err = top / (63.0 * _SAFETY * rtol * scale)
         if frame is not None:
             size = size.reshape(3, k, 3)  # whole, first half, second half
             smooth = np.max(size, axis=(0, 2)) <= _VARIATION_MAX * np.min(size, axis=(0, 2))
-            inc, err = _plane_steps(inc, d[:k] - inc, scale, frame, _SAFETY * rtol, err, smooth)
+            err = np.where(smooth, top / (_SHARE_MAX * scale), err)
+            inc, err = _plane_steps(inc, gap, frame, _SAFETY * rtol, err, smooth)
     return inc, np.where(np.isfinite(err), err, np.inf)
 
 
@@ -239,27 +242,24 @@ def _advance(f: np.ndarray, inc: np.ndarray) -> np.ndarray:
     return f
 
 
-def _plane_steps(inc: np.ndarray, gap: np.ndarray, scale: np.ndarray, frame: np.ndarray,
-                 bound: float, err: np.ndarray,
-                 smooth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _plane_steps(inc: np.ndarray, gap: np.ndarray, frame: np.ndarray, bound: float,
+                 err: np.ndarray, smooth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The frames after each step from ``frame``, and each step's error over its bound.
 
     ``gap`` is the whole step's propagator minus the halves' one, and ``err``
-    the propagator test's errors, kept for the steps that are not ``smooth``.
-    With W the orthonormal frame before a smooth step and V = P W, the error
-    of the step is the part of ``gap @ W`` outside span(V), over
-    sigma_min(V) and ``2**6 - 1``, against ``bound``: a first-order bound on
-    how far the gap moves the plane.  Near an order-3 singular instant the
-    flow has an exponential dichotomy, and a plane on its dominant directions
-    allows steps far longer than the propagator does.  The share of the gap
-    in the propagator's size, over ``_SHARE_MAX``, bounds the error too.
+    each step's error before the plane is looked at: the propagator test's,
+    or for a ``smooth`` step the share of the gap in the propagator's size
+    over ``_SHARE_MAX``.  With W the orthonormal frame before a smooth step
+    and V = P W, the step's plane error is the part of ``gap @ W`` outside
+    span(V), over sigma_min(V) and ``2**6 - 1``, against ``bound``: a
+    first-order bound on how far the gap moves the plane.  Near an order-3
+    singular instant the flow has an exponential dichotomy, and a plane on
+    its dominant directions allows steps far longer than the propagator does.
 
     The frames before the steps are those the march carries: ``frame``
     moved by :func:`_advance`, as far as the first step that fails whatever
     the frame.  Steps after the first failing one are not evaluated.
     """
-    share = np.max(np.abs(gap), axis=(1, 2)) / (_SHARE_MAX * scale)
-    err = np.where(smooth, share, err)
     stop = int(np.argmax(~(err <= 1.0))) if not np.all(err <= 1.0) else err.size
     moved = np.empty((stop,) + frame.shape)
     f = frame
