@@ -25,13 +25,24 @@ Only the plane of a frame is meaningful, so a march of one frame of rank
 k < 2n accepts a step on the error of the plane it carries, where the
 system varies little over the step.  Near an order-3 singular instant the
 flow has an exponential dichotomy that the propagator must resolve step by
-step but the plane need not: the epsilon family takes from a third (from
-eps = 1e-3) to a sixteenth (from eps = 1e-6) of the steps it took on the
-propagator.  The steps of such a march therefore
-depend on its frame.  A stack of frames, or a full-rank frame, keeps the
-error of the propagator, so each frame of a stack moves as it would alone
-(step-size control: Hairer, Norsett & Wanner, *Solving Ordinary
-Differential Equations I*, 2nd ed., 1993, section II.4).
+step but the plane need not: the epsilon family takes from a quarter (from
+eps = 1e-3) to a twentieth (from eps = 1e-6) of the steps it would take on
+the propagator.  The steps of such a march therefore depend on its frame.
+A stack of frames, or a full-rank frame, keeps the error of the propagator,
+so each frame of a stack moves as it would alone.
+
+Step control follows Hairer, Norsett & Wanner, *Solving Ordinary
+Differential Equations I*, 2nd ed., 1993, section II.4.  A batch of steps
+shares one length h.  After a rejected step the order-7 rule takes h from
+that step, at most ten times shorter.  After a batch accepted whole it takes
+h from the batch's last full-length step, at most four times longer: as a
+march leaves a pole its error falls along a batch, and the first step would
+hold h back.  A march opens with the whole first node interval.  If that
+step fails, the next batch is a ladder of lengths h/2, h/4, ... from the
+same start and frame, and the march takes the longest that passes as one
+step, so the opening costs one batch where shrinking by the rule took up to
+eight.  Only the opening gets a ladder: inside a march, a stalling order-3
+march took about twice the batches with one after each rejection.
 """
 
 from __future__ import annotations
@@ -200,7 +211,9 @@ def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float,
     ``frame``, a stack of one ``(2n, k)`` frame with k < 2n, a step whose
     system varies by at most ``_VARIATION_MAX`` over its stage times is
     tested on the plane it carries instead, and the frames after each step
-    (:func:`_plane_steps`) take the place of the increments.  A step whose
+    (:func:`_plane_steps`) take the place of the increments.  The steps
+    either follow one another or, in a ladder, all share their start ``t``
+    and so start from ``frame``.  A step whose
     propagator is not finite, or a batch whose system has a pole at a stage
     time or whose stage solve is singular, gets an infinite error.  Poles
     overflow on the way, so floating-point warnings are off.
@@ -223,7 +236,8 @@ def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float,
             size = size.reshape(3, k, 3)  # whole, first half, second half
             smooth = np.max(size, axis=(0, 2)) <= _VARIATION_MAX * np.min(size, axis=(0, 2))
             err = np.where(smooth, top / (_SHARE_MAX * scale), err)
-            inc, err = _plane_steps(inc, gap, frame, _SAFETY * rtol, err, smooth)
+            inc, err = _plane_steps(inc, gap, frame, _SAFETY * rtol, err, smooth,
+                                    k > 1 and t[0] == t[1])
     return inc, np.where(np.isfinite(err), err, np.inf)
 
 
@@ -243,7 +257,8 @@ def _advance(f: np.ndarray, inc: np.ndarray) -> np.ndarray:
 
 
 def _plane_steps(inc: np.ndarray, gap: np.ndarray, frame: np.ndarray, bound: float,
-                 err: np.ndarray, smooth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 err: np.ndarray, smooth: np.ndarray,
+                 ladder: bool) -> tuple[np.ndarray, np.ndarray]:
     """The frames after each step from ``frame``, and each step's error over its bound.
 
     ``gap`` is the whole step's propagator minus the halves' one, and ``err``
@@ -256,21 +271,31 @@ def _plane_steps(inc: np.ndarray, gap: np.ndarray, frame: np.ndarray, bound: flo
     singular instant the flow has an exponential dichotomy, and a plane on
     its dominant directions allows steps far longer than the propagator does.
 
-    The frames before the steps are those the march carries: ``frame``
-    moved by :func:`_advance`, as far as the first step that fails whatever
-    the frame.  Steps after the first failing one are not evaluated.
+    The frames before the steps are those the march carries.  In a chain of
+    steps they are ``frame`` moved by :func:`_advance`, as far as the first
+    step that fails whatever the frame; steps after it are not evaluated.
+    In a ``ladder`` every step starts from ``frame``, and every step that
+    passes whatever the frame is evaluated.
     """
-    stop = int(np.argmax(~(err <= 1.0))) if not np.all(err <= 1.0) else err.size
-    moved = np.empty((stop,) + frame.shape)
-    f = frame
-    for i in range(stop):
-        f = moved[i] = _advance(f, inc[i])
-    q = np.linalg.qr(np.concatenate([frame, moved[:-1, 0]])[:stop])[0]
-    u, sv, _ = np.linalg.svd(q + inc[:stop] @ q, full_matrices=False)
-    eq = gap[:stop] @ q
+    if ladder:
+        idx = np.flatnonzero(err <= 1.0)
+        moved = np.full((err.size,) + frame.shape, np.nan)
+        if idx.size:
+            moved[idx, 0] = _advance(frame, inc[idx])
+        q = np.linalg.qr(frame)[0]
+    else:
+        stop = int(np.argmax(~(err <= 1.0))) if not np.all(err <= 1.0) else err.size
+        idx = np.arange(stop)
+        moved = np.empty((stop,) + frame.shape)
+        f = frame
+        for i in idx:
+            f = moved[i] = _advance(f, inc[i])
+        q = np.linalg.qr(np.concatenate([frame, moved[:-1, 0]])[:stop])[0]
+    u, sv, _ = np.linalg.svd(q + inc[idx] @ q, full_matrices=False)
+    eq = gap[idx] @ q
     out = eq - u @ (np.swapaxes(u, 1, 2) @ eq)
     plane = np.sqrt(np.sum(out * out, axis=(1, 2))) / (63.0 * sv[:, -1] * bound)
-    err[:stop] = np.where(smooth[:stop], np.maximum(err[:stop], plane), err[:stop])
+    err[idx] = np.where(smooth[idx], np.maximum(err[idx], plane), err[idx])
     return moved, err
 
 
@@ -281,14 +306,21 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     ``frames`` is one ``(2n, k)`` frame or a stack of them; the result has one
     entry per node, the first being ``frames``.  Every node is a step end, so
     nothing is interpolated.  Steps are proposed ``_BATCH`` at a time with
-    one length, shortened so that each node interval is split evenly, and
+    one length h, shortened so that each node interval is split evenly, and
     accepted up to the first one whose error estimate (:func:`_batch`)
-    exceeds its bound; the step length then follows the usual order-7 local
-    error rule.  One frame of rank k < 2n is marched on the error of its
-    plane wherever the system varies little over a step, so its steps depend
-    on the frame too.  A stack of frames, or a full-rank frame, is marched on
-    the error of the propagator, so its steps depend on ``sys``, ``nodes``
-    and ``rtol`` only and each frame of a stack moves as it would alone.  An
+    exceeds its bound.  h then follows the order-7 local error rule: from
+    the rejected step, at most ten times shorter, or, when the whole batch
+    is accepted, from its last step that h was not shortened for, at most
+    four times longer.  The first step is the whole first node interval.  If
+    it fails, the next batch is a ladder: ``_BATCH`` steps from the same
+    start and frame of lengths h/2, h/4, ..., of which the longest that
+    passes is taken as one step; if none passes, a ladder below it follows.
+
+    One frame of rank k < 2n is marched on the error of its plane wherever
+    the system varies little over a step, so its steps depend on the frame
+    too.  A stack of frames, or a full-rank frame, is marched on the error
+    of the propagator, so its steps depend on ``sys``, ``nodes`` and
+    ``rtol`` only and each frame of a stack moves as it would alone.  An
     rtol below ``_RTOL_MIN`` is raised to it, as DOP853 does.  Each frame is
     chained by the propagators (:func:`_advance`); only the spans are
     meaningful.  Only the frames at the nodes and one batch of propagators
@@ -306,34 +338,50 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     direction = 1.0 if nodes[-1] > nodes[0] else -1.0
     t, k = float(nodes[0]), 1
     h = abs(float(nodes[min(1, nodes.size - 1)] - nodes[0]))
+    opening, ladder = True, False
     while k < nodes.size:
-        # one length h, every node interval split into equal steps
-        starts, stops, ends = [], [], []
-        s, j = t, k
-        while len(starts) < _BATCH and j < nodes.size:
-            gap = abs(float(nodes[j]) - s)
-            parts = max(1, int(np.ceil(gap / h * (1.0 - 1e-12))))
-            starts.append(s)
-            ends.append(parts == 1)
-            s, j = (float(nodes[j]), j + 1) if parts == 1 else (s + direction * gap / parts, j)
-            stops.append(s)
-        starts, stops = np.array(starts), np.array(stops)
+        if ladder:  # lengths h/2, h/4, ... from t, each from the march's frame at t
+            starts = np.full(_BATCH, t)
+            stops = t + direction * h * 0.5 ** np.arange(1.0, _BATCH + 1.0)
+            ends = [False] * _BATCH
+        else:  # one length h, every node interval split into equal steps
+            starts, stops, ends = [], [], []
+            s, j = t, k
+            while len(starts) < _BATCH and j < nodes.size:
+                gap = abs(float(nodes[j]) - s)
+                parts = max(1, int(np.ceil(gap / h * (1.0 - 1e-12))))
+                starts.append(s)
+                ends.append(parts == 1)
+                s, j = (float(nodes[j]), j + 1) if parts == 1 else (s + direction * gap / parts, j)
+                stops.append(s)
+            starts, stops = np.array(starts), np.array(stops)
         lengths = np.abs(stops - starts)
         steps, err = _batch(sys, starts, stops - starts, rtol, f if one_plane else None)
-        good = int(np.argmax(err > 1.0)) if np.any(err > 1.0) else err.size
-        for i in range(good):
+        if ladder:  # the longest candidate that passes is one step
+            taken = np.flatnonzero(err <= 1.0)[:1]
+        else:  # the steps up to the first one that fails
+            taken = range(int(np.argmax(err > 1.0)) if np.any(err > 1.0) else err.size)
+        for i in taken:
             f = steps[i] if one_plane else _advance(f, steps[i])
             if ends[i]:
                 out[k] = f
                 k += 1
-        if good:
-            t = float(stops[good - 1])
-        if good < err.size:  # order-7 rule, from the rejected step
-            h = lengths[good] * max(0.1, 0.9 * err[good] ** (-1.0 / 7.0))
-        elif np.any(lengths >= 0.5 * h):  # from the steps h was not shortened for
-            full = lengths >= 0.5 * h
-            grow = 0.9 * np.maximum(err[full], 1e-300) ** (-1.0 / 7.0)
-            h = min(4.0 * h, float(np.min(lengths[full] * grow)))
+        if len(taken):
+            t = float(stops[taken[-1]])
+        opening = opening and not len(taken)
+        if opening:  # a ladder below the shortest length that failed
+            h = float(lengths[-1] if ladder else lengths[0])
+            ladder = True
+        elif not ladder and len(taken) < err.size:  # order-7 rule, from the rejected step
+            i = len(taken)
+            h = lengths[i] * max(0.1, 0.9 * err[i] ** (-1.0 / 7.0))
+        else:  # grow from the latest step taken that h was not shortened for
+            if ladder:  # as from a batch of the length taken
+                ladder, h = False, float(lengths[taken[0]])
+            full = [i for i in taken if lengths[i] >= 0.5 * h]
+            if full:
+                i = full[-1]
+                h = min(4.0 * h, lengths[i] * 0.9 * max(err[i], 1e-300) ** (-1.0 / 7.0))
         if not h > 16.0 * np.spacing(max(abs(t), span)):
             raise PoleError(
                 f"integration stalled at t = {t:.6g} (step size underflow near a pole)")

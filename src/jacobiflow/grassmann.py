@@ -113,7 +113,7 @@ def canonicalize(f: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
     """
     f = _as_frame(f)
     # rows are basis vectors, columns are coordinates
-    a = np.swapaxes(f, -1, -2).reshape((-1,) + f.shape[:-3:-1]).copy()
+    a = np.swapaxes(f, -1, -2).reshape((int(np.prod(f.shape[:-2])),) + f.shape[:-3:-1]).copy()
     count, k, dim = a.shape
     scale = np.max(np.abs(a), axis=(1, 2), initial=0.0)
     thresh = tol * scale

@@ -46,7 +46,7 @@ from ..grassmann import (
     extend_by_isotropic,
     horizontal_plane,
     intersection_dimension,
-    to_chart,
+    validate_lagrangian,
     vertical_plane,
 )
 from ..series import _pad, meval, srecip
@@ -136,22 +136,30 @@ def first_jet_case(plane: np.ndarray) -> JetCase:
             minv=np.eye(2),
             s22plus=0.0,
             plane=plane,
-            post_plane=canonicalize(extend_by_isotropic(plane, x0)),
+            post_plane=extend_by_isotropic(plane, x0),
             inserted=x0,
         )
     if plane.shape != (4, 2):
         raise PreconditionError("chart transforms exist for one or two degrees of freedom")
     # graphs are taken over the momentum span {q = 0}; the complement is the
     # span of the position directions {p = 0}
-    base = vertical_plane(2)
     sigma = horizontal_plane(2)
+    chart = _chart_basis(sigma, vertical_plane(2))[2]
+
+    def chart_s(f):
+        # to_chart(f, sigma, Pi).s, on one chart basis for all three planes
+        s = _chart_matrix(validate_lagrangian(f), chart)
+        if np.isnan(s).all():
+            raise ChartError("plane is not transversal to the chart plane delta")
+        return s
+
     x0 = np.zeros(4)
     x0[0] = 1.0
-    post = canonicalize(extend_by_isotropic(plane, x0))
+    post = extend_by_isotropic(plane, x0)
 
     s22plus = 0.0
     try:
-        s0 = to_chart(plane, sigma, base).s
+        s0 = chart_s(plane)
     except ChartError:
         s0 = None
     if s0 is not None:
@@ -172,8 +180,8 @@ def first_jet_case(plane: np.ndarray) -> JetCase:
     mat = _case_matrix(case, s22plus)
     minv = np.linalg.inv(mat)
     try:
-        to_chart(mat @ plane, sigma, base)
-        res = to_chart(mat @ post, sigma, base).s
+        chart_s(mat @ plane)
+        res = chart_s(mat @ post)
     except ChartError as exc:
         raise ChartError(
             "plane position is outside the chart classes of the continuation transforms"

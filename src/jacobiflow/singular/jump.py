@@ -49,7 +49,7 @@ def jump_operator(
             "the inserted direction must pair nontrivially with its derivative"
         )
     pre = canonicalize(np.asarray(plane, dtype=float))
-    post = canonicalize(extend_by_isotropic(pre, np.asarray(x0, dtype=float)))
+    post = extend_by_isotropic(pre, np.asarray(x0, dtype=float))
     return JumpEvent(time=time, pre_plane=pre, post_plane=post, inserted=np.asarray(x0, dtype=float))
 
 

@@ -268,6 +268,19 @@ def test_stacked_canonicalize_is_the_frame_by_frame_result(f):
         assert not got[:, one.shape[1]:].any()  # lower ranks are padded with zero columns
 
 
+@settings(max_examples=80, deadline=None)
+@given(_stacks())
+@example(f=np.zeros((1, 2, 1)))  # of rank 0: the canonical stack has no columns
+def test_canonicalize_is_bytewise_idempotent(f):
+    # a canonical frame, or stack, comes back bit for bit, signed zeros
+    # included, so a canonical result needs no second canonicalisation
+    once = canonicalize(f)
+    assert _same_bits(canonicalize(once), once)
+    for frame in f:
+        one = canonicalize(frame)
+        assert _same_bits(canonicalize(one), one)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_stacks())
 def test_stacked_ranks_residuals_and_distances_are_the_frame_by_frame_results(f):
