@@ -31,18 +31,14 @@ the propagator.  The steps of such a march therefore depend on its frame.
 A stack of frames, or a full-rank frame, keeps the error of the propagator,
 so each frame of a stack moves as it would alone.
 
-Step control follows Hairer, Norsett & Wanner, *Solving Ordinary
-Differential Equations I*, 2nd ed., 1993, section II.4.  A batch of steps
-shares one length h.  After a rejected step the order-7 rule takes h from
-that step, at most ten times shorter.  After a batch accepted whole it takes
-h from the batch's last full-length step, at most four times longer: as a
-march leaves a pole its error falls along a batch, and the first step would
-hold h back.  A march opens with the whole first node interval.  If that
-step fails, the next batch is a ladder of lengths h/2, h/4, ... from the
-same start and frame, and the march takes the longest that passes as one
-step, so the opening costs one batch where shrinking by the rule took up to
-eight.  Only the opening gets a ladder: inside a march, a stalling order-3
-march took about twice the batches with one after each rejection.
+Step control (:func:`_integrate`; Hairer, Norsett & Wanner, *Solving
+Ordinary Differential Equations I*, 2nd ed., 1993, section II.4) grows h
+from the latest step of a batch: as a march leaves a pole its error falls
+along a batch, and the first step would hold h back.  A march whose first
+step fails tries a ladder of shorter lengths at once, where shrinking by the
+order-7 rule took up to eight batches.  Only the opening gets a ladder: a
+stalling order-3 march took three times the batches with one after every
+rejection.
 """
 
 from __future__ import annotations
@@ -213,10 +209,10 @@ def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float,
     tested on the plane it carries instead, and the frames after each step
     (:func:`_plane_steps`) take the place of the increments.  The steps
     either follow one another or, in a ladder, all share their start ``t``
-    and so start from ``frame``.  A step whose
-    propagator is not finite, or a batch whose system has a pole at a stage
-    time or whose stage solve is singular, gets an infinite error.  Poles
-    overflow on the way, so floating-point warnings are off.
+    and so start from ``frame``.  A step whose propagator is not finite, or
+    a batch whose system has a pole at a stage time or whose stage solve is
+    singular, gets an infinite error.  Poles overflow on the way, so
+    floating-point warnings are off.
     """
     half = 0.5 * h
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
