@@ -397,26 +397,27 @@ def test_a_full_batch_grows_h_from_its_last_step(monkeypatch):
     assert after[0] > 1.5 * lengths[0] * grow[0]
 
 
+def _steps_taken(t, err) -> int:
+    """The steps a march takes from one batch: one from a ladder, whose steps
+    share their start, if any passes; else the steps up to the first that fails."""
+    if t.size > 1 and t[0] == t[1]:
+        return int(np.any(err <= 1.0))
+    return int(np.argmax(err > 1.0)) if np.any(err > 1.0) else err.size
+
+
 def _accepted_steps(monkeypatch) -> dict:
     """Record the steps each march of the transport kernel takes, by its first node."""
     counts: dict = {}
-    integrate, batch = flows._integrate, flows._batch
+    calls = _recorded_batches(monkeypatch)
+    integrate = flows._integrate
 
     def marched(sys, frames, nodes, rtol):
-        counts[float(nodes[0])] = 0
-        return integrate(sys, frames, nodes, rtol)
-
-    def counted(sys, t, h, *rest):
-        steps, err = batch(sys, t, h, *rest)
-        if t.size > 1 and t[0] == t[1]:  # a ladder: one step, if any candidate passes
-            taken = int(np.any(err <= 1.0))
-        else:  # the steps up to the first one that fails
-            taken = int(np.argmax(err > 1.0)) if np.any(err > 1.0) else err.size
-        counts[next(reversed(counts))] += taken
-        return steps, err
+        first = len(calls)
+        out = integrate(sys, frames, nodes, rtol)
+        counts[float(nodes[0])] = sum(_steps_taken(t, err) for t, _, err in calls[first:])
+        return out
 
     monkeypatch.setattr(flows, "_integrate", marched)
-    monkeypatch.setattr(flows, "_batch", counted)
     return counts
 
 
