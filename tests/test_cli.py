@@ -91,6 +91,19 @@ def test_golden_degen_m3_trace_is_byte_stable(tmp_path):
                    "degen_m3_short.csv", "degen_m3_short.csv.summary.json")
 
 
+# first-jet continuation: three nodes inside the series window (it ends at
+# 0.1), then the frame tail, which crosses the pole of the blow-up chart
+# between 0.7525 and 0.79375
+def test_golden_degen_m2_trace_is_byte_stable(tmp_path):
+    _assert_golden(tmp_path, "trace", "degen_m2_short",
+                   "degen_m2_short.csv", "degen_m2_short.csv.summary.json")
+
+
+def test_golden_portrait_is_byte_stable(tmp_path):
+    _assert_golden(tmp_path, "portrait", "portrait_short",
+                   "portrait_short.csv", "portrait_short.csv.summary.json")
+
+
 # chart columns, Maslov partial sums (0 -> 1 on [0, 4]; nan and blank chart
 # cells in bangbang), the maslov_index summary key and the jump flags; the
 # maslov verb writes the same CSV as trace
