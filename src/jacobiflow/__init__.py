@@ -20,55 +20,40 @@ from .engine import (
     singular_jacobi_curve,
 )
 from .errors import ConfigError, JacobiflowError, MathError
-from .flows import HamiltonianCoefficients, flow_plane
+from .flows import flow_plane
 from .grassmann import (
-    ChartPoint,
     GrassmannCurve,
-    LagrangianFrame,
     canonicalize,
     extend_by_isotropic,
-    from_chart,
     horizontal_plane,
     intersection_dimension,
     plane_distance,
-    random_lagrangian,
     to_chart,
     transversality_margin,
     vertical_plane,
 )
 from .maslov import maslov_index, maslov_partial_sums
-from .symplectic import (
-    apply_j,
-    check_structure,
-    gram,
-    skew_complement,
-    symplectic_form,
-)
+from .symplectic import apply_j, gram, symplectic_form
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChartPoint",
     "ConfigError",
     "GrassmannCurve",
-    "HamiltonianCoefficients",
     "JacobiTrace",
     "JacobiflowError",
     "JumpEvent",
-    "LagrangianFrame",
     "LegendreSequence",
     "MathError",
     "PiecewiseAnalytic",
     "apply_j",
     "bang_bang_sequence",
     "canonicalize",
-    "check_structure",
     "engine",
     "errors",
     "extend_by_isotropic",
     "flow_plane",
     "flows",
-    "from_chart",
     "goh_subspace",
     "gram",
     "grassmann",
@@ -80,11 +65,9 @@ __all__ = [
     "maslov_index",
     "maslov_partial_sums",
     "plane_distance",
-    "random_lagrangian",
     "series",
     "singular",
     "singular_jacobi_curve",
-    "skew_complement",
     "symplectic",
     "symplectic_form",
     "to_chart",

@@ -42,6 +42,7 @@ import numpy as np
 
 from .engine import (
     D_MAX,
+    STEPS_MAX,
     JumpEvent,
     PiecewiseAnalytic,
     bang_bang_sequence,
@@ -271,6 +272,8 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
     steps = _as_int(_need(grid_raw, "steps", "grid."), "grid.steps")
     if steps < 1:
         raise ConfigError("grid.steps: must be >= 1")
+    if steps > STEPS_MAX:
+        raise ConfigError(f"grid.steps: must not exceed {STEPS_MAX}")
     if steps > 1 and t1 <= t0:
         raise ConfigError("grid.t1: must exceed grid.t0")
     grid = np.linspace(t0, t1, steps)
@@ -359,7 +362,7 @@ def _trace_rows(curve: GrassmannCurve, jumps: list[JumpEvent],
     # Pi), prepared once) solve on the stack of planes as it is
     flow = _spectral_flow(curve.planes, vertical_plane(n))
     partial = flow.partial_sums()
-    _, _, chart = _chart_basis(horizontal_plane(n), vertical_plane(n))
+    chart = _chart_basis(horizontal_plane(n), vertical_plane(n))
     planes = np.stack(curve.planes)
     charts = _chart_matrix(planes, chart).reshape(len(planes), -1)
     off = np.isnan(charts).all(axis=1)
@@ -528,7 +531,7 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
         family = epsilon_family_oracle(frame.coeffs, l0_nf, float(grid[0]), eps, rtol=rtol)
         family = np.stack(family)
         dists = plane_distance(family[:-1], family[1:]).tolist()
-        nf_curve = flow_plane(frame.coeffs.as_callable(), family[-1], grid, rtol=rtol)
+        nf_curve = flow_plane(frame.coeffs.system, family[-1], grid, rtol=rtol)
         nf_planes = nf_curve.planes
         summary["eps_family"] = list(map(float, eps))
         summary["oracle_distances"] = dists
@@ -550,7 +553,7 @@ def _run_portrait(config: ScenarioConfig) -> TraceOutput:
     # grid only, so a line's values do not depend on the other lines
     starts = [[[1.0], [-val]] for val in u0] + [[[-val], [t_first]] for val in v0]
     lines = np.linalg.qr(np.array(starts, dtype=float).reshape(-1, 2, 1))[0]
-    marched = _integrate(coeffs.as_callable(), lines, grid, config.tolerances["rtol"])
+    marched = _integrate(coeffs.system, lines, grid, config.tolerances["rtol"])
     # coords[node][line]: the two coordinates of the canonical frame, as
     # flow_plane emits it; every node and line in one stack
     marched[1:] = np.linalg.qr(marched[1:])[0]
@@ -785,7 +788,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.batch:
         out_dir = Path(args.out) if args.out else None
         if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:  # e.g. --out names a regular file
+                obj, code = _error_object(exc, "emit", None)
+                print(json.dumps(obj, sort_keys=True), file=sys.stderr)
+                return code
         code = EXIT_OK
         for path in args.scenario:
             target = _default_out(Path(path), args.format, out_dir) if out_dir else None

@@ -57,6 +57,8 @@ __all__ = [
 
 #: hard cap on polynomial degrees accepted from scenario data
 D_MAX = 64
+#: hard cap on the grid nodes of a scenario, far above any grid in use
+STEPS_MAX = 10**6
 
 
 @dataclass
@@ -69,10 +71,10 @@ class PiecewiseAnalytic:
     b_pieces : list of 1-D coefficient arrays, lowest order first
     x_pieces : list of (2n, d+1) coefficient arrays, one row per component
 
-    :meth:`b` and :meth:`x` compile the coefficient stack of each piece and
-    derivative order on first use and evaluate it with
-    :func:`~jacobiflow.series.meval`, so an integrator calling them per
-    stage never differentiates a polynomial again.
+    :meth:`x` compiles the coefficient stack of each piece and derivative
+    order on first use and evaluates it with
+    :func:`~jacobiflow.series.meval`, so an integrator calling it per stage
+    never differentiates a polynomial again.
     """
 
     breakpoints: np.ndarray
@@ -114,8 +116,9 @@ class PiecewiseAnalytic:
     def npieces(self) -> int:
         return len(self.b_pieces)
 
-    def piece_index(self, t, side: str = "+"):
-        """Index of the piece containing t; breakpoints resolve by ``side``.
+    def piece_index(self, t):
+        """Index of the piece containing t; a breakpoint belongs to the piece
+        on its right, the last one to the last piece.
 
         A 1-D array of times gives the array of their indices.
         """
@@ -125,39 +128,28 @@ class PiecewiseAnalytic:
         if np.any(outside):
             bad = t if ts.ndim == 0 else ts[np.argmax(outside)]
             raise PreconditionError(f"t = {bad} outside [{bp[0]}, {bp[-1]}]")
-        if side == "+":
-            i = np.minimum(np.searchsorted(bp, t, side="right") - 1, self.npieces - 1)
-        else:
-            i = np.maximum(np.searchsorted(bp, t, side="left") - 1, 0)
+        i = np.minimum(np.searchsorted(bp, t, side="right") - 1, self.npieces - 1)
         return int(i) if ts.ndim == 0 else i
 
-    def _stack(self, name: str, piece: int, deriv: int) -> np.ndarray:
-        """Trimmed coefficient stack of the deriv-th derivative of ``b`` or ``X``."""
-        key = (name, piece, deriv)
-        stack = self._stacks.get(key)
+    def _stack(self, piece: int, deriv: int) -> np.ndarray:
+        """Trimmed coefficient stack of the deriv-th derivative of ``X``."""
+        stack = self._stacks.get((piece, deriv))
         if stack is None:
-            if name == "b":
-                stack = npp.polyder(self.b_pieces[piece], deriv)
-            else:
-                stack = self.x_coeff(piece, deriv).T
-            stack = self._stacks[key] = strim(stack)
+            stack = self._stacks[piece, deriv] = strim(self.x_coeff(piece, deriv).T)
         return stack
 
-    def b(self, t: float, deriv: int = 0, side: str = "+") -> float:
-        return float(meval(self._stack("b", self.piece_index(t, side), deriv), t))
-
-    def x(self, t, deriv: int = 0, side: str = "+") -> np.ndarray:
+    def x(self, t, deriv: int = 0) -> np.ndarray:
         """X^(deriv) at ``t``; a 1-D array of K times gives the ``(K, 2n)`` values,
         each equal bit for bit to the call at that time alone."""
-        pieces = np.atleast_1d(self.piece_index(t, side))
+        pieces = np.atleast_1d(self.piece_index(t))
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty((ts.size, self.dim))
         for p in np.unique(pieces).tolist():
             at = pieces == p
-            out[at] = meval(self._stack("x", p, deriv), ts[at])
+            out[at] = meval(self._stack(p, deriv), ts[at])
         return out if np.ndim(t) else out[0]
 
-    def x_coeff(self, piece: int, deriv: int = 0) -> np.ndarray:
+    def x_coeff(self, piece: int, deriv: int) -> np.ndarray:
         """(2n, d+1-deriv) coefficient array of the deriv-th derivative of X."""
         c = self.x_pieces[piece]
         if deriv == 0:
@@ -181,8 +173,8 @@ def _sigma_poly(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _poly_is_zero(c: np.ndarray, scale: float, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(c)) <= tol * max(1.0, scale))
+def _poly_is_zero(c: np.ndarray, scale: float) -> bool:
+    return bool(np.max(np.abs(c)) <= 1e-12 * max(1.0, scale))
 
 
 @dataclass
@@ -367,7 +359,7 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
             break
         p = data.piece_index(0.5 * (a_ + b_))
 
-        def rhs(t: np.ndarray, xs=data._stack("x", p, m), bs=seq.entries[m][p]) -> np.ndarray:
+        def rhs(t: np.ndarray, xs=data._stack(p, m), bs=seq.entries[m][p]) -> np.ndarray:
             # mu' = X^(m) sigma(X^(m), mu) / b^m, sigma(X^(m), mu) = (-J X^(m)) . mu,
             # with the piece's own polynomials, also at its end breakpoint
             xm = meval(xs, t)
@@ -420,16 +412,13 @@ def infinite_order_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
         raise PreconditionError(
             f"sequence entry b^{seq.first_nonzero} is nonzero: not an infinite-order arc"
         )
-    p = data.piece_index(t0, side="+")
+    p = data.piece_index(t0)
     if data.breakpoints[p + 1] < t1:
         raise PreconditionError("infinite-order arc must not cross breakpoints")
     # span of Taylor coefficients of X at t0 = right limit of the derivative span
     c = data.x_pieces[p]
     d = c.shape[1]
-    cols = np.column_stack([
-        data.x(t0, deriv=k, side="+")
-        for k in range(d)
-    ])
+    cols = np.column_stack([data.x(t0, deriv=k) for k in range(d)])
     gamma = canonicalize(cols)
     if isotropy_residual(gamma) > 1e-8:
         raise PreconditionError("derivative span is not isotropic")

@@ -1,13 +1,7 @@
 """Linear Hamiltonian flows: plane transport.
 
-Systems are ``lambda' = M(t) lambda`` with the Hamiltonian system matrix
-
-    M(t) = [[A(t), B(t)/t^m], [C(t), -A(t)^T]]
-
-given through :class:`HamiltonianCoefficients` (polynomial coefficient
-blocks, with an optional pole of order m at t = 0, compiled at construction
-into one stack that :func:`~jacobiflow.series.meval` evaluates in a single
-Horner pass) or any callable that maps a 1-D array of K times to the
+Systems are ``lambda' = M(t) lambda`` with a Hamiltonian system matrix
+M(t), given as a callable that maps a 1-D array of K times to the
 ``(K, 2n, 2n)`` stack of system matrices.  Planes are always moved as
 frames, never as chart matrices, so a chart pole cannot stop a transport.
 
@@ -43,104 +37,17 @@ rejection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import PoleError, PreconditionError
 from .grassmann import GrassmannCurve, canonicalize
-from .series import meval, strim
 
-__all__ = [
-    "HamiltonianCoefficients",
-    "flow_plane",
-]
-
-
-def _as_coeff_array(x, n: int) -> np.ndarray:
-    """Coerce a constant matrix or (d+1, n, n) stack to coefficient form."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 2:
-        a = a[None]
-    if a.ndim != 3 or a.shape[1:] != (n, n):
-        raise PreconditionError(f"coefficient block must be (d+1, {n}, {n})")
-    return a
-
-
-@dataclass(frozen=True)
-class HamiltonianCoefficients:
-    """Polynomial coefficient blocks of a linear Hamiltonian system.
-
-    ``a``, ``b``, ``c`` are stacks of matrix coefficients, lowest order
-    first: ``A(t) = sum_k a[k] t^k`` and so on.  When ``pole_order = m > 0``
-    the B-block of the system is ``B(t)/t^m`` where ``B(t)`` is the stored
-    (analytic) numerator series; ``b`` and ``c`` must be symmetric.
-
-    The blocks are compiled once, at construction, into one stack of
-    ``[[A, B], [C, -A^T]]`` without trailing zero orders; a call is one
-    :func:`~jacobiflow.series.meval` pass plus the division of the B-block by
-    ``t^m``.  The instance and its arrays are read-only, so the compiled
-    stack cannot go stale.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    pole_order: int = 0
-    n: int = field(init=False)
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        first = np.asarray(self.a, dtype=float)
-        n = first.shape[-1]
-        a = _as_coeff_array(self.a, n)
-        b = _as_coeff_array(self.b, n)
-        c = _as_coeff_array(self.c, n)
-        if self.pole_order < 0:
-            raise PreconditionError("pole_order must be nonnegative")
-        for name, blk in (("b", b), ("c", c)):
-            asym = np.max(np.abs(blk - np.transpose(blk, (0, 2, 1))))
-            scale = max(1.0, float(np.max(np.abs(blk))))
-            if asym > 1e-10 * scale:
-                raise PreconditionError(f"coefficient block {name!r} is not symmetric")
-        stack = np.zeros((max(a.shape[0], b.shape[0], c.shape[0]), 2 * n, 2 * n))
-        stack[: a.shape[0], :n, :n] = a
-        stack[: a.shape[0], n:, n:] = -np.transpose(a, (0, 2, 1))
-        stack[: b.shape[0], :n, n:] = b
-        stack[: c.shape[0], n:, :n] = c
-        object.__setattr__(self, "n", n)
-        for name, arr in (("a", a), ("b", b), ("c", c), ("_stack", strim(stack))):
-            arr = np.array(arr)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def blocks(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(A(t), B_eff(t), C(t)) with the pole of the B-block evaluated."""
-        m = self(t)
-        n = self.n
-        return m[:n, :n], m[:n, n:], m[n:, :n]
-
-    def __call__(self, t) -> np.ndarray:
-        """The system matrix at ``t``, or the ``(K, 2n, 2n)`` stack at a 1-D array."""
-        out = meval(self._stack, t)
-        if self.pole_order > 0:
-            t = np.asarray(t, dtype=float)
-            if np.any(t == 0.0):
-                raise PoleError("coefficients have a pole at t = 0")
-            out[..., : self.n, self.n :] /= (t**self.pole_order)[..., None, None]
-        return out
+__all__ = ["flow_plane"]
 
 
 SystemLike = Callable[[np.ndarray], np.ndarray]
-
-
-def _system(h) -> SystemLike:
-    if isinstance(h, HamiltonianCoefficients):
-        return h
-    if callable(h):
-        return h
-    raise PreconditionError("expected HamiltonianCoefficients or a callable of times")
 
 
 # 3-stage Gauss-Legendre collocation (order 6): nodes, coefficients, weights
@@ -384,14 +291,14 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     return out.reshape((nodes.size,) + frames.shape)
 
 
-def flow_plane(h, l0: np.ndarray, grid: Sequence[float], *, rtol: float = 1e-12) -> GrassmannCurve:
-    """Transport a plane along the flow, sampled at the grid nodes.
+def flow_plane(sys: SystemLike, l0: np.ndarray, grid: Sequence[float], *,
+               rtol: float = 1e-12) -> GrassmannCurve:
+    """Transport a plane along the flow of ``sys``, sampled at the grid nodes.
 
     The grid must be strictly monotone and is one march (:func:`_integrate`);
     frames are orthonormalised at every node and returned as canonical frames,
     with one QR and one canonicalisation on the stack of nodes.
     """
-    sys = _system(h)
     grid = np.asarray(grid, dtype=float)
     steps = np.diff(grid)
     if not (np.all(steps > 0) or np.all(steps < 0)):

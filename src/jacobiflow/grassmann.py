@@ -17,8 +17,7 @@ operations, so every frame of a stack gets bit for bit what it gets alone.
 
 A chart is an ordered pair ``(delta, pi_ref)`` of transversal Lagrangian
 planes.  Every plane transversal to ``delta`` is the graph of a symmetric
-matrix over ``pi_ref``; :func:`to_chart` and :func:`from_chart` convert
-between frames and chart matrices.
+matrix over ``pi_ref``, which :func:`to_chart` computes from a frame.
 """
 
 from __future__ import annotations
@@ -38,23 +37,16 @@ from .symplectic import (
 )
 
 __all__ = [
-    "LagrangianFrame",
-    "ChartPoint",
     "GrassmannCurve",
     "canonicalize",
     "intersection_dimension",
     "transversality_margin",
     "to_chart",
-    "from_chart",
     "extend_by_isotropic",
     "plane_distance",
     "vertical_plane",
     "horizontal_plane",
-    "random_lagrangian",
 ]
-
-# A frame is just an ndarray; the alias documents intent in signatures.
-LagrangianFrame = np.ndarray
 
 
 def _as_frame(f: np.ndarray) -> np.ndarray:
@@ -67,7 +59,7 @@ def _as_frame(f: np.ndarray) -> np.ndarray:
     return f
 
 
-def validate_lagrangian(f: np.ndarray, tol_iso: float = TOL_ISO) -> np.ndarray:
+def validate_lagrangian(f: np.ndarray) -> np.ndarray:
     """Check that a frame, or each frame of a stack, spans a Lagrangian plane
     (full rank, isotropic).
 
@@ -79,7 +71,7 @@ def validate_lagrangian(f: np.ndarray, tol_iso: float = TOL_ISO) -> np.ndarray:
     if f.shape[-1] != n:
         raise PreconditionError(f"Lagrangian frame must have n={n} columns, got {f.shape[-1]}")
     deficient = np.atleast_1d(frame_rank(f) < n)
-    leaky = np.atleast_1d(isotropy_residual(f) > tol_iso)
+    leaky = np.atleast_1d(isotropy_residual(f) > TOL_ISO)
     bad = deficient | leaky
     if bad.any():
         if deficient[np.argmax(bad)]:
@@ -98,7 +90,7 @@ def horizontal_plane(n: int) -> np.ndarray:
     return np.eye(2 * n)[:, n:]
 
 
-def canonicalize(f: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
+def canonicalize(f: np.ndarray) -> np.ndarray:
     """Reduced column-echelon representative of a frame, or of each frame of a stack.
 
     The result is the unique basis of span(f) in which each column has a
@@ -116,7 +108,7 @@ def canonicalize(f: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
     a = np.swapaxes(f, -1, -2).reshape((int(np.prod(f.shape[:-2])),) + f.shape[:-3:-1]).copy()
     count, k, dim = a.shape
     scale = np.max(np.abs(a), axis=(1, 2), initial=0.0)
-    thresh = tol * scale
+    thresh = TOL_RANK * scale
     rank = np.zeros(count, dtype=int)
     live = scale != 0.0
     rows = np.arange(k)
@@ -148,7 +140,7 @@ def canonicalize(f: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(out, 1, 2)).reshape(f.shape[:-2] + (dim, width))
 
 
-def intersection_dimension(a: np.ndarray, b: np.ndarray, tol: float = TOL_RANK):
+def intersection_dimension(a: np.ndarray, b: np.ndarray):
     """dim(span(a) ∩ span(b)) via rank arithmetic on stacked frames.
 
     ``a`` may be a stack of frames; then the result has one dimension per
@@ -159,7 +151,7 @@ def intersection_dimension(a: np.ndarray, b: np.ndarray, tol: float = TOL_RANK):
     if a.shape[-2] != b.shape[-2]:
         raise PreconditionError("frames live in different ambient spaces")
     both = np.concatenate([a, np.broadcast_to(b, a.shape[:-1] + b.shape[-1:])], axis=-1)
-    return frame_rank(a, tol) + frame_rank(b, tol) - frame_rank(both, tol)
+    return frame_rank(a) + frame_rank(b) - frame_rank(both)
 
 
 def _orthonormal(f: np.ndarray) -> np.ndarray:
@@ -197,51 +189,22 @@ def plane_distance(a: np.ndarray, b: np.ndarray):
     return float(gap) if gap.ndim == 0 else gap
 
 
-@dataclass
-class ChartPoint:
-    """A Lagrangian plane written as the graph of a symmetric matrix.
-
-    Attributes
-    ----------
-    s : (n, n) symmetric array
-        Chart matrix: the plane is ``{x + delta-component S x}`` over the
-        reference plane.
-    delta : (2n, n) array
-        Plane at infinity of the chart (canonical frame).
-    pi_ref : (2n, n) array
-        Reference plane of the chart (canonical frame).
-    """
-
-    s: np.ndarray
-    delta: np.ndarray
-    pi_ref: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.s = np.asarray(self.s, dtype=float)
-        asym = float(np.max(np.abs(self.s - self.s.T))) if self.s.size else 0.0
-        if asym > 1e-10 * max(1.0, float(np.max(np.abs(self.s)))):
-            raise ChartError("chart matrix is not symmetric to tolerance")
-
-
-def _chart_basis(delta: np.ndarray, pi_ref: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical frames (P, D) with sigma(P_i, D_j) = delta_ij, and M = [P | D]."""
+def _chart_basis(delta: np.ndarray, pi_ref: np.ndarray) -> np.ndarray:
+    """The basis M = [P | D] of a chart: canonical frames P of ``pi_ref`` and
+    D of ``delta`` with sigma(P_i, D_j) = delta_ij."""
     p = canonicalize(validate_lagrangian(pi_ref))
     d0 = canonicalize(validate_lagrangian(delta))
     w = gram(p, d0)
     sw = np.linalg.svd(w, compute_uv=False)
     if sw[0] == 0.0 or sw[-1] < 1e-12 * sw[0]:
         raise ChartError("chart planes are not transversal")
-    d = d0 @ np.linalg.inv(w)
-    return p, d, np.hstack([p, d])
+    return np.hstack([p, d0 @ np.linalg.inv(w)])
 
 
-def to_chart(
-    plane: np.ndarray,
-    delta: np.ndarray,
-    pi_ref: np.ndarray,
-    tol: float = 1e-10,
-) -> ChartPoint:
-    """Chart matrix of a Lagrangian plane in the chart ``(delta, pi_ref)``.
+def to_chart(plane: np.ndarray, delta: np.ndarray, pi_ref: np.ndarray) -> np.ndarray:
+    """Symmetric chart matrix S of a Lagrangian plane in the chart
+    ``(delta, pi_ref)``: the plane is ``{x + delta-component S x}`` over
+    ``pi_ref``.
 
     Raises
     ------
@@ -249,15 +212,13 @@ def to_chart(
         If ``plane`` is not transversal to ``delta`` (to tolerance), or the
         chart pair itself is degenerate.
     """
-    plane = validate_lagrangian(plane)
-    p, d, m = _chart_basis(delta, pi_ref)
-    s = _chart_matrix(plane, m, tol)
+    s = _chart_matrix(validate_lagrangian(plane), _chart_basis(delta, pi_ref))
     if np.isnan(s).all():
         raise ChartError("plane is not transversal to the chart plane delta")
-    return ChartPoint(s=s, delta=canonicalize(d), pi_ref=p)
+    return s
 
 
-def _chart_matrix(planes: np.ndarray, m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _chart_matrix(planes: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Symmetric chart matrices of a validated plane, or a stack of them, over
     the basis ``m`` of :func:`_chart_basis`; the solving step of :func:`to_chart`.
 
@@ -271,15 +232,9 @@ def _chart_matrix(planes: np.ndarray, m: np.ndarray, tol: float = 1e-10) -> np.n
     y = np.linalg.solve(m, np.ldexp(planes, -top))
     u, v = y[..., :n, :], y[..., n:, :]
     su = np.linalg.svd(u, compute_uv=False)
-    off = ((su[..., 0] == 0.0) | (su[..., -1] < tol * su[..., 0]))[..., None, None]
+    off = ((su[..., 0] == 0.0) | (su[..., -1] < 1e-10 * su[..., 0]))[..., None, None]
     s = v @ np.linalg.inv(np.where(off, np.eye(n), u))
     return np.where(off, np.nan, 0.5 * (s + np.swapaxes(s, -1, -2)))
-
-
-def from_chart(point: ChartPoint) -> np.ndarray:
-    """Frame of the plane described by a chart point (graph of S over pi_ref)."""
-    p, d, _ = _chart_basis(point.delta, point.pi_ref)
-    return p + d @ np.asarray(point.s, dtype=float)
 
 
 def extend_by_isotropic(plane: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -313,18 +268,6 @@ def extend_by_isotropic(plane: np.ndarray, g: np.ndarray) -> np.ndarray:
     return canonicalize(u[:, :keep])
 
 
-def random_lagrangian(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random Lagrangian plane, uniform w.r.t. the unitary-invariant measure.
-
-    A unitary ``U = A + iB`` gives the Lagrangian frame ``[A; B]``: column
-    orthonormality of U is exactly isotropy plus orthonormality downstairs.
-    """
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    q = q @ np.diag(np.sign(np.where(np.real(np.diag(r)) == 0, 1.0, np.real(np.diag(r)))))
-    return np.vstack([np.real(q), np.imag(q)])
-
-
 @dataclass
 class GrassmannCurve:
     """A sampled curve in the Lagrangian Grassmannian.
@@ -347,10 +290,3 @@ class GrassmannCurve:
         self.planes = [np.asarray(p, dtype=float) for p in self.planes]
         if len({p.shape for p in self.planes}) > 1:
             raise PreconditionError("curve planes must share one shape")
-
-    def __len__(self) -> int:
-        return int(self.times.shape[0])
-
-    @property
-    def n(self) -> int:
-        return self.planes[0].shape[0] // 2

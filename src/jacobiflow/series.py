@@ -153,8 +153,8 @@ def strim(a: np.ndarray) -> np.ndarray:
     return a[: nonzero[-1] + 1 if nonzero.size else 1]
 
 
-def meval(a: np.ndarray, tau, deriv: int = 0) -> np.ndarray:
-    """Evaluate a coefficient stack (or a derivative of it) at ``tau``.
+def meval(a: np.ndarray, tau) -> np.ndarray:
+    """Evaluate a coefficient stack at ``tau``.
 
     This is the one polynomial evaluator of the package.  It is Horner's rule
     in the order of ``numpy.polynomial.polynomial.polyval``, so each entry is
@@ -164,8 +164,6 @@ def meval(a: np.ndarray, tau, deriv: int = 0) -> np.ndarray:
     bit for bit to the scalar call.  The stack must not be empty.
     """
     a = np.asarray(a, dtype=float)
-    for _ in range(deriv):
-        a = sder(a)
     if np.ndim(tau) == 1:
         tau = np.asarray(tau, dtype=float).reshape((-1,) + (1,) * (a.ndim - 1))
     out = a[-1] + tau * 0.0

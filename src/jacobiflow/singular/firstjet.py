@@ -14,8 +14,7 @@ the post-jump plane is the zero point:
    point; from there the plane ``[I; t S1(t)]``, mapped back by the chart
    transform, is transported as a frame by the block system itself
    (:func:`~jacobiflow.flows._integrate`), so the continuation goes on where
-   the curve leaves the chart.  ``S1`` is read back wherever the chart
-   exists.
+   the curve leaves the chart.
 
 The transformed block system keeps its pole in the same entry for all three
 transforms, so the conjugation is done numerically order by order instead of
@@ -144,10 +143,10 @@ def first_jet_case(plane: np.ndarray) -> JetCase:
     # graphs are taken over the momentum span {q = 0}; the complement is the
     # span of the position directions {p = 0}
     sigma = horizontal_plane(2)
-    chart = _chart_basis(sigma, vertical_plane(2))[2]
+    chart = _chart_basis(sigma, vertical_plane(2))
 
     def chart_s(f):
-        # to_chart(f, sigma, Pi).s, on one chart basis for all three planes
+        # to_chart(f, sigma, Pi), on one chart basis for all three planes
         s = _chart_matrix(validate_lagrangian(f), chart)
         if np.isnan(s).all():
             raise ChartError("plane is not transversal to the chart plane delta")
@@ -230,16 +229,11 @@ class CaseSystem:
     def k(self) -> int:
         return self.cprime.shape[1]
 
-    @property
-    def g0(self) -> np.ndarray:
-        return self.g[0]
-
 
 def case_system(
     coeffs: NormalFormCoefficients,
-    case: JetCase | int,
+    case: JetCase,
     *,
-    s22plus: float = 0.0,
     nterms: int = SERIES_TERMS,
 ) -> CaseSystem:
     """Conjugate the block system by the selected chart transform.
@@ -250,22 +244,11 @@ def case_system(
     """
 
     kk = coeffs.k
-    if kk not in (1, 2):
-        raise PreconditionError("continuation needs a one- or two-block reduced system")
     if coeffs.m not in (1, 2):
         raise PreconditionError("continuation series exists for vanishing orders one and two")
-    if isinstance(case, JetCase):
-        idx, mat, minv = case.case, case.matrix, case.minv
-    else:
-        idx = int(case)
-        if idx not in (1, 2, 3):
-            raise PreconditionError("case index must be 1, 2 or 3")
-        mat = np.eye(2) if kk == 1 else _case_matrix(idx, s22plus)
-        minv = np.linalg.inv(mat)
+    mat, minv = case.matrix, case.minv
     if mat.shape != (2 * kk, 2 * kk):
         raise PreconditionError("chart transform size does not match the block system")
-    if kk == 1 and idx != 1:
-        raise PreconditionError("one degree of freedom admits only the identity chart")
 
     ln = int(nterms)
     conj = np.einsum("ij,ljk,km->lim", mat, _pad(coeffs._system_stack, ln), minv)
@@ -296,7 +279,7 @@ def case_system(
         if abs(d - 1.0) <= RESONANCE_TOL:
             raise ResonanceError("blow-up exponents collide (discriminant root near one)")
     return CaseSystem(
-        case=idx,
+        case=case.case,
         m=coeffs.m,
         b2=b2,
         d=d,
@@ -413,7 +396,7 @@ def series_start(stack: np.ndarray) -> float:
 
 def first_jet_continuation(
     coeffs: NormalFormCoefficients,
-    case: JetCase | np.ndarray,
+    case: JetCase,
     grid: np.ndarray,
     *,
     nterms: int = SERIES_TERMS,
@@ -421,19 +404,14 @@ def first_jet_continuation(
 ) -> JacobiTrace:
     """Continue the curve through the singular instant onto a positive grid.
 
-    ``case`` is the chart transform data of the incoming plane (a raw frame
-    is accepted and classified first).  Grid points inside the certified
-    series window are summed directly; beyond it the plane is transported as
-    a frame by one march of ``coeffs.as_callable()`` from ``series_start``
-    over the remaining nodes.  ``diagnostics["blowup_values"]`` holds ``S1``
-    at every node, and NaN where the plane has left the blow-up chart.  The
-    jump at time zero is recorded on the returned trace.
+    ``case`` is the chart transform data of the incoming plane
+    (:func:`first_jet_case`).  Grid points inside the certified series
+    window are summed directly; beyond it the plane is transported as a
+    frame by one march of ``coeffs.system`` from ``series_start`` over the
+    remaining nodes, so leaving the blow-up chart ends nothing.  The jump at
+    time zero is recorded on the returned trace.
     """
 
-    if isinstance(case, np.ndarray):
-        case = first_jet_case(case)
-    if not isinstance(case, JetCase):
-        raise PreconditionError("case must be a JetCase or a plane frame")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
         raise PreconditionError("grid must be a nonempty finite vector")
@@ -445,28 +423,18 @@ def first_jet_continuation(
     stack = blowup_series(system)
     t0 = series_start(stack)
 
-    blown = np.full((grid.size, kk, kk), np.nan)
     above = grid[grid > t0]
     inside = grid.size - above.size
-    blown[:inside] = meval(stack, grid[:inside])
     # the planes [I; t S1(t)] of the series window, mapped back, as one stack
     frames = np.empty((grid.size, 2 * kk, kk))
     frames[:inside, :kk] = np.eye(kk)
-    frames[:inside, kk:] = grid[:inside, None, None] * blown[:inside]
+    frames[:inside, kk:] = grid[:inside, None, None] * meval(stack, grid[:inside])
     frames[:inside] = case.minv @ frames[:inside]
-
     if above.size:
-        # past the series window the plane is moved as a frame, so leaving
-        # the blow-up chart ends nothing; S1 is read back where the chart
-        # exists (NaN elsewhere)
         start = case.minv @ np.vstack([np.eye(kk), t0 * meval(stack, t0)])
-        marched = _integrate(coeffs.as_callable(), start, np.concatenate([[t0], above]), rtol)
+        marched = _integrate(coeffs.system, start, np.concatenate([[t0], above]), rtol)
         frames[inside:] = marched[1:]
     planes = canonicalize(frames)
-    # the chart of to_chart(case.matrix @ plane, Sigma, Pi), its basis
-    # prepared once for all nodes
-    chart = _chart_basis(horizontal_plane(kk), vertical_plane(kk))[2]
-    blown[inside:] = _chart_matrix(case.matrix @ planes[inside:], chart) / above[:, None, None]
 
     curve = GrassmannCurve(times=grid, planes=list(planes))
     jump = JumpEvent(
@@ -480,6 +448,5 @@ def first_jet_continuation(
         "order": coeffs.m,
         "series_start": t0,
         "equilibrium": stack[0],
-        "blowup_values": blown,
     }
     return JacobiTrace(curve=curve, jumps=[jump], diagnostics=diagnostics)

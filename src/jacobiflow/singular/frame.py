@@ -144,14 +144,6 @@ class NormalFormCoefficients:
     def b_m(self) -> float:
         return float(self.b[self.m])
 
-    def b_value(self, tau: float) -> float:
-        return float(meval(self._b_stack, tau))
-
-    def bhat(self, tau: float) -> np.ndarray:
-        """Full ``B(tau)`` including the ``1/b`` pole; exact rational."""
-        k = self.k
-        return self.system(tau)[:k, k:]
-
     def chat(self, tau: float) -> np.ndarray:
         k = self.k
         return meval(self._system_stack, tau)[k:, :k]
@@ -167,9 +159,6 @@ class NormalFormCoefficients:
         out = meval(self._system_stack, tau)
         out[..., 0, self.k] += 1.0 / bval
         return out
-
-    def as_callable(self):
-        return self.system
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +186,6 @@ class NormalFormFrame:
     def frame_at(self, tau: float) -> np.ndarray:
         return meval(self.frame, tau)
 
-    def block_columns(self) -> list[int]:
-        return list(range(self.k)) + list(range(self.n, self.n + self.k))
-
 
 # ---------------------------------------------------------------------------
 # construction
@@ -208,7 +194,7 @@ class NormalFormFrame:
 
 def _local_data(data, tau_star: float, nterms: int) -> tuple[np.ndarray, np.ndarray]:
     """Recentre the piece of ``data`` right of ``tau_star`` at zero."""
-    piece = data.piece_index(tau_star, side="+")
+    piece = data.piece_index(tau_star)
     b_loc = taylor_recenter(np.asarray(data.b_pieces[piece], dtype=float), tau_star)
     xp = np.asarray(data.x_pieces[piece], dtype=float)
     x_loc = np.stack([taylor_recenter(row, tau_star) for row in xp], axis=1)

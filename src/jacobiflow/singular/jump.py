@@ -71,10 +71,9 @@ def epsilon_family_oracle(
     if tau_eval <= 0.0:
         raise PreconditionError("evaluation time must be positive")
     out = []
-    sys = coeffs.as_callable()
     for eps in eps_list:
         if not 0.0 < eps < tau_eval:
             raise PreconditionError("each eps must satisfy 0 < eps < tau_eval")
-        curve = flow_plane(sys, l0, [float(eps), float(tau_eval)], rtol=rtol)
+        curve = flow_plane(coeffs.system, l0, [float(eps), float(tau_eval)], rtol=rtol)
         out.append(curve.planes[-1])
     return out

@@ -22,9 +22,7 @@ __all__ = [
     "apply_j",
     "symplectic_form",
     "gram",
-    "skew_complement",
     "symplectic_inverse",
-    "check_structure",
 ]
 
 #: relative tolerance used for numerical rank decisions
@@ -92,7 +90,7 @@ def isotropy_residual(f: np.ndarray):
     return float(res) if f.ndim == 2 else res
 
 
-def frame_rank(f: np.ndarray, tol: float = TOL_RANK):
+def frame_rank(f: np.ndarray):
     """Numerical rank of a frame (relative threshold on singular values).
 
     An int for one frame, an int array with one rank per frame for a stack.
@@ -105,28 +103,8 @@ def frame_rank(f: np.ndarray, tol: float = TOL_RANK):
     else:
         # all singular values are 0 exactly when the largest is
         s = np.linalg.svd(f, compute_uv=False)
-        rank = np.sum(s > tol * s[..., :1], axis=-1)
+        rank = np.sum(s > TOL_RANK * s[..., :1], axis=-1)
     return int(rank) if f.ndim == 2 else rank
-
-
-def skew_complement(g: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the sigma-orthogonal complement of span(g).
-
-    Returns a ``(2n, 2n - rank g)`` frame spanning
-    ``{v : sigma(g_i, v) = 0 for all columns g_i}``.
-    """
-    g = np.asarray(g, dtype=float)
-    if g.ndim == 1:
-        g = g[:, None]
-    dim = g.shape[0]
-    dim_to_n(dim)
-    a = gram(g, np.eye(dim))  # rows are sigma(g_i, e_j)
-    u, s, vt = np.linalg.svd(a)
-    if s.size and s[0] > 0:
-        rank = int(np.sum(s > TOL_RANK * s[0]))
-    else:
-        rank = 0
-    return vt[rank:].T.copy()
 
 
 def symplectic_inverse(t: np.ndarray) -> np.ndarray:
@@ -144,34 +122,3 @@ def symplectic_inverse(t: np.ndarray) -> np.ndarray:
     out[..., n:, n:] = x[..., :n, :n]
     return out
 
-
-def check_structure(m: np.ndarray, kind: str, tol: float = 1e-9) -> bool:
-    """Test whether a 2n x 2n matrix is symplectic or Hamiltonian.
-
-    Parameters
-    ----------
-    m : (2n, 2n) array
-    kind : {"symplectic", "hamiltonian"}
-        ``symplectic`` tests ``M^T J M = J``; ``hamiltonian`` tests that
-        ``J M`` is symmetric (equivalently ``M^T J + J M = 0``).
-    tol : float
-        Absolute tolerance on the max-norm of the residual, scaled by
-        ``max(1, |M|_max^2)`` for the symplectic test.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise PreconditionError("check_structure expects a square matrix")
-    dim_to_n(m.shape[0])
-    jm = apply_j(m)
-    if kind == "symplectic":
-        resid = m.T @ jm
-        n = m.shape[0] // 2
-        resid[:n, n:] -= np.eye(n)
-        resid[n:, :n] += np.eye(n)
-        scale = max(1.0, float(np.max(np.abs(m))) ** 2)
-        return bool(np.max(np.abs(resid)) <= tol * scale)
-    if kind == "hamiltonian":
-        resid = jm - jm.T
-        scale = max(1.0, float(np.max(np.abs(m))))
-        return bool(np.max(np.abs(resid)) <= tol * scale)
-    raise PreconditionError(f"unknown structure kind {kind!r}")

@@ -1,0 +1,50 @@
+"""Builders shared by the tests: linear Hamiltonian systems from polynomial
+coefficient blocks, and random Lagrangian planes."""
+
+import numpy as np
+
+from jacobiflow.errors import PoleError
+from jacobiflow.series import meval, strim
+
+
+def hamiltonian(a, b, c, pole_order: int = 0):
+    """The system ``M(t) = [[A(t), B(t)/t^m], [C(t), -A(t)^T]]`` as a callable
+    of times, in the form the transport takes.
+
+    ``a``, ``b``, ``c`` are one ``(n, n)`` matrix or a ``(d+1, n, n)`` stack of
+    coefficients, lowest order first; ``m`` is ``pole_order``.  The blocks go
+    into one stack that :func:`~jacobiflow.series.meval` evaluates; at a 1-D
+    array of K times the result is the ``(K, 2n, 2n)`` stack.
+    """
+    a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
+    a, b, c = (x[None] if x.ndim == 2 else x for x in (a, b, c))
+    n = a.shape[-1]
+    stack = np.zeros((max(a.shape[0], b.shape[0], c.shape[0]), 2 * n, 2 * n))
+    stack[: a.shape[0], :n, :n] = a
+    stack[: a.shape[0], n:, n:] = -np.transpose(a, (0, 2, 1))
+    stack[: b.shape[0], :n, n:] = b
+    stack[: c.shape[0], n:, :n] = c
+    stack = strim(stack)
+
+    def system(t):
+        out = meval(stack, t)
+        if pole_order > 0:
+            t = np.asarray(t, dtype=float)
+            if np.any(t == 0.0):
+                raise PoleError("coefficients have a pole at t = 0")
+            out[..., :n, n:] /= (t**pole_order)[..., None, None]
+        return out
+
+    return system
+
+
+def random_lagrangian(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random Lagrangian plane, uniform w.r.t. the unitary-invariant measure.
+
+    A unitary ``U = A + iB`` gives the Lagrangian frame ``[A; B]``: column
+    orthonormality of U is exactly isotropy plus orthonormality downstairs.
+    """
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    q = q @ np.diag(np.sign(np.where(np.real(np.diag(r)) == 0, 1.0, np.real(np.diag(r)))))
+    return np.vstack([np.real(q), np.imag(q)])

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from helpers import random_lagrangian
 from jacobiflow.errors import PreconditionError, SingularityError
 from jacobiflow.flows import _integrate
-from jacobiflow.grassmann import random_lagrangian
 from jacobiflow.series import meval, srecip
 from jacobiflow.singular.classify import (
     NON_OSCILLATING,

@@ -253,6 +253,28 @@ def test_single_node_grid_is_a_config_error_for_interval_modes(tmp_path, capsys)
     assert err["message"].startswith("grid.steps:")
 
 
+# 10**30 used to end in a ValueError traceback from np.linspace (exit 1); the
+# cap refuses a grid before any of it is allocated
+@pytest.mark.parametrize("steps", [10**30, cli.STEPS_MAX + 1], ids=["1e30", "cap+1"])
+def test_grid_steps_above_the_cap_are_a_config_error(tmp_path, capsys, steps):
+    code, [err] = _run_variant(tmp_path, capsys, "regular_short", "trace",
+                               lambda raw: raw["grid"].update(steps=steps))
+    assert code == 2
+    assert (err["error"], err["stage"]) == ("ConfigError", "parse")
+    assert err["message"] == f"grid.steps: must not exceed {cli.STEPS_MAX}"
+
+
+def test_batch_out_naming_a_regular_file_is_an_io_error(tmp_path, capsys):
+    # creating the output directory used to raise FileExistsError outside
+    # the error taxonomy: a traceback and exit 1
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert main(["classify", str(SCENARIO), "--batch", "--out", str(taken)]) == 4
+    [err] = _errors(capsys)
+    assert (err["code"], err["error"], err["stage"]) == (4, "FileExistsError", "emit")
+    assert taken.read_text() == "kept"
+
+
 def _two_pieces(raw):
     # a second piece on [0.5, 1] with another X; the continuation never reads it
     raw["data"] = {

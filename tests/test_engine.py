@@ -31,9 +31,9 @@ from jacobiflow.series import meval
 from jacobiflow.symplectic import gram, isotropy_residual
 
 
-def _polyder_x(data, t, deriv, side):
+def _polyder_x(data, t, deriv):
     """Reference: the per-call ``polyder`` evaluation the cached stacks replaced."""
-    c = data.x_pieces[data.piece_index(t, side)]
+    c = data.x_pieces[data.piece_index(t)]
     if deriv:
         if deriv >= c.shape[1]:
             return np.zeros(data.dim)
@@ -42,9 +42,8 @@ def _polyder_x(data, t, deriv, side):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 6), st.floats(-1.0, 1.0), st.sampled_from("+-"),
-       st.integers(0, 2**31 - 1))
-def test_piecewise_evaluation_matches_polyder_path(deriv, t, side, seed):
+@given(st.integers(0, 6), st.floats(-1.0, 1.0), st.integers(0, 2**31 - 1))
+def test_piecewise_evaluation_matches_polyder_path(deriv, t, seed):
     rng = np.random.default_rng(seed)
     x_pieces, b_pieces = [], []
     for _ in range(2):
@@ -55,11 +54,9 @@ def test_piecewise_evaluation_matches_polyder_path(deriv, t, side, seed):
     data = PiecewiseAnalytic(
         breakpoints=np.array([-1.0, 0.0, 1.0]), b_pieces=b_pieces, x_pieces=x_pieces
     )
-    ref = _polyder_x(data, t, deriv, side)
-    bref = npp.polyval(t, npp.polyder(b_pieces[data.piece_index(t, side)], deriv))
+    ref = _polyder_x(data, t, deriv)
     for _ in range(2):  # the second call reads the cached stacks
-        assert np.array_equal(data.x(t, deriv=deriv, side=side), ref)
-        assert data.b(t, deriv=deriv, side=side) == bref
+        assert np.array_equal(data.x(t, deriv=deriv), ref)
 
 
 def _data_m0(n=1):
@@ -129,9 +126,8 @@ def test_piecewise_evaluation():
     )
     assert data.n == 1
     assert data.npieces == 2
-    assert data.b(0.5) == pytest.approx(1.5)
-    assert data.b(1.0) == 3.0  # breakpoint resolves to the right piece
-    assert data.b(1.0, side="-") == 2.0
+    assert data.piece_index(1.0) == 1  # a breakpoint resolves to the right piece
+    assert data.piece_index(2.0) == 1  # the last one to the last piece
     assert np.allclose(data.x(0.5), [0.5, 2.0])
     assert np.allclose(data.x(0.5, deriv=1), [1.0, 0.0])
     assert np.allclose(data.x(0.5, deriv=5), [0.0, 0.0])
@@ -201,7 +197,7 @@ def test_regular_curve_matches_closed_form():
     assert trace.diagnostics["order"] == 0
     assert trace.diagnostics["lagrangian_residual"] < 1e-10
     for t, p in zip(grid, trace.curve.planes):
-        sval = to_chart(p, horizontal_plane(1), vertical_plane(1)).s[0, 0]
+        sval = to_chart(p, horizontal_plane(1), vertical_plane(1))[0, 0]
         assert sval == pytest.approx(s / (1.0 - s * t), abs=1e-9)
 
 
@@ -263,16 +259,14 @@ def test_evaluation_at_an_array_of_times_is_the_scalar_calls():
                              b_pieces=[np.zeros(1), np.zeros(1)],
                              x_pieces=[rng.normal(size=(4, 5)), rng.normal(size=(4, 3))])
     times = np.array([-1.0, -0.3, 0.0, 0.4, 1.0])
-    for side in "+-":
-        assert np.array_equal(data.piece_index(times, side),
-                              [data.piece_index(float(t), side) for t in times])
-        for deriv in (0, 2):
-            stacked = data.x(times, deriv=deriv, side=side)
-            for t, row in zip(times, stacked):
-                assert row.tobytes() == data.x(float(t), deriv=deriv, side=side).tobytes()
-        stacked = goh_subspace(data, times, 1)
-        for t, frame in zip(times, stacked):
-            assert frame.tobytes() == goh_subspace(data, float(t), 1).tobytes()
+    assert np.array_equal(data.piece_index(times), [data.piece_index(float(t)) for t in times])
+    for deriv in (0, 2):
+        stacked = data.x(times, deriv=deriv)
+        for t, row in zip(times, stacked):
+            assert row.tobytes() == data.x(float(t), deriv=deriv).tobytes()
+    stacked = goh_subspace(data, times, 1)
+    for t, frame in zip(times, stacked):
+        assert frame.tobytes() == goh_subspace(data, float(t), 1).tobytes()
     with pytest.raises(PreconditionError, match="t = 1.5 outside"):
         data.x(np.array([0.5, 1.5, -2.0]))
 

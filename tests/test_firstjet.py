@@ -14,7 +14,15 @@ from jacobiflow.errors import (
 )
 from jacobiflow.cli import parse_scenario
 from jacobiflow.flows import flow_plane
-from jacobiflow.grassmann import canonicalize, isotropy_residual, plane_distance
+from jacobiflow.grassmann import (
+    _chart_basis,
+    _chart_matrix,
+    canonicalize,
+    horizontal_plane,
+    isotropy_residual,
+    plane_distance,
+    vertical_plane,
+)
 from jacobiflow.series import meval
 from jacobiflow.singular.firstjet import (
     CaseSystem,
@@ -34,6 +42,13 @@ CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
 
 def _graph(s):
     return np.vstack([np.eye(2), np.asarray(s, dtype=float)])
+
+
+def _identity_case(k):
+    """The chart transform data of an incoming plane whose transform is the identity."""
+    case = first_jet_case(np.array([[1.0], [0.4]]) if k == 1 else _graph(np.zeros((2, 2))))
+    assert np.array_equal(case.matrix, np.eye(2 * k))
+    return case
 
 
 def _coeffs_c2():
@@ -100,32 +115,36 @@ def test_case_system_guards():
     with pytest.raises(PreconditionError):
         case_system(
             NormalFormCoefficients(k=1, m=3, b=[0, 0, 0, -1.0], b11=np.zeros(1), c11=[-1.0]),
-            1,
+            _identity_case(1),
         )
-    with pytest.raises(PreconditionError):
-        case_system(_coeffs_c2(), 2)  # only the identity chart in one degree
-    with pytest.raises(PreconditionError):
-        case_system(_coeffs_k2(), 5)
+    # a transform for the other number of degrees of freedom
+    with pytest.raises(PreconditionError, match="does not match"):
+        case_system(_coeffs_c2(), first_jet_case(_graph([[0.0, 1.0], [1.0, 0.5]])))
+    with pytest.raises(PreconditionError, match="does not match"):
+        case_system(_coeffs_k2(), _identity_case(1))
 
 
 def test_case_system_order_two_discriminant_gates():
     with pytest.raises(OscillatingError):
         case_system(
-            NormalFormCoefficients(k=1, m=2, b=[0, 0, -1.0], b11=np.zeros(1), c11=[0.5]), 1
+            NormalFormCoefficients(k=1, m=2, b=[0, 0, -1.0], b11=np.zeros(1), c11=[0.5]),
+            _identity_case(1),
         )
     with pytest.raises(ResonanceError):
         case_system(
-            NormalFormCoefficients(k=1, m=2, b=[0, 0, -1.0], b11=np.zeros(1), c11=[0.25]), 1
+            NormalFormCoefficients(k=1, m=2, b=[0, 0, -1.0], b11=np.zeros(1), c11=[0.25]),
+            _identity_case(1),
         )
     with pytest.raises(ResonanceError):
         # discriminant root hits one when the product vanishes
         case_system(
-            NormalFormCoefficients(k=1, m=2, b=[0, 0, -1.0], b11=np.zeros(1), c11=[1e-12]), 1
+            NormalFormCoefficients(k=1, m=2, b=[0, 0, -1.0], b11=np.zeros(1), c11=[1e-12]),
+            _identity_case(1),
         )
 
 
 def test_case_system_blocks_and_root():
-    sys2 = case_system(_coeffs_c2(), 1)
+    sys2 = case_system(_coeffs_c2(), _identity_case(1))
     assert sys2.d == pytest.approx(3.0)
     assert sys2.b2 == -1.0
     assert np.allclose(meval(sys2.aprime, 0.5), 0.0)
@@ -182,7 +201,7 @@ def _reference_blowup_series(system):
     s_star = blowup_equilibrium(system)
     out = np.zeros((ln, kk, kk))
     out[0] = s_star
-    gs, sg = system.g0 @ s_star, s_star @ system.g0
+    gs, sg = system.g[0] @ s_star, s_star @ system.g[0]
     a, c, g = system.aprime, system.cprime, system.g
     for k in range(1, ln):
         rhs = c[k].copy()
@@ -206,7 +225,7 @@ def _reference_blowup_series(system):
 
 def blowup_residual(system, s1):
     """Defect of a candidate fixed point in the truncated equation."""
-    return float(np.linalg.norm(s1 + s1 @ system.g0 @ s1 - system.cprime[0]))
+    return float(np.linalg.norm(s1 + s1 @ system.g[0] @ s1 - system.cprime[0]))
 
 
 def blowup_linearization(system, s_star):
@@ -215,14 +234,14 @@ def blowup_linearization(system, s_star):
     All but one come from the action on symmetric chart perturbations; the
     last (always ``+1``) from the scaling direction itself.
     """
-    op = _sym_operator(1.0, system.g0 @ s_star, s_star @ system.g0)
+    op = _sym_operator(1.0, system.g[0] @ s_star, s_star @ system.g[0])
     w = np.linalg.eigvals(-op)
     assert np.max(np.abs(w.imag)) <= 1e-9 * max(1.0, float(np.max(np.abs(w))))
     return np.sort(np.append(w.real, 1.0))
 
 
 def test_equilibrium_scalar_order_two():
-    sys2 = case_system(_coeffs_c2(), 1)
+    sys2 = case_system(_coeffs_c2(), _identity_case(1))
     eq = blowup_equilibrium(sys2)
     assert np.allclose(eq, [[-1.0]])
     assert blowup_residual(sys2, eq) < 1e-14
@@ -231,7 +250,7 @@ def test_equilibrium_scalar_order_two():
 
 def test_equilibrium_order_one_is_symmetrized_c():
     c1 = NormalFormCoefficients(k=1, m=1, b=[0.0, -1.0], b11=np.zeros(1), c11=[0.7])
-    s1 = case_system(c1, 1)
+    s1 = case_system(c1, _identity_case(1))
     eq = blowup_equilibrium(s1)
     assert np.allclose(eq, [[0.7]])
     assert blowup_residual(s1, eq) < 1e-14
@@ -252,7 +271,7 @@ def test_linearization_order_one_two_blocks():
     c2 = NormalFormCoefficients(
         k=2, m=1, b=[0.0, -1.0], b11=[0.2], c11=[0.7], b22=[-0.3], c22=[-0.1]
     )
-    s = case_system(c2, 1)
+    s = case_system(c2, _identity_case(2))
     eq = blowup_equilibrium(s)
     assert np.allclose(blowup_linearization(s, eq), [-1.0, -1.0, -1.0, 1.0])
 
@@ -318,7 +337,7 @@ def test_series_start_windows():
 def test_continuation_scalar_closed_form():
     # S1(t) = -1 identically, so the continued plane is span{(1, -t)}
     grid = np.linspace(0.05, 1.0, 20)
-    trace = first_jet_continuation(_coeffs_c2(), np.array([[1.0], [0.4]]), grid)
+    trace = first_jet_continuation(_coeffs_c2(), _identity_case(1), grid)
     assert trace.diagnostics["series_start"] == pytest.approx(0.1)
     assert trace.diagnostics["case"] == 1
     assert np.allclose(trace.diagnostics["equilibrium"], [[-1.0]])
@@ -334,9 +353,6 @@ def test_continuation_two_block_stays_lagrangian():
     trace = first_jet_continuation(_coeffs_k2(), case, grid)
     assert len(trace.curve.planes) == 8
     assert max(isotropy_residual(p) for p in trace.curve.planes) < 1e-10
-    # the chart values are symmetric by construction
-    for s1 in trace.diagnostics["blowup_values"]:
-        assert np.allclose(s1, s1.T)
 
 
 def _corpus_problem(name):
@@ -358,7 +374,7 @@ def test_continuation_matches_independent_frame_transport(name):
     s1 = meval(blowup_series(case_system(coeffs, case)), t0)
     start = case.minv @ np.vstack([np.eye(2), t0 * s1])
     above = grid > t0
-    flow = flow_plane(coeffs.as_callable(), start, np.concatenate([[t0], grid[above]]))
+    flow = flow_plane(coeffs.system, start, np.concatenate([[t0], grid[above]]))
     got = [p for p, keep in zip(trace.curve.planes, above) if keep]
     assert max(plane_distance(a, b) for a, b in zip(got, flow.planes[1:])) < 1e-10
 
@@ -366,7 +382,7 @@ def test_continuation_matches_independent_frame_transport(name):
 @pytest.mark.parametrize("name, last_below", [("degen_m1", 0.05), ("degen_m2", 1e-4)])
 def test_epsilon_family_approaches_the_continuation(name, last_below):
     coeffs, l0, _ = _corpus_problem(name)
-    trace = first_jet_continuation(coeffs, l0, np.array([0.5, 1.0]))
+    trace = first_jet_continuation(coeffs, first_jet_case(l0), np.array([0.5, 1.0]))
     family = epsilon_family_oracle(coeffs, l0, 1.0, [1e-2, 1e-3, 1e-4, 1e-5])
     dists = [plane_distance(p, trace.curve.planes[-1]) for p in family]
     assert all(b < a for a, b in zip(dists, dists[1:]))
@@ -375,14 +391,17 @@ def test_epsilon_family_approaches_the_continuation(name, last_below):
 
 def test_blowup_values_are_nan_where_the_chart_ends():
     # the corpus degen_m2 curve leaves the blow-up chart between 0.7 and 0.85:
-    # one eigenvalue of S1 runs off to +inf and comes back from -inf.  With
-    # the last node fixed the transport is the same for every first node, so
-    # the root of 1/tr S1 is the time at which the plane leaves the chart.
+    # one eigenvalue of S1 = S / t, S the chart matrix of the transformed
+    # plane, runs off to +inf and comes back from -inf.  With the last node
+    # fixed the transport is the same for every first node, so the root of
+    # 1/tr S1 is the time at which the plane leaves the chart.
     coeffs, l0, _ = _corpus_problem("degen_m2")
+    case = first_jet_case(l0)
+    chart = _chart_basis(horizontal_plane(2), vertical_plane(2))
 
     def values(t):
-        trace = first_jet_continuation(coeffs, l0, np.array([t, 1.0]))
-        return trace.diagnostics["blowup_values"][0]
+        plane = first_jet_continuation(coeffs, case, np.array([t, 1.0])).curve.planes[0]
+        return _chart_matrix(case.matrix @ plane, chart) / t
 
     def inverse_trace(t):
         s1 = values(t)
@@ -397,13 +416,11 @@ def test_blowup_values_are_nan_where_the_chart_ends():
 
 def test_continuation_grid_validation():
     coeffs = _coeffs_c2()
-    plane = np.array([[1.0], [0.4]])
+    case = _identity_case(1)
     with pytest.raises(PreconditionError):
-        first_jet_continuation(coeffs, plane, np.array([0.0, 0.5]))
+        first_jet_continuation(coeffs, case, np.array([0.0, 0.5]))
     with pytest.raises(PreconditionError):
-        first_jet_continuation(coeffs, plane, np.array([0.5, 0.2]))
-    with pytest.raises(PreconditionError):
-        first_jet_continuation(coeffs, "not a case", np.array([0.5]))
+        first_jet_continuation(coeffs, case, np.array([0.5, 0.2]))
 
 
 if __name__ == "__main__":

@@ -7,14 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from helpers import hamiltonian
 from jacobiflow import cli, flows
 from jacobiflow.errors import PoleError, PreconditionError
-from jacobiflow.flows import (
-    HamiltonianCoefficients,
-    _batch,
-    _integrate,
-    flow_plane,
-)
+from jacobiflow.flows import _batch, _integrate, flow_plane
 from jacobiflow.grassmann import (
     horizontal_plane,
     plane_distance,
@@ -22,26 +18,27 @@ from jacobiflow.grassmann import (
     vertical_plane,
 )
 from jacobiflow.singular.frame import NormalFormCoefficients
-from jacobiflow.symplectic import check_structure, isotropy_residual, symplectic_inverse
+from jacobiflow.symplectic import isotropy_residual, symplectic_inverse
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+_J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
 
 
 def _harmonic():
     # p' = q, q' = -p: rotation generator J
-    return HamiltonianCoefficients(
+    return hamiltonian(
         a=np.zeros((1, 1)), b=np.array([[1.0]]), c=np.array([[-1.0]])
     )
 
 
 def test_coefficients_evaluate_to_block_matrix():
-    h = HamiltonianCoefficients(
+    h = hamiltonian(
         a=np.array([[0.5]]), b=np.array([[2.0]]), c=np.array([[3.0]])
     )
     m = h(0.7)
     assert np.allclose(m, [[0.5, 2.0], [3.0, -0.5]])
     # polynomial stacks, lowest order first
-    hp = HamiltonianCoefficients(
+    hp = hamiltonian(
         a=np.zeros((2, 1, 1)),
         b=np.array([[[1.0]], [[2.0]]]),
         c=np.zeros((1, 1, 1)),
@@ -50,7 +47,7 @@ def test_coefficients_evaluate_to_block_matrix():
 
 
 def test_coefficients_pole():
-    h = HamiltonianCoefficients(
+    h = hamiltonian(
         a=np.zeros((1, 1)), b=np.array([[1.0]]), c=np.array([[0.0]]), pole_order=2
     )
     assert h(0.5)[0, 1] == pytest.approx(4.0)
@@ -82,28 +79,18 @@ def test_coefficients_match_power_sum(n, pole, t, seed):
         return 0.5 * (c + np.transpose(c, (0, 2, 1))) if sym else c
 
     a, b, c = stack(False), stack(True), stack(True)
-    h = HamiltonianCoefficients(a=a, b=b, c=c, pole_order=pole)
+    h = hamiltonian(a=a, b=b, c=c, pole_order=pole)
 
     at, bt, ct = (_power_sum(x, t) for x in (a, b, c))
     ref = np.block([[at, bt / t**pole], [ct, -at.T]])
     aa, ab, ac = (_power_sum(np.abs(x), abs(t)) for x in (a, b, c))
     scale = np.block([[aa, ab / abs(t) ** pole], [ac, aa.T]])
     assert np.all(np.abs(h(t) - ref) <= 1e-14 * scale)
-    assert np.array_equal(np.hstack(h.blocks(t)[:2]), h(t)[:n])
-
-
-def test_coefficients_reject_nonsymmetric_blocks():
-    b = np.array([[1.0, 2.0], [0.0, 1.0]])
-    sym = np.eye(2)
-    with pytest.raises(PreconditionError):
-        HamiltonianCoefficients(a=np.zeros((2, 2)), b=b, c=sym)
-    with pytest.raises(PreconditionError):
-        HamiltonianCoefficients(a=np.zeros((2, 2)), b=sym, c=b)
 
 
 def _fundamental(h, t):
     """Fundamental matrix at ``t`` of ``h``: one march of the identity from 0."""
-    return _integrate(h, np.eye(2 * h.n), [0.0, t], 1e-12)[-1]
+    return _integrate(h, np.eye(h(0.0).shape[-1]), [0.0, t], 1e-12)[-1]
 
 
 def _expm_flow(h, t):
@@ -120,7 +107,7 @@ def test_fundamental_matrix_rotation(t):
 
 
 def test_fundamental_matrix_reverse_rotation():
-    h = HamiltonianCoefficients(
+    h = hamiltonian(
         a=np.zeros((1, 1)), b=np.array([[-1.0]]), c=np.array([[1.0]])
     )
     phi = _fundamental(h, 1.0)
@@ -134,18 +121,18 @@ def test_fundamental_matrix_is_symplectic():
     b = b + b.T
     c = rng.normal(size=(2, 2))
     c = c + c.T
-    h = HamiltonianCoefficients(a=rng.normal(size=(2, 2)), b=b, c=c)
+    h = hamiltonian(a=rng.normal(size=(2, 2)), b=b, c=c)
     phi = _fundamental(h, 1.5)
     ref = _expm_flow(h, 1.5)
     assert np.max(np.abs(phi - ref)) < 1e-9 * np.max(np.abs(ref))
-    assert check_structure(phi, "symplectic", tol=1e-8)
+    assert np.max(np.abs(phi.T @ _J4 @ phi - _J4)) <= 1e-8 * max(1.0, np.max(np.abs(phi)) ** 2)
 
 
 @pytest.mark.filterwarnings("error")
 def test_flow_plane_refuses_to_cross_pole():
     # the march stalls at the order-2 pole at t = 0: one PoleError, and no
     # floating-point warning on the way there
-    h = HamiltonianCoefficients(
+    h = hamiltonian(
         a=np.zeros((1, 1)), b=np.array([[1.0]]), c=np.array([[0.5]]), pole_order=2
     )
     with pytest.raises(PoleError, match="stalled"):
@@ -165,7 +152,7 @@ def test_symplectic_inverse():
     assert np.allclose(symplectic_inverse(phi), np.linalg.inv(phi), atol=1e-12)
     rng = np.random.default_rng(6)
     b = rng.normal(size=(2, 2))
-    h = HamiltonianCoefficients(a=rng.normal(size=(2, 2)), b=b + b.T, c=np.zeros((2, 2)))
+    h = hamiltonian(a=rng.normal(size=(2, 2)), b=b + b.T, c=np.zeros((2, 2)))
     phi = _expm_flow(h, 1.0)
     assert np.allclose(symplectic_inverse(phi) @ phi, np.eye(4), atol=1e-8)
 
@@ -173,7 +160,7 @@ def test_symplectic_inverse():
 def test_flow_plane_matches_matrix_action():
     grid = np.linspace(0.0, 2.0, 9)
     curve = flow_plane(_harmonic(), vertical_plane(1), grid)
-    assert len(curve) == grid.size
+    assert len(curve.times) == grid.size
     for t, p in zip(curve.times, curve.planes):
         phi = _expm_flow(_harmonic(), float(t))
         assert plane_distance(p, phi @ vertical_plane(1)) < 1e-10
@@ -186,7 +173,7 @@ def test_flow_plane_matches_matrix_action():
 
 
 def _harmonic_chart(p):
-    return to_chart(p, horizontal_plane(1), vertical_plane(1)).s[0, 0]
+    return to_chart(p, horizontal_plane(1), vertical_plane(1))[0, 0]
 
 
 def test_flow_plane_passes_a_chart_pole():
@@ -215,7 +202,7 @@ def test_flow_plane_n2():
     b = 0.5 * (b + b.T)
     c = rng.normal(size=(2, 2))
     c = 0.5 * (c + c.T)
-    h = HamiltonianCoefficients(a=rng.normal(size=(2, 2)), b=b, c=c)
+    h = hamiltonian(a=rng.normal(size=(2, 2)), b=b, c=c)
     s0 = rng.normal(size=(2, 2))
     s0 = 0.5 * (s0 + s0.T)
     grid = np.linspace(0.0, 1.5, 7)
@@ -240,7 +227,7 @@ def test_flow_plane_on_a_refined_grid_makes_the_same_march(monkeypatch):
     # refining the grid adds no solver call and moves no plane beyond the tolerance
     rng = np.random.default_rng(4)
     sym = [0.5 * (m + np.swapaxes(m, 1, 2)) for m in rng.normal(size=(2, 3, 2, 2))]
-    h = HamiltonianCoefficients(a=rng.normal(size=(3, 2, 2)), b=sym[0], c=sym[1])
+    h = hamiltonian(a=rng.normal(size=(3, 2, 2)), b=sym[0], c=sym[1])
     start = np.vstack([np.eye(2), sym[0][0]])
     spans = _counted_integrate(monkeypatch)
     coarse = flow_plane(h, start, np.linspace(0.0, 3.0, 7))
@@ -258,7 +245,7 @@ def _decoupled(rates):
     """``lambda' = [[A, 0], [0, -A]] lambda``, A = R diag(rates) R^T, R a rotation by 0.7."""
     rot = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
     a = rot @ np.diag(rates) @ rot.T
-    return a, HamiltonianCoefficients(a=a, b=np.zeros((2, 2)), c=np.zeros((2, 2)))
+    return a, hamiltonian(a=a, b=np.zeros((2, 2)), c=np.zeros((2, 2)))
 
 
 def _gap_to_closed_form(a, flow, s0):
@@ -289,16 +276,13 @@ def test_subdominant_directions_keep_their_closed_form():
     assert _gap_to_closed_form(a, flow, s0) < 1e-11
 
 
-_J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.floats(0.01, 2.0), st.floats(-3.0, 3.0))
 def test_propagators_are_symplectic_to_rounding(seed, h, t):
     # Gauss collocation keeps quadratic invariants: P^T J P = J up to rounding
     rng = np.random.default_rng(seed)
     sym = [0.5 * (m + np.swapaxes(m, 1, 2)) for m in rng.normal(size=(2, 3, 2, 2))]
-    sys = HamiltonianCoefficients(a=rng.normal(size=(3, 2, 2)), b=sym[0], c=sym[1])
+    sys = hamiltonian(a=rng.normal(size=(3, 2, 2)), b=sym[0], c=sym[1])
     starts = t + h * np.arange(4.0)
     inc, _ = _batch(sys, starts, np.full(4, h), 1e-12)
     for p in np.eye(4) + inc:
@@ -311,7 +295,7 @@ def test_normal_form_march_across_the_pole_is_a_pole_error():
     coeffs = NormalFormCoefficients(k=1, m=2, b=np.array([0.0, 0.0, -1.0]),
                                     b11=np.zeros(1), c11=np.array([0.3]))
     with pytest.raises(PoleError):
-        flow_plane(coeffs.as_callable(), vertical_plane(1), [-0.5, 0.5])
+        flow_plane(coeffs.system, vertical_plane(1), [-0.5, 0.5])
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -321,14 +305,14 @@ def test_normal_form_march_across_poles_of_order_1_and_3_is_a_pole_error(m):
     b[m] = -1.0
     coeffs = NormalFormCoefficients(k=1, m=m, b=b, b11=np.zeros(1), c11=np.array([0.3]))
     with pytest.raises(PoleError, match="stalled"):
-        flow_plane(coeffs.as_callable(), vertical_plane(1), [-0.5, 0.5])
+        flow_plane(coeffs.system, vertical_plane(1), [-0.5, 0.5])
 
 
 def test_plane_steps_stay_where_the_propagators_agree():
     # e_1 is invariant under p' = p, q' = -q, so its plane error is 0 at any
     # step; the gap of the propagators, 1.5e-3 of their size at h = 2 and
     # 0.11 at h = 3.5, still bounds the step
-    h = HamiltonianCoefficients(a=np.array([[1.0]]), b=np.zeros((1, 1)), c=np.zeros((1, 1)))
+    h = hamiltonian(a=np.array([[1.0]]), b=np.zeros((1, 1)), c=np.zeros((1, 1)))
     line = np.array([[[1.0], [0.0]]])
     _, err = _batch(h, np.zeros(2), np.array([2.0, 3.5]), 1e-12, line)
     assert err[0] == pytest.approx(0.146, rel=0.01)
@@ -346,7 +330,7 @@ def test_lines_that_collapse_at_an_order_2_pole_do_not_cross_it(c11, start, line
     coeffs = NormalFormCoefficients(k=1, m=2, b=np.array([0.0, 0.0, -1.0]),
                                     b11=np.zeros(1), c11=np.array([c11]))
     with pytest.raises(PoleError, match="stalled"):
-        flow_plane(coeffs.as_callable(), np.array(line)[:, None], [start, 0.5])
+        flow_plane(coeffs.system, np.array(line)[:, None], [start, 0.5])
 
 
 def _recorded_batches(monkeypatch) -> list:
@@ -385,7 +369,7 @@ def test_a_failed_opening_step_is_followed_by_a_ladder(monkeypatch):
 def test_a_full_batch_grows_h_from_its_last_step(monkeypatch):
     # away from an order-2 pole the error falls about 70 times along a batch;
     # the next h is taken from the batch's last step, not from its worst
-    h = HamiltonianCoefficients(a=np.zeros((1, 1)), b=np.array([[1.0]]),
+    h = hamiltonian(a=np.zeros((1, 1)), b=np.array([[1.0]]),
                                 c=np.array([[0.5]]), pole_order=2)
     calls = _recorded_batches(monkeypatch)
     _integrate(h, np.eye(2), [0.01, 1.0], 1e-12)

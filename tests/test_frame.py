@@ -54,15 +54,13 @@ def _j(n):
 def test_coefficients_basic_properties():
     c = NormalFormCoefficients(k=1, m=2, b=[0.0, 0.0, -2.0], b11=[0.3], c11=[-0.7])
     assert c.b_m == -2.0
-    assert c.b_value(0.5) == pytest.approx(-0.5)
-    assert c.bhat(1.0)[0, 0] == pytest.approx(1.0 / -2.0 + 0.3)
+    assert c.system(1.0)[0, 1] == pytest.approx(1.0 / -2.0 + 0.3)
     assert c.chat(0.0)[0, 0] == -0.7
     sysm = c.system(0.5)
     assert sysm.shape == (2, 2)
     assert sysm[0, 0] == 0.0 and sysm[1, 1] == 0.0
     assert sysm[0, 1] == pytest.approx(1.0 / -0.5 + 0.3)
     assert sysm[1, 0] == -0.7
-    assert c.as_callable()(0.5) == pytest.approx(sysm)
 
 
 def test_coefficients_two_block_symmetry():
@@ -70,7 +68,7 @@ def test_coefficients_two_block_symmetry():
         k=2, m=2, b=[0.0, 0.0, -1.0], b11=[0.0], c11=[-1.0],
         b12=[0.4], b22=[-1.0, 0.2], c22=[0.1],
     )
-    bh = c.bhat(0.5)
+    bh = c.system(0.5)[:2, 2:]
     assert bh[0, 1] == bh[1, 0] == 0.4
     assert bh[1, 1] == pytest.approx(-0.9)
     ch = c.chat(0.5)
@@ -81,7 +79,7 @@ def test_coefficients_two_block_symmetry():
 def test_coefficients_pole_and_validation():
     c = NormalFormCoefficients(k=1, m=1, b=[0.0, -1.0], b11=[0.0], c11=[2.0])
     with pytest.raises(PoleError):
-        c.bhat(0.0)
+        c.system(0.0)
     with pytest.raises(PreconditionError):
         NormalFormCoefficients(k=3, m=1, b=[0.0, -1.0], b11=[0.0], c11=[0.0])
     with pytest.raises(PreconditionError):
@@ -130,10 +128,7 @@ def test_compiled_system_matches_polyval_assembly(k, m, tau, seed):
     c = NormalFormCoefficients(k=k, m=m, b=b, **{name: stack() for name in names})
     ref = _polyval_system(c, tau)
     assert np.array_equal(c.system(tau), ref)
-    assert np.array_equal(c.as_callable()(tau), ref)
-    assert np.array_equal(c.bhat(tau), ref[:k, k:])
     assert np.array_equal(c.chat(tau), ref[k:, :k])
-    assert c.b_value(tau) == np.polynomial.polynomial.polyval(tau, b)
 
 
 def test_compiled_system_raises_where_the_weight_vanishes():
@@ -144,8 +139,6 @@ def test_compiled_system_raises_where_the_weight_vanishes():
     for tau in (0.0, 1.0):
         with pytest.raises(PoleError):
             c.system(tau)
-        with pytest.raises(PoleError):
-            c.bhat(tau)
     assert np.isfinite(c.system(0.5)).all()
 
 
@@ -174,7 +167,6 @@ def test_build_frame_order_one():
     assert f.symplectic_residual < 1e-12
     assert f.cross_residual < 1e-12
     assert f.adjust is None
-    assert f.block_columns() == [0, 2]
     assert np.allclose(f.coeffs.c11[0], -1.0)
     j = _j(f.n)
     for tau in (0.0, 0.1, 0.3):
@@ -198,7 +190,6 @@ def test_build_frame_order_two_span_three():
     j = _j(f.n)
     mat = f.frame_at(0.2)
     assert np.max(np.abs(mat.T @ j @ mat - j)) < 1e-12
-    assert f.block_columns() == [0, 1, 2, 3]
 
 
 def test_no_shear_when_raw_entry_is_already_negative():

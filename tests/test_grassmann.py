@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import random_lagrangian
 from jacobiflow.errors import ChartError, NondegeneracyError, PreconditionError
 from jacobiflow.grassmann import (
     GrassmannCurve,
@@ -10,11 +11,9 @@ from jacobiflow.grassmann import (
     _chart_matrix,
     canonicalize,
     extend_by_isotropic,
-    from_chart,
     horizontal_plane,
     intersection_dimension,
     plane_distance,
-    random_lagrangian,
     to_chart,
     transversality_margin,
     validate_lagrangian,
@@ -99,14 +98,21 @@ def test_random_lagrangian_deterministic():
     assert np.array_equal(a, b)
 
 
+def _from_chart(s, delta, pi_ref):
+    """Frame of the graph of S over ``pi_ref`` in the chart ``(delta, pi_ref)``."""
+    m = _chart_basis(delta, pi_ref)
+    n = s.shape[0]
+    return m[:, :n] + m[:, n:] @ s
+
+
 def test_to_chart_sign_convention():
     # the chart value of span [I; S] over the horizontal plane is S itself
     s = np.array([[0.5, 0.2], [0.2, -1.0]])
     plane = np.vstack([np.eye(2), s])
-    pt = to_chart(plane, horizontal_plane(2), vertical_plane(2))
-    assert np.allclose(pt.s, s, atol=1e-12)
-    assert np.allclose(pt.s, pt.s.T, atol=1e-12)
-    back = from_chart(pt)
+    got = to_chart(plane, horizontal_plane(2), vertical_plane(2))
+    assert np.allclose(got, s, atol=1e-12)
+    assert np.allclose(got, got.T, atol=1e-12)
+    back = _from_chart(got, horizontal_plane(2), vertical_plane(2))
     assert plane_distance(back, plane) < 1e-12
 
 
@@ -123,9 +129,9 @@ def test_chart_roundtrip(n, seed):
     delta = horizontal_plane(n)
     if transversality_margin(plane, delta) < 1e-3:
         return
-    pt = to_chart(plane, delta, vertical_plane(n))
-    assert np.max(np.abs(pt.s - pt.s.T)) < 1e-9 * max(1.0, np.max(np.abs(pt.s)))
-    assert plane_distance(from_chart(pt), plane) < 1e-9
+    s = to_chart(plane, delta, vertical_plane(n))
+    assert np.max(np.abs(s - s.T)) < 1e-9 * max(1.0, np.max(np.abs(s)))
+    assert plane_distance(_from_chart(s, delta, vertical_plane(n)), plane) < 1e-9
 
 
 def test_extend_by_isotropic_member_is_identity():
@@ -298,7 +304,7 @@ def test_stacked_ranks_residuals_and_distances_are_the_frame_by_frame_results(f)
 @example(f=np.array([[[2.2250738585e-311], [0.0]]]))  # a subnormal frame overflowed the inverse
 def test_stacked_chart_matrices_are_the_frame_by_frame_results(f):
     n = f.shape[1] // 2
-    m = _chart_basis(horizontal_plane(n), vertical_plane(n))[2]
+    m = _chart_basis(horizontal_plane(n), vertical_plane(n))
     s = _chart_matrix(f, m)
     for frame, got in zip(f, s):
         assert _same_bits(got, _chart_matrix(frame, m))

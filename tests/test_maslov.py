@@ -4,15 +4,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from helpers import hamiltonian, random_lagrangian
 from jacobiflow.errors import NondegeneracyError, PreconditionError, RefinementError
-from jacobiflow.flows import HamiltonianCoefficients, flow_plane
+from jacobiflow.flows import flow_plane
 from jacobiflow.grassmann import (
     GrassmannCurve,
     canonicalize,
     horizontal_plane,
     intersection_dimension,
     plane_distance,
-    random_lagrangian,
     to_chart,
     transversality_margin,
     validate_lagrangian,
@@ -62,8 +62,8 @@ def simple_arc_index(l0: np.ndarray, l1: np.ndarray, pi: np.ndarray, delta: np.n
     ``delta`` (so chart matrices exist) and to ``pi`` (so the signatures are
     defined); the arc is assumed to stay inside the chart.
     """
-    s0 = to_chart(l0, delta, pi).s
-    s1 = to_chart(l1, delta, pi).s
+    s0 = to_chart(l0, delta, pi)
+    s1 = to_chart(l1, delta, pi)
     return (_signature(s1) - _signature(s0)) // 2
 
 
@@ -76,6 +76,11 @@ def reference_catalogue(n: int) -> list[np.ndarray]:
         cats.extend(random_lagrangian(rng, n) for _ in range(N_RANDOM_CHARTS))
         _catalogue_cache[n] = cats
     return _catalogue_cache[n]
+
+
+def _n(curve) -> int:
+    """Degrees of freedom of a sampled curve: half the rows of its frames."""
+    return curve.planes[0].shape[0] // 2
 
 
 def _rotation_loop(omegas, l0, samples_per_unit=24):
@@ -137,7 +142,7 @@ def test_partial_sums_accumulate_to_index():
     curve = _rotation_loop([1.0], l0)
     pi = horizontal_plane(1)
     sums = maslov_partial_sums(curve, pi)
-    assert len(sums) == len(curve)
+    assert len(sums) == len(curve.times)
     assert sums[0] == 0.0
     assert not np.isnan(sums[-1])
     assert sums[-1] == maslov_index(curve, pi)
@@ -167,12 +172,12 @@ def _reference_gaps(planes):
 
 def _reference_index(curve, pi):
     pi = validate_lagrangian(np.asarray(pi, dtype=float))
-    if len(curve) < 2:
+    if len(curve.times) < 2:
         return 0
     for end in (curve.planes[0], curve.planes[-1]):
         if intersection_dimension(end, pi) > 0:
             raise PreconditionError("curve endpoint is not transversal to the reference plane")
-    catalogue = reference_catalogue(curve.n)
+    catalogue = reference_catalogue(_n(curve))
 
     def arc(i, j, depth):
         if depth > MAX_DEPTH:
@@ -192,13 +197,13 @@ def _reference_index(curve, pi):
                 return arc(i, k, depth + 1) + arc(k, j, depth + 1)
         raise RefinementError("no split sample is transversal to the reference plane")
 
-    return arc(0, len(curve) - 1, 0)
+    return arc(0, len(curve.times) - 1, 0)
 
 
 def _reference_partial_sums(curve, pi):
     sums = [0.0]
     total = 0.0
-    for k in range(1, len(curve)):
+    for k in range(1, len(curve.times)):
         sub = GrassmannCurve(times=curve.times[k - 1 : k + 1], planes=curve.planes[k - 1 : k + 1])
         try:
             total += _reference_index(sub, pi)
@@ -211,7 +216,7 @@ def _reference_partial_sums(curve, pi):
 def _assert_same_sums(curve, pi):
     sums = maslov_partial_sums(curve, pi)
     expected = _reference_partial_sums(curve, pi)
-    assert len(sums) == len(expected) == len(curve)
+    assert len(sums) == len(expected) == len(curve.times)
     np.testing.assert_array_equal(sums, expected)  # nan equals nan
     return sums
 
@@ -285,7 +290,7 @@ def _random_flow_curve(rng, refine=1):
     # unit-scale blocks keep the turn between samples well below the chart margins
     n = 2
     a, b, c = (m / np.linalg.norm(m, 2) for m in rng.standard_normal((3, n, n)))
-    h = HamiltonianCoefficients(a=a, b=b @ b.T + 0.5 * np.eye(n), c=-(c @ c.T))
+    h = hamiltonian(a=a, b=b @ b.T + 0.5 * np.eye(n), c=-(c @ c.T))
     return flow_plane(h, random_lagrangian(rng, n), np.linspace(0.0, 3.0, 30 * refine + 1))
 
 
@@ -299,14 +304,14 @@ def _sub_curve(curve, i, j):
 def test_maslov_index_is_additive(make_curve, seed):
     rng = np.random.default_rng(seed)
     curve = make_curve(rng)
-    pi = random_lagrangian(rng, curve.n)
+    pi = random_lagrangian(rng, _n(curve))
     sums = maslov_partial_sums(curve, pi)
     index = maslov_index(curve, pi)
     if not np.any(np.isnan(sums)):
         assert index == sums[-1]
-    cut = int(rng.integers(1, len(curve) - 1))
+    cut = int(rng.integers(1, len(curve.times) - 1))
     pieces = maslov_index(_sub_curve(curve, 0, cut), pi) + maslov_index(
-        _sub_curve(curve, cut, len(curve) - 1), pi)
+        _sub_curve(curve, cut, len(curve.times) - 1), pi)
     assert index == pieces
 
 
@@ -324,7 +329,7 @@ def _index_or_none(curve, pi):
 def test_index_is_unchanged_by_inserting_exact_midpoints(make_curve, seed):
     rng = np.random.default_rng(seed)
     fine = make_curve(rng, refine=2)
-    pi = random_lagrangian(rng, fine.n)
+    pi = random_lagrangian(rng, _n(fine))
     coarse = GrassmannCurve(times=fine.times[::2], planes=fine.planes[::2])
     index = _index_or_none(coarse, pi)
     assume(index is not None)
@@ -337,7 +342,7 @@ def test_index_is_unchanged_by_inserting_exact_midpoints(make_curve, seed):
 def test_reversing_the_curve_negates_the_index(make_curve, seed):
     rng = np.random.default_rng(seed)
     curve = make_curve(rng)
-    pi = random_lagrangian(rng, curve.n)
+    pi = random_lagrangian(rng, _n(curve))
     back = GrassmannCurve(times=-curve.times[::-1], planes=curve.planes[::-1])
     index, back_index = _index_or_none(curve, pi), _index_or_none(back, pi)
     assume(index is not None and back_index is not None)
@@ -357,8 +362,8 @@ def _random_symplectic(rng, n):
 def test_index_is_symplectically_invariant(make_curve, seed):
     rng = np.random.default_rng(seed)
     curve = make_curve(rng)
-    pi = random_lagrangian(rng, curve.n)
-    phi = _random_symplectic(rng, curve.n)
+    pi = random_lagrangian(rng, _n(curve))
+    phi = _random_symplectic(rng, _n(curve))
     moved = GrassmannCurve(times=curve.times, planes=[phi @ p for p in curve.planes])
     index, moved_index = _index_or_none(curve, pi), _index_or_none(moved, phi @ pi)
     assume(index is not None and moved_index is not None)
@@ -388,7 +393,7 @@ def test_step_index_is_the_index_of_the_shortest_path(n, seed):
     assume(min(transversality_margin(p, q) for p, q in ((delta, pi), (l0, pi), (l1, pi))) > 1e-6)
     # the oracle's own precondition: both endpoint signatures are defined
     # at its tolerance, which is relative to the largest chart eigenvalue
-    assume(all(_has_signature(to_chart(p, delta, pi).s) for p in (l0, l1)))
+    assume(all(_has_signature(to_chart(p, delta, pi)) for p in (l0, l1)))
     curve = GrassmannCurve(times=np.array([0.0, 1.0]), planes=[l0, l1])
     assert maslov_index(curve, pi) == simple_arc_index(l0, l1, pi, delta)
 
@@ -398,7 +403,7 @@ def test_index_across_interior_nodes_on_reference():
     curve = _line_curve(np.union1d(np.linspace(0.1, 2.0 * np.pi + 0.1, 25), [np.pi, 2.0 * np.pi]))
     pi = vertical_plane(1)
     on_pi = [k for k, p in enumerate(curve.planes) if intersection_dimension(p, pi) > 0]
-    assert len(on_pi) == 2 and 0 < min(on_pi) and max(on_pi) < len(curve) - 1
+    assert len(on_pi) == 2 and 0 < min(on_pi) and max(on_pi) < len(curve.times) - 1
     assert maslov_index(curve, pi) == _reference_index(curve, pi) == 2
     _assert_same_sums(curve, pi)
 

@@ -28,6 +28,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.special import iv, kv
 
+from helpers import random_lagrangian
 from jacobiflow.errors import (
     NoRightLimitError,
     OscillatingError,
@@ -39,7 +40,6 @@ from jacobiflow.grassmann import (
     canonicalize,
     extend_by_isotropic,
     plane_distance,
-    random_lagrangian,
 )
 from jacobiflow.singular.frame import NormalFormCoefficients
 from jacobiflow.singular.jump import epsilon_family_oracle

@@ -166,7 +166,7 @@ def test_meval_derivative():
     a = np.zeros((4, 1, 1))
     a[:, 0, 0] = [1.0, 0.0, 3.0, -2.0]  # 1 + 3 t^2 - 2 t^3
     assert meval(a, 0.5)[0, 0] == pytest.approx(1.0 + 0.75 - 0.25)
-    assert meval(a, 0.5, deriv=1)[0, 0] == pytest.approx(3.0 - 1.5)
+    assert meval(sder(a), 0.5)[0, 0] == pytest.approx(3.0 - 1.5)
     assert sder(a).shape == (3, 1, 1)
 
 
@@ -194,10 +194,12 @@ def test_meval_of_trimmed_stack_equals_polyval(nonzero, zeros, tau, seed):
        st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=9), st.integers(0, 2**31 - 1))
 def test_meval_at_an_array_equals_the_scalar_calls(orders, shape, deriv, taus, seed):
     c = np.random.default_rng(seed).normal(size=(orders,) + shape)
-    got = meval(c, np.array(taus), deriv)
+    for _ in range(deriv):
+        c = sder(c)
+    got = meval(c, np.array(taus))
     assert got.shape == (len(taus),) + shape
     for tau, value in zip(taus, got):
-        assert np.array_equal(value, meval(c, tau, deriv))
+        assert np.array_equal(value, meval(c, tau))
 
 
 @settings(max_examples=40, deadline=None)

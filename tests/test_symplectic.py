@@ -7,12 +7,10 @@ from scipy.linalg import expm
 from jacobiflow.errors import PreconditionError
 from jacobiflow.symplectic import (
     apply_j,
-    check_structure,
     dim_to_n,
     frame_rank,
     gram,
     isotropy_residual,
-    skew_complement,
     symplectic_form,
     symplectic_inverse,
 )
@@ -103,43 +101,6 @@ def test_frame_rank():
     assert frame_rank(f) == 1
     assert frame_rank(np.zeros((4, 2))) == 0
     assert frame_rank(np.eye(4)) == 4
-
-
-def test_skew_complement_of_basis_vector():
-    ep1 = np.array([1.0, 0.0, 0.0, 0.0])
-    comp = skew_complement(ep1)
-    assert comp.shape == (4, 3)
-    assert np.max(np.abs(gram(ep1[:, None], comp))) < 1e-12
-    # sigma(e_p1, v) = v_q1, so the complement is exactly {q_1 = 0}
-    assert np.max(np.abs(comp[2])) < 1e-12
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**31 - 1))
-def test_skew_complement_dimension(n, k, seed):
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(2 * n, min(k, 2 * n)))
-    comp = skew_complement(g)
-    r = frame_rank(g)
-    assert comp.shape == (2 * n, 2 * n - r)
-    assert np.max(np.abs(gram(g, comp))) < 1e-9 if comp.size else True
-
-
-def test_check_structure():
-    assert check_structure(np.eye(4), "symplectic")
-    assert check_structure(_j_matrix(2), "symplectic")
-    assert not check_structure(2.0 * np.eye(4), "symplectic")
-    # J M symmetric for M = [[A, B], [C, -A^T]] with B, C symmetric
-    a = np.array([[1.0, 2.0], [0.5, -1.0]])
-    b = np.array([[1.0, 0.3], [0.3, 2.0]])
-    c = np.array([[0.2, 0.1], [0.1, 0.0]])
-    h = np.block([[a, b], [c, -a.T]])
-    assert check_structure(h, "hamiltonian")
-    assert not check_structure(np.diag([1.0, 2.0, 3.0, 4.0]), "hamiltonian")
-    with pytest.raises(PreconditionError):
-        check_structure(np.eye(4), "unitary")
-    with pytest.raises(PreconditionError):
-        check_structure(np.ones((2, 3)), "symplectic")
 
 
 @settings(max_examples=30, deadline=None)

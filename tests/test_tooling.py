@@ -1,7 +1,8 @@
 """Guards on the shape of the package: no scipy in the package, one integrator
 call site, one solver call per transport, a number of LAPACK calls per trace
-that does not grow with its nodes, a lean import, exports that resolve, and
-an error taxonomy with no class that nothing raises."""
+that does not grow with its nodes, a lean import, exports that resolve, no
+orphaned private helper, and an error taxonomy with no class that nothing
+raises."""
 
 import ast
 import importlib
@@ -98,6 +99,28 @@ def test_solve_ivp_is_called_only_in_flows_integrate():
     assert set(_call_sites("solve_ivp")) <= {"jacobiflow.flows._integrate"}
     assert _call_sites("_batch") == ["jacobiflow.flows._integrate"]
     assert _call_sites("_increments") == ["jacobiflow.flows._batch"]
+
+
+def _private_definitions() -> list[str]:
+    """``module.name`` of every private top-level function and class of the package."""
+    return [f"{module}.{node.name}" for module, tree in _src_modules() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def test_no_private_helper_is_orphaned():
+    # a deletion must take the helpers only it used along: every private
+    # top-level function or class is named, outside an import, somewhere in src
+    used: Counter = Counter()
+    for _, tree in _src_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                used[node.attr] += 1
+    defined = _private_definitions()
+    assert len(defined) > 10
+    assert [name for name in defined if not used[name.rsplit(".", 1)[1]]] == []
 
 
 def _raised_names(tree) -> set[str]:
