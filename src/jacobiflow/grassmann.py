@@ -101,7 +101,10 @@ def canonicalize(f: np.ndarray) -> np.ndarray:
     columns; a canonical column never vanishes, so the padding is plain.
 
     The representative is invariant under right multiplication by any
-    invertible matrix and the map is idempotent.
+    invertible matrix and the map is idempotent: a frame already in this
+    form comes back bit for bit, without the rank tolerance judging it again
+    (elimination can leave a leading 1 below the tolerance of the largest
+    entry, which a second pass would drop).
     """
     f = _as_frame(f)
     # rows are basis vectors, columns are coordinates
@@ -109,8 +112,8 @@ def canonicalize(f: np.ndarray) -> np.ndarray:
     count, k, dim = a.shape
     scale = np.max(np.abs(a), axis=(1, 2), initial=0.0)
     thresh = TOL_RANK * scale
-    rank = np.zeros(count, dtype=int)
-    live = scale != 0.0
+    done, rank = _echelon_rank(a)
+    live = (scale != 0.0) & ~done
     rows = np.arange(k)
     for c in range(dim):
         free = np.flatnonzero(live & (rank < k))
@@ -119,7 +122,15 @@ def canonicalize(f: np.ndarray) -> np.ndarray:
         # the largest entry of column c among each frame's unreduced rows
         col = np.where(rows >= rank[:, None], np.abs(a[:, :, c]), -np.inf)
         below = np.argmax(col, axis=1)
-        take = free[~(col[free, below[free]] <= thresh[free])]
+        small = col[free, below[free]] <= thresh[free]
+        # coordinate c is negligible in every unreduced row of these frames:
+        # clear it, so each row that pivots later leads with exact zeros
+        skip = free[small]
+        if skip.size:
+            tail = a[skip, :, c]
+            tail[(rows >= rank[skip, None]) & (tail != 0.0)] = 0.0
+            a[skip, :, c] = tail
+        take = free[~small]
         r, i = rank[take], below[take]
         a[take, r], a[take, i] = a[take, i], a[take, r]
         block = a[take]
@@ -138,6 +149,27 @@ def canonicalize(f: np.ndarray) -> np.ndarray:
     out = a[:, :width]
     out[rows[:width] >= rank[:, None]] = 0.0
     return np.ascontiguousarray(np.swapaxes(out, 1, 2)).reshape(f.shape[:-2] + (dim, width))
+
+
+def _echelon_rank(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which (k, dim) row stacks of ``a`` are finite and in reduced echelon form
+    (nonzero rows first, each with a leading 1 at a coordinate that increases
+    down the rows and vanishes in every other row), and each one's count of
+    nonzero rows; the count is 0 where the form does not hold."""
+    if not (a == 1.0).any():  # no leading 1: at most zero frames, of rank 0 anyway
+        return np.zeros(len(a), dtype=bool), np.zeros(len(a), dtype=int)
+    nonzero = a != 0.0
+    used = nonzero.any(axis=2)
+    lead = np.argmax(nonzero, axis=2)
+    # at[q, j, i] is row j's entry at the leading coordinate of row i
+    at = np.take_along_axis(a, np.broadcast_to(lead[:, None, :], a.shape[:2] + a.shape[1:2]), axis=2)
+    key = np.where(used, lead, a.shape[2])  # a zero row sorts last
+    done = (
+        np.isfinite(a).all(axis=(1, 2))
+        & ((at == np.eye(a.shape[1])) | ~used[:, None, :]).all(axis=(1, 2))
+        & ((key[:, 1:] > key[:, :-1]) | ~used[:, 1:]).all(axis=1)
+    )
+    return done, np.where(done, used.sum(axis=1), 0)
 
 
 def intersection_dimension(a: np.ndarray, b: np.ndarray):
