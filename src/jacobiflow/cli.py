@@ -51,7 +51,7 @@ from .engine import (
     singular_jacobi_curve,
 )
 from .errors import ConfigError, JacobiflowError, MathError, NondegeneracyError, RadiusError
-from .flows import _integrate, flow_plane
+from .flows import _integrate, flow_plane  # flow_plane: bound here for tracers
 from .grassmann import (
     GrassmannCurve,
     _chart_basis,
@@ -276,6 +276,8 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"grid.steps: must not exceed {STEPS_MAX}")
     if steps > 1 and t1 <= t0:
         raise ConfigError("grid.t1: must exceed grid.t0")
+    if not math.isfinite(t1 - t0):
+        raise ConfigError("grid.t1: the width t1 - t0 overflows")
     grid = np.linspace(t0, t1, steps)
 
     tolerances = _merge_tolerances(DEFAULT_TOLERANCES, raw.get("tolerances", {}))
@@ -506,38 +508,45 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
         return TraceOutput(columns, [], summary)
 
     grid = config.grid
-    # the frame is a truncated series: refuse, once, a grid that reaches past
-    # where its top orders are negligible, before anything evaluates it there
-    t_end = float(grid[-1])
-    if not _tail_within(np.linalg.norm(frame.frame, axis=(1, 2)), t_end):
-        raise RadiusError(
-            f"grid.t1: {t_end} lies beyond the radius of convergence of the normal form series")
     rtol = config.tolerances["rtol"]
-    m0 = frame.frame_at(0.0)
-    l0_nf = canonicalize(symplectic_inverse(m0) @ np.asarray(config.initial_plane, dtype=float))
+    l0_nf = canonicalize(symplectic_inverse(frame.frame_at(0.0)) @ config.initial_plane)
+    # the local theory, in normal-form coordinates, up to the handover time t_h:
+    # the first-jet series window for m <= 2, the epsilon family to grid.t0 for m >= 3
     if frame.m <= 2:
         case = first_jet_case(l0_nf)
-        nf_trace = first_jet_continuation(
-            frame.coeffs, case, grid, nterms=config.tolerances["nterms"], rtol=rtol
-        )
-        nf_planes = nf_trace.curve.planes
+        window = first_jet_continuation(frame.coeffs, case, grid, nterms=config.tolerances["nterms"])
+        times, nf_planes = window.curve.times, window.curve.planes
+        _check_radius(frame, float(times[-1]))
         summary["jet_case"] = case.case
-        summary["series_start"] = nf_trace.diagnostics["series_start"]
-        summary["equilibrium"] = _jsonable(nf_trace.diagnostics["equilibrium"])
+        summary["series_start"] = window.diagnostics["series_start"]
+        summary["equilibrium"] = _jsonable(window.diagnostics["equilibrium"])
     else:
         eps = [e for e in config.tolerances["eps_family"] if e < grid[0]]
         if not eps:
             raise ConfigError("tolerances.eps_family: no entry lies below grid.t0")
-        family = epsilon_family_oracle(frame.coeffs, l0_nf, float(grid[0]), eps, rtol=rtol)
-        family = np.stack(family)
-        dists = plane_distance(family[:-1], family[1:]).tolist()
-        nf_curve = flow_plane(frame.coeffs.system, family[-1], grid, rtol=rtol)
-        nf_planes = nf_curve.planes
+        times = grid[:1]
+        _check_radius(frame, float(times[-1]))
+        family = np.stack(epsilon_family_oracle(frame.coeffs, l0_nf, float(grid[0]), eps, rtol=rtol))
+        nf_planes = family[-1:]
         summary["eps_family"] = list(map(float, eps))
-        summary["oracle_distances"] = dists
-    planes = canonicalize(meval(frame.frame, grid) @ np.stack(nf_planes))
-    rows, flow = _trace_rows(GrassmannCurve(times=grid, planes=list(planes)), [jump], config.n)
+        summary["oracle_distances"] = plane_distance(family[:-1], family[1:]).tolist()
+    # M(t) maps the planes back at t_h and the nodes before it only; past t_h the
+    # curve solves the order-0 Jacobi equation of the original data, one march
+    t_h = float(times[-1])
+    local = canonicalize(meval(frame.frame, times) @ np.stack(nf_planes))
+    kept = int(np.count_nonzero(grid <= t_h))
+    planes = list(local[:kept])
+    if kept < grid.size:
+        planes += singular_jacobi_curve(data, local[-1], (t_h, float(grid[-1])),
+                                        np.append(t_h, grid[kept:]), rtol=rtol).curve.planes[1:]
+    rows, flow = _trace_rows(GrassmannCurve(times=grid, planes=planes), [jump], config.n)
     return TraceOutput(columns, rows, summary, flow)
+
+
+def _check_radius(frame, t: float) -> None:
+    """Refuse a handover time ``t`` where the frame series' top orders are not negligible."""
+    if not _tail_within(np.linalg.norm(frame.frame, axis=(1, 2)), t):
+        raise RadiusError(f"handover time {t} lies past the radius of the normal form series")
 
 
 def _run_portrait(config: ScenarioConfig) -> TraceOutput:

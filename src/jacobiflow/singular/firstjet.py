@@ -10,11 +10,11 @@ the post-jump plane is the zero point:
 2. the chart matrix is blown up as ``S(t) = t * S1(t)``; the blown-up Riccati
    equation has an algebraic fixed point ``S1(0)`` and a unique formal power
    series through it, built order by order from linear solves;
-3. the series is summed at grid points up to a small ``series_start``
-   point; from there the plane ``[I; t S1(t)]``, mapped back by the chart
-   transform, is transported as a frame by the block system itself
-   (:func:`~jacobiflow.flows._integrate`), so the continuation goes on where
-   the curve leaves the chart.
+3. the series is summed, and mapped back by the chart transform, at the
+   grid points up to the handover time: the end of the series window
+   ``series_start``, or the last grid point if the grid ends first.  Past it
+   the curve solves a regular equation, which the caller marches on the
+   original data.
 
 The transformed block system keeps its pole in the same entry for all three
 transforms, so the conjugation is done numerically order by order instead of
@@ -36,7 +36,6 @@ from ..errors import (
     ResonanceError,
     SeriesResonanceError,
 )
-from ..flows import _integrate
 from ..grassmann import (
     GrassmannCurve,
     _chart_basis,
@@ -400,16 +399,14 @@ def first_jet_continuation(
     grid: np.ndarray,
     *,
     nterms: int = SERIES_TERMS,
-    rtol: float = 1e-12,
 ) -> JacobiTrace:
-    """Continue the curve through the singular instant onto a positive grid.
+    """Continue the curve through the singular instant up to the handover time.
 
     ``case`` is the chart transform data of the incoming plane
-    (:func:`first_jet_case`).  Grid points inside the certified series
-    window are summed directly; beyond it the plane is transported as a
-    frame by one march of ``coeffs.system`` from ``series_start`` over the
-    remaining nodes, so leaving the blow-up chart ends nothing.  The jump at
-    time zero is recorded on the returned trace.
+    (:func:`first_jet_case`).  The handover time t_h is ``series_start``, or
+    the last grid point if the grid ends first.  The returned curve holds the
+    summed series planes at the grid points below t_h and at t_h itself, its
+    last time; the jump at time zero is recorded on the returned trace.
     """
 
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -423,20 +420,14 @@ def first_jet_continuation(
     stack = blowup_series(system)
     t0 = series_start(stack)
 
-    above = grid[grid > t0]
-    inside = grid.size - above.size
+    t_h = min(t0, float(grid[-1]))
+    times = np.append(grid[grid < t_h], t_h)
     # the planes [I; t S1(t)] of the series window, mapped back, as one stack
-    frames = np.empty((grid.size, 2 * kk, kk))
-    frames[:inside, :kk] = np.eye(kk)
-    frames[:inside, kk:] = grid[:inside, None, None] * meval(stack, grid[:inside])
-    frames[:inside] = case.minv @ frames[:inside]
-    if above.size:
-        start = case.minv @ np.vstack([np.eye(kk), t0 * meval(stack, t0)])
-        marched = _integrate(coeffs.system, start, np.concatenate([[t0], above]), rtol)
-        frames[inside:] = marched[1:]
-    planes = canonicalize(frames)
+    frames = np.concatenate([np.broadcast_to(np.eye(kk), (times.size, kk, kk)),
+                             times[:, None, None] * meval(stack, times)], axis=1)
+    planes = canonicalize(case.minv @ frames)
 
-    curve = GrassmannCurve(times=grid, planes=list(planes))
+    curve = GrassmannCurve(times=times, planes=list(planes))
     jump = JumpEvent(
         time=0.0,
         pre_plane=case.plane,

@@ -1,10 +1,13 @@
 """Builders shared by the tests: linear Hamiltonian systems from polynomial
-coefficient blocks, and random Lagrangian planes."""
+coefficient blocks, random Lagrangian planes, and the first-jet continuation
+carried past its series window."""
 
 import numpy as np
 
 from jacobiflow.errors import PoleError
+from jacobiflow.flows import flow_plane
 from jacobiflow.series import meval, strim
+from jacobiflow.singular.firstjet import first_jet_continuation
 
 
 def hamiltonian(a, b, c, pole_order: int = 0):
@@ -48,3 +51,17 @@ def random_lagrangian(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = np.linalg.qr(z)
     q = q @ np.diag(np.sign(np.where(np.real(np.diag(r)) == 0, 1.0, np.real(np.diag(r)))))
     return np.vstack([np.real(q), np.imag(q)])
+
+
+def continued(coeffs, case, grid):
+    """The trace of :func:`first_jet_continuation` on ``grid`` and the planes at
+    every grid node: the series window's up to its handover time, then a
+    march of the normal-form system from the window's last plane, as an
+    oracle for the transport past the window."""
+    trace = first_jet_continuation(coeffs, case, grid)
+    times, planes = trace.curve.times, trace.curve.planes
+    kept = int(np.count_nonzero(grid <= times[-1]))
+    if kept == grid.size:
+        return trace, planes
+    flow = flow_plane(coeffs.system, planes[-1], np.append(times[-1], grid[kept:]))
+    return trace, planes[:kept] + flow.planes[1:]

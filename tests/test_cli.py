@@ -1,21 +1,38 @@
 """Exit codes and byte-stable outputs of the command line front end."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
+from helpers import continued, random_lagrangian
 from jacobiflow import cli
 from jacobiflow.cli import DEFAULT_U0, DEFAULT_V0, _trace_rows, main
-from jacobiflow.engine import JumpEvent
-from jacobiflow.grassmann import GrassmannCurve, horizontal_plane
+from jacobiflow.engine import JumpEvent, PiecewiseAnalytic, singular_jacobi_curve
+from jacobiflow.flows import flow_plane
+from jacobiflow.grassmann import (
+    GrassmannCurve,
+    canonicalize,
+    horizontal_plane,
+    plane_distance,
+)
+from jacobiflow.series import meval
+from jacobiflow.singular.firstjet import _tail_within, first_jet_case
+from jacobiflow.singular.jump import epsilon_family_oracle
+from jacobiflow.symplectic import symplectic_inverse
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
 SCENARIO = GOLDEN / "degen_m3_short.json"
 
@@ -92,8 +109,8 @@ def test_golden_degen_m3_trace_is_byte_stable(tmp_path):
 
 
 # first-jet continuation: three nodes inside the series window (it ends at
-# 0.1), then the frame tail, which crosses the pole of the blow-up chart
-# between 0.7525 and 0.79375
+# 0.1), then the march of the original data from 0.1, across the time
+# (between 0.7525 and 0.79375) where the curve leaves the blow-up chart
 def test_golden_degen_m2_trace_is_byte_stable(tmp_path):
     _assert_golden(tmp_path, "trace", "degen_m2_short",
                    "degen_m2_short.csv", "degen_m2_short.csv.summary.json")
@@ -294,24 +311,198 @@ def test_degeneracy_grid_past_the_data_piece_at_zero_is_a_config_error(tmp_path,
     assert err["message"].startswith("grid.t1:")
 
 
-def test_trace_past_the_normal_form_radius_is_refused_at_once(tmp_path, capsys):
-    # the order-39 frame coefficient has norm 1.8e9 (root-test radius about
-    # 0.58), so the series is not summed at t1 = 1; the trace used to spend
-    # more than 20 s in the first-jet transport
+# a cubic X whose frame series has its order-39 coefficient at norm 1.8e9
+# (root-test radius about 0.58)
+WIDE_X = [[2.0409, -2.5557, 0.4181, -0.5678],
+          [-0.4526, -0.2156, -2.02, -0.2319],
+          [-0.8652, 3.323, 0.2258, -0.3526],
+          [-0.2813, -0.668, -1.0552, -0.3908]]
+
+
+def _frames(out: Path, n: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Times and frames of the rows of a trace CSV."""
+    rows = np.array([[float(v) for v in line.split(",")[: 1 + 2 * n * n]]
+                     for line in out.read_text().splitlines()[1:]])
+    return rows[:, 0], rows[:, 1:].reshape(-1, 2 * n, n)
+
+
+# the series window ends at 0.0262: after the first node, or before the grid
+@pytest.mark.parametrize("t0", [0.01, 0.05])
+def test_trace_past_the_normal_form_radius_is_handed_over(tmp_path, t0):
+    # the series is not summed at t1 = 1, so this trace used to be refused
+    # (before that, it spent more than 20 s in the first-jet transport); past
+    # the series window it is one march of the original data
+    raw = json.loads(SCENARIO.read_text())
+    raw["grid"] = {"t0": t0, "t1": 1, "steps": 20}
+    raw["data"]["b"] = [[0, 0, -1]]
+    raw["data"]["x"] = [WIDE_X]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "o.csv"
+    start = time.perf_counter()
+    assert main(["trace", str(path), "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 2.0
+    times, frames = _frames(out)
+    assert times[-1] == 1.0
+    # an independent march of mu' = X sigma(X, mu) / b from the first row
+    coeffs = np.array(WIDE_X)
+
+    def jacobi(t, y):
+        x = np.polynomial.polynomial.polyval(t, coeffs.T)
+        mu = y.reshape(4, 2)
+        return (np.outer(x, x[:2] @ mu[2:] - x[2:] @ mu[:2]) / -t**2).ravel()
+
+    sol = solve_ivp(jacobi, (times[0], times[-1]), frames[0].ravel(), method="DOP853",
+                    rtol=1e-13, atol=1e-20, t_eval=times)
+    series_start = json.loads(Path(f"{out}.summary.json").read_text())["series_start"]
+    tail = times > series_start
+    assert tail.sum() == (19 if t0 < series_start else 20)
+    gaps = plane_distance(frames[tail], sol.y.T.reshape(-1, 4, 2)[tail])
+    assert np.max(gaps) < 1e-10
+
+
+def test_corpus_degen_m2_plane_matches_a_30_digit_march(monkeypatch):
+    # at t = 0.776 the normal-form route's planes had entries of 5.8e4, and
+    # its canonicalisation put the emitted plane 1.25e-13 from this march
+    handed = {}
+
+    def recorded(data, l_init, interval, grid, **kw):
+        handed.update(plane=l_init, t_h=interval[0])
+        return singular_jacobi_curve(data, l_init, interval, grid, **kw)
+
+    monkeypatch.setattr(cli, "singular_jacobi_curve", recorded)
+    config = cli.parse_scenario(CORPUS / "degen_m2.json")
+    rows = cli.run(config, "trace").rows
+    k = int(np.argmin(np.abs(config.grid - 0.7761)))
+    data = config.data["piecewise"]
+    xs = [[mpmath.mpf(float(c)) for c in row] for row in data.x_pieces[0]]
+    bs = [mpmath.mpf(float(c)) for c in data.b_pieces[0]]
+
+    def jacobi(t, y):
+        x = [mpmath.polyval(row[::-1], t) for row in xs]
+        b = mpmath.polyval(bs[::-1], t)
+        out = []
+        for mu in (y[:4], y[4:]):
+            s = x[0] * mu[2] + x[1] * mu[3] - x[2] * mu[0] - x[3] * mu[1]
+            out += [xi * s / b for xi in x]
+        return out
+
+    with mpmath.workdps(30):
+        start = [mpmath.mpf(float(v)) for v in np.asarray(handed["plane"]).T.ravel()]
+        y = mpmath.odefun(jacobi, mpmath.mpf(handed["t_h"]), start)(mpmath.mpf(config.grid[k]))
+        ref = np.array([float(v) for v in y]).reshape(2, 4).T
+    assert handed["t_h"] == 0.1
+    assert plane_distance(np.reshape(rows[k][1:9], (4, 2)), ref) < 1e-14
+
+
+def test_epsilon_family_landing_past_the_normal_form_radius_is_refused(tmp_path, capsys):
+    # order 3: the plane is handed over at grid.t0, and the frame series
+    # with this X is not summed at 0.4
     def edit(raw):
-        raw["grid"] = {"t0": 0.01, "t1": 1, "steps": 20}
-        raw["data"]["b"] = [[0, 0, -1]]
-        raw["data"]["x"] = [[[2.0409, -2.5557, 0.4181, -0.5678],
-                             [-0.4526, -0.2156, -2.02, -0.2319],
-                             [-0.8652, 3.323, 0.2258, -0.3526],
-                             [-0.2813, -0.668, -1.0552, -0.3908]]]
+        raw["grid"] = {"t0": 0.4, "t1": 1, "steps": 20}
+        raw["data"]["x"] = [WIDE_X]
 
     start = time.perf_counter()
     code, [err] = _run_variant(tmp_path, capsys, "degen_m3_short", "trace", edit)
     assert time.perf_counter() - start < 2.0
     assert code == 3
     assert (err["error"], err["stage"]) == ("RadiusError", "run")
+    assert err["message"].startswith("handover time 0.4 ")
+
+
+@pytest.mark.parametrize("scenario", ["degen_m2_short", "degen_m3_short"])
+def test_single_node_degeneracy_trace_is_handed_over_at_its_node(tmp_path, scenario):
+    raw = json.loads((GOLDEN / f"{scenario}.json").read_text())
+    raw["grid"]["steps"] = 1
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "o.csv"
+    assert main(["trace", str(path), "--out", str(out)]) == 0
+    times, _ = _frames(out)
+    assert times.tolist() == [raw["grid"]["t0"]]
+
+
+@pytest.mark.parametrize("name", ["degen_m1", "degen_m2", "degen_m3"])
+def test_no_trace_evaluates_the_frame_past_the_handover(tmp_path, monkeypatch, name):
+    taus = []
+
+    def recorded(a, tau):
+        taus.extend(np.atleast_1d(tau).tolist())
+        return meval(a, tau)
+
+    monkeypatch.setattr(cli, "meval", recorded)
+    raw = json.loads((CORPUS / f"{name}.json").read_text())
+    raw["tolerances"] = {"eps_family": [1e-3]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "o.csv"
+    assert main(["trace", str(path), "--out", str(out)]) == 0
+    summary = json.loads(Path(f"{out}.summary.json").read_text())
+    grid = raw["grid"]
+    t_h = grid["t0"] if summary["m"] >= 3 else min(summary["series_start"], grid["t1"])
+    assert max(taus) == t_h
+    assert len(_frames(out)[0]) == grid["steps"]
+
+
+def test_grid_width_overflow_is_one_config_error(tmp_path):
+    # np.linspace used to warn on stderr ahead of the error object
+    raw = json.loads((GOLDEN / "regular_short.json").read_text())
+    raw["grid"].update(t0=-1e308, t1=1e308)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(raw))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "jacobiflow.cli", "trace", str(path),
+                           "--out", str(tmp_path / "o.csv")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    [line] = done.stderr.splitlines()
+    err = json.loads(line)
+    assert (err["error"], err["stage"]) == ("ConfigError", "parse")
     assert err["message"].startswith("grid.t1:")
+
+
+# X = (1, 0, t, t^2/2) of the golden degeneracy scenarios
+GOLDEN_X = np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0.5, 0]], dtype=float)
+
+
+def _normal_form_route(config: cli.ScenarioConfig) -> np.ndarray:
+    """The planes of a degeneracy trace as the normal-form route computes them:
+    the plane moved to grid.t1 in normal-form coordinates (the first-jet
+    window and a march from its end for m <= 2, the epsilon family and a
+    march over the grid for m >= 3), then mapped through the frame M(t) at
+    every node."""
+    _, frame, _ = cli._degeneracy_stage(config)
+    grid = config.grid
+    l0 = canonicalize(symplectic_inverse(frame.frame_at(0.0)) @ config.initial_plane)
+    if frame.m <= 2:
+        _, planes = continued(frame.coeffs, first_jet_case(l0), grid)
+    else:
+        eps = [e for e in config.tolerances["eps_family"] if e < grid[0]]
+        start = epsilon_family_oracle(frame.coeffs, l0, float(grid[0]), eps)[-1]
+        planes = flow_plane(frame.coeffs.system, start, grid).planes
+    return canonicalize(meval(frame.frame, grid) @ np.stack(planes))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.floats(-0.25, 0.25), min_size=16, max_size=16),
+       st.sampled_from([2, 3]), st.floats(0.05, 0.5), st.integers(0, 2**32 - 1))
+def test_handover_trace_agrees_with_the_normal_form_route(dx, m, t1, seed):
+    # random cubic X around the golden one, where the frame series is summed
+    # up to t1: there both routes hold, and the handover changes the planes
+    # by the transport error only
+    data = PiecewiseAnalytic(breakpoints=[-1.0, 1.0], b_pieces=[[0.0] * m + [-1.0]],
+                             x_pieces=[GOLDEN_X + np.reshape(dx, (4, 4))])
+    config = cli.ScenarioConfig(
+        n=2, mode="legendre_degeneracy", data={"piecewise": data},
+        initial_plane=random_lagrangian(np.random.default_rng(seed), 2),
+        grid=np.linspace(0.01, t1, 12),
+        tolerances=dict(cli.DEFAULT_TOLERANCES, eps_family=(1e-3,)), seed=0)
+    _, frame, _ = cli._degeneracy_stage(config)
+    assume(_tail_within(np.linalg.norm(frame.frame, axis=(1, 2)), t1))
+    out = cli.run(config, "trace")
+    planes = np.array([row[1:9] for row in out.rows]).reshape(-1, 4, 2)
+    assert np.max(plane_distance(planes, _normal_form_route(config))) < 1e-9
 
 
 @pytest.mark.parametrize("scenario, verb", [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from helpers import continued
 from jacobiflow.errors import (
     ChartError,
     OscillatingError,
@@ -337,22 +338,35 @@ def test_series_start_windows():
 def test_continuation_scalar_closed_form():
     # S1(t) = -1 identically, so the continued plane is span{(1, -t)}
     grid = np.linspace(0.05, 1.0, 20)
-    trace = first_jet_continuation(_coeffs_c2(), _identity_case(1), grid)
+    trace, planes = continued(_coeffs_c2(), _identity_case(1), grid)
     assert trace.diagnostics["series_start"] == pytest.approx(0.1)
     assert trace.diagnostics["case"] == 1
     assert np.allclose(trace.diagnostics["equilibrium"], [[-1.0]])
     assert trace.jumps[0].time == 0.0
-    for t, p in zip(grid, trace.curve.planes):
+    # the window: the grid nodes below series_start, then series_start itself
+    window = trace.curve.times
+    assert window[-1] == trace.diagnostics["series_start"]
+    assert np.array_equal(window[:-1], grid[grid < window[-1]])
+    assert len(planes) == grid.size
+    for t, p in zip(grid, planes):
         expected = canonicalize(np.array([[1.0], [-t]]))
         assert plane_distance(p, expected) < 1e-12
+
+
+@pytest.mark.parametrize("t1", [0.06, 0.1])
+def test_continuation_window_ends_with_the_grid(t1):
+    # a grid that ends inside the series window hands over at its last node
+    grid = np.linspace(0.05, t1, 3)
+    trace = first_jet_continuation(_coeffs_c2(), _identity_case(1), grid)
+    assert np.array_equal(trace.curve.times, grid)
 
 
 def test_continuation_two_block_stays_lagrangian():
     case = first_jet_case(_graph([[1.0, 0.3], [0.3, 2.0]]))
     grid = np.linspace(0.05, 0.8, 8)
-    trace = first_jet_continuation(_coeffs_k2(), case, grid)
-    assert len(trace.curve.planes) == 8
-    assert max(isotropy_residual(p) for p in trace.curve.planes) < 1e-10
+    trace, planes = continued(_coeffs_k2(), case, grid)
+    assert len(planes) == 8
+    assert max(isotropy_residual(p) for p in trace.curve.planes + planes) < 1e-10
 
 
 def _corpus_problem(name):
@@ -369,22 +383,24 @@ def test_continuation_matches_independent_frame_transport(name):
     # the corpus curves leave the blow-up chart before t = 1
     coeffs, l0, grid = _corpus_problem(name)
     case = first_jet_case(l0)
-    trace = first_jet_continuation(coeffs, case, grid)
+    trace, planes = continued(coeffs, case, grid)
     t0 = trace.diagnostics["series_start"]
     s1 = meval(blowup_series(case_system(coeffs, case)), t0)
     start = case.minv @ np.vstack([np.eye(2), t0 * s1])
+    # the window ends on the plane [I; t0 S1(t0)], mapped back
+    assert plane_distance(trace.curve.planes[-1], start) < 1e-12
     above = grid > t0
     flow = flow_plane(coeffs.system, start, np.concatenate([[t0], grid[above]]))
-    got = [p for p, keep in zip(trace.curve.planes, above) if keep]
+    got = [p for p, keep in zip(planes, above) if keep]
     assert max(plane_distance(a, b) for a, b in zip(got, flow.planes[1:])) < 1e-10
 
 
 @pytest.mark.parametrize("name, last_below", [("degen_m1", 0.05), ("degen_m2", 1e-4)])
 def test_epsilon_family_approaches_the_continuation(name, last_below):
     coeffs, l0, _ = _corpus_problem(name)
-    trace = first_jet_continuation(coeffs, first_jet_case(l0), np.array([0.5, 1.0]))
+    _, planes = continued(coeffs, first_jet_case(l0), np.array([0.5, 1.0]))
     family = epsilon_family_oracle(coeffs, l0, 1.0, [1e-2, 1e-3, 1e-4, 1e-5])
-    dists = [plane_distance(p, trace.curve.planes[-1]) for p in family]
+    dists = [plane_distance(p, planes[-1]) for p in family]
     assert all(b < a for a, b in zip(dists, dists[1:]))
     assert dists[-1] < last_below
 
@@ -400,7 +416,7 @@ def test_blowup_values_are_nan_where_the_chart_ends():
     chart = _chart_basis(horizontal_plane(2), vertical_plane(2))
 
     def values(t):
-        plane = first_jet_continuation(coeffs, case, np.array([t, 1.0])).curve.planes[0]
+        plane = continued(coeffs, case, np.array([t, 1.0]))[1][0]
         return _chart_matrix(case.matrix @ plane, chart) / t
 
     def inverse_trace(t):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from helpers import hamiltonian
-from jacobiflow import cli, flows
+from jacobiflow import cli, engine, flows
 from jacobiflow.errors import PoleError, PreconditionError
 from jacobiflow.flows import _batch, _integrate, flow_plane
 from jacobiflow.grassmann import (
@@ -401,7 +401,9 @@ def _accepted_steps(monkeypatch) -> dict:
         counts[float(nodes[0])] = sum(_steps_taken(t, err) for t, _, err in calls[first:])
         return out
 
+    # the transport and the regular march past the singular neighbourhood
     monkeypatch.setattr(flows, "_integrate", marched)
+    monkeypatch.setattr(engine, "_integrate", marched)
     return counts
 
 

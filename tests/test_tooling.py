@@ -201,7 +201,7 @@ def _count_lapack(monkeypatch) -> Counter:
 # every per-node step of the Grassmannian and Maslov layers works on the stack
 @pytest.mark.parametrize("verb, scenario", [
     ("trace", "regular"), ("maslov", "regular"), ("trace", "order2"), ("trace", "degen_m1"),
-    ("bangbang", "bangbang"), ("portrait", "portrait"),
+    ("trace", "degen_m2"), ("trace", "degen_m3"), ("bangbang", "bangbang"), ("portrait", "portrait"),
 ])
 def test_lapack_calls_do_not_grow_with_the_nodes(tmp_path, monkeypatch, verb, scenario):
     counts = _count_lapack(monkeypatch)
