@@ -86,7 +86,6 @@ DEFAULT_TOLERANCES = {
     "rtol": 1e-12,
     "tol_thresh": 1e-6,
     "nterms": 40,
-    "imax": 0,  # 0 means "derived from n"
     "eps_family": (1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
 }
 DEFAULT_U0 = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
@@ -223,7 +222,7 @@ def _merge_tolerances(base: dict, raw) -> dict:
     _check_keys(raw, set(DEFAULT_TOLERANCES), "tolerances.")
     tolerances = dict(base)
     for key, value in raw.items():
-        if key in ("nterms", "imax"):
+        if key == "nterms":
             tolerances[key] = _as_int(value, f"tolerances.{key}")
         elif key == "eps_family":
             eps = _float_list(value, "tolerances.eps_family")
@@ -237,8 +236,6 @@ def _merge_tolerances(base: dict, raw) -> dict:
             tolerances[key] = value
     if tolerances["nterms"] < 4 or tolerances["nterms"] > D_MAX:
         raise ConfigError(f"tolerances.nterms: must lie in [4, {D_MAX}]")
-    if tolerances["imax"] < 0 or tolerances["imax"] > D_MAX:
-        raise ConfigError(f"tolerances.imax: must lie in [0, {D_MAX}] (0: derived from n)")
     return tolerances
 
 
@@ -415,7 +412,7 @@ def _run_interval_mode(config: ScenarioConfig) -> TraceOutput:
     data = config.data["piecewise"]
     grid = config.grid
     interval = (float(grid[0]), float(grid[-1]))
-    seq = legendre_sequence(data, interval, imax=config.tolerances["imax"] or 2 * config.n)
+    seq = legendre_sequence(data, interval)
     if config.mode == "regular" and seq.first_nonzero != 0:
         raise ConfigError("mode: weight is degenerate on the window; not a regular scenario")
     if config.mode == "singular_order_m" and seq.first_nonzero == 0:
@@ -464,9 +461,7 @@ def _degeneracy_stage(config: ScenarioConfig):
 
     data = config.data["piecewise"]
     bps = data.breakpoints
-    seq = legendre_sequence(
-        data, (float(bps[0]), float(bps[-1])), imax=config.tolerances["imax"] or 2 * config.n
-    )
+    seq = legendre_sequence(data, (float(bps[0]), float(bps[-1])))
     if seq.first_nonzero != 0:
         raise ConfigError(
             "data.b: weight is identically degenerate; this mode treats an isolated zero"

@@ -5,7 +5,8 @@ and a curve of vectors ``X(tau)`` in R^(2n), both piecewise polynomial
 (:class:`PiecewiseAnalytic`).  Out of it the module builds
 
 * the sequence ``b^0 = b``, ``b^i = sigma(X^(i), X^(i-1))`` whose first
-  nonvanishing entry is the order of the problem (:func:`legendre_sequence`),
+  nonvanishing entry is the order of the problem (:func:`legendre_sequence`;
+  each entry is compiled once per piece, on first use, and kept on the data),
 * the nested spans of derivatives ``Gamma^i = span{X^(j) : j <= i}``
   (:func:`goh_subspace`),
 * the curve of Lagrangian planes solving the order-m Jacobi equation
@@ -14,9 +15,10 @@ and a curve of vectors ``X(tau)`` in R^(2n), both piecewise polynomial
   recursion (:func:`bang_bang_sequence`).
 
 Products and derivatives of polynomial data are exact coefficient
-arithmetic; quadrature is never used.  The Jacobi equation is marched once
-per interval of regularity (each piece of the data inside the interval):
-breakpoints start a new march, and grid nodes are step ends of it.
+arithmetic in :mod:`jacobiflow.series`; quadrature is never used.  The
+Jacobi equation is marched once per interval of regularity (each piece of
+the data inside the interval): breakpoints start a new march, and grid
+nodes are step ends of it.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .errors import (
     NondegeneracyError,
+    PoleError,
     PreconditionError,
     RankDriftError,
     UndecidedError,
@@ -40,7 +42,7 @@ from .grassmann import (
     extend_by_isotropic,
     validate_lagrangian,
 )
-from .series import meval, strim
+from .series import meval, sder, strim, vsigma
 from .symplectic import apply_j, dim_to_n, gram, isotropy_residual
 
 __all__ = [
@@ -72,15 +74,17 @@ class PiecewiseAnalytic:
     x_pieces : list of (2n, d+1) coefficient arrays, one row per component
 
     :meth:`x` compiles the coefficient stack of each piece and derivative
-    order on first use and evaluates it with
-    :func:`~jacobiflow.series.meval`, so an integrator calling it per stage
-    never differentiates a polynomial again.
+    order on first use, and the entries ``b^i`` of the Legendre sequence are
+    compiled the same way from those stacks; both are evaluated with
+    :func:`~jacobiflow.series.meval`, so an integrator calling them per stage
+    never differentiates or multiplies a polynomial again.
     """
 
     breakpoints: np.ndarray
     b_pieces: list[np.ndarray]
     x_pieces: list[np.ndarray]
     _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _entries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.breakpoints = np.asarray(self.breakpoints, dtype=float)
@@ -135,113 +139,90 @@ class PiecewiseAnalytic:
         """Trimmed coefficient stack of the deriv-th derivative of ``X``."""
         stack = self._stacks.get((piece, deriv))
         if stack is None:
-            stack = self._stacks[piece, deriv] = strim(self.x_coeff(piece, deriv).T)
+            stack = (strim(self.x_pieces[piece].T) if deriv == 0
+                     else sder(self._stack(piece, deriv - 1)))
+            self._stacks[piece, deriv] = stack
         return stack
 
-    def x(self, t, deriv: int = 0) -> np.ndarray:
-        """X^(deriv) at ``t``; a 1-D array of K times gives the ``(K, 2n)`` values,
+    def _entry(self, piece: int, i: int) -> np.ndarray:
+        """Coefficients of ``b^i`` on a piece: ``b`` for i = 0, otherwise the
+        full-length product ``sigma(X^(i), X^(i-1))``."""
+        if i == 0:
+            return self.b_pieces[piece]
+        entry = self._entries.get((piece, i))
+        if entry is None:
+            u, v = self._stack(piece, i), self._stack(piece, i - 1)
+            entry = self._entries[piece, i] = vsigma(u, v, u.shape[0] + v.shape[0] - 1)
+        return entry
+
+    def _piecewise(self, stack, t) -> np.ndarray:
+        """Value at ``t`` of the polynomial with coefficient stack ``stack(p)``
+        on each piece p; a 1-D array of K times gives the K values stacked,
         each equal bit for bit to the call at that time alone."""
         pieces = np.atleast_1d(self.piece_index(t))
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((ts.size, self.dim))
-        for p in np.unique(pieces).tolist():
-            at = pieces == p
-            out[at] = meval(self._stack(p, deriv), ts[at])
+        parts = [(pieces == p, stack(p)) for p in np.unique(pieces).tolist()]
+        out = np.empty((ts.size,) + parts[0][1].shape[1:])
+        for at, coeffs in parts:
+            out[at] = meval(coeffs, ts[at])
         return out if np.ndim(t) else out[0]
 
-    def x_coeff(self, piece: int, deriv: int) -> np.ndarray:
-        """(2n, d+1-deriv) coefficient array of the deriv-th derivative of X."""
-        c = self.x_pieces[piece]
-        if deriv == 0:
-            return c
-        if deriv >= c.shape[1]:
-            return np.zeros((self.dim, 1))
-        return np.vstack([npp.polyder(row, deriv) for row in c])
+    def x(self, t, deriv: int = 0) -> np.ndarray:
+        """X^(deriv) at ``t``; a 1-D array of K times gives the ``(K, 2n)`` values."""
+        return self._piecewise(lambda p: self._stack(p, deriv), t)
 
 
-def _sigma_poly(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Polynomial sigma(u(t), v(t)) from component coefficient arrays."""
-    n = u.shape[0] // 2
-    deg = u.shape[1] + v.shape[1] - 1
-    out = np.zeros(deg)
-    for i in range(n):
-        # polymul trims trailing zeros, so accumulate at the actual length
-        prod = npp.polymul(u[i], v[n + i])
-        out[: prod.size] += prod
-        prod = npp.polymul(u[n + i], v[i])
-        out[: prod.size] -= prod
-    return out
-
-
-def _poly_is_zero(c: np.ndarray, scale: float) -> bool:
-    return bool(np.max(np.abs(c)) <= 1e-12 * max(1.0, scale))
+def _window_pieces(data: PiecewiseAnalytic, interval: tuple[float, float]) -> list:
+    """``(piece, lo, hi)`` for each piece meeting the window, ``[lo, hi]`` its part of it."""
+    t0, t1 = interval
+    bp = data.breakpoints.tolist()
+    return [(p, max(t0, a), min(t1, b)) for p, (a, b) in enumerate(zip(bp[:-1], bp[1:]))
+            if b > t0 and a < t1]
 
 
 @dataclass
 class LegendreSequence:
-    """The sequence b^0, b^1, .. b^imax as polynomials, piece by piece.
+    """The order of ``data`` on a window: its first entry b^i that does not vanish.
 
-    ``entries[i][p]`` is the coefficient array of ``b^i`` on piece p;
-    ``first_nonzero`` is the smallest i with ``b^i`` not identically zero on
-    some piece, or ``None`` when the whole sequence vanishes up to ``imax``
+    The entries ``b^0 = b``, ``b^i = sigma(X^(i), X^(i-1))`` live on the
+    data, each compiled once per piece on first use, so the search forms no
+    product past the order.  ``first_nonzero`` is the smallest i with
+    ``b^i`` not identically zero on some piece of the window, or ``None``
+    when every entry vanishes up to ``imax = min(2n + 2, D_MAX - 1)``
     ("infinite up to imax").
     """
 
-    entries: list[list[np.ndarray]]
+    data: PiecewiseAnalytic
     first_nonzero: int | None
     imax: int
     interval: tuple[float, float]
 
-    def value(self, i: int, t, data: "PiecewiseAnalytic"):
-        """``b^i`` at ``t``; a 1-D array of times gives the array of values,
-        each equal bit for bit to the call at that time alone."""
-        pieces = np.atleast_1d(data.piece_index(t))
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty(ts.size)
-        for p in np.unique(pieces).tolist():
-            at = pieces == p
-            out[at] = meval(self.entries[i][p], ts[at])
-        return out if np.ndim(t) else float(out[0])
+    def value(self, i: int, t):
+        """``b^i`` at ``t``; a 1-D array of times gives the array of values."""
+        return self.data._piecewise(lambda p: self.data._entry(p, i), t)
 
 
-def legendre_sequence(data: PiecewiseAnalytic, interval: tuple[float, float],
-                      imax: int) -> LegendreSequence:
-    """Compute b^0 = b and b^i = sigma(X^(i), X^(i-1)) for i = 1..imax.
+def legendre_sequence(data: PiecewiseAnalytic, interval: tuple[float, float]) -> LegendreSequence:
+    """Search b^0 = b, b^1, .. for the first entry not identically zero on the window.
 
-    All products are exact coefficient convolutions.  The scale used for the
-    "identically zero" test is the largest coefficient magnitude of the data
-    on the relevant pieces.
+    The scale of the "identically zero" test is the largest coefficient
+    magnitude of the data on the pieces of the window (squared for the
+    sigma products, which scale quadratically).
     """
     t0, t1 = float(interval[0]), float(interval[1])
     if not t0 < t1:
         raise PreconditionError("interval must be nondegenerate")
-    pieces = sorted({data.piece_index(0.5 * (max(t0, a) + min(t1, b)))
-                     for a, b in zip(data.breakpoints[:-1], data.breakpoints[1:])
-                     if b > t0 and a < t1})
-    scale = max(
-        [np.max(np.abs(data.x_pieces[p])) for p in pieces]
-        + [np.max(np.abs(data.b_pieces[p])) for p in pieces]
-        + [1.0]
-    )
-    entries: list[list[np.ndarray]] = []
-    all_pieces = range(data.npieces)
-    entries.append([data.b_pieces[p] for p in all_pieces])
-    for i in range(1, imax + 1):
-        row = []
-        for p in all_pieces:
-            u = data.x_coeff(p, i)
-            v = data.x_coeff(p, i - 1)
-            row.append(_sigma_poly(u, v))
-        entries.append(row)
+    pieces = [p for p, _, _ in _window_pieces(data, (t0, t1))]
+    scale = max([float(np.max(np.abs(c[p]))) for c in (data.x_pieces, data.b_pieces)
+                 for p in pieces] + [1.0])
+    imax = min(2 * data.n + 2, D_MAX - 1)
     first = None
-    scale_sq = max(1.0, float(scale)) ** 2  # sigma products scale quadratically
     for i in range(imax + 1):
-        ref = scale if i == 0 else scale_sq
-        if any(not _poly_is_zero(entries[i][p], ref) for p in pieces):
+        ref = scale if i == 0 else scale**2
+        if any(np.max(np.abs(data._entry(p, i))) > 1e-12 * ref for p in pieces):
             first = i
             break
-    return LegendreSequence(entries=entries, first_nonzero=first, imax=imax,
-                            interval=(t0, t1))
+    return LegendreSequence(data=data, first_nonzero=first, imax=imax, interval=(t0, t1))
 
 
 def goh_subspace(data: PiecewiseAnalytic, tau, i: int) -> np.ndarray:
@@ -285,20 +266,26 @@ class JacobiTrace:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _order_and_check_sign(data: PiecewiseAnalytic, seq: LegendreSequence,
-                          interval: tuple[float, float]) -> int:
+def _order_and_check_sign(seq: LegendreSequence) -> int:
     m = seq.first_nonzero
     if m is None:
         raise UndecidedError(
             f"all sequence entries vanish up to order {seq.imax}: order undecided"
         )
-    # sign condition: b^m strictly negative on the closed interval
-    ts = np.linspace(interval[0], interval[1], 101)
-    vals = seq.value(m, ts, data)
-    if np.max(vals) >= 0.0:
-        raise PreconditionError(
-            f"b^{m} does not stay strictly negative on the interval (max {np.max(vals):.3g})"
-        )
+    # sign condition: b^m strictly negative on the closed window, with each
+    # piece's own polynomial up to its ends, as the march uses it.  A maximum
+    # lies at an end or where the derivative vanishes; the real parts of its
+    # roots cover those, and points to spare cannot refuse a negative b^m
+    for p, lo, hi in _window_pieces(seq.data, seq.interval):
+        c = seq.data._entry(p, m)
+        crit = np.roots(sder(c)[::-1]).real if np.all(np.isfinite(c)) else []
+        ts = np.sort(np.clip(np.concatenate([[lo, hi], crit]), lo, hi))
+        vals = meval(c, ts)
+        bad = ~(vals < -1e-12 * max(1.0, float(np.max(np.abs(c)))))
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise PreconditionError(f"b^{m} = {vals[k]:.3g} at t = {ts[k]:.6g}: it does not "
+                                    "stay strictly negative on the interval")
     return m
 
 
@@ -327,8 +314,7 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
     if grid[0] != t0 or grid[-1] != t1 or not np.all(np.diff(grid) > 0):
         raise PreconditionError("grid must increase strictly from interval start to end")
     n = data.n
-    seq = legendre_sequence(data, interval, imax=min(2 * n + 2, D_MAX - 1))
-    m = _order_and_check_sign(data, seq, interval)
+    m = _order_and_check_sign(legendre_sequence(data, interval))
     if m > n:
         raise NondegeneracyError(f"order {m} exceeds n = {n}; no isotropic Goh span")
 
@@ -352,21 +338,25 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
 
     frames = np.empty((grid.size,) + mu0.shape)
     frames[0] = cur = mu0
-    bps = data.breakpoints
-    cuts = np.concatenate([[t0], bps[(bps > t0) & (bps < t1)], [t1]])
-    for a_, b_ in zip(cuts[:-1], cuts[1:]):
+    for p, a_, b_ in _window_pieces(data, (t0, t1)):
         if not mu0.shape[1]:  # m = n: the plane is the Goh span alone
             break
-        p = data.piece_index(0.5 * (a_ + b_))
 
-        def rhs(t: np.ndarray, xs=data._stack(p, m), bs=seq.entries[m][p]) -> np.ndarray:
+        def rhs(t: np.ndarray, xs=data._stack(p, m), bs=data._entry(p, m)) -> np.ndarray:
             # mu' = X^(m) sigma(X^(m), mu) / b^m, sigma(X^(m), mu) = (-J X^(m)) . mu,
             # with the piece's own polynomials, also at its end breakpoint
             xm = meval(xs, t)
             return xm[:, :, None] * -apply_j(xm.T).T[:, None, :] / meval(bs, t)[:, None, None]
 
         inside = (grid > a_) & (grid <= b_)
-        marched = _integrate(rhs, cur, np.union1d([a_, b_], grid[inside]), rtol)
+        try:
+            marched = _integrate(rhs, cur, np.union1d([a_, b_], grid[inside]), rtol)
+        except PoleError as exc:
+            # b^m < 0 on the closed piece bounds the system there: only
+            # coefficients that overflow can stall the march
+            raise PreconditionError(
+                f"the coefficients overflow near t = {exc.t:.6g}: no step is accurate there"
+            ) from exc
         frames[inside] = marched[1 : 1 + np.count_nonzero(inside)]
         cur = marched[-1]
 
@@ -407,7 +397,7 @@ def infinite_order_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
     """
     l_init = validate_lagrangian(np.asarray(l_init, dtype=float))
     t0, t1 = float(interval[0]), float(interval[1])
-    seq = legendre_sequence(data, (t0, t1), imax=min(2 * data.n + 2, D_MAX - 1))
+    seq = legendre_sequence(data, (t0, t1))
     if seq.first_nonzero is not None:
         raise PreconditionError(
             f"sequence entry b^{seq.first_nonzero} is nonzero: not an infinite-order arc"

@@ -41,7 +41,11 @@ class RefinementError(MathError):
 
 
 class PoleError(MathError):
-    """Integration stalled approaching a pole of the coefficients."""
+    """Integration stalled approaching a pole of the coefficients, at time ``t``."""
+
+    def __init__(self, message: str, t: float) -> None:
+        super().__init__(message)
+        self.t = t
 
 
 class SingularityError(MathError):

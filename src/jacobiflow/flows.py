@@ -287,7 +287,7 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
                 h = min(4.0 * h, lengths[i] * 0.9 * max(err[i], 1e-300) ** (-1.0 / 7.0))
         if not h > 16.0 * np.spacing(max(abs(t), span)):
             raise PoleError(
-                f"integration stalled at t = {t:.6g} (step size underflow near a pole)")
+                f"integration stalled at t = {t:.6g} (step size underflow near a pole)", t)
     return out.reshape((nodes.size,) + frames.shape)
 
 

@@ -10,7 +10,8 @@ series.  It provides what the singular normal form and the blow-up series
 need:
 
 - products: :func:`sconv` (a scalar series times a stack of any trailing
-  shape) and :func:`mconv` (matrix stacks);
+  shape), :func:`mconv` (matrix stacks) and :func:`vsigma` (the symplectic
+  pairing of two vector stacks);
 - inverses: :func:`srecip` (scalar) and :func:`minv` (square matrix stack);
 - :func:`sexp`, :func:`sder` and :func:`sint`;
 - :func:`meval` (evaluation), :func:`taylor_recenter` (re-centring),
@@ -22,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateError
+from .symplectic import apply_j
 
 __all__ = [
     "sconv",
@@ -30,6 +32,7 @@ __all__ = [
     "sder",
     "sint",
     "mconv",
+    "vsigma",
     "minv",
     "meval",
     "strim",
@@ -123,6 +126,11 @@ def mconv(a: np.ndarray, b: np.ndarray, nterms: int | None = None) -> np.ndarray
         if hi > 0:
             out[k : k + hi] += np.einsum("rs,lsc->lrc", a[k], b[:hi])
     return out
+
+
+def vsigma(u: np.ndarray, v: np.ndarray, nterms: int | None = None) -> np.ndarray:
+    """Series of ``sigma(u(t), v(t)) = u^T J v`` for vector stacks shaped ``(L, 2n)``."""
+    return mconv(u[:, None, :], apply_j(v.T).T[:, :, None], nterms)[:, 0, 0]
 
 
 def minv(a: np.ndarray, nterms: int | None = None) -> np.ndarray:

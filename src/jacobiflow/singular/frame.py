@@ -59,6 +59,7 @@ from ..series import (
     srecip,
     strim,
     taylor_recenter,
+    vsigma,
 )
 from ..symplectic import apply_j, symplectic_form, symplectic_inverse
 
@@ -71,11 +72,6 @@ __all__ = [
 SYMPLECTIC_TOL = 1e-8
 BLOCK_TOL = 1e-8
 DEFAULT_NTERMS = 40
-
-
-def _vsigma(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Series of sigma(u(t), v(t)) = u^T J v for vector stacks shaped (L, 2n)."""
-    return mconv(u[:, None, :], apply_j(v.T).T[:, :, None])[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +151,8 @@ class NormalFormCoefficients:
         """
         bval = meval(self._b_stack, tau)
         if np.any(bval == 0.0):
-            raise PoleError(f"weight vanishes at t={float(np.asarray(tau)[bval == 0.0][0])!r}")
+            t = float(np.asarray(tau)[bval == 0.0][0])
+            raise PoleError(f"weight vanishes at t={t!r}", t)
         out = meval(self._system_stack, tau)
         out[..., 0, self.k] += 1.0 / bval
         return out
@@ -196,8 +193,7 @@ def _local_data(data, tau_star: float, nterms: int) -> tuple[np.ndarray, np.ndar
     """Recentre the piece of ``data`` right of ``tau_star`` at zero."""
     piece = data.piece_index(tau_star)
     b_loc = taylor_recenter(np.asarray(data.b_pieces[piece], dtype=float), tau_star)
-    xp = np.asarray(data.x_pieces[piece], dtype=float)
-    x_loc = np.stack([taylor_recenter(row, tau_star) for row in xp], axis=1)
+    x_loc = taylor_recenter(np.asarray(data.x_pieces[piece], dtype=float).T, tau_star)
     return _pad(b_loc, nterms), _pad(x_loc, nterms)
 
 
@@ -232,9 +228,9 @@ def _assemble(
     shear = None
 
     if k == 2:
-        inv_rev = srecip(_vsigma(dx, x))
-        coef1 = sconv(_vsigma(ddx, x), inv_rev, nterms)
-        coef2 = sconv(_vsigma(ddx, dx), inv_rev, nterms)
+        inv_rev = srecip(vsigma(dx, x))
+        coef1 = sconv(vsigma(ddx, x), inv_rev, nterms)
+        coef2 = sconv(vsigma(ddx, dx), inv_rev, nterms)
         e2 = ddx - sconv(coef1, dx, nterms) + sconv(coef2, x, nterms)
         # f2 solves sigma(u, f2) = (0, 0, 1) for u = (X, X', X'') on the three
         # coordinates whose pairings sigma(u, e_c) = -(J u)_c are best posed
@@ -254,7 +250,7 @@ def _assemble(
             f2 = f2 + sconv(_pad(shear, nterms), e2, nterms)
         # the raw pair carries a diagonal drift sigma(e2', f2); rescaling the
         # pair by exp(-integral) removes it and is the Q factor of the block
-        rate = _vsigma(_pad(sder(e2), nterms), f2)
+        rate = vsigma(_pad(sder(e2), nterms), f2)
         q22 = sexp(sint(rate)[:nterms])
         e2 = sconv(srecip(q22), e2, nterms)
         f2 = sconv(q22, f2, nterms)
@@ -264,7 +260,7 @@ def _assemble(
 
     def project(v: np.ndarray) -> np.ndarray:
         for e, f in pairs:
-            v = v - sconv(_vsigma(v, f), e, nterms) + sconv(_vsigma(v, e), f, nterms)
+            v = v - sconv(vsigma(v, f), e, nterms) + sconv(vsigma(v, e), f, nterms)
         return v
 
     pool = []
@@ -278,16 +274,16 @@ def _assemble(
     while len(pairs) < n:
         pool.sort(key=lambda v: -np.linalg.norm(v[0]))
         g = pool.pop(0)
-        scores = [abs(_vsigma(g, w)[0]) for w in pool]
+        scores = [abs(vsigma(g, w)[0]) for w in pool]
         if not scores or max(scores) < 1e-8:
             raise NondegeneracyError("cannot complete the frame to a symplectic basis")
         w = pool.pop(int(np.argmax(scores)))
-        h = sconv(srecip(_vsigma(g, w)), w, nterms)
+        h = sconv(srecip(vsigma(g, w)), w, nterms)
         pairs.append((g, h))
         columns.append(g)
         f_columns.append(h)
         pool = [
-            v - sconv(_vsigma(v, h), g, nterms) + sconv(_vsigma(v, g), h, nterms) for v in pool
+            v - sconv(vsigma(v, h), g, nterms) + sconv(vsigma(v, g), h, nterms) for v in pool
         ]
 
     frame = np.zeros((nterms, dim, dim))
@@ -322,7 +318,7 @@ def build_normal_frame(
 
     dx = _pad(sder(x), nterms)
     ddx = _pad(sder(dx), nterms)
-    s1 = _vsigma(x, dx)
+    s1 = vsigma(x, dx)
     x_scale = max(1.0, float(np.max(np.abs(x[0]))) ** 2)
     if abs(s1[0]) <= 1e-10 * x_scale:
         raise NondegeneracyError("sigma(X, Xdot) vanishes at the marked instant")

@@ -34,7 +34,7 @@ def hamiltonian(a, b, c, pole_order: int = 0):
         if pole_order > 0:
             t = np.asarray(t, dtype=float)
             if np.any(t == 0.0):
-                raise PoleError("coefficients have a pole at t = 0")
+                raise PoleError("coefficients have a pole at t = 0", 0.0)
             out[..., :n, n:] /= (t**pole_order)[..., None, None]
         return out
 

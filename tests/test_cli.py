@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from helpers import continued, random_lagrangian
-from jacobiflow import cli
+from jacobiflow import cli, engine
 from jacobiflow.cli import DEFAULT_U0, DEFAULT_V0, _trace_rows, main
 from jacobiflow.engine import JumpEvent, PiecewiseAnalytic, singular_jacobi_curve
 from jacobiflow.flows import flow_plane
@@ -43,6 +43,7 @@ BAD_TOLERANCES = [
     {"nterms": 500},
     {"nterms": 2},
     {"eps_family": [-1]},
+    # not a tolerance: refused as an unknown field
     {"imax": -1},
     {"imax": 65},
 ]
@@ -460,6 +461,51 @@ def test_grid_width_overflow_is_one_config_error(tmp_path):
     err = json.loads(line)
     assert (err["error"], err["stage"]) == ("ConfigError", "parse")
     assert err["message"].startswith("grid.t1:")
+
+
+def test_imax_is_an_unknown_tolerance(tmp_path, capsys):
+    # the order search always runs up to min(2n + 2, D_MAX - 1)
+    code, [err] = _run_variant(tmp_path, capsys, "degen_m3_short", "trace",
+                               lambda raw: raw.update(tolerances={"imax": 4}))
+    assert (code, err["message"]) == (2, "tolerances.imax: unknown field")
+    assert main(["trace", str(SCENARIO), "--out", str(tmp_path / "o.csv"),
+                 "--tol-overrides", '{"imax": 4}']) == 2
+    [err] = _errors(capsys)
+    assert err["message"] == "tolerances.imax: unknown field"
+
+
+# b = -(t - c)^2 touches zero at c and 1e-8 - (t - c)^2 turns positive
+# around it, both between the nodes; a sign test on samples missed them, and
+# the march stalled at c (after 6.2 s and 0.76 s) into a PoleError
+@pytest.mark.parametrize("lift", [0.0, 1e-8], ids=["double-root", "positive"])
+def test_weight_touching_zero_is_refused_before_the_march(tmp_path, capsys, monkeypatch, lift):
+    c = 0.1234567
+
+    def edit(raw):
+        raw["data"].update(breakpoints=[0, 1], b=[[lift - c * c, 2 * c, -1]])
+        raw["grid"] = {"t0": 0, "t1": 1, "steps": 50}
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("the march started")
+
+    monkeypatch.setattr(engine, "_integrate", no_march)
+    code, [err] = _run_variant(tmp_path, capsys, "regular_short", "trace", edit)
+    assert code == 3
+    assert (err["error"], err["stage"]) == ("PreconditionError", "run")
+    assert err["message"].startswith(f"b^0 = {lift:.3g} at t = 0.123457: ")
+
+
+def test_overflowing_coefficients_are_not_called_a_pole(tmp_path, capsys):
+    # b = -1 never vanishes; the system overflows on the way to t = 1e200
+    def edit(raw):
+        raw["data"]["breakpoints"] = [0, 1e200]
+        raw["grid"]["t1"] = 1e200
+
+    code, [err] = _run_variant(tmp_path, capsys, "regular_short", "trace", edit)
+    assert code == 3
+    assert (err["error"], err["stage"]) == ("PreconditionError", "run")
+    assert err["message"].startswith("the coefficients overflow near t = 0")
+    assert "pole" not in err["message"]
 
 
 # X = (1, 0, t, t^2/2) of the golden degeneracy scenarios

@@ -8,8 +8,8 @@ from scipy.integrate import solve_ivp
 from jacobiflow import engine
 
 from jacobiflow.engine import (
+    D_MAX,
     PiecewiseAnalytic,
-    _sigma_poly,
     bang_bang_sequence,
     goh_subspace,
     infinite_order_curve,
@@ -39,6 +39,27 @@ def _polyder_x(data, t, deriv):
             return np.zeros(data.dim)
         c = np.apply_along_axis(lambda row: npp.polyder(row, deriv), 1, c)
     return npp.polyval(t, c.T)
+
+
+def _sigma_poly(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Reference: polynomial sigma(u(t), v(t)) from component coefficient rows,
+    one ``polymul`` per pair of components."""
+    n = u.shape[0] // 2
+    out = np.zeros(u.shape[1] + v.shape[1] - 1)
+    for i in range(n):
+        # polymul trims trailing zeros, so accumulate at the actual length
+        prod = npp.polymul(u[i], v[n + i])
+        out[: prod.size] += prod
+        prod = npp.polymul(u[n + i], v[i])
+        out[: prod.size] -= prod
+    return out
+
+
+def _polyder_rows(c: np.ndarray, deriv: int) -> np.ndarray:
+    """Reference: row-wise ``polyder``, one zero column past the degree."""
+    if deriv >= c.shape[1]:
+        return np.zeros((c.shape[0], 1))
+    return np.vstack([npp.polyder(row, deriv) for row in c]) if deriv else c
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,11 +159,55 @@ def test_piecewise_evaluation():
 
 
 def test_legendre_sequence_orders():
-    assert legendre_sequence(_data_m0(), (0.0, 2.0), imax=4).first_nonzero == 0
-    assert legendre_sequence(_data_m1(), (0.0, 1.0), imax=4).first_nonzero == 1
-    seq2 = legendre_sequence(_data_m2(), (0.0, 1.0), imax=6)
+    assert legendre_sequence(_data_m0(), (0.0, 2.0)).first_nonzero == 0
+    assert legendre_sequence(_data_m1(), (0.0, 1.0)).first_nonzero == 1
+    seq2 = legendre_sequence(_data_m2(), (0.0, 1.0))
     assert seq2.first_nonzero == 2
-    assert seq2.value(2, 0.3, _data_m2()) == pytest.approx(-1.0)
+    assert seq2.imax == 6  # 2n + 2
+    assert seq2.value(2, 0.3) == pytest.approx(-1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.booleans(), st.sampled_from(["full", "q", "m2"]))
+def test_legendre_entries_match_polymul_products(seed, weighted, shape):
+    # every entry up to imax matches the polyder/polymul reference, and the
+    # order search agrees with the reference's first nonvanishing entry
+    rng = np.random.default_rng(seed)
+    x_pieces, b_pieces = [], []
+    for _ in range(2):
+        if shape == "m2":  # b^1 vanishes, b^2 does not
+            x = _vanishing_m2([rng.uniform(-2.0, 2.0)]).x_pieces[0]
+        else:
+            x = rng.normal(size=(4, int(rng.integers(2, 7))))
+            if shape == "q":  # isotropic: every sigma product vanishes
+                x[2:] = 0.0
+        x_pieces.append(x)
+        b_pieces.append(rng.normal(size=int(rng.integers(1, 5))) * weighted)
+    data = PiecewiseAnalytic(breakpoints=np.array([-1.0, 0.0, 1.0]),
+                             b_pieces=b_pieces, x_pieces=x_pieces)
+    seq = legendre_sequence(data, (-1.0, 1.0))
+    assert seq.imax == min(2 * data.n + 2, D_MAX - 1)
+    scale = max(1.0, *(np.max(np.abs(c)) for c in x_pieces + b_pieces))
+    first = None
+    for i in range(seq.imax + 1):
+        for p, x in enumerate(x_pieces):
+            if i == 0:
+                ref = b_pieces[p]
+                assert np.array_equal(data._entry(p, 0), ref)
+            else:
+                u, v = _polyder_rows(x, i), _polyder_rows(x, i - 1)
+                ref = _sigma_poly(u, v)
+                # with the sign of v's first half flipped, sigma sums |products|
+                size = np.max(_sigma_poly(np.abs(u), np.abs(v) * [[-1.0], [-1.0], [1.0], [1.0]]))
+                entry = data._entry(p, i)
+                width = max(entry.size, ref.size)
+                assert np.allclose(np.pad(entry, (0, width - entry.size)),
+                                   np.pad(ref, (0, width - ref.size)),
+                                   rtol=0.0, atol=1e-13 * size)
+            if first is None and np.max(np.abs(ref)) > 1e-12 * scale ** (1 if i == 0 else 2):
+                first = i
+    assert seq.first_nonzero == first
+    assert first == (0 if weighted else {"full": 1, "q": None, "m2": 2}[shape])
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,9 +222,9 @@ def test_legendre_sequence_values_over_times_are_the_scalar_values(i, times, see
         b_pieces=[rng.normal(size=int(rng.integers(1, 6))) for _ in range(2)],
         x_pieces=[rng.normal(size=(2, int(rng.integers(1, 6)))) for _ in range(2)],
     )
-    seq = legendre_sequence(data, (-1.0, 1.0), imax=3)
+    seq = legendre_sequence(data, (-1.0, 1.0))
     ts = np.array(times + [-1.0, 0.0, 1.0])
-    assert np.array_equal(seq.value(i, ts, data), [seq.value(i, t, data) for t in ts])
+    assert np.array_equal(seq.value(i, ts), [seq.value(i, t) for t in ts])
 
 
 def test_legendre_sequence_unequal_degree_products():
@@ -173,8 +238,8 @@ def test_legendre_sequence_unequal_degree_products():
     data = PiecewiseAnalytic(
         breakpoints=np.array([0.0, 1.0]), b_pieces=[np.array([0.0])], x_pieces=[x]
     )
-    seq = legendre_sequence(data, (0.0, 1.0), imax=2)
-    entry = seq.entries[1][0]
+    assert legendre_sequence(data, (0.0, 1.0)).first_nonzero == 1
+    entry = data._entry(0, 1)
     assert np.allclose(entry[:3], [-2.0, 0.0, -1.0])
     assert np.max(np.abs(entry[3:])) == 0.0
 
@@ -243,12 +308,18 @@ def _vanishing_m2(roots):
 
 
 @pytest.mark.parametrize("roots", [[0.375], [0.625], [0.375, 0.625]])
-def test_goh_rank_drift_names_the_first_node_where_the_rank_drops(roots):
-    # the roots are grid nodes (k/8) but not sign-check samples (k/100)
+def test_goh_rank_drift_names_the_first_node_where_the_rank_drops(roots, monkeypatch):
+    # b^2 = -phi^2 vanishes at the roots, which are grid nodes (k/8): the
+    # exact sign test refuses the data at the first of them, before any march
     data = _vanishing_m2(roots)
     grid = np.linspace(0.0, 1.0, 9)
+    with pytest.raises(PreconditionError, match=f"at t = {min(roots):.6g}: "):
+        singular_jacobi_curve(data, horizontal_plane(2), (0.0, 1.0), grid)
+    # past the sign test, the Goh span check names the first node where the
+    # rank drops
     first = next(t for t in grid if goh_subspace(data, float(t), 1).shape[1] != 2)
     assert first == min(roots)
+    monkeypatch.setattr(engine, "_order_and_check_sign", lambda seq: seq.first_nonzero)
     with pytest.raises(RankDriftError, match=f"at t = {first:.6g}$"):
         singular_jacobi_curve(data, horizontal_plane(2), (0.0, 1.0), grid)
 

@@ -96,7 +96,7 @@ def _polyval_system(c, tau):
     pv = np.polynomial.polynomial.polyval
     bval = pv(tau, c.b)
     if bval == 0.0:
-        raise PoleError(f"weight vanishes at t={tau!r}")
+        raise PoleError(f"weight vanishes at t={tau!r}", tau)
     k = c.k
     out = np.zeros((2 * k, 2 * k))
     if k == 1:

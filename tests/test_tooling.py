@@ -1,4 +1,5 @@
-"""Guards on the shape of the package: no scipy in the package, one integrator
+"""Guards on the shape of the package: no scipy and no ``numpy.polynomial`` in
+the package, Legendre entries formed once and none past the order, one integrator
 call site, one solver call per transport, a number of LAPACK calls per trace
 that does not grow with its nodes, a lean import, exports that resolve, no
 orphaned private helper, and an error taxonomy with no class that nothing
@@ -31,9 +32,10 @@ def _src_modules():
         yield module, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _scipy_imports() -> list[str]:
-    """``module: imported name`` for every scipy import of the package.  The
-    walk also sees imports inside functions."""
+def _imports(package: str) -> list[str]:
+    """``module: imported name`` for every import of ``package`` (or of one of
+    its submodules) in the package.  The walk also sees imports inside
+    functions."""
     found = []
     for module, tree in _src_modules():
         for node in ast.walk(tree):
@@ -44,19 +46,42 @@ def _scipy_imports() -> list[str]:
             else:
                 continue
             found += [f"{module}: {name}" for name in names
-                      if name == "scipy" or name.startswith("scipy.")]
+                      if name == package or name.startswith(package + ".")]
     return found
 
 
 def test_no_src_module_imports_scipy():
     # numpy is the one runtime dependency; scipy serves the tests as an
     # independent reference
-    assert _scipy_imports() == []
+    assert _imports("scipy") == []
 
 
 def test_no_module_imports_scipy_special():
     # the closed-form models and their Bessel functions are test oracles
-    assert [name for name in _scipy_imports() if ": scipy.special" in name] == []
+    assert [name for name in _imports("scipy") if ": scipy.special" in name] == []
+
+
+def test_no_src_module_imports_numpy_polynomial():
+    # jacobiflow.series is the one polynomial algebra of the package;
+    # numpy.polynomial serves the tests as a reference
+    assert _imports("numpy.polynomial") == []
+
+
+# the Legendre entries b^i (i >= 1) are sigma products, each formed once per
+# piece and none past the order: the CLI and the curve share them on the data
+@pytest.mark.parametrize("scenario, products", [("regular", 0), ("degen_m2", 0), ("order2", 2)])
+def test_legendre_entries_are_formed_once_up_to_the_order(tmp_path, monkeypatch, scenario,
+                                                           products):
+    formed = []
+
+    def counted(*args, _fn=engine.vsigma):
+        formed.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(engine, "vsigma", counted)
+    assert cli.main(["trace", str(CORPUS / f"{scenario}.json"),
+                     "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(formed) == products
 
 
 class _CallSites(ast.NodeVisitor):
