@@ -54,10 +54,9 @@ from .errors import ConfigError, JacobiflowError, MathError, NondegeneracyError,
 from .flows import _integrate, flow_plane  # flow_plane: bound here for tracers
 from .grassmann import (
     GrassmannCurve,
-    _chart_basis,
     _chart_matrix,
+    _sigma_pi_chart,
     canonicalize,
-    horizontal_plane,
     plane_distance,
     validate_lagrangian,
     vertical_plane,
@@ -358,12 +357,11 @@ def _trace_rows(curve: GrassmannCurve, jumps: list[JumpEvent],
                 n: int) -> tuple[list[list], _SpectralFlow]:
     # the Maslov pass over Pi is returned so that the maslov verb counts on
     # it too; it validates every node, so the chart columns (chart (Sigma,
-    # Pi), prepared once) solve on the stack of planes as it is
+    # Pi), prepared once per n) solve on the stack of planes as it is
     flow = _spectral_flow(curve.planes, vertical_plane(n))
     partial = flow.partial_sums()
-    chart = _chart_basis(horizontal_plane(n), vertical_plane(n))
     planes = np.stack(curve.planes)
-    charts = _chart_matrix(planes, chart).reshape(len(planes), -1)
+    charts = _chart_matrix(planes, _sigma_pi_chart(n)).reshape(len(planes), -1)
     off = np.isnan(charts).all(axis=1)
     # jump rows: within 1e-9 max(1, |t_jump|) of a jump time; only the two around a row can be
     times = np.asarray(curve.times, dtype=float)

@@ -38,6 +38,7 @@ from .errors import (
 from .flows import _integrate
 from .grassmann import (
     GrassmannCurve,
+    _paired,
     canonicalize,
     extend_by_isotropic,
     validate_lagrangian,
@@ -207,19 +208,25 @@ def legendre_sequence(data: PiecewiseAnalytic, interval: tuple[float, float]) ->
 
     The scale of the "identically zero" test is the largest coefficient
     magnitude of the data on the pieces of the window (squared for the
-    sigma products, which scale quadratically).
+    sigma products, which scale quadratically).  A test whose scale or
+    entry overflows decides nothing and raises :class:`PreconditionError`.
     """
     t0, t1 = float(interval[0]), float(interval[1])
     if not t0 < t1:
         raise PreconditionError("interval must be nondegenerate")
     pieces = [p for p, _, _ in _window_pieces(data, (t0, t1))]
-    scale = max([float(np.max(np.abs(c[p]))) for c in (data.x_pieces, data.b_pieces)
-                 for p in pieces] + [1.0])
+    scale = np.float64(max([float(np.max(np.abs(c[p]))) for c in (data.x_pieces, data.b_pieces)
+                            for p in pieces] + [1.0]))
     imax = min(2 * data.n + 2, D_MAX - 1)
     first = None
     for i in range(imax + 1):
-        ref = scale if i == 0 else scale**2
-        if any(np.max(np.abs(data._entry(p, i))) > 1e-12 * ref for p in pieces):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = scale if i == 0 else scale * scale
+            tops = [np.max(np.abs(data._entry(p, i))) for p in pieces]
+        if not (np.isfinite(ref) and np.all(np.isfinite(tops))):
+            raise PreconditionError(f"b^{i} overflows: the coefficients of the data "
+                                    f"(largest {scale:.3g}) are too large to decide the order")
+        if any(top > 1e-12 * ref for top in tops):
             first = i
             break
     return LegendreSequence(data=data, first_nonzero=first, imax=imax, interval=(t0, t1))
@@ -342,11 +349,12 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
         if not mu0.shape[1]:  # m = n: the plane is the Goh span alone
             break
 
-        def rhs(t: np.ndarray, xs=data._stack(p, m), bs=data._entry(p, m)) -> np.ndarray:
-            # mu' = X^(m) sigma(X^(m), mu) / b^m, sigma(X^(m), mu) = (-J X^(m)) . mu,
-            # with the piece's own polynomials, also at its end breakpoint
+        def rhs(t: np.ndarray, xs=data._stack(p, m), bs=data._entry(p, m)):
+            # mu' = X^(m) sigma(X^(m), mu) / b^m, sigma(X^(m), mu) = (-J X^(m)) . mu:
+            # the rank-one system u w^T, u = X^(m), w = -J X^(m) / b^m, with the
+            # piece's own polynomials, also at its end breakpoint
             xm = meval(xs, t)
-            return xm[:, :, None] * -apply_j(xm.T).T[:, None, :] / meval(bs, t)[:, None, None]
+            return xm, -apply_j(xm, axis=1) / meval(bs, t)[:, None]
 
         inside = (grid > a_) & (grid <= b_)
         try:
@@ -419,14 +427,34 @@ def infinite_order_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
 
 
 def bang_bang_sequence(l0: np.ndarray, x_list: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Planes of the bang-bang recursion ``L_{i+1} = L_i ^ {X_i}``.
+    """Planes of the bang-bang recursion ``L_{i+1} = L_i ^ {X_i} = (L_i ∩ X_i^∠) + X_i``.
 
     Returns the list ``[L_0, L_1, ..]`` of canonical frames (length
     ``len(x_list) + 1``).  Pure linear algebra, no integration.
+
+    Each switch inserts one vector, so it is a rank-one update of an
+    orthonormal frame Q of the plane: the pairing row p = sigma(X_i, Q)
+    decides whether X_i is paired with the plane (the rule of
+    :func:`~jacobiflow.grassmann.extend_by_isotropic`); if it is not, X_i
+    lies in the plane, or vanishes, and the plane stays.  Otherwise a
+    Householder reflector H with p H on the last coordinate makes the first
+    n - 1 columns of Q H an orthonormal frame of ``L_i ∩ X_i^∠``, and the QR
+    of those columns with X_i appended is the next Q.  Each X_i is first
+    scaled, exactly, by the power of two that brings its largest entry into
+    [0.5, 1), so that its norms neither overflow nor underflow.  The frames
+    are canonicalised once, as one stack.
     """
-    plane = canonicalize(validate_lagrangian(np.asarray(l0, dtype=float)))
-    out = [plane]
-    for x in x_list:
-        plane = extend_by_isotropic(plane, np.asarray(x, dtype=float))
-        out.append(plane)
-    return out
+    q = np.linalg.qr(validate_lagrangian(np.asarray(l0, dtype=float)))[0]
+    xs = np.asarray(x_list, dtype=float).reshape(-1, q.shape[0])
+    xs = np.ldexp(xs, -np.frexp(np.max(np.abs(xs), axis=1, initial=0.0))[1][:, None])
+    frames = [q]
+    for x in xs:
+        p = x @ apply_j(q)  # sigma(x, q_j)
+        norm = float(np.linalg.norm(p))
+        if _paired(norm, float(np.linalg.norm(x))):
+            v = p.copy()
+            v[-1] += np.copysign(norm, p[-1])
+            qh = q - np.outer(q @ v, v * (2.0 / (v @ v)))
+            q = np.linalg.qr(np.column_stack([qh[:, :-1], x]))[0]
+        frames.append(q)
+    return list(canonicalize(np.stack(frames)))

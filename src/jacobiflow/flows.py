@@ -2,8 +2,12 @@
 
 Systems are ``lambda' = M(t) lambda`` with a Hamiltonian system matrix
 M(t), given as a callable that maps a 1-D array of K times to the
-``(K, 2n, 2n)`` stack of system matrices.  Planes are always moved as
-frames, never as chart matrices, so a chart pole cannot stop a transport.
+``(K, 2n, 2n)`` stack of system matrices, or to a pair ``(u, w)`` of
+``(K, 2n)`` stacks for a rank-one system M = u w^T.  The Jacobi equation of
+a one-dimensional control variation is of this form, and its Gauss stage
+system shrinks from 3*2n unknowns per column to the three pairings
+``w_i . Y_i`` (:func:`_increments`).  Planes are always moved as frames,
+never as chart matrices, so a chart pole cannot stop a transport.
 
 Every transport of the package is one call of :func:`_integrate`: one march
 over a node list, with each node a step end.  A step is 3-stage
@@ -47,7 +51,7 @@ from .grassmann import GrassmannCurve, canonicalize
 __all__ = ["flow_plane"]
 
 
-SystemLike = Callable[[np.ndarray], np.ndarray]
+SystemLike = Callable[[np.ndarray], "np.ndarray | tuple[np.ndarray, np.ndarray]"]
 
 
 # 3-stage Gauss-Legendre collocation (order 6): nodes, coefficients, weights
@@ -93,8 +97,20 @@ def _increments(sys: SystemLike, t: np.ndarray, h: np.ndarray) -> tuple[np.ndarr
     linear system ``(I - h [a_ij A(t + c_j h)]) Y = 1 (x) I``, and
     ``P = I + h sum_i b_i A_i Y_i``.  The increment is kept apart from ``I``
     so that chaining it rounds at the size of the increment.
+
+    A rank-one system ``A = u w^T`` (``sys`` returns the pair ``(u, w)``)
+    has stage values ``Y_i = I + h sum_j a_ij u_j z_j`` with the rows
+    ``z_j = w_j^T Y_j``, so the same solve shrinks to the 3x3 system of the
+    pairings, ``(I_3 - h [a_ij w_i . u_j]) Z = [w_1; w_2; w_3]``, and
+    ``P - I = h sum_i b_i u_i Z_i``; its size is ``max|u| max|w|``.
     """
     a = sys((t[:, None] + h[:, None] * _GAUSS_C).ravel())
+    if isinstance(a, tuple):
+        u, w = (v.reshape(-1, 3, v.shape[-1]) for v in a)
+        lhs = np.eye(3) - _GAUSS_A * (h[:, None, None] * (w @ np.swapaxes(u, 1, 2)))
+        z = np.linalg.solve(lhs, w)
+        size = np.max(np.abs(u), axis=2) * np.max(np.abs(w), axis=2)
+        return h[:, None, None] * (np.swapaxes(u * _GAUSS_B[:, None], 1, 2) @ z), size
     d = a.shape[-1]
     ha = a.reshape(-1, 3, d, d) * h[:, None, None, None]
     lhs = np.eye(3 * d) - np.einsum("ij,kjab->kiajb", _GAUSS_A, ha).reshape(-1, 3 * d, 3 * d)
@@ -151,7 +167,12 @@ def _advance(f: np.ndarray, inc: np.ndarray) -> np.ndarray:
     its QR, with R given a positive diagonal, which keeps the sign of every
     block determinant.
     """
-    f = f + inc @ f
+    return _renormalise(f + inc @ f)
+
+
+def _renormalise(f: np.ndarray) -> np.ndarray:
+    """``f`` with each frame one of whose entries passes ``_GROWTH`` replaced
+    by the Q of its QR, as :func:`_advance` leaves it."""
     if np.abs(f).max() > _GROWTH:
         big = np.abs(f).max(axis=(1, 2)) > _GROWTH
         q, r = np.linalg.qr(f[big])
@@ -190,9 +211,19 @@ def _plane_steps(inc: np.ndarray, gap: np.ndarray, frame: np.ndarray, bound: flo
         stop = int(np.argmax(~(err <= 1.0))) if not np.all(err <= 1.0) else err.size
         idx = np.arange(stop)
         moved = np.empty((stop,) + frame.shape)
-        f = frame
-        for i in idx:
-            f = moved[i] = _advance(f, inc[i])
+        # max|f + inc f| <= max|f| (1 + the largest row sum of |inc|): the
+        # exact size, and the QR, are needed only where that bound passes
+        # _GROWTH; a relative slack of 1e-12 a step covers the rounding of
+        # the chain and of the bound, so the frames stay bit for bit
+        f, top = frame, float(np.abs(frame).max())
+        grow = (1.0 + np.max(np.sum(np.abs(inc[:stop]), axis=2), axis=1)) * (1.0 + 1e-12)
+        for i, g in zip(idx, grow.tolist()):
+            f = f + inc[i] @ f
+            top *= g
+            if top > _GROWTH:
+                f = _renormalise(f)
+                top = float(np.abs(f).max())
+            moved[i] = f
         q = np.linalg.qr(np.concatenate([frame, moved[:-1, 0]])[:stop])[0]
     u, sv, _ = np.linalg.svd(q + inc[idx] @ q, full_matrices=False)
     eq = gap[idx] @ q
@@ -207,7 +238,10 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     """Frames at the strictly monotone ``nodes`` of one march from ``frames``.
 
     ``frames`` is one ``(2n, k)`` frame or a stack of them; the result has one
-    entry per node, the first being ``frames``.  Every node is a step end, so
+    entry per node, the first being ``frames``.  ``sys`` gives the system at
+    a 1-D array of times, as the dense stack of its matrices or as the
+    rank-one pair ``(u, w)`` of :func:`_increments`; the form changes how a
+    step is computed, not how steps are chosen.  Every node is a step end, so
     nothing is interpolated.  Steps are proposed ``_BATCH`` at a time with
     one length h, shortened so that each node interval is split evenly, and
     accepted up to the first one whose error estimate (:func:`_batch`)

@@ -22,6 +22,7 @@ matrix over ``pi_ref``, which :func:`to_chart` computes from a frame.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,6 +234,15 @@ def _chart_basis(delta: np.ndarray, pi_ref: np.ndarray) -> np.ndarray:
     return np.hstack([p, d0 @ np.linalg.inv(w)])
 
 
+@functools.lru_cache(maxsize=None)
+def _sigma_pi_chart(n: int) -> np.ndarray:
+    """The :func:`_chart_basis` of the chart (Sigma, Pi) with n degrees of
+    freedom, built once per n and read-only."""
+    m = _chart_basis(horizontal_plane(n), vertical_plane(n))
+    m.flags.writeable = False
+    return m
+
+
 def to_chart(plane: np.ndarray, delta: np.ndarray, pi_ref: np.ndarray) -> np.ndarray:
     """Symmetric chart matrix S of a Lagrangian plane in the chart
     ``(delta, pi_ref)``: the plane is ``{x + delta-component S x}`` over
@@ -269,6 +279,17 @@ def _chart_matrix(planes: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.where(off, np.nan, 0.5 * (s + np.swapaxes(s, -1, -2)))
 
 
+def _paired(s, scale: float):
+    """Which singular values ``s`` of the pairing matrix sigma(G, L) pair G with L.
+
+    The threshold is ``TOL_RANK`` times ``scale``, the product of the two
+    frames' spectral norms: when G nearly lies inside L the whole pairing
+    matrix is round-off, and a threshold relative to the largest pairing
+    would promote that noise to full rank.
+    """
+    return np.asarray(s) > TOL_RANK * max(scale, 1e-300)
+
+
 def extend_by_isotropic(plane: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The extension ``L^G = (L ∩ G^∠) + G`` of a plane by an isotropic frame.
 
@@ -284,11 +305,7 @@ def extend_by_isotropic(plane: np.ndarray, g: np.ndarray) -> np.ndarray:
     a = gram(g, plane)  # rows: sigma(g_i, l_j)
     if a.size:
         u, s, vt = np.linalg.svd(a)
-        # the pairing scale is set by the frames themselves: when G nearly
-        # lies inside L the whole gram matrix is round-off, and a threshold
-        # relative to s[0] would promote that noise to full rank
-        scale = np.linalg.norm(g, 2) * np.linalg.norm(plane, 2)
-        rank = int(np.sum(s > TOL_RANK * max(scale, 1e-300)))
+        rank = int(np.sum(_paired(s, np.linalg.norm(g, 2) * np.linalg.norm(plane, 2))))
         inside = plane @ vt[rank:].T
     else:
         inside = plane

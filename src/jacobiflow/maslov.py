@@ -39,10 +39,10 @@ Bhatia-Davis bound 2 arcsin(||W_k - W_{k-1}||_2 / 2) on eigenvalue motion
 (*Linear Multilinear Algebra* 15, 1984) reaches pi, and no single shortest
 path joins the samples.  :func:`maslov_index` then raises
 :class:`RefinementError` and :func:`maslov_partial_sums` writes ``nan``.
-Whether a node meets Pi is decided by one stacked rank test,
-:func:`intersection_dimension` on the stack of nodes: the rank of Pi is
-taken once, and one batched SVD gives the rank of ``[L | Pi]`` at every
-node.  :func:`maslov_index` refuses a curve whose endpoints meet Pi
+Whether a node meets Pi is decided by one stacked rank test: validation
+has fixed rank L = rank Pi = n, so L meets Pi exactly where ``[L | Pi]``
+has rank below 2n, and one batched SVD gives that rank at every node.
+:func:`maslov_index` refuses a curve whose endpoints meet Pi
 (:class:`PreconditionError`) and counts across interior nodes on Pi, while
 the partial sums carry ``nan`` on both intervals at such a node.
 """
@@ -55,7 +55,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionError, RefinementError
-from .grassmann import GrassmannCurve, intersection_dimension, validate_lagrangian
+from .grassmann import GrassmannCurve, validate_lagrangian
+from .symplectic import frame_rank
 
 __all__ = [
     "maslov_index",
@@ -115,7 +116,8 @@ def _spectral_flow(planes: Sequence[np.ndarray], pi: np.ndarray) -> _SpectralFlo
     """Validate ``pi`` and every node, then count each interval (see module doc)."""
     pi = validate_lagrangian(np.asarray(pi, dtype=float))
     frames = validate_lagrangian(np.stack(planes) if len(planes) else np.empty((0,) + pi.shape))
-    on_pi = intersection_dimension(frames, pi) > 0
+    both = np.concatenate([frames, np.broadcast_to(pi, frames.shape)], axis=-1)
+    on_pi = frame_rank(both) < pi.shape[0]
     if len(frames) < 2:
         return _SpectralFlow(on_pi, np.zeros(0, dtype=int), np.zeros(0, dtype=bool))
     w = _souriau(frames, pi)

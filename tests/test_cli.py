@@ -19,6 +19,7 @@ from helpers import continued, random_lagrangian
 from jacobiflow import cli, engine
 from jacobiflow.cli import DEFAULT_U0, DEFAULT_V0, _trace_rows, main
 from jacobiflow.engine import JumpEvent, PiecewiseAnalytic, singular_jacobi_curve
+from jacobiflow.errors import JacobiflowError
 from jacobiflow.flows import flow_plane
 from jacobiflow.grassmann import (
     GrassmannCurve,
@@ -362,6 +363,27 @@ def test_trace_past_the_normal_form_radius_is_handed_over(tmp_path, t0):
     assert np.max(gaps) < 1e-10
 
 
+def _order0_march(data: PiecewiseAnalytic, t0: float, plane: np.ndarray):
+    """The order-0 Jacobi march mu' = X sigma(X, mu) / b of one-piece n = 2
+    data from ``plane`` at ``t0``, in mpmath at its working precision, as a
+    map from a time to the (4, 2) frame there."""
+    xs = [[mpmath.mpf(float(c)) for c in row] for row in data.x_pieces[0]]
+    bs = [mpmath.mpf(float(c)) for c in data.b_pieces[0]]
+
+    def jacobi(t, y):
+        x = [mpmath.polyval(row[::-1], t) for row in xs]
+        b = mpmath.polyval(bs[::-1], t)
+        out = []
+        for mu in (y[:4], y[4:]):
+            s = x[0] * mu[2] + x[1] * mu[3] - x[2] * mu[0] - x[3] * mu[1]
+            out += [xi * s / b for xi in x]
+        return out
+
+    start = [mpmath.mpf(float(v)) for v in np.asarray(plane).T.ravel()]
+    march = mpmath.odefun(jacobi, mpmath.mpf(float(t0)), start)
+    return lambda t: np.array([float(v) for v in march(mpmath.mpf(float(t)))]).reshape(2, 4).T
+
+
 def test_corpus_degen_m2_plane_matches_a_30_digit_march(monkeypatch):
     # at t = 0.776 the normal-form route's planes had entries of 5.8e4, and
     # its canonicalisation put the emitted plane 1.25e-13 from this march
@@ -375,25 +397,22 @@ def test_corpus_degen_m2_plane_matches_a_30_digit_march(monkeypatch):
     config = cli.parse_scenario(CORPUS / "degen_m2.json")
     rows = cli.run(config, "trace").rows
     k = int(np.argmin(np.abs(config.grid - 0.7761)))
-    data = config.data["piecewise"]
-    xs = [[mpmath.mpf(float(c)) for c in row] for row in data.x_pieces[0]]
-    bs = [mpmath.mpf(float(c)) for c in data.b_pieces[0]]
-
-    def jacobi(t, y):
-        x = [mpmath.polyval(row[::-1], t) for row in xs]
-        b = mpmath.polyval(bs[::-1], t)
-        out = []
-        for mu in (y[:4], y[4:]):
-            s = x[0] * mu[2] + x[1] * mu[3] - x[2] * mu[0] - x[3] * mu[1]
-            out += [xi * s / b for xi in x]
-        return out
-
     with mpmath.workdps(30):
-        start = [mpmath.mpf(float(v)) for v in np.asarray(handed["plane"]).T.ravel()]
-        y = mpmath.odefun(jacobi, mpmath.mpf(handed["t_h"]), start)(mpmath.mpf(config.grid[k]))
-        ref = np.array([float(v) for v in y]).reshape(2, 4).T
+        march = _order0_march(config.data["piecewise"], handed["t_h"], handed["plane"])
+        ref = march(config.grid[k])
     assert handed["t_h"] == 0.1
     assert plane_distance(np.reshape(rows[k][1:9], (4, 2)), ref) < 1e-14
+
+
+def test_corpus_regular_trace_matches_a_30_digit_march():
+    # every third node of the order-0 march of the corpus regular scenario
+    config = cli.parse_scenario(CORPUS / "regular.json")
+    rows = cli.run(config, "trace").rows
+    with mpmath.workdps(30):
+        march = _order0_march(config.data["piecewise"], config.grid[0], config.initial_plane)
+        gaps = [plane_distance(np.reshape(rows[k][1:9], (4, 2)), march(config.grid[k]))
+                for k in range(0, config.grid.size, 3)]
+    assert len(gaps) == 67 and max(gaps) < 3e-14
 
 
 def test_epsilon_family_landing_past_the_normal_form_radius_is_refused(tmp_path, capsys):
@@ -508,6 +527,20 @@ def test_overflowing_coefficients_are_not_called_a_pole(tmp_path, capsys):
     assert "pole" not in err["message"]
 
 
+def test_an_overflowing_legendre_sequence_is_one_error_object(tmp_path, capsys):
+    # b = 0 and X of size 1e200: b^1 = sigma(X', X) and its zero-test scale
+    # overflow, and the order cannot be decided
+    def edit(raw):
+        raw["mode"] = "singular_order_m"
+        raw["data"]["b"] = [[0.0]]
+        raw["data"]["x"] = [[[1e200 * v for v in row] for row in raw["data"]["x"][0]]]
+
+    code, [err] = _run_variant(tmp_path, capsys, "regular_short", "trace", edit)
+    assert code == 3
+    assert (err["error"], err["stage"]) == ("PreconditionError", "run")
+    assert err["message"].startswith("b^1 overflows")
+
+
 # X = (1, 0, t, t^2/2) of the golden degeneracy scenarios
 GOLDEN_X = np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0.5, 0]], dtype=float)
 
@@ -530,9 +563,18 @@ def _normal_form_route(config: cli.ScenarioConfig) -> np.ndarray:
     return canonicalize(meval(frame.frame, grid) @ np.stack(planes))
 
 
+def _dx(entries: dict) -> list[float]:
+    """A perturbation of GOLDEN_X, flattened: ``entries`` maps an index to its value."""
+    return [entries.get(i, 0.0) for i in range(16)]
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.floats(-0.25, 0.25), min_size=16, max_size=16),
        st.sampled_from([2, 3]), st.floats(0.05, 0.5), st.integers(0, 2**32 - 1))
+# X whose 40-term normal frame is refused: a nonzero diagonal block of the
+# reduced system (1.6e-8), and a frame symplectic residual of 2.5e-5
+@example(_dx({5: 0.25, 15: 0.25}), 2, 0.5, 0)
+@example(_dx({14: -0.25, 15: 0.1875}), 3, 0.5, 0)
 def test_handover_trace_agrees_with_the_normal_form_route(dx, m, t1, seed):
     # random cubic X around the golden one, where the frame series is summed
     # up to t1: there both routes hold, and the handover changes the planes
@@ -544,7 +586,14 @@ def test_handover_trace_agrees_with_the_normal_form_route(dx, m, t1, seed):
         initial_plane=random_lagrangian(np.random.default_rng(seed), 2),
         grid=np.linspace(0.01, t1, 12),
         tolerances=dict(cli.DEFAULT_TOLERANCES, eps_family=(1e-3,)), seed=0)
-    _, frame, _ = cli._degeneracy_stage(config)
+    try:
+        _, frame, _ = cli._degeneracy_stage(config)
+    except JacobiflowError as exc:
+        # an X the normal form refuses: the trace refuses it the same way
+        with pytest.raises(JacobiflowError) as refused:
+            cli.run(config, "trace")
+        assert type(refused.value) is type(exc)
+        assume(False)
     assume(_tail_within(np.linalg.norm(frame.frame, axis=(1, 2)), t1))
     out = cli.run(config, "trace")
     planes = np.array([row[1:9] for row in out.rows]).reshape(-1, 4, 2)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 from scipy.integrate import solve_ivp
 
-from jacobiflow import engine
+from helpers import random_lagrangian
+from jacobiflow import cli, engine, grassmann
 
 from jacobiflow.engine import (
     D_MAX,
@@ -386,6 +389,57 @@ def test_bang_bang_sequence():
     # a direction already inside the plane leaves it unchanged
     same = bang_bang_sequence(l0, [np.array([1.0, 0.0, 0.0, 0.0])])
     assert plane_distance(same[0], same[1]) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.lists(st.sampled_from(["zero", "inside", "generic"]),
+                                   min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_bang_bang_sequence_matches_the_per_switch_extension(n, kinds, seed):
+    # the reference is the per-switch recursion the rank-one update replaced,
+    # one extend_by_isotropic per switch; x = 0 and x in L leave the plane,
+    # and a generic x moves it
+    rng = np.random.default_rng(seed)
+    l0 = random_lagrangian(rng, n)
+    ref = [canonicalize(l0)]
+    x_list = []
+    for kind in kinds:
+        if kind == "zero":
+            x = np.zeros(2 * n)
+        elif kind == "inside":
+            x = ref[-1] @ rng.normal(size=n)
+        else:
+            x = rng.normal(size=2 * n) * 10.0 ** rng.uniform(-3, 3)
+        x_list.append(x)
+        ref.append(extend_by_isotropic(ref[-1], x))
+    planes = bang_bang_sequence(l0, x_list)
+    assert len(planes) == len(ref)
+    # a canonical frame is accurate to rounding times its size: with a small
+    # echelon pivot its entries reach 1e3 to 1e4, and the canonical frames of
+    # l0 and of its QR alone are then up to 1e-13 apart
+    size = max(1.0, np.abs(np.stack(ref)).max())
+    assert np.max(plane_distance(np.stack(planes), np.stack(ref))) < 1e-13 * size
+    assert np.max(isotropy_residual(np.stack(planes))) < 1e-13
+    moved = plane_distance(np.stack(planes[:-1]), np.stack(planes[1:])) > 1e-10
+    ref_moved = plane_distance(np.stack(ref[:-1]), np.stack(ref[1:])) > 1e-10
+    assert np.array_equal(moved, ref_moved)
+    assert np.array_equal(moved, [kind == "generic" for kind in kinds])
+
+
+def test_bang_bang_verb_makes_no_general_extension(tmp_path, monkeypatch):
+    # every switch is a rank-one update; extend_by_isotropic serves the
+    # jump operator, the infinite-order curve and the first-jet case only
+    calls = []
+    extend = grassmann.extend_by_isotropic
+    for module in (grassmann, engine):
+        monkeypatch.setattr(module, "extend_by_isotropic",
+                            lambda *a: calls.append(a) or extend(*a))
+    scenario = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "bangbang.json"
+    assert cli.main(["bangbang", str(scenario), "--out", str(tmp_path / "b.csv")]) == 0
+    assert calls == []
+    data = PiecewiseAnalytic(breakpoints=[0.0, 1.0], b_pieces=[[0.0]], x_pieces=[[[1.0], [0.0]]])
+    infinite_order_curve(data, np.array([[0.0], [1.0]]), (0.0, 1.0))
+    assert len(calls) == 1
 
 
 # -- reference: the iterative L-derivative fold over a partition.  It rebuilds

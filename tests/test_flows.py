@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,58 @@ def test_propagators_are_symplectic_to_rounding(seed, h, t):
     for p in np.eye(4) + inc:
         res = np.linalg.norm(p.T @ _J4 @ p - _J4, 2)
         assert res <= 100 * np.finfo(float).eps * np.linalg.norm(p, 2) ** 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.floats(0.01, 1.0), st.integers(0, 2**31 - 1))
+def test_rank_one_increments_are_the_dense_increments(n, k, scale, seed):
+    # A = u w^T: the 3x3 stage solve on the pairings gives the propagator of
+    # the 3*2n-square one, and the same sizes
+    rng = np.random.default_rng(seed)
+    u, w = rng.normal(size=(2, 3 * k, 2 * n)) * 10.0 ** rng.uniform(-2, 2, size=(2, 3 * k, 1))
+    h = scale * rng.uniform(0.1, 1.0, size=k) / (np.abs(u).max() * np.abs(w).max() * 2 * n)
+    t = rng.normal(size=k)
+    inc, size = flows._increments(lambda _: (u, w), t, h)
+    dense, dense_size = flows._increments(lambda _: u[:, :, None] * w[:, None, :], t, h)
+    assert inc.shape == dense.shape == (k, 2 * n, 2 * n)
+    assert np.array_equal(size, dense_size)
+    assert np.max(np.abs(inc - dense)) <= 1e-13 * (1.0 + np.max(np.abs(dense)))
+
+
+def test_a_regular_trace_solves_only_3x3_stage_systems(tmp_path, monkeypatch):
+    # the Jacobi equation's rank-one system takes the pairings' 3x3 solve;
+    # a dense system (portrait, n = 1) keeps the 3*2n-square one
+    shapes = []
+    solve = np.linalg.solve
+
+    def recorded(a, b):
+        if sys._getframe(1).f_code is flows._increments.__code__:
+            shapes.append(a.shape[-2:])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    assert cli.main(["trace", str(CORPUS / "regular.json"), "--out", str(tmp_path / "r.csv")]) == 0
+    assert shapes and set(shapes) == {(3, 3)}
+    shapes.clear()
+    assert cli.main(["portrait", str(CORPUS / "portrait.json"), "--out", str(tmp_path / "p.csv")]) == 0
+    assert shapes and set(shapes) == {(6, 6)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), st.integers(8, 32), st.floats(1.0, 3.0), st.integers(0, 2**31 - 1))
+def test_plane_chain_is_the_plain_advance_chain(n, steps, scale, seed):
+    # the chain checks a frame's size only where its growth bound passes
+    # _GROWTH; at these sizes about five chains in six pass it inside a batch
+    rng = np.random.default_rng(seed)
+    inc = rng.normal(size=(steps, 2 * n, 2 * n)) * scale
+    frame = np.linalg.qr(rng.normal(size=(1, 2 * n, n)))[0]
+    err = np.full(steps, 0.5)
+    moved, _ = flows._plane_steps(inc, np.zeros_like(inc), frame, 1e-12, err,
+                                  np.zeros(steps, dtype=bool), False)
+    f = frame
+    for i in range(steps):
+        f = flows._advance(f, inc[i])
+        assert np.array_equal(moved[i], f)
 
 
 def test_normal_form_march_across_the_pole_is_a_pole_error():

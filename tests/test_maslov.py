@@ -434,5 +434,33 @@ def test_stacked_node_on_pi_test_is_the_frame_by_frame_rank_test(n, seed, meets)
     assert np.array_equal(_spectral_flow(planes, pi).on_pi, loop > 0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**31 - 1),
+       st.lists(st.integers(0, 3), min_size=2, max_size=10))
+def test_nodes_on_pi_are_the_nodes_of_positive_intersection(n, seed, meets):
+    # a curve of random planes, node k meeting Pi in min(meets[k], n)
+    # dimensions: random planes where that is 0, elsewhere a symplectic map
+    # that keeps Pi moves the planes of the stacked test above
+    rng = np.random.default_rng(seed)
+    pi = vertical_plane(n)
+    planes = []
+    for shared in meets:
+        shared = min(shared, n)
+        if not shared:
+            planes.append(random_lagrangian(rng, n))
+            continue
+        f = np.zeros((2 * n, n))
+        f[:n] = np.diag(np.where(np.arange(n) < shared, 1.0, rng.normal(size=n)))
+        f[n:][np.arange(shared, n), np.arange(shared, n)] = 1.0
+        a = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
+        s = rng.normal(size=(n, n))
+        d = np.linalg.inv(a).T
+        keep = np.block([[a, (s + s.T) @ d], [np.zeros((n, n)), d]])
+        planes.append(keep @ f)
+    on_pi = _spectral_flow(planes, pi).on_pi
+    assert np.array_equal(on_pi, intersection_dimension(np.stack(planes), pi) > 0)
+    assert np.array_equal(on_pi, np.minimum(meets, n) > 0)
+
+
 if __name__ == "__main__":
     pytest.main([__file__])
