@@ -356,11 +356,11 @@ def _trace_columns(n: int) -> list[str]:
 def _trace_rows(curve: GrassmannCurve, jumps: list[JumpEvent],
                 n: int) -> tuple[list[list], _SpectralFlow]:
     # the Maslov pass over Pi is returned so that the maslov verb counts on
-    # it too; it validates every node, so the chart columns (chart (Sigma,
-    # Pi), prepared once per n) solve on the stack of planes as it is
-    flow = _spectral_flow(curve.planes, vertical_plane(n))
-    partial = flow.partial_sums()
+    # it too; it validates every node of the one stack of planes, so the
+    # chart columns (chart (Sigma, Pi), prepared once per n) solve on it as it is
     planes = np.stack(curve.planes)
+    flow = _spectral_flow(planes, vertical_plane(n))
+    partial = flow.partial_sums()
     charts = _chart_matrix(planes, _sigma_pi_chart(n)).reshape(len(planes), -1)
     off = np.isnan(charts).all(axis=1)
     # jump rows: within 1e-9 max(1, |t_jump|) of a jump time; only the two around a row can be

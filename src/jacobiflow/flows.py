@@ -32,15 +32,27 @@ so each frame of a stack moves as it would alone.
 Step control (:func:`_integrate`; Hairer, Norsett & Wanner, *Solving
 Ordinary Differential Equations I*, 2nd ed., 1993, section II.4) grows h
 from the latest step of a batch: as a march leaves a pole its error falls
-along a batch, and the first step would hold h back.  A march whose first
-step fails tries a ladder of shorter lengths at once, where shrinking by the
-order-7 rule took up to eight batches.  Only the opening gets a ladder: a
-stalling order-3 march took three times the batches with one after every
-rejection.
+along a batch, and the first step would hold h back.  A march opens with a
+batch of one step, the whole first node interval, so a failed opening
+costs one step, not a batch: the first step of a march handed over near a
+pole, or of a portrait, often fails.  A march whose first step fails tries
+a ladder of shorter lengths at once, where shrinking by the order-7 rule
+took up to eight batches.  Only the opening gets a ladder: a stalling
+order-3 march took three times the batches with one after every rejection.
+
+On a grid of many nodes the node spacing, not the error, sets most steps
+(the corpus ``regular`` march's median step error is 2e-7 of its bound),
+and every batch pays the same fixed cost of stacked numpy and LAPACK calls.
+So after the opening a batch takes every leading node interval within reach
+of h as one step, up to ``_RUN`` = 256 of them, which bounds a batch's
+memory on any grid; the corpus ``regular`` march takes 1 + 198 steps in two
+batches, where batches of ``_BATCH`` = 32 steps took seven.  Batches whose
+steps the error sets keep ``_BATCH`` steps.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,6 +77,9 @@ _GAUSS_A = np.array([
 _GAUSS_B = np.array([5.0 / 18.0, 4.0 / 9.0, 5.0 / 18.0])
 #: steps proposed, and evaluated, per batch
 _BATCH = 32
+#: most node intervals one batch takes as one step each (:func:`_proposed`);
+#: it bounds a batch's memory on grids of up to ``engine.STEPS_MAX`` nodes
+_RUN = 8 * _BATCH
 #: a frame entry beyond this bound triggers a QR of that frame
 _GROWTH = 1e4
 #: share of rtol a step's error estimate may use
@@ -233,6 +248,38 @@ def _plane_steps(inc: np.ndarray, gap: np.ndarray, frame: np.ndarray, bound: flo
     return moved, err
 
 
+def _proposed(nodes: np.ndarray, t: float, k: int,
+              h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Starts, stops and node-end flags of the steps of one batch from ``t``,
+    whose next node is ``nodes[k]``.
+
+    A node interval within reach of h (one step of length at most h, with a
+    relative slack of 1e-12) is one step.  The batch takes every leading node
+    interval within reach, at most ``_RUN`` of them, then adds steps up to
+    ``_BATCH`` in all, each node interval split into equal steps of at most
+    h.  The run is found with numpy on the look-ahead, and only when the next
+    node is within reach, so a batch bound by the error pays nothing for it.
+    """
+    run = 0
+    if abs(float(nodes[k]) - t) / h * (1.0 - 1e-12) <= 1.0:
+        ahead = nodes[k : k + _RUN]
+        reach = np.abs(np.diff(ahead, prepend=t)) / h * (1.0 - 1e-12) <= 1.0
+        run = ahead.size if reach.all() else int(np.argmin(reach))
+    s, j = (float(nodes[k + run - 1]), k + run) if run else (t, k)
+    starts, stops, ends = [], [], []
+    while run + len(starts) < _BATCH and j < nodes.size:
+        node = float(nodes[j])
+        parts = max(1, math.ceil(abs(node - s) / h * (1.0 - 1e-12)))
+        starts.append(s)
+        ends.append(parts == 1)
+        s, j = (node, j + 1) if parts == 1 else (s + (node - s) / parts, j)
+        stops.append(s)
+    head = nodes[k : k + run]
+    return (np.concatenate([[t], head[:-1], starts]) if run else np.array(starts),
+            np.concatenate([head, stops]),
+            np.concatenate([np.ones(run, dtype=bool), np.array(ends, dtype=bool)]))
+
+
 def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
                rtol: float) -> np.ndarray:
     """Frames at the strictly monotone ``nodes`` of one march from ``frames``.
@@ -242,16 +289,21 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     a 1-D array of times, as the dense stack of its matrices or as the
     rank-one pair ``(u, w)`` of :func:`_increments`; the form changes how a
     step is computed, not how steps are chosen.  Every node is a step end, so
-    nothing is interpolated.  Steps are proposed ``_BATCH`` at a time with
-    one length h, shortened so that each node interval is split evenly, and
-    accepted up to the first one whose error estimate (:func:`_batch`)
-    exceeds its bound.  h then follows the order-7 local error rule: from
-    the rejected step, at most ten times shorter, or, when the whole batch
-    is accepted, from its last step that h was not shortened for, at most
-    four times longer.  The first step is the whole first node interval.  If
-    it fails, the next batch is a ladder: ``_BATCH`` steps from the same
+    nothing is interpolated.  A batch of steps (:func:`_batch`) is accepted
+    up to the first step whose error estimate exceeds its bound.  h then
+    follows the order-7 local error rule: from the rejected step, at most ten
+    times shorter, or, when the whole batch is accepted, from its last step
+    that h was not shortened for, at most four times longer.
+
+    The march opens with a batch of one step, the whole first node interval.
+    If it fails, the next batch is a ladder: ``_BATCH`` steps from the same
     start and frame of lengths h/2, h/4, ..., of which the longest that
     passes is taken as one step; if none passes, a ladder below it follows.
+    After the opening, a batch (:func:`_proposed`) takes every leading node
+    interval within reach of h as one step, up to ``_RUN`` of them, so a
+    march whose steps are set by its grid takes few batches; then it adds
+    steps of one length h, shortened so that each node interval is split
+    evenly, up to ``_BATCH`` steps in all.
 
     One frame of rank k < 2n is marched on the error of its plane wherever
     the system varies little over a step, so its steps depend on the frame
@@ -280,43 +332,41 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
         if ladder:  # lengths h/2, h/4, ... from t, each from the march's frame at t
             starts = np.full(_BATCH, t)
             stops = t + direction * h * 0.5 ** np.arange(1.0, _BATCH + 1.0)
-            ends = [False] * _BATCH
-        else:  # one length h, every node interval split into equal steps
-            starts, stops, ends = [], [], []
-            s, j = t, k
-            while len(starts) < _BATCH and j < nodes.size:
-                gap = abs(float(nodes[j]) - s)
-                parts = max(1, int(np.ceil(gap / h * (1.0 - 1e-12))))
-                starts.append(s)
-                ends.append(parts == 1)
-                s, j = (float(nodes[j]), j + 1) if parts == 1 else (s + direction * gap / parts, j)
-                stops.append(s)
-            starts, stops = np.array(starts), np.array(stops)
+            ends = np.zeros(_BATCH, dtype=bool)
+        elif opening:  # the whole first node interval
+            starts, stops, ends = nodes[:1], nodes[1:2], np.ones(1, dtype=bool)
+        else:
+            starts, stops, ends = _proposed(nodes, t, k, h)
         lengths = np.abs(stops - starts)
         steps, err = _batch(sys, starts, stops - starts, rtol, f if one_plane else None)
         if ladder:  # the longest candidate that passes is one step
             taken = np.flatnonzero(err <= 1.0)[:1]
         else:  # the steps up to the first one that fails
-            taken = range(int(np.argmax(err > 1.0)) if np.any(err > 1.0) else err.size)
-        for i in taken:
-            f = steps[i] if one_plane else _advance(f, steps[i])
-            if ends[i]:
-                out[k] = f
-                k += 1
-        if len(taken):
+            taken = np.arange(int(np.argmax(err > 1.0)) if np.any(err > 1.0) else err.size)
+        if taken.size:
+            at = taken[ends[taken]]
+            if one_plane:  # the steps' frames are the march's
+                f = steps[taken[-1]]
+                out[k : k + at.size] = steps[at]
+            else:
+                chain = np.empty((taken.size,) + f.shape)
+                for c, i in enumerate(taken):
+                    f = chain[c] = _advance(f, steps[i])
+                out[k : k + at.size] = chain[ends[taken]]
+            k += at.size
             t = float(stops[taken[-1]])
-        opening = opening and not len(taken)
+        opening = opening and not taken.size
         if opening:  # a ladder below the shortest length that failed
             h = float(lengths[-1] if ladder else lengths[0])
             ladder = True
-        elif not ladder and len(taken) < err.size:  # order-7 rule, from the rejected step
-            i = len(taken)
+        elif not ladder and taken.size < err.size:  # order-7 rule, from the rejected step
+            i = taken.size
             h = lengths[i] * max(0.1, 0.9 * err[i] ** (-1.0 / 7.0))
         else:  # grow from the latest step taken that h was not shortened for
             if ladder:  # as from a batch of the length taken
                 ladder, h = False, float(lengths[taken[0]])
-            full = [i for i in taken if lengths[i] >= 0.5 * h]
-            if full:
+            full = taken[lengths[taken] >= 0.5 * h]
+            if full.size:
                 i = full[-1]
                 h = min(4.0 * h, lengths[i] * 0.9 * max(err[i], 1e-300) ** (-1.0 / 7.0))
         if not h > 16.0 * np.spacing(max(abs(t), span)):

@@ -112,10 +112,15 @@ class _SpectralFlow:
         return int(np.sum(self.steps))
 
 
-def _spectral_flow(planes: Sequence[np.ndarray], pi: np.ndarray) -> _SpectralFlow:
-    """Validate ``pi`` and every node, then count each interval (see module doc)."""
+def _spectral_flow(planes: Sequence[np.ndarray] | np.ndarray, pi: np.ndarray) -> _SpectralFlow:
+    """Validate ``pi`` and every node, then count each interval (see module doc).
+
+    ``planes`` is a sequence of frames or their ``(K, 2n, n)`` stack, which is
+    used as it is.
+    """
     pi = validate_lagrangian(np.asarray(pi, dtype=float))
-    frames = validate_lagrangian(np.stack(planes) if len(planes) else np.empty((0,) + pi.shape))
+    frames = validate_lagrangian(np.asarray(planes, dtype=float) if len(planes)
+                                 else np.empty((0,) + pi.shape))
     both = np.concatenate([frames, np.broadcast_to(pi, frames.shape)], axis=-1)
     on_pi = frame_rank(both) < pi.shape[0]
     if len(frames) < 2:

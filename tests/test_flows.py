@@ -1,3 +1,4 @@
+import functools
 import json
 import sys
 from pathlib import Path
@@ -400,15 +401,18 @@ def _recorded_batches(monkeypatch) -> list:
     return calls
 
 
-def test_a_failed_opening_step_is_followed_by_a_ladder(monkeypatch):
-    # the first step turns the line by 20 rad and fails; the next batch tries
-    # h/2, h/4, ... from the same start, and the march takes the longest that
-    # passes as its one step
+@pytest.mark.parametrize("nodes", [[0.0, 20.0], np.concatenate([[0.0], np.linspace(20.0, 40.0, 41)])],
+                         ids=["two_nodes", "many_nodes"])
+def test_a_failed_opening_step_is_followed_by_a_ladder(monkeypatch, nodes):
+    # the march opens with one step, the whole first node interval, whatever
+    # the nodes after it; that step turns the line by 20 rad and fails; the
+    # next batch tries h/2, h/4, ... from the same start, and the march takes
+    # the longest that passes as its one step
     calls = _recorded_batches(monkeypatch)
     line = vertical_plane(1)
-    _integrate(_harmonic(), line, [0.0, 20.0], 1e-12)
+    _integrate(_harmonic(), line, nodes, 1e-12)
     (_, h0, err0), (t, h, err), (t2, _, _) = calls[:3]
-    assert h0[0] == 20.0 and err0[0] > 1.0
+    assert h0.tolist() == [20.0] and err0[0] > 1.0
     assert np.array_equal(t, np.zeros(32))
     assert np.array_equal(h, 20.0 * 0.5 ** np.arange(1.0, 33.0))
     j = int(np.argmax(err <= 1.0))
@@ -432,6 +436,56 @@ def test_a_full_batch_grows_h_from_its_last_step(monkeypatch):
     # the next batch splits what is left of [0.01, 1] evenly, a step of at most h
     assert after[0] == pytest.approx(lengths[-1] * grow[-1], rel=1e-3)
     assert after[0] > 1.5 * lengths[0] * grow[0]
+
+
+def test_the_corpus_regular_march_takes_its_grid_in_two_batches(tmp_path, monkeypatch):
+    # the opening step, then every node interval within reach of h in one
+    # run: 1 + 198 steps, where batches of 32 took 7
+    calls = _recorded_batches(monkeypatch)
+    assert cli.main(["trace", str(CORPUS / "regular.json"), "--out", str(tmp_path / "r.csv")]) == 0
+    assert [t.size for t, _, _ in calls] == [1, 198]
+    assert all(np.all(err <= 1.0) for _, _, err in calls)
+
+
+def test_a_run_of_node_intervals_holds_at_most_256_steps(monkeypatch):
+    # 20,000 node intervals within reach of h: the runs are capped, so a
+    # batch's memory does not grow with the grid
+    calls = _recorded_batches(monkeypatch)
+    frames = _integrate(_harmonic(), vertical_plane(1), np.linspace(0.0, 20.0, 20001), 1e-12)
+    sizes = [t.size for t, _, _ in calls]
+    assert sum(sizes) == 20000 and max(sizes) == 8 * flows._BATCH
+    assert plane_distance(frames[-1], _expm_flow(_harmonic(), 20.0) @ vertical_plane(1)) < 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus_march() -> tuple:
+    """The rank-one system, start frame, window and rtol of the corpus regular march."""
+    handed = []
+
+    def recorded(system, frames, nodes, rtol):
+        handed.append((system, frames, float(nodes[0]), float(nodes[-1]), rtol))
+        return _integrate(system, frames, nodes, rtol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_integrate", recorded)
+        cli.run(cli.parse_scenario(CORPUS / "regular.json"), "trace")
+    return handed[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(0.2, 3.0), min_size=1, max_size=60), st.booleans(), st.booleans())
+def test_a_march_over_a_prefix_of_the_nodes_makes_the_same_steps(weights, uniform, backward):
+    # a batch is cut only by the end of the nodes, so the march over any
+    # prefix of them carries the full march's frames bit for bit, on
+    # node-bound runs and on error-bound batches alike
+    system, frame, a, b, rtol = _corpus_march()
+    gaps = np.ones(len(weights)) if uniform else np.array(weights)
+    nodes = a + (b - a) * np.concatenate([[0.0], np.cumsum(gaps) / gaps.sum()])
+    if backward:
+        nodes = nodes[::-1].copy()
+    full = _integrate(system, frame, nodes, rtol)
+    for p in range(2, nodes.size):
+        assert np.array_equal(_integrate(system, frame, nodes[:p], rtol), full[:p])
 
 
 def _steps_taken(t, err) -> int:

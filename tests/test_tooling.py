@@ -2,8 +2,8 @@
 the package, Legendre entries formed once and none past the order, one integrator
 call site, one solver call per transport, a number of LAPACK calls per trace
 that does not grow with its nodes, a lean import, exports that resolve, no
-orphaned private helper, and an error taxonomy with no class that nothing
-raises."""
+orphaned private helper, an error taxonomy with no class that nothing
+raises, and a working corpus timing command."""
 
 import ast
 import importlib
@@ -266,3 +266,14 @@ def test_every_exported_name_resolves():
              for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert len(modules) > 10
     assert stale == []
+
+
+def test_corpus_timings_script_times_one_op():
+    # tools/corpus_timings.py is the one command behind the Baseline table
+    # of ROADMAP.md: the cold import, then the chosen corpus ops
+    script = SRC.parent / "tools" / "corpus_timings.py"
+    out = subprocess.run([sys.executable, str(script), "--op", "regular.trace", "--repeat", "1"],
+                         capture_output=True, text=True, check=True)
+    rows = [line.rsplit(None, 2) for line in out.stdout.splitlines()]
+    assert [name for name, _, _ in rows] == ["import jacobiflow.cli", "regular.trace"]
+    assert all(float(seconds) > 0.0 and unit == "s" for _, seconds, unit in rows)
