@@ -556,25 +556,20 @@ def _run_portrait(config: ScenarioConfig) -> TraceOutput:
     starts = [[[1.0], [-val]] for val in u0] + [[[-val], [t_first]] for val in v0]
     lines = np.linalg.qr(np.array(starts, dtype=float).reshape(-1, 2, 1))[0]
     marched = _integrate(coeffs.system, lines, grid, config.tolerances["rtol"])
-    # coords[node][line]: the two coordinates of the canonical frame, as
+    # (p, q)[node, line]: the two coordinates of the canonical frame, as
     # flow_plane emits it; every node and line in one stack
     marched[1:] = np.linalg.qr(marched[1:])[0]
-    coords = canonicalize(marched.reshape(-1, 2, 1)).reshape(len(grid), -1, 2).tolist()
-
-    table: list[list] = [[float(t)] for t in grid]
-    columns = ["time"]
-    for idx in range(len(u0)):
-        columns.append(f"u_{idx}")
-        for row, ps in zip(table, coords):
-            den, num = ps[idx]
-            u = -num / den if abs(den) > 1e-12 else math.inf
-            row.append(u if abs(u) <= PORTRAIT_MASK else None)
-    for idx in range(len(v0)):
-        columns.append(f"v_{idx}")
-        for t, row, ps in zip(grid, table, coords):
-            num, den = ps[len(u0) + idx]
-            v = -float(t) * num / den if abs(den) > 1e-12 else math.inf
-            row.append(v if abs(v) <= PORTRAIT_MASK else None)
+    coords = canonicalize(marched.reshape(-1, 2, 1)).reshape(len(grid), -1, 2)
+    p, q = coords[..., 0], coords[..., 1]
+    # u = -q/p on the u lines, v = -t p/q on the v lines, masked where the
+    # denominator vanishes or the value passes PORTRAIT_MASK
+    nu = len(u0)
+    den = np.concatenate([p[:, :nu], q[:, nu:]], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = np.concatenate([-q[:, :nu], -grid[:, None] * p[:, nu:]], axis=1) / den
+    keep = (np.abs(den) > 1e-12) & (np.abs(vals) <= PORTRAIT_MASK)
+    table = [[float(t)] + row for t, row in zip(grid, np.where(keep, vals, None).tolist())]
+    columns = ["time", *(f"u_{i}" for i in range(nu)), *(f"v_{i}" for i in range(len(v0)))]
 
     disc = 1.0 + 4.0 * c
     verdict = kneser_classify(np.array([[-1.0]]), np.array([[-c]]), 2, config.tolerances["tol_thresh"])

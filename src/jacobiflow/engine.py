@@ -414,10 +414,7 @@ def infinite_order_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
     if data.breakpoints[p + 1] < t1:
         raise PreconditionError("infinite-order arc must not cross breakpoints")
     # span of Taylor coefficients of X at t0 = right limit of the derivative span
-    c = data.x_pieces[p]
-    d = c.shape[1]
-    cols = np.column_stack([data.x(t0, deriv=k) for k in range(d)])
-    gamma = canonicalize(cols)
+    gamma = goh_subspace(data, t0, data.x_pieces[p].shape[1] - 1)
     if isotropy_residual(gamma) > 1e-8:
         raise PreconditionError("derivative span is not isotropic")
     plane = extend_by_isotropic(l_init, gamma)

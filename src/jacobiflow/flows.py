@@ -27,7 +27,9 @@ step but the plane need not: the epsilon family takes from a quarter (from
 eps = 1e-3) to a twentieth (from eps = 1e-6) of the steps it would take on
 the propagator.  The steps of such a march therefore depend on its frame.
 A stack of frames, or a full-rank frame, keeps the error of the propagator,
-so each frame of a stack moves as it would alone.
+so each frame of a stack moves as it would alone.  Every march moves its
+frames, one or a stack, by one chain of propagators (:func:`_chain`), which
+runs a QR only where a bound on the frames' growth passes ``_GROWTH``.
 
 Step control (:func:`_integrate`; Hairer, Norsett & Wanner, *Solving
 Ordinary Differential Equations I*, 2nd ed., 1993, section II.4) grows h
@@ -135,22 +137,25 @@ def _increments(sys: SystemLike, t: np.ndarray, h: np.ndarray) -> tuple[np.ndarr
     return np.einsum("i,kiac->kac", _GAUSS_B, ha @ y), size
 
 
-def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float,
-           frame: np.ndarray | None = None):
-    """Propagator increments of a batch of steps and each step's error over its bound.
+def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float, frames: np.ndarray,
+           plane: bool, ladder: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """The stack ``frames`` after each step of a batch, and each step's error over its bound.
 
     Each step is taken whole and as two halves; the halves' product is the
     propagator, and the gap between the two, over ``2**6 - 1``, its error,
     bounded by ``_SAFETY * rtol`` times the propagator's size.  With
-    ``frame``, a stack of one ``(2n, k)`` frame with k < 2n, a step whose
-    system varies by at most ``_VARIATION_MAX`` over its stage times is
-    tested on the plane it carries instead, and the frames after each step
-    (:func:`_plane_steps`) take the place of the increments.  The steps
-    either follow one another or, in a ladder, all share their start ``t``
-    and so start from ``frame``.  A step whose propagator is not finite, or
-    a batch whose system has a pole at a stage time or whose stage solve is
-    singular, gets an infinite error.  Poles overflow on the way, so
-    floating-point warnings are off.
+    ``plane``, ``frames`` being a stack of one ``(2n, k)`` frame with k < 2n,
+    a step whose system varies by at most ``_VARIATION_MAX`` over its stage
+    times is tested on the plane it carries instead (:func:`_plane_errors`).
+
+    The steps either follow one another, in a chain, or, in a ``ladder``,
+    all share their start ``t`` and so start from ``frames``.  A chain moves
+    ``frames`` by :func:`_chain` as far as the first step that fails whatever
+    the frame; steps after it are not evaluated.  A ladder moves ``frames``
+    by every step that passes whatever the frame; the other entries are nan.
+    A step whose propagator is not finite, or a batch whose system has a pole
+    at a stage time or whose stage solve is singular, gets an infinite error.
+    Poles overflow on the way, so floating-point warnings are off.
     """
     half = 0.5 * h
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -166,86 +171,76 @@ def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float,
         scale = 1.0 + np.max(np.abs(inc), axis=(1, 2))
         top = np.max(np.abs(gap), axis=(1, 2))
         err = top / (63.0 * _SAFETY * rtol * scale)
-        if frame is not None:
+        if plane:
             size = size.reshape(3, k, 3)  # whole, first half, second half
             smooth = np.max(size, axis=(0, 2)) <= _VARIATION_MAX * np.min(size, axis=(0, 2))
             err = np.where(smooth, top / (_SHARE_MAX * scale), err)
-            inc, err = _plane_steps(inc, gap, frame, _SAFETY * rtol, err, smooth,
-                                    k > 1 and t[0] == t[1])
-    return inc, np.where(np.isfinite(err), err, np.inf)
+        passing = err <= 1.0
+        if ladder:
+            idx = np.flatnonzero(passing)
+            steps = np.full((k,) + frames.shape, np.nan)
+            if idx.size:
+                steps[idx] = _renormalise(frames + inc[idx, None] @ frames)
+        else:
+            idx = np.arange(k if passing.all() else int(np.argmin(passing)))
+            steps = _chain(frames, inc[idx])
+        if plane:  # the frame before each step is the march's, or the chain's
+            before = frames if ladder else np.concatenate([frames, steps[:-1, 0]])[: idx.size]
+            err[idx] = np.where(smooth[idx], np.maximum(err[idx], _plane_errors(
+                inc[idx], gap[idx], before, _SAFETY * rtol)), err[idx])
+    return steps, np.where(np.isfinite(err), err, np.inf)
 
 
-def _advance(f: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """The stack of frames ``f`` moved by one step of increment ``inc``.
+def _chain(f: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """The stack of frames ``f`` after each step of increment ``inc[i]`` in turn.
 
-    A frame one of whose entries passes ``_GROWTH`` is replaced by the Q of
-    its QR, with R given a positive diagonal, which keeps the sign of every
-    block determinant.
+    Each step gives ``_renormalise(f + inc[i] @ f)`` bit for bit, but the
+    exact size of the frames, and the QR, are needed only where a bound on it
+    passes ``_GROWTH``: max|f + inc f| <= max|f| (1 + the largest row sum of
+    |inc|), and a relative slack of 1e-12 a step covers the rounding of the
+    chain and of the bound.
     """
-    return _renormalise(f + inc @ f)
+    out = np.empty((inc.shape[0],) + f.shape)
+    top = float(np.abs(f).max())
+    grow = (1.0 + np.max(np.sum(np.abs(inc), axis=2), axis=1)) * (1.0 + 1e-12)
+    for i, g in enumerate(grow.tolist()):
+        f = f + inc[i] @ f
+        top *= g
+        if top > _GROWTH:
+            f = _renormalise(f)
+            top = float(np.abs(f).max())
+        out[i] = f
+    return out
 
 
 def _renormalise(f: np.ndarray) -> np.ndarray:
     """``f`` with each frame one of whose entries passes ``_GROWTH`` replaced
-    by the Q of its QR, as :func:`_advance` leaves it."""
+    by the Q of its QR, with R given a positive diagonal, which keeps the sign
+    of every block determinant."""
     if np.abs(f).max() > _GROWTH:
-        big = np.abs(f).max(axis=(1, 2)) > _GROWTH
+        big = np.abs(f).max(axis=(-2, -1)) > _GROWTH
         q, r = np.linalg.qr(f[big])
         f[big] = q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None]
     return f
 
 
-def _plane_steps(inc: np.ndarray, gap: np.ndarray, frame: np.ndarray, bound: float,
-                 err: np.ndarray, smooth: np.ndarray,
-                 ladder: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The frames after each step from ``frame``, and each step's error over its bound.
+def _plane_errors(inc: np.ndarray, gap: np.ndarray, before: np.ndarray,
+                  bound: float) -> np.ndarray:
+    """Each step's plane error over ``bound``, from the frames ``before`` the steps.
 
-    ``gap`` is the whole step's propagator minus the halves' one, and ``err``
-    each step's error before the plane is looked at: the propagator test's,
-    or for a ``smooth`` step the share of the gap in the propagator's size
-    over ``_SHARE_MAX``.  With W the orthonormal frame before a smooth step
-    and V = P W, the step's plane error is the part of ``gap @ W`` outside
-    span(V), over sigma_min(V) and ``2**6 - 1``, against ``bound``: a
-    first-order bound on how far the gap moves the plane.  Near an order-3
-    singular instant the flow has an exponential dichotomy, and a plane on
-    its dominant directions allows steps far longer than the propagator does.
-
-    The frames before the steps are those the march carries.  In a chain of
-    steps they are ``frame`` moved by :func:`_advance`, as far as the first
-    step that fails whatever the frame; steps after it are not evaluated.
-    In a ``ladder`` every step starts from ``frame``, and every step that
-    passes whatever the frame is evaluated.
+    ``inc`` is the step's propagator P minus I, and ``gap`` the whole step's
+    propagator minus the halves' one.  With W the orthonormal frame before a
+    step and V = P W, the error is the part of ``gap @ W`` outside span(V),
+    over sigma_min(V) and ``2**6 - 1``: a first-order bound on how far the
+    gap moves the plane.  Near an order-3 singular instant the flow has an
+    exponential dichotomy, and a plane on its dominant directions allows
+    steps far longer than the propagator does.
     """
-    if ladder:
-        idx = np.flatnonzero(err <= 1.0)
-        moved = np.full((err.size,) + frame.shape, np.nan)
-        if idx.size:
-            moved[idx, 0] = _advance(frame, inc[idx])
-        q = np.linalg.qr(frame)[0]
-    else:
-        stop = int(np.argmax(~(err <= 1.0))) if not np.all(err <= 1.0) else err.size
-        idx = np.arange(stop)
-        moved = np.empty((stop,) + frame.shape)
-        # max|f + inc f| <= max|f| (1 + the largest row sum of |inc|): the
-        # exact size, and the QR, are needed only where that bound passes
-        # _GROWTH; a relative slack of 1e-12 a step covers the rounding of
-        # the chain and of the bound, so the frames stay bit for bit
-        f, top = frame, float(np.abs(frame).max())
-        grow = (1.0 + np.max(np.sum(np.abs(inc[:stop]), axis=2), axis=1)) * (1.0 + 1e-12)
-        for i, g in zip(idx, grow.tolist()):
-            f = f + inc[i] @ f
-            top *= g
-            if top > _GROWTH:
-                f = _renormalise(f)
-                top = float(np.abs(f).max())
-            moved[i] = f
-        q = np.linalg.qr(np.concatenate([frame, moved[:-1, 0]])[:stop])[0]
-    u, sv, _ = np.linalg.svd(q + inc[idx] @ q, full_matrices=False)
-    eq = gap[idx] @ q
+    q = np.linalg.qr(before)[0]
+    u, sv, _ = np.linalg.svd(q + inc @ q, full_matrices=False)
+    eq = gap @ q
     out = eq - u @ (np.swapaxes(u, 1, 2) @ eq)
-    plane = np.sqrt(np.sum(out * out, axis=(1, 2))) / (63.0 * sv[:, -1] * bound)
-    err[idx] = np.where(smooth[idx], np.maximum(err[idx], plane), err[idx])
-    return moved, err
+    return np.sqrt(np.sum(out * out, axis=(1, 2))) / (63.0 * sv[:, -1] * bound)
 
 
 def _proposed(nodes: np.ndarray, t: float, k: int,
@@ -310,10 +305,11 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     too.  A stack of frames, or a full-rank frame, is marched on the error
     of the propagator, so its steps depend on ``sys``, ``nodes`` and
     ``rtol`` only and each frame of a stack moves as it would alone.  An
-    rtol below ``_RTOL_MIN`` is raised to it, as DOP853 does.  Each frame is
-    chained by the propagators (:func:`_advance`); only the spans are
-    meaningful.  Only the frames at the nodes and one batch of propagators
-    are held.  A step length that underflows, as near a pole, raises
+    rtol below ``_RTOL_MIN`` is raised to it, as DOP853 does.  Every march
+    takes its frames from those :func:`_batch` returns after each step, moved
+    by the propagators in one chain (:func:`_chain`); only the spans are
+    meaningful.  Only the frames at the nodes and one batch of frames are
+    held.  A step length that underflows, as near a pole, raises
     :class:`PoleError`.
     """
     nodes = np.asarray(nodes, dtype=float)
@@ -338,21 +334,15 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
         else:
             starts, stops, ends = _proposed(nodes, t, k, h)
         lengths = np.abs(stops - starts)
-        steps, err = _batch(sys, starts, stops - starts, rtol, f if one_plane else None)
+        steps, err = _batch(sys, starts, stops - starts, rtol, f, one_plane, ladder)
         if ladder:  # the longest candidate that passes is one step
             taken = np.flatnonzero(err <= 1.0)[:1]
         else:  # the steps up to the first one that fails
             taken = np.arange(int(np.argmax(err > 1.0)) if np.any(err > 1.0) else err.size)
         if taken.size:
             at = taken[ends[taken]]
-            if one_plane:  # the steps' frames are the march's
-                f = steps[taken[-1]]
-                out[k : k + at.size] = steps[at]
-            else:
-                chain = np.empty((taken.size,) + f.shape)
-                for c, i in enumerate(taken):
-                    f = chain[c] = _advance(f, steps[i])
-                out[k : k + at.size] = chain[ends[taken]]
+            f = steps[taken[-1]]
+            out[k : k + at.size] = steps[at]
             k += at.size
             t = float(stops[taken[-1]])
         opening = opening and not taken.size

@@ -89,15 +89,9 @@ class _SpectralFlow:
 
     def partial_sums(self) -> list[float]:
         """See :func:`maslov_partial_sums`."""
-        sums: list[float] = [0.0]
-        total = 0.0
-        for k, (step, refused) in enumerate(zip(self.steps, self.refused)):
-            if refused or self.on_pi[k] or self.on_pi[k + 1]:
-                sums.append(float("nan"))
-            else:
-                total += int(step)
-                sums.append(total)
-        return sums
+        counted = ~(self.refused | self.on_pi[:-1] | self.on_pi[1:])
+        total = np.cumsum(np.where(counted, self.steps, 0))
+        return [0.0] + np.where(counted, total, np.nan).tolist()
 
     def index(self) -> int:
         """See :func:`maslov_index`."""

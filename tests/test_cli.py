@@ -203,6 +203,40 @@ def test_portrait_line_does_not_depend_on_the_other_lines(tmp_path, c):
         assert alone["v_0"] == full[f"v_{v}"]
 
 
+def test_portrait_cells_are_the_per_cell_quotients(tmp_path, monkeypatch):
+    # the table against the per-cell loop it replaced, on the canonical
+    # coordinates (p, q) of every node and line: u = -q/p, v = -t p/q, and
+    # None where the denominator is at most 1e-12 (u_2, v_2 at t0) or the
+    # value passes PORTRAIT_MASK (u_1, v_1 at t0)
+    canonical = []
+
+    def recorded(frames):
+        canonical.append(canonicalize(frames))
+        return canonical[-1]
+
+    monkeypatch.setattr(cli, "canonicalize", recorded)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"n": 1, "mode": "portrait",
+                                "data": {"c": 2.0, "u0": [0.5, 1e7, 1e13], "v0": [1.0, 1e7, 1e13]},
+                                "grid": {"t0": 1e-3, "t1": 1, "steps": 20}}))
+    config = cli.parse_scenario(path)
+    out = cli.run(config, "portrait")
+    coords = canonical[-1].reshape(len(config.grid), -1, 2).tolist()
+    expected = [[float(t)] for t in config.grid]
+    for idx in range(3):
+        for row, ps in zip(expected, coords):
+            den, num = ps[idx]
+            u = -num / den if abs(den) > 1e-12 else np.inf
+            row.append(u if abs(u) <= cli.PORTRAIT_MASK else None)
+    for idx in range(3):
+        for t, row, ps in zip(config.grid, expected, coords):
+            num, den = ps[3 + idx]
+            v = -float(t) * num / den if abs(den) > 1e-12 else np.inf
+            row.append(v if abs(v) <= cli.PORTRAIT_MASK else None)
+    assert repr(out.rows) == repr(expected)
+    assert out.rows[0][2:4] == [None, None] and out.rows[0][5:] == [None, None]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(-40, 40), min_size=1, max_size=30, unique=True),
        st.lists(st.tuples(st.integers(-40, 40), st.sampled_from([0.0, 5e-10, -2e-9, 1e-3])),

@@ -118,12 +118,14 @@ def _call_sites(name: str) -> list[str]:
     return sites
 
 
-def test_solve_ivp_is_called_only_in_flows_integrate():
+def test_every_march_steps_by_one_batch_and_one_chain():
     # every ODE solve is one march of flows._integrate, which steps by
-    # batches of Gauss-Legendre steps (flows._batch) instead of solve_ivp
-    assert set(_call_sites("solve_ivp")) <= {"jacobiflow.flows._integrate"}
+    # batches of Gauss-Legendre steps (flows._batch), not by solve_ivp, and
+    # moves every frame by the one chain of propagators (flows._chain)
+    assert _call_sites("solve_ivp") == []
     assert _call_sites("_batch") == ["jacobiflow.flows._integrate"]
     assert _call_sites("_increments") == ["jacobiflow.flows._batch"]
+    assert _call_sites("_chain") == ["jacobiflow.flows._batch"]
 
 
 def _private_definitions() -> list[str]:
