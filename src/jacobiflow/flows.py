@@ -19,28 +19,36 @@ Numerical Integration*, 2nd ed., 2006, sections IV.2 and VI.4).  Nothing is
 ever re-projected onto the symplectic group.  Piecewise analytic data march
 once per piece.
 
-Only the plane of a frame is meaningful, so a march of one frame of rank
-k < 2n accepts a step on the error of the plane it carries, where the
-system varies little over the step.  Near an order-3 singular instant the
-flow has an exponential dichotomy that the propagator must resolve step by
-step but the plane need not: the epsilon family takes from a quarter (from
-eps = 1e-3) to a twentieth (from eps = 1e-6) of the steps it would take on
-the propagator.  The steps of such a march therefore depend on its frame.
-A stack of frames, or a full-rank frame, keeps the error of the propagator,
-so each frame of a stack moves as it would alone.  Every march moves its
-frames, one or a stack, by one chain of propagators (:func:`_chain`), which
-runs a QR only where a bound on the frames' growth passes ``_GROWTH``.
+Only the plane of a frame is meaningful, so a plane march, of one frame of
+rank k < 2n or of a stack of such frames, accepts a step on the error of
+the planes it carries, each frame on its own, where the system varies
+little over the step.  Near an order-3 singular instant the flow has an
+exponential dichotomy that the propagator must resolve step by step but a
+plane need not: the epsilon family takes from a quarter (from eps = 1e-3)
+to a twentieth (from eps = 1e-6) of the steps it would take on the
+propagator.  The steps of such a march therefore depend on its frames.
+The family marches its members as one stack of planes, a member joining
+the stack at its eps, so the members share every step above their start.
+Any other stack of frames, or a full-rank frame, keeps the error of the
+propagator, so each frame of such a stack moves as it would alone.  Every
+march moves its frames, one or a stack, by one chain of propagators
+(:func:`_chain`), which runs a QR only where a bound on the frames' growth
+passes ``_GROWTH``.
 
 Step control (:func:`_integrate`; Hairer, Norsett & Wanner, *Solving
 Ordinary Differential Equations I*, 2nd ed., 1993, section II.4) grows h
 from the latest step of a batch: as a march leaves a pole its error falls
-along a batch, and the first step would hold h back.  A march opens with a
-batch of one step, the whole first node interval, so a failed opening
-costs one step, not a batch: the first step of a march handed over near a
-pole, or of a portrait, often fails.  A march whose first step fails tries
-a ladder of shorter lengths at once, where shrinking by the order-7 rule
-took up to eight batches.  Only the opening gets a ladder: a stalling
-order-3 march took three times the batches with one after every rejection.
+along a batch, and the first step would hold h back.  A plane march also
+grades the steps of a batch that the error bounds, ``h g**i``, with g
+fitted to the error profile of the batch before (:func:`_grade`): along a
+batch of one length leaving an order-3 pole, the error fell from about 0.4
+of the bound to 0.03 or less.  A march opens with a batch of one step, the
+whole first node interval, so a failed opening costs one step, not a
+batch: the first step of a march handed over near a pole, or of a
+portrait, often fails.  A march whose first step fails tries a ladder of
+shorter lengths at once, where shrinking by the order-7 rule took up to
+eight batches.  Only the opening gets a ladder: a stalling order-3 march
+took three times the batches with one after every rejection.
 
 On a grid of many nodes the node spacing, not the error, sets most steps
 (the corpus ``regular`` march's median step error is 2e-7 of its bound),
@@ -144,9 +152,10 @@ def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float, frames: n
     Each step is taken whole and as two halves; the halves' product is the
     propagator, and the gap between the two, over ``2**6 - 1``, its error,
     bounded by ``_SAFETY * rtol`` times the propagator's size.  With
-    ``plane``, ``frames`` being a stack of one ``(2n, k)`` frame with k < 2n,
-    a step whose system varies by at most ``_VARIATION_MAX`` over its stage
-    times is tested on the plane it carries instead (:func:`_plane_errors`).
+    ``plane``, every frame of ``frames`` being of rank k < 2n, a step whose
+    system varies by at most ``_VARIATION_MAX`` over its stage times is
+    tested on the planes it carries instead, each frame on its own
+    (:func:`_plane_errors`).
 
     The steps either follow one another, in a chain, or, in a ``ladder``,
     all share their start ``t`` and so start from ``frames``.  A chain moves
@@ -184,8 +193,8 @@ def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float, frames: n
         else:
             idx = np.arange(k if passing.all() else int(np.argmin(passing)))
             steps = _chain(frames, inc[idx])
-        if plane:  # the frame before each step is the march's, or the chain's
-            before = frames if ladder else np.concatenate([frames, steps[:-1, 0]])[: idx.size]
+        if plane:  # the frames before each step are the march's, or the chain's
+            before = frames[None] if ladder else np.concatenate([frames[None], steps[:-1]])[: idx.size]
             err[idx] = np.where(smooth[idx], np.maximum(err[idx], _plane_errors(
                 inc[idx], gap[idx], before, _SAFETY * rtol)), err[idx])
     return steps, np.where(np.isfinite(err), err, np.inf)
@@ -207,8 +216,10 @@ def _chain(f: np.ndarray, inc: np.ndarray) -> np.ndarray:
         f = f + inc[i] @ f
         top *= g
         if top > _GROWTH:
-            f = _renormalise(f)
             top = float(np.abs(f).max())
+            if top > _GROWTH:
+                f = _renormalise(f)
+                top = float(np.abs(f).max())
         out[i] = f
     return out
 
@@ -226,34 +237,40 @@ def _renormalise(f: np.ndarray) -> np.ndarray:
 
 def _plane_errors(inc: np.ndarray, gap: np.ndarray, before: np.ndarray,
                   bound: float) -> np.ndarray:
-    """Each step's plane error over ``bound``, from the frames ``before`` the steps.
+    """Each step's largest plane error over ``bound``, from the ``(K, S, 2n, k)``
+    stacks of frames ``before`` the K steps (or one stack before them all).
 
     ``inc`` is the step's propagator P minus I, and ``gap`` the whole step's
-    propagator minus the halves' one.  With W the orthonormal frame before a
-    step and V = P W, the error is the part of ``gap @ W`` outside span(V),
+    propagator minus the halves' one.  With W an orthonormal frame before a
+    step and V = P W, its error is the part of ``gap @ W`` outside span(V),
     over sigma_min(V) and ``2**6 - 1``: a first-order bound on how far the
-    gap moves the plane.  Near an order-3 singular instant the flow has an
-    exponential dichotomy, and a plane on its dominant directions allows
-    steps far longer than the propagator does.
+    gap moves the plane.  A step's error is the largest over its S frames.
+    Near an order-3 singular instant the flow has an exponential dichotomy,
+    and a plane on its dominant directions allows steps far longer than the
+    propagator does.
     """
     q = np.linalg.qr(before)[0]
-    u, sv, _ = np.linalg.svd(q + inc @ q, full_matrices=False)
-    eq = gap @ q
-    out = eq - u @ (np.swapaxes(u, 1, 2) @ eq)
-    return np.sqrt(np.sum(out * out, axis=(1, 2))) / (63.0 * sv[:, -1] * bound)
+    u, sv, _ = np.linalg.svd(q + inc[:, None] @ q, full_matrices=False)
+    eq = gap[:, None] @ q
+    out = eq - u @ (np.swapaxes(u, -1, -2) @ eq)
+    return np.max(np.sqrt(np.sum(out * out, axis=(-2, -1))) / (63.0 * sv[..., -1] * bound), axis=1)
 
 
-def _proposed(nodes: np.ndarray, t: float, k: int,
-              h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Starts, stops and node-end flags of the steps of one batch from ``t``,
-    whose next node is ``nodes[k]``.
+def _proposed(nodes: np.ndarray, t: float, k: int, h: float,
+              g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Starts, stops, node-end flags and whole-length flags of the steps of one
+    batch from ``t``, whose next node is ``nodes[k]``.
 
     A node interval within reach of h (one step of length at most h, with a
     relative slack of 1e-12) is one step.  The batch takes every leading node
     interval within reach, at most ``_RUN`` of them, then adds steps up to
-    ``_BATCH`` in all, each node interval split into equal steps of at most
-    h.  The run is found with numpy on the look-ahead, and only when the next
-    node is within reach, so a batch bound by the error pays nothing for it.
+    ``_BATCH`` in all.  At the grade ``g`` = 1, each node interval is split
+    into equal steps of at most h.  At any other grade the steps are
+    ``h g**i``, built with numpy: a step that would pass a node ends on it,
+    and the rest of it is a step of its own.  The run is found with numpy
+    on the look-ahead, and only when the next node is within reach, so a
+    batch bound by the error pays nothing for it.  A step is whole unless a
+    node cut it short: h (or ``h g**i``) was not shortened for it.
     """
     run = 0
     if abs(float(nodes[k]) - t) / h * (1.0 - 1e-12) <= 1.0:
@@ -261,22 +278,57 @@ def _proposed(nodes: np.ndarray, t: float, k: int,
         reach = np.abs(np.diff(ahead, prepend=t)) / h * (1.0 - 1e-12) <= 1.0
         run = ahead.size if reach.all() else int(np.argmin(reach))
     s, j = (float(nodes[k + run - 1]), k + run) if run else (t, k)
-    starts, stops, ends = [], [], []
-    while run + len(starts) < _BATCH and j < nodes.size:
-        node = float(nodes[j])
-        parts = max(1, math.ceil(abs(node - s) / h * (1.0 - 1e-12)))
-        starts.append(s)
-        ends.append(parts == 1)
-        s, j = (node, j + 1) if parts == 1 else (s + (node - s) / parts, j)
-        stops.append(s)
     head = nodes[k : k + run]
-    return (np.concatenate([[t], head[:-1], starts]) if run else np.array(starts),
-            np.concatenate([head, stops]),
-            np.concatenate([np.ones(run, dtype=bool), np.array(ends, dtype=bool)]))
+    if g == 1.0 or run >= _BATCH or j == nodes.size:
+        starts, stops, ends = [], [], []
+        while run + len(starts) < _BATCH and j < nodes.size:
+            node = float(nodes[j])
+            parts = max(1, math.ceil(abs(node - s) / h * (1.0 - 1e-12)))
+            starts.append(s)
+            ends.append(parts == 1)
+            s, j = (node, j + 1) if parts == 1 else (s + (node - s) / parts, j)
+            stops.append(s)
+        starts = np.concatenate([[t], head[:-1], starts]) if run else np.array(starts)
+        stops = np.concatenate([head, stops])
+        return (starts, stops, np.concatenate([np.ones(run, dtype=bool), np.array(ends, dtype=bool)]),
+                np.abs(stops - starts) >= 0.5 * h)
+    room = _BATCH - run
+    ahead = nodes[j : j + room]
+    sign = 1.0 if ahead[0] > s else -1.0  # sign * t grows along the march
+    graded = sign * s + np.cumsum(h * g ** np.arange(room))
+    at_node = np.zeros(room, dtype=bool)
+    if graded[-1] >= sign * ahead[0]:  # the steps end on the nodes they pass
+        graded, first = np.unique(np.concatenate([sign * ahead, graded[graded < sign * ahead[-1]]]),
+                                  return_index=True)
+        graded, at_node = graded[:room], first[:room] < ahead.size
+    graded = sign * graded
+    starts, stops = np.concatenate([[t], head, graded[:-1]]), np.concatenate([head, graded])
+    whole = np.abs(stops - starts) >= 0.5 * h
+    whole[run:] = ~(at_node | np.concatenate([[False], at_node[:-1]]))
+    return starts, stops, np.concatenate([np.ones(run, dtype=bool), at_node]), whole
+
+
+def _grade(starts: np.ndarray, lengths: np.ndarray, err: np.ndarray, h: float) -> float:
+    """The grade g of a batch of steps ``h g**i`` that keeps their error flat.
+
+    The error of a step of length L at t is about C(t) L^7.  With s the
+    slope of log C against the distance marched, over the steps ``(starts,
+    lengths, err)`` of the batch before, steps ``h g**i`` with
+    ``g = exp(-s h / 7)`` keep it flat.  g is 1 without two steps to fit,
+    and is held in [0.9, 1.1], so the last step of a batch is at most 19
+    times longer or 26 times shorter than its first.
+    """
+    keep = err > 0.0
+    if np.count_nonzero(keep) < 2:
+        return 1.0
+    x = np.abs(starts[keep] - starts[0]) + 0.5 * lengths[keep]
+    x -= x.sum() / x.size
+    slope = float(x @ (np.log(err[keep]) - 7.0 * np.log(lengths[keep]))) / float(x @ x)
+    return min(1.1, max(0.9, math.exp(-slope * h / 7.0)))
 
 
 def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
-               rtol: float) -> np.ndarray:
+               rtol: float, *, planes: bool = False) -> np.ndarray:
     """Frames at the strictly monotone ``nodes`` of one march from ``frames``.
 
     ``frames`` is one ``(2n, k)`` frame or a stack of them; the result has one
@@ -287,8 +339,8 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     nothing is interpolated.  A batch of steps (:func:`_batch`) is accepted
     up to the first step whose error estimate exceeds its bound.  h then
     follows the order-7 local error rule: from the rejected step, at most ten
-    times shorter, or, when the whole batch is accepted, from its last step
-    that h was not shortened for, at most four times longer.
+    times shorter, or, when the whole batch is accepted, from its last whole
+    step (one h was not shortened for), at most four times longer.
 
     The march opens with a batch of one step, the whole first node interval.
     If it fails, the next batch is a ladder: ``_BATCH`` steps from the same
@@ -297,44 +349,52 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     After the opening, a batch (:func:`_proposed`) takes every leading node
     interval within reach of h as one step, up to ``_RUN`` of them, so a
     march whose steps are set by its grid takes few batches; then it adds
-    steps of one length h, shortened so that each node interval is split
-    evenly, up to ``_BATCH`` steps in all.
+    steps bound by the error, up to ``_BATCH`` steps in all.
 
-    One frame of rank k < 2n is marched on the error of its plane wherever
-    the system varies little over a step, so its steps depend on the frame
-    too.  A stack of frames, or a full-rank frame, is marched on the error
-    of the propagator, so its steps depend on ``sys``, ``nodes`` and
-    ``rtol`` only and each frame of a stack moves as it would alone.  An
-    rtol below ``_RTOL_MIN`` is raised to it, as DOP853 does.  Every march
-    takes its frames from those :func:`_batch` returns after each step, moved
-    by the propagators in one chain (:func:`_chain`); only the spans are
-    meaningful.  Only the frames at the nodes and one batch of frames are
-    held.  A step length that underflows, as near a pole, raises
+    A plane march, of one frame of rank k < 2n or, with ``planes``, of a
+    stack of such frames, is marched on the error of each frame's plane
+    wherever the system varies little over a step, so its steps depend on
+    the frames too; each frame of a stack meets its own bound.  Its steps
+    bound by the error are graded, ``h g**i``, with g fitted to the batch
+    before when that batch passed whole (:func:`_grade`), and g = 1 after a
+    ladder or a rejection: as a march leaves a pole its error falls along a
+    batch of steps of one length, from about 0.4 of the bound to 0.03 or
+    less.  Node-bound runs are not graded.  Any other stack of frames, or a
+    full-rank frame, is marched on the error of the propagator, with each
+    node interval split into equal steps, so its steps depend on ``sys``,
+    ``nodes`` and ``rtol`` only and each frame of a stack moves as it would
+    alone.  An rtol below ``_RTOL_MIN`` is raised to it, as DOP853 does.
+    Every march takes its frames from those :func:`_batch` returns after
+    each step, moved by the propagators in one chain (:func:`_chain`); only
+    the spans are meaningful.  Only the frames at the nodes and one batch of
+    frames are held.  A step length that underflows, as near a pole, raises
     :class:`PoleError`.
     """
     nodes = np.asarray(nodes, dtype=float)
     frames = np.asarray(frames, dtype=float)
     rtol = max(rtol, _RTOL_MIN)
     f = frames.reshape((-1,) + frames.shape[-2:]).copy()
-    one_plane = frames.ndim == 2 and 0 < frames.shape[1] < frames.shape[0]
+    plane = planes or (frames.ndim == 2 and 0 < frames.shape[1] < frames.shape[0])
     out = np.empty((nodes.size,) + f.shape)
     out[0] = f
     span = abs(float(nodes[-1] - nodes[0]))
     direction = 1.0 if nodes[-1] > nodes[0] else -1.0
     t, k = float(nodes[0]), 1
     h = abs(float(nodes[min(1, nodes.size - 1)] - nodes[0]))
+    g = 1.0
     opening, ladder = True, False
     while k < nodes.size:
         if ladder:  # lengths h/2, h/4, ... from t, each from the march's frame at t
             starts = np.full(_BATCH, t)
             stops = t + direction * h * 0.5 ** np.arange(1.0, _BATCH + 1.0)
-            ends = np.zeros(_BATCH, dtype=bool)
+            ends, whole = np.zeros(_BATCH, dtype=bool), np.ones(_BATCH, dtype=bool)
         elif opening:  # the whole first node interval
             starts, stops, ends = nodes[:1], nodes[1:2], np.ones(1, dtype=bool)
+            whole = ends
         else:
-            starts, stops, ends = _proposed(nodes, t, k, h)
+            starts, stops, ends, whole = _proposed(nodes, t, k, h, g)
         lengths = np.abs(stops - starts)
-        steps, err = _batch(sys, starts, stops - starts, rtol, f, one_plane, ladder)
+        steps, err = _batch(sys, starts, stops - starts, rtol, f, plane, ladder)
         if ladder:  # the longest candidate that passes is one step
             taken = np.flatnonzero(err <= 1.0)[:1]
         else:  # the steps up to the first one that fails
@@ -345,6 +405,7 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
             out[k : k + at.size] = steps[at]
             k += at.size
             t = float(stops[taken[-1]])
+        full = taken[whole[taken]]
         opening = opening and not taken.size
         if opening:  # a ladder below the shortest length that failed
             h = float(lengths[-1] if ladder else lengths[0])
@@ -352,13 +413,14 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
         elif not ladder and taken.size < err.size:  # order-7 rule, from the rejected step
             i = taken.size
             h = lengths[i] * max(0.1, 0.9 * err[i] ** (-1.0 / 7.0))
-        else:  # grow from the latest step taken that h was not shortened for
+        else:  # grow from the latest whole step taken
             if ladder:  # as from a batch of the length taken
                 ladder, h = False, float(lengths[taken[0]])
-            full = taken[lengths[taken] >= 0.5 * h]
             if full.size:
                 i = full[-1]
                 h = min(4.0 * h, lengths[i] * 0.9 * max(err[i], 1e-300) ** (-1.0 / 7.0))
+        if plane:  # graded after a batch that passed whole, from its first step h
+            g = _grade(starts[full], lengths[full], err[full], h) if taken.size == err.size else 1.0
         if not h > 16.0 * np.spacing(max(abs(t), span)):
             raise PoleError(
                 f"integration stalled at t = {t:.6g} (step size underflow near a pole)", t)

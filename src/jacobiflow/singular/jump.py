@@ -6,7 +6,8 @@ isotropic extension of the incoming plane along ``X``: the jump inserts the
 singular direction and drops the part of the plane it cannot keep.  The
 ``epsilon_family_oracle`` realizes the defining family: flow the incoming
 plane from a small ``eps`` up to an evaluation time with the exact block
-system; as ``eps`` shrinks, the planes must approach the continuation.
+system, every member in one march; as ``eps`` shrinks, the planes must
+approach the continuation.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from ..engine import JumpEvent
 from ..errors import NoRightLimitError, PreconditionError, UndecidedError
-from ..flows import flow_plane
+from ..flows import _integrate, flow_plane  # flow_plane: bound here for tracers
 from ..grassmann import canonicalize, extend_by_isotropic
 from .classify import NON_OSCILLATING, THRESHOLD, SingularityReport
 from .frame import NormalFormCoefficients
@@ -65,15 +66,24 @@ def epsilon_family_oracle(
     Integrates the exact rational block system from each starting time in
     ``eps_list`` up to ``tau_eval``; never evaluates a fundamental matrix at
     tiny times, so the family is well conditioned arbitrarily close to the
-    pole.  Returns canonical frames in the order of ``eps_list``.
+    pole.  The members share their march: the deepest one is marched from
+    the smallest eps to the next, where L0 joins it as a second frame, and
+    so on up to ``tau_eval``.  The stack is one plane march (``_integrate``
+    with ``planes``): each frame is tested on its own plane, so each member
+    meets its own error bound, and the steps are graded away from the pole.
+    One QR and one canonicalisation of the final stack give the members,
+    returned in the order of ``eps_list``; a repeated eps is marched once.
     """
     l0 = np.asarray(l0, dtype=float)
     if tau_eval <= 0.0:
         raise PreconditionError("evaluation time must be positive")
-    out = []
-    for eps in eps_list:
-        if not 0.0 < eps < tau_eval:
-            raise PreconditionError("each eps must satisfy 0 < eps < tau_eval")
-        curve = flow_plane(coeffs.system, l0, [float(eps), float(tau_eval)], rtol=rtol)
-        out.append(curve.planes[-1])
-    return out
+    eps = np.asarray(eps_list, dtype=float)
+    if not np.all((0.0 < eps) & (eps < tau_eval)):
+        raise PreconditionError("each eps must satisfy 0 < eps < tau_eval")
+    times, member = np.unique(eps, return_inverse=True)
+    frame = np.linalg.qr(l0[:, None] if l0.ndim == 1 else l0)[0]
+    stack = np.empty((0,) + frame.shape)
+    for a, b in zip(times.tolist(), times[1:].tolist() + [float(tau_eval)]):
+        stack = np.concatenate([stack, frame[None]])
+        stack = _integrate(coeffs.system, stack, [a, b], rtol, planes=True)[-1]
+    return list(canonicalize(np.linalg.qr(stack)[0])[member])

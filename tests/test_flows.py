@@ -19,6 +19,7 @@ from jacobiflow.grassmann import (
     to_chart,
     vertical_plane,
 )
+from jacobiflow.singular import jump
 from jacobiflow.singular.frame import NormalFormCoefficients
 from jacobiflow.symplectic import isotropy_residual, symplectic_inverse
 
@@ -376,6 +377,41 @@ def test_plane_steps_stay_where_the_propagators_agree():
     assert err[1] > 10.0
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 6), st.booleans(),
+       st.integers(0, 2**31 - 1))
+def test_plane_errors_of_a_stack_are_the_largest_of_its_frames(n, count, steps, shared, seed):
+    # each frame of a stack is tested on its own plane: the stack's error is
+    # the largest of its frames' errors, whether each step has its own
+    # frames (a chain) or all share one stack (a ladder)
+    rng = np.random.default_rng(seed)
+    inc = 0.3 * rng.normal(size=(steps, 2 * n, 2 * n))
+    gap = 1e-10 * rng.normal(size=(steps, 2 * n, 2 * n))
+    k = int(rng.integers(1, 2 * n))
+    before = rng.normal(size=(1 if shared else steps, count, 2 * n, k))
+    stacked = flows._plane_errors(inc, gap, before, 1e-13)
+    alone = [flows._plane_errors(inc, gap, before[:, i : i + 1], 1e-13) for i in range(count)]
+    assert stacked.shape == (steps,)
+    assert np.array_equal(stacked, np.max(alone, axis=0))
+
+
+def test_a_joint_step_fails_when_only_one_plane_fails():
+    # under p' = p, q' = -q the line e_1 is invariant, so its plane passes a
+    # step of length 2; the line through (1, 1) turns towards e_1 and fails
+    # it.  A stack of the two fails the step, and marches as the turning
+    # line alone does
+    h = hamiltonian(a=np.array([[1.0]]), b=np.zeros((1, 1)), c=np.zeros((1, 1)))
+    still, turning = np.array([[1.0], [0.0]]), np.array([[1.0], [1.0]]) / np.sqrt(2.0)
+    t, length = np.zeros(1), np.array([2.0])
+    _, alone = _batch(h, t, length, 1e-12, still[None], True, False)
+    _, other = _batch(h, t, length, 1e-12, turning[None], True, False)
+    _, joint = _batch(h, t, length, 1e-12, np.stack([still, turning]), True, False)
+    assert alone[0] <= 1.0 < other[0]
+    assert joint[0] == max(alone[0], other[0])
+    stack = _integrate(h, np.stack([still, turning]), [0.0, 2.0], 1e-12, planes=True)
+    assert np.array_equal(stack[:, 1], _integrate(h, turning, [0.0, 2.0], 1e-12))
+
+
 # (c11, start, line) of marches to an order-2 pole that the share of the
 # propagator gap alone lets across: the line collapses onto e_1 from both
 # sides, and the gap of a step across the pole can be any size
@@ -491,6 +527,68 @@ def test_a_march_over_a_prefix_of_the_nodes_makes_the_same_steps(weights, unifor
         assert np.array_equal(_integrate(system, frame, nodes[:p], rtol), full[:p])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=12), st.floats(0.0, 0.99),
+       st.floats(0.02, 2.0), st.floats(0.9, 1.1), st.booleans())
+def test_graded_batches_end_on_every_node(gaps, where, h, g, backward):
+    # steps h g^i from t: each step that would pass a node ends on it, the
+    # rest of it is a step of its own, and no step passes the last node
+    nodes = np.concatenate([[0.0], np.cumsum(gaps)])
+    if backward:
+        nodes = -nodes
+    t = nodes[0] + where * (nodes[1] - nodes[0])
+    starts, stops, ends, whole = flows._proposed(nodes, t, 1, h, g)
+    assert 0 < stops.size <= flows._BATCH and starts[0] == t
+    assert np.array_equal(starts[1:], stops[:-1])
+    sign = -1.0 if backward else 1.0
+    assert np.all(sign * (stops - starts) > 0.0) and sign * (stops[-1] - nodes[-1]) <= 0.0
+    passed = nodes[1:][sign * (nodes[1:] - stops[-1]) <= 0.0]
+    assert np.array_equal(stops[ends], passed)
+    assert np.all(np.abs(stops - starts)[whole] <= h * max(g, 1.0) ** (flows._BATCH - 1) * (1 + 1e-9))
+
+
+def test_a_plane_march_grades_its_batches_and_keeps_its_nodes(monkeypatch):
+    # leaving an order-2 pole the error of a step of one length falls along
+    # a batch; the plane march grows its steps along later batches and still
+    # ends a step on each node, where it agrees with the stack march
+    h = hamiltonian(a=np.zeros((1, 1)), b=np.array([[1.0]]), c=np.array([[0.5]]), pole_order=2)
+    nodes = np.geomspace(0.01, 1.0, 9)
+    batches = []
+    proposed = flows._proposed
+
+    def recorded(nodes, t, k, h, g):
+        out = proposed(nodes, t, k, h, g)
+        batches.append((g, out))
+        return out
+
+    monkeypatch.setattr(flows, "_proposed", recorded)
+    line = np.array([[1.0], [0.3]])
+    planes = _integrate(h, line, nodes, 1e-12)
+    graded = [out for g, out in batches if g != 1.0]
+    assert graded and any(np.ptp(np.abs(stops - starts)[whole]) > 0.0
+                          for starts, stops, _, whole in graded)
+    assert all(np.array_equal(stops[ends], np.intersect1d(nodes, stops))
+               for _, (_, stops, ends, _) in batches)
+    stack = _integrate(h, np.stack([line, np.array([[0.0], [1.0]])]), nodes, 1e-12)[:, 0]
+    assert max(plane_distance(a, b) for a, b in zip(planes, stack)) < 1e-10
+
+
+def test_a_stack_march_splits_each_node_interval_evenly(tmp_path, monkeypatch):
+    # a stack of frames is marched on the propagator and never graded: its
+    # batches split each node interval into steps of one length, and the
+    # corpus portrait takes 8 batches and 360 proposed steps
+    calls = _recorded_batches(monkeypatch)
+    assert cli.main(["portrait", str(CORPUS / "portrait.json"), "--out", str(tmp_path / "p.csv")]) == 0
+    assert [t.size for t, _, _ in calls][:2] == [1, 32]
+    assert (len(calls), sum(t.size for t, _, _ in calls)) == (8, 360)
+    grid = cli.parse_scenario(CORPUS / "portrait.json").grid
+    for t, lengths, _ in calls[2:]:
+        interval = np.searchsorted(grid, t, side="right")
+        for i in np.unique(interval):
+            same = np.abs(lengths[interval == i])
+            assert np.ptp(same) <= 1e-12 * same.max()
+
+
 def _steps_taken(t, err) -> int:
     """The steps a march takes from one batch: one from a ladder, whose steps
     share their start, if any passes; else the steps up to the first that fails."""
@@ -505,30 +603,31 @@ def _accepted_steps(monkeypatch) -> dict:
     calls = _recorded_batches(monkeypatch)
     integrate = flows._integrate
 
-    def marched(sys, frames, nodes, rtol):
+    def marched(sys, frames, nodes, rtol, **flags):
         first = len(calls)
-        out = integrate(sys, frames, nodes, rtol)
+        out = integrate(sys, frames, nodes, rtol, **flags)
         counts[float(nodes[0])] = sum(_steps_taken(t, err) for t, _, err in calls[first:])
         return out
 
-    # the transport and the regular march past the singular neighbourhood
+    # the transport, the epsilon family and the regular march past the
+    # singular neighbourhood
     monkeypatch.setattr(flows, "_integrate", marched)
+    monkeypatch.setattr(jump, "_integrate", marched)
     monkeypatch.setattr(engine, "_integrate", marched)
     return counts
 
 
 def test_epsilon_family_member_is_marched_on_its_plane(tmp_path, monkeypatch):
-    # the corpus degen_m3 member from eps = 1e-4 to 0.01 took 2,654 steps on
-    # the propagator test and 521 on the plane test; grown from the latest
-    # step, with a ladder at its opening, it takes about 390
-    raw = json.loads((CORPUS / "degen_m3.json").read_text())
-    raw["tolerances"] = {"eps_family": [1e-4]}
-    scenario = tmp_path / "member.json"
-    scenario.write_text(json.dumps(raw))
+    # the corpus degen_m3 family, eps = 1e-3 ... 1e-6, is one stack of planes
+    # marched from 1e-6 up to grid.t0 = 0.01, a member joining it at each
+    # eps; each member is tested on its own plane.  Marched one member at a
+    # time on batches of steps of one length it took 2,635 steps, jointly on
+    # graded batches about 1,310
     counts = _accepted_steps(monkeypatch)
-    assert cli.main(["trace", str(scenario), "--out", str(tmp_path / "o.csv")]) == 0
-    assert sorted(counts) == [1e-4, 0.01]
-    assert 0 < counts[1e-4] <= 420
+    assert cli.main(["trace", str(CORPUS / "degen_m3.json"), "--out", str(tmp_path / "o.csv")]) == 0
+    family = [1e-6, 1e-5, 1e-4, 1e-3]
+    assert sorted(counts) == family + [0.01]
+    assert 0 < sum(counts[eps] for eps in family) <= 1600
 
 
 def test_flow_plane_needs_a_monotone_grid():

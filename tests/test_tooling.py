@@ -1,9 +1,9 @@
 """Guards on the shape of the package: no scipy and no ``numpy.polynomial`` in
 the package, Legendre entries formed once and none past the order, one integrator
-call site, one solver call per transport, a number of LAPACK calls per trace
-that does not grow with its nodes, a lean import, exports that resolve, no
-orphaned private helper, an error taxonomy with no class that nothing
-raises, and a working corpus timing command."""
+call site, the callers of the transport kernel, one solver call per transport, a
+number of LAPACK calls per trace that does not grow with its nodes, a lean
+import, exports that resolve, no orphaned private helper, an error taxonomy
+with no class that nothing raises, and a working corpus timing command."""
 
 import ast
 import importlib
@@ -126,6 +126,20 @@ def test_every_march_steps_by_one_batch_and_one_chain():
     assert _call_sites("_batch") == ["jacobiflow.flows._integrate"]
     assert _call_sites("_increments") == ["jacobiflow.flows._batch"]
     assert _call_sites("_chain") == ["jacobiflow.flows._batch"]
+    assert _call_sites("_plane_errors") == ["jacobiflow.flows._batch"]
+
+
+def test_the_epsilon_family_is_one_stack_march_not_a_plane_per_member():
+    # the transports that call the kernel: the portrait's stack of lines, the
+    # curve past the singular neighbourhood, flow_plane, and the epsilon
+    # family, whose members share one stack of planes; nothing in the
+    # package transports a plane by flow_plane, so the family cannot fall
+    # back to one march per member
+    assert _call_sites("_integrate") == [
+        "jacobiflow.cli._run_portrait", "jacobiflow.engine.singular_jacobi_curve",
+        "jacobiflow.flows.flow_plane", "jacobiflow.singular.jump.epsilon_family_oracle",
+    ]
+    assert _call_sites("flow_plane") == []
 
 
 def _private_definitions() -> list[str]:
