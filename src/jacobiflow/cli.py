@@ -114,7 +114,7 @@ class ScenarioConfig:
 
 @dataclass
 class TraceOutput:
-    """Columnar trace rows plus a JSON-ready summary."""
+    """Columnar trace rows plus a summary, which :func:`emit` converts to JSON."""
 
     columns: list[str]
     rows: list[list]
@@ -428,7 +428,7 @@ def _run_interval_mode(config: ScenarioConfig) -> TraceOutput:
         "seed": config.seed,
         "order_m": seq.first_nonzero,
         "events": _event_summaries(trace.jumps),
-        "diagnostics": _jsonable(trace.diagnostics),
+        "diagnostics": trace.diagnostics,
     }
     rows, flow = _trace_rows(trace.curve, trace.jumps, config.n)
     return TraceOutput(_trace_columns(config.n), rows, summary, flow)
@@ -512,7 +512,7 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
         _check_radius(frame, float(times[-1]))
         summary["jet_case"] = case.case
         summary["series_start"] = window.diagnostics["series_start"]
-        summary["equilibrium"] = _jsonable(window.diagnostics["equilibrium"])
+        summary["equilibrium"] = window.diagnostics["equilibrium"]
     else:
         eps = [e for e in config.tolerances["eps_family"] if e < grid[0]]
         if not eps:

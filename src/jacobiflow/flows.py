@@ -45,10 +45,12 @@ batch of one length leaving an order-3 pole, the error fell from about 0.4
 of the bound to 0.03 or less.  A march opens with a batch of one step, the
 whole first node interval, so a failed opening costs one step, not a
 batch: the first step of a march handed over near a pole, or of a
-portrait, often fails.  A march whose first step fails tries a ladder of
-shorter lengths at once, where shrinking by the order-7 rule took up to
-eight batches.  Only the opening gets a ladder: a stalling order-3 march
-took three times the batches with one after every rejection.
+portrait, often fails, by about 1e11 times its bound next to a singular
+instant.  The batch after a failed opening is a chain of steps doubling from
+far below the failed length, ``L 2**(i - 32)``, which stays short of L, so
+one batch finds the scale the error allows where shrinking by the order-7
+rule took up to eight batches (Hairer, Norsett & Wanner, II.4, on starting
+step sizes).  Every batch is thus a chain of steps that follow one another.
 
 On a grid of many nodes the node spacing, not the error, sets most steps
 (the corpus ``regular`` march's median step error is 2e-7 of its bound),
@@ -146,8 +148,8 @@ def _increments(sys: SystemLike, t: np.ndarray, h: np.ndarray) -> tuple[np.ndarr
 
 
 def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float, frames: np.ndarray,
-           plane: bool, ladder: bool) -> tuple[np.ndarray | None, np.ndarray]:
-    """The stack ``frames`` after each step of a batch, and each step's error over its bound.
+           plane: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """The stack ``frames`` after each step of a chain, and each step's error over its bound.
 
     Each step is taken whole and as two halves; the halves' product is the
     propagator, and the gap between the two, over ``2**6 - 1``, its error,
@@ -157,14 +159,12 @@ def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float, frames: n
     tested on the planes it carries instead, each frame on its own
     (:func:`_plane_errors`).
 
-    The steps either follow one another, in a chain, or, in a ``ladder``,
-    all share their start ``t`` and so start from ``frames``.  A chain moves
-    ``frames`` by :func:`_chain` as far as the first step that fails whatever
-    the frame; steps after it are not evaluated.  A ladder moves ``frames``
-    by every step that passes whatever the frame; the other entries are nan.
-    A step whose propagator is not finite, or a batch whose system has a pole
-    at a stage time or whose stage solve is singular, gets an infinite error.
-    Poles overflow on the way, so floating-point warnings are off.
+    The steps follow one another.  ``frames`` are moved by :func:`_chain` as
+    far as the first step that fails whatever the frame; steps after it are
+    not evaluated.  A step whose propagator is not finite, or a batch whose
+    system has a pole at a stage time or whose stage solve is singular, gets
+    an infinite error.  Poles overflow on the way, so floating-point warnings
+    are off.
     """
     half = 0.5 * h
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -185,16 +185,10 @@ def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float, frames: n
             smooth = np.max(size, axis=(0, 2)) <= _VARIATION_MAX * np.min(size, axis=(0, 2))
             err = np.where(smooth, top / (_SHARE_MAX * scale), err)
         passing = err <= 1.0
-        if ladder:
-            idx = np.flatnonzero(passing)
-            steps = np.full((k,) + frames.shape, np.nan)
-            if idx.size:
-                steps[idx] = _renormalise(frames + inc[idx, None] @ frames)
-        else:
-            idx = np.arange(k if passing.all() else int(np.argmin(passing)))
-            steps = _chain(frames, inc[idx])
-        if plane:  # the frames before each step are the march's, or the chain's
-            before = frames[None] if ladder else np.concatenate([frames[None], steps[:-1]])[: idx.size]
+        idx = np.arange(k if passing.all() else int(np.argmin(passing)))
+        steps = _chain(frames, inc[idx])
+        if plane:  # the frames before each step: the march's, then the chain's
+            before = np.concatenate([frames[None], steps[:-1]])[: idx.size]
             err[idx] = np.where(smooth[idx], np.maximum(err[idx], _plane_errors(
                 inc[idx], gap[idx], before, _SAFETY * rtol)), err[idx])
     return steps, np.where(np.isfinite(err), err, np.inf)
@@ -225,9 +219,9 @@ def _chain(f: np.ndarray, inc: np.ndarray) -> np.ndarray:
 
 
 def _renormalise(f: np.ndarray) -> np.ndarray:
-    """``f`` with each frame one of whose entries passes ``_GROWTH`` replaced
-    by the Q of its QR, with R given a positive diagonal, which keeps the sign
-    of every block determinant."""
+    """The stack ``f``, for :func:`_chain`, with each frame one of whose
+    entries passes ``_GROWTH`` replaced by the Q of its QR, with R given a
+    positive diagonal, which keeps the sign of every block determinant."""
     if np.abs(f).max() > _GROWTH:
         big = np.abs(f).max(axis=(-2, -1)) > _GROWTH
         q, r = np.linalg.qr(f[big])
@@ -238,7 +232,7 @@ def _renormalise(f: np.ndarray) -> np.ndarray:
 def _plane_errors(inc: np.ndarray, gap: np.ndarray, before: np.ndarray,
                   bound: float) -> np.ndarray:
     """Each step's largest plane error over ``bound``, from the ``(K, S, 2n, k)``
-    stacks of frames ``before`` the K steps (or one stack before them all).
+    stacks of frames ``before`` each of the K steps of a chain.
 
     ``inc`` is the step's propagator P minus I, and ``gap`` the whole step's
     propagator minus the halves' one.  With W an orthonormal frame before a
@@ -343,23 +337,25 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     step (one h was not shortened for), at most four times longer.
 
     The march opens with a batch of one step, the whole first node interval.
-    If it fails, the next batch is a ladder: ``_BATCH`` steps from the same
-    start and frame of lengths h/2, h/4, ..., of which the longest that
-    passes is taken as one step; if none passes, a ladder below it follows.
-    After the opening, a batch (:func:`_proposed`) takes every leading node
-    interval within reach of h as one step, up to ``_RUN`` of them, so a
-    march whose steps are set by its grid takes few batches; then it adds
-    steps bound by the error, up to ``_BATCH`` steps in all.
+    If a step of length L fails there, the next batch is a chain of
+    ``_BATCH`` steps doubling from ``L 2**-_BATCH`` up to L/2
+    (:func:`_proposed` at the grade 2), whose steps the march takes up to
+    the first that fails; it goes on from the longest it took, with g = 1.
+    If the chain's first step fails, a chain below it follows.  After the
+    opening, a batch (:func:`_proposed`) takes every leading node interval
+    within reach of h as one step, up to ``_RUN`` of them, so a march whose
+    steps are set by its grid takes few batches; then it adds steps bound
+    by the error, up to ``_BATCH`` steps in all.
 
     A plane march, of one frame of rank k < 2n or, with ``planes``, of a
     stack of such frames, is marched on the error of each frame's plane
     wherever the system varies little over a step, so its steps depend on
     the frames too; each frame of a stack meets its own bound.  Its steps
     bound by the error are graded, ``h g**i``, with g fitted to the batch
-    before when that batch passed whole (:func:`_grade`), and g = 1 after a
-    ladder or a rejection: as a march leaves a pole its error falls along a
-    batch of steps of one length, from about 0.4 of the bound to 0.03 or
-    less.  Node-bound runs are not graded.  Any other stack of frames, or a
+    before when that batch passed whole (:func:`_grade`), and g = 1 after
+    the opening or a rejection: as a march leaves a pole its error falls
+    along a batch of steps of one length, from about 0.4 of the bound to
+    0.03 or less.  Node-bound runs are not graded.  Any other stack of frames, or a
     full-rank frame, is marched on the error of the propagator, with each
     node interval split into equal steps, so its steps depend on ``sys``,
     ``nodes`` and ``rtol`` only and each frame of a stack moves as it would
@@ -378,49 +374,40 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     out = np.empty((nodes.size,) + f.shape)
     out[0] = f
     span = abs(float(nodes[-1] - nodes[0]))
-    direction = 1.0 if nodes[-1] > nodes[0] else -1.0
     t, k = float(nodes[0]), 1
     h = abs(float(nodes[min(1, nodes.size - 1)] - nodes[0]))
-    g = 1.0
-    opening, ladder = True, False
+    g, opening = 1.0, True
     while k < nodes.size:
-        if ladder:  # lengths h/2, h/4, ... from t, each from the march's frame at t
-            starts = np.full(_BATCH, t)
-            stops = t + direction * h * 0.5 ** np.arange(1.0, _BATCH + 1.0)
-            ends, whole = np.zeros(_BATCH, dtype=bool), np.ones(_BATCH, dtype=bool)
-        elif opening:  # the whole first node interval
+        if opening and g == 1.0:  # the whole first node interval
             starts, stops, ends = nodes[:1], nodes[1:2], np.ones(1, dtype=bool)
             whole = ends
-        else:
-            starts, stops, ends, whole = _proposed(nodes, t, k, h, g)
+        else:  # after a failed opening, steps doubling from h 2**-_BATCH up to h/2
+            starts, stops, ends, whole = _proposed(
+                nodes, t, k, h * 2.0 ** -_BATCH if opening else h, g)
         lengths = np.abs(stops - starts)
-        steps, err = _batch(sys, starts, stops - starts, rtol, f, plane, ladder)
-        if ladder:  # the longest candidate that passes is one step
-            taken = np.flatnonzero(err <= 1.0)[:1]
-        else:  # the steps up to the first one that fails
-            taken = np.arange(int(np.argmax(err > 1.0)) if np.any(err > 1.0) else err.size)
+        steps, err = _batch(sys, starts, stops - starts, rtol, f, plane)
+        taken = np.arange(int(np.argmax(err > 1.0)) if np.any(err > 1.0) else err.size)
         if taken.size:
             at = taken[ends[taken]]
             f = steps[taken[-1]]
             out[k : k + at.size] = steps[at]
             k += at.size
             t = float(stops[taken[-1]])
-        full = taken[whole[taken]]
-        opening = opening and not taken.size
-        if opening:  # a ladder below the shortest length that failed
-            h = float(lengths[-1] if ladder else lengths[0])
-            ladder = True
-        elif not ladder and taken.size < err.size:  # order-7 rule, from the rejected step
+        chain, opening = opening and g != 1.0, opening and not taken.size
+        if opening:  # a chain below the shortest length that failed
+            h, g = float(lengths[0]), 2.0
+        elif chain:  # on from the longest step the chain took
+            h, g = float(lengths[taken[-1]]), 1.0
+        elif taken.size < err.size:  # order-7 rule, from the rejected step
             i = taken.size
-            h = lengths[i] * max(0.1, 0.9 * err[i] ** (-1.0 / 7.0))
-        else:  # grow from the latest whole step taken
-            if ladder:  # as from a batch of the length taken
-                ladder, h = False, float(lengths[taken[0]])
+            h, g = lengths[i] * max(0.1, 0.9 * err[i] ** (-1.0 / 7.0)), 1.0
+        else:  # grow from the latest whole step taken; a plane march grades the next batch
+            full = taken[whole[taken]]
             if full.size:
                 i = full[-1]
                 h = min(4.0 * h, lengths[i] * 0.9 * max(err[i], 1e-300) ** (-1.0 / 7.0))
-        if plane:  # graded after a batch that passed whole, from its first step h
-            g = _grade(starts[full], lengths[full], err[full], h) if taken.size == err.size else 1.0
+            if plane:
+                g = _grade(starts[full], lengths[full], err[full], h)
         if not h > 16.0 * np.spacing(max(abs(t), span)):
             raise PoleError(
                 f"integration stalled at t = {t:.6g} (step size underflow near a pole)", t)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from helpers import continued, random_lagrangian
-from jacobiflow import cli, engine
+from jacobiflow import cli, engine, flows
 from jacobiflow.cli import DEFAULT_U0, DEFAULT_V0, _trace_rows, main
 from jacobiflow.engine import JumpEvent, PiecewiseAnalytic, singular_jacobi_curve
 from jacobiflow.errors import JacobiflowError
@@ -121,6 +121,25 @@ def test_golden_degen_m2_trace_is_byte_stable(tmp_path):
 def test_golden_portrait_is_byte_stable(tmp_path):
     _assert_golden(tmp_path, "portrait", "portrait_short",
                    "portrait_short.csv", "portrait_short.csv.summary.json")
+
+
+def test_portrait_lines_are_near_the_lines_marched_at_the_rtol_floor(tmp_path, monkeypatch):
+    # the portrait's march opens next to the order-2 pole at t = 0 with a
+    # step that fails; the steps that follow it keep every line within 5e-9
+    # rad (2.5e-9 measured) of the same march at the smallest rtol the kernel
+    # honours
+    marched = []
+
+    def recorded(*args, _fn=cli._integrate):
+        marched.append(_fn(*args))
+        return marched[-1]
+
+    monkeypatch.setattr(cli, "_integrate", recorded)
+    for tol in ({}, {"rtol": flows._RTOL_MIN}):
+        assert main(["portrait", str(GOLDEN / "portrait_short.json"), "--out",
+                     str(tmp_path / "p.csv"), "--tol-overrides", json.dumps(tol)]) == 0
+    lines, floor = (m.reshape(-1, 2, 1) for m in marched)
+    assert np.max(np.arcsin(plane_distance(lines, floor))) < 5e-9
 
 
 # chart columns, Maslov partial sums (0 -> 1 on [0, 4]; nan and blank chart
