@@ -42,21 +42,27 @@ along a batch, and the first step would hold h back.  A plane march also
 grades the steps of a batch that the error bounds, ``h g**i``, with g
 fitted to the error profile of the batch before (:func:`_grade`): along a
 batch of one length leaving an order-3 pole, the error fell from about 0.4
-of the bound to 0.03 or less.  A march opens with a batch of one step, the
-whole first node interval, so a failed opening costs one step, not a
-batch: the first step of a march handed over near a pole, or of a
-portrait, often fails, by about 1e11 times its bound next to a singular
-instant.  The batch after a failed opening is a chain of steps doubling from
-far below the failed length, ``L 2**(i - 32)``, which stays short of L, so
-one batch finds the scale the error allows where shrinking by the order-7
-rule took up to eight batches (Hairer, Norsett & Wanner, II.4, on starting
-step sizes).  Every batch is thus a chain of steps that follow one another.
+of the bound to 0.03 or less.
+
+One builder places the steps of every batch (:func:`_proposed`): it
+proposes the lengths ``h g**i``, and each node interval the batch reaches
+takes the fewest of them that cover it, scaled by one ratio so that the
+last ends on the node; so at g = 1 each such interval is split evenly.  A
+march opens with the batch of its first node interval alone, one step,
+so a failed opening costs one step, not a batch: the first step of a
+march handed over near a pole, or of a portrait, often fails, by about
+1e11 times its bound next to a singular instant.  The batch after a failed
+opening is the same builder at g = 2 from far below the failed length,
+``L 2**(i - 32)``, which stays short of L, so one batch finds the scale
+the error allows where shrinking by the order-7 rule took up to eight
+batches (Hairer, Norsett & Wanner, II.4, on starting step sizes).  Every
+batch is thus a chain of steps that follow one another.
 
 On a grid of many nodes the node spacing, not the error, sets most steps
 (the corpus ``regular`` march's median step error is 2e-7 of its bound),
 and every batch pays the same fixed cost of stacked numpy and LAPACK calls.
-So after the opening a batch takes every leading node interval within reach
-of h as one step, up to ``_RUN`` = 256 of them, which bounds a batch's
+So after the opening a batch first takes every leading node interval within
+reach of h as one step, up to ``_RUN`` = 256 of them, which bounds a batch's
 memory on any grid; the corpus ``regular`` march takes 1 + 198 steps in two
 batches, where batches of ``_BATCH`` = 32 steps took seven.  Batches whose
 steps the error sets keep ``_BATCH`` steps.
@@ -257,49 +263,44 @@ def _proposed(nodes: np.ndarray, t: float, k: int, h: float,
 
     A node interval within reach of h (one step of length at most h, with a
     relative slack of 1e-12) is one step.  The batch takes every leading node
-    interval within reach, at most ``_RUN`` of them, then adds steps up to
-    ``_BATCH`` in all.  At the grade ``g`` = 1, each node interval is split
-    into equal steps of at most h.  At any other grade the steps are
-    ``h g**i``, built with numpy: a step that would pass a node ends on it,
-    and the rest of it is a step of its own.  The run is found with numpy
-    on the look-ahead, and only when the next node is within reach, so a
-    batch bound by the error pays nothing for it.  A step is whole unless a
-    node cut it short: h (or ``h g**i``) was not shortened for it.
+    interval within reach, at most ``_RUN`` of them; the run is found with
+    numpy on the look-ahead, and only when the next node is within reach, so
+    a batch bound by the error pays nothing for it.  Then it proposes the lengths ``h g**i``, up to ``_BATCH`` steps in all:
+    each node interval takes the fewest of the next lengths that reach its
+    node, scaled by gap/sum so that the last ends on it, and steps short of
+    their node keep their lengths.  At g = 1 each node interval reached is
+    thus split evenly.  The batch ends at the last of ``nodes``.  A step is
+    whole unless a node cut it below half its proposed length.
     """
-    run = 0
+    run, part = 0, np.zeros(0)  # part: each leading node interval over h
     if abs(float(nodes[k]) - t) / h * (1.0 - 1e-12) <= 1.0:
-        ahead = nodes[k : k + _RUN]
-        reach = np.abs(np.diff(ahead, prepend=t)) / h * (1.0 - 1e-12) <= 1.0
-        run = ahead.size if reach.all() else int(np.argmin(reach))
+        part = np.abs(np.diff(nodes[k : k + _RUN], prepend=t)) / h
+        reach = part * (1.0 - 1e-12) <= 1.0
+        run = part.size if reach.all() else int(np.argmin(reach))
     s, j = (float(nodes[k + run - 1]), k + run) if run else (t, k)
-    head = nodes[k : k + run]
-    if g == 1.0 or run >= _BATCH or j == nodes.size:
-        starts, stops, ends = [], [], []
-        while run + len(starts) < _BATCH and j < nodes.size:
-            node = float(nodes[j])
-            parts = max(1, math.ceil(abs(node - s) / h * (1.0 - 1e-12)))
-            starts.append(s)
-            ends.append(parts == 1)
-            s, j = (node, j + 1) if parts == 1 else (s + (node - s) / parts, j)
-            stops.append(s)
-        starts = np.concatenate([[t], head[:-1], starts]) if run else np.array(starts)
-        stops = np.concatenate([head, stops])
-        return (starts, stops, np.concatenate([np.ones(run, dtype=bool), np.array(ends, dtype=bool)]),
-                np.abs(stops - starts) >= 0.5 * h)
-    room = _BATCH - run
-    ahead = nodes[j : j + room]
-    sign = 1.0 if ahead[0] > s else -1.0  # sign * t grows along the march
-    graded = sign * s + np.cumsum(h * g ** np.arange(room))
-    at_node = np.zeros(room, dtype=bool)
-    if graded[-1] >= sign * ahead[0]:  # the steps end on the nodes they pass
-        graded, first = np.unique(np.concatenate([sign * ahead, graded[graded < sign * ahead[-1]]]),
-                                  return_index=True)
-        graded, at_node = graded[:room], first[:room] < ahead.size
-    graded = sign * graded
-    starts, stops = np.concatenate([[t], head, graded[:-1]]), np.concatenate([head, graded])
-    whole = np.abs(stops - starts) >= 0.5 * h
-    whole[run:] = ~(at_node | np.concatenate([[False], at_node[:-1]]))
-    return starts, stops, np.concatenate([np.ones(run, dtype=bool), at_node]), whole
+    room = _BATCH - run if j < nodes.size else 0
+    marched = np.cumsum(h * g ** np.arange(room))
+    # the steps in each node interval entered are anchor + (marched - ref) * scale:
+    # back from its node at gap/sum if the batch reaches it, so that the last
+    # ends on the node bit for bit, else on from its start
+    rows, counts, cuts, base, first = [], [], [], 0.0, 0
+    for node in nodes[j : j + room].tolist():
+        i = int(marched.searchsorted(base + abs(node - s) * (1.0 - 1e-12)))
+        if i == room:
+            rows.append((s, base, 1.0 if node > s else -1.0))
+            counts.append(room - first)
+            break
+        end = float(marched[i])
+        rows.append((node, end, (node - s) / (end - base)))
+        counts.append(i + 1 - first)
+        cuts.append(i)
+        s, base, first = node, end, i + 1
+    anchor, ref, scale = np.repeat(np.array(rows).reshape(-1, 3), counts, axis=0).T
+    stops = np.concatenate([nodes[k : k + run], anchor + (marched[: scale.size] - ref) * scale])
+    ends = np.arange(stops.size) < run
+    ends[[run + i for i in cuts]] = True
+    return (np.concatenate([[t], stops[:-1]]), stops, ends,
+            np.concatenate([part[:run], np.abs(scale)]) >= 0.5)
 
 
 def _grade(starts: np.ndarray, lengths: np.ndarray, err: np.ndarray, h: float) -> float:
@@ -334,18 +335,21 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     up to the first step whose error estimate exceeds its bound.  h then
     follows the order-7 local error rule: from the rejected step, at most ten
     times shorter, or, when the whole batch is accepted, from its last whole
-    step (one h was not shortened for), at most four times longer.
+    step (one no node cut below half its proposed length), at most four
+    times longer.
 
-    The march opens with a batch of one step, the whole first node interval.
-    If a step of length L fails there, the next batch is a chain of
-    ``_BATCH`` steps doubling from ``L 2**-_BATCH`` up to L/2
-    (:func:`_proposed` at the grade 2), whose steps the march takes up to
-    the first that fails; it goes on from the longest it took, with g = 1.
-    If the chain's first step fails, a chain below it follows.  After the
-    opening, a batch (:func:`_proposed`) takes every leading node interval
-    within reach of h as one step, up to ``_RUN`` of them, so a march whose
-    steps are set by its grid takes few batches; then it adds steps bound
-    by the error, up to ``_BATCH`` steps in all.
+    :func:`_proposed` builds every batch.  During the opening it is given
+    the nodes up to the first only, so no batch passes that node.  The
+    march opens with h the first node interval: one step.  If a step of
+    length L fails there, the next batch is the builder at the grade 2 from
+    ``L 2**-_BATCH``, a chain of ``_BATCH`` steps doubling up to L/2, whose
+    steps the march takes up to the first that fails; it goes on from the
+    longest it took, with g = 1.  If the chain's first step fails, a chain
+    below it follows.  After the opening, a batch takes every leading node
+    interval within reach of h as one step, up to ``_RUN`` of them, so a
+    march whose steps are set by its grid takes few batches; then it adds
+    steps ``h g**i`` bound by the error, up to ``_BATCH`` steps in all, each
+    node interval they reach taking the fewest of them that cover it.
 
     A plane march, of one frame of rank k < 2n or, with ``planes``, of a
     stack of such frames, is marched on the error of each frame's plane
@@ -355,11 +359,12 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     before when that batch passed whole (:func:`_grade`), and g = 1 after
     the opening or a rejection: as a march leaves a pole its error falls
     along a batch of steps of one length, from about 0.4 of the bound to
-    0.03 or less.  Node-bound runs are not graded.  Any other stack of frames, or a
-    full-rank frame, is marched on the error of the propagator, with each
-    node interval split into equal steps, so its steps depend on ``sys``,
-    ``nodes`` and ``rtol`` only and each frame of a stack moves as it would
-    alone.  An rtol below ``_RTOL_MIN`` is raised to it, as DOP853 does.
+    0.03 or less.  Node-bound runs are not graded.  Any other stack of
+    frames, or a full-rank frame, is marched on the error of the propagator
+    with g = 1, each node interval a batch reaches split evenly, so its steps
+    depend on ``sys``, ``nodes`` and ``rtol`` only and each frame of a stack
+    moves as it would alone.  An rtol below ``_RTOL_MIN`` is raised to it,
+    as DOP853 does.
     Every march takes its frames from those :func:`_batch` returns after
     each step, moved by the propagators in one chain (:func:`_chain`); only
     the spans are meaningful.  Only the frames at the nodes and one batch of
@@ -378,12 +383,10 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     h = abs(float(nodes[min(1, nodes.size - 1)] - nodes[0]))
     g, opening = 1.0, True
     while k < nodes.size:
-        if opening and g == 1.0:  # the whole first node interval
-            starts, stops, ends = nodes[:1], nodes[1:2], np.ones(1, dtype=bool)
-            whole = ends
-        else:  # after a failed opening, steps doubling from h 2**-_BATCH up to h/2
-            starts, stops, ends, whole = _proposed(
-                nodes, t, k, h * 2.0 ** -_BATCH if opening else h, g)
+        # the opening takes the whole first node interval, and after it fails
+        # a chain of steps doubling from h 2**-_BATCH up to h/2, short of the node
+        starts, stops, ends, whole = _proposed(nodes[: k + 1] if opening else nodes, t, k,
+                                               h * 2.0 ** -_BATCH if g == 2.0 else h, g)
         lengths = np.abs(stops - starts)
         steps, err = _batch(sys, starts, stops - starts, rtol, f, plane)
         taken = np.arange(int(np.argmax(err > 1.0)) if np.any(err > 1.0) else err.size)

@@ -213,15 +213,12 @@ class CaseSystem:
     discriminant root ``sqrt(1 + 4 c'11(0)/b2)`` for order two.
     """
 
-    case: int
     m: int
     b2: float
     d: float | None
     aprime: np.ndarray
     cprime: np.ndarray
     g: np.ndarray
-    matrix: np.ndarray
-    minv: np.ndarray
 
     @property
     def k(self) -> int:
@@ -277,15 +274,12 @@ def case_system(
         if abs(d - 1.0) <= RESONANCE_TOL:
             raise ResonanceError("blow-up exponents collide (discriminant root near one)")
     return CaseSystem(
-        case=case.case,
         m=coeffs.m,
         b2=b2,
         d=d,
         aprime=aprime,
         cprime=cprime,
         g=g,
-        matrix=mat,
-        minv=minv,
     )
 
 

@@ -171,7 +171,6 @@ class NormalFormFrame:
     k: int
     n: int
     m: int
-    beta: int
     frame: np.ndarray
     coeffs: NormalFormCoefficients
     sigma_xxdot: float
@@ -395,7 +394,6 @@ def build_normal_frame(
         k=k,
         n=n,
         m=m,
-        beta=m - 2,
         frame=frame,
         coeffs=coeffs,
         sigma_xxdot=float(s1[0]),

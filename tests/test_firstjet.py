@@ -311,8 +311,7 @@ def test_blowup_series_refuses_a_resonant_order():
     cprime[0] = 0.5
     g = np.zeros((ln, 1, 1))
     g[0] = -3.0
-    system = CaseSystem(case=1, m=1, b2=-1.0, d=None, aprime=np.zeros((ln, 1, 1)),
-                        cprime=cprime, g=g, matrix=np.eye(2), minv=np.eye(2))
+    system = CaseSystem(m=1, b2=-1.0, d=None, aprime=np.zeros((ln, 1, 1)), cprime=cprime, g=g)
     for series in (blowup_series, _reference_blowup_series):
         with pytest.raises(SeriesResonanceError, match="at order 2"):
             series(system)

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -526,10 +527,10 @@ def test_a_march_over_a_prefix_of_the_nodes_makes_the_same_steps(weights, unifor
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=12), st.floats(0.0, 0.99),
-       st.floats(0.02, 2.0), st.floats(0.9, 1.1), st.booleans())
+       st.floats(0.02, 2.0), st.one_of(st.just(1.0), st.floats(0.9, 1.1)), st.booleans())
 def test_graded_batches_end_on_every_node(gaps, where, h, g, backward):
-    # steps h g^i from t: each step that would pass a node ends on it, the
-    # rest of it is a step of its own, and no step passes the last node
+    # steps h g^i from t: each node the batch reaches is a step end, and no
+    # step passes the last node
     nodes = np.concatenate([[0.0], np.cumsum(gaps)])
     if backward:
         nodes = -nodes
@@ -542,6 +543,89 @@ def test_graded_batches_end_on_every_node(gaps, where, h, g, backward):
     passed = nodes[1:][sign * (nodes[1:] - stops[-1]) <= 0.0]
     assert np.array_equal(stops[ends], passed)
     assert np.all(np.abs(stops - starts)[whole] <= h * max(g, 1.0) ** (flows._BATCH - 1) * (1 + 1e-9))
+
+
+def _random_batch(rng) -> tuple:
+    """Nodes, a start t in their first interval, and h, of one random batch."""
+    gaps = rng.uniform(0.05, 3.0, rng.integers(1, 40))
+    if rng.random() < 0.3:
+        gaps[:] = gaps[0]
+    nodes = np.concatenate([[0.0], np.cumsum(gaps)]) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-5, 5)
+    if rng.random() < 0.5:
+        nodes = nodes[::-1].copy()
+    t = nodes[0] + rng.uniform(0.0, 0.99) * (nodes[1] - nodes[0])
+    return nodes, t, rng.uniform(0.02, 2.0) * abs(nodes[1] - nodes[0])
+
+
+@pytest.mark.parametrize("g", [1.0, 0.9, 0.97, 1.03, 1.1])
+def test_a_batch_scales_its_proposed_lengths_to_end_on_the_nodes_it_reaches(g):
+    # after the run of node intervals within reach of h, the batch proposes
+    # h g^i; each node interval it reaches takes the fewest of the next
+    # lengths that cover it, all scaled by one ratio so that the last ends
+    # on the node, and the steps short of a node keep their lengths
+    rng = np.random.default_rng(25)
+    for _ in range(300):
+        nodes, t, h = _random_batch(rng)
+        starts, stops, ends, whole = flows._proposed(nodes, t, 1, h, g)
+        reach = np.abs(np.diff(nodes[1:], prepend=t)) / h * (1.0 - 1e-12) <= 1.0
+        run = reach.size if reach.all() else int(np.argmin(reach))
+        proposed = np.append(np.full(run, h), h * g ** np.arange(stops.size - run))
+        lengths = np.abs(stops - starts)
+        slack = 1e-12 * proposed + 4.0 * np.spacing(np.max(np.abs(nodes)))  # and stop - start rounds
+        assert np.all(lengths <= proposed + slack)
+        assert np.array_equal(whole, lengths >= 0.5 * proposed)
+        interval = np.concatenate([[0], np.cumsum(ends)[:-1]])
+        for i in np.unique(interval):
+            mine = interval == i
+            ratio = lengths[mine] / proposed[mine]
+            assert np.ptp(ratio) <= 1e-9 * ratio.max()
+            if ends[mine][-1]:  # reached: the fewest lengths that cover it
+                gap = abs(stops[mine][-1] - starts[mine][0])
+                assert proposed[mine].sum() >= gap * (1.0 - 1e-12) > proposed[mine][:-1].sum()
+            else:  # short of its node: the proposed lengths
+                assert np.all(np.abs(lengths[mine] - proposed[mine]) <= slack[mine])
+
+
+def _even_split_reference(nodes, t, k, h):
+    """The reference at g = 1: each node interval split evenly into steps of
+    at most h, one step at a time."""
+    run = 0
+    if abs(float(nodes[k]) - t) / h * (1.0 - 1e-12) <= 1.0:
+        ahead = nodes[k : k + flows._RUN]
+        reach = np.abs(np.diff(ahead, prepend=t)) / h * (1.0 - 1e-12) <= 1.0
+        run = ahead.size if reach.all() else int(np.argmin(reach))
+    s, j = (float(nodes[k + run - 1]), k + run) if run else (t, k)
+    head = nodes[k : k + run]
+    starts, stops, ends = [], [], []
+    while run + len(starts) < flows._BATCH and j < nodes.size:
+        node = float(nodes[j])
+        parts = max(1, math.ceil(abs(node - s) / h * (1.0 - 1e-12)))
+        starts.append(s)
+        ends.append(parts == 1)
+        s, j = (node, j + 1) if parts == 1 else (s + (node - s) / parts, j)
+        stops.append(s)
+    starts = np.concatenate([[t], head[:-1], starts]) if run else np.array(starts)
+    stops = np.concatenate([head, stops])
+    return (starts, stops, np.concatenate([np.ones(run, dtype=bool), np.array(ends, dtype=bool)]),
+            np.abs(stops - starts) >= 0.5 * h)
+
+
+def test_a_batch_of_one_length_splits_each_node_interval_it_reaches_evenly():
+    # at g = 1 the batch makes the steps of the reference up to the last node
+    # it reaches, within 4 ulp of the nodes (4.0 measured over 3,000
+    # batches); past it, the batch keeps the proposed length h
+    rng = np.random.default_rng(2025)
+    for _ in range(3000):
+        nodes, t, h = _random_batch(rng)
+        starts, stops, ends, whole = flows._proposed(nodes, t, 1, h, 1.0)
+        ref = _even_split_reference(nodes, t, 1, h)
+        last = int(np.flatnonzero(ends)[-1]) + 1 if ends.any() else 0
+        assert np.array_equal(ends[:last], ref[2][:last]) and ref[2][last - 1 : last].all()
+        assert np.array_equal(whole[:last], ref[3][:last])
+        ulp = np.spacing(np.max(np.abs(nodes)))
+        assert np.all(np.abs(stops[:last] - ref[1][:last]) <= 4.0 * ulp)
+        assert np.array_equal(starts[1:], stops[:-1]) and starts[0] == t
+        assert np.all(np.abs(np.abs(stops - starts)[last:] - h) <= 1e-12 * h + 4.0 * ulp)
 
 
 def test_a_plane_march_grades_its_batches_and_keeps_its_nodes(monkeypatch):
@@ -587,10 +671,10 @@ def test_a_stack_march_splits_each_node_interval_evenly(tmp_path, monkeypatch):
 
 # a failed opening costs one chain of doubling steps, of which the march
 # keeps every step up to the first failure: the corpus degen_m3 trace, whose
-# four epsilon segments each open so, takes 54 batches and proposes 1,618
+# four epsilon segments each open so, takes 54 batches and proposes 1,599
 # steps, and the portrait 8 batches
 @pytest.mark.parametrize("verb, scenario, batches, proposed", [
-    ("trace", "degen_m3", 56, 1700), ("portrait", "portrait", 8, 400),
+    ("trace", "degen_m3", 55, 1650), ("portrait", "portrait", 8, 400),
 ], ids=["degen_m3", "portrait"])
 def test_corpus_marches_take_few_batches(tmp_path, monkeypatch, verb, scenario, batches, proposed):
     calls = _recorded_batches(monkeypatch)

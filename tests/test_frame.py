@@ -161,7 +161,7 @@ def test_coefficients_are_read_only():
 def test_build_frame_order_one():
     f = build_normal_frame(_data_m1())
     assert f.case == "span2"
-    assert (f.k, f.n, f.m, f.beta) == (1, 2, 1, -1)
+    assert (f.k, f.n, f.m) == (1, 2, 1)
     assert f.b_m == -1.0
     assert f.sigma_xxdot == pytest.approx(1.0)
     assert f.symplectic_residual < 1e-12
@@ -179,7 +179,7 @@ def test_build_frame_order_one():
 def test_build_frame_order_two_span_three():
     f = build_normal_frame(_data_m2())
     assert f.case == "span3"
-    assert (f.k, f.n, f.m, f.beta) == (2, 2, 2, 0)
+    assert (f.k, f.n, f.m) == (2, 2, 2)
     assert f.b_m == -1.0
     assert f.sigma_xxdot == pytest.approx(1.0)
     assert f.symplectic_residual < 1e-12

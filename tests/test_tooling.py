@@ -120,15 +120,17 @@ def _call_sites(name: str) -> list[str]:
 
 def test_every_march_steps_by_one_batch_and_one_chain():
     # every ODE solve is one march of flows._integrate, which steps by
-    # batches of Gauss-Legendre steps (flows._batch), not by solve_ivp, and
-    # moves every frame by the one chain of propagators (flows._chain), which
-    # alone renormalises a frame that grows
+    # batches of Gauss-Legendre steps (flows._batch), not by solve_ivp, that
+    # one builder places (flows._proposed), and moves every frame by the one
+    # chain of propagators (flows._chain), which alone renormalises a frame
+    # that grows
     assert _call_sites("solve_ivp") == []
     assert _call_sites("_batch") == ["jacobiflow.flows._integrate"]
     assert _call_sites("_increments") == ["jacobiflow.flows._batch"]
     assert _call_sites("_chain") == ["jacobiflow.flows._batch"]
     assert _call_sites("_renormalise") == ["jacobiflow.flows._chain"]
     assert _call_sites("_plane_errors") == ["jacobiflow.flows._batch"]
+    assert _call_sites("_proposed") == ["jacobiflow.flows._integrate"]
 
 
 def test_the_epsilon_family_is_one_stack_march_not_a_plane_per_member():
