@@ -5,13 +5,13 @@ M(t), given as a callable that maps a 1-D array of K times to the
 ``(K, 2n, 2n)`` stack of system matrices, or to a pair ``(u, w)`` of
 ``(K, 2n)`` stacks for a rank-one system M = u w^T.  The Jacobi equation of
 a one-dimensional control variation is of this form, and its Gauss stage
-system shrinks from 3*2n unknowns per column to the three pairings
+system shrinks from 4*2n unknowns per column to the four pairings
 ``w_i . Y_i`` (:func:`_increments`).  Planes are always moved as frames,
 never as chart matrices, so a chart pole cannot stop a transport.
 
 Every transport of the package is one call of :func:`_integrate`: one march
-over a node list, with each node a step end.  A step is 3-stage
-Gauss-Legendre collocation (order 6).  On a linear system it is one small
+over a node list, with each node a step end.  A step is 4-stage
+Gauss-Legendre collocation (order 8).  On a linear system it is one small
 linear solve, so steps are computed in batches with numpy alone, and its
 propagator is symplectic up to rounding, because Gauss methods keep the
 quadratic invariants of the flow (Hairer, Lubich & Wanner, *Geometric
@@ -24,16 +24,16 @@ rank k < 2n or of a stack of such frames, accepts a step on the error of
 the planes it carries, each frame on its own, where the system varies
 little over the step.  Near an order-3 singular instant the flow has an
 exponential dichotomy that the propagator must resolve step by step but a
-plane need not: the epsilon family takes from a quarter (from eps = 1e-3)
-to a twentieth (from eps = 1e-6) of the steps it would take on the
-propagator.  The steps of such a march therefore depend on its frames.
-The family marches its members as one stack of planes, a member joining
-the stack at its eps, so the members share every step above their start.
-Any other stack of frames, or a full-rank frame, keeps the error of the
-propagator, so each frame of such a stack moves as it would alone.  Every
-march moves its frames, one or a stack, by one chain of propagators
-(:func:`_chain`), which runs a QR only where a bound on the frames' growth
-passes ``_GROWTH``.
+plane need not: a member of the epsilon family marched alone takes from
+a third (from eps = 1e-3) to a seventh (from eps = 1e-6) of the steps it
+would take on the propagator.  The steps of such a march therefore depend
+on its frames.  The family marches its members as one stack of planes, a
+member joining the stack at its eps, so the members share every step above
+their start.  Any other stack of frames, or a full-rank frame, keeps the
+error of the propagator, so each frame of such a stack moves as it would
+alone.  Every march moves its frames, one or a stack, by one chain of
+propagators (:func:`_chain`), which runs a QR only where a bound on the
+frames' growth passes ``_GROWTH``.
 
 Step control (:func:`_integrate`; Hairer, Norsett & Wanner, *Solving
 Ordinary Differential Equations I*, 2nd ed., 1993, section II.4) grows h
@@ -41,8 +41,8 @@ from the latest step of a batch: as a march leaves a pole its error falls
 along a batch, and the first step would hold h back.  A plane march also
 grades the steps of a batch that the error bounds, ``h g**i``, with g
 fitted to the error profile of the batch before (:func:`_grade`): along a
-batch of one length leaving an order-3 pole, the error fell from about 0.4
-of the bound to 0.03 or less.
+batch of one length leaving an order-3 pole, the error fell from about 0.2
+of the bound to 0.08, and from 0.016 to 3e-6.
 
 One builder places the steps of every batch (:func:`_proposed`): it
 proposes the lengths ``h g**i``, and each node interval the batch reaches
@@ -54,12 +54,12 @@ march handed over near a pole, or of a portrait, often fails, by about
 1e11 times its bound next to a singular instant.  The batch after a failed
 opening is the same builder at g = 2 from far below the failed length,
 ``L 2**(i - 32)``, which stays short of L, so one batch finds the scale
-the error allows where shrinking by the order-7 rule took up to eight
+the error allows where shrinking by the order rule took up to eight
 batches (Hairer, Norsett & Wanner, II.4, on starting step sizes).  Every
 batch is thus a chain of steps that follow one another.
 
 On a grid of many nodes the node spacing, not the error, sets most steps
-(the corpus ``regular`` march's median step error is 2e-7 of its bound),
+(the corpus ``regular`` march's median step error is 6e-8 of its bound),
 and every batch pays the same fixed cost of stacked numpy and LAPACK calls.
 So after the opening a batch first takes every leading node interval within
 reach of h as one step, up to ``_RUN`` = 256 of them, which bounds a batch's
@@ -84,15 +84,22 @@ __all__ = ["flow_plane"]
 SystemLike = Callable[[np.ndarray], "np.ndarray | tuple[np.ndarray, np.ndarray]"]
 
 
-# 3-stage Gauss-Legendre collocation (order 6): nodes, coefficients, weights
-_R15 = np.sqrt(15.0)
-_GAUSS_C = np.array([0.5 - _R15 / 10.0, 0.5, 0.5 + _R15 / 10.0])
+# 4-stage Gauss-Legendre collocation (order 8): nodes, coefficients, weights
+_GAUSS_C = np.array([0.06943184420297371, 0.33000947820757187,
+                     0.6699905217924281, 0.9305681557970263])
 _GAUSS_A = np.array([
-    [5.0 / 36.0, 2.0 / 9.0 - _R15 / 15.0, 5.0 / 36.0 - _R15 / 30.0],
-    [5.0 / 36.0 + _R15 / 24.0, 2.0 / 9.0, 5.0 / 36.0 - _R15 / 24.0],
-    [5.0 / 36.0 + _R15 / 30.0, 2.0 / 9.0 + _R15 / 15.0, 5.0 / 36.0],
+    [0.08696371128436346, -0.026604180084998794, 0.012627462689404725, -0.0035551496857956833],
+    [0.18811811749986806, 0.16303628871563652, -0.027880428602470895, 0.006735500594538156],
+    [0.16719192197418878, 0.35395300603374397, 0.16303628871563652, -0.014190694931141144],
+    [0.1774825722545226, 0.31344511474186837, 0.35267675751627187, 0.08696371128436346],
 ])
-_GAUSS_B = np.array([5.0 / 18.0, 4.0 / 9.0, 5.0 / 18.0])
+_GAUSS_B = np.array([0.17392742256872692, 0.32607257743127305,
+                     0.32607257743127305, 0.17392742256872692])
+#: stages per step, and the order of the step, 2 * stages
+_STAGES = _GAUSS_B.size
+_ORDER = 2 * _STAGES
+#: the gap between a step's whole and halved propagators over this is its error
+_DOUBLING = 2.0**_ORDER - 1.0
 #: steps proposed, and evaluated, per batch
 _BATCH = 32
 #: most node intervals one batch takes as one step each (:func:`_proposed`);
@@ -106,25 +113,36 @@ _SAFETY = 0.0625
 _RTOL_MIN = 100.0 * np.finfo(float).eps
 #: largest gap between a step's whole and halved propagators, as a share of
 #: their size, at which the plane test holds.  On y' = w y a Gauss step is the
-#: (3, 3) Pade approximant R(z) of e^z, z = h w, and the share is
-#: |R(z) - R(z/2)^2| / R(z/2)^2: 1.5e-3 at z = 2, 7.6e-3 at 2.5, 3.1e-2 at 3
-#: and 0.41 at 4, short of the pole of R at z = 4.64.  So 0.01 admits the
-#: steps of growth up to e^2.6 that a plane on the dominant directions
-#: allows, and keeps them where the gap still measures the error.
-_SHARE_MAX = 0.01
+#: (4, 4) Pade approximant R(z) of e^z, z = h w, and the share is
+#: |R(z) - R(z/2)^2| / R(z/2)^2: 2.255e-5 at z = 2, 1.791e-4 at 2.5, 9.983e-4
+#: at 3 and 1.591e-2 at 4.  Its value at z = 2.6 admits the steps of growth up
+#: to e^2.6 that a plane on the dominant directions allows, and keeps them
+#: where the gap still measures the error.
+_SHARE_MAX = 2.587e-4
 #: largest ratio of the system's size between the stage times of a step that
 #: the plane test may take.  A step with a pole of order m inside samples the
-#: system at least 6 times nearer to the pole than farther away, so its sizes
-#: differ by at least 6^m; a step that ends within its own length of the
-#: pole, by at least (1.94 / 1.06)^m (3.4 for m = 2).  Such steps, and any
+#: system at least 8.6 times nearer to the pole than farther away, so its
+#: sizes differ by at least 8.6^m; a step that ends within its own length of
+#: the pole, by at least (1.97 / 1.03)^m (3.6 for m = 2).  Such steps, and any
 #: other whose coefficients the step does not resolve, are tested on the
 #: propagator, as the steps of a stack are.
 _VARIATION_MAX = 2.0
 
 
+def _absmax(a: np.ndarray, axes: int) -> np.ndarray:
+    """The largest ``|a|`` over the last ``axes`` axes of ``a``.
+
+    numpy reduces short trailing axes one output at a time, which costs about
+    ten times more here than reducing the same entries laid out as a leading
+    axis; the maxima are the same bit for bit.
+    """
+    lead = a.shape[: a.ndim - axes]
+    return np.abs(a).reshape(lead + (math.prod(a.shape[len(lead) :]),)).T.copy().max(axis=0).T
+
+
 def _increments(sys: SystemLike, t: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``P - I`` for the Gauss-Legendre propagators ``P`` of the steps ``[t, t + h]``,
-    and the system's size (largest entry) at each step's three stage times.
+    and the system's size (largest entry) at each step's ``_STAGES`` stage times.
 
     On ``Y' = A(t) Y`` the stage values of the step from ``Y = I`` solve the
     linear system ``(I - h [a_ij A(t + c_j h)]) Y = 1 (x) I``, and
@@ -133,23 +151,24 @@ def _increments(sys: SystemLike, t: np.ndarray, h: np.ndarray) -> tuple[np.ndarr
 
     A rank-one system ``A = u w^T`` (``sys`` returns the pair ``(u, w)``)
     has stage values ``Y_i = I + h sum_j a_ij u_j z_j`` with the rows
-    ``z_j = w_j^T Y_j``, so the same solve shrinks to the 3x3 system of the
-    pairings, ``(I_3 - h [a_ij w_i . u_j]) Z = [w_1; w_2; w_3]``, and
+    ``z_j = w_j^T Y_j``, so the same solve shrinks to the s x s system of the
+    pairings, ``(I_s - h [a_ij w_i . u_j]) Z = [w_1; ...; w_s]``, and
     ``P - I = h sum_i b_i u_i Z_i``; its size is ``max|u| max|w|``.
     """
+    s = _STAGES
     a = sys((t[:, None] + h[:, None] * _GAUSS_C).ravel())
     if isinstance(a, tuple):
-        u, w = (v.reshape(-1, 3, v.shape[-1]) for v in a)
-        lhs = np.eye(3) - _GAUSS_A * (h[:, None, None] * (w @ np.swapaxes(u, 1, 2)))
+        u, w = (v.reshape(-1, s, v.shape[-1]) for v in a)
+        lhs = np.eye(s) - _GAUSS_A * (h[:, None, None] * (w @ np.swapaxes(u, 1, 2)))
         z = np.linalg.solve(lhs, w)
-        size = np.max(np.abs(u), axis=2) * np.max(np.abs(w), axis=2)
+        size = _absmax(u, 1) * _absmax(w, 1)
         return h[:, None, None] * (np.swapaxes(u * _GAUSS_B[:, None], 1, 2) @ z), size
     d = a.shape[-1]
-    ha = a.reshape(-1, 3, d, d) * h[:, None, None, None]
-    lhs = np.eye(3 * d) - np.einsum("ij,kjab->kiajb", _GAUSS_A, ha).reshape(-1, 3 * d, 3 * d)
-    rhs = np.broadcast_to(np.tile(np.eye(d), (3, 1)), lhs.shape[:1] + (3 * d, d))
-    y = np.linalg.solve(lhs, rhs).reshape(-1, 3, d, d)
-    size = np.max(np.abs(a), axis=(1, 2)).reshape(-1, 3)
+    ha = a.reshape(-1, s, d, d) * h[:, None, None, None]
+    lhs = np.eye(s * d) - np.einsum("ij,kjab->kiajb", _GAUSS_A, ha).reshape(-1, s * d, s * d)
+    rhs = np.broadcast_to(np.tile(np.eye(d), (s, 1)), lhs.shape[:1] + (s * d, d))
+    y = np.linalg.solve(lhs, rhs).reshape(-1, s, d, d)
+    size = _absmax(a, 2).reshape(-1, s)
     return np.einsum("i,kiac->kac", _GAUSS_B, ha @ y), size
 
 
@@ -158,7 +177,7 @@ def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float, frames: n
     """The stack ``frames`` after each step of a chain, and each step's error over its bound.
 
     Each step is taken whole and as two halves; the halves' product is the
-    propagator, and the gap between the two, over ``2**6 - 1``, its error,
+    propagator, and the gap between the two, over ``_DOUBLING``, its error,
     bounded by ``_SAFETY * rtol`` times the propagator's size.  With
     ``plane``, every frame of ``frames`` being of rank k < 2n, a step whose
     system varies by at most ``_VARIATION_MAX`` over its stage times is
@@ -183,11 +202,11 @@ def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float, frames: n
         d1, d2 = d[k : 2 * k], d[2 * k :]
         inc = d1 + d2 + d2 @ d1
         gap = d[:k] - inc
-        scale = 1.0 + np.max(np.abs(inc), axis=(1, 2))
-        top = np.max(np.abs(gap), axis=(1, 2))
-        err = top / (63.0 * _SAFETY * rtol * scale)
+        scale = 1.0 + _absmax(inc, 2)
+        top = _absmax(gap, 2)
+        err = top / (_DOUBLING * _SAFETY * rtol * scale)
         if plane:
-            size = size.reshape(3, k, 3)  # whole, first half, second half
+            size = size.reshape(3, k, _STAGES)  # whole, first half, second half
             smooth = np.max(size, axis=(0, 2)) <= _VARIATION_MAX * np.min(size, axis=(0, 2))
             err = np.where(smooth, top / (_SHARE_MAX * scale), err)
         passing = err <= 1.0
@@ -243,7 +262,7 @@ def _plane_errors(inc: np.ndarray, gap: np.ndarray, before: np.ndarray,
     ``inc`` is the step's propagator P minus I, and ``gap`` the whole step's
     propagator minus the halves' one.  With W an orthonormal frame before a
     step and V = P W, its error is the part of ``gap @ W`` outside span(V),
-    over sigma_min(V) and ``2**6 - 1``: a first-order bound on how far the
+    over sigma_min(V) and ``_DOUBLING``: a first-order bound on how far the
     gap moves the plane.  A step's error is the largest over its S frames.
     Near an order-3 singular instant the flow has an exponential dichotomy,
     and a plane on its dominant directions allows steps far longer than the
@@ -253,7 +272,8 @@ def _plane_errors(inc: np.ndarray, gap: np.ndarray, before: np.ndarray,
     u, sv, _ = np.linalg.svd(q + inc[:, None] @ q, full_matrices=False)
     eq = gap[:, None] @ q
     out = eq - u @ (np.swapaxes(u, -1, -2) @ eq)
-    return np.max(np.sqrt(np.sum(out * out, axis=(-2, -1))) / (63.0 * sv[..., -1] * bound), axis=1)
+    err = np.sqrt(np.sum(out * out, axis=(-2, -1))) / (_DOUBLING * sv[..., -1] * bound)
+    return np.max(err, axis=1)
 
 
 def _proposed(nodes: np.ndarray, t: float, k: int, h: float,
@@ -306,20 +326,20 @@ def _proposed(nodes: np.ndarray, t: float, k: int, h: float,
 def _grade(starts: np.ndarray, lengths: np.ndarray, err: np.ndarray, h: float) -> float:
     """The grade g of a batch of steps ``h g**i`` that keeps their error flat.
 
-    The error of a step of length L at t is about C(t) L^7.  With s the
-    slope of log C against the distance marched, over the steps ``(starts,
-    lengths, err)`` of the batch before, steps ``h g**i`` with
-    ``g = exp(-s h / 7)`` keep it flat.  g is 1 without two steps to fit,
-    and is held in [0.9, 1.1], so the last step of a batch is at most 19
-    times longer or 26 times shorter than its first.
+    The error of a step of length L at t is about C(t) L^(p + 1), p =
+    ``_ORDER``.  With s the slope of log C against the distance marched, over
+    the steps ``(starts, lengths, err)`` of the batch before, steps ``h g**i``
+    with ``g = exp(-s h / (p + 1))`` keep it flat.  g is 1 without two steps
+    to fit, and is held in [0.9, 1.1], so the last step of a batch is at most
+    19 times longer or 26 times shorter than its first.
     """
     keep = err > 0.0
     if np.count_nonzero(keep) < 2:
         return 1.0
     x = np.abs(starts[keep] - starts[0]) + 0.5 * lengths[keep]
     x -= x.sum() / x.size
-    slope = float(x @ (np.log(err[keep]) - 7.0 * np.log(lengths[keep]))) / float(x @ x)
-    return min(1.1, max(0.9, math.exp(-slope * h / 7.0)))
+    slope = float(x @ (np.log(err[keep]) - (_ORDER + 1) * np.log(lengths[keep]))) / float(x @ x)
+    return min(1.1, max(0.9, math.exp(-slope * h / (_ORDER + 1))))
 
 
 def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
@@ -333,10 +353,10 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     step is computed, not how steps are chosen.  Every node is a step end, so
     nothing is interpolated.  A batch of steps (:func:`_batch`) is accepted
     up to the first step whose error estimate exceeds its bound.  h then
-    follows the order-7 local error rule: from the rejected step, at most ten
-    times shorter, or, when the whole batch is accepted, from its last whole
-    step (one no node cut below half its proposed length), at most four
-    times longer.
+    follows the local error rule of order ``_ORDER + 1``: from the rejected
+    step, at most ten times shorter, or, when the whole batch is accepted,
+    from its last whole step (one no node cut below half its proposed
+    length), at most four times longer.
 
     :func:`_proposed` builds every batch.  During the opening it is given
     the nodes up to the first only, so no batch passes that node.  The
@@ -358,13 +378,13 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     bound by the error are graded, ``h g**i``, with g fitted to the batch
     before when that batch passed whole (:func:`_grade`), and g = 1 after
     the opening or a rejection: as a march leaves a pole its error falls
-    along a batch of steps of one length, from about 0.4 of the bound to
-    0.03 or less.  Node-bound runs are not graded.  Any other stack of
-    frames, or a full-rank frame, is marched on the error of the propagator
-    with g = 1, each node interval a batch reaches split evenly, so its steps
-    depend on ``sys``, ``nodes`` and ``rtol`` only and each frame of a stack
-    moves as it would alone.  An rtol below ``_RTOL_MIN`` is raised to it,
-    as DOP853 does.
+    along a batch of steps of one length, by a factor of 2.5 to 5,000 on
+    the corpus ``degen_m3`` trace.  Node-bound runs are not graded.  Any
+    other stack of frames, or a full-rank frame, is marched on the error of
+    the propagator with g = 1, each node interval a batch reaches split
+    evenly, so its steps depend on ``sys``, ``nodes`` and ``rtol`` only and
+    each frame of a stack moves as it would alone.  An rtol below
+    ``_RTOL_MIN`` is raised to it, as DOP853 does.
     Every march takes its frames from those :func:`_batch` returns after
     each step, moved by the propagators in one chain (:func:`_chain`); only
     the spans are meaningful.  Only the frames at the nodes and one batch of
@@ -401,14 +421,14 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
             h, g = float(lengths[0]), 2.0
         elif chain:  # on from the longest step the chain took
             h, g = float(lengths[taken[-1]]), 1.0
-        elif taken.size < err.size:  # order-7 rule, from the rejected step
+        elif taken.size < err.size:  # the order rule, from the rejected step
             i = taken.size
-            h, g = lengths[i] * max(0.1, 0.9 * err[i] ** (-1.0 / 7.0)), 1.0
+            h, g = lengths[i] * max(0.1, 0.9 * err[i] ** (-1.0 / (_ORDER + 1))), 1.0
         else:  # grow from the latest whole step taken; a plane march grades the next batch
             full = taken[whole[taken]]
             if full.size:
                 i = full[-1]
-                h = min(4.0 * h, lengths[i] * 0.9 * max(err[i], 1e-300) ** (-1.0 / 7.0))
+                h = min(4.0 * h, lengths[i] * 0.9 * max(err[i], 1e-300) ** (-1.0 / (_ORDER + 1)))
             if plane:
                 g = _grade(starts[full], lengths[full], err[full], h)
         if not h > 16.0 * np.spacing(max(abs(t), span)):

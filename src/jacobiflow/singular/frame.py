@@ -262,13 +262,16 @@ def _assemble(
             v = v - sconv(vsigma(v, f), e, nterms) + sconv(vsigma(v, e), f, nterms)
         return v
 
+    # the coordinate axes, projected off the pairs, complete the frame; with
+    # k = n pairs it is complete already
     pool = []
-    for c in range(dim):
-        cand = np.zeros_like(x)
-        cand[0, c] = 1.0
-        cand = project(cand)
-        if np.linalg.norm(cand[0]) > 1e-6:
-            pool.append(cand)
+    if len(pairs) < n:
+        for c in range(dim):
+            cand = np.zeros_like(x)
+            cand[0, c] = 1.0
+            cand = project(cand)
+            if np.linalg.norm(cand[0]) > 1e-6:
+                pool.append(cand)
 
     while len(pairs) < n:
         pool.sort(key=lambda v: -np.linalg.norm(v[0]))

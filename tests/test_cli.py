@@ -125,9 +125,10 @@ def test_golden_portrait_is_byte_stable(tmp_path):
 
 def test_portrait_lines_are_near_the_lines_marched_at_the_rtol_floor(tmp_path, monkeypatch):
     # the portrait's march opens next to the order-2 pole at t = 0 with a
-    # step that fails; the steps that follow it keep every line within 5e-9
-    # rad (2.5e-9 measured) of the same march at the smallest rtol the kernel
-    # honours
+    # step that fails; the steps that follow it keep every line of
+    # portrait_short within 5e-9 rad (3.1e-11 measured), and of the corpus
+    # portrait within 1e-8 rad (8.4e-9), of the same march at the smallest
+    # rtol the kernel honours
     marched = []
 
     def recorded(*args, _fn=cli._integrate):
@@ -135,11 +136,14 @@ def test_portrait_lines_are_near_the_lines_marched_at_the_rtol_floor(tmp_path, m
         return marched[-1]
 
     monkeypatch.setattr(cli, "_integrate", recorded)
-    for tol in ({}, {"rtol": flows._RTOL_MIN}):
-        assert main(["portrait", str(GOLDEN / "portrait_short.json"), "--out",
-                     str(tmp_path / "p.csv"), "--tol-overrides", json.dumps(tol)]) == 0
-    lines, floor = (m.reshape(-1, 2, 1) for m in marched)
-    assert np.max(np.arcsin(plane_distance(lines, floor))) < 5e-9
+    for scenario, bound in ((GOLDEN / "portrait_short.json", 5e-9),
+                            (CORPUS / "portrait.json", 1e-8)):
+        marched.clear()
+        for tol in ({}, {"rtol": flows._RTOL_MIN}):
+            assert main(["portrait", str(scenario), "--out", str(tmp_path / "p.csv"),
+                         "--tol-overrides", json.dumps(tol)]) == 0
+        lines, floor = (m.reshape(-1, 2, 1) for m in marched)
+        assert np.max(np.arcsin(plane_distance(lines, floor))) < bound
 
 
 # chart columns, Maslov partial sums (0 -> 1 on [0, 4]; nan and blank chart
@@ -152,6 +156,34 @@ def test_portrait_lines_are_near_the_lines_marched_at_the_rtol_floor(tmp_path, m
 ], ids=["regular-trace", "regular-maslov", "bangbang"])
 def test_golden_curve_outputs_are_byte_stable(tmp_path, verb, scenario, csv, summary):
     _assert_golden(tmp_path, verb, scenario, csv, summary)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([CORPUS / "regular.json", GOLDEN / "regular_short.json"]),
+       st.floats(0.02, 0.98))
+@example(GOLDEN / "regular_short.json", 0.78)  # the node before its crossing of Pi
+def test_a_trace_restarted_from_an_emitted_plane_continues_it(tmp_path_factory, path, share):
+    # split a regular trace at an interior node and restart it from the plane
+    # it emitted there: the planes agree, and the Maslov partial sums add up
+    # (regular_short crosses Pi once, between its nodes 31 and 32)
+    out = tmp_path_factory.mktemp("split")
+    raw = json.loads(path.read_text())
+
+    def trace(sc: dict) -> np.ndarray:
+        (out / "s.json").write_text(json.dumps(sc))
+        assert main(["trace", str(out / "s.json"), "--out", str(out / "o.csv")]) == 0
+        return np.genfromtxt(out / "o.csv", delimiter=",", skip_header=1)
+
+    whole = trace(raw)
+    n = raw["n"]
+    j = max(1, min(len(whole) - 2, int(share * len(whole))))
+    raw["initial_plane"] = whole[j, 1 : 1 + 2 * n * n].reshape(2 * n, n).tolist()
+    raw["grid"] = {"t0": whole[j, 0], "t1": raw["grid"]["t1"], "steps": len(whole) - j}
+    rest = trace(raw)
+    frames = [rows[:, 1 : 1 + 2 * n * n].reshape(-1, 2 * n, n) for rows in (whole[j:], rest)]
+    assert np.max(np.abs(rest[:, 0] - whole[j:, 0])) <= 1e-15 * abs(whole[-1, 0])
+    assert np.max(plane_distance(*frames)) < 1e-12
+    assert np.array_equal(whole[j:, -2], whole[j, -2] + rest[:, -2])
 
 
 def test_consecutive_calls_share_one_parser_and_leak_no_state(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Guards on the shape of the package: no scipy and no ``numpy.polynomial`` in
-the package, Legendre entries formed once and none past the order, one integrator
-call site, the callers of the transport kernel, one solver call per transport, a
-number of LAPACK calls per trace that does not grow with its nodes, a lean
-import, exports that resolve, no orphaned private helper, an error taxonomy
-with no class that nothing raises, and a working corpus timing command."""
+the package, Legendre entries formed once and none past the order, no frame
+completion where the pairs span the frame, one integrator call site, the
+callers of the transport kernel, one solver call per transport, a number of
+LAPACK calls per trace that does not grow with its nodes, a lean import,
+exports that resolve, no orphaned private helper, an error taxonomy with no
+class that nothing raises, and working corpus timing and accuracy commands."""
 
 import ast
 import importlib
@@ -20,6 +21,7 @@ import pytest
 
 import jacobiflow
 from jacobiflow import cli, engine, flows
+from jacobiflow.singular import frame
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
@@ -82,6 +84,23 @@ def test_legendre_entries_are_formed_once_up_to_the_order(tmp_path, monkeypatch,
     assert cli.main(["trace", str(CORPUS / f"{scenario}.json"),
                      "--out", str(tmp_path / "o.csv")]) == 0
     assert len(formed) == products
+
+
+def test_a_frame_of_n_pairs_builds_no_completion_pool(tmp_path, monkeypatch):
+    # the corpus degen_m3 frame (k = n = 2) is complete once its two pairs
+    # are built: the sigma products are sigma(X, X') and the four of the
+    # e2, f2 pair, none for the 2n projected coordinate axes (16 more) that
+    # only a frame of fewer pairs needs
+    formed = []
+
+    def counted(*args, _fn=frame.vsigma):
+        formed.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(frame, "vsigma", counted)
+    assert cli.main(["classify", str(CORPUS / "degen_m3.json"),
+                     "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(formed) == 5
 
 
 class _CallSites(ast.NodeVisitor):
@@ -297,3 +316,14 @@ def test_corpus_timings_script_times_one_op():
     rows = [line.rsplit(None, 2) for line in out.stdout.splitlines()]
     assert [name for name, _, _ in rows] == ["import jacobiflow.cli", "regular.trace"]
     assert all(float(seconds) > 0.0 and unit == "s" for _, seconds, unit in rows)
+
+
+def test_corpus_accuracy_script_measures_the_chosen_ops():
+    # tools/corpus_accuracy.py gives the accuracy beside the timings: the
+    # worst plane angle of a corpus op against the same op at the rtol floor
+    script = SRC.parent / "tools" / "corpus_accuracy.py"
+    out = subprocess.run([sys.executable, str(script), "--op", "regular.trace", "--op",
+                          "portrait.portrait"], capture_output=True, text=True, check=True)
+    rows = [line.rsplit(None, 2) for line in out.stdout.splitlines()]
+    assert [name for name, _, _ in rows] == ["regular.trace", "portrait.portrait"]
+    assert all(0.0 <= float(angle) < 1e-8 and unit == "rad" for _, angle, unit in rows)
