@@ -10,7 +10,8 @@ system shrinks from 4*2n unknowns per column to the four pairings
 never as chart matrices, so a chart pole cannot stop a transport.
 
 Every transport of the package is one call of :func:`_integrate`: one march
-over a node list, with each node a step end.  A step is 4-stage
+over a node list, with each node a step end or the node inside a step of
+two node intervals, so nothing is interpolated.  A step is 4-stage
 Gauss-Legendre collocation (order 8).  On a linear system it is one small
 linear solve, so steps are computed in batches with numpy alone, and its
 propagator is symplectic up to rounding, because Gauss methods keep the
@@ -62,10 +63,21 @@ On a grid of many nodes the node spacing, not the error, sets most steps
 (the corpus ``regular`` march's median step error is 6e-8 of its bound),
 and every batch pays the same fixed cost of stacked numpy and LAPACK calls.
 So after the opening a batch first takes every leading node interval within
-reach of h as one step, up to ``_RUN`` = 256 of them, which bounds a batch's
-memory on any grid; the corpus ``regular`` march takes 1 + 198 steps in two
-batches, where batches of ``_BATCH`` = 32 steps took seven.  Batches whose
-steps the error sets keep ``_BATCH`` steps.
+reach of h, up to ``_RUN`` = 256 of them, which bounds a batch's memory on
+any grid.  Where h covers two of them, a pair of equal neighbours is one
+step whose halves are the two intervals (:func:`_paired`): its error is
+estimated by step doubling as any step's, and the node between them gets
+the first half's propagator from the step's start, off the chain, whose
+error is about half the pair's estimate; so one doubling test and one
+chain step serve two nodes.  An interval without a partner moves by its
+single propagator, as a pair's first half does, so a march over a prefix
+of the nodes gives the full march's frames bit for bit wherever both accept
+the step to its last node, as on the corpus ``regular`` march; where the
+pair across that node fails and its first half alone passes, or the other
+way round, the two marches reach the node by different steps.  The corpus
+``regular`` march takes 1 + 99 steps in two batches, where one step per
+interval took 1 + 198 and batches of ``_BATCH`` = 32 steps took seven.
+Batches whose steps the error sets keep ``_BATCH`` steps.
 """
 
 from __future__ import annotations
@@ -102,8 +114,9 @@ _ORDER = 2 * _STAGES
 _DOUBLING = 2.0**_ORDER - 1.0
 #: steps proposed, and evaluated, per batch
 _BATCH = 32
-#: most node intervals one batch takes as one step each (:func:`_proposed`);
-#: it bounds a batch's memory on grids of up to ``engine.STEPS_MAX`` nodes
+#: most node intervals one batch takes as a run, one or two a step
+#: (:func:`_proposed`); it bounds a batch's memory on grids of up to
+#: ``engine.STEPS_MAX`` nodes
 _RUN = 8 * _BATCH
 #: a frame entry beyond this bound triggers a QR of that frame
 _GROWTH = 1e4
@@ -140,6 +153,20 @@ def _absmax(a: np.ndarray, axes: int) -> np.ndarray:
     return np.abs(a).reshape(lead + (math.prod(a.shape[len(lead) :]),)).T.copy().max(axis=0).T
 
 
+def _sum(a: np.ndarray, axes: int) -> np.ndarray:
+    """The sum of ``a`` over its last ``axes`` axes, bit for bit numpy's.
+
+    numpy adds fewer than 8 entries in order, as a reduction over a leading
+    axis does, so those are laid out as one, for the speed :func:`_absmax`
+    gets; 8 or more it adds pairwise, and those keep numpy's own reduction.
+    """
+    lead = a.shape[: a.ndim - axes]
+    flat = a.reshape(lead + (math.prod(a.shape[len(lead) :]),))
+    if flat.shape[-1] >= 8:
+        return flat.sum(axis=-1)
+    return flat.T.copy().sum(axis=0).T
+
+
 def _increments(sys: SystemLike, t: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``P - I`` for the Gauss-Legendre propagators ``P`` of the steps ``[t, t + h]``,
     and the system's size (largest entry) at each step's ``_STAGES`` stage times.
@@ -173,8 +200,9 @@ def _increments(sys: SystemLike, t: np.ndarray, h: np.ndarray) -> tuple[np.ndarr
 
 
 def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float, frames: np.ndarray,
-           plane: bool) -> tuple[np.ndarray | None, np.ndarray]:
-    """The stack ``frames`` after each step of a chain, and each step's error over its bound.
+           plane: bool, first: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """The stack ``frames`` at the end of each step of a chain, and at a node
+    inside it, and each step's error over its bound.
 
     Each step is taken whole and as two halves; the halves' product is the
     propagator, and the gap between the two, over ``_DOUBLING``, its error,
@@ -184,53 +212,77 @@ def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float, frames: n
     tested on the planes it carries instead, each frame on its own
     (:func:`_plane_errors`).
 
+    The halves are equal unless ``first``, the length of each step's part up
+    to a node (nan for none), says otherwise.  A step with a node inside, a
+    pair of node intervals, is halved there, and its frames at that node are
+    its first half's propagator applied to the frames before it.  A step
+    whose part is the whole step, a lone node interval, moves by its single
+    propagator, whose error is the halves' gap times ``2**_ORDER /
+    _DOUBLING``.  Either way a node is reached by the single step from the
+    frames before it, as a march that ends there reaches it.
+
     The steps follow one another.  ``frames`` are moved by :func:`_chain` as
     far as the first step that fails whatever the frame; steps after it are
-    not evaluated.  A step whose propagator is not finite, or a batch whose
-    system has a pole at a stage time or whose stage solve is singular, gets
-    an infinite error.  Poles overflow on the way, so floating-point warnings
-    are off.
+    not evaluated.  The frames come as a ``(K, 2)`` stack: at the node inside
+    each step (unset where there is none), and at its end.  A step whose
+    propagator is not finite, or a batch whose system has a pole at a stage
+    time or whose stage solve is singular, gets an infinite error.  Poles
+    overflow on the way, so floating-point warnings are off.
     """
-    half = 0.5 * h
+    k = t.size
+    single, inner = first == h, np.abs(first) < np.abs(h)
+    cut = np.where(inner, first, 0.5 * h)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            d, size = _increments(sys, np.concatenate([t, t, t + half]),
-                                  np.concatenate([h, half, half]))
+            d, size = _increments(sys, np.concatenate([t, t, t + cut]),
+                                  np.concatenate([h, cut, h - cut]))
         except (PoleError, np.linalg.LinAlgError):
-            return None, np.full(t.size, np.inf)
-        k = t.size
+            return None, np.full(k, np.inf)
         d1, d2 = d[k : 2 * k], d[2 * k :]
         inc = d1 + d2 + d2 @ d1
         gap = d[:k] - inc
+        if single.any():
+            inc[single] = d[:k][single]
+            gap[single] *= 2.0**_ORDER
         scale = 1.0 + _absmax(inc, 2)
         top = _absmax(gap, 2)
         err = top / (_DOUBLING * _SAFETY * rtol * scale)
-        if plane:
-            size = size.reshape(3, k, _STAGES)  # whole, first half, second half
-            smooth = np.max(size, axis=(0, 2)) <= _VARIATION_MAX * np.min(size, axis=(0, 2))
+        if plane:  # the sizes at the stage times of the whole step and of its halves
+            size = size.reshape(3, k, _STAGES).transpose(0, 2, 1).reshape(3 * _STAGES, k)
+            smooth = size.max(axis=0) <= _VARIATION_MAX * size.min(axis=0)
             err = np.where(smooth, top / (_SHARE_MAX * scale), err)
         passing = err <= 1.0
         idx = np.arange(k if passing.all() else int(np.argmin(passing)))
-        steps = _chain(frames, inc[idx])
+        steps = np.empty((idx.size, 2) + frames.shape)
+        at = np.flatnonzero(inner[idx])
+        steps[:, 1], steps[at, 0] = _chain(frames, inc[idx], (at, d1[at]))
         if plane:  # the frames before each step: the march's, then the chain's
-            before = np.concatenate([frames[None], steps[:-1]])[: idx.size]
+            before = np.concatenate([frames[None], steps[:-1, 1]])[: idx.size]
             err[idx] = np.where(smooth[idx], np.maximum(err[idx], _plane_errors(
                 inc[idx], gap[idx], before, _SAFETY * rtol)), err[idx])
     return steps, np.where(np.isfinite(err), err, np.inf)
 
 
-def _chain(f: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """The stack of frames ``f`` after each step of increment ``inc[i]`` in turn.
+def _chain(f: np.ndarray, inc: np.ndarray,
+           part: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The stack of frames ``f`` after each step of increment ``inc[i]`` in turn,
+    and after the parts of some steps.
 
     Each step gives ``_renormalise(f + inc[i] @ f)`` bit for bit, but the
     exact size of the frames, and the QR, are needed only where a bound on it
     passes ``_GROWTH``: max|f + inc f| <= max|f| (1 + the largest row sum of
     |inc|), and a relative slack of 1e-12 a step covers the rounding of the
     chain and of the bound.
+
+    ``part``, step indices ``i`` and increments ``d``, asks for the frames
+    after the part ``d[j]`` of step ``i[j]``, off the chain: with ``g`` the
+    frames before that step, ``_renormalise(g + d[j] @ g)``, bit for bit what
+    the chain would give for a step ``d[j]``.  They are returned second.
     """
     out = np.empty((inc.shape[0],) + f.shape)
+    start = f
     top = float(np.abs(f).max())
-    grow = (1.0 + np.max(np.sum(np.abs(inc), axis=2), axis=1)) * (1.0 + 1e-12)
+    grow = (1.0 + _absmax(_sum(np.abs(inc), 1), 1)) * (1.0 + 1e-12)
     for i, g in enumerate(grow.tolist()):
         f = f + inc[i] @ f
         top *= g
@@ -240,7 +292,12 @@ def _chain(f: np.ndarray, inc: np.ndarray) -> np.ndarray:
                 f = _renormalise(f)
                 top = float(np.abs(f).max())
         out[i] = f
-    return out
+    at, d = part
+    if not at.size:
+        return out, out[:0]
+    g = out[at - 1]
+    g[at == 0] = start
+    return out, _renormalise(g + d[:, None] @ g)
 
 
 def _renormalise(f: np.ndarray) -> np.ndarray:
@@ -272,31 +329,40 @@ def _plane_errors(inc: np.ndarray, gap: np.ndarray, before: np.ndarray,
     u, sv, _ = np.linalg.svd(q + inc[:, None] @ q, full_matrices=False)
     eq = gap[:, None] @ q
     out = eq - u @ (np.swapaxes(u, -1, -2) @ eq)
-    err = np.sqrt(np.sum(out * out, axis=(-2, -1))) / (_DOUBLING * sv[..., -1] * bound)
-    return np.max(err, axis=1)
+    err = np.sqrt(_sum(out * out, 2)) / (_DOUBLING * sv[..., -1] * bound)
+    return _absmax(err, 1)
 
 
-def _proposed(nodes: np.ndarray, t: float, k: int, h: float,
-              g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Starts, stops, node-end flags and whole-length flags of the steps of one
-    batch from ``t``, whose next node is ``nodes[k]``.
+def _proposed(nodes: np.ndarray, t: float, k: int, h: float, g: float) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Starts, stops, node-end flags, whole-length flags and inner nodes of the
+    steps of one batch from ``t``, whose next node is ``nodes[k]``.
 
     A node interval within reach of h (one step of length at most h, with a
     relative slack of 1e-12) is one step.  The batch takes every leading node
     interval within reach, at most ``_RUN`` of them; the run is found with
     numpy on the look-ahead, and only when the next node is within reach, so
-    a batch bound by the error pays nothing for it.  Then it proposes the lengths ``h g**i``, up to ``_BATCH`` steps in all:
-    each node interval takes the fewest of the next lengths that reach its
-    node, scaled by gap/sum so that the last ends on it, and steps short of
-    their node keep their lengths.  At g = 1 each node interval reached is
-    thus split evenly.  The batch ends at the last of ``nodes``.  A step is
-    whole unless a node cut it below half its proposed length.
+    a batch bound by the error pays nothing for it.  Where h covers two of
+    its intervals, the run takes them in pairs (:func:`_paired`).  Then it
+    proposes the lengths ``h g**i``, up to ``_BATCH`` steps and run intervals
+    in all: each node interval takes the fewest of the next lengths that
+    reach its node, scaled by gap/sum so that the last ends on it, and steps
+    short of their node keep their lengths.  At g = 1 each node interval
+    reached is thus split evenly.  The batch ends at the last of ``nodes``.
+    A step is whole unless a node cut it below half its proposed length.
+    A step's inner node is the node that its single propagator from its
+    start reaches: the middle node of a pair, the stop of a lone interval,
+    nan for any other step.
     """
     run, part = 0, np.zeros(0)  # part: each leading node interval over h
     if abs(float(nodes[k]) - t) / h * (1.0 - 1e-12) <= 1.0:
         part = np.abs(np.diff(nodes[k : k + _RUN], prepend=t)) / h
         reach = part * (1.0 - 1e-12) <= 1.0
         run = part.size if reach.all() else int(np.argmin(reach))
+    head, span, inside = nodes[k : k + run], part[:run], np.zeros(0)
+    twice = span * (1.0 - 1e-12) <= 0.5
+    if twice.any():
+        head, span, inside = _paired(head, span, twice)
     s, j = (float(nodes[k + run - 1]), k + run) if run else (t, k)
     room = _BATCH - run if j < nodes.size else 0
     marched = np.cumsum(h * g ** np.arange(room))
@@ -316,11 +382,41 @@ def _proposed(nodes: np.ndarray, t: float, k: int, h: float,
         cuts.append(i)
         s, base, first = node, end, i + 1
     anchor, ref, scale = np.repeat(np.array(rows).reshape(-1, 3), counts, axis=0).T
-    stops = np.concatenate([nodes[k : k + run], anchor + (marched[: scale.size] - ref) * scale])
-    ends = np.arange(stops.size) < run
-    ends[[run + i for i in cuts]] = True
+    stops = np.concatenate([head, anchor + (marched[: scale.size] - ref) * scale])
+    ends = np.arange(stops.size) < head.size
+    ends[[head.size + i for i in cuts]] = True
+    mids = np.full(stops.size, np.nan)
+    mids[: inside.size] = inside
     return (np.concatenate([[t], stops[:-1]]), stops, ends,
-            np.concatenate([part[:run], np.abs(scale)]) >= 0.5)
+            np.concatenate([span, np.abs(scale)]) >= 0.5, mids)
+
+
+def _paired(stops: np.ndarray, part: np.ndarray,
+            twice: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The steps of a run of node intervals that end at ``stops``, each
+    ``part`` of h long: their stops, their lengths over h and their inner
+    nodes (:func:`_proposed`).  ``twice`` marks the intervals that fit twice
+    in h.
+
+    Neighbours that both fit twice and are equal to a relative 1e-9 pair up,
+    from the left of each stretch of them, and each pair is one step halved
+    at its middle node.  Any other interval is one step, and one that fits
+    twice is lone: it moves by its single propagator, as the first half of a
+    pair does, so that a march that stops at a node reaches it as the march
+    past it does when both steps pass.  All of it is numpy, with no loop
+    over the intervals.
+    """
+    same = twice[1:] & twice[:-1] & (
+        np.abs(part[1:] - part[:-1]) <= 1e-9 * np.maximum(part[1:], part[:-1]))
+    i = np.flatnonzero(same)
+    head = np.ones(i.size, dtype=bool)  # the starts of the stretches of equal neighbours
+    head[1:] = i[1:] - i[:-1] > 1
+    i = i[(i - np.maximum.accumulate(i * head)) % 2 == 0]  # each start and every other one after it
+    lead = np.ones(stops.size, dtype=bool)
+    lead[i + 1] = False
+    s = np.flatnonzero(lead)
+    return (stops[np.append(s[1:], stops.size) - 1], np.add.reduceat(part, s),
+            np.where(twice[s], stops[s], np.nan))
 
 
 def _grade(starts: np.ndarray, lengths: np.ndarray, err: np.ndarray, h: float) -> float:
@@ -350,8 +446,9 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     entry per node, the first being ``frames``.  ``sys`` gives the system at
     a 1-D array of times, as the dense stack of its matrices or as the
     rank-one pair ``(u, w)`` of :func:`_increments`; the form changes how a
-    step is computed, not how steps are chosen.  Every node is a step end, so
-    nothing is interpolated.  A batch of steps (:func:`_batch`) is accepted
+    step is computed, not how steps are chosen.  Every node is a step end
+    or the node inside a pair step, so nothing is interpolated.  A batch of
+    steps (:func:`_batch`) is accepted
     up to the first step whose error estimate exceeds its bound.  h then
     follows the local error rule of order ``_ORDER + 1``: from the rejected
     step, at most ten times shorter, or, when the whole batch is accepted,
@@ -366,10 +463,14 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     steps the march takes up to the first that fails; it goes on from the
     longest it took, with g = 1.  If the chain's first step fails, a chain
     below it follows.  After the opening, a batch takes every leading node
-    interval within reach of h as one step, up to ``_RUN`` of them, so a
-    march whose steps are set by its grid takes few batches; then it adds
-    steps ``h g**i`` bound by the error, up to ``_BATCH`` steps in all, each
-    node interval they reach taking the fewest of them that cover it.
+    interval within reach of h, up to ``_RUN`` of them, so a march whose
+    steps are set by its grid takes few batches.  Once h covers two of
+    them, equal neighbours go in pairs, one step each, and an interval left
+    without a partner is a lone step (:func:`_paired`), so the march makes
+    one error test and one chain step for two nodes.  Then the batch adds
+    steps ``h g**i`` bound by the error, up to ``_BATCH`` steps and run
+    intervals in all, each node interval they reach taking the fewest of
+    them that cover it.
 
     A plane march, of one frame of rank k < 2n or, with ``planes``, of a
     stack of such frames, is marched on the error of each frame's plane
@@ -386,10 +487,10 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     each frame of a stack moves as it would alone.  An rtol below
     ``_RTOL_MIN`` is raised to it, as DOP853 does.
     Every march takes its frames from those :func:`_batch` returns after
-    each step, moved by the propagators in one chain (:func:`_chain`); only
-    the spans are meaningful.  Only the frames at the nodes and one batch of
-    frames are held.  A step length that underflows, as near a pole, raises
-    :class:`PoleError`.
+    each step, moved by the propagators in one chain (:func:`_chain`), and
+    at the node inside each pair step; only the spans are meaningful.  Only
+    the frames at the nodes and one batch of frames are held.  A step length
+    that underflows, as near a pole, raises :class:`PoleError`.
     """
     nodes = np.asarray(nodes, dtype=float)
     frames = np.asarray(frames, dtype=float)
@@ -405,17 +506,19 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     while k < nodes.size:
         # the opening takes the whole first node interval, and after it fails
         # a chain of steps doubling from h 2**-_BATCH up to h/2, short of the node
-        starts, stops, ends, whole = _proposed(nodes[: k + 1] if opening else nodes, t, k,
-                                               h * 2.0 ** -_BATCH if g == 2.0 else h, g)
+        starts, stops, ends, whole, mids = _proposed(nodes[: k + 1] if opening else nodes, t, k,
+                                                     h * 2.0 ** -_BATCH if g == 2.0 else h, g)
         lengths = np.abs(stops - starts)
-        steps, err = _batch(sys, starts, stops - starts, rtol, f, plane)
+        steps, err = _batch(sys, starts, stops - starts, rtol, f, plane, mids - starts)
         taken = np.arange(int(np.argmax(err > 1.0)) if np.any(err > 1.0) else err.size)
         if taken.size:
-            at = taken[ends[taken]]
-            f = steps[taken[-1]]
-            out[k : k + at.size] = steps[at]
-            k += at.size
-            t = float(stops[taken[-1]])
+            n = taken.size  # the nodes reached: inside each step, then at its end
+            at = np.stack([np.abs(mids[:n] - starts[:n]) < lengths[:n], ends[:n]], axis=1)
+            reached = steps[:n][at]
+            f = steps[n - 1, 1]
+            out[k : k + len(reached)] = reached
+            k += len(reached)
+            t = float(stops[n - 1])
         chain, opening = opening and g != 1.0, opening and not taken.size
         if opening:  # a chain below the shortest length that failed
             h, g = float(lengths[0]), 2.0

@@ -68,19 +68,24 @@ def srecip(a: np.ndarray, nterms: int | None = None) -> np.ndarray:
     """Reciprocal series of ``a``; requires a nonzero constant term.
 
     The recursion runs on Python floats: the same IEEE operations in the
-    same order as on numpy scalars, at a fraction of the cost.
+    same order as on numpy scalars, at a fraction of the cost.  It skips the
+    zero coefficients of ``a``: on finite values a zero term adds an exact
+    zero to a sum that starts at +0.0, which leaves it unchanged.
     """
     a = np.asarray(a, dtype=float)
     if a[0] == 0.0:
         raise DegenerateError("cannot invert a series with zero constant term")
     n = a.size if nterms is None else nterms
     c = a.tolist()
+    terms = [(j, cj) for j, cj in enumerate(c) if j and cj != 0.0]
     out = [0.0] * n
     out[0] = 1.0 / c[0]
     for k in range(1, n):
         acc = 0.0
-        for j in range(1, min(k, len(c) - 1) + 1):
-            acc += c[j] * out[k - j]
+        for j, cj in terms:
+            if j > k:
+                break
+            acc += cj * out[k - j]
         out[k] = -acc / c[0]
     return np.array(out, dtype=float)
 
@@ -134,12 +139,17 @@ def vsigma(u: np.ndarray, v: np.ndarray, nterms: int | None = None) -> np.ndarra
 
 
 def minv(a: np.ndarray, nterms: int | None = None) -> np.ndarray:
-    """Inverse of a square matrix stack; requires an invertible constant term."""
+    """Inverse of a square matrix stack; requires an invertible constant term.
+
+    The recursion runs on ``a`` without its trailing zero orders
+    (:func:`strim`), which would only add exact zeros to its sums.
+    """
     a = np.asarray(a, dtype=float)
     s = np.linalg.svd(a[0], compute_uv=False)
     if s[-1] <= 1e-13 * s[0]:
         raise DegenerateError("cannot invert a matrix series with singular constant term")
     n = a.shape[0] if nterms is None else nterms
+    a = strim(a)
     out = np.zeros((n,) + a.shape[1:])
     inv0 = np.linalg.inv(a[0])
     out[0] = inv0

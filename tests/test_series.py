@@ -91,6 +91,57 @@ def test_srecip_is_bit_for_bit_the_numpy_scalar_recursion(a, nterms):
     assert srecip(a, nterms).tobytes() == ref.tobytes()
 
 
+def _reference_minv(a, nterms=None):
+    """The recursion minv runs, over every order of ``a``, zeros included."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0] if nterms is None else nterms
+    out = np.zeros((n,) + a.shape[1:])
+    inv0 = np.linalg.inv(a[0])
+    out[0] = inv0
+    for k in range(1, n):
+        hi = min(k, a.shape[0] - 1)
+        out[k] = -inv0 @ np.einsum("jrs,jsc->rc", a[1 : hi + 1], out[k - hi : k][::-1])
+    return out
+
+
+@st.composite
+def _sparse_orders(draw, shape):
+    """A series of ``shape`` slices with some orders zero, inside and at the end."""
+    count = draw(st.integers(2, 24))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3, size=(count,) + (1,) * len(shape))
+    a = rng.normal(size=(count,) + shape) * scale
+    a[1:][rng.random(count - 1) < draw(st.floats(0.2, 0.8))] = 0.0
+    a[count - draw(st.integers(0, count - 1)) :] = 0.0
+    a[0] = (a[0] if shape else abs(a[0])) + 3.0 * (np.eye(*shape[:1]) if shape else 1.0)
+    return a, draw(st.none() | st.integers(1, 30))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_orders(()))
+def test_srecip_of_a_sparse_series_skips_its_zeros_bit_for_bit(sparse):
+    # srecip loops over the nonzero coefficients only, and its values stay
+    # those of the loop over every coefficient
+    a, nterms = sparse
+    with np.errstate(all="ignore"):
+        ref = _reference_srecip(a, nterms)
+    assume(np.all(np.isfinite(ref)))
+    assert srecip(a, nterms).tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: _sparse_orders((r, r))))
+def test_minv_of_a_sparse_series_drops_its_trailing_zeros_bit_for_bit(sparse):
+    # minv runs its recursion on the series without its trailing zero
+    # orders, and its values stay those of the recursion over every order
+    a, nterms = sparse
+    with np.errstate(all="ignore"):
+        ref = _reference_minv(a, nterms)
+    assume(np.all(np.isfinite(ref)))
+    assert minv(a, nterms).tobytes() == ref.tobytes()
+
+
 def test_sconv_matches_polynomial_product():
     a = np.array([1.0, 2.0])
     b = np.array([3.0, 0.0, 1.0])

@@ -142,12 +142,12 @@ def test_every_march_steps_by_one_batch_and_one_chain():
     # batches of Gauss-Legendre steps (flows._batch), not by solve_ivp, that
     # one builder places (flows._proposed), and moves every frame by the one
     # chain of propagators (flows._chain), which alone renormalises a frame
-    # that grows
+    # that grows: along the chain, and at the nodes inside its pair steps
     assert _call_sites("solve_ivp") == []
     assert _call_sites("_batch") == ["jacobiflow.flows._integrate"]
     assert _call_sites("_increments") == ["jacobiflow.flows._batch"]
     assert _call_sites("_chain") == ["jacobiflow.flows._batch"]
-    assert _call_sites("_renormalise") == ["jacobiflow.flows._chain"]
+    assert _call_sites("_renormalise") == ["jacobiflow.flows._chain"] * 2
     assert _call_sites("_plane_errors") == ["jacobiflow.flows._batch"]
     assert _call_sites("_proposed") == ["jacobiflow.flows._integrate"]
 
@@ -309,13 +309,23 @@ def test_every_exported_name_resolves():
 
 def test_corpus_timings_script_times_one_op():
     # tools/corpus_timings.py is the one command behind the Baseline table
-    # of ROADMAP.md: the cold import, then the chosen corpus ops
+    # of ROADMAP.md: the cold import, then the chosen corpus ops, each with
+    # its transport's work: the corpus regular march's opening step and its
+    # 99 pairs of node intervals, three propagators each, and no QR
     script = SRC.parent / "tools" / "corpus_timings.py"
-    out = subprocess.run([sys.executable, str(script), "--op", "regular.trace", "--repeat", "1"],
+    out = subprocess.run([sys.executable, str(script), "--op", "regular.trace", "--op",
+                          "degen_m3.trace", "--repeat", "1"],
                          capture_output=True, text=True, check=True)
-    rows = [line.rsplit(None, 2) for line in out.stdout.splitlines()]
-    assert [name for name, _, _ in rows] == ["import jacobiflow.cli", "regular.trace"]
-    assert all(float(seconds) > 0.0 and unit == "s" for _, seconds, unit in rows)
+    cold, *lines = out.stdout.splitlines()
+    name, seconds, unit = cold.rsplit(None, 2)
+    assert name == "import jacobiflow.cli" and float(seconds) > 0.0 and unit == "s"
+    rows = {op: fields for op, *fields in (line.split() for line in lines)}
+    assert list(rows) == ["regular.trace", "degen_m3.trace"]
+    assert all(float(fields[0]) > 0.0 and fields[1] == "s" for fields in rows.values())
+    work = {op: dict(zip(fields[2::2], map(int, fields[3::2]))) for op, fields in rows.items()}
+    assert work["regular.trace"] == {"batches": 2, "propagators": 300, "chain_steps": 100, "qrs": 0}
+    assert list(work["degen_m3.trace"]) == ["batches", "propagators", "chain_steps", "qrs"]
+    assert work["degen_m3.trace"]["qrs"] > 0
 
 
 def test_corpus_accuracy_script_measures_the_chosen_ops():

@@ -1,5 +1,5 @@
 """Corpus timings: the best in-process wall time of each corpus op, and the
-cold import of the CLI.
+cold import of the CLI, with the transport's work per op.
 
 Run from anywhere::
 
@@ -12,6 +12,13 @@ interpreter, timed around the import alone.  Every figure is the best of
 ``--repeat`` runs, in raw wall seconds, not scaled to the host's speed, so
 compare figures taken on one host in one sitting.  The rows are those of the
 Baseline table of ``ROADMAP.md``.
+
+Beside each op's time come the counts of one more, untimed run: the
+transport's batches and evaluated propagators (calls of
+``flows._increments`` and the steps they take), the steps of its frame
+chains (``flows._chain``) and the frames it orthonormalises by a QR
+(``flows._renormalise``).  They do not depend on the host, so they show a
+change of step control without the noise of the timings.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ CORPUS = ROOT / "perfbench" / "corpus"
 OPS = ("regular.trace", "regular.maslov", "order2.trace", "degen_m1.trace",
        "degen_m2.trace", "degen_m3.trace", "bangbang.bangbang", "portrait.portrait")
 IMPORT = "import jacobiflow.cli"
+#: the transport's work counted per op, in the order printed
+COUNTS = ("batches", "propagators", "chain_steps", "qrs")
 COLD_IMPORT = (
     "import sys, time\n"
     "sys.path.insert(0, sys.argv[1])\n"
@@ -63,6 +72,42 @@ def op_s(cli, op: str, out: Path, repeat: int) -> float:
     return best
 
 
+@contextlib.contextmanager
+def counted(flows):
+    """Count the transport's work while the block runs, by wrapping the kernel."""
+    counts = dict.fromkeys(COUNTS, 0)
+    increments, chain, renormalise = flows._increments, flows._chain, flows._renormalise
+
+    def evaluated(sys, t, h):
+        counts["batches"] += 1
+        counts["propagators"] += t.size
+        return increments(sys, t, h)
+
+    def chained(f, inc, *part):
+        counts["chain_steps"] += inc.shape[0]
+        return chain(f, inc, *part)
+
+    def orthonormalised(f):
+        counts["qrs"] += int((abs(f).max(axis=(-2, -1)) > flows._GROWTH).sum())
+        return renormalise(f)
+
+    flows._increments, flows._chain, flows._renormalise = evaluated, chained, orthonormalised
+    try:
+        yield counts
+    finally:
+        flows._increments, flows._chain, flows._renormalise = increments, chain, renormalise
+
+
+def op_counts(cli, op: str, out: Path) -> dict[str, int]:
+    """The transport's work in one run of a corpus op."""
+    from jacobiflow import flows
+
+    scenario, verb = op.split(".")
+    with counted(flows) as counts, contextlib.redirect_stderr(io.StringIO()):
+        cli.main([verb, str(CORPUS / f"{scenario}.json"), "--out", str(out / f"{op}.csv")])
+    return counts
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=5, help="runs per figure (default 5)")
@@ -74,10 +119,12 @@ def main(argv: list[str] | None = None) -> int:
     from jacobiflow import cli
 
     with tempfile.TemporaryDirectory() as out:
-        rows += [(op, op_s(cli, op, Path(out), args.repeat)) for op in args.op or OPS]
+        counts = {op: op_counts(cli, op, Path(out)) for op in args.op or OPS}
+        rows += [(op, op_s(cli, op, Path(out), args.repeat)) for op in counts]
     width = max(len(name) for name, _ in rows)
     for name, seconds in rows:
-        print(f"{name:<{width}}  {seconds:.4f} s")
+        work = "".join(f"  {key} {value}" for key, value in counts.get(name, {}).items())
+        print(f"{name:<{width}}  {seconds:.4f} s{work}")
     return 0
 
 
