@@ -356,9 +356,9 @@ def _trace_columns(n: int) -> list[str]:
 def _trace_rows(curve: GrassmannCurve, jumps: list[JumpEvent],
                 n: int) -> tuple[list[list], _SpectralFlow]:
     # the Maslov pass over Pi is returned so that the maslov verb counts on
-    # it too; it validates every node of the one stack of planes, so the
+    # it too; it validates every node of the curve's stack of planes, so the
     # chart columns (chart (Sigma, Pi), prepared once per n) solve on it as it is
-    planes = np.stack(curve.planes)
+    planes = curve.planes
     flow = _spectral_flow(planes, vertical_plane(n))
     partial = flow.partial_sums()
     charts = _chart_matrix(planes, _sigma_pi_chart(n)).reshape(len(planes), -1)
@@ -427,10 +427,10 @@ def _run_interval_mode(config: ScenarioConfig) -> TraceOutput:
         "n": config.n,
         "seed": config.seed,
         "order_m": seq.first_nonzero,
-        "events": _event_summaries(trace.jumps),
+        "events": [],
         "diagnostics": trace.diagnostics,
     }
-    rows, flow = _trace_rows(trace.curve, trace.jumps, config.n)
+    rows, flow = _trace_rows(trace.curve, [], config.n)
     return TraceOutput(_trace_columns(config.n), rows, summary, flow)
 
 
@@ -438,7 +438,7 @@ def _run_bangbang(config: ScenarioConfig) -> TraceOutput:
     x_list = config.data["x_list"]
     planes = bang_bang_sequence(config.initial_plane, x_list)
     times = np.arange(len(planes), dtype=float)
-    moved = plane_distance(np.stack(planes[:-1]), np.stack(planes[1:])) > 1e-10
+    moved = plane_distance(planes[:-1], planes[1:]) > 1e-10
     jumps = [JumpEvent(time=float(i + 1), pre_plane=planes[i], post_plane=planes[i + 1],
                        inserted=x_list[i]) for i in np.flatnonzero(moved).tolist()]
     curve = GrassmannCurve(times=times, planes=planes)
@@ -519,19 +519,20 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
             raise ConfigError("tolerances.eps_family: no entry lies below grid.t0")
         times = grid[:1]
         _check_radius(frame, float(times[-1]))
-        family = np.stack(epsilon_family_oracle(frame.coeffs, l0_nf, float(grid[0]), eps, rtol=rtol))
+        family = epsilon_family_oracle(frame.coeffs, l0_nf, float(grid[0]), eps, rtol=rtol)
         nf_planes = family[-1:]
         summary["eps_family"] = list(map(float, eps))
         summary["oracle_distances"] = plane_distance(family[:-1], family[1:]).tolist()
     # M(t) maps the planes back at t_h and the nodes before it only; past t_h the
     # curve solves the order-0 Jacobi equation of the original data, one march
     t_h = float(times[-1])
-    local = canonicalize(meval(frame.frame, times) @ np.stack(nf_planes))
+    local = canonicalize(meval(frame.frame, times) @ nf_planes)
     kept = int(np.count_nonzero(grid <= t_h))
-    planes = list(local[:kept])
+    planes = local[:kept]
     if kept < grid.size:
-        planes += singular_jacobi_curve(data, local[-1], (t_h, float(grid[-1])),
-                                        np.append(t_h, grid[kept:]), rtol=rtol).curve.planes[1:]
+        past = singular_jacobi_curve(data, local[-1], (t_h, float(grid[-1])),
+                                     np.append(t_h, grid[kept:]), rtol=rtol).curve
+        planes = np.concatenate([planes, past.planes[1:]])
     rows, flow = _trace_rows(GrassmannCurve(times=grid, planes=planes), [jump], config.n)
     return TraceOutput(columns, rows, summary, flow)
 
@@ -782,29 +783,24 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(obj, sort_keys=True), file=sys.stderr)
         return code
 
-    if args.batch:
-        out_dir = Path(args.out) if args.out else None
-        if out_dir is not None:
-            try:
-                out_dir.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:  # e.g. --out names a regular file
-                obj, code = _error_object(exc, "emit", None)
-                print(json.dumps(obj, sort_keys=True), file=sys.stderr)
-                return code
-        code = EXIT_OK
-        for path in args.scenario:
-            target = _default_out(Path(path), args.format, out_dir) if out_dir else None
-            err, one_code = _process_one(path, args.verb, args.format, target, args.seed, overrides)
-            if err is not None:
-                print(json.dumps(err, sort_keys=True), file=sys.stderr)
-                if code == EXIT_OK:
-                    code = one_code
-        return code
-
+    # --out names the output file of a single run and the output directory of
+    # a batch run; without it each output goes next to its scenario
     out = Path(args.out) if args.out else None
-    err, code = _process_one(args.scenario[0], args.verb, args.format, out, args.seed, overrides)
-    if err is not None:
-        print(json.dumps(err, sort_keys=True), file=sys.stderr)
+    if args.batch and out is not None:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # e.g. --out names a regular file
+            obj, code = _error_object(exc, "emit", None)
+            print(json.dumps(obj, sort_keys=True), file=sys.stderr)
+            return code
+    code = EXIT_OK
+    for path in args.scenario:
+        target = _default_out(Path(path), args.format, out) if args.batch and out else out
+        err, one_code = _process_one(path, args.verb, args.format, target, args.seed, overrides)
+        if err is not None:
+            print(json.dumps(err, sort_keys=True), file=sys.stderr)
+            if code == EXIT_OK:
+                code = one_code
     return code
 
 

@@ -266,10 +266,9 @@ class JumpEvent:
 
 @dataclass
 class JacobiTrace:
-    """A sampled curve of Lagrangian planes plus its jump events."""
+    """A sampled curve of Lagrangian planes plus the diagnostics of its march."""
 
     curve: GrassmannCurve
-    jumps: list[JumpEvent] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -386,13 +385,13 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
         pair = np.abs(gram(xi, frames)).max(axis=(1, 2)) / np.maximum(1.0, norm)
         drift = max(drift, float(pair.max()))
 
-    curve = GrassmannCurve(times=grid, planes=list(planes))
+    curve = GrassmannCurve(times=grid, planes=planes)
     diag = {
         "order": m,
         "conservation_drift": drift,
         "lagrangian_residual": float(np.max(isotropy_residual(planes))),
     }
-    return JacobiTrace(curve=curve, jumps=[], diagnostics=diag)
+    return JacobiTrace(curve=curve, diagnostics=diag)
 
 
 def infinite_order_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
@@ -420,14 +419,14 @@ def infinite_order_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
     plane = extend_by_isotropic(l_init, gamma)
     times = np.array([t0, t1])
     curve = GrassmannCurve(times=times, planes=[plane, plane])
-    return JacobiTrace(curve=curve, jumps=[], diagnostics={"order": None})
+    return JacobiTrace(curve=curve, diagnostics={"order": None})
 
 
-def bang_bang_sequence(l0: np.ndarray, x_list: Sequence[np.ndarray]) -> list[np.ndarray]:
+def bang_bang_sequence(l0: np.ndarray, x_list: Sequence[np.ndarray]) -> np.ndarray:
     """Planes of the bang-bang recursion ``L_{i+1} = L_i ^ {X_i} = (L_i ∩ X_i^∠) + X_i``.
 
-    Returns the list ``[L_0, L_1, ..]`` of canonical frames (length
-    ``len(x_list) + 1``).  Pure linear algebra, no integration.
+    Returns the ``(len(x_list) + 1, 2n, n)`` stack ``L_0, L_1, ..`` of
+    canonical frames.  Pure linear algebra, no integration.
 
     Each switch inserts one vector, so it is a rank-one update of an
     orthonormal frame Q of the plane: the pairing row p = sigma(X_i, Q)
@@ -454,4 +453,4 @@ def bang_bang_sequence(l0: np.ndarray, x_list: Sequence[np.ndarray]) -> list[np.
             qh = q - np.outer(q @ v, v * (2.0 / (v @ v)))
             q = np.linalg.qr(np.column_stack([qh[:, :-1], x]))[0]
         frames.append(q)
-    return list(canonicalize(np.stack(frames)))
+    return canonicalize(np.stack(frames))

@@ -88,7 +88,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PoleError, PreconditionError
-from .grassmann import GrassmannCurve, canonicalize
+from .grassmann import GrassmannCurve, _as_frame, canonicalize
 
 __all__ = ["flow_plane"]
 
@@ -552,11 +552,7 @@ def flow_plane(sys: SystemLike, l0: np.ndarray, grid: Sequence[float], *,
     steps = np.diff(grid)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise PreconditionError("grid must be strictly monotone")
-    f = np.asarray(l0, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
-    q, _ = np.linalg.qr(f)
-    frames = _integrate(sys, q, grid, rtol)
+    frames = _integrate(sys, np.linalg.qr(_as_frame(l0))[0], grid, rtol)
     frames[1:] = np.linalg.qr(frames[1:])[0]
-    return GrassmannCurve(times=grid, planes=list(canonicalize(frames)))
+    return GrassmannCurve(times=grid, planes=canonicalize(frames))
 

@@ -323,12 +323,13 @@ class GrassmannCurve:
 
     Attributes
     ----------
-    times : (m,) array, strictly increasing
-    planes : list of (2n, n) frames, one per time
+    times : (K,) array, strictly increasing
+    planes : (K, 2n, k) float array, the frame at each time; a list of
+        frames of one shape is stacked on entry
     """
 
     times: np.ndarray
-    planes: list[np.ndarray]
+    planes: np.ndarray
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -336,6 +337,7 @@ class GrassmannCurve:
             raise PreconditionError("curve needs one plane per time node")
         if self.times.shape[0] >= 2 and not np.all(np.diff(self.times) > 0):
             raise PreconditionError("curve times must be strictly increasing")
-        self.planes = [np.asarray(p, dtype=float) for p in self.planes]
-        if len({p.shape for p in self.planes}) > 1:
-            raise PreconditionError("curve planes must share one shape")
+        try:
+            self.planes = np.asarray(self.planes, dtype=float)
+        except ValueError as exc:  # numpy refuses frames of different shapes
+            raise PreconditionError("curve planes must share one shape") from exc

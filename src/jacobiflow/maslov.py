@@ -50,7 +50,6 @@ the partial sums carry ``nan`` on both intervals at such a node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -106,15 +105,14 @@ class _SpectralFlow:
         return int(np.sum(self.steps))
 
 
-def _spectral_flow(planes: Sequence[np.ndarray] | np.ndarray, pi: np.ndarray) -> _SpectralFlow:
+def _spectral_flow(planes: np.ndarray, pi: np.ndarray) -> _SpectralFlow:
     """Validate ``pi`` and every node, then count each interval (see module doc).
 
-    ``planes`` is a sequence of frames or their ``(K, 2n, n)`` stack, which is
-    used as it is.
+    ``planes`` is the ``(K, 2n, n)`` stack of a curve, used as it is; an
+    empty curve's array stands for a stack of no frames over ``pi``.
     """
     pi = validate_lagrangian(np.asarray(pi, dtype=float))
-    frames = validate_lagrangian(np.asarray(planes, dtype=float) if len(planes)
-                                 else np.empty((0,) + pi.shape))
+    frames = validate_lagrangian(planes if len(planes) else planes.reshape((0,) + pi.shape))
     both = np.concatenate([frames, np.broadcast_to(pi, frames.shape)], axis=-1)
     on_pi = frame_rank(both) < pi.shape[0]
     if len(frames) < 2:

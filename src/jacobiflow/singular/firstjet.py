@@ -16,6 +16,9 @@ the post-jump plane is the zero point:
    the curve solves a regular equation, which the caller marches on the
    original data.
 
+The jump itself is :func:`~jacobiflow.singular.jump.jump_operator`'s:
+:func:`first_jet_case` only checks that its chart covers the jump extension.
+
 The transformed block system keeps its pole in the same entry for all three
 transforms, so the conjugation is done numerically order by order instead of
 copying per-case formulas.
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine import JacobiTrace, JumpEvent
+from ..engine import JacobiTrace
 from ..errors import (
     ChartError,
     OscillatingError,
@@ -87,9 +90,6 @@ class JetCase:
     matrix: np.ndarray
     minv: np.ndarray
     s22plus: float
-    plane: np.ndarray
-    post_plane: np.ndarray
-    inserted: np.ndarray
 
 
 def _case_matrix(case: int, s22plus: float) -> np.ndarray:
@@ -126,16 +126,7 @@ def first_jet_case(plane: np.ndarray) -> JetCase:
 
     plane = canonicalize(np.asarray(plane, dtype=float))
     if plane.shape == (2, 1):
-        x0 = np.array([1.0, 0.0])
-        return JetCase(
-            case=1,
-            matrix=np.eye(2),
-            minv=np.eye(2),
-            s22plus=0.0,
-            plane=plane,
-            post_plane=extend_by_isotropic(plane, x0),
-            inserted=x0,
-        )
+        return JetCase(case=1, matrix=np.eye(2), minv=np.eye(2), s22plus=0.0)
     if plane.shape != (4, 2):
         raise PreconditionError("chart transforms exist for one or two degrees of freedom")
     # graphs are taken over the momentum span {q = 0}; the complement is the
@@ -150,9 +141,7 @@ def first_jet_case(plane: np.ndarray) -> JetCase:
             raise ChartError("plane is not transversal to the chart plane delta")
         return s
 
-    x0 = np.zeros(4)
-    x0[0] = 1.0
-    post = extend_by_isotropic(plane, x0)
+    post = extend_by_isotropic(plane, np.eye(4)[0])  # the jump extension by e_1
 
     s22plus = 0.0
     try:
@@ -187,15 +176,7 @@ def first_jet_case(plane: np.ndarray) -> JetCase:
         raise ChartError(
             "selected transform does not send the jump extension to the chart origin"
         )
-    return JetCase(
-        case=case,
-        matrix=mat,
-        minv=minv,
-        s22plus=s22plus,
-        plane=plane,
-        post_plane=post,
-        inserted=x0,
-    )
+    return JetCase(case=case, matrix=mat, minv=minv, s22plus=s22plus)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +379,8 @@ def first_jet_continuation(
     ``case`` is the chart transform data of the incoming plane
     (:func:`first_jet_case`).  The handover time t_h is ``series_start``, or
     the last grid point if the grid ends first.  The returned curve holds the
-    summed series planes at the grid points below t_h and at t_h itself, its
-    last time; the jump at time zero is recorded on the returned trace.
+    summed series planes, one stack of canonical frames, at the grid points
+    below t_h and at t_h itself, its last time.
     """
 
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -420,17 +401,11 @@ def first_jet_continuation(
                              times[:, None, None] * meval(stack, times)], axis=1)
     planes = canonicalize(case.minv @ frames)
 
-    curve = GrassmannCurve(times=times, planes=list(planes))
-    jump = JumpEvent(
-        time=0.0,
-        pre_plane=case.plane,
-        post_plane=case.post_plane,
-        inserted=case.inserted,
-    )
+    curve = GrassmannCurve(times=times, planes=planes)
     diagnostics = {
         "case": case.case,
         "order": coeffs.m,
         "series_start": t0,
         "equilibrium": stack[0],
     }
-    return JacobiTrace(curve=curve, jumps=[jump], diagnostics=diagnostics)
+    return JacobiTrace(curve=curve, diagnostics=diagnostics)

@@ -60,7 +60,7 @@ def epsilon_family_oracle(
     tau_eval: float,
     eps_list,
     rtol: float = 1e-12,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Planes ``Phi(tau_eval) Phi(eps)^-1 L0`` by renormalized integration.
 
     Integrates the exact rational block system from each starting time in
@@ -71,8 +71,9 @@ def epsilon_family_oracle(
     so on up to ``tau_eval``.  The stack is one plane march (``_integrate``
     with ``planes``): each frame is tested on its own plane, so each member
     meets its own error bound, and the steps are graded away from the pole.
-    One QR and one canonicalisation of the final stack give the members,
-    returned in the order of ``eps_list``; a repeated eps is marched once.
+    One QR and one canonicalisation of the final stack give the members as
+    one ``(len(eps_list), 2n, k)`` stack of canonical frames, in the order of
+    ``eps_list``; a repeated eps is marched once.
     """
     l0 = np.asarray(l0, dtype=float)
     if tau_eval <= 0.0:
@@ -86,4 +87,4 @@ def epsilon_family_oracle(
     for a, b in zip(times.tolist(), times[1:].tolist() + [float(tau_eval)]):
         stack = np.concatenate([stack, frame[None]])
         stack = _integrate(coeffs.system, stack, [a, b], rtol, planes=True)[-1]
-    return list(canonicalize(np.linalg.qr(stack)[0])[member])
+    return canonicalize(np.linalg.qr(stack)[0])[member]

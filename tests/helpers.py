@@ -64,4 +64,4 @@ def continued(coeffs, case, grid):
     if kept == grid.size:
         return trace, planes
     flow = flow_plane(coeffs.system, planes[-1], np.append(times[-1], grid[kept:]))
-    return trace, planes[:kept] + flow.planes[1:]
+    return trace, np.concatenate([planes[:kept], flow.planes[1:]])

@@ -379,6 +379,27 @@ def test_batch_out_naming_a_regular_file_is_an_io_error(tmp_path, capsys):
     assert taken.read_text() == "kept"
 
 
+def test_outputs_default_to_the_scenario_directory(tmp_path, monkeypatch):
+    # without --out, a single run writes <stem>.out.<format> next to its
+    # scenario, and a batch run writes each output next to its own scenario
+    # (a name without a suffix is its own stem)
+    one, two, cwd = tmp_path / "one", tmp_path / "two", tmp_path / "cwd"
+    for directory in (one, two, cwd):
+        directory.mkdir()
+    for path in (one / "a.json", two / "b.json", two / "c"):
+        shutil.copy(GOLDEN / "portrait_short.json", path)
+    monkeypatch.chdir(cwd)
+    assert main(["portrait", str(one / "a.json")]) == 0
+    assert (one / "a.out.csv").read_bytes() == (GOLDEN / "portrait_short.csv").read_bytes()
+    assert main(["portrait", str(one / "a.json"), str(two / "b.json"), str(two / "c"),
+                 "--batch", "--format", "json"]) == 0
+    assert sorted(p.name for p in one.iterdir()) == [
+        "a.json", "a.out.csv", "a.out.csv.columns", "a.out.csv.summary.json", "a.out.json"]
+    assert sorted(p.name for p in two.iterdir()) == ["b.json", "b.out.json", "c", "c.out.json"]
+    assert (two / "b.out.json").read_bytes() == (one / "a.out.json").read_bytes()
+    assert list(cwd.iterdir()) == []
+
+
 def _two_pieces(raw):
     # a second piece on [0.5, 1] with another X; the continuation never reads it
     raw["data"] = {
@@ -645,7 +666,7 @@ def _normal_form_route(config: cli.ScenarioConfig) -> np.ndarray:
         eps = [e for e in config.tolerances["eps_family"] if e < grid[0]]
         start = epsilon_family_oracle(frame.coeffs, l0, float(grid[0]), eps)[-1]
         planes = flow_plane(frame.coeffs.system, start, grid).planes
-    return canonicalize(meval(frame.frame, grid) @ np.stack(planes))
+    return canonicalize(meval(frame.frame, grid) @ planes)
 
 
 def _dx(entries: dict) -> list[float]:

@@ -264,6 +264,7 @@ def test_regular_curve_matches_closed_form():
     trace = singular_jacobi_curve(data, l0, (0.0, 2.0), grid)
     assert trace.diagnostics["order"] == 0
     assert trace.diagnostics["lagrangian_residual"] < 1e-10
+    assert isinstance(trace.curve.planes, np.ndarray)
     for t, p in zip(grid, trace.curve.planes):
         sval = to_chart(p, horizontal_plane(1), vertical_plane(1))[0, 0]
         assert sval == pytest.approx(s / (1.0 - s * t), abs=1e-9)
@@ -369,7 +370,7 @@ def test_infinite_order_curve():
         singular_jacobi_curve(data, l0, (0.0, 1.0), np.array([0.0, 1.0]))
     trace = infinite_order_curve(data, l0, (0.0, 1.0))
     assert trace.diagnostics["order"] is None
-    assert len(trace.curve.planes) == 2
+    assert isinstance(trace.curve.planes, np.ndarray) and len(trace.curve.planes) == 2
     # extension of the horizontal line by span{e_p1} is the full... n=1: e_p1 itself
     assert plane_distance(trace.curve.planes[0], vertical_plane(1)) < 1e-12
     with pytest.raises(PreconditionError):
@@ -380,7 +381,7 @@ def test_bang_bang_sequence():
     l0 = vertical_plane(2)
     x_list = [np.array([0.0, 0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.5])]
     planes = bang_bang_sequence(l0, x_list)
-    assert len(planes) == 3
+    assert isinstance(planes, np.ndarray) and planes.shape == (3, 4, 2)
     assert plane_distance(planes[0], l0) < 1e-12
     step = extend_by_isotropic(planes[0], x_list[0])
     assert plane_distance(planes[1], step) < 1e-12
@@ -418,9 +419,9 @@ def test_bang_bang_sequence_matches_the_per_switch_extension(n, kinds, seed):
     # echelon pivot its entries reach 1e3 to 1e4, and the canonical frames of
     # l0 and of its QR alone are then up to 1e-13 apart
     size = max(1.0, np.abs(np.stack(ref)).max())
-    assert np.max(plane_distance(np.stack(planes), np.stack(ref))) < 1e-13 * size
-    assert np.max(isotropy_residual(np.stack(planes))) < 1e-13
-    moved = plane_distance(np.stack(planes[:-1]), np.stack(planes[1:])) > 1e-10
+    assert np.max(plane_distance(planes, np.stack(ref))) < 1e-13 * size
+    assert np.max(isotropy_residual(planes)) < 1e-13
+    moved = plane_distance(planes[:-1], planes[1:]) > 1e-10
     ref_moved = plane_distance(np.stack(ref[:-1]), np.stack(ref[1:])) > 1e-10
     assert np.array_equal(moved, ref_moved)
     assert np.array_equal(moved, [kind == "generic" for kind in kinds])
@@ -665,7 +666,7 @@ def test_an_affine_reparametrisation_moves_the_planes_to_the_mapped_nodes(seed, 
     t = np.linspace(0.0, 2.0, 21)
 
     def planes(data, nodes):
-        return np.stack(singular_jacobi_curve(data, l0, (0.0, nodes[-1]), nodes).curve.planes)
+        return singular_jacobi_curve(data, l0, (0.0, nodes[-1]), nodes).curve.planes
 
     def scaled(weight):
         return PiecewiseAnalytic(np.array([0.0, 2.0 / alpha]), [weight * alpha ** np.arange(2)],

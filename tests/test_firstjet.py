@@ -19,6 +19,7 @@ from jacobiflow.grassmann import (
     _chart_basis,
     _chart_matrix,
     canonicalize,
+    extend_by_isotropic,
     horizontal_plane,
     isotropy_residual,
     plane_distance,
@@ -89,7 +90,9 @@ def test_case_selection(plane, expected_case, expected_shear):
     assert case.s22plus == pytest.approx(expected_shear, abs=1e-12)
     # the transform sends the jump extension to the chart origin, so the
     # blown-up chart starts at zero
-    assert plane_distance(case.plane, canonicalize(plane)) < 1e-12
+    post = extend_by_isotropic(plane, np.eye(4)[0])
+    chart = _chart_basis(horizontal_plane(2), vertical_plane(2))
+    assert np.max(np.abs(_chart_matrix(case.matrix @ post, chart))) < 1e-12
 
 
 def test_case_selection_uncovered_position():
@@ -102,7 +105,6 @@ def test_case_selection_single_degree():
     case = first_jet_case(np.array([[1.0], [0.4]]))
     assert case.case == 1
     assert np.array_equal(case.matrix, np.eye(2))
-    assert np.allclose(case.post_plane.ravel(), [1.0, 0.0])
     with pytest.raises(PreconditionError):
         first_jet_case(np.eye(3))
 
@@ -341,7 +343,6 @@ def test_continuation_scalar_closed_form():
     assert trace.diagnostics["series_start"] == pytest.approx(0.1)
     assert trace.diagnostics["case"] == 1
     assert np.allclose(trace.diagnostics["equilibrium"], [[-1.0]])
-    assert trace.jumps[0].time == 0.0
     # the window: the grid nodes below series_start, then series_start itself
     window = trace.curve.times
     assert window[-1] == trace.diagnostics["series_start"]
@@ -358,6 +359,7 @@ def test_continuation_window_ends_with_the_grid(t1):
     grid = np.linspace(0.05, t1, 3)
     trace = first_jet_continuation(_coeffs_c2(), _identity_case(1), grid)
     assert np.array_equal(trace.curve.times, grid)
+    assert isinstance(trace.curve.planes, np.ndarray) and trace.curve.planes.shape == (3, 2, 1)
 
 
 def test_continuation_two_block_stays_lagrangian():
@@ -365,7 +367,7 @@ def test_continuation_two_block_stays_lagrangian():
     grid = np.linspace(0.05, 0.8, 8)
     trace, planes = continued(_coeffs_k2(), case, grid)
     assert len(planes) == 8
-    assert max(isotropy_residual(p) for p in trace.curve.planes + planes) < 1e-10
+    assert max(isotropy_residual(p) for p in np.concatenate([trace.curve.planes, planes])) < 1e-10
 
 
 def _corpus_problem(name):

@@ -196,6 +196,7 @@ def test_flow_plane_records_one_plane_per_node():
     grid = np.linspace(0.0, 1.0, 5)
     flow = flow_plane(_harmonic(), np.array([[1.0], [0.2]]), grid)
     assert len(flow.planes) == grid.size
+    assert isinstance(flow.planes, np.ndarray) and flow.planes.shape == (grid.size, 2, 1)
     assert np.array_equal(flow.times, grid)
     for t, p in zip(grid, flow.planes):
         assert _harmonic_chart(p) == pytest.approx(np.tan(np.arctan(0.2) - t), rel=1e-10)

@@ -19,6 +19,7 @@ from jacobiflow.grassmann import (
     validate_lagrangian,
     vertical_plane,
 )
+from jacobiflow.maslov import maslov_index
 from jacobiflow.symplectic import apply_j, frame_rank, isotropy_residual, symplectic_form
 
 
@@ -188,6 +189,15 @@ def test_grassmann_curve_validation():
         GrassmannCurve(times=np.array([0.0, 1.0]), planes=[v])
     c = GrassmannCurve(times=np.array([0.0, 1.0]), planes=[v, horizontal_plane(1)])
     assert len(c.planes) == 2
+    # a list of frames is stacked on entry, into the stack a producer hands over
+    assert isinstance(c.planes, np.ndarray)
+    assert np.array_equal(c.planes, np.stack([v, horizontal_plane(1)]))
+    # frames of different shapes are refused by the curve, not by numpy
+    with pytest.raises(PreconditionError, match="one shape"):
+        GrassmannCurve(times=np.array([0.0, 1.0]), planes=[v, v.ravel()])
+    # the empty curve stays empty, and its Maslov index is 0
+    empty = GrassmannCurve(times=np.array([]), planes=[])
+    assert empty.planes.size == 0 and maslov_index(empty, v) == 0
 
 
 def test_plane_distance_properties():

@@ -430,7 +430,8 @@ def test_stacked_node_on_pi_test_is_the_frame_by_frame_rank_test(n, seed, meets)
     pi = move @ vertical_plane(n)
     loop = np.array([intersection_dimension(f, pi) for f in planes])
     assert list(loop) == [min(m, n) for m in meets]
-    assert intersection_dimension(np.stack(planes), pi).tobytes() == loop.tobytes()
+    planes = np.stack(planes)
+    assert intersection_dimension(planes, pi).tobytes() == loop.tobytes()
     assert np.array_equal(_spectral_flow(planes, pi).on_pi, loop > 0)
 
 
@@ -457,8 +458,9 @@ def test_nodes_on_pi_are_the_nodes_of_positive_intersection(n, seed, meets):
         d = np.linalg.inv(a).T
         keep = np.block([[a, (s + s.T) @ d], [np.zeros((n, n)), d]])
         planes.append(keep @ f)
+    planes = np.stack(planes)
     on_pi = _spectral_flow(planes, pi).on_pi
-    assert np.array_equal(on_pi, intersection_dimension(np.stack(planes), pi) > 0)
+    assert np.array_equal(on_pi, intersection_dimension(planes, pi) > 0)
     assert np.array_equal(on_pi, np.minimum(meets, n) > 0)
 
 

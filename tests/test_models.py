@@ -425,6 +425,7 @@ def test_epsilon_family_converges_to_continuation():
     planes = epsilon_family_oracle(
         p.coefficients(), l0, 0.5, [1e-2, 1e-3, 1e-4], rtol=1e-12
     )
+    assert isinstance(planes, np.ndarray) and planes.shape == (3, 2, 1)
     dists = [plane_distance(pl, target) for pl in planes]
     assert dists[0] > dists[1] > dists[2]
     assert dists[0] < 1e-4

@@ -309,16 +309,19 @@ def test_every_exported_name_resolves():
 
 def test_corpus_timings_script_times_one_op():
     # tools/corpus_timings.py is the one command behind the Baseline table
-    # of ROADMAP.md: the cold import, then the chosen corpus ops, each with
-    # its transport's work: the corpus regular march's opening step and its
-    # 99 pairs of node intervals, three propagators each, and no QR
+    # of ROADMAP.md: the cold import and the compile time of the package's
+    # source, then the chosen corpus ops, each with its transport's work: the
+    # corpus regular march's opening step and its 99 pairs of node
+    # intervals, three propagators each, and no QR
     script = SRC.parent / "tools" / "corpus_timings.py"
     out = subprocess.run([sys.executable, str(script), "--op", "regular.trace", "--op",
                           "degen_m3.trace", "--repeat", "1"],
                          capture_output=True, text=True, check=True)
-    cold, *lines = out.stdout.splitlines()
+    cold, compiled, *lines = out.stdout.splitlines()
     name, seconds, unit = cold.rsplit(None, 2)
     assert name == "import jacobiflow.cli" and float(seconds) > 0.0 and unit == "s"
+    name, seconds, unit = compiled.rsplit(None, 2)
+    assert name == "compile src/jacobiflow" and float(seconds) > 0.0 and unit == "s"
     rows = {op: fields for op, *fields in (line.split() for line in lines)}
     assert list(rows) == ["regular.trace", "degen_m3.trace"]
     assert all(float(fields[0]) > 0.0 and fields[1] == "s" for fields in rows.values())

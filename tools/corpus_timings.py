@@ -1,5 +1,6 @@
-"""Corpus timings: the best in-process wall time of each corpus op, and the
-cold import of the CLI, with the transport's work per op.
+"""Corpus timings: the best in-process wall time of each corpus op, the cold
+import of the CLI and the compile time of the package's source, with the
+transport's work per op.
 
 Run from anywhere::
 
@@ -8,10 +9,13 @@ Run from anywhere::
 Each op is one ``jacobiflow.cli.main([verb, scenario, "--out", file])`` call
 on a scenario of ``perfbench/corpus/``, read in place; its outputs go to a
 temporary directory.  The cold import is ``import jacobiflow.cli`` in a fresh
-interpreter, timed around the import alone.  Every figure is the best of
+interpreter, timed around the import alone.  Where no bytecode is cached (as
+under ``PYTHONDONTWRITEBYTECODE``) that import compiles every module, so the
+next row is the time ``compile()`` takes over the package's ``.py`` files,
+read beforehand.  Every figure is the best of
 ``--repeat`` runs, in raw wall seconds, not scaled to the host's speed, so
-compare figures taken on one host in one sitting.  The rows are those of the
-Baseline table of ``ROADMAP.md``.
+compare figures taken on one host in one sitting.  The import and op rows are
+those of the Baseline table of ``ROADMAP.md``.
 
 Beside each op's time come the counts of one more, untimed run: the
 transport's batches and evaluated propagators (calls of
@@ -55,6 +59,19 @@ def cold_import_s(repeat: int) -> float:
     return min(float(subprocess.run([sys.executable, "-c", COLD_IMPORT, str(SRC)], check=True,
                                     capture_output=True, text=True).stdout)
                for _ in range(repeat))
+
+
+def compile_s(repeat: int) -> float:
+    """Best wall time of compiling every source file of the package."""
+    sources = [(path.read_text(encoding="utf-8"), str(path))
+               for path in sorted((SRC / "jacobiflow").rglob("*.py"))]
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = perf_counter()
+        for source, name in sources:
+            compile(source, name, "exec")
+        best = min(best, perf_counter() - t0)
+    return best
 
 
 def op_s(cli, op: str, out: Path, repeat: int) -> float:
@@ -114,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--op", action="append", choices=OPS,
                         help="time only this corpus op (repeatable; default all)")
     args = parser.parse_args(argv)
-    rows = [(IMPORT, cold_import_s(args.repeat))]
+    rows = [(IMPORT, cold_import_s(args.repeat)), ("compile src/jacobiflow", compile_s(args.repeat))]
     sys.path.insert(0, str(SRC))
     from jacobiflow import cli
 
