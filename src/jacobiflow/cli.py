@@ -43,7 +43,6 @@ import numpy as np
 from .engine import (
     D_MAX,
     STEPS_MAX,
-    JumpEvent,
     PiecewiseAnalytic,
     bang_bang_sequence,
     infinite_order_curve,
@@ -51,7 +50,7 @@ from .engine import (
     singular_jacobi_curve,
 )
 from .errors import ConfigError, JacobiflowError, MathError, NondegeneracyError, RadiusError
-from .flows import _integrate, flow_plane  # flow_plane: bound here for tracers
+from .flows import flow_plane
 from .grassmann import (
     GrassmannCurve,
     _chart_matrix,
@@ -63,7 +62,7 @@ from .grassmann import (
 )
 from .maslov import _SpectralFlow, _spectral_flow
 from .series import meval
-from .singular.classify import classify_frame, kneser_classify
+from .singular.classify import classify_coefficients, classify_frame
 from .singular.firstjet import _tail_within, first_jet_case, first_jet_continuation
 from .singular.frame import NormalFormCoefficients, build_normal_frame
 from .singular.jump import epsilon_family_oracle, jump_operator
@@ -353,8 +352,8 @@ def _trace_columns(n: int) -> list[str]:
     return cols
 
 
-def _trace_rows(curve: GrassmannCurve, jumps: list[JumpEvent],
-                n: int) -> tuple[list[list], _SpectralFlow]:
+def _trace_rows(curve: GrassmannCurve, n: int,
+                events: list[int]) -> tuple[list[list], _SpectralFlow]:
     # the Maslov pass over Pi is returned so that the maslov verb counts on
     # it too; it validates every node of the curve's stack of planes, so the
     # chart columns (chart (Sigma, Pi), prepared once per n) solve on it as it is
@@ -363,32 +362,15 @@ def _trace_rows(curve: GrassmannCurve, jumps: list[JumpEvent],
     partial = flow.partial_sums()
     charts = _chart_matrix(planes, _sigma_pi_chart(n)).reshape(len(planes), -1)
     off = np.isnan(charts).all(axis=1)
-    # jump rows: within 1e-9 max(1, |t_jump|) of a jump time; only the two around a row can be
-    times = np.asarray(curve.times, dtype=float)
-    jt = np.sort([float(j.time) for j in jumps] + [np.nan])  # NaN sorts last, never matches
-    right = np.searchsorted(jt, times)
-    near = jt[[np.maximum(right - 1, 0), right]]
-    hits = np.any(np.abs(times - near) <= 1e-9 * np.maximum(1.0, np.abs(near)), axis=0)
+    # the event rows are the nodes the curve's producer names
+    hits = np.zeros(len(planes), dtype=int)
+    hits[np.asarray(events, dtype=int)] = 1
     rows = []
     for t, frame, s, skip, psum, hit in zip(
-            times.tolist(), planes.reshape(len(planes), -1).tolist(), charts.tolist(),
+            curve.times.tolist(), planes.reshape(len(planes), -1).tolist(), charts.tolist(),
             off.tolist(), partial, hits.tolist()):
-        rows.append([t, *frame, *([None] * (n * n) if skip else s), float(psum), 1 if hit else 0])
+        rows.append([t, *frame, *([None] * (n * n) if skip else s), float(psum), hit])
     return rows, flow
-
-
-def _event_summaries(jumps: list[JumpEvent]) -> list[dict]:
-    out = []
-    for j in sorted(jumps, key=lambda e: e.time):
-        out.append(
-            {
-                "time": float(j.time),
-                "pre_plane": np.asarray(j.pre_plane).tolist(),
-                "post_plane": np.asarray(j.post_plane).tolist(),
-                "inserted": np.asarray(j.inserted).tolist(),
-            }
-        )
-    return out
 
 
 def _jsonable(value):
@@ -422,35 +404,22 @@ def _run_interval_mode(config: ScenarioConfig) -> TraceOutput:
     else:
         trace = singular_jacobi_curve(data, config.initial_plane, interval, grid,
                                       rtol=config.tolerances["rtol"])
-    summary = {
-        "mode": config.mode,
-        "n": config.n,
-        "seed": config.seed,
-        "order_m": seq.first_nonzero,
-        "events": [],
-        "diagnostics": trace.diagnostics,
-    }
-    rows, flow = _trace_rows(trace.curve, [], config.n)
+    summary = {"order_m": seq.first_nonzero, "events": [], "diagnostics": trace.diagnostics}
+    rows, flow = _trace_rows(trace.curve, config.n, [])
     return TraceOutput(_trace_columns(config.n), rows, summary, flow)
 
 
 def _run_bangbang(config: ScenarioConfig) -> TraceOutput:
     x_list = config.data["x_list"]
     planes = bang_bang_sequence(config.initial_plane, x_list)
-    times = np.arange(len(planes), dtype=float)
-    moved = plane_distance(planes[:-1], planes[1:]) > 1e-10
-    jumps = [JumpEvent(time=float(i + 1), pre_plane=planes[i], post_plane=planes[i + 1],
-                       inserted=x_list[i]) for i in np.flatnonzero(moved).tolist()]
-    curve = GrassmannCurve(times=times, planes=planes)
-    summary = {
-        "mode": config.mode,
-        "n": config.n,
-        "seed": config.seed,
-        "switches": len(x_list),
-        "event_count": len(jumps),
-        "events": _event_summaries(jumps),
-    }
-    rows, flow = _trace_rows(curve, jumps, config.n)
+    # switch i moves the plane exactly where X_i pairs with it, and only there
+    # does the recursion change the frame: the event is its node i + 1
+    events = (np.flatnonzero((planes[:-1] != planes[1:]).any(axis=(1, 2))) + 1).tolist()
+    summary = {"switches": len(x_list), "event_count": len(events),
+               "events": [{"time": float(i), "pre_plane": planes[i - 1], "post_plane": planes[i],
+                           "inserted": x_list[i - 1]} for i in events]}
+    curve = GrassmannCurve(times=np.arange(len(planes), dtype=float), planes=planes)
+    rows, flow = _trace_rows(curve, config.n, events)
     return TraceOutput(_trace_columns(config.n), rows, summary, flow)
 
 
@@ -471,22 +440,11 @@ def _degeneracy_stage(config: ScenarioConfig):
     return data, frame, report
 
 
-def _classification_summary(config: ScenarioConfig, frame, report) -> dict:
-    return {
-        "mode": config.mode,
-        "n": config.n,
-        "seed": config.seed,
-        **report.to_dict(),
-        "symplectic_residual": frame.symplectic_residual,
-    }
-
-
 def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
     data, frame, report = _degeneracy_stage(config)
     columns = _trace_columns(config.n)
-    summary = _classification_summary(config, frame, report)
+    summary = {**report.to_dict(), "symplectic_residual": frame.symplectic_residual, "events": []}
     if verb == "classify":
-        summary["events"] = []
         return TraceOutput(columns, [], summary)
 
     if frame.k != config.n:
@@ -496,7 +454,7 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
         )
     x0 = data.x(0.0)
     jump = jump_operator(config.initial_plane, x0, report, time=0.0)
-    summary["events"] = _event_summaries([jump])
+    summary["events"] = [vars(jump)]
     if verb == "jump":
         return TraceOutput(columns, [], summary)
 
@@ -533,7 +491,8 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
         past = singular_jacobi_curve(data, local[-1], (t_h, float(grid[-1])),
                                      np.append(t_h, grid[kept:]), rtol=rtol).curve
         planes = np.concatenate([planes, past.planes[1:]])
-    rows, flow = _trace_rows(GrassmannCurve(times=grid, planes=planes), [jump], config.n)
+    # the jump at t = 0 lies before the first node, since grid.t0 > 0
+    rows, flow = _trace_rows(GrassmannCurve(times=grid, planes=planes), config.n, [])
     return TraceOutput(columns, rows, summary, flow)
 
 
@@ -552,15 +511,12 @@ def _run_portrait(config: ScenarioConfig) -> TraceOutput:
         k=1, m=2, b=np.array([0.0, 0.0, -1.0]), b11=np.zeros(1), c11=np.array([-c])
     )
     t_first = float(grid[0])
-    # every start line in one march: the steps depend on the system and the
-    # grid only, so a line's values do not depend on the other lines
+    # every start line in one march of a stack, whose steps depend on the
+    # system and the grid only, so a line's values do not depend on the other lines
     starts = [[[1.0], [-val]] for val in u0] + [[[-val], [t_first]] for val in v0]
-    lines = np.linalg.qr(np.array(starts, dtype=float).reshape(-1, 2, 1))[0]
-    marched = _integrate(coeffs.system, lines, grid, config.tolerances["rtol"])
-    # (p, q)[node, line]: the two coordinates of the canonical frame, as
-    # flow_plane emits it; every node and line in one stack
-    marched[1:] = np.linalg.qr(marched[1:])[0]
-    coords = canonicalize(marched.reshape(-1, 2, 1)).reshape(len(grid), -1, 2)
+    curves = flow_plane(coeffs.system, np.array(starts), grid, rtol=config.tolerances["rtol"])
+    # (p, q)[node, line]: the two coordinates of each line's canonical frame
+    coords = np.stack([curve.planes[..., 0] for curve in curves], axis=1)
     p, q = coords[..., 0], coords[..., 1]
     # u = -q/p on the u lines, v = -t p/q on the v lines, masked where the
     # denominator vanishes or the value passes PORTRAIT_MASK
@@ -572,27 +528,17 @@ def _run_portrait(config: ScenarioConfig) -> TraceOutput:
     table = [[float(t)] + row for t, row in zip(grid, np.where(keep, vals, None).tolist())]
     columns = ["time", *(f"u_{i}" for i in range(nu)), *(f"v_{i}" for i in range(len(v0)))]
 
-    disc = 1.0 + 4.0 * c
-    verdict = kneser_classify(np.array([[-1.0]]), np.array([[-c]]), 2, config.tolerances["tol_thresh"])
-    if disc >= 0.0:
-        root = math.sqrt(disc)
-        if c != 0.0:
-            equilibria = sorted([(1.0 - root) / (2.0 * c), (1.0 + root) / (2.0 * c)])
-        else:
-            equilibria = [-1.0]
-    else:
+    # b = -1, so the classifier's delta is sqrt(1 + 4c)
+    report = classify_coefficients(coeffs, tol_thresh=config.tolerances["tol_thresh"])
+    root = report.delta
+    if root is None:
         equilibria = []
-    summary = {
-        "mode": config.mode,
-        "n": config.n,
-        "seed": config.seed,
-        "c": c,
-        "verdict": verdict,
-        "delta": root if disc >= 0.0 else None,
-        "equilibria": equilibria,
-        "events": [],
-    }
-    return TraceOutput(columns, table, summary)
+    elif c != 0.0:
+        equilibria = sorted([(1.0 - root) / (2.0 * c), (1.0 + root) / (2.0 * c)])
+    else:
+        equilibria = [-1.0]
+    return TraceOutput(columns, table, {"c": c, "verdict": report.verdict, "delta": root,
+                                        "equilibria": equilibria, "events": []})
 
 
 def run(config: ScenarioConfig, verb: str = "trace") -> TraceOutput:
@@ -618,6 +564,7 @@ def run(config: ScenarioConfig, verb: str = "trace") -> TraceOutput:
     else:
         out = _run_interval_mode(config)
 
+    out.summary.update(mode=config.mode, n=config.n, seed=config.seed)
     if verb == "maslov":
         # the same count as maslov_index(curve, Pi), on the pass of the rows
         out.summary["maslov_index"] = out.flow.index()

@@ -253,9 +253,11 @@ def _widths(frames: np.ndarray) -> np.ndarray:
 class JumpEvent:
     """A discontinuity of a curve of planes.
 
-    ``pre_plane`` is the left limit (the curve stores it at the event time,
-    keeping traces left-continuous), ``post_plane`` the right limit and
-    ``inserted`` the isotropic frame whose extension produced the jump.
+    ``pre_plane`` is the left limit, ``post_plane`` the right limit and
+    ``inserted`` the isotropic frame whose extension produced the jump.  A
+    sampled curve does not store ``pre_plane`` at the event time: a bang-bang
+    curve stores the post plane at a switch's node, and a degeneracy curve,
+    sampled from grid.t0 > 0, has no node at the event time.
     """
 
     time: float

@@ -541,18 +541,26 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
 
 
 def flow_plane(sys: SystemLike, l0: np.ndarray, grid: Sequence[float], *,
-               rtol: float = 1e-12) -> GrassmannCurve:
+               rtol: float = 1e-12) -> GrassmannCurve | list[GrassmannCurve]:
     """Transport a plane along the flow of ``sys``, sampled at the grid nodes.
 
-    The grid must be strictly monotone and is one march (:func:`_integrate`);
-    frames are orthonormalised at every node and returned as canonical frames,
-    with one QR and one canonicalisation on the stack of nodes.
+    ``l0`` is one ``(2n, k)`` frame, giving one curve, or a ``(S, 2n, k)``
+    stack, giving a list of S curves.  The grid must be strictly monotone and
+    is one march (:func:`_integrate`).  A stack is marched on the propagator's
+    error, so each frame moves as it would alone in a stack (one frame of rank
+    k < 2n is marched on its plane's error).  Frames are orthonormalised at
+    every node and returned as canonical frames, with one QR and one
+    canonicalisation on the stack of all nodes and frames.
     """
     grid = np.asarray(grid, dtype=float)
     steps = np.diff(grid)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         raise PreconditionError("grid must be strictly monotone")
-    frames = _integrate(sys, np.linalg.qr(_as_frame(l0))[0], grid, rtol)
+    l0 = _as_frame(l0)
+    frames = _integrate(sys, np.linalg.qr(l0)[0], grid, rtol)
     frames[1:] = np.linalg.qr(frames[1:])[0]
-    return GrassmannCurve(times=grid, planes=canonicalize(frames))
+    planes = canonicalize(frames.reshape((-1,) + l0.shape[-2:])).reshape(frames.shape[:-1] + (-1,))
+    if l0.ndim == 2:
+        return GrassmannCurve(times=grid, planes=planes)
+    return [GrassmannCurve(times=grid, planes=stack) for stack in np.swapaxes(planes, 0, 1)]
 

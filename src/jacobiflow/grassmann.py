@@ -341,3 +341,5 @@ class GrassmannCurve:
             self.planes = np.asarray(self.planes, dtype=float)
         except ValueError as exc:  # numpy refuses frames of different shapes
             raise PreconditionError("curve planes must share one shape") from exc
+        if len(self.planes) and self.planes.ndim != 3:
+            raise PreconditionError("curve planes must be (2n, k) frames, one per node")

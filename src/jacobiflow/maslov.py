@@ -113,6 +113,9 @@ def _spectral_flow(planes: np.ndarray, pi: np.ndarray) -> _SpectralFlow:
     """
     pi = validate_lagrangian(np.asarray(pi, dtype=float))
     frames = validate_lagrangian(planes if len(planes) else planes.reshape((0,) + pi.shape))
+    if frames.shape[-2] != pi.shape[0]:
+        raise PreconditionError(
+            f"curve frames have {frames.shape[-2]} rows, the reference plane {pi.shape[0]}")
     both = np.concatenate([frames, np.broadcast_to(pi, frames.shape)], axis=-1)
     on_pi = frame_rank(both) < pi.shape[0]
     if len(frames) < 2:

@@ -17,16 +17,11 @@ from scipy.integrate import solve_ivp
 
 from helpers import continued, random_lagrangian
 from jacobiflow import cli, engine, flows
-from jacobiflow.cli import DEFAULT_U0, DEFAULT_V0, _trace_rows, main
-from jacobiflow.engine import JumpEvent, PiecewiseAnalytic, singular_jacobi_curve
+from jacobiflow.cli import DEFAULT_U0, DEFAULT_V0, main
+from jacobiflow.engine import PiecewiseAnalytic, singular_jacobi_curve
 from jacobiflow.errors import JacobiflowError
 from jacobiflow.flows import flow_plane
-from jacobiflow.grassmann import (
-    GrassmannCurve,
-    canonicalize,
-    horizontal_plane,
-    plane_distance,
-)
+from jacobiflow.grassmann import canonicalize, plane_distance
 from jacobiflow.series import meval
 from jacobiflow.singular.firstjet import _tail_within, first_jet_case
 from jacobiflow.singular.jump import epsilon_family_oracle
@@ -131,11 +126,11 @@ def test_portrait_lines_are_near_the_lines_marched_at_the_rtol_floor(tmp_path, m
     # rtol the kernel honours
     marched = []
 
-    def recorded(*args, _fn=cli._integrate):
+    def recorded(*args, _fn=flows._integrate):
         marched.append(_fn(*args))
         return marched[-1]
 
-    monkeypatch.setattr(cli, "_integrate", recorded)
+    monkeypatch.setattr(flows, "_integrate", recorded)
     for scenario, bound in ((GOLDEN / "portrait_short.json", 5e-9),
                             (CORPUS / "portrait.json", 1e-8)):
         marched.clear()
@@ -265,7 +260,7 @@ def test_portrait_cells_are_the_per_cell_quotients(tmp_path, monkeypatch):
         canonical.append(canonicalize(frames))
         return canonical[-1]
 
-    monkeypatch.setattr(cli, "canonicalize", recorded)
+    monkeypatch.setattr(flows, "canonicalize", recorded)
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"n": 1, "mode": "portrait",
                                 "data": {"c": 2.0, "u0": [0.5, 1e7, 1e13], "v0": [1.0, 1e7, 1e13]},
@@ -288,25 +283,24 @@ def test_portrait_cells_are_the_per_cell_quotients(tmp_path, monkeypatch):
     assert out.rows[0][2:4] == [None, None] and out.rows[0][5:] == [None, None]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(-40, 40), min_size=1, max_size=30, unique=True),
-       st.lists(st.tuples(st.integers(-40, 40), st.sampled_from([0.0, 5e-10, -2e-9, 1e-3])),
-                max_size=8),
-       st.sampled_from([1.0, 1e3]))
-@example([3], [(3, -2e-9)], 1e3)  # the jump lies just below the row: its left neighbour
-@example([3], [(1, 0.0), (3, 5e-10)], 1.0)  # just above: its right neighbour
-def test_jump_rows_match_the_scan_over_every_jump(steps, jumps, scale):
-    # the scan over every jump time that the two-neighbour search replaced
-    times = scale * np.sort(np.array(steps, dtype=float))
-    jump_times = [scale * (k + d) for k, d in jumps]
-    plane = horizontal_plane(1)
-    curve = GrassmannCurve(times=times, planes=[plane] * times.size)
-    events = [JumpEvent(time=jt, pre_plane=plane, post_plane=plane, inserted=np.ones(2))
-              for jt in jump_times]
-    rows, _ = _trace_rows(curve, events, 1)
-    scan = [int(any(abs(t - jt) <= 1e-9 * max(1.0, abs(jt)) for jt in jump_times))
-            for t in times]
-    assert [row[-1] for row in rows] == scan
+def test_event_rows_are_the_nodes_the_producer_names(tmp_path):
+    # bang-bang: the rows flagged are the switches whose plane moved, at the
+    # times the summary lists; a degeneracy trace's jump at t = 0 lies before
+    # its first node, however close grid.t0 comes to it
+    out = tmp_path / "o.csv"
+    assert main(["bangbang", str(GOLDEN / "bangbang_short.json"), "--out", str(out)]) == 0
+    rows = np.genfromtxt(out, delimiter=",", skip_header=1)
+    summary = json.loads((tmp_path / "o.csv.summary.json").read_text())
+    assert summary["event_count"] > 0
+    assert rows[rows[:, -1] == 1, 0].tolist() == [e["time"] for e in summary["events"]]
+    raw = json.loads((GOLDEN / "degen_m2_short.json").read_text())
+    raw["grid"]["t0"] = 1e-10
+    (tmp_path / "s.json").write_text(json.dumps(raw))
+    assert main(["trace", str(tmp_path / "s.json"), "--out", str(out)]) == 0
+    rows = np.genfromtxt(out, delimiter=",", skip_header=1)
+    summary = json.loads((tmp_path / "o.csv.summary.json").read_text())
+    assert rows[0, 0] == 1e-10 and summary["events"][0]["time"] == 0.0
+    assert not rows[:, -1].any()
 
 
 @pytest.mark.parametrize("name", ["degen_m1", "degen_m2"])

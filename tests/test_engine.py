@@ -424,6 +424,8 @@ def test_bang_bang_sequence_matches_the_per_switch_extension(n, kinds, seed):
     moved = plane_distance(planes[:-1], planes[1:]) > 1e-10
     ref_moved = plane_distance(np.stack(ref[:-1]), np.stack(ref[1:])) > 1e-10
     assert np.array_equal(moved, ref_moved)
+    # the frames differ exactly where the plane moved: the bang-bang events
+    assert np.array_equal((planes[:-1] != planes[1:]).any(axis=(1, 2)), moved)
     assert np.array_equal(moved, [kind == "generic" for kind in kinds])
 
 

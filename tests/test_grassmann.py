@@ -195,6 +195,10 @@ def test_grassmann_curve_validation():
     # frames of different shapes are refused by the curve, not by numpy
     with pytest.raises(PreconditionError, match="one shape"):
         GrassmannCurve(times=np.array([0.0, 1.0]), planes=[v, v.ravel()])
+    # a list of vectors, or a stack of stacks, is not one frame per node
+    for planes in ([v.ravel(), v.ravel()], np.stack([[v], [v]])):
+        with pytest.raises(PreconditionError, match="one per node"):
+            GrassmannCurve(times=np.array([0.0, 1.0]), planes=planes)
     # the empty curve stays empty, and its Maslov index is 0
     empty = GrassmannCurve(times=np.array([]), planes=[])
     assert empty.planes.size == 0 and maslov_index(empty, v) == 0

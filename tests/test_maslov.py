@@ -119,6 +119,12 @@ def test_maslov_index_rejects_endpoint_on_reference():
     curve = GrassmannCurve(times=np.array([0.0, 1.0]), planes=[v, h])
     with pytest.raises(PreconditionError):
         maslov_index(curve, v)
+    # frames of another dimension than the reference plane are refused in
+    # the error taxonomy, not by numpy's broadcasting
+    wide = GrassmannCurve(times=np.array([0.0, 1.0]), planes=[vertical_plane(2)] * 2)
+    for count in (maslov_index, maslov_partial_sums):
+        with pytest.raises(PreconditionError, match="rows"):
+            count(wide, v)
 
 
 @pytest.mark.parametrize("omegas, expected", [

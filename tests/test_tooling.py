@@ -153,16 +153,16 @@ def test_every_march_steps_by_one_batch_and_one_chain():
 
 
 def test_the_epsilon_family_is_one_stack_march_not_a_plane_per_member():
-    # the transports that call the kernel: the portrait's stack of lines, the
-    # curve past the singular neighbourhood, flow_plane, and the epsilon
-    # family, whose members share one stack of planes; nothing in the
-    # package transports a plane by flow_plane, so the family cannot fall
-    # back to one march per member
+    # the transports that call the kernel: the curve past the singular
+    # neighbourhood, flow_plane, and the epsilon family, whose members share
+    # one stack of planes; only the portrait, with its stack of lines,
+    # transports by flow_plane, so the family cannot fall back to one march
+    # per member
     assert _call_sites("_integrate") == [
-        "jacobiflow.cli._run_portrait", "jacobiflow.engine.singular_jacobi_curve",
+        "jacobiflow.engine.singular_jacobi_curve",
         "jacobiflow.flows.flow_plane", "jacobiflow.singular.jump.epsilon_family_oracle",
     ]
-    assert _call_sites("flow_plane") == []
+    assert _call_sites("flow_plane") == ["jacobiflow.cli._run_portrait"]
 
 
 def _private_definitions() -> list[str]:
