@@ -44,6 +44,7 @@ from .engine import (
     D_MAX,
     STEPS_MAX,
     PiecewiseAnalytic,
+    _jacobi_system,
     bang_bang_sequence,
     infinite_order_curve,
     legendre_sequence,
@@ -345,11 +346,8 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
 
 
 def _trace_columns(n: int) -> list[str]:
-    cols = ["time"]
-    cols += [f"frame_{i}_{j}" for i in range(2 * n) for j in range(n)]
-    cols += [f"chart_{i}_{j}" for i in range(n) for j in range(n)]
-    cols += ["maslov_partial", "event"]
-    return cols
+    return ["time", *(f"frame_{i}_{j}" for i in range(2 * n) for j in range(n)),
+            *(f"chart_{i}_{j}" for i in range(n) for j in range(n)), "maslov_partial", "event"]
 
 
 def _trace_rows(curve: GrassmannCurve, n: int,
@@ -461,30 +459,35 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
     grid = config.grid
     rtol = config.tolerances["rtol"]
     l0_nf = canonicalize(symplectic_inverse(frame.frame_at(0.0)) @ config.initial_plane)
-    # the local theory, in normal-form coordinates, up to the handover time t_h:
-    # the first-jet series window for m <= 2, the epsilon family to grid.t0 for m >= 3
+    # the local theory up to the handover time t_h: the first-jet series window,
+    # in normal-form coordinates, for m <= 2, the epsilon family to grid.t0 for m >= 3
     if frame.m <= 2:
         case = first_jet_case(l0_nf)
         window = first_jet_continuation(frame.coeffs, case, grid, nterms=config.tolerances["nterms"])
-        times, nf_planes = window.curve.times, window.curve.planes
+        times = window.curve.times
         _check_radius(frame, float(times[-1]))
         summary["jet_case"] = case.case
         summary["series_start"] = window.diagnostics["series_start"]
         summary["equilibrium"] = window.diagnostics["equilibrium"]
+        # M(t) maps the planes back at the nodes up to t_h
+        local = canonicalize(meval(frame.frame, times) @ window.curve.planes)
     else:
         eps = [e for e in config.tolerances["eps_family"] if e < grid[0]]
         if not eps:
             raise ConfigError("tolerances.eps_family: no entry lies below grid.t0")
         times = grid[:1]
         _check_radius(frame, float(times[-1]))
-        family = epsilon_family_oracle(frame.coeffs, l0_nf, float(grid[0]), eps, rtol=rtol)
-        nf_planes = family[-1:]
+        # the family marches the data's own system right of 0 from M(eps) L0: its
+        # deepest member is the plane at t_h, and M(t_h)^-1 maps the members back
+        at = meval(frame.frame, np.append(eps, times))
+        family = epsilon_family_oracle(_jacobi_system(data, data.piece_index(0.0), 0),
+                                       at[:-1] @ l0_nf, float(grid[0]), eps, rtol=rtol)
+        local = family[-1:]
+        nf_family = symplectic_inverse(at[-1]) @ family
         summary["eps_family"] = list(map(float, eps))
-        summary["oracle_distances"] = plane_distance(family[:-1], family[1:]).tolist()
-    # M(t) maps the planes back at t_h and the nodes before it only; past t_h the
-    # curve solves the order-0 Jacobi equation of the original data, one march
+        summary["oracle_distances"] = plane_distance(nf_family[:-1], nf_family[1:]).tolist()
+    # past t_h the curve solves the order-0 Jacobi equation of the data, one march
     t_h = float(times[-1])
-    local = canonicalize(meval(frame.frame, times) @ nf_planes)
     kept = int(np.count_nonzero(grid <= t_h))
     planes = local[:kept]
     if kept < grid.size:
@@ -676,12 +679,7 @@ def _error_object(exc: Exception, stage: str, scenario: str | None) -> tuple[dic
         code = EXIT_IO
     else:
         raise exc
-    obj = {
-        "code": code,
-        "stage": stage,
-        "error": type(exc).__name__,
-        "message": str(exc),
-    }
+    obj = {"code": code, "stage": stage, "error": type(exc).__name__, "message": str(exc)}
     if scenario is not None:
         obj["scenario"] = scenario
     return obj, code

@@ -297,6 +297,19 @@ def _order_and_check_sign(seq: LegendreSequence) -> int:
     return m
 
 
+def _jacobi_system(data: PiecewiseAnalytic, piece: int, m: int):
+    """The order-m Jacobi equation of a piece as the rank-one system u w^T of
+    :func:`~jacobiflow.flows._integrate`: mu' = X^(m) sigma(X^(m), mu) / b^m and
+    sigma(X^(m), mu) = (-J X^(m)) . mu, so u = X^(m) and w = -J X^(m) / b^m, with
+    the piece's own polynomials at any time, also past its ends."""
+    xs, bs = data._stack(piece, m), data._entry(piece, m)
+
+    def system(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        xm = meval(xs, t)
+        return xm, -apply_j(xm, axis=1) / meval(bs, t)[:, None]
+    return system
+
+
 def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
                           interval: tuple[float, float],
                           grid: Sequence[float], *, rtol: float = 1e-12) -> JacobiTrace:
@@ -350,16 +363,10 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
         if not mu0.shape[1]:  # m = n: the plane is the Goh span alone
             break
 
-        def rhs(t: np.ndarray, xs=data._stack(p, m), bs=data._entry(p, m)):
-            # mu' = X^(m) sigma(X^(m), mu) / b^m, sigma(X^(m), mu) = (-J X^(m)) . mu:
-            # the rank-one system u w^T, u = X^(m), w = -J X^(m) / b^m, with the
-            # piece's own polynomials, also at its end breakpoint
-            xm = meval(xs, t)
-            return xm, -apply_j(xm, axis=1) / meval(bs, t)[:, None]
-
         inside = (grid > a_) & (grid <= b_)
         try:
-            marched = _integrate(rhs, cur, np.union1d([a_, b_], grid[inside]), rtol)
+            marched = _integrate(_jacobi_system(data, p, m), cur,
+                                 np.union1d([a_, b_], grid[inside]), rtol)
         except PoleError as exc:
             # b^m < 0 on the closed piece bounds the system there: only
             # coefficients that overflow can stall the march

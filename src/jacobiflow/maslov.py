@@ -39,9 +39,10 @@ Bhatia-Davis bound 2 arcsin(||W_k - W_{k-1}||_2 / 2) on eigenvalue motion
 (*Linear Multilinear Algebra* 15, 1984) reaches pi, and no single shortest
 path joins the samples.  :func:`maslov_index` then raises
 :class:`RefinementError` and :func:`maslov_partial_sums` writes ``nan``.
-Whether a node meets Pi is decided by one stacked rank test: validation
-has fixed rank L = rank Pi = n, so L meets Pi exactly where ``[L | Pi]``
-has rank below 2n, and one batched SVD gives that rank at every node.
+Whether a node meets Pi is read off the eigenvalue angles of W: an angle
+2 theta is a principal angle theta between L and Pi, and L meets Pi where one
+is below ``_ON_PI`` = 2e-9, as the rank test of ``[L | Pi]`` at ``TOL_RANK``
+had it for orthonormal frames (singular values sqrt(1 +- cos theta_j)).
 :func:`maslov_index` refuses a curve whose endpoints meet Pi
 (:class:`PreconditionError`) and counts across interior nodes on Pi, while
 the partial sums carry ``nan`` on both intervals at such a node.
@@ -55,12 +56,14 @@ import numpy as np
 
 from .errors import PreconditionError, RefinementError
 from .grassmann import GrassmannCurve, validate_lagrangian
-from .symplectic import frame_rank
 
 __all__ = [
     "maslov_index",
     "maslov_partial_sums",
 ]
+
+#: largest principal angle to the reference plane of a node on it
+_ON_PI = 2e-9
 
 
 def _souriau(frames: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -116,14 +119,12 @@ def _spectral_flow(planes: np.ndarray, pi: np.ndarray) -> _SpectralFlow:
     if frames.shape[-2] != pi.shape[0]:
         raise PreconditionError(
             f"curve frames have {frames.shape[-2]} rows, the reference plane {pi.shape[0]}")
-    both = np.concatenate([frames, np.broadcast_to(pi, frames.shape)], axis=-1)
-    on_pi = frame_rank(both) < pi.shape[0]
-    if len(frames) < 2:
-        return _SpectralFlow(on_pi, np.zeros(0, dtype=int), np.zeros(0, dtype=bool))
     w = _souriau(frames, pi)
+    angles = np.angle(np.linalg.eigvals(w))
+    on_pi = np.min(np.abs(angles), axis=1) < 2.0 * _ON_PI
     # a node on pi has an eigenvalue angle of +-0, placed at 0 or 2 pi; both
     # of its intervals read the same G, so its crossing is counted once
-    g = np.sum(np.mod(np.angle(np.linalg.eigvals(w)), 2.0 * np.pi), axis=1)
+    g = np.sum(np.mod(angles, 2.0 * np.pi), axis=1)
     turn = np.angle(np.linalg.eigvals(np.swapaxes(w[:-1].conj(), 1, 2) @ w[1:]))
     refused = np.max(np.abs(turn), axis=1) >= np.pi
     steps = np.rint((np.sum(turn, axis=1) - np.diff(g)) / (2.0 * np.pi)).astype(int)

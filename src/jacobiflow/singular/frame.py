@@ -28,8 +28,8 @@ the raw entry is not negative, the frame is assembled once with the
 arithmetic goes through :mod:`jacobiflow.series`, and the frame is inverted
 by :func:`~jacobiflow.symplectic.symplectic_inverse`.
 
-The block system is evaluated on every integrator stage, so
-:class:`NormalFormCoefficients` compiles its stacks once at construction
+The block system is evaluated on every integrator stage of the portrait,
+so :class:`NormalFormCoefficients` compiles its stacks once at construction
 and evaluates them in a single Horner pass (see its docstring).
 """
 

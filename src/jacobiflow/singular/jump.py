@@ -5,9 +5,11 @@ at the singular instant, and the limit of the continuation equals the
 isotropic extension of the incoming plane along ``X``: the jump inserts the
 singular direction and drops the part of the plane it cannot keep.  The
 ``epsilon_family_oracle`` realizes the defining family: flow the incoming
-plane from a small ``eps`` up to an evaluation time with the exact block
-system, every member in one march; as ``eps`` shrinks, the planes must
-approach the continuation.
+plane from a small ``eps`` up to an evaluation time with the system handed
+in, every member in one march; as ``eps`` shrinks, the planes must approach
+the continuation.  The CLI hands in the data's own system from ``M(eps) L0``,
+which the normal-form frame M(t) conjugates into the block system: it is
+rank one, so cheaper to step, and its members are in trace coordinates.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ import numpy as np
 
 from ..engine import JumpEvent
 from ..errors import NoRightLimitError, PreconditionError, UndecidedError
-from ..flows import _integrate, flow_plane  # flow_plane: bound here for tracers
-from ..grassmann import canonicalize, extend_by_isotropic
+from ..flows import SystemLike, _integrate, flow_plane  # flow_plane: bound here for tracers
+from ..grassmann import _as_frame, canonicalize, extend_by_isotropic
 from .classify import NON_OSCILLATING, THRESHOLD, SingularityReport
-from .frame import NormalFormCoefficients
 
 __all__ = ["jump_operator", "epsilon_family_oracle"]
 
@@ -55,36 +56,37 @@ def jump_operator(
 
 
 def epsilon_family_oracle(
-    coeffs: NormalFormCoefficients,
-    l0: np.ndarray,
+    system: SystemLike,
+    starts: np.ndarray,
     tau_eval: float,
     eps_list,
     rtol: float = 1e-12,
 ) -> np.ndarray:
-    """Planes ``Phi(tau_eval) Phi(eps)^-1 L0`` by renormalized integration.
+    """Planes ``Phi(tau_eval) Phi(eps_i)^-1 starts[i]`` by renormalized integration.
 
-    Integrates the exact rational block system from each starting time in
-    ``eps_list`` up to ``tau_eval``; never evaluates a fundamental matrix at
-    tiny times, so the family is well conditioned arbitrarily close to the
-    pole.  The members share their march: the deepest one is marched from
-    the smallest eps to the next, where L0 joins it as a second frame, and
-    so on up to ``tau_eval``.  The stack is one plane march (``_integrate``
-    with ``planes``): each frame is tested on its own plane, so each member
-    meets its own error bound, and the steps are graded away from the pole.
-    One QR and one canonicalisation of the final stack give the members as
-    one ``(len(eps_list), 2n, k)`` stack of canonical frames, in the order of
-    ``eps_list``; a repeated eps is marched once.
+    ``Phi`` is the flow of ``system``, in a form :func:`_integrate` takes; a
+    single start frame serves every member.  No fundamental matrix is ever
+    evaluated at tiny times, so the family is well conditioned arbitrarily
+    close to the pole.  The members share their march: the deepest one is
+    marched from the smallest eps to the next, where the next member joins
+    it, and so on up to ``tau_eval``.  The stack is one plane march
+    (``_integrate`` with ``planes``), each member meeting its own error
+    bound, with steps graded away from the pole.  One QR and one
+    canonicalisation of the final stack give the members as one
+    ``(len(eps_list), 2n, k)`` stack of canonical frames, in the order of
+    ``eps_list``; a repeated eps is marched once, from its first start.
     """
-    l0 = np.asarray(l0, dtype=float)
     if tau_eval <= 0.0:
         raise PreconditionError("evaluation time must be positive")
     eps = np.asarray(eps_list, dtype=float)
     if not np.all((0.0 < eps) & (eps < tau_eval)):
         raise PreconditionError("each eps must satisfy 0 < eps < tau_eval")
-    times, member = np.unique(eps, return_inverse=True)
-    frame = np.linalg.qr(l0[:, None] if l0.ndim == 1 else l0)[0]
-    stack = np.empty((0,) + frame.shape)
-    for a, b in zip(times.tolist(), times[1:].tolist() + [float(tau_eval)]):
-        stack = np.concatenate([stack, frame[None]])
-        stack = _integrate(coeffs.system, stack, [a, b], rtol, planes=True)[-1]
+    frames = np.linalg.qr(_as_frame(starts))[0]
+    if frames.ndim == 3 and len(frames) != eps.size:
+        raise PreconditionError("need one start frame, or one per member")
+    times, first, member = np.unique(eps, return_index=True, return_inverse=True)
+    stack = np.empty((0,) + frames.shape[-2:])
+    for i, a, b in zip(first.tolist(), times.tolist(), times[1:].tolist() + [float(tau_eval)]):
+        stack = np.concatenate([stack, (frames if frames.ndim == 2 else frames[i])[None]])
+        stack = _integrate(system, stack, [a, b], rtol, planes=True)[-1]
     return canonicalize(np.linalg.qr(stack)[0])[member]

@@ -561,6 +561,10 @@ def test_no_trace_evaluates_the_frame_past_the_handover(tmp_path, monkeypatch, n
     grid = raw["grid"]
     t_h = grid["t0"] if summary["m"] >= 3 else min(summary["series_start"], grid["t1"])
     assert max(taus) == t_h
+    if summary["m"] >= 3:
+        # the family marches the data's own system from M(eps) L0, and M(t_h)
+        # maps its members back to normal-form coordinates: nothing else
+        assert taus == [1e-3, t_h]
     assert len(_frames(out)[0]) == grid["steps"]
 
 
@@ -658,7 +662,7 @@ def _normal_form_route(config: cli.ScenarioConfig) -> np.ndarray:
         _, planes = continued(frame.coeffs, first_jet_case(l0), grid)
     else:
         eps = [e for e in config.tolerances["eps_family"] if e < grid[0]]
-        start = epsilon_family_oracle(frame.coeffs, l0, float(grid[0]), eps)[-1]
+        start = epsilon_family_oracle(frame.coeffs.system, l0, float(grid[0]), eps)[-1]
         planes = flow_plane(frame.coeffs.system, start, grid).planes
     return canonicalize(meval(frame.frame, grid) @ planes)
 
@@ -670,22 +674,27 @@ def _dx(entries: dict) -> list[float]:
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.floats(-0.25, 0.25), min_size=16, max_size=16),
-       st.sampled_from([2, 3]), st.floats(0.05, 0.5), st.integers(0, 2**32 - 1))
+       st.sampled_from([2, 3]), st.floats(0.05, 0.5), st.integers(0, 2**32 - 1),
+       st.sampled_from([(1e-3,), (1e-3, 1e-4)]))
 # X whose 40-term normal frame is refused: a nonzero diagonal block of the
 # reduced system (1.6e-8), and a frame symplectic residual of 2.5e-5
-@example(_dx({5: 0.25, 15: 0.25}), 2, 0.5, 0)
-@example(_dx({14: -0.25, 15: 0.1875}), 3, 0.5, 0)
-def test_handover_trace_agrees_with_the_normal_form_route(dx, m, t1, seed):
+@example(_dx({5: 0.25, 15: 0.25}), 2, 0.5, 0, (1e-3,))
+@example(_dx({14: -0.25, 15: 0.1875}), 3, 0.5, 0, (1e-3,))
+# an order-3 family of two members: the second joins the stack at 1e-3
+@example(_dx({}), 3, 0.5, 0, (1e-3, 1e-4))
+def test_handover_trace_agrees_with_the_normal_form_route(dx, m, t1, seed, eps_family):
     # random cubic X around the golden one, where the frame series is summed
     # up to t1: there both routes hold, and the handover changes the planes
-    # by the transport error only
+    # by the transport error only.  For m = 3 the trace marches the epsilon
+    # family on the data's own system and the normal-form route on the block
+    # system, so the two families are independent
     data = PiecewiseAnalytic(breakpoints=[-1.0, 1.0], b_pieces=[[0.0] * m + [-1.0]],
                              x_pieces=[GOLDEN_X + np.reshape(dx, (4, 4))])
     config = cli.ScenarioConfig(
         n=2, mode="legendre_degeneracy", data={"piecewise": data},
         initial_plane=random_lagrangian(np.random.default_rng(seed), 2),
         grid=np.linspace(0.01, t1, 12),
-        tolerances=dict(cli.DEFAULT_TOLERANCES, eps_family=(1e-3,)), seed=0)
+        tolerances=dict(cli.DEFAULT_TOLERANCES, eps_family=eps_family), seed=0)
     try:
         _, frame, _ = cli._degeneracy_stage(config)
     except JacobiflowError as exc:

@@ -400,7 +400,7 @@ def test_continuation_matches_independent_frame_transport(name):
 def test_epsilon_family_approaches_the_continuation(name, last_below):
     coeffs, l0, _ = _corpus_problem(name)
     _, planes = continued(coeffs, first_jet_case(l0), np.array([0.5, 1.0]))
-    family = epsilon_family_oracle(coeffs, l0, 1.0, [1e-2, 1e-3, 1e-4, 1e-5])
+    family = epsilon_family_oracle(coeffs.system, l0, 1.0, [1e-2, 1e-3, 1e-4, 1e-5])
     dists = [plane_distance(p, planes[-1]) for p in family]
     assert all(b < a for a, b in zip(dists, dists[1:]))
     assert dists[-1] < last_below

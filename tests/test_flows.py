@@ -141,7 +141,18 @@ def test_flow_plane_refuses_to_cross_pole():
         a=np.zeros((1, 1)), b=np.array([[1.0]]), c=np.array([[0.5]]), pole_order=2
     )
     with pytest.raises(PoleError, match="stalled"):
-        flow_plane(h, vertical_plane(1), [1.0, -1.0])
+        flow_plane(h, vertical_plane(1), [-1.0, 1.0])
+
+
+def test_flow_plane_refuses_a_decreasing_grid_before_the_march(monkeypatch):
+    # a curve's times increase, so a decreasing grid cannot give one: it is
+    # refused before any step is taken, not after the whole march
+    def no_march(*args, **kwargs):
+        raise AssertionError("the march started")
+
+    monkeypatch.setattr(flows, "_integrate", no_march)
+    with pytest.raises(PreconditionError, match="strictly increasing"):
+        flow_plane(_harmonic(), vertical_plane(1), [1.0, 0.0])
 
 
 def test_every_node_is_a_step_end():
@@ -834,17 +845,34 @@ def test_a_stack_march_steps_over_one_node_interval_or_an_equal_pair(tmp_path, m
 
 # a failed opening costs one chain of doubling steps, of which the march
 # keeps every step up to the first failure: the corpus degen_m3 trace, whose
-# four epsilon segments each open so, takes 44 batches and proposes 1,328
-# steps, and the portrait 5 batches and 185 steps (272 before its node
-# intervals went in pairs)
-@pytest.mark.parametrize("verb, scenario, batches, proposed", [
-    ("trace", "degen_m3", 45, 1360), ("portrait", "portrait", 5, 190),
+# four epsilon segments each open so, takes 47 batches and proposes 1,460
+# steps, all on the data's rank-one system (44 and 1,328 when its family
+# marched the dense block system), and the portrait, on the block system,
+# 5 batches and 185 steps (272 before its node intervals went in pairs)
+@pytest.mark.parametrize("verb, scenario, batches, proposed, rank_one", [
+    ("trace", "degen_m3", 48, 1490, True), ("portrait", "portrait", 5, 190, False),
 ], ids=["degen_m3", "portrait"])
-def test_corpus_marches_take_few_batches(tmp_path, monkeypatch, verb, scenario, batches, proposed):
+def test_corpus_marches_take_few_batches(tmp_path, monkeypatch, verb, scenario, batches, proposed,
+                                         rank_one):
     calls = _recorded_batches(monkeypatch)
+    forms = []
+    increments = flows._increments
+
+    def recorded(sys, t, h):
+        def seen(ts):
+            a = sys(ts)
+            forms.append(isinstance(a, tuple))
+            return a
+
+        return increments(seen, t, h)
+
+    monkeypatch.setattr(flows, "_increments", recorded)
     assert cli.main([verb, str(CORPUS / f"{scenario}.json"), "--out", str(tmp_path / "o.csv")]) == 0
     assert len(calls) <= batches
     assert sum(t.size for t, _, _ in calls) <= proposed
+    # the form of the system sets each batch's stage solve: a dense one for
+    # the block system, the 4 x 4 solve of the pairings for a rank-one one
+    assert len(forms) == len(calls) and set(forms) == {rank_one}
 
 
 def _steps_taken(err) -> int:
@@ -878,6 +906,7 @@ def test_epsilon_family_member_is_marched_on_its_plane(tmp_path, monkeypatch):
     # eps; each member is tested on its own plane.  Marched one member at a
     # time on batches of steps of one length it took 2,635 steps, jointly on
     # graded batches about 1,310, and on graded batches of 4-stage steps 1,021
+    # on the block system and 1,163 on the data's own rank-one system
     counts = _accepted_steps(monkeypatch)
     assert cli.main(["trace", str(CORPUS / "degen_m3.json"), "--out", str(tmp_path / "o.csv")]) == 0
     family = [1e-6, 1e-5, 1e-4, 1e-3]

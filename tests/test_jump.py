@@ -19,6 +19,7 @@ from jacobiflow.flows import flow_plane
 from jacobiflow.grassmann import canonicalize, plane_distance
 from jacobiflow.singular.classify import SingularityReport
 from jacobiflow.singular.jump import epsilon_family_oracle, jump_operator
+from jacobiflow.symplectic import symplectic_inverse
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -54,13 +55,13 @@ def test_jump_verdict_gating():
 
 
 def _family_problem(scenario: Path) -> tuple:
-    """``(coeffs, l0, tau_eval, eps_list, rtol)`` that the trace of a
+    """``(system, starts, tau_eval, eps_list, rtol)`` that the trace of a
     ``degen_m3`` scenario hands to the epsilon family."""
     handed = []
 
-    def recorded(coeffs, l0, tau_eval, eps_list, rtol):
-        handed.append((coeffs, l0, tau_eval, list(eps_list), rtol))
-        return epsilon_family_oracle(coeffs, l0, tau_eval, eps_list, rtol=rtol)
+    def recorded(system, starts, tau_eval, eps_list, rtol):
+        handed.append((system, starts, tau_eval, list(eps_list), rtol))
+        return epsilon_family_oracle(system, starts, tau_eval, eps_list, rtol=rtol)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "epsilon_family_oracle", recorded)
@@ -68,9 +69,12 @@ def _family_problem(scenario: Path) -> tuple:
     return handed[0]
 
 
-def _member_by_member(coeffs, l0, tau_eval, eps_list, rtol) -> list:
-    """The family as one march of one plane per member."""
-    return [flow_plane(coeffs.system, l0, [eps, tau_eval], rtol=rtol).planes[-1] for eps in eps_list]
+def _member_by_member(system, starts, tau_eval, eps_list, rtol) -> list:
+    """The family as one march of one plane per member, member i from
+    ``starts[i]``, or from ``starts`` when it is a single frame."""
+    starts = np.broadcast_to(starts, (len(eps_list),) + np.shape(starts)[-2:])
+    return [flow_plane(system, start, [eps, tau_eval], rtol=rtol).planes[-1]
+            for start, eps in zip(starts, eps_list)]
 
 
 def _pole_scenarios(directory: Path) -> list[Path]:
@@ -96,6 +100,28 @@ def test_the_joint_family_is_the_member_by_member_family(tmp_path):
         assert max(plane_distance(a, b) for a, b in zip(joint, alone)) < 1e-12
 
 
+def test_the_trace_family_is_the_normal_form_family_moved_by_the_frame():
+    # the trace marches the data's own order-0 system from M(eps) L0; the
+    # normal-form family marches the block system from L0.  M(t) conjugates
+    # one system into the other, so M(tau_eval) maps the second family onto
+    # the first, up to the transport error
+    system, starts, tau_eval, eps_list, rtol = _corpus_family()
+    config = cli.parse_scenario(PERFBENCH / "corpus" / "degen_m3.json")
+    _, frame, _ = cli._degeneracy_stage(config)
+    l0 = canonicalize(symplectic_inverse(frame.frame_at(0.0)) @ config.initial_plane)
+    assert plane_distance(starts, frame.frame_at(np.array(eps_list)) @ l0).max() < 1e-15
+    data = epsilon_family_oracle(system, starts, tau_eval, eps_list, rtol=rtol)
+    normal = epsilon_family_oracle(frame.coeffs.system, l0, tau_eval, eps_list, rtol=rtol)
+    assert plane_distance(data, frame.frame_at(tau_eval) @ normal).max() < 1e-12
+
+
+def test_the_family_needs_one_start_or_one_per_member():
+    # the corpus family hands in four starts, one per member
+    system, starts, tau_eval, _, rtol = _corpus_family()
+    with pytest.raises(PreconditionError, match="one per member"):
+        epsilon_family_oracle(system, starts, tau_eval, [1e-3, 1e-4], rtol=rtol)
+
+
 @functools.lru_cache(maxsize=None)
 def _corpus_family() -> tuple:
     return _family_problem(PERFBENCH / "corpus" / "degen_m3.json")
@@ -107,10 +133,10 @@ def _corpus_family() -> tuple:
 def test_the_joint_family_keeps_the_order_of_an_unsorted_eps_list(seed, eps_list):
     # random start planes and eps lists in any order, with repeats: member i
     # is the plane marched from eps_list[i]
-    coeffs, _, tau_eval, _, rtol = _corpus_family()
+    system, _, tau_eval, _, rtol = _corpus_family()
     l0 = random_lagrangian(np.random.default_rng(seed), 2)
-    joint = epsilon_family_oracle(coeffs, l0, tau_eval, eps_list, rtol=rtol)
-    alone = _member_by_member(coeffs, l0, tau_eval, eps_list, rtol)
+    joint = epsilon_family_oracle(system, l0, tau_eval, eps_list, rtol=rtol)
+    alone = _member_by_member(system, l0, tau_eval, eps_list, rtol)
     assert len(joint) == len(eps_list)
     assert max(plane_distance(a, b) for a, b in zip(joint, alone)) < 1e-12
 

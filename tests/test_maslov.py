@@ -19,7 +19,7 @@ from jacobiflow.grassmann import (
     vertical_plane,
 )
 from jacobiflow.maslov import _spectral_flow, maslov_index, maslov_partial_sums
-from jacobiflow.symplectic import apply_j, isotropy_residual
+from jacobiflow.symplectic import apply_j, frame_rank, isotropy_residual
 
 # -- reference: the chart-catalogue route that the spectral-flow counter
 # replaced, kept here as the oracle.  Charts come from a fixed catalogue
@@ -468,6 +468,26 @@ def test_nodes_on_pi_are_the_nodes_of_positive_intersection(n, seed, meets):
     on_pi = _spectral_flow(planes, pi).on_pi
     assert np.array_equal(on_pi, intersection_dimension(planes, pi) > 0)
     assert np.array_equal(on_pi, np.minimum(meets, n) > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**31 - 1),
+       st.one_of(st.floats(0.0, 1.8e-9), st.floats(2.2e-9, 1.5)))
+def test_a_node_is_on_pi_below_a_principal_angle_of_2e_9(n, seed, theta):
+    # a plane at principal angles theta and larger ones to Pi, moved by an
+    # orthogonal symplectic map that keeps Pi, and framed by a random right
+    # factor: it meets Pi where theta < 2e-9, as the rank test of [L | Pi]
+    # at TOL_RANK, which the eigenvalue angles of W replace, decided it on
+    # orthonormal frames
+    rng = np.random.default_rng(seed)
+    angles = np.concatenate([[theta], rng.uniform(0.1, np.pi / 2, n - 1)])
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    plane = np.kron(np.eye(2), q) @ np.vstack([np.diag(np.cos(angles)), np.diag(np.sin(angles))])
+    pi = vertical_plane(n)
+    on = theta < 2e-9
+    assert (frame_rank(np.hstack([plane, pi])) < 2 * n) == on
+    framed = plane @ (rng.normal(size=(n, n)) + 3.0 * np.eye(n))
+    assert _spectral_flow(framed[None], pi).on_pi.tolist() == [on]
 
 
 if __name__ == "__main__":

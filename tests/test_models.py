@@ -411,11 +411,11 @@ def test_epsilon_family_validates_times():
     p = ModelParams(m=2, b_m=-1.0, c11=-2.0, k=1)
     l0 = np.array([[1.0], [0.4]])
     with pytest.raises(PreconditionError):
-        epsilon_family_oracle(p.coefficients(), l0, 0.0, [1e-3])
+        epsilon_family_oracle(p.coefficients().system, l0, 0.0, [1e-3])
     with pytest.raises(PreconditionError):
-        epsilon_family_oracle(p.coefficients(), l0, 0.5, [0.6])
+        epsilon_family_oracle(p.coefficients().system, l0, 0.5, [0.6])
     with pytest.raises(PreconditionError):
-        epsilon_family_oracle(p.coefficients(), l0, 0.5, [0.0])
+        epsilon_family_oracle(p.coefficients().system, l0, 0.5, [0.0])
 
 
 def test_epsilon_family_converges_to_continuation():
@@ -423,7 +423,7 @@ def test_epsilon_family_converges_to_continuation():
     l0 = canonicalize(np.array([[1.0], [0.4]]))
     target = model_continuation(2, p, l0, 0.5)
     planes = epsilon_family_oracle(
-        p.coefficients(), l0, 0.5, [1e-2, 1e-3, 1e-4], rtol=1e-12
+        p.coefficients().system, l0, 0.5, [1e-2, 1e-3, 1e-4], rtol=1e-12
     )
     assert isinstance(planes, np.ndarray) and planes.shape == (3, 2, 1)
     dists = [plane_distance(pl, target) for pl in planes]

@@ -19,8 +19,10 @@ those of the Baseline table of ``ROADMAP.md``.
 
 Beside each op's time come the counts of one more, untimed run: the
 transport's batches and evaluated propagators (calls of
-``flows._increments`` and the steps they take), the steps of its frame
-chains (``flows._chain``) and the frames it orthonormalises by a QR
+``flows._increments`` and the steps they take), the propagators among them
+of a dense system, whose stage solve is 4*2n unknowns per column where a
+rank-one system's is four pairings, the steps of its frame chains
+(``flows._chain``) and the frames it orthonormalises by a QR
 (``flows._renormalise``).  They do not depend on the host, so they show a
 change of step control without the noise of the timings.
 """
@@ -44,7 +46,7 @@ OPS = ("regular.trace", "regular.maslov", "order2.trace", "degen_m1.trace",
        "degen_m2.trace", "degen_m3.trace", "bangbang.bangbang", "portrait.portrait")
 IMPORT = "import jacobiflow.cli"
 #: the transport's work counted per op, in the order printed
-COUNTS = ("batches", "propagators", "chain_steps", "qrs")
+COUNTS = ("batches", "propagators", "dense", "chain_steps", "qrs")
 COLD_IMPORT = (
     "import sys, time\n"
     "sys.path.insert(0, sys.argv[1])\n"
@@ -98,7 +100,13 @@ def counted(flows):
     def evaluated(sys, t, h):
         counts["batches"] += 1
         counts["propagators"] += t.size
-        return increments(sys, t, h)
+
+        def seen(ts):  # the system's form: a (u, w) pair is rank one
+            a = sys(ts)
+            counts["dense"] += 0 if isinstance(a, tuple) else t.size
+            return a
+
+        return increments(seen, t, h)
 
     def chained(f, inc, *part):
         counts["chain_steps"] += inc.shape[0]
