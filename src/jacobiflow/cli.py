@@ -54,8 +54,6 @@ from .errors import ConfigError, JacobiflowError, MathError, NondegeneracyError,
 from .flows import flow_plane
 from .grassmann import (
     GrassmannCurve,
-    _chart_matrix,
-    _sigma_pi_chart,
     canonicalize,
     plane_distance,
     validate_lagrangian,
@@ -353,12 +351,12 @@ def _trace_columns(n: int) -> list[str]:
 def _trace_rows(curve: GrassmannCurve, n: int,
                 events: list[int]) -> tuple[list[list], _SpectralFlow]:
     # the Maslov pass over Pi is returned so that the maslov verb counts on
-    # it too; it validates every node of the curve's stack of planes, so the
-    # chart columns (chart (Sigma, Pi), prepared once per n) solve on it as it is
+    # it too; its chart over Pi is the identity, the chart (Sigma, Pi) of the
+    # chart columns, so they are its chart matrices
     planes = curve.planes
     flow = _spectral_flow(planes, vertical_plane(n))
     partial = flow.partial_sums()
-    charts = _chart_matrix(planes, _sigma_pi_chart(n)).reshape(len(planes), -1)
+    charts = flow.charts.reshape(len(planes), -1)
     off = np.isnan(charts).all(axis=1)
     # the event rows are the nodes the curve's producer names
     hits = np.zeros(len(planes), dtype=int)
@@ -458,7 +456,9 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
 
     grid = config.grid
     rtol = config.tolerances["rtol"]
-    l0_nf = canonicalize(symplectic_inverse(frame.frame_at(0.0)) @ config.initial_plane)
+    m0 = frame.frame_at(0.0)
+    m0_inv = symplectic_inverse(m0)
+    l0_nf = canonicalize(m0_inv @ config.initial_plane)
     # the local theory up to the handover time t_h: the first-jet series window,
     # in normal-form coordinates, for m <= 2, the epsilon family to grid.t0 for m >= 3
     if frame.m <= 2:
@@ -477,12 +477,16 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
             raise ConfigError("tolerances.eps_family: no entry lies below grid.t0")
         times = grid[:1]
         _check_radius(frame, float(times[-1]))
-        # the family marches the data's own system right of 0 from M(eps) L0: its
-        # deepest member is the plane at t_h, and M(t_h)^-1 maps the members back
+        # the family marches the data's own system right of 0 from M(eps) L0, in
+        # the coordinates M(0)^-1, where X(0) is the first axis: the steps next
+        # to the pole, up to about 1e6 in size, then move that coordinate alone
+        # and do not round the plane away in the others.  Its deepest member is
+        # the plane at t_h, and M(t_h)^-1 maps the members back
         at = meval(frame.frame, np.append(eps, times))
-        family = epsilon_family_oracle(_jacobi_system(data, data.piece_index(0.0), 0),
-                                       at[:-1] @ l0_nf, float(grid[0]), eps, rtol=rtol)
-        local = family[-1:]
+        family = m0 @ epsilon_family_oracle(_jacobi_system(data, data.piece_index(0.0), 0, m0_inv),
+                                            m0_inv @ at[:-1] @ l0_nf, float(grid[0]), eps,
+                                            rtol=rtol)
+        local = canonicalize(family[-1:])
         nf_family = symplectic_inverse(at[-1]) @ family
         summary["eps_family"] = list(map(float, eps))
         summary["oracle_distances"] = plane_distance(nf_family[:-1], nf_family[1:]).tolist()

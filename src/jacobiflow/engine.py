@@ -297,12 +297,18 @@ def _order_and_check_sign(seq: LegendreSequence) -> int:
     return m
 
 
-def _jacobi_system(data: PiecewiseAnalytic, piece: int, m: int):
+def _jacobi_system(data: PiecewiseAnalytic, piece: int, m: int, to: np.ndarray | None = None):
     """The order-m Jacobi equation of a piece as the rank-one system u w^T of
     :func:`~jacobiflow.flows._integrate`: mu' = X^(m) sigma(X^(m), mu) / b^m and
     sigma(X^(m), mu) = (-J X^(m)) . mu, so u = X^(m) and w = -J X^(m) / b^m, with
-    the piece's own polynomials at any time, also past its ends."""
+    the piece's own polynomials at any time, also past its ends.
+
+    With ``to``, a constant symplectic matrix T, it is the equation of T X:
+    T keeps sigma, so its flow is T Phi T^-1, the flow of the data in the
+    coordinates mu -> T mu."""
     xs, bs = data._stack(piece, m), data._entry(piece, m)
+    if to is not None:
+        xs = xs @ to.T
 
     def system(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xm = meval(xs, t)

@@ -31,8 +31,9 @@ would take on the propagator.  The steps of such a march therefore depend
 on its frames.  The family marches its members as one stack of planes, a
 member joining the stack at its eps, so the members share every step above
 their start.  A trace marches it on the data's own rank-one Jacobi equation,
-not the dense block system conjugate to it: 1,460 steps on the corpus
-``degen_m3`` trace, not 1,328, each half as costly.  Any other stack of
+in coordinates where X(0) is an axis (:mod:`.singular.jump`), not the dense
+block system conjugate to it: 1,460 steps on the corpus ``degen_m3`` trace,
+not 1,328, each half as costly.  Any other stack of
 frames, or a full-rank frame, keeps the error of the propagator, so each
 frame of such a stack moves as it would alone.  Every march moves its
 frames, one or a stack, by one chain of propagators (:func:`_chain`), which
@@ -232,7 +233,7 @@ def _batch(sys: SystemLike, t: np.ndarray, h: np.ndarray, rtol: float, frames: n
     overflow on the way, so floating-point warnings are off.
     """
     k = t.size
-    single, inner = first == h, np.abs(first) < np.abs(h)
+    single, inner = first == h, first < h
     cut = np.where(inner, first, 0.5 * h)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
@@ -357,8 +358,8 @@ def _proposed(nodes: np.ndarray, t: float, k: int, h: float, g: float) -> tuple[
     nan for any other step.
     """
     run, part = 0, np.zeros(0)  # part: each leading node interval over h
-    if abs(float(nodes[k]) - t) / h * (1.0 - 1e-12) <= 1.0:
-        part = np.abs(np.diff(nodes[k : k + _RUN], prepend=t)) / h
+    if (float(nodes[k]) - t) / h * (1.0 - 1e-12) <= 1.0:
+        part = np.diff(nodes[k : k + _RUN], prepend=t) / h
         reach = part * (1.0 - 1e-12) <= 1.0
         run = part.size if reach.all() else int(np.argmin(reach))
     head, span, inside = nodes[k : k + run], part[:run], np.zeros(0)
@@ -373,9 +374,9 @@ def _proposed(nodes: np.ndarray, t: float, k: int, h: float, g: float) -> tuple[
     # ends on the node bit for bit, else on from its start
     rows, counts, cuts, base, first = [], [], [], 0.0, 0
     for node in nodes[j : j + room].tolist():
-        i = int(marched.searchsorted(base + abs(node - s) * (1.0 - 1e-12)))
+        i = int(marched.searchsorted(base + (node - s) * (1.0 - 1e-12)))
         if i == room:
-            rows.append((s, base, 1.0 if node > s else -1.0))
+            rows.append((s, base, 1.0))
             counts.append(room - first)
             break
         end = float(marched[i])
@@ -390,7 +391,7 @@ def _proposed(nodes: np.ndarray, t: float, k: int, h: float, g: float) -> tuple[
     mids = np.full(stops.size, np.nan)
     mids[: inside.size] = inside
     return (np.concatenate([[t], stops[:-1]]), stops, ends,
-            np.concatenate([span, np.abs(scale)]) >= 0.5, mids)
+            np.concatenate([span, scale]) >= 0.5, mids)
 
 
 def _paired(stops: np.ndarray, part: np.ndarray,
@@ -434,7 +435,7 @@ def _grade(starts: np.ndarray, lengths: np.ndarray, err: np.ndarray, h: float) -
     keep = err > 0.0
     if np.count_nonzero(keep) < 2:
         return 1.0
-    x = np.abs(starts[keep] - starts[0]) + 0.5 * lengths[keep]
+    x = starts[keep] - starts[0] + 0.5 * lengths[keep]
     x -= x.sum() / x.size
     slope = float(x @ (np.log(err[keep]) - (_ORDER + 1) * np.log(lengths[keep]))) / float(x @ x)
     return min(1.1, max(0.9, math.exp(-slope * h / (_ORDER + 1))))
@@ -442,7 +443,7 @@ def _grade(starts: np.ndarray, lengths: np.ndarray, err: np.ndarray, h: float) -
 
 def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
                rtol: float, *, planes: bool = False) -> np.ndarray:
-    """Frames at the strictly monotone ``nodes`` of one march from ``frames``.
+    """Frames at the strictly increasing ``nodes`` of one march from ``frames``.
 
     ``frames`` is one ``(2n, k)`` frame or a stack of them; the result has one
     entry per node, the first being ``frames``.  ``sys`` gives the system at
@@ -491,21 +492,21 @@ def _integrate(sys: SystemLike, frames: np.ndarray, nodes: Sequence[float],
     plane = planes or (frames.ndim == 2 and 0 < frames.shape[1] < frames.shape[0])
     out = np.empty((nodes.size,) + f.shape)
     out[0] = f
-    span = abs(float(nodes[-1] - nodes[0]))
+    span = float(nodes[-1] - nodes[0])
     t, k = float(nodes[0]), 1
-    h = abs(float(nodes[min(1, nodes.size - 1)] - nodes[0]))
+    h = float(nodes[min(1, nodes.size - 1)] - nodes[0])
     g, opening = 1.0, True
     while k < nodes.size:
         # the opening takes the whole first node interval, and after it fails
         # a chain of steps doubling from h 2**-_BATCH up to h/2, short of the node
         starts, stops, ends, whole, mids = _proposed(nodes[: k + 1] if opening else nodes, t, k,
                                                      h * 2.0 ** -_BATCH if g == 2.0 else h, g)
-        lengths = np.abs(stops - starts)
-        steps, err = _batch(sys, starts, stops - starts, rtol, f, plane, mids - starts)
+        lengths = stops - starts
+        steps, err = _batch(sys, starts, lengths, rtol, f, plane, mids - starts)
         taken = np.arange(int(np.argmax(err > 1.0)) if np.any(err > 1.0) else err.size)
         if taken.size:
             n = taken.size  # the nodes reached: inside each step, then at its end
-            at = np.stack([np.abs(mids[:n] - starts[:n]) < lengths[:n], ends[:n]], axis=1)
+            at = np.stack([mids[:n] - starts[:n] < lengths[:n], ends[:n]], axis=1)
             reached = steps[:n][at]
             f = steps[n - 1, 1]
             out[k : k + len(reached)] = reached

@@ -129,7 +129,7 @@ def mconv(a: np.ndarray, b: np.ndarray, nterms: int | None = None) -> np.ndarray
     for k in np.flatnonzero(head.reshape(head.shape[0], -1).any(axis=1)):
         hi = min(out_len - k, b.shape[0])
         if hi > 0:
-            out[k : k + hi] += np.einsum("rs,lsc->lrc", a[k], b[:hi])
+            out[k : k + hi] += a[k] @ b[:hi]
     return out
 
 

@@ -298,7 +298,9 @@ def blowup_series(system: CaseSystem) -> np.ndarray:
     rhs`` on ``vec(Y)`` (row-major).  ``G0`` and ``S*`` are symmetric, so the
     operator ``(k+1) I + I (x) (G0 S*)^T + (S* G0) (x) I`` has the same
     eigenvalues as its restriction to symmetric matrices; it is invertible
-    away from the resonant exponent collisions.
+    away from the resonant exponent collisions.  The operators are inverted
+    once, from the SVD that checks them, and each Cauchy sum of an order is
+    one matmul of a row of blocks by a column of blocks.
     """
 
     ln = system.cprime.shape[0]
@@ -308,28 +310,35 @@ def blowup_series(system: CaseSystem) -> np.ndarray:
     eye = np.eye(kk)
     ops = (np.arange(2.0, ln + 1.0)[:, None, None] * np.eye(kk * kk)
            + np.kron(eye, (g[0] @ s_star).T) + np.kron(s_star @ g[0], eye))
-    sv = np.linalg.svd(ops, compute_uv=False)
+    u, sv, vt = np.linalg.svd(ops)
     singular = sv[:, -1] <= 1e-12 * np.maximum(1.0, sv[:, 0])
     if singular.any():
         raise SeriesResonanceError(
             f"coefficient solve is singular at order {int(np.argmax(singular)) + 1}"
         )
-    out = np.zeros((ln, kk, kk))
-    out[0] = s_star
-    # gy[j] = sum_{q + r = j} g[q] out[r], the G S1 product series so far
+    inv = np.swapaxes(vt, 1, 2) / sv[:, None, :] @ np.swapaxes(u, 1, 2)
+    # rows of blocks [g[0] g[1] ...] and [a[0]^T a[1]^T ...]
+    g_row = g.transpose(1, 0, 2).reshape(kk, ln * kk)
+    at_row = a.transpose(2, 0, 1).reshape(kk, ln * kk)
+    # the orders of S1 in reverse, rev[ln - 1 - j] = S1[j], and gy[j] = sum_{q + r
+    # = j} g[q] S1[r], the G S1 product series so far, as columns of blocks;
+    # each S1[j] is symmetric, so a column of them transposed is their row
+    rev = np.zeros((ln, kk, kk))
+    rev[-1] = s_star
     gy = np.zeros((ln, kk, kk))
     gy[0] = g[0] @ s_star
+    rev_col, gy_col = rev.reshape(ln * kk, kk), gy.reshape(ln * kk, kk)
     for k in range(1, ln):
-        known = out[k - 1 :: -1]  # out[k-1], ..., out[0]
-        # the order-k part of G S1 without its unknown g[0] out[k]
-        gy_k = np.einsum("qrs,qsc->rc", g[1 : k + 1], known)
-        lin = np.einsum("irs,isc->rc", known, a[:k])
+        known = rev_col[(ln - k) * kk :]  # S1[k-1], ..., S1[0]
+        # the order-k part of G S1 without its unknown g[0] S1[k]
+        gy_k = g_row[:, kk : (k + 1) * kk] @ known
+        lin = at_row[:, : k * kk] @ known  # the transpose of sum_i S1[k-1-i] a[i]
         rhs = (c[k] - lin - lin.T - s_star @ gy_k
-               - np.einsum("prs,psc->rc", out[1:k], gy[k - 1 : 0 : -1]))
-        y = np.linalg.solve(ops[k - 1], (0.5 * (rhs + rhs.T)).ravel()).reshape(kk, kk)
-        out[k] = 0.5 * (y + y.T)
-        gy[k] = gy_k + g[0] @ out[k]
-    return out
+               - rev_col[(ln - k) * kk : (ln - 1) * kk].T @ gy_col[kk : k * kk])
+        y = (inv[k - 1] @ (0.5 * (rhs + rhs.T)).ravel()).reshape(kk, kk)
+        rev[ln - 1 - k] = 0.5 * (y + y.T)
+        gy[k] = gy_k + g[0] @ rev[ln - 1 - k]
+    return rev[::-1].copy()
 
 
 def _tail_within(norms: np.ndarray, t: float) -> bool:

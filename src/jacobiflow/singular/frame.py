@@ -332,10 +332,13 @@ def build_normal_frame(
     dim = frame.shape[1]
     n = dim // 2
 
-    # symplectic residual of the series frame: -J M^T J M - I = -J (M^T J M - J)
-    # has the magnitudes of the Gram residual
+    # one product M^-1 [M | M'] gives the symplectic residual of the series
+    # frame, M^-1 M - I = -J (M^T J M - J), which has the magnitudes of the
+    # Gram residual, and the reduced system -M^-1 M'; the padded derivative
+    # has an unknown top coefficient, so the system drops that order
     inv = symplectic_inverse(frame)
-    res = mconv(inv, frame)
+    both = mconv(inv, np.concatenate([frame, _pad(sder(frame), nterms)], axis=2))
+    res = both[:, :, :dim]
     res[0] -= np.eye(dim)
     sym_res = float(np.max(np.abs(res))) / max(1.0, float(np.max(np.abs(frame))) ** 2)
     if sym_res > SYMPLECTIC_TOL:
@@ -343,8 +346,7 @@ def build_normal_frame(
             f"frame symplectic residual {sym_res:.2e} exceeds {SYMPLECTIC_TOL:.0e}"
         )
 
-    # the padded derivative has an unknown top coefficient; drop that order
-    g_mat = -mconv(inv, _pad(sder(frame), nterms))[: nterms - 1]
+    g_mat = -both[: nterms - 1, :, dim:]
     ps = list(range(k))
     qs = list(range(n, n + k))
     comp = [i for i in range(dim) if i not in ps + qs]

@@ -9,7 +9,9 @@ plane from a small ``eps`` up to an evaluation time with the system handed
 in, every member in one march; as ``eps`` shrinks, the planes must approach
 the continuation.  The CLI hands in the data's own system from ``M(eps) L0``,
 which the normal-form frame M(t) conjugates into the block system: it is
-rank one, so cheaper to step, and its members are in trace coordinates.
+rank one, so cheaper to step.  It is written in the coordinates M(0)^-1,
+where X(0) is the first axis, so the large steps next to the pole move that
+coordinate alone; M(0) maps its members to trace coordinates.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from jacobiflow.cli import DEFAULT_U0, DEFAULT_V0, main
 from jacobiflow.engine import PiecewiseAnalytic, singular_jacobi_curve
 from jacobiflow.errors import JacobiflowError
 from jacobiflow.flows import flow_plane
-from jacobiflow.grassmann import canonicalize, plane_distance
+from jacobiflow.grassmann import _chart_matrix, _sigma_pi_chart, canonicalize, plane_distance
 from jacobiflow.series import meval
 from jacobiflow.singular.firstjet import _tail_within, first_jet_case
 from jacobiflow.singular.jump import epsilon_family_oracle
@@ -301,6 +301,24 @@ def test_event_rows_are_the_nodes_the_producer_names(tmp_path):
     summary = json.loads((tmp_path / "o.csv.summary.json").read_text())
     assert rows[0, 0] == 1e-10 and summary["events"][0]["time"] == 0.0
     assert not rows[:, -1].any()
+
+
+@pytest.mark.parametrize("scenario, verb", [
+    ("regular_short", "trace"), ("bangbang_short", "bangbang"), ("degen_m2_short", "trace"),
+    ("degen_m3_short", "trace"),
+])
+def test_chart_columns_are_the_sigma_pi_chart_matrices(scenario, verb):
+    # the rows read their chart columns off the Maslov pass, whose chart over
+    # Pi is the chart (Sigma, Pi): bit for bit the matrices it solves for the
+    # frames, blank off the chart
+    config = cli.parse_scenario(GOLDEN / f"{scenario}.json")
+    n = config.n
+    rows = cli.run(config, verb).rows
+    frames = np.array([row[1 : 1 + 2 * n * n] for row in rows]).reshape(-1, 2 * n, n)
+    charts = _chart_matrix(frames, _sigma_pi_chart(n)).reshape(len(rows), -1)
+    expected = [[None if np.isnan(c) else c for c in chart] for chart in charts.tolist()]
+    assert [row[1 + 2 * n * n : 1 + 3 * n * n] for row in rows] == expected
+    assert any(row[1 + 2 * n * n] is not None for row in rows)
 
 
 @pytest.mark.parametrize("name", ["degen_m1", "degen_m2"])
@@ -672,6 +690,18 @@ def _dx(entries: dict) -> list[float]:
     return [entries.get(i, 0.0) for i in range(16)]
 
 
+def _cubic(dx, m: int, t1: float, seed: int, eps_family, **tolerances) -> cli.ScenarioConfig:
+    """The degeneracy trace of b = -t^m and X = GOLDEN_X + dx from a random plane
+    over 12 nodes from 0.01 to ``t1``."""
+    data = PiecewiseAnalytic(breakpoints=[-1.0, 1.0], b_pieces=[[0.0] * m + [-1.0]],
+                             x_pieces=[GOLDEN_X + np.reshape(dx, (4, 4))])
+    return cli.ScenarioConfig(
+        n=2, mode="legendre_degeneracy", data={"piecewise": data},
+        initial_plane=random_lagrangian(np.random.default_rng(seed), 2),
+        grid=np.linspace(0.01, t1, 12),
+        tolerances=dict(cli.DEFAULT_TOLERANCES, eps_family=eps_family, **tolerances), seed=0)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.floats(-0.25, 0.25), min_size=16, max_size=16),
        st.sampled_from([2, 3]), st.floats(0.05, 0.5), st.integers(0, 2**32 - 1),
@@ -688,13 +718,7 @@ def test_handover_trace_agrees_with_the_normal_form_route(dx, m, t1, seed, eps_f
     # by the transport error only.  For m = 3 the trace marches the epsilon
     # family on the data's own system and the normal-form route on the block
     # system, so the two families are independent
-    data = PiecewiseAnalytic(breakpoints=[-1.0, 1.0], b_pieces=[[0.0] * m + [-1.0]],
-                             x_pieces=[GOLDEN_X + np.reshape(dx, (4, 4))])
-    config = cli.ScenarioConfig(
-        n=2, mode="legendre_degeneracy", data={"piecewise": data},
-        initial_plane=random_lagrangian(np.random.default_rng(seed), 2),
-        grid=np.linspace(0.01, t1, 12),
-        tolerances=dict(cli.DEFAULT_TOLERANCES, eps_family=eps_family), seed=0)
+    config = _cubic(dx, m, t1, seed, eps_family)
     try:
         _, frame, _ = cli._degeneracy_stage(config)
     except JacobiflowError as exc:
@@ -707,6 +731,27 @@ def test_handover_trace_agrees_with_the_normal_form_route(dx, m, t1, seed, eps_f
     out = cli.run(config, "trace")
     planes = np.array([row[1:9] for row in out.rows]).reshape(-1, 4, 2)
     assert np.max(plane_distance(planes, _normal_form_route(config))) < 1e-9
+
+
+# order-3 X with X(0) off the coordinate axes, on which the handover test
+# above failed while the family marched in the data's coordinates: its steps
+# of size up to 1e6 next to the pole moved every coordinate by their
+# rounding, and the trace was 1.01e-9 to 2.58e-9 from the same trace at the
+# rtol floor.  Marched in the coordinates of the normal frame at 0 it is
+# within 6.8e-13 of it
+@pytest.mark.parametrize("dx, seed", [
+    (_dx({4: 0.125, 5: 0.25, 6: 0.25, 8: 0.25}), 0),
+    (_dx({4: 0.25, 6: 0.25, 12: 0.1875}), 0),
+    (_dx({8: -0.25, 12: 0.25}), 7),
+    (_dx({1: 0.25, 4: 0.25, 9: 0.125, 12: -0.25}), 0),
+    (_dx({3: 0.25, 4: 0.25, 9: 0.25, 10: 0.25, 11: 0.0625, 12: 0.25, 15: 0.09375}), 0),
+])
+def test_order_3_trace_is_near_its_rtol_floor_march(dx, seed):
+    def planes(**tolerances):
+        rows = cli.run(_cubic(dx, 3, 0.5, seed, (1e-3, 1e-4), **tolerances), "trace").rows
+        return np.array([row[1:9] for row in rows]).reshape(-1, 4, 2)
+
+    assert np.max(plane_distance(planes(), planes(rtol=flows._RTOL_MIN))) < 1e-9
 
 
 @pytest.mark.parametrize("scenario, verb", [

@@ -101,18 +101,20 @@ def test_the_joint_family_is_the_member_by_member_family(tmp_path):
 
 
 def test_the_trace_family_is_the_normal_form_family_moved_by_the_frame():
-    # the trace marches the data's own order-0 system from M(eps) L0; the
-    # normal-form family marches the block system from L0.  M(t) conjugates
-    # one system into the other, so M(tau_eval) maps the second family onto
-    # the first, up to the transport error
+    # the trace marches the data's own order-0 system in the coordinates
+    # M(0)^-1 from M(0)^-1 M(eps) L0; the normal-form family marches the block
+    # system from L0.  M(0)^-1 M(t) conjugates one system into the other, so
+    # M(0)^-1 M(tau_eval) maps the second family onto the first, up to the
+    # transport error
     system, starts, tau_eval, eps_list, rtol = _corpus_family()
     config = cli.parse_scenario(PERFBENCH / "corpus" / "degen_m3.json")
     _, frame, _ = cli._degeneracy_stage(config)
-    l0 = canonicalize(symplectic_inverse(frame.frame_at(0.0)) @ config.initial_plane)
-    assert plane_distance(starts, frame.frame_at(np.array(eps_list)) @ l0).max() < 1e-15
+    m0_inv = symplectic_inverse(frame.frame_at(0.0))
+    l0 = canonicalize(m0_inv @ config.initial_plane)
+    assert plane_distance(starts, m0_inv @ frame.frame_at(np.array(eps_list)) @ l0).max() < 1e-15
     data = epsilon_family_oracle(system, starts, tau_eval, eps_list, rtol=rtol)
     normal = epsilon_family_oracle(frame.coeffs.system, l0, tau_eval, eps_list, rtol=rtol)
-    assert plane_distance(data, frame.frame_at(tau_eval) @ normal).max() < 1e-12
+    assert plane_distance(data, m0_inv @ frame.frame_at(tau_eval) @ normal).max() < 1e-12
 
 
 def test_the_family_needs_one_start_or_one_per_member():

@@ -9,6 +9,7 @@ from jacobiflow.errors import NondegeneracyError, PreconditionError, RefinementE
 from jacobiflow.flows import flow_plane
 from jacobiflow.grassmann import (
     GrassmannCurve,
+    _sigma_pi_chart,
     canonicalize,
     horizontal_plane,
     intersection_dimension,
@@ -18,7 +19,8 @@ from jacobiflow.grassmann import (
     validate_lagrangian,
     vertical_plane,
 )
-from jacobiflow.maslov import _spectral_flow, maslov_index, maslov_partial_sums
+from jacobiflow import maslov
+from jacobiflow.maslov import _spectral_flow, _SpectralFlow, maslov_index, maslov_partial_sums
 from jacobiflow.symplectic import apply_j, frame_rank, isotropy_residual
 
 # -- reference: the chart-catalogue route that the spectral-flow counter
@@ -488,6 +490,74 @@ def test_a_node_is_on_pi_below_a_principal_angle_of_2e_9(n, seed, theta):
     assert (frame_rank(np.hstack([plane, pi])) < 2 * n) == on
     framed = plane @ (rng.normal(size=(n, n)) + 3.0 * np.eye(n))
     assert _spectral_flow(framed[None], pi).on_pi.tolist() == [on]
+
+
+def _souriau_only(planes: np.ndarray, pi: np.ndarray) -> _SpectralFlow:
+    """The Souriau pass over every node and interval: the reference count of
+    :func:`_spectral_flow`, which takes the intervals it certifies on the chart."""
+    w = maslov._souriau(planes, pi)
+    angles = np.angle(np.linalg.eigvals(w))
+    g = np.sum(np.mod(angles, 2.0 * np.pi), axis=1)
+    turn = maslov._turns(w, np.arange(len(w) - 1))
+    return _SpectralFlow(np.min(np.abs(angles), axis=1) < 2.0 * maslov._ON_PI,
+                         np.rint((np.sum(turn, axis=1) - np.diff(g)) / (2.0 * np.pi)).astype(int),
+                         np.max(np.abs(turn), axis=1) >= np.pi, None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**31 - 1),
+       st.lists(st.sampled_from(["path"] * 6 + ["on", "near", "off", "far", "antipodal"]),
+                min_size=2, max_size=16),
+       st.floats(0.0, 2.0), st.one_of(st.floats(1.0e-9, 1.9e-9), st.floats(2.1e-9, 8e-9)))
+def test_the_chart_count_is_the_souriau_count(n, seed, kinds, span, theta):
+    # a path of planes over a rotated Pi, in the chart adapted to it: node k
+    # has principal angles phi_j(t_k) to Pi in a turning frame, so its chart
+    # matrix is Q diag(tan phi) Q^T; some nodes are set on Pi, at theta either
+    # side of the 2e-9 threshold, off the chart (phi = pi/2), far out on it
+    # (||S|| = 1e5), or a principal angle pi/2 from the node before
+    rng = np.random.default_rng(seed)
+    ab = random_lagrangian(rng, n)
+    a, b = ab[:n], ab[n:]
+    chart = np.block([[a, -b], [b, a]])
+    pi = chart @ vertical_plane(n)
+    skew = 0.5 * rng.normal(size=(n, n))
+    t = np.linspace(0.0, span, len(kinds))
+    phi = rng.uniform(-1.4, 1.4, n) + np.outer(t, rng.uniform(-2.0, 2.0, n))
+    planes = []
+    for k, kind in enumerate(kinds):
+        if kind == "on":
+            phi[k, 0] = 0.0
+        elif kind == "near":
+            phi[k, 0] = theta * rng.choice([-1.0, 1.0])
+        elif kind == "off":
+            phi[k, 0] = 0.5 * np.pi
+        elif kind == "far":
+            phi[k, 0] = np.arctan(1e5)
+        elif kind == "antipodal" and k:
+            phi[k] = phi[k - 1]
+            phi[k, 0] += 0.5 * np.pi
+        q = expm(t[k] * (skew - skew.T))
+        frame = chart @ np.vstack([q * np.cos(phi[k]), q * np.sin(phi[k])])
+        planes.append(frame @ (rng.normal(size=(n, n)) + 3.0 * np.eye(n)))
+    planes = np.stack(planes)
+    flow, ref = _spectral_flow(planes, pi), _souriau_only(planes, pi)
+    assert np.array_equal(flow.on_pi, ref.on_pi)
+    assert np.array_equal(flow.steps, ref.steps)
+    assert np.array_equal(flow.refused, ref.refused)
+    np.testing.assert_array_equal(flow.partial_sums(), ref.partial_sums())
+    try:
+        index = ref.index()
+    except (PreconditionError, RefinementError) as exc:
+        with pytest.raises(type(exc)):
+            flow.index()
+    else:
+        assert flow.index() == index
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_chart_adapted_to_the_vertical_plane_is_the_sigma_pi_chart(n):
+    # so the Maslov pass's chart matrices are the CLI's chart columns
+    assert maslov._pi_chart(vertical_plane(n)).tobytes() == _sigma_pi_chart(n).tobytes()
 
 
 if __name__ == "__main__":

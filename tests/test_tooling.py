@@ -319,7 +319,8 @@ def test_corpus_timings_script_times_one_op():
     # corpus regular march's opening step and its 99 pairs of node
     # intervals, three propagators each, and no QR; neither it nor the
     # degen_m3 trace, whose epsilon family marches the data's own system,
-    # solves a dense stage system
+    # solves a dense stage system.  The Maslov pass counts 198 of the regular
+    # trace's 199 intervals on the chart and one by the Souriau pass
     script = SRC.parent / "tools" / "corpus_timings.py"
     out = subprocess.run([sys.executable, str(script), "--op", "regular.trace", "--op",
                           "degen_m3.trace", "--repeat", "1"],
@@ -334,8 +335,10 @@ def test_corpus_timings_script_times_one_op():
     assert all(float(fields[0]) > 0.0 and fields[1] == "s" for fields in rows.values())
     work = {op: dict(zip(fields[2::2], map(int, fields[3::2]))) for op, fields in rows.items()}
     assert work["regular.trace"] == {"batches": 2, "propagators": 300, "dense": 0,
-                                     "chain_steps": 100, "qrs": 0}
-    assert list(work["degen_m3.trace"]) == ["batches", "propagators", "dense", "chain_steps", "qrs"]
+                                     "chain_steps": 100, "qrs": 0, "chart_intervals": 198,
+                                     "souriau_intervals": 1}
+    assert list(work["degen_m3.trace"]) == ["batches", "propagators", "dense", "chain_steps", "qrs",
+                                            "chart_intervals", "souriau_intervals"]
     assert work["degen_m3.trace"]["qrs"] > 0 and work["degen_m3.trace"]["dense"] == 0
 
 

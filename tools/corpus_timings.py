@@ -23,8 +23,11 @@ transport's batches and evaluated propagators (calls of
 of a dense system, whose stage solve is 4*2n unknowns per column where a
 rank-one system's is four pairings, the steps of its frame chains
 (``flows._chain``) and the frames it orthonormalises by a QR
-(``flows._renormalise``).  They do not depend on the host, so they show a
-change of step control without the noise of the timings.
+(``flows._renormalise``).  Then come the Maslov pass's intervals: those
+counted on the chart (``chart_intervals``) and those counted by the Souriau
+pass (``souriau_intervals``).  These counts do not depend on the host, so
+they show a change of step control or of counting without the noise of the
+timings.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ OPS = ("regular.trace", "regular.maslov", "order2.trace", "degen_m1.trace",
        "degen_m2.trace", "degen_m3.trace", "bangbang.bangbang", "portrait.portrait")
 IMPORT = "import jacobiflow.cli"
 #: the transport's work counted per op, in the order printed
-COUNTS = ("batches", "propagators", "dense", "chain_steps", "qrs")
+COUNTS = ("batches", "propagators", "dense", "chain_steps", "qrs", "chart_intervals",
+          "souriau_intervals")
 COLD_IMPORT = (
     "import sys, time\n"
     "sys.path.insert(0, sys.argv[1])\n"
@@ -92,10 +96,12 @@ def op_s(cli, op: str, out: Path, repeat: int) -> float:
 
 
 @contextlib.contextmanager
-def counted(flows):
-    """Count the transport's work while the block runs, by wrapping the kernel."""
+def counted(flows, maslov):
+    """Count the transport's and the Maslov pass's work while the block runs,
+    by wrapping the kernel and the pass's helpers."""
     counts = dict.fromkeys(COUNTS, 0)
     increments, chain, renormalise = flows._increments, flows._chain, flows._renormalise
+    charted, turns = maslov._chart_matrix, maslov._turns
 
     def evaluated(sys, t, h):
         counts["batches"] += 1
@@ -116,19 +122,30 @@ def counted(flows):
         counts["qrs"] += int((abs(f).max(axis=(-2, -1)) > flows._GROWTH).sum())
         return renormalise(f)
 
+    def nodes(planes, m):  # each pass takes the chart of all its nodes once
+        counts["chart_intervals"] += max(len(planes) - 1, 0)
+        return charted(planes, m)
+
+    def turned(w, left):  # the intervals the chart does not certify
+        counts["chart_intervals"] -= left.size
+        counts["souriau_intervals"] += left.size
+        return turns(w, left)
+
     flows._increments, flows._chain, flows._renormalise = evaluated, chained, orthonormalised
+    maslov._chart_matrix, maslov._turns = nodes, turned
     try:
         yield counts
     finally:
         flows._increments, flows._chain, flows._renormalise = increments, chain, renormalise
+        maslov._chart_matrix, maslov._turns = charted, turns
 
 
 def op_counts(cli, op: str, out: Path) -> dict[str, int]:
-    """The transport's work in one run of a corpus op."""
-    from jacobiflow import flows
+    """The transport's and the Maslov pass's work in one run of a corpus op."""
+    from jacobiflow import flows, maslov
 
     scenario, verb = op.split(".")
-    with counted(flows) as counts, contextlib.redirect_stderr(io.StringIO()):
+    with counted(flows, maslov) as counts, contextlib.redirect_stderr(io.StringIO()):
         cli.main([verb, str(CORPUS / f"{scenario}.json"), "--out", str(out / f"{op}.csv")])
     return counts
 
