@@ -38,7 +38,8 @@ from .errors import (
 from .flows import _integrate
 from .grassmann import (
     GrassmannCurve,
-    _paired,
+    _insert,
+    _meet,
     canonicalize,
     extend_by_isotropic,
     validate_lagrangian,
@@ -198,10 +199,6 @@ class LegendreSequence:
     imax: int
     interval: tuple[float, float]
 
-    def value(self, i: int, t):
-        """``b^i`` at ``t``; a 1-D array of times gives the array of values."""
-        return self.data._piecewise(lambda p: self.data._entry(p, i), t)
-
 
 def legendre_sequence(data: PiecewiseAnalytic, interval: tuple[float, float]) -> LegendreSequence:
     """Search b^0 = b, b^1, .. for the first entry not identically zero on the window.
@@ -329,8 +326,12 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
     are propagated from the (n - m)-dimensional boundary space
     ``l_init ∩ Gamma^(m-1)(t0)^∠`` and the plane at each node is
     ``span(Gamma^(m-1)(t), solutions)``.  For m = 0 the boundary space is
-    all of ``l_init``.  Each piece inside the interval is one march at
-    relative tolerance ``rtol``.
+    all of ``l_init``; for m >= 1 it is the meet of the QR frame of
+    ``l_init`` with the columns of ``Gamma^(m-1)(t0)`` in turn
+    (:func:`~jacobiflow.grassmann._meet`), each lowering its dimension by one
+    where it pairs with it by the rule of every jump, whatever the frame of
+    ``l_init``.  Each piece inside the interval is one march at relative
+    tolerance ``rtol``.
 
     The pairings ``sigma(mu, X^(i))``, i < m, vanish identically along
     solutions; their drift is monitored and stored in the diagnostics.
@@ -354,10 +355,9 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
             raise RankDriftError("Goh span has deficient rank at the interval start")
         if isotropy_residual(goh0) > 1e-8:
             raise PreconditionError("Goh span is not isotropic: order condition violated")
-        a = gram(goh0, l_init)
-        u, s, vt = np.linalg.svd(a)
-        rank = int(np.sum(s > 1e-9 * s[0])) if s.size and s[0] > 0 else 0
-        mu0 = l_init @ vt[rank:].T
+        mu0 = np.linalg.qr(l_init)[0]
+        for x in goh0.T:
+            mu0 = _meet(mu0, x)
         if mu0.shape[1] != n - m:
             raise NondegeneracyError(
                 f"boundary space has dimension {mu0.shape[1]}, expected {n - m}"
@@ -443,29 +443,18 @@ def bang_bang_sequence(l0: np.ndarray, x_list: Sequence[np.ndarray]) -> np.ndarr
     Returns the ``(len(x_list) + 1, 2n, n)`` stack ``L_0, L_1, ..`` of
     canonical frames.  Pure linear algebra, no integration.
 
-    Each switch inserts one vector, so it is a rank-one update of an
-    orthonormal frame Q of the plane: the pairing row p = sigma(X_i, Q)
-    decides whether X_i is paired with the plane (the rule of
-    :func:`~jacobiflow.grassmann.extend_by_isotropic`); if it is not, X_i
-    lies in the plane, or vanishes, and the plane stays.  Otherwise a
-    Householder reflector H with p H on the last coordinate makes the first
-    n - 1 columns of Q H an orthonormal frame of ``L_i ∩ X_i^∠``, and the QR
-    of those columns with X_i appended is the next Q.  Each X_i is first
-    scaled, exactly, by the power of two that brings its largest entry into
-    [0.5, 1), so that its norms neither overflow nor underflow.  The frames
-    are canonicalised once, as one stack.
+    Each switch is one rank-one update (:func:`~jacobiflow.grassmann._insert`)
+    of an orthonormal frame of the plane; an X_i that does not pair with the
+    plane lies in it, or vanishes, and leaves the frame as it is.  Each X_i
+    is first scaled, exactly, by the power of two that brings its largest
+    entry into [0.5, 1), so that its norms neither overflow nor underflow.
+    The frames are canonicalised once, as one stack.
     """
     q = np.linalg.qr(validate_lagrangian(np.asarray(l0, dtype=float)))[0]
     xs = np.asarray(x_list, dtype=float).reshape(-1, q.shape[0])
     xs = np.ldexp(xs, -np.frexp(np.max(np.abs(xs), axis=1, initial=0.0))[1][:, None])
     frames = [q]
     for x in xs:
-        p = x @ apply_j(q)  # sigma(x, q_j)
-        norm = float(np.linalg.norm(p))
-        if _paired(norm, float(np.linalg.norm(x))):
-            v = p.copy()
-            v[-1] += np.copysign(norm, p[-1])
-            qh = q - np.outer(q @ v, v * (2.0 / (v @ v)))
-            q = np.linalg.qr(np.column_stack([qh[:, :-1], x]))[0]
+        q = _insert(q, x)
         frames.append(q)
     return canonicalize(np.stack(frames))

@@ -17,25 +17,24 @@ operations, so every frame of a stack gets bit for bit what it gets alone.
 
 A chart is an ordered pair ``(delta, pi_ref)`` of transversal Lagrangian
 planes.  Every plane transversal to ``delta`` is the graph of a symmetric
-matrix over ``pi_ref``, which :func:`to_chart` computes from a frame.
+matrix over ``pi_ref``, which :func:`to_chart` computes from a frame.  The
+one chart over a reference plane Pi that the Maslov pass and the first-jet
+case selection read is ``_pi_chart(Pi)``.
+
+Every jump of a curve extends its plane by one vector at a time, ``L^x =
+(L ∩ x^∠) + x``, by the rank-one update ``_insert`` of an orthonormal frame
+q of L; x pairs with L where ``|sigma(x, q)| > TOL_RANK |x|``.  Its first
+half, ``_meet``, gives the boundary space ``L ∩ Gamma^∠`` of an order-m curve.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ChartError, NondegeneracyError, PreconditionError
-from .symplectic import (
-    TOL_ISO,
-    TOL_RANK,
-    dim_to_n,
-    frame_rank,
-    gram,
-    isotropy_residual,
-)
+from .symplectic import TOL_ISO, TOL_RANK, apply_j, dim_to_n, gram, isotropy_residual
 
 __all__ = [
     "GrassmannCurve",
@@ -71,7 +70,7 @@ def validate_lagrangian(f: np.ndarray) -> np.ndarray:
     n = f.shape[-2] // 2
     if f.shape[-1] != n:
         raise PreconditionError(f"Lagrangian frame must have n={n} columns, got {f.shape[-1]}")
-    deficient = np.atleast_1d(frame_rank(f) < n)
+    deficient = np.atleast_1d(np.linalg.matrix_rank(f, rtol=TOL_RANK) < n)
     leaky = np.atleast_1d(isotropy_residual(f) > TOL_ISO)
     bad = deficient | leaky
     if bad.any():
@@ -184,7 +183,8 @@ def intersection_dimension(a: np.ndarray, b: np.ndarray):
     if a.shape[-2] != b.shape[-2]:
         raise PreconditionError("frames live in different ambient spaces")
     both = np.concatenate([a, np.broadcast_to(b, a.shape[:-1] + b.shape[-1:])], axis=-1)
-    return frame_rank(a) + frame_rank(b) - frame_rank(both)
+    return (np.linalg.matrix_rank(a, rtol=TOL_RANK) + np.linalg.matrix_rank(b, rtol=TOL_RANK)
+            - np.linalg.matrix_rank(both, rtol=TOL_RANK))
 
 
 def _orthonormal(f: np.ndarray) -> np.ndarray:
@@ -234,15 +234,6 @@ def _chart_basis(delta: np.ndarray, pi_ref: np.ndarray) -> np.ndarray:
     return np.hstack([p, d0 @ np.linalg.inv(w)])
 
 
-@functools.lru_cache(maxsize=None)
-def _sigma_pi_chart(n: int) -> np.ndarray:
-    """The :func:`_chart_basis` of the chart (Sigma, Pi) with n degrees of
-    freedom, built once per n and read-only."""
-    m = _chart_basis(horizontal_plane(n), vertical_plane(n))
-    m.flags.writeable = False
-    return m
-
-
 def to_chart(plane: np.ndarray, delta: np.ndarray, pi_ref: np.ndarray) -> np.ndarray:
     """Symmetric chart matrix S of a Lagrangian plane in the chart
     ``(delta, pi_ref)``: the plane is ``{x + delta-component S x}`` over
@@ -258,6 +249,20 @@ def to_chart(plane: np.ndarray, delta: np.ndarray, pi_ref: np.ndarray) -> np.nda
     if np.isnan(s).all():
         raise ChartError("plane is not transversal to the chart plane delta")
     return s
+
+
+def _pi_chart(pi: np.ndarray) -> np.ndarray:
+    """Basis ``[[A, -B], [B, A]]`` of the orthogonal symplectic chart adapted to
+    ``pi``: ``[A; B]`` is its QR frame with a nonnegative R diagonal.  The
+    zeros are all +0.0, so for ``vertical_plane(n)`` it is the identity, the
+    :func:`_chart_basis` of the chart (Sigma, Pi)."""
+    n = pi.shape[0] // 2
+    q, r = np.linalg.qr(pi)
+    q = q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    m = np.empty((2 * n, 2 * n))
+    m[:n, :n] = m[n:, n:] = q[:n]
+    m[n:, :n], m[:n, n:] = q[n:], -q[n:]
+    return m + 0.0
 
 
 def _chart_matrix(planes: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -279,22 +284,48 @@ def _chart_matrix(planes: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.where(off, np.nan, 0.5 * (s + np.swapaxes(s, -1, -2)))
 
 
-def _paired(s, scale: float):
-    """Which singular values ``s`` of the pairing matrix sigma(G, L) pair G with L.
+def _meet(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """An orthonormal frame of ``span(q) ∩ x^∠``, for an orthonormal frame q.
 
-    The threshold is ``TOL_RANK`` times ``scale``, the product of the two
-    frames' spectral norms: when G nearly lies inside L the whole pairing
-    matrix is round-off, and a threshold relative to the largest pairing
-    would promote that noise to full rank.
+    x pairs with span(q) where the pairing row p = sigma(x, q) has
+    ``|p| > TOL_RANK |x|``.  Where it does not, the meet is all of span(q),
+    and q comes back as it is.  Where it does, a Householder reflector H with
+    p H on the last coordinate makes the first k - 1 columns of q H the meet.
     """
-    return np.asarray(s) > TOL_RANK * max(scale, 1e-300)
+    p = x @ apply_j(q)  # sigma(x, q_j)
+    norm = float(np.linalg.norm(p))
+    if not norm > TOL_RANK * float(np.linalg.norm(x)):
+        return q
+    v = p.copy()
+    v[-1] += np.copysign(norm, p[-1])
+    return (q - np.outer(q @ v, v * (2.0 / (v @ v))))[:, :-1]
+
+
+def _insert(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """An orthonormal frame of the extension ``(span(q) ∩ x^∠) + x``, for an
+    orthonormal frame q: the QR of the :func:`_meet` with x appended.
+
+    An x that does not pair with span(q) is appended only when it lies
+    outside it; otherwise, x = 0 included, q comes back as it is.  For a
+    Lagrangian q, |sigma(x, q)| is the part of x outside span(q), so that
+    never happens.
+    """
+    meet = _meet(q, x)
+    if meet is q and not np.linalg.norm(x - q @ (q.T @ x)) > TOL_RANK * np.linalg.norm(x):
+        return q
+    return np.linalg.qr(np.column_stack([meet, x]))[0]
 
 
 def extend_by_isotropic(plane: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The extension ``L^G = (L ∩ G^∠) + G`` of a plane by an isotropic frame.
 
     For a Lagrangian ``L`` the result is again Lagrangian; it equals ``L``
-    exactly when ``G ⊂ L``.  Returns a canonical frame.
+    exactly when ``G ⊂ L``.  Each vector of an orthonormal basis of span(G)
+    is inserted (:func:`_insert`) into one of the plane in turn; G is
+    isotropic, so ``(L^{g_1})^{g_2} = (L ∩ {g_1, g_2}^∠) + span{g_1, g_2}``.
+    Dependent columns of either frame drop out of its basis, and columns of
+    G far from orthogonal, inserted as they are, would cost digits.  Returns
+    a canonical frame.
     """
     plane = _as_frame(plane)
     g = _as_frame(g)
@@ -302,19 +333,17 @@ def extend_by_isotropic(plane: np.ndarray, g: np.ndarray) -> np.ndarray:
         raise PreconditionError("frames live in different ambient spaces")
     if isotropy_residual(g) > TOL_ISO:
         raise PreconditionError("extension frame is not isotropic to tolerance")
-    a = gram(g, plane)  # rows: sigma(g_i, l_j)
-    if a.size:
-        u, s, vt = np.linalg.svd(a)
-        rank = int(np.sum(_paired(s, np.linalg.norm(g, 2) * np.linalg.norm(plane, 2))))
-        inside = plane @ vt[rank:].T
-    else:
-        inside = plane
-    stacked = np.hstack([inside, g])
-    # G may already lie inside L, making the stacked frame rank deficient;
-    # keep an orthonormal basis of the span before canonicalising
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    keep = int(np.sum(s > TOL_RANK * s[0])) if s.size and s[0] > 0 else 0
-    return canonicalize(u[:, :keep])
+    q = _basis(plane)
+    for x in _basis(g).T:
+        q = _insert(q, x)
+    return canonicalize(q)
+
+
+def _basis(f: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of span(f): the left singular vectors of the singular
+    values above ``TOL_RANK`` times the largest."""
+    u, s, _ = np.linalg.svd(f, full_matrices=False)
+    return u[:, s > TOL_RANK * s[:1]]
 
 
 @dataclass

@@ -23,11 +23,12 @@ so a line whose chart matrix moves from -1 to +1 through 0 has index +1.
 Counting.  :func:`_spectral_flow` makes one vectorised pass over the nodes
 of a sampled curve.  The stack of nodes is validated in one call, and each
 node gets its chart matrix S in the orthogonal symplectic chart adapted to
-Pi: ``[[A, -B], [B, A]]`` from the QR frame ``[A; B]`` of Pi with a
-nonnegative R diagonal, which for ``vertical_plane(n)`` is the identity, the
-chart (Sigma, Pi) of the CLI's chart columns.  There the Souriau map is the
-Cayley transform W = (I + iS)(I - iS)^-1, up to a unitary similarity, and
-its eigenvalue angles are 2 arctan of the eigenvalues of S.  The increment
+Pi, ``grassmann._pi_chart(Pi)``: ``[[A, -B], [B, A]]`` from the QR frame
+``[A; B]`` of Pi with a nonnegative R diagonal, which for
+``vertical_plane(n)`` is the identity, the chart (Sigma, Pi) of the CLI's
+chart columns.  There the Souriau map is the Cayley transform W = (I +
+iS)(I - iS)^-1, up to a unitary similarity, and its eigenvalue angles are 2
+arctan of the eigenvalues of S.  The increment
 of an interval is the spectral flow of W along the shortest path between
 its two samples, the geodesic of the Lagrangian Grassmannian (the path a
 chart covering both samples would count along).  On that path arg det W
@@ -74,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, RefinementError
-from .grassmann import GrassmannCurve, _chart_matrix, validate_lagrangian
+from .grassmann import GrassmannCurve, _chart_matrix, _pi_chart, validate_lagrangian
 
 __all__ = [
     "maslov_index",
@@ -99,19 +100,6 @@ def _souriau(frames: np.ndarray, pi: np.ndarray) -> np.ndarray:
 def _turns(w: np.ndarray, left: np.ndarray) -> np.ndarray:
     """Eigenvalue angles of W_k^H W_{k+1} for the intervals from the nodes ``left``."""
     return np.angle(np.linalg.eigvals(np.swapaxes(w[left].conj(), 1, 2) @ w[left + 1]))
-
-
-def _pi_chart(pi: np.ndarray) -> np.ndarray:
-    """Basis ``[[A, -B], [B, A]]`` of the orthogonal symplectic chart adapted to
-    ``pi``: ``[A; B]`` is its QR frame with a nonnegative R diagonal.  The
-    zeros are all +0.0, so for ``vertical_plane(n)`` it is the identity."""
-    n = pi.shape[0] // 2
-    q, r = np.linalg.qr(pi)
-    q = q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
-    m = np.empty((2 * n, 2 * n))
-    m[:n, :n] = m[n:, n:] = q[:n]
-    m[n:, :n], m[:n, n:] = q[n:], -q[n:]
-    return m + 0.0
 
 
 @dataclass(frozen=True)

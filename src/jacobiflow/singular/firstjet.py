@@ -42,12 +42,13 @@ from ..errors import (
 from ..grassmann import (
     GrassmannCurve,
     _chart_matrix,
-    _sigma_pi_chart,
+    _pi_chart,
     canonicalize,
     extend_by_isotropic,
     horizontal_plane,
     intersection_dimension,
     validate_lagrangian,
+    vertical_plane,
 )
 from ..series import _pad, meval, srecip
 from .frame import NormalFormCoefficients
@@ -132,7 +133,7 @@ def first_jet_case(plane: np.ndarray) -> JetCase:
     # graphs are taken over the momentum span {q = 0}; the complement is the
     # span of the position directions {p = 0}
     sigma = horizontal_plane(2)
-    chart = _sigma_pi_chart(2)
+    chart = _pi_chart(vertical_plane(2))
 
     def chart_s(f):
         # to_chart(f, sigma, Pi), on one chart basis for all three planes

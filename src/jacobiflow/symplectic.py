@@ -6,10 +6,9 @@ structure matrix J is never materialised: :func:`apply_j` swaps the blocks
 in place, which is all any routine here needs.
 
 Unless stated otherwise a *frame* is a ``(2n, k)`` array whose columns span
-the subspace under discussion.  :func:`gram`,
-:func:`isotropy_residual` and :func:`frame_rank` also take a ``(K, 2n, k)``
-stack of frames and then give one result per frame, each equal bit for bit
-to the call on that frame alone.
+the subspace under discussion.  :func:`gram` and :func:`isotropy_residual`
+also take a ``(K, 2n, k)`` stack of frames and then give one result per
+frame, each equal bit for bit to the call on that frame alone.
 """
 
 from __future__ import annotations
@@ -88,23 +87,6 @@ def isotropy_residual(f: np.ndarray):
     scale = np.where(scale == 0.0, 1.0, scale)
     res = np.max(np.abs(gram(f, f)) / (scale[..., :, None] * scale[..., None, :]), axis=(-2, -1))
     return float(res) if f.ndim == 2 else res
-
-
-def frame_rank(f: np.ndarray):
-    """Numerical rank of a frame (relative threshold on singular values).
-
-    An int for one frame, an int array with one rank per frame for a stack.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
-    if f.size == 0:
-        rank = np.zeros(f.shape[:-2], dtype=int)
-    else:
-        # all singular values are 0 exactly when the largest is
-        s = np.linalg.svd(f, compute_uv=False)
-        rank = np.sum(s > TOL_RANK * s[..., :1], axis=-1)
-    return int(rank) if f.ndim == 2 else rank
 
 
 def symplectic_inverse(t: np.ndarray) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Builders shared by the tests: linear Hamiltonian systems from polynomial
-coefficient blocks, random Lagrangian planes, and the first-jet continuation
-carried past its series window."""
+coefficient blocks, random Lagrangian planes, the first-jet continuation
+carried past its series window, and the SVD route of the isotropic
+extension as the oracle of the rank-one update."""
 
 import numpy as np
 
-from jacobiflow.errors import PoleError
+from jacobiflow.errors import PoleError, PreconditionError
 from jacobiflow.flows import flow_plane
+from jacobiflow.grassmann import _as_frame, canonicalize
 from jacobiflow.series import meval, strim
 from jacobiflow.singular.firstjet import first_jet_continuation
+from jacobiflow.symplectic import TOL_ISO, TOL_RANK, gram, isotropy_residual
 
 
 def hamiltonian(a, b, c, pole_order: int = 0):
@@ -65,3 +68,42 @@ def continued(coeffs, case, grid):
         return trace, planes
     flow = flow_plane(coeffs.system, planes[-1], np.append(times[-1], grid[kept:]))
     return trace, np.concatenate([planes[:kept], flow.planes[1:]])
+
+
+def _paired(s, scale: float):
+    """Which singular values ``s`` of the pairing matrix sigma(G, L) pair G with L.
+
+    The threshold is ``TOL_RANK`` times ``scale``, the product of the two
+    frames' spectral norms: when G nearly lies inside L the whole pairing
+    matrix is round-off, and a threshold relative to the largest pairing
+    would promote that noise to full rank.
+    """
+    return np.asarray(s) > TOL_RANK * max(scale, 1e-300)
+
+
+def svd_meet(plane: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``L ∩ G^∠`` by the SVD of the pairing matrix: ``plane @ vt[rank:].T``."""
+    a = gram(g, plane)  # rows: sigma(g_i, l_j)
+    if not a.size:
+        return plane
+    u, s, vt = np.linalg.svd(a)
+    rank = int(np.sum(_paired(s, np.linalg.norm(g, 2) * np.linalg.norm(plane, 2))))
+    return plane @ vt[rank:].T
+
+
+def svd_extension(plane: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The extension ``L^G = (L ∩ G^∠) + G`` by two SVDs, with the arithmetic
+    ``grassmann.extend_by_isotropic`` had before the rank-one update replaced
+    it; a canonical frame."""
+    plane = _as_frame(plane)
+    g = _as_frame(g)
+    if g.shape[0] != plane.shape[0]:
+        raise PreconditionError("frames live in different ambient spaces")
+    if isotropy_residual(g) > TOL_ISO:
+        raise PreconditionError("extension frame is not isotropic to tolerance")
+    stacked = np.hstack([svd_meet(plane, g), g])
+    # G may already lie inside L, making the stacked frame rank deficient;
+    # keep an orthonormal basis of the span before canonicalising
+    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
+    keep = int(np.sum(s > TOL_RANK * s[0])) if s.size and s[0] > 0 else 0
+    return canonicalize(u[:, :keep])

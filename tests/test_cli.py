@@ -21,7 +21,13 @@ from jacobiflow.cli import DEFAULT_U0, DEFAULT_V0, main
 from jacobiflow.engine import PiecewiseAnalytic, singular_jacobi_curve
 from jacobiflow.errors import JacobiflowError
 from jacobiflow.flows import flow_plane
-from jacobiflow.grassmann import _chart_matrix, _sigma_pi_chart, canonicalize, plane_distance
+from jacobiflow.grassmann import (
+    _chart_matrix,
+    _pi_chart,
+    canonicalize,
+    plane_distance,
+    vertical_plane,
+)
 from jacobiflow.series import meval
 from jacobiflow.singular.firstjet import _tail_within, first_jet_case
 from jacobiflow.singular.jump import epsilon_family_oracle
@@ -151,6 +157,31 @@ def test_portrait_lines_are_near_the_lines_marched_at_the_rtol_floor(tmp_path, m
 ], ids=["regular-trace", "regular-maslov", "bangbang"])
 def test_golden_curve_outputs_are_byte_stable(tmp_path, verb, scenario, csv, summary):
     _assert_golden(tmp_path, verb, scenario, csv, summary)
+
+
+# the jumps no other golden or benchmark op reaches: the infinite-order
+# extension by a two-dimensional derivative span, the boundary space of
+# order m < n (n = 2, m = 1 and n = 3, m = 2) with its drift check, and the
+# first-jet cases 2 and 3, from the degen_m2_short data
+@pytest.mark.parametrize("scenario", ["infinite_short", "order1_short", "order2_n3_short",
+                                      "degen_m2_case2_short", "degen_m2_case3_short"])
+def test_golden_jump_branches_are_byte_stable(tmp_path, scenario):
+    _assert_golden(tmp_path, "trace", scenario, f"{scenario}.csv", f"{scenario}.csv.summary.json")
+
+
+def test_an_order_m_plane_containing_x_is_refused(tmp_path, capsys):
+    # X(0.1) = (1, 0, 0.1, 0) lies in the plane, so the boundary space is the
+    # whole plane, of dimension 2, not n - m = 1; a rank rule relative to the
+    # largest pairing accepts this frame of it
+    def edit(raw):
+        raw["data"]["x"] = [[[1], [0], [0, 1], [0]]]
+        raw["initial_plane"] = [[1.3, 0.7], [0.7, -0.7], [0.13, 0.07], [0.11, -0.11]]
+        raw["grid"] = {"t0": 0.1, "t1": 0.9, "steps": 9}
+
+    code, [err] = _run_variant(tmp_path, capsys, "order1_short", "trace", edit)
+    assert code == 3
+    assert (err["error"], err["stage"]) == ("NondegeneracyError", "run")
+    assert err["message"] == "boundary space has dimension 2, expected 1"
 
 
 @settings(max_examples=10, deadline=None)
@@ -315,7 +346,7 @@ def test_chart_columns_are_the_sigma_pi_chart_matrices(scenario, verb):
     n = config.n
     rows = cli.run(config, verb).rows
     frames = np.array([row[1 : 1 + 2 * n * n] for row in rows]).reshape(-1, 2 * n, n)
-    charts = _chart_matrix(frames, _sigma_pi_chart(n)).reshape(len(rows), -1)
+    charts = _chart_matrix(frames, _pi_chart(vertical_plane(n))).reshape(len(rows), -1)
     expected = [[None if np.isnan(c) else c for c in chart] for chart in charts.tolist()]
     assert [row[1 + 2 * n * n : 1 + 3 * n * n] for row in rows] == expected
     assert any(row[1 + 2 * n * n] is not None for row in rows)

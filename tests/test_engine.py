@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npp
 from scipy.integrate import solve_ivp
 
-from helpers import random_lagrangian
+from helpers import random_lagrangian, svd_extension, svd_meet
 from jacobiflow import cli, engine, grassmann
 
 from jacobiflow.engine import (
@@ -19,7 +19,7 @@ from jacobiflow.engine import (
     legendre_sequence,
     singular_jacobi_curve,
 )
-from jacobiflow.errors import PreconditionError, RankDriftError, UndecidedError
+from jacobiflow.errors import NondegeneracyError, PreconditionError, RankDriftError, UndecidedError
 from jacobiflow.grassmann import (
     GrassmannCurve,
     canonicalize,
@@ -167,7 +167,7 @@ def test_legendre_sequence_orders():
     seq2 = legendre_sequence(_data_m2(), (0.0, 1.0))
     assert seq2.first_nonzero == 2
     assert seq2.imax == 6  # 2n + 2
-    assert seq2.value(2, 0.3) == pytest.approx(-1.0)
+    assert meval(seq2.data._entry(0, 2), 0.3) == pytest.approx(-1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,16 +218,19 @@ def test_legendre_entries_match_polymul_products(seed, weighted, shape):
        st.integers(0, 2**31 - 1))
 def test_legendre_sequence_values_over_times_are_the_scalar_values(i, times, seed):
     # one call over an array of times, breakpoints included, gives each
-    # scalar call's value bit for bit
+    # scalar call's value of the entry b^i bit for bit
     rng = np.random.default_rng(seed)
     data = PiecewiseAnalytic(
         breakpoints=np.array([-1.0, 0.0, 1.0]),
         b_pieces=[rng.normal(size=int(rng.integers(1, 6))) for _ in range(2)],
         x_pieces=[rng.normal(size=(2, int(rng.integers(1, 6)))) for _ in range(2)],
     )
-    seq = legendre_sequence(data, (-1.0, 1.0))
     ts = np.array(times + [-1.0, 0.0, 1.0])
-    assert np.array_equal(seq.value(i, ts), [seq.value(i, t) for t in ts])
+
+    def value(t):
+        return data._piecewise(lambda p: data._entry(p, i), t)
+
+    assert np.array_equal(value(ts), [value(t) for t in ts])
 
 
 def test_legendre_sequence_unequal_degree_products():
@@ -283,6 +286,55 @@ def test_singular_curve_order_one_conservation():
         x = data.x(float(t))
         resid = x - p @ np.linalg.lstsq(p, x, rcond=None)[0]
         assert np.linalg.norm(resid) < 1e-8
+
+
+def test_a_plane_containing_x_is_refused_whatever_its_frame():
+    # X(t0) lies in the plane, so its meet with X(t0)^∠ is the whole plane:
+    # the boundary space has dimension 2, not n - m = 1, for every frame.
+    # A rank rule relative to the largest pairing reads the round-off of
+    # some frames as a pairing and accepts them
+    data = _data_m1()
+    plane = np.column_stack([data.x(0.1), [0.3, 0.7, 0.03, 0.11]])
+    for r in np.random.default_rng(0).normal(size=(60, 2, 2)):
+        with pytest.raises(NondegeneracyError, match="boundary space has dimension 2"):
+            singular_jacobi_curve(data, plane @ r, (0.1, 0.9), np.linspace(0.1, 0.9, 5))
+
+
+def _order_m_data(n: int, m: int, move: np.ndarray) -> PiecewiseAnalytic:
+    """b = 0 and X = move X0 of order m: X0 = (1, 0, .. | t, 0, ..) for m = 1,
+    X0 = (1, t, 0, .. | -t^3/6, t^2/2, 0, ..) for m = 2; a symplectic
+    ``move`` keeps every sigma product, so b^m = -1."""
+    x = np.zeros((2 * n, 4))
+    x[0, 0] = 1.0
+    if m == 1:
+        x[n, 1] = 1.0
+    else:
+        x[1, 1], x[n, 3], x[n + 1, 2] = 1.0, -1.0 / 6.0, 0.5
+    return PiecewiseAnalytic(breakpoints=[0.0, 1.0], b_pieces=[[0.0]], x_pieces=[move @ x])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (3, 2)]), st.integers(0, 2**32 - 1))
+def test_the_boundary_space_is_the_svd_meet(nm, seed):
+    # the march starts from l_init ∩ Gamma^(m-1)(t0)^∠; the reference is the
+    # SVD route's l_init @ vt[rank:]
+    n, m = nm
+    rng = np.random.default_rng(seed)
+    s1, s2 = rng.normal(size=(2, n, n))
+    shear = np.block([[np.eye(n), s1 + s1.T], [np.zeros((n, n)), np.eye(n)]])
+    tilt = np.block([[np.eye(n), np.zeros((n, n))], [s2 + s2.T, np.eye(n)]])
+    data = _order_m_data(n, m, shear @ tilt)
+    l_init = random_lagrangian(rng, n) @ (rng.normal(size=(n, n)) + 3.0 * np.eye(n))
+    starts = []
+    march = engine._integrate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_integrate", lambda system, cur, *a: starts.append(cur)
+                      or march(system, cur, *a))
+        trace = singular_jacobi_curve(data, l_init, (0.0, 1.0), np.linspace(0.0, 1.0, 5))
+    assert trace.diagnostics["order"] == m
+    ref = svd_meet(l_init, goh_subspace(data, 0.0, m - 1))
+    assert starts[0].shape == ref.shape == (2 * n, n - m)
+    assert plane_distance(starts[0], ref) < 1e-12
 
 
 def test_singular_curve_order_equals_n():
@@ -398,8 +450,8 @@ def test_bang_bang_sequence():
        st.integers(0, 2**32 - 1))
 def test_bang_bang_sequence_matches_the_per_switch_extension(n, kinds, seed):
     # the reference is the per-switch recursion the rank-one update replaced,
-    # one extend_by_isotropic per switch; x = 0 and x in L leave the plane,
-    # and a generic x moves it
+    # one SVD extension per switch; x = 0 and x in L leave the plane, and a
+    # generic x moves it
     rng = np.random.default_rng(seed)
     l0 = random_lagrangian(rng, n)
     ref = [canonicalize(l0)]
@@ -412,7 +464,7 @@ def test_bang_bang_sequence_matches_the_per_switch_extension(n, kinds, seed):
         else:
             x = rng.normal(size=2 * n) * 10.0 ** rng.uniform(-3, 3)
         x_list.append(x)
-        ref.append(extend_by_isotropic(ref[-1], x))
+        ref.append(svd_extension(ref[-1], x))
     planes = bang_bang_sequence(l0, x_list)
     assert len(planes) == len(ref)
     # a canonical frame is accurate to rounding times its size: with a small

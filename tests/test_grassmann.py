@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_lagrangian
+from helpers import random_lagrangian, svd_extension
 from jacobiflow.errors import ChartError, NondegeneracyError, PreconditionError
 from jacobiflow.grassmann import (
     GrassmannCurve,
@@ -20,7 +20,7 @@ from jacobiflow.grassmann import (
     vertical_plane,
 )
 from jacobiflow.maslov import maslov_index
-from jacobiflow.symplectic import apply_j, frame_rank, isotropy_residual, symplectic_form
+from jacobiflow.symplectic import apply_j, isotropy_residual, symplectic_form
 
 
 def test_reference_planes():
@@ -33,6 +33,13 @@ def test_reference_planes():
     assert plane_distance(v, h) == pytest.approx(1.0)
     assert transversality_margin(v, h) == pytest.approx(np.pi / 2)
     assert transversality_margin(v, v) == 0.0
+
+
+def test_intersection_dimension_of_a_frame_with_itself_is_its_rank():
+    f = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
+    assert intersection_dimension(f, f) == 1
+    assert intersection_dimension(np.zeros((4, 2)), np.zeros((4, 2))) == 0
+    assert intersection_dimension(np.eye(4), np.eye(4)) == 4
 
 
 def test_validate_lagrangian():
@@ -163,6 +170,72 @@ def test_extend_by_isotropic_rejects_bad_inputs():
         extend_by_isotropic(v, g)  # sigma(g_1, g_2) = 1, not isotropic
     with pytest.raises(PreconditionError):
         extend_by_isotropic(v, np.ones(6))  # ambient mismatch
+
+
+def test_extend_by_isotropic_of_a_frame_with_a_repeated_column():
+    # the line span{e_p1}, framed twice: e_q1 pairs with it, so the extension
+    # is span{e_q1}; e_q2 does not, so it is span{e_p1, e_q2}
+    plane = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    assert plane_distance(extend_by_isotropic(plane, np.eye(4)[2]), np.eye(4)[:, [2]]) < 1e-15
+    assert plane_distance(extend_by_isotropic(plane, np.eye(4)[3]), np.eye(4)[:, [0, 3]]) < 1e-15
+
+
+def _well_conditioned(rng, n: int, k: int) -> np.ndarray:
+    """An (n, k) matrix of orthonormal columns times scales in [0.5, 2]."""
+    return np.linalg.qr(rng.normal(size=(n, n)))[0][:, :k] * rng.uniform(0.5, 2.0, k)
+
+
+def _isotropic(rng, plane_q: np.ndarray, k: int, kind: str) -> np.ndarray:
+    """k isotropic columns against the orthonormal Lagrangian frame ``plane_q``
+    of L: inside L, in a random Lagrangian plane, or ``mixed``, some columns
+    inside L and the others in a Lagrangian plane through them; scaled by
+    10^(-3..3)."""
+    n = plane_q.shape[1]
+    if kind == "inside":
+        g = plane_q @ _well_conditioned(rng, n, k)
+    elif kind == "generic":
+        g = random_lagrangian(rng, n) @ _well_conditioned(rng, n, k)
+    else:
+        # in the coordinates of the unitary map sending the p-axes to L:
+        # j p-axes, then a random Lagrangian plane of the other n - j degrees
+        j = int(rng.integers(1, k))
+        a, b = plane_q[:n], plane_q[n:]
+        move = np.block([[a, -b], [b, a]])
+        rest = random_lagrangian(rng, n - j) @ _well_conditioned(rng, n - j, k - j)
+        g0 = np.zeros((2 * n, k))
+        g0[np.arange(j), np.arange(j)] = 1.0
+        g0[j:n, j:], g0[n + j :, j:] = rest[: n - j], rest[n - j :]
+        g = move @ g0
+    return g * 10.0 ** rng.uniform(-3, 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from(["generic", "inside", "mixed", "dependent"]), st.integers(0, 2**32 - 1))
+def test_extend_by_isotropic_is_the_svd_extension(n, k, kind, seed):
+    # one rank-one update per basis vector of span(G) against the SVD route
+    # it replaced; the frames of the plane and of G are well conditioned, as
+    # both routes are accurate to rounding times their condition.  A G with
+    # a zero column and a combination of its columns extends the plane as
+    # its independent columns do
+    k = min(k, n)
+    if kind == "mixed" and k < 2:
+        kind = "generic"
+    rng = np.random.default_rng(seed)
+    q = random_lagrangian(rng, n)
+    plane = q @ _well_conditioned(rng, n, n)
+    g = _isotropic(rng, q, k, "generic" if kind == "dependent" else kind)
+    ref = svd_extension(plane, g)
+    if kind == "dependent":
+        g = np.column_stack([g, np.zeros(2 * n), g @ rng.normal(size=k)])[:, rng.permutation(k + 2)]
+    out = extend_by_isotropic(plane, g)
+    assert out.shape == ref.shape == (2 * n, n)
+    # canonical frames are accurate to rounding times their size
+    size = max(1.0, np.abs(ref).max())
+    assert plane_distance(out, ref) < 1e-13 * size
+    assert isotropy_residual(out) < 1e-13 * size
+    if kind == "inside":
+        assert plane_distance(out, plane) < 1e-13 * size
 
 
 @settings(max_examples=30, deadline=None)
@@ -313,7 +386,6 @@ def test_canonicalize_is_bytewise_idempotent(f):
 @given(_stacks())
 def test_stacked_ranks_residuals_and_distances_are_the_frame_by_frame_results(f):
     other = f[::-1] + 0.25  # pairs frames of different kinds
-    assert _same_bits(frame_rank(f), np.array([frame_rank(x) for x in f]))
     assert _same_bits(isotropy_residual(f), np.array([isotropy_residual(x) for x in f]))
     assert _same_bits(intersection_dimension(f, other[0]),
                       np.array([intersection_dimension(x, other[0]) for x in f]))

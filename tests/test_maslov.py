@@ -9,7 +9,8 @@ from jacobiflow.errors import NondegeneracyError, PreconditionError, RefinementE
 from jacobiflow.flows import flow_plane
 from jacobiflow.grassmann import (
     GrassmannCurve,
-    _sigma_pi_chart,
+    _chart_basis,
+    _pi_chart,
     canonicalize,
     horizontal_plane,
     intersection_dimension,
@@ -21,7 +22,7 @@ from jacobiflow.grassmann import (
 )
 from jacobiflow import maslov
 from jacobiflow.maslov import _spectral_flow, _SpectralFlow, maslov_index, maslov_partial_sums
-from jacobiflow.symplectic import apply_j, frame_rank, isotropy_residual
+from jacobiflow.symplectic import apply_j, isotropy_residual
 
 # -- reference: the chart-catalogue route that the spectral-flow counter
 # replaced, kept here as the oracle.  Charts come from a fixed catalogue
@@ -487,7 +488,7 @@ def test_a_node_is_on_pi_below_a_principal_angle_of_2e_9(n, seed, theta):
     plane = np.kron(np.eye(2), q) @ np.vstack([np.diag(np.cos(angles)), np.diag(np.sin(angles))])
     pi = vertical_plane(n)
     on = theta < 2e-9
-    assert (frame_rank(np.hstack([plane, pi])) < 2 * n) == on
+    assert (intersection_dimension(plane, pi) > 0) == on
     framed = plane @ (rng.normal(size=(n, n)) + 3.0 * np.eye(n))
     assert _spectral_flow(framed[None], pi).on_pi.tolist() == [on]
 
@@ -556,8 +557,10 @@ def test_the_chart_count_is_the_souriau_count(n, seed, kinds, span, theta):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_the_chart_adapted_to_the_vertical_plane_is_the_sigma_pi_chart(n):
-    # so the Maslov pass's chart matrices are the CLI's chart columns
-    assert maslov._pi_chart(vertical_plane(n)).tobytes() == _sigma_pi_chart(n).tobytes()
+    # so the Maslov pass's chart matrices are the CLI's chart columns, and
+    # the first-jet case selection reads the chart (Sigma, Pi)
+    sigma_pi = _chart_basis(horizontal_plane(n), vertical_plane(n))
+    assert _pi_chart(vertical_plane(n)).tobytes() == sigma_pi.tobytes()
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ from jacobiflow.errors import PreconditionError
 from jacobiflow.symplectic import (
     apply_j,
     dim_to_n,
-    frame_rank,
     gram,
     isotropy_residual,
     symplectic_form,
@@ -94,13 +93,6 @@ def test_isotropy_residual():
     assert isotropy_residual(bad) == pytest.approx(1.0)
     # scale invariance: residual is relative to column norms
     assert isotropy_residual(1e6 * bad) == pytest.approx(1.0)
-
-
-def test_frame_rank():
-    f = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
-    assert frame_rank(f) == 1
-    assert frame_rank(np.zeros((4, 2))) == 0
-    assert frame_rank(np.eye(4)) == 4
 
 
 @settings(max_examples=30, deadline=None)

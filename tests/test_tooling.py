@@ -278,9 +278,9 @@ def test_lapack_calls_do_not_grow_with_the_nodes(tmp_path, monkeypatch, verb, sc
         path = tmp_path / f"{scenario}-{nodes}.json"
         path.write_text(json.dumps(raw))
         argv = [verb, str(path), "--out", str(tmp_path / "o.csv")]
-        # one uncounted run first fills the process-wide caches (the chart
-        # basis of grassmann._sigma_pi_chart), so the count does not depend
-        # on which tests ran before
+        # one uncounted run first, so that the count does not depend on
+        # which tests ran before; no chart basis is cached any more, each
+        # pass builds its own
         assert cli.main(argv) == 0
         counts.clear()
         assert cli.main(argv) == 0
@@ -344,10 +344,16 @@ def test_corpus_timings_script_times_one_op():
 
 def test_corpus_accuracy_script_measures_the_chosen_ops():
     # tools/corpus_accuracy.py gives the accuracy beside the timings: the
-    # worst plane angle of a corpus op against the same op at the rtol floor
+    # worst plane angle of a corpus op against the same op at the rtol floor,
+    # and against that march on a grid refined 4 times, which reads nonzero
+    # where the node spacing sets the steps; an op without a transport has
+    # no refined figure
     script = SRC.parent / "tools" / "corpus_accuracy.py"
     out = subprocess.run([sys.executable, str(script), "--op", "regular.trace", "--op",
-                          "portrait.portrait"], capture_output=True, text=True, check=True)
-    rows = [line.rsplit(None, 2) for line in out.stdout.splitlines()]
-    assert [name for name, _, _ in rows] == ["regular.trace", "portrait.portrait"]
-    assert all(0.0 <= float(angle) < 1e-8 and unit == "rad" for _, angle, unit in rows)
+                          "portrait.portrait", "--op", "order2.trace"],
+                         capture_output=True, text=True, check=True)
+    rows = [line.split() for line in out.stdout.splitlines()]
+    assert [row[0] for row in rows] == ["regular.trace", "portrait.portrait", "order2.trace"]
+    assert all(0.0 <= float(row[1]) < 1e-8 and row[2] == "rad" for row in rows)
+    assert all(0.0 < float(row[3]) < 1e-8 and row[4] == "rad" for row in rows[:2])
+    assert rows[2][3:] == ["-"]
