@@ -200,8 +200,6 @@ def _parse_plane(raw, n: int, path: str = "initial_plane") -> np.ndarray:
             raise ConfigError(f"{path}[{i}]: expected {n} columns")
         rows.append(vals)
     plane = np.array(rows)
-    if np.linalg.matrix_rank(plane) < n:
-        raise ConfigError(f"{path}: columns must be linearly independent")
     try:
         validate_lagrangian(plane)
     except NondegeneracyError as exc:
@@ -396,7 +394,7 @@ def _run_interval_mode(config: ScenarioConfig) -> TraceOutput:
     if config.mode == "infinite":
         if seq.first_nonzero is not None:
             raise ConfigError("mode: sequence has a nonzero entry; the order is finite")
-        trace = infinite_order_curve(data, config.initial_plane, interval)
+        trace = infinite_order_curve(data, config.initial_plane, grid)
     else:
         trace = singular_jacobi_curve(data, config.initial_plane, interval, grid,
                                       rtol=config.tolerances["rtol"])
@@ -439,7 +437,7 @@ def _degeneracy_stage(config: ScenarioConfig):
 def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
     data, frame, report = _degeneracy_stage(config)
     columns = _trace_columns(config.n)
-    summary = {**report.to_dict(), "symplectic_residual": frame.symplectic_residual, "events": []}
+    summary = {**vars(report), "symplectic_residual": frame.symplectic_residual, "events": []}
     if verb == "classify":
         return TraceOutput(columns, [], summary)
 

@@ -410,15 +410,17 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
 
 
 def infinite_order_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
-                         interval: tuple[float, float]) -> JacobiTrace:
-    """Constant curve of the totally degenerate case (all b^i vanish).
+                         grid: Sequence[float]) -> JacobiTrace:
+    """Constant curve of the totally degenerate case (all b^i vanish), sampled
+    at every node of ``grid``; an interval ``(t0, t1)`` is a grid of two nodes.
 
     The plane is the extension of ``l_init`` by the right-limit span of all
-    derivatives of X at the interval start, computed from the Taylor
+    derivatives of X at the first node, computed from the Taylor
     coefficients (so isolated rank drops of ``Gamma(t)`` cannot corrupt it).
     """
     l_init = validate_lagrangian(np.asarray(l_init, dtype=float))
-    t0, t1 = float(interval[0]), float(interval[1])
+    times = np.asarray(grid, dtype=float)
+    t0, t1 = float(times[0]), float(times[-1])
     seq = legendre_sequence(data, (t0, t1))
     if seq.first_nonzero is not None:
         raise PreconditionError(
@@ -432,8 +434,7 @@ def infinite_order_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
     if isotropy_residual(gamma) > 1e-8:
         raise PreconditionError("derivative span is not isotropic")
     plane = extend_by_isotropic(l_init, gamma)
-    times = np.array([t0, t1])
-    curve = GrassmannCurve(times=times, planes=[plane, plane])
+    curve = GrassmannCurve(times=times, planes=np.repeat(plane[None], times.size, axis=0))
     return JacobiTrace(curve=curve, diagnostics={"order": None})
 
 

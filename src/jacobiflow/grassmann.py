@@ -188,12 +188,13 @@ def intersection_dimension(a: np.ndarray, b: np.ndarray):
 
 
 def _orthonormal(f: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning ``f`` (or each frame of a stack); the
-    columns of dependent directions are zero."""
-    q, r = np.linalg.qr(f)
-    scale = np.maximum(1.0, np.max(np.abs(r), axis=(-2, -1), keepdims=True))
-    keep = np.abs(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :] > TOL_RANK * scale
-    return q * keep
+    """Orthonormal columns spanning ``f`` (or each frame of a stack): its left
+    singular vectors, with those whose singular values are at most
+    ``TOL_RANK`` times the largest zeroed.  This is the rank rule of
+    ``np.linalg.matrix_rank(f, rtol=TOL_RANK)``, so it does not depend on the
+    frame's scale or on the order of its columns."""
+    u, s, _ = np.linalg.svd(f, full_matrices=False)
+    return u * (s > TOL_RANK * s[..., :1])[..., None, :]
 
 
 def transversality_margin(a: np.ndarray, b: np.ndarray) -> float:
@@ -340,10 +341,9 @@ def extend_by_isotropic(plane: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _basis(f: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of span(f): the left singular vectors of the singular
-    values above ``TOL_RANK`` times the largest."""
-    u, s, _ = np.linalg.svd(f, full_matrices=False)
-    return u[:, s > TOL_RANK * s[:1]]
+    """Orthonormal basis of span(f): the nonzero columns of :func:`_orthonormal`."""
+    q = _orthonormal(f)
+    return q[:, q.any(axis=0)]
 
 
 @dataclass

@@ -12,7 +12,6 @@ from .classify import (
     SingularityReport,
     classify_coefficients,
     classify_frame,
-    kneser_classify,
 )
 from .firstjet import (
     CaseSystem,
@@ -50,6 +49,5 @@ __all__ = [
     "first_jet_case",
     "first_jet_continuation",
     "jump_operator",
-    "kneser_classify",
     "series_start",
 ]

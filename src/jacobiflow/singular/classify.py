@@ -1,12 +1,18 @@
 """Oscillation classification at a vanishing instant of the weight.
 
-The verdict is decided by the spectrum of ``C(0) B(0)`` for the block normal
-form: with ``B(0) = diag(1/b_m, 0)`` the only structurally nonzero eigenvalue
-is ``b11 * c11``.  For order two the flow is non-oscillating when every real
-eigenvalue stays above ``-1/4``; for higher order the sign of ``C(0)`` on the
-range of ``B(0)`` decides; order at most one never oscillates.  A relative
-band of width ``tol_thresh`` around the critical values returns the
-``Threshold`` verdict instead of guessing a side.
+In the block normal form ``B(0) = diag(1/b_m, 0)`` and ``C`` is diagonal, so
+``C(0) B(0) = diag(c11(0)/b_m, 0)``: one number decides the verdict.
+
+- Order at most one never oscillates.
+- Order two: with ``p = c11(0)/b_m`` the flow oscillates where ``p < -1/4``
+  and not otherwise; ``delta = sqrt(1 + 4p)`` where it is real.
+- Higher order: the sign of ``c11(0)`` against that of ``b_m`` (negative)
+  decides; the same signs do not oscillate.
+
+A relative band of width ``tol_thresh`` around each critical value (``p`` at
+``-1/4`` and at 0, ``c11(0)`` at 0, relative to the larger of 1 and the
+``C(0)`` entries) returns the ``Threshold`` verdict instead of guessing a
+side.
 """
 
 from __future__ import annotations
@@ -15,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PreconditionError, SingularityError
+from ..errors import SingularityError
 from .frame import NormalFormCoefficients, NormalFormFrame
 
 __all__ = [
     "SingularityReport",
-    "kneser_classify",
     "classify_frame",
     "classify_coefficients",
 ]
@@ -50,63 +55,6 @@ class SingularityReport:
         if self.b_m >= 0.0:
             raise SingularityError("leading weight coefficient must be negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "b_m": self.b_m,
-            "sigma_xxdot": self.sigma_xxdot,
-            "delta": self.delta,
-            "verdict": self.verdict,
-            "case": self.case,
-            "k": self.k,
-        }
-
-
-def kneser_classify(
-    bnf0: np.ndarray,
-    cnf0: np.ndarray,
-    m: int,
-    tol_thresh: float = TOL_THRESH,
-) -> str:
-    """Verdict from the block data at the singular instant.
-
-    ``bnf0`` is the analytic numerator of ``B`` evaluated at zero (so its
-    (1,1) entry is ``1/b_m``) and ``cnf0`` the diagonal ``C(0)``.
-    """
-    bnf0 = np.atleast_2d(np.asarray(bnf0, dtype=float))
-    cnf0 = np.atleast_2d(np.asarray(cnf0, dtype=float))
-    if m <= 1:
-        return NON_OSCILLATING
-
-    if m == 2:
-        eigs = np.linalg.eigvals(cnf0 @ bnf0)
-        if np.max(np.abs(eigs.imag)) > 1e-9 * max(1.0, np.max(np.abs(eigs))):
-            # complex pair below the critical line still oscillates
-            return OSCILLATING if np.min(eigs.real) < -0.25 else NON_OSCILLATING
-        vals = np.sort(eigs.real)
-        product = bnf0[0, 0] * cnf0[0, 0]
-        band = 0.25 * tol_thresh
-        if abs(product + 0.25) <= band or abs(product) <= band:
-            return THRESHOLD
-        if np.any(np.abs(vals + 0.25) <= band):
-            return THRESHOLD
-        return OSCILLATING if vals[0] < -0.25 else NON_OSCILLATING
-
-    # m > 2: sign of C(0) restricted to the range of B(0)
-    u, s, _ = np.linalg.svd(bnf0)
-    rng_cols = u[:, s > 1e-12 * max(s[0], 1.0)]
-    if rng_cols.shape[1] == 0:
-        raise PreconditionError("B(0) vanishes; no singular direction to classify")
-    wb = np.linalg.eigvalsh(rng_cols.T @ bnf0 @ rng_cols)
-    wc = np.linalg.eigvalsh(rng_cols.T @ cnf0 @ rng_cols)
-    b_sign = np.sign(wb[np.argmax(np.abs(wb))])
-    scale = max(1.0, float(np.max(np.abs(cnf0))))
-    if np.any(np.abs(wc) <= tol_thresh * scale):
-        return THRESHOLD
-    if np.all(np.sign(wc) == b_sign):
-        return NON_OSCILLATING
-    return OSCILLATING
-
 
 def classify_coefficients(
     coeffs: NormalFormCoefficients,
@@ -115,21 +63,32 @@ def classify_coefficients(
     sigma_xxdot: float | None = None,
     tol_thresh: float = TOL_THRESH,
 ) -> SingularityReport:
-    # B(0) of the analytic numerator t**m B(t) is diag(1/b_m, 0)
-    bnf0 = np.zeros((coeffs.k, coeffs.k))
-    bnf0[0, 0] = 1.0 / coeffs.b_m
-    cnf0 = coeffs.chat(0.0)
-    verdict = kneser_classify(bnf0, cnf0, coeffs.m, tol_thresh)
+    """Report at the vanishing instant of ``coeffs``, decided by ``c11(0)`` and
+    ``b_m`` alone (see the module docstring); ``sigma_xxdot`` defaults to
+    ``-c11(0)``."""
+    c0 = float(coeffs.c11[0])
     delta = None
-    if coeffs.m == 2:
-        disc = 1.0 + 4.0 * bnf0[0, 0] * cnf0[0, 0]
+    if coeffs.m <= 1:
+        verdict = NON_OSCILLATING
+    elif coeffs.m == 2:
+        p = 1.0 / coeffs.b_m * c0
+        band = 0.25 * tol_thresh
+        if abs(p + 0.25) <= band or abs(p) <= band:
+            verdict = THRESHOLD
+        else:
+            verdict = OSCILLATING if p < -0.25 else NON_OSCILLATING
+        disc = 1.0 + 4.0 * p
         delta = float(np.sqrt(disc)) if disc >= 0.0 else None
-    if sigma_xxdot is None:
-        sigma_xxdot = -float(cnf0[0, 0])
+    else:
+        scale = max(1.0, abs(c0), abs(float(coeffs.c22[0])) if coeffs.k == 2 else 0.0)
+        if abs(c0) <= tol_thresh * scale:
+            verdict = THRESHOLD
+        else:
+            verdict = NON_OSCILLATING if c0 < 0.0 else OSCILLATING
     return SingularityReport(
         m=coeffs.m,
         b_m=coeffs.b_m,
-        sigma_xxdot=sigma_xxdot,
+        sigma_xxdot=-c0 if sigma_xxdot is None else sigma_xxdot,
         delta=delta,
         verdict=verdict,
         case=case,

@@ -84,7 +84,8 @@ class NormalFormCoefficients:
     """Block-system data ``B = 1/b + [[b11, b12], [b12, b22]]``, ``C`` diagonal.
 
     All entries are coefficient stacks in the local time (lowest order
-    first); ``b`` vanishes to order ``m`` at zero.  For ``k == 1`` only
+    first; an empty stack is stored as the zero series ``[0.0]``); ``b``
+    vanishes to order ``m`` at zero.  For ``k == 1`` only
     ``b11`` and ``c11`` are meaningful.
 
     The stacks are compiled once, at construction: the analytic part of
@@ -115,9 +116,11 @@ class NormalFormCoefficients:
             raise PreconditionError("vanishing order must be nonnegative")
         for name in ("b", "b11", "c11", "b12", "b22", "c22"):
             arr = np.array(getattr(self, name), dtype=float, ndmin=1)
+            if not arr.size:
+                arr = np.zeros(1)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        scale = float(np.max(np.abs(self.b))) if self.b.size else 0.0
+        scale = float(np.max(np.abs(self.b)))
         if scale == 0.0:
             raise PreconditionError("weight series is identically zero")
         lead = self.b[self.m] if self.m < self.b.size else 0.0
@@ -139,10 +142,6 @@ class NormalFormCoefficients:
     @property
     def b_m(self) -> float:
         return float(self.b[self.m])
-
-    def chat(self, tau: float) -> np.ndarray:
-        k = self.k
-        return meval(self._system_stack, tau)[k:, :k]
 
     def system(self, tau) -> np.ndarray:
         """Block system matrix ``[[0, B], [C, 0]]`` at ``tau``.

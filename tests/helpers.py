@@ -1,7 +1,8 @@
 """Builders shared by the tests: linear Hamiltonian systems from polynomial
 coefficient blocks, random Lagrangian planes, the first-jet continuation
-carried past its series window, and the SVD route of the isotropic
-extension as the oracle of the rank-one update."""
+carried past its series window, the SVD route of the isotropic
+extension as the oracle of the rank-one update, and the general spectral
+test of ``C(0) B(0)`` as the oracle of the scalar oscillation rule."""
 
 import numpy as np
 
@@ -9,6 +10,7 @@ from jacobiflow.errors import PoleError, PreconditionError
 from jacobiflow.flows import flow_plane
 from jacobiflow.grassmann import _as_frame, canonicalize
 from jacobiflow.series import meval, strim
+from jacobiflow.singular.classify import NON_OSCILLATING, OSCILLATING, THRESHOLD, TOL_THRESH
 from jacobiflow.singular.firstjet import first_jet_continuation
 from jacobiflow.symplectic import TOL_ISO, TOL_RANK, gram, isotropy_residual
 
@@ -107,3 +109,65 @@ def svd_extension(plane: np.ndarray, g: np.ndarray) -> np.ndarray:
     u, s, _ = np.linalg.svd(stacked, full_matrices=False)
     keep = int(np.sum(s > TOL_RANK * s[0])) if s.size and s[0] > 0 else 0
     return canonicalize(u[:, :keep])
+
+
+def kneser_classify(
+    bnf0: np.ndarray,
+    cnf0: np.ndarray,
+    m: int,
+    tol_thresh: float = TOL_THRESH,
+) -> str:
+    """Verdict from the block data at the singular instant.
+
+    ``bnf0`` is the analytic numerator of ``B`` evaluated at zero (so its
+    (1,1) entry is ``1/b_m``) and ``cnf0`` the diagonal ``C(0)``.
+    """
+    bnf0 = np.atleast_2d(np.asarray(bnf0, dtype=float))
+    cnf0 = np.atleast_2d(np.asarray(cnf0, dtype=float))
+    if m <= 1:
+        return NON_OSCILLATING
+
+    if m == 2:
+        eigs = np.linalg.eigvals(cnf0 @ bnf0)
+        if np.max(np.abs(eigs.imag)) > 1e-9 * max(1.0, np.max(np.abs(eigs))):
+            # complex pair below the critical line still oscillates
+            return OSCILLATING if np.min(eigs.real) < -0.25 else NON_OSCILLATING
+        vals = np.sort(eigs.real)
+        product = bnf0[0, 0] * cnf0[0, 0]
+        band = 0.25 * tol_thresh
+        if abs(product + 0.25) <= band or abs(product) <= band:
+            return THRESHOLD
+        if np.any(np.abs(vals + 0.25) <= band):
+            return THRESHOLD
+        return OSCILLATING if vals[0] < -0.25 else NON_OSCILLATING
+
+    # m > 2: sign of C(0) restricted to the range of B(0)
+    u, s, _ = np.linalg.svd(bnf0)
+    rng_cols = u[:, s > 1e-12 * max(s[0], 1.0)]
+    if rng_cols.shape[1] == 0:
+        raise PreconditionError("B(0) vanishes; no singular direction to classify")
+    wb = np.linalg.eigvalsh(rng_cols.T @ bnf0 @ rng_cols)
+    wc = np.linalg.eigvalsh(rng_cols.T @ cnf0 @ rng_cols)
+    b_sign = np.sign(wb[np.argmax(np.abs(wb))])
+    scale = max(1.0, float(np.max(np.abs(cnf0))))
+    if np.any(np.abs(wc) <= tol_thresh * scale):
+        return THRESHOLD
+    if np.all(np.sign(wc) == b_sign):
+        return NON_OSCILLATING
+    return OSCILLATING
+
+
+def spectral_report(coeffs, tol_thresh: float = TOL_THRESH) -> dict:
+    """The fields of the report that :func:`kneser_classify` decides, with the
+    arithmetic ``classify_coefficients`` had around it: ``B(0) = diag(1/b_m,
+    0)`` and ``C(0)`` from the compiled block system at zero."""
+    k = coeffs.k
+    bnf0 = np.zeros((k, k))
+    bnf0[0, 0] = 1.0 / coeffs.b_m
+    cnf0 = meval(coeffs._system_stack, 0.0)[k:, :k]
+    delta = None
+    if coeffs.m == 2:
+        disc = 1.0 + 4.0 * bnf0[0, 0] * cnf0[0, 0]
+        delta = float(np.sqrt(disc)) if disc >= 0.0 else None
+    return {"m": coeffs.m, "b_m": coeffs.b_m, "sigma_xxdot": -float(cnf0[0, 0]), "delta": delta,
+            "verdict": kneser_classify(bnf0, cnf0, coeffs.m, tol_thresh), "case": "", "k": k}

@@ -1,10 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from helpers import random_lagrangian
+from helpers import random_lagrangian, spectral_report
+from jacobiflow.cli import main
 from jacobiflow.errors import PreconditionError, SingularityError
 from jacobiflow.flows import _integrate
 from jacobiflow.series import meval, srecip
@@ -13,9 +17,10 @@ from jacobiflow.singular.classify import (
     OSCILLATING,
     SingularityReport,
     classify_coefficients,
-    kneser_classify,
 )
 from jacobiflow.singular.frame import NormalFormCoefficients
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
 
 
 def _coeffs(m, c11, b_m=-1.0, k=1, **kw):
@@ -25,40 +30,32 @@ def _coeffs(m, c11, b_m=-1.0, k=1, **kw):
 
 
 # ---------------------------------------------------------------------------
-# spectral classifier
+# the scalar rule on c11(0) and b_m
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("m", [0, 1])
+# order 0 is not a vanishing instant: test_classify_coefficients_rejects_regular_order
+@pytest.mark.parametrize("m", [1])
 @pytest.mark.parametrize("c", [-3.0, 0.0, 3.0])
 def test_low_order_never_oscillates(m, c):
-    assert kneser_classify([[-1.0]], [[c]], m) == "NonOscillating"
+    for k in (1, 2):
+        assert classify_coefficients(_coeffs(m, c, k=k)).verdict == "NonOscillating"
 
 
 @pytest.mark.parametrize(
     "c, expected",
     [
-        (0.5, "Oscillating"),        # eigenvalue -0.5 < -1/4
+        (0.5, "Oscillating"),        # p = -0.5 < -1/4
         (0.26, "Oscillating"),
-        (-1.0, "NonOscillating"),    # eigenvalue 1
+        (-1.0, "NonOscillating"),    # p = 1
         (0.24, "NonOscillating"),
         (0.25, "Threshold"),         # exactly on the critical line
-        (1e-9, "Threshold"),         # product indistinguishable from zero
+        (1e-9, "Threshold"),         # p indistinguishable from zero
     ],
 )
 def test_order_two_scalar_verdicts(c, expected):
-    assert kneser_classify([[-1.0]], [[c]], 2) == expected
-
-
-def test_order_two_complex_pair():
-    # symmetric B, diagonal C with complex spectrum of C B
-    b = np.array([[-1.0, 1.0], [1.0, 1.0]])
-    c = np.diag([1.0, -1.0])
-    eigs = np.linalg.eigvals(c @ b)
-    assert np.max(np.abs(eigs.imag)) > 0.5  # really a complex pair
-    assert kneser_classify(b, c, 2) == "Oscillating"  # real part -1
-    b2 = np.array([[1.0, 1.0], [1.0, -1.0]])
-    assert kneser_classify(b2, c, 2) == "NonOscillating"  # real part +1
+    for k in (1, 2):
+        assert classify_coefficients(_coeffs(2, c, k=k)).verdict == expected
 
 
 @pytest.mark.parametrize(
@@ -66,15 +63,18 @@ def test_order_two_complex_pair():
     [(-1.0, "NonOscillating"), (0.5, "Oscillating"), (1e-9, "Threshold")],
 )
 def test_higher_order_sign_test(cval, expected):
-    assert kneser_classify([[-2.0]], [[cval]], 3) == expected
+    assert classify_coefficients(_coeffs(3, cval, b_m=-0.5)).verdict == expected
 
 
 def test_higher_order_only_range_of_b_matters():
-    b = np.diag([-2.0, 0.0])
-    assert kneser_classify(b, np.diag([-1.0, 5.0]), 3) == "NonOscillating"
-    assert kneser_classify(b, np.diag([1.0, -5.0]), 3) == "Oscillating"
-    with pytest.raises(PreconditionError):
-        kneser_classify(np.zeros((1, 1)), [[1.0]], 3)
+    # B(0) = diag(1/b_m, 0): c22(0) only scales the threshold band
+    assert classify_coefficients(_coeffs(3, -1.0, b_m=-0.5, k=2, c22=[5.0])).verdict == (
+        "NonOscillating")
+    assert classify_coefficients(_coeffs(3, 1.0, b_m=-0.5, k=2, c22=[-5.0])).verdict == (
+        "Oscillating")
+    # |c11(0)| = 4e-6 lies inside the band 1e-6 max(1, |c22(0)|) only for k = 2
+    assert classify_coefficients(_coeffs(3, 4e-6, k=2, c22=[5.0])).verdict == "Threshold"
+    assert classify_coefficients(_coeffs(3, 4e-6, k=1, c22=[5.0])).verdict == "Oscillating"
 
 
 @settings(max_examples=40, deadline=None)
@@ -87,7 +87,73 @@ def test_order_two_matches_quarter_rule(b_m, c):
     if abs(product + 0.25) < 1e-3 or abs(product) < 1e-3:
         return
     expected = "Oscillating" if product < -0.25 else "NonOscillating"
-    assert kneser_classify([[1.0 / b_m]], [[c]], 2) == expected
+    assert classify_coefficients(_coeffs(2, c, b_m=b_m)).verdict == expected
+
+
+def _random_coefficients(rng):
+    """Normal-form coefficients whose c11(0) is generic, near the order-two
+    critical value -b_m/4, near zero or exactly zero; every other order and
+    entry is random."""
+    k, m = int(rng.integers(1, 3)), int(rng.integers(1, 6))
+    b = np.concatenate([np.zeros(m), [-(10.0 ** rng.uniform(-3, 3))], rng.normal(size=3)])
+    kind = rng.integers(4)
+    near = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17, -1)
+    c0 = [rng.normal() * 10.0 ** rng.uniform(-3, 3), -b[m] / 4.0 * (1.0 + near), near, 0.0][kind]
+    c11 = np.concatenate([[c0], rng.normal(size=int(rng.integers(0, 4)))])
+    extra = {}
+    if k == 2:
+        extra = {name: rng.normal(size=int(rng.integers(1, 4))) for name in ("b12", "b22", "c22")}
+    return NormalFormCoefficients(k=k, m=m, b=b, b11=rng.normal(size=3), c11=c11, **extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_the_scalar_rule_is_the_spectral_test_on_every_normal_form(seed, default_tol):
+    # the spectrum of C(0) B(0) of a normal form is {c11(0)/b_m, 0} (or
+    # {c11(0)/b_m} for k = 1), and on the range of B(0) = diag(1/b_m, 0) C(0)
+    # is c11(0): below a band of 0.3 the general test and the rule agree
+    rng = np.random.default_rng(seed)
+    coeffs = _random_coefficients(rng)
+    tol = 1e-6 if default_tol else 10.0 ** rng.uniform(-12, np.log10(0.3))
+    assert vars(classify_coefficients(coeffs, tol_thresh=tol)) == spectral_report(coeffs, tol)
+
+
+def _summary(tmp_path, verb, scenario, **edits):
+    """Exit code and summary of one CLI call on a corpus scenario with ``edits``
+    merged into its JSON."""
+    raw = json.loads((CORPUS / f"{scenario}.json").read_text())
+    raw.update(edits)
+    path = tmp_path / f"{scenario}.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out.csv"
+    code = main([verb, str(path), "--out", str(out)])
+    return code, json.loads((tmp_path / "out.csv.summary.json").read_text()) if code == 0 else None
+
+
+def test_a_wide_band_does_not_catch_the_structural_zero_eigenvalue(tmp_path):
+    # p = 1 with tol_thresh = 1: the band around -1/4 reaches 0, the
+    # eigenvalue of C(0) B(0) that every k = 2 normal form has, which the
+    # general test read as Threshold for k = 2 and not for k = 1
+    for k in (1, 2):
+        rep = classify_coefficients(_coeffs(2, -1.0, k=k), tol_thresh=1.0)
+        assert rep.verdict == "NonOscillating"
+    assert spectral_report(_coeffs(2, -1.0, k=2), 1.0)["verdict"] == "Threshold"
+    # the corpus degen_m2 (k = 2, p = 1) jumps under that band
+    code, summary = _summary(tmp_path, "jump", "degen_m2", tolerances={"tol_thresh": 1})
+    assert code == 0 and summary["verdict"] == "NonOscillating"
+
+
+def test_a_large_weight_coefficient_still_classifies(tmp_path):
+    # b_m = -1e12 makes B(0) = diag(-1e-12, 0), which the general test's
+    # range projection, floored at scale 1, took for zero
+    rep = classify_coefficients(_coeffs(3, -1.0, b_m=-1e12, k=2))
+    assert rep.verdict == "NonOscillating"
+    with pytest.raises(PreconditionError, match="B\\(0\\) vanishes"):
+        spectral_report(_coeffs(3, -1.0, b_m=-1e12, k=2))
+    data = json.loads((CORPUS / "degen_m3.json").read_text())["data"]
+    code, summary = _summary(tmp_path, "classify", "degen_m3",
+                             data={**data, "b": [[0, 0, 0, -1e12]]})
+    assert code == 0 and summary["verdict"] == "NonOscillating" and summary["b_m"] == -1e12
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +361,7 @@ def test_oracle_counts_match_the_restarting_reference(m, c11, tau_min):
 def test_verdict_protocol_agrees_with_spectrum(m, c11, expected):
     bnf, cnf = _oracle_stacks(_coeffs(m, c11, b_m=-1.5 if m == 3 else -1.0))
     assert oscillation_verdict(bnf, cnf, m, n_solutions=2) == expected
-    if m >= 2:
-        assert kneser_classify(bnf[0], cnf[0], m) == expected
+    assert classify_coefficients(_coeffs(m, c11, b_m=-1.5 if m == 3 else -1.0)).verdict == expected
 
 
 def test_verdict_protocol_two_block():
@@ -305,7 +370,7 @@ def test_verdict_protocol_two_block():
         b22=[-1.0], c22=[-0.5],
     )
     bnf, cnf = _oracle_stacks(coeffs)
-    assert kneser_classify(bnf[0], cnf[0], 2) == "Oscillating"
+    assert classify_coefficients(coeffs).verdict == "Oscillating"
     assert oscillation_verdict(bnf, cnf, 2, n_solutions=2) == "Oscillating"
 
 
@@ -319,7 +384,7 @@ def test_report_validation_and_dict():
         m=2, b_m=-1.0, sigma_xxdot=1.0, delta=3.0,
         verdict="NonOscillating", case="span3", k=2,
     )
-    d = rep.to_dict()
+    d = vars(rep)
     assert d["delta"] == 3.0 and d["verdict"] == "NonOscillating"
     assert set(d) == {"m", "b_m", "sigma_xxdot", "delta", "verdict", "case", "k"}
     with pytest.raises(SingularityError):
@@ -344,6 +409,14 @@ def test_classify_coefficients_discriminant():
     rep = classify_coefficients(_coeffs(1, 0.7), case="span2")
     assert rep.verdict == "NonOscillating"
     assert rep.delta is None and rep.case == "span2"
+
+
+def test_an_empty_stack_is_the_zero_series():
+    # c11(0) of an empty stack is 0, so p = 0 lies on the critical value 0
+    coeffs = NormalFormCoefficients(k=1, m=2, b=[0.0, 0.0, -1.0], b11=[], c11=[])
+    assert coeffs.c11.tolist() == [0.0]
+    assert vars(classify_coefficients(coeffs)) == spectral_report(coeffs)
+    assert classify_coefficients(coeffs).verdict == "Threshold"
 
 
 def test_classify_coefficients_rejects_regular_order():

@@ -161,12 +161,40 @@ def test_golden_curve_outputs_are_byte_stable(tmp_path, verb, scenario, csv, sum
 
 # the jumps no other golden or benchmark op reaches: the infinite-order
 # extension by a two-dimensional derivative span, the boundary space of
-# order m < n (n = 2, m = 1 and n = 3, m = 2) with its drift check, and the
-# first-jet cases 2 and 3, from the degen_m2_short data
+# order m < n (n = 2, m = 1 and n = 3, m = 2) with its drift check, the
+# first-jet cases 2 and 3, from the degen_m2_short data, and the normal form
+# of one degree of freedom (n = 1: a k = 1 frame, the first-jet case and
+# blow-up equilibrium of one line)
 @pytest.mark.parametrize("scenario", ["infinite_short", "order1_short", "order2_n3_short",
-                                      "degen_m2_case2_short", "degen_m2_case3_short"])
+                                      "degen_m2_case2_short", "degen_m2_case3_short",
+                                      "degen_n1_short"])
 def test_golden_jump_branches_are_byte_stable(tmp_path, scenario):
     _assert_golden(tmp_path, "trace", scenario, f"{scenario}.csv", f"{scenario}.csv.summary.json")
+
+
+def test_golden_block_smaller_than_the_space_classifies_and_refuses_the_jump(tmp_path, capsys):
+    # X = (1, 0, t, 0) spans two dimensions with its derivatives in n = 2: a
+    # k = 1 frame completed by the coordinate pool; the classification stands,
+    # and the continuation needs the block to fill the space
+    _assert_golden(tmp_path, "classify", "degen_k1_n2_short", "degen_k1_n2_short.classify.csv",
+                   "degen_k1_n2_short.classify.csv.summary.json")
+    assert main(["jump", str(GOLDEN / "degen_k1_n2_short.json"),
+                 "--out", str(tmp_path / "j.csv")]) == 2
+    [err] = _errors(capsys)
+    assert err["error"] == "ConfigError" and "fill the space" in err["message"]
+
+
+def test_an_infinite_order_trace_writes_one_row_per_grid_node(tmp_path):
+    raw = json.loads((GOLDEN / "infinite_short.json").read_text())
+    out = tmp_path / "inf.csv"
+    assert main(["trace", str(GOLDEN / "infinite_short.json"), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + raw["grid"]["steps"]
+    times = [float(line.split(",", 1)[0]) for line in lines[1:]]
+    assert times == pytest.approx(np.linspace(raw["grid"]["t0"], raw["grid"]["t1"],
+                                              raw["grid"]["steps"]))
+    # the curve is constant: every row after its time cell is the first row's
+    assert len({line.split(",", 1)[1] for line in lines[1:]}) == 1
 
 
 def test_an_order_m_plane_containing_x_is_refused(tmp_path, capsys):

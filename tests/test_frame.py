@@ -55,7 +55,7 @@ def test_coefficients_basic_properties():
     c = NormalFormCoefficients(k=1, m=2, b=[0.0, 0.0, -2.0], b11=[0.3], c11=[-0.7])
     assert c.b_m == -2.0
     assert c.system(1.0)[0, 1] == pytest.approx(1.0 / -2.0 + 0.3)
-    assert c.chat(0.0)[0, 0] == -0.7
+    assert c.c11[0] == -0.7
     sysm = c.system(0.5)
     assert sysm.shape == (2, 2)
     assert sysm[0, 0] == 0.0 and sysm[1, 1] == 0.0
@@ -71,7 +71,7 @@ def test_coefficients_two_block_symmetry():
     bh = c.system(0.5)[:2, 2:]
     assert bh[0, 1] == bh[1, 0] == 0.4
     assert bh[1, 1] == pytest.approx(-0.9)
-    ch = c.chat(0.5)
+    ch = c.system(0.5)[2:, :2]
     assert ch[0, 1] == ch[1, 0] == 0.0
     assert ch[1, 1] == pytest.approx(0.1)
 
@@ -128,7 +128,6 @@ def test_compiled_system_matches_polyval_assembly(k, m, tau, seed):
     c = NormalFormCoefficients(k=k, m=m, b=b, **{name: stack() for name in names})
     ref = _polyval_system(c, tau)
     assert np.array_equal(c.system(tau), ref)
-    assert np.array_equal(c.chat(tau), ref[k:, :k])
 
 
 def test_compiled_system_raises_where_the_weight_vanishes():

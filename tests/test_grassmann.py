@@ -286,6 +286,18 @@ def test_plane_distance_properties():
     assert 0.0 <= plane_distance(a, b) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("a, b", [
+    (np.eye(4)[:, [1, 0]] * [0.0, 1.0], np.eye(4)[:, :1]),  # a zero column ahead of e_1
+    (np.eye(4)[:, [0, 0, 1]], np.eye(4)[:, :2]),             # a repeated column
+    (1e-10 * np.eye(4)[:, :1], np.eye(4)[:, :1]),            # a frame far below 1
+], ids=["zero-column", "repeated-column", "small-frame"])
+def test_distance_and_margin_see_every_direction_of_a_frame(a, b):
+    # the span, not the frame, decides: a rank rule with the order of the
+    # columns or an absolute floor in it loses these directions
+    assert plane_distance(a, b) == 0.0
+    assert transversality_margin(a, b) == 0.0
+
+
 
 def test_grassmann_curve_planes_share_one_shape():
     with pytest.raises(PreconditionError, match="one shape"):

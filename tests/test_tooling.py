@@ -357,3 +357,25 @@ def test_corpus_accuracy_script_measures_the_chosen_ops():
     assert all(0.0 <= float(row[1]) < 1e-8 and row[2] == "rad" for row in rows)
     assert all(0.0 < float(row[3]) < 1e-8 and row[4] == "rad" for row in rows[:2])
     assert rows[2][3:] == ["-"]
+
+
+def test_corpus_coverage_lists_the_statements_no_op_runs(tmp_path, monkeypatch):
+    # tools/corpus_coverage.py finds the function statements no golden or
+    # benchmark op runs; on regular_short alone, under every verb in both
+    # formats, the trace runs canonicalize and never maslov_index, which
+    # only the benchmark's tracer names
+    monkeypatch.syspath_prepend(str(SRC.parent / "tools"))
+    coverage = importlib.import_module("corpus_coverage")
+    report = coverage.never_ran(coverage.golden_argvs([SRC.parent / "tests" / "golden"
+                                                       / "regular_short.json"], tmp_path))
+
+    def body(module, name):
+        """Lines of the statements a function's body holds at its top level."""
+        tree = ast.parse((SRC / (module.replace(".", "/") + ".py")).read_text(encoding="utf-8"))
+        [node] = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == name]
+        return {stmt.lineno for stmt in node.body[1:]}  # after the docstring
+
+    listed = {module: {line for line, _ in missed} for module, missed in report.items()}
+    assert body("jacobiflow.maslov", "maslov_index") <= listed["jacobiflow.maslov"]
+    assert body("jacobiflow.grassmann", "canonicalize").isdisjoint(listed["jacobiflow.grassmann"])
