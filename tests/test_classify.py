@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from helpers import random_lagrangian, spectral_report
+from helpers import kneser_classify, random_lagrangian, spectral_report
 from jacobiflow.cli import main
 from jacobiflow.errors import PreconditionError, SingularityError
 from jacobiflow.flows import _integrate
@@ -34,12 +34,17 @@ def _coeffs(m, c11, b_m=-1.0, k=1, **kw):
 # ---------------------------------------------------------------------------
 
 
-# order 0 is not a vanishing instant: test_classify_coefficients_rejects_regular_order
-@pytest.mark.parametrize("m", [1])
+@pytest.mark.parametrize("m", [0, 1])
 @pytest.mark.parametrize("c", [-3.0, 0.0, 3.0])
 def test_low_order_never_oscillates(m, c):
+    assert kneser_classify([[-1.0]], [[c]], m) == "NonOscillating"
     for k in (1, 2):
-        assert classify_coefficients(_coeffs(m, c, k=k)).verdict == "NonOscillating"
+        if m == 0:
+            # order 0 is a regular instant: refused, never given a verdict
+            with pytest.raises(SingularityError):
+                classify_coefficients(_coeffs(m, c, k=k))
+        else:
+            assert classify_coefficients(_coeffs(m, c, k=k)).verdict == "NonOscillating"
 
 
 @pytest.mark.parametrize(
