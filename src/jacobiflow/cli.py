@@ -63,7 +63,7 @@ from .maslov import _SpectralFlow, _spectral_flow
 from .series import meval
 from .singular.classify import classify_coefficients, classify_frame
 from .singular.firstjet import _tail_within, first_jet_case, first_jet_continuation
-from .singular.frame import NormalFormCoefficients, build_normal_frame
+from .singular.frame import DEFAULT_NTERMS, NormalFormCoefficients, build_normal_frame
 from .singular.jump import epsilon_family_oracle, jump_operator
 from .symplectic import symplectic_inverse
 
@@ -82,7 +82,7 @@ FORMATS = ("csv", "json")
 DEFAULT_TOLERANCES = {
     "rtol": 1e-12,
     "tol_thresh": 1e-6,
-    "nterms": 40,
+    "nterms": DEFAULT_NTERMS,
     "eps_family": (1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
 }
 DEFAULT_U0 = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
@@ -396,7 +396,7 @@ def _run_interval_mode(config: ScenarioConfig) -> TraceOutput:
             raise ConfigError("mode: sequence has a nonzero entry; the order is finite")
         trace = infinite_order_curve(data, config.initial_plane, grid)
     else:
-        trace = singular_jacobi_curve(data, config.initial_plane, interval, grid,
+        trace = singular_jacobi_curve(data, config.initial_plane, grid,
                                       rtol=config.tolerances["rtol"])
     summary = {"order_m": seq.first_nonzero, "events": [], "diagnostics": trace.diagnostics}
     rows, flow = _trace_rows(trace.curve, config.n, [])
@@ -417,9 +417,7 @@ def _run_bangbang(config: ScenarioConfig) -> TraceOutput:
     return TraceOutput(_trace_columns(config.n), rows, summary, flow)
 
 
-def _degeneracy_stage(config: ScenarioConfig):
-    """Shared head of the degenerate-instant pipeline: sequence, frame, report."""
-
+def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
     data = config.data["piecewise"]
     bps = data.breakpoints
     seq = legendre_sequence(data, (float(bps[0]), float(bps[-1])))
@@ -427,24 +425,20 @@ def _degeneracy_stage(config: ScenarioConfig):
         raise ConfigError(
             "data.b: weight is identically degenerate; this mode treats an isolated zero"
         )
-    frame = build_normal_frame(data, 0.0, nterms=config.tolerances["nterms"])
-    if frame.m == 0:
+    frame = build_normal_frame(data, nterms=config.tolerances["nterms"])
+    coeffs = frame.coeffs
+    if coeffs.m == 0:
         raise ConfigError("data.b: weight does not vanish at the marked instant")
     report = classify_frame(frame, tol_thresh=config.tolerances["tol_thresh"])
-    return data, frame, report
-
-
-def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
-    data, frame, report = _degeneracy_stage(config)
     columns = _trace_columns(config.n)
     summary = {**vars(report), "symplectic_residual": frame.symplectic_residual, "events": []}
     if verb == "classify":
         return TraceOutput(columns, [], summary)
 
-    if frame.k != config.n:
+    if coeffs.k != config.n:
         raise ConfigError(
             "n: continuation needs the degenerate block to fill the space "
-            f"(block size {frame.k}, n = {config.n})"
+            f"(block size {coeffs.k}, n = {config.n})"
         )
     x0 = data.x(0.0)
     jump = jump_operator(config.initial_plane, x0, report, time=0.0)
@@ -454,14 +448,14 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
 
     grid = config.grid
     rtol = config.tolerances["rtol"]
-    m0 = frame.frame_at(0.0)
+    m0 = meval(frame.frame, 0.0)
     m0_inv = symplectic_inverse(m0)
     l0_nf = canonicalize(m0_inv @ config.initial_plane)
     # the local theory up to the handover time t_h: the first-jet series window,
     # in normal-form coordinates, for m <= 2, the epsilon family to grid.t0 for m >= 3
-    if frame.m <= 2:
+    if coeffs.m <= 2:
         case = first_jet_case(l0_nf)
-        window = first_jet_continuation(frame.coeffs, case, grid, nterms=config.tolerances["nterms"])
+        window = first_jet_continuation(coeffs, case, grid, nterms=config.tolerances["nterms"])
         times = window.curve.times
         _check_radius(frame, float(times[-1]))
         summary["jet_case"] = case.case
@@ -493,8 +487,8 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
     kept = int(np.count_nonzero(grid <= t_h))
     planes = local[:kept]
     if kept < grid.size:
-        past = singular_jacobi_curve(data, local[-1], (t_h, float(grid[-1])),
-                                     np.append(t_h, grid[kept:]), rtol=rtol).curve
+        past = singular_jacobi_curve(data, local[-1], np.append(t_h, grid[kept:]),
+                                     rtol=rtol).curve
         planes = np.concatenate([planes, past.planes[1:]])
     # the jump at t = 0 lies before the first node, since grid.t0 > 0
     rows, flow = _trace_rows(GrassmannCurve(times=grid, planes=planes), config.n, [])

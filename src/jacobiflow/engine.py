@@ -314,9 +314,8 @@ def _jacobi_system(data: PiecewiseAnalytic, piece: int, m: int, to: np.ndarray |
 
 
 def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
-                          interval: tuple[float, float],
                           grid: Sequence[float], *, rtol: float = 1e-12) -> JacobiTrace:
-    """Curve of Lagrangian planes of an order-m problem along an interval.
+    """Curve of Lagrangian planes of an order-m problem along the grid's interval.
 
     The order m is the first nonvanishing entry of the sequence; ``b^m``
     must stay strictly negative.  Solutions of
@@ -338,11 +337,11 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
     """
     l_init = validate_lagrangian(np.asarray(l_init, dtype=float))
     grid = np.asarray(grid, dtype=float)
-    t0, t1 = float(interval[0]), float(interval[1])
-    if grid[0] != t0 or grid[-1] != t1 or not np.all(np.diff(grid) > 0):
-        raise PreconditionError("grid must increase strictly from interval start to end")
+    if not np.all(np.diff(grid) > 0):
+        raise PreconditionError("grid must increase strictly")
+    t0, t1 = float(grid[0]), float(grid[-1])
     n = data.n
-    m = _order_and_check_sign(legendre_sequence(data, interval))
+    m = _order_and_check_sign(legendre_sequence(data, (t0, t1)))
     if m > n:
         raise NondegeneracyError(f"order {m} exceeds n = {n}; no isotropic Goh span")
 

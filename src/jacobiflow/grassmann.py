@@ -201,14 +201,19 @@ def transversality_margin(a: np.ndarray, b: np.ndarray) -> float:
     """Smallest principal angle between two subspaces, in radians.
 
     Zero iff the subspaces intersect nontrivially; pi/2 for orthogonal
-    complements.
+    complements.  With ``qa`` a basis of the larger subspace and ``qb`` one
+    of the other, the angle is ``atan2(s, c)`` of its sine ``s``, the
+    smallest singular value of ``qb - qa qa^T qb``, and its cosine ``c``, the
+    largest of ``qa^T qb``, so it keeps its digits near 0, where an
+    ``arccos`` of the cosine loses half of them.
     """
-    qa = _orthonormal(_as_frame(a))
-    qb = _orthonormal(_as_frame(b))
-    if qa.shape[1] == 0 or qb.shape[1] == 0:
+    qa, qb = sorted((_basis(_as_frame(a)), _basis(_as_frame(b))), key=lambda q: -q.shape[1])
+    if qb.shape[1] == 0:
         return float(np.pi / 2)
-    s = np.linalg.svd(qa.T @ qb, compute_uv=False)
-    return float(np.arccos(min(1.0, float(s[0]))))
+    proj = qa.T @ qb
+    c = np.linalg.svd(proj, compute_uv=False)[0]
+    s = np.linalg.svd(qb - qa @ proj, compute_uv=False)[-1]
+    return float(np.arctan2(s, c))
 
 
 def plane_distance(a: np.ndarray, b: np.ndarray):

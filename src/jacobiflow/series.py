@@ -14,8 +14,7 @@ need:
   pairing of two vector stacks);
 - inverses: :func:`srecip` (scalar) and :func:`minv` (square matrix stack);
 - :func:`sexp`, :func:`sder` and :func:`sint`;
-- :func:`meval` (evaluation), :func:`taylor_recenter` (re-centring),
-  :func:`strim` and ``_pad`` (window length).
+- :func:`meval` (evaluation), :func:`strim` and ``_pad`` (window length).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "minv",
     "meval",
     "strim",
-    "taylor_recenter",
 ]
 
 
@@ -189,15 +187,3 @@ def meval(a: np.ndarray, tau) -> np.ndarray:
         out = out * tau + a[k]
     return out
 
-
-def taylor_recenter(coeffs: np.ndarray, t0: float) -> np.ndarray:
-    """Coefficients of ``P(t0 + s)`` in ``s`` for a polynomial ``P``."""
-    c = np.asarray(coeffs, dtype=float)
-    out = np.zeros_like(c)
-    fact = 1.0
-    work = c.copy()
-    for k in range(c.shape[0]):
-        out[k] = meval(work, t0) / fact
-        work = sder(work)
-        fact *= k + 1
-    return out

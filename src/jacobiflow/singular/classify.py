@@ -99,7 +99,7 @@ def classify_coefficients(
 def classify_frame(frame: NormalFormFrame, tol_thresh: float = TOL_THRESH) -> SingularityReport:
     return classify_coefficients(
         frame.coeffs,
-        case=frame.case,
+        case="span3" if frame.coeffs.k == 2 else "span2",
         sigma_xxdot=frame.sigma_xxdot,
         tol_thresh=tol_thresh,
     )

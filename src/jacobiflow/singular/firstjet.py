@@ -51,7 +51,7 @@ from ..grassmann import (
     vertical_plane,
 )
 from ..series import _pad, meval, srecip
-from .frame import NormalFormCoefficients
+from .frame import DEFAULT_NTERMS, NormalFormCoefficients
 
 __all__ = [
     "JetCase",
@@ -66,7 +66,6 @@ __all__ = [
 
 CASE_TOL = 1e-9
 RESONANCE_TOL = 1e-6
-SERIES_TERMS = 30
 TAIL_TOL = 1e-10
 START_MAX = 0.1
 MAX_SHRINKS = 60
@@ -83,20 +82,19 @@ class JetCase:
     """Chart transform data for one incoming plane.
 
     ``matrix`` is the symplectic transform that sends the post-jump plane to
-    the plane spanned by the momentum directions; ``s22plus`` is the shear
-    coefficient it carries in case 1 (zero otherwise).
+    the plane spanned by the momentum directions, and ``minv`` its inverse.
+    In case 1 it is a shear, ``-matrix[3, 1]`` its coefficient.
     """
 
     case: int
     matrix: np.ndarray
     minv: np.ndarray
-    s22plus: float
 
 
-def _case_matrix(case: int, s22plus: float) -> np.ndarray:
+def _case_matrix(case: int, shear: float) -> np.ndarray:
     if case == 1:
         m = np.eye(4)
-        m[3, 1] = -s22plus
+        m[3, 1] = -shear
         return m
     m = np.zeros((4, 4))
     m[0, 0] = 1.0
@@ -127,7 +125,7 @@ def first_jet_case(plane: np.ndarray) -> JetCase:
 
     plane = canonicalize(np.asarray(plane, dtype=float))
     if plane.shape == (2, 1):
-        return JetCase(case=1, matrix=np.eye(2), minv=np.eye(2), s22plus=0.0)
+        return JetCase(case=1, matrix=np.eye(2), minv=np.eye(2))
     if plane.shape != (4, 2):
         raise PreconditionError("chart transforms exist for one or two degrees of freedom")
     # graphs are taken over the momentum span {q = 0}; the complement is the
@@ -144,7 +142,7 @@ def first_jet_case(plane: np.ndarray) -> JetCase:
 
     post = extend_by_isotropic(plane, np.eye(4)[0])  # the jump extension by e_1
 
-    s22plus = 0.0
+    shear = 0.0
     try:
         s0 = chart_s(plane)
     except ChartError:
@@ -156,7 +154,7 @@ def first_jet_case(plane: np.ndarray) -> JetCase:
         z22 = abs(s0[1, 1]) <= CASE_TOL * scale
         if (not z11) or z12:
             case = 1
-            s22plus = float(s0[1, 1]) if z11 else float(s0[1, 1] - s0[0, 1] ** 2 / s0[0, 0])
+            shear = float(s0[1, 1]) if z11 else float(s0[1, 1] - s0[0, 1] ** 2 / s0[0, 0])
         elif not z22:
             case = 2
         else:
@@ -164,7 +162,7 @@ def first_jet_case(plane: np.ndarray) -> JetCase:
     else:
         case = 2 if intersection_dimension(plane, sigma) == 1 else 3
 
-    mat = _case_matrix(case, s22plus)
+    mat = _case_matrix(case, shear)
     minv = np.linalg.inv(mat)
     try:
         chart_s(mat @ plane)
@@ -173,11 +171,11 @@ def first_jet_case(plane: np.ndarray) -> JetCase:
         raise ChartError(
             "plane position is outside the chart classes of the continuation transforms"
         ) from exc
-    if np.linalg.norm(res) > ENDPOINT_TOL * max(1.0, abs(s22plus)) ** 2:
+    if np.linalg.norm(res) > ENDPOINT_TOL * max(1.0, abs(shear)) ** 2:
         raise ChartError(
             "selected transform does not send the jump extension to the chart origin"
         )
-    return JetCase(case=case, matrix=mat, minv=minv, s22plus=s22plus)
+    return JetCase(case=case, matrix=mat, minv=minv)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +209,7 @@ def case_system(
     coeffs: NormalFormCoefficients,
     case: JetCase,
     *,
-    nterms: int = SERIES_TERMS,
+    nterms: int = DEFAULT_NTERMS,
 ) -> CaseSystem:
     """Conjugate the block system by the selected chart transform.
 
@@ -382,7 +380,7 @@ def first_jet_continuation(
     case: JetCase,
     grid: np.ndarray,
     *,
-    nterms: int = SERIES_TERMS,
+    nterms: int = DEFAULT_NTERMS,
 ) -> JacobiTrace:
     """Continue the curve through the singular instant up to the handover time.
 
@@ -412,10 +410,4 @@ def first_jet_continuation(
     planes = canonicalize(case.minv @ frames)
 
     curve = GrassmannCurve(times=times, planes=planes)
-    diagnostics = {
-        "case": case.case,
-        "order": coeffs.m,
-        "series_start": t0,
-        "equilibrium": stack[0],
-    }
-    return JacobiTrace(curve=curve, diagnostics=diagnostics)
+    return JacobiTrace(curve=curve, diagnostics={"series_start": t0, "equilibrium": stack[0]})

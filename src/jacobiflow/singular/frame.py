@@ -1,7 +1,7 @@
 """Moving-frame normal form of the flow near a vanishing weight.
 
-Near an instant where the weight ``b`` vanishes to finite order ``m`` while
-``sigma(X, Xdot)`` stays nonzero, the rank-one flow
+Near the marked instant 0, where the weight ``b`` vanishes to finite order
+``m`` while ``sigma(X, Xdot)`` stays nonzero, the rank-one flow
 
     eta' = sigma(X(t), eta) / b(t) * X(t)
 
@@ -27,6 +27,11 @@ the raw entry is not negative, the frame is assembled once with the
 ``kappa`` that makes it ``-1``, so no probe frame is built.  All series
 arithmetic goes through :mod:`jacobiflow.series`, and the frame is inverted
 by :func:`~jacobiflow.symplectic.symplectic_inverse`.
+
+The frame is built at 0 from the coefficients of the piece right of 0 as
+they are.  :class:`NormalFormFrame` is the one record of that instant: it
+keeps the frame series and the block system, and the order, the block size,
+``b_m`` and the span case are read from the block system.
 
 The block system is evaluated on every integrator stage of the portrait,
 so :class:`NormalFormCoefficients` compiles its stacks once at construction
@@ -58,7 +63,6 @@ from ..series import (
     sint,
     srecip,
     strim,
-    taylor_recenter,
     vsigma,
 )
 from ..symplectic import apply_j, symplectic_form, symplectic_inverse
@@ -164,22 +168,19 @@ class NormalFormCoefficients:
 
 @dataclass
 class NormalFormFrame:
-    """Symplectic series frame together with the extracted block system."""
+    """The one record of the marked instant 0: the series frame and its block system.
 
-    case: str
-    k: int
-    n: int
-    m: int
+    ``frame`` is the ``(L, 2n, 2n)`` coefficient stack of ``M(t)``, evaluated
+    by :func:`~jacobiflow.series.meval`; ``coeffs`` is the block system it
+    gives, and holds the order ``m``, the block size ``k`` and ``b_m``.
+    ``sigma_xxdot`` is ``sigma(X, X')(0)`` and ``symplectic_residual`` the
+    scaled residual of ``M^T J M = J`` over the series.
+    """
+
     frame: np.ndarray
     coeffs: NormalFormCoefficients
     sigma_xxdot: float
-    b_m: float
     symplectic_residual: float
-    cross_residual: float
-    adjust: np.ndarray | None
-
-    def frame_at(self, tau: float) -> np.ndarray:
-        return meval(self.frame, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +188,11 @@ class NormalFormFrame:
 # ---------------------------------------------------------------------------
 
 
-def _local_data(data, tau_star: float, nterms: int) -> tuple[np.ndarray, np.ndarray]:
-    """Recentre the piece of ``data`` right of ``tau_star`` at zero."""
-    piece = data.piece_index(tau_star)
-    b_loc = taylor_recenter(np.asarray(data.b_pieces[piece], dtype=float), tau_star)
-    x_loc = taylor_recenter(np.asarray(data.x_pieces[piece], dtype=float).T, tau_star)
-    return _pad(b_loc, nterms), _pad(x_loc, nterms)
+def _local_data(data, nterms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The series of ``b`` and ``X`` of the piece of ``data`` right of 0,
+    padded to ``nterms`` orders; the pieces are polynomials in ``t`` itself."""
+    piece = data.piece_index(0.0)
+    return _pad(data.b_pieces[piece], nterms), _pad(data.x_pieces[piece].T, nterms)
 
 
 def _vanishing_order(b_loc: np.ndarray) -> int:
@@ -211,10 +211,8 @@ def _span_size(x: np.ndarray, dx: np.ndarray, ddx: np.ndarray) -> int:
     return int(np.sum(sv > 1e-7 * sv[0]))
 
 
-def _assemble(
-    x: np.ndarray, dx: np.ndarray, ddx: np.ndarray, s1: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Series frame with columns ``(e1, e2.., f1, f2..)`` and the ``f2`` shear applied."""
+def _assemble(x: np.ndarray, dx: np.ndarray, ddx: np.ndarray, s1: np.ndarray, k: int) -> np.ndarray:
+    """Series frame with columns ``(e1, e2.., f1, f2..)``, the ``f2`` shear applied."""
     nterms, dim = x.shape
     n = dim // 2
     e1 = x.copy()
@@ -223,7 +221,6 @@ def _assemble(
     columns = [e1]
     f_columns = [f1]
     pairs = [(e1, f1)]
-    shear = None
 
     if k == 2:
         inv_rev = srecip(vsigma(dx, x))
@@ -244,8 +241,8 @@ def _assemble(
         # rescale below leaves the value at 0 alone, since q22(0) = 1
         v0 = -symplectic_form(f2[1], f2[0])
         if v0 >= -1e-10:
-            shear = np.array([0.0, (1.0 + v0) / symplectic_form(e2[0], f2[0])])
-            f2 = f2 + sconv(_pad(shear, nterms), e2, nterms)
+            kappa = (1.0 + v0) / symplectic_form(e2[0], f2[0])
+            f2 = f2 + sconv(_pad([0.0, kappa], nterms), e2, nterms)
         # the raw pair carries a diagonal drift sigma(e2', f2); rescaling the
         # pair by exp(-integral) removes it and is the Q factor of the block
         rate = vsigma(_pad(sder(e2), nterms), f2)
@@ -292,25 +289,20 @@ def _assemble(
         frame[:, :, j] = col
     for j, col in enumerate(f_columns):
         frame[:, :, n + j] = col
-    return frame, shear
+    return frame
 
 
-def build_normal_frame(
-    data,
-    tau_star: float = 0.0,
-    *,
-    nterms: int = DEFAULT_NTERMS,
-) -> NormalFormFrame:
-    """Build the symplectic series frame at a vanishing instant of the weight.
+def build_normal_frame(data, *, nterms: int = DEFAULT_NTERMS) -> NormalFormFrame:
+    """Build the symplectic series frame at the marked instant 0.
 
-    ``data`` is a :class:`~jacobiflow.engine.PiecewiseAnalytic`; the piece to
-    the right of ``tau_star`` is recentred so the frame lives at local time
-    zero.  The frame is assembled once.  When the raw ``B(2,2)(0)``, which
-    is ``-sigma(f2'(0), f2(0))``, is not below ``-1e-10``, ``f2`` is sheared
-    by ``kappa t e2`` with the ``kappa`` that makes it ``-1``; ``adjust``
-    records ``[0, kappa]``.
+    ``data`` is a :class:`~jacobiflow.engine.PiecewiseAnalytic`; the series
+    of the piece to the right of 0 are its coefficients as they are, padded
+    to ``nterms`` orders.  The frame is assembled once.  When the raw
+    ``B(2,2)(0)``, which is ``-sigma(f2'(0), f2(0))``, is not below
+    ``-1e-10``, ``f2`` is sheared by ``kappa t e2`` with the ``kappa`` that
+    makes it ``-1``, so ``coeffs.b22[0]`` reads ``-1`` to rounding then.
     """
-    b_loc, x = _local_data(data, tau_star, nterms)
+    b_loc, x = _local_data(data, nterms)
     m = _vanishing_order(b_loc)
     if m >= 1 and b_loc[m] > 0.0:
         raise SingularityError("leading weight coefficient must be negative")
@@ -327,7 +319,7 @@ def build_normal_frame(
     if k < 1:
         raise NondegeneracyError("X and Xdot are parallel at the marked instant")
 
-    frame, shear = _assemble(x, dx, ddx, s1, k)
+    frame = _assemble(x, dx, ddx, s1, k)
     dim = frame.shape[1]
     n = dim // 2
 
@@ -363,13 +355,8 @@ def build_normal_frame(
         b_asym = float(np.max(np.abs(b_an[:, 0, 1] - b_an[:, 1, 0]))) / scale
         if b_asym > BLOCK_TOL:
             raise NondegeneracyError(f"reduced B block is not symmetric ({b_asym:.2e})")
-    cross = 0.0
-    if comp:
-        cross = max(
-            float(np.max(np.abs(g_mat[:, ps + qs, :][:, :, comp]))),
-            float(np.max(np.abs(g_mat[:, comp, :][:, :, ps + qs]))),
-        )
-    if cross / scale > BLOCK_TOL:
+    if comp and max(float(np.max(np.abs(g_mat[:, ps + qs, :][:, :, comp]))),
+                    float(np.max(np.abs(g_mat[:, comp, :][:, :, ps + qs])))) / scale > BLOCK_TOL:
         raise NondegeneracyError(
             "singular block couples to the skew complement; the derivative span "
             "of X does not close at this instant"
@@ -393,16 +380,5 @@ def build_normal_frame(
             k=1, m=m, b=b_loc, b11=b_an[:, 0, 0], c11=c_blk[:, 0, 0]
         )
 
-    return NormalFormFrame(
-        case="span3" if k == 2 else "span2",
-        k=k,
-        n=n,
-        m=m,
-        frame=frame,
-        coeffs=coeffs,
-        sigma_xxdot=float(s1[0]),
-        b_m=float(b_loc[m]),
-        symplectic_residual=sym_res,
-        cross_residual=cross,
-        adjust=shear,
-    )
+    return NormalFormFrame(frame=frame, coeffs=coeffs, sigma_xxdot=float(s1[0]),
+                           symplectic_residual=sym_res)

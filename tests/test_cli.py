@@ -30,6 +30,7 @@ from jacobiflow.grassmann import (
 )
 from jacobiflow.series import meval
 from jacobiflow.singular.firstjet import _tail_within, first_jet_case
+from jacobiflow.singular.frame import build_normal_frame
 from jacobiflow.singular.jump import epsilon_family_oracle
 from jacobiflow.symplectic import symplectic_inverse
 
@@ -566,9 +567,9 @@ def test_corpus_degen_m2_plane_matches_a_30_digit_march(monkeypatch):
     # its canonicalisation put the emitted plane 1.25e-13 from this march
     handed = {}
 
-    def recorded(data, l_init, interval, grid, **kw):
-        handed.update(plane=l_init, t_h=interval[0])
-        return singular_jacobi_curve(data, l_init, interval, grid, **kw)
+    def recorded(data, l_init, grid, **kw):
+        handed.update(plane=l_init, t_h=grid[0])
+        return singular_jacobi_curve(data, l_init, grid, **kw)
 
     monkeypatch.setattr(cli, "singular_jacobi_curve", recorded)
     config = cli.parse_scenario(CORPUS / "degen_m2.json")
@@ -639,9 +640,10 @@ def test_no_trace_evaluates_the_frame_past_the_handover(tmp_path, monkeypatch, n
     t_h = grid["t0"] if summary["m"] >= 3 else min(summary["series_start"], grid["t1"])
     assert max(taus) == t_h
     if summary["m"] >= 3:
-        # the family marches the data's own system from M(eps) L0, and M(t_h)
-        # maps its members back to normal-form coordinates: nothing else
-        assert taus == [1e-3, t_h]
+        # M(0) gives the normal-form coordinates, the family marches the data's
+        # own system from M(eps) L0, and M(t_h) maps its members back to
+        # normal-form coordinates: nothing else
+        assert taus == [0.0, 1e-3, t_h]
     assert len(_frames(out)[0]) == grid["steps"]
 
 
@@ -732,10 +734,10 @@ def _normal_form_route(config: cli.ScenarioConfig) -> np.ndarray:
     window and a march from its end for m <= 2, the epsilon family and a
     march over the grid for m >= 3), then mapped through the frame M(t) at
     every node."""
-    _, frame, _ = cli._degeneracy_stage(config)
+    frame = build_normal_frame(config.data["piecewise"], nterms=config.tolerances["nterms"])
     grid = config.grid
-    l0 = canonicalize(symplectic_inverse(frame.frame_at(0.0)) @ config.initial_plane)
-    if frame.m <= 2:
+    l0 = canonicalize(symplectic_inverse(meval(frame.frame, 0.0)) @ config.initial_plane)
+    if frame.coeffs.m <= 2:
         _, planes = continued(frame.coeffs, first_jet_case(l0), grid)
     else:
         eps = [e for e in config.tolerances["eps_family"] if e < grid[0]]
@@ -779,7 +781,7 @@ def test_handover_trace_agrees_with_the_normal_form_route(dx, m, t1, seed, eps_f
     # system, so the two families are independent
     config = _cubic(dx, m, t1, seed, eps_family)
     try:
-        _, frame, _ = cli._degeneracy_stage(config)
+        frame = build_normal_frame(config.data["piecewise"], nterms=config.tolerances["nterms"])
     except JacobiflowError as exc:
         # an X the normal form refuses: the trace refuses it the same way
         with pytest.raises(JacobiflowError) as refused:

@@ -264,7 +264,7 @@ def test_regular_curve_matches_closed_form():
     s = 0.2
     l0 = np.array([[1.0], [s]])
     grid = np.linspace(0.0, 2.0, 9)
-    trace = singular_jacobi_curve(data, l0, (0.0, 2.0), grid)
+    trace = singular_jacobi_curve(data, l0, grid)
     assert trace.diagnostics["order"] == 0
     assert trace.diagnostics["lagrangian_residual"] < 1e-10
     assert isinstance(trace.curve.planes, np.ndarray)
@@ -277,7 +277,7 @@ def test_singular_curve_order_one_conservation():
     data = _data_m1()
     l0 = canonicalize(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.3]]))
     grid = np.linspace(0.0, 1.0, 11)
-    trace = singular_jacobi_curve(data, l0, (0.0, 1.0), grid)
+    trace = singular_jacobi_curve(data, l0, grid)
     assert trace.diagnostics["order"] == 1
     assert trace.diagnostics["conservation_drift"] < 1e-8
     assert trace.diagnostics["lagrangian_residual"] < 1e-8
@@ -297,7 +297,7 @@ def test_a_plane_containing_x_is_refused_whatever_its_frame():
     plane = np.column_stack([data.x(0.1), [0.3, 0.7, 0.03, 0.11]])
     for r in np.random.default_rng(0).normal(size=(60, 2, 2)):
         with pytest.raises(NondegeneracyError, match="boundary space has dimension 2"):
-            singular_jacobi_curve(data, plane @ r, (0.1, 0.9), np.linspace(0.1, 0.9, 5))
+            singular_jacobi_curve(data, plane @ r, np.linspace(0.1, 0.9, 5))
 
 
 def _order_m_data(n: int, m: int, move: np.ndarray) -> PiecewiseAnalytic:
@@ -330,7 +330,7 @@ def test_the_boundary_space_is_the_svd_meet(nm, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_integrate", lambda system, cur, *a: starts.append(cur)
                       or march(system, cur, *a))
-        trace = singular_jacobi_curve(data, l_init, (0.0, 1.0), np.linspace(0.0, 1.0, 5))
+        trace = singular_jacobi_curve(data, l_init, np.linspace(0.0, 1.0, 5))
     assert trace.diagnostics["order"] == m
     ref = svd_meet(l_init, goh_subspace(data, 0.0, m - 1))
     assert starts[0].shape == ref.shape == (2 * n, n - m)
@@ -341,7 +341,7 @@ def test_singular_curve_order_equals_n():
     data = _data_m2()
     l0 = horizontal_plane(2)
     grid = np.linspace(0.0, 1.0, 6)
-    trace = singular_jacobi_curve(data, l0, (0.0, 1.0), grid)
+    trace = singular_jacobi_curve(data, l0, grid)
     assert trace.diagnostics["order"] == 2
     for t, p in zip(grid, trace.curve.planes):
         goh = goh_subspace(data, float(t), 1)
@@ -370,14 +370,14 @@ def test_goh_rank_drift_names_the_first_node_where_the_rank_drops(roots, monkeyp
     data = _vanishing_m2(roots)
     grid = np.linspace(0.0, 1.0, 9)
     with pytest.raises(PreconditionError, match=f"at t = {min(roots):.6g}: "):
-        singular_jacobi_curve(data, horizontal_plane(2), (0.0, 1.0), grid)
+        singular_jacobi_curve(data, horizontal_plane(2), grid)
     # past the sign test, the Goh span check names the first node where the
     # rank drops
     first = next(t for t in grid if goh_subspace(data, float(t), 1).shape[1] != 2)
     assert first == min(roots)
     monkeypatch.setattr(engine, "_order_and_check_sign", lambda seq: seq.first_nonzero)
     with pytest.raises(RankDriftError, match=f"at t = {first:.6g}$"):
-        singular_jacobi_curve(data, horizontal_plane(2), (0.0, 1.0), grid)
+        singular_jacobi_curve(data, horizontal_plane(2), grid)
 
 
 def test_evaluation_at_an_array_of_times_is_the_scalar_calls():
@@ -401,15 +401,15 @@ def test_evaluation_at_an_array_of_times_is_the_scalar_calls():
 def test_singular_curve_rejects_bad_grid_and_sign():
     data = _data_m0()
     l0 = np.array([[1.0], [0.0]])
-    with pytest.raises(PreconditionError):
-        singular_jacobi_curve(data, l0, (0.0, 2.0), np.array([0.0, 1.0]))
+    with pytest.raises(PreconditionError, match="grid must increase strictly"):
+        singular_jacobi_curve(data, l0, np.array([1.0, 0.0]))
     bad = PiecewiseAnalytic(
         breakpoints=np.array([0.0, 1.0]),
         b_pieces=[np.array([1.0])],
         x_pieces=[np.array([[1.0], [0.0]])],
     )
     with pytest.raises(PreconditionError):
-        singular_jacobi_curve(bad, l0, (0.0, 1.0), np.array([0.0, 1.0]))
+        singular_jacobi_curve(bad, l0, np.array([0.0, 1.0]))
 
 
 def test_infinite_order_curve():
@@ -419,7 +419,7 @@ def test_infinite_order_curve():
     )
     l0 = np.array([[0.0], [1.0]])
     with pytest.raises(UndecidedError):
-        singular_jacobi_curve(data, l0, (0.0, 1.0), np.array([0.0, 1.0]))
+        singular_jacobi_curve(data, l0, np.array([0.0, 1.0]))
     trace = infinite_order_curve(data, l0, (0.0, 1.0))
     assert trace.diagnostics["order"] is None
     assert isinstance(trace.curve.planes, np.ndarray) and len(trace.curve.planes) == 2
@@ -624,7 +624,7 @@ def test_iterative_l_derivative_regular_trend():
         x_pieces=[np.array([[1.0, 0.0], [0.0, 1.0]])],
     )
     l0 = np.array([[1.0], [0.2]])
-    trace = singular_jacobi_curve(data, l0, (0.0, 2.0), np.linspace(0.0, 2.0, 5))
+    trace = singular_jacobi_curve(data, l0, np.linspace(0.0, 2.0, 5))
     target = trace.curve.planes[-1]
     errs = []
     for cells in (2**4, 2**6, 2**8):
@@ -638,7 +638,7 @@ def test_conservation_pairings_vanish_along_solutions():
     data = _data_m1()
     l0 = canonicalize(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.3]]))
     grid = np.linspace(0.0, 1.0, 11)
-    trace = singular_jacobi_curve(data, l0, (0.0, 1.0), grid)
+    trace = singular_jacobi_curve(data, l0, grid)
     # sigma(mu, X) = 0 transfers to the full plane pairing with X
     for t, p in zip(grid, trace.curve.planes):
         x = data.x(float(t))
@@ -681,7 +681,7 @@ def test_piecewise_curve_marches_once_per_piece(monkeypatch):
     integrate = engine._integrate
     monkeypatch.setattr(engine, "_integrate",
                         lambda *a, **k: calls.append((a[2][0], a[2][-1])) or integrate(*a, **k))
-    trace = singular_jacobi_curve(data, l0, (0.0, 3.0), grid)
+    trace = singular_jacobi_curve(data, l0, grid)
     assert trace.diagnostics["order"] == 0
     assert calls == [(0.0, 1.234), (1.234, 3.0)]
     ref = _piecewise_reference(data, l0, grid)
@@ -698,7 +698,7 @@ def test_singular_jacobi_curve_honours_rtol():
     ref = _piecewise_reference(data, l0, grid)
 
     def gap(rtol):
-        planes = singular_jacobi_curve(data, l0, (0.0, 3.0), grid, rtol=rtol).curve.planes
+        planes = singular_jacobi_curve(data, l0, grid, rtol=rtol).curve.planes
         return max(plane_distance(p, r) for p, r in zip(planes, ref))
 
     assert gap(1e-12) < 1e-10 < 1e-8 < gap(1e-4)
@@ -720,7 +720,7 @@ def test_an_affine_reparametrisation_moves_the_planes_to_the_mapped_nodes(seed, 
     t = np.linspace(0.0, 2.0, 21)
 
     def planes(data, nodes):
-        return singular_jacobi_curve(data, l0, (0.0, nodes[-1]), nodes).curve.planes
+        return singular_jacobi_curve(data, l0, nodes).curve.planes
 
     def scaled(weight):
         return PiecewiseAnalytic(np.array([0.0, 2.0 / alpha]), [weight * alpha ** np.arange(2)],
@@ -747,7 +747,7 @@ def test_nodes_inside_a_step_keep_step_end_accuracy():
     grid = np.linspace(0.0, 2.0, 200)
 
     def planes(rtol):
-        return singular_jacobi_curve(data, l0, (0.0, 2.0), grid, rtol=rtol).curve.planes
+        return singular_jacobi_curve(data, l0, grid, rtol=rtol).curve.planes
 
     assert max(plane_distance(p, r) for p, r in zip(planes(1e-12), planes(3e-14))) < 1e-11
 

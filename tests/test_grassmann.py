@@ -35,6 +35,21 @@ def test_reference_planes():
     assert transversality_margin(v, v) == 0.0
 
 
+def test_the_margin_keeps_its_digits_near_zero():
+    # an arccos of the largest cosine read up to 1.5e-8 rad between a plane
+    # and itself in another frame, and 1.00004e-6 for an angle of 1e-6
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        plane = random_lagrangian(rng, 2)
+        assert transversality_margin(plane, plane @ rng.normal(size=(2, 2))) < 1e-15
+    line = np.array([[1.0], [0.0]])
+    assert transversality_margin(line, [[np.cos(1e-6)], [np.sin(1e-6)]]) == pytest.approx(
+        1e-6, rel=1e-12)
+    # the larger subspace is the one projected on, whichever comes first
+    assert transversality_margin(np.eye(4)[:, :1], vertical_plane(2)) == 0.0
+    assert transversality_margin(vertical_plane(2), np.eye(4)[:, 2:3]) == np.pi / 2
+
+
 def test_intersection_dimension_of_a_frame_with_itself_is_its_rank():
     f = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
     assert intersection_dimension(f, f) == 1

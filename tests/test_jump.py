@@ -17,7 +17,9 @@ from jacobiflow.errors import (
 )
 from jacobiflow.flows import flow_plane
 from jacobiflow.grassmann import canonicalize, plane_distance
+from jacobiflow.series import meval
 from jacobiflow.singular.classify import SingularityReport
+from jacobiflow.singular.frame import build_normal_frame
 from jacobiflow.singular.jump import epsilon_family_oracle, jump_operator
 from jacobiflow.symplectic import symplectic_inverse
 
@@ -108,13 +110,14 @@ def test_the_trace_family_is_the_normal_form_family_moved_by_the_frame():
     # transport error
     system, starts, tau_eval, eps_list, rtol = _corpus_family()
     config = cli.parse_scenario(PERFBENCH / "corpus" / "degen_m3.json")
-    _, frame, _ = cli._degeneracy_stage(config)
-    m0_inv = symplectic_inverse(frame.frame_at(0.0))
+    frame = build_normal_frame(config.data["piecewise"], nterms=config.tolerances["nterms"])
+    m0_inv = symplectic_inverse(meval(frame.frame, 0.0))
     l0 = canonicalize(m0_inv @ config.initial_plane)
-    assert plane_distance(starts, m0_inv @ frame.frame_at(np.array(eps_list)) @ l0).max() < 1e-15
+    moved = m0_inv @ meval(frame.frame, np.array(eps_list)) @ l0
+    assert plane_distance(starts, moved).max() < 1e-15
     data = epsilon_family_oracle(system, starts, tau_eval, eps_list, rtol=rtol)
     normal = epsilon_family_oracle(frame.coeffs.system, l0, tau_eval, eps_list, rtol=rtol)
-    assert plane_distance(data, m0_inv @ frame.frame_at(tau_eval) @ normal).max() < 1e-12
+    assert plane_distance(data, m0_inv @ meval(frame.frame, tau_eval) @ normal).max() < 1e-12
 
 
 def test_the_family_needs_one_start_or_one_per_member():

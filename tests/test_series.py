@@ -14,7 +14,6 @@ from jacobiflow.series import (
     sint,
     srecip,
     strim,
-    taylor_recenter,
 )
 
 polyval = np.polynomial.polynomial.polyval
@@ -251,16 +250,6 @@ def test_meval_at_an_array_equals_the_scalar_calls(orders, shape, deriv, taus, s
     assert got.shape == (len(taus),) + shape
     for tau, value in zip(taus, got):
         assert np.array_equal(value, meval(c, tau))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 8), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0),
-       st.integers(0, 2**31 - 1))
-def test_taylor_recenter_evaluation(deg, t0, s, seed):
-    rng = np.random.default_rng(seed)
-    c = rng.normal(size=deg + 1)
-    shifted = taylor_recenter(c, t0)
-    assert polyval(s, shifted) == pytest.approx(polyval(t0 + s, c), rel=1e-9, abs=1e-9)
 
 
 if __name__ == "__main__":

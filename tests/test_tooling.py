@@ -4,13 +4,15 @@ completion where the pairs span the frame, one integrator call site, the
 callers of the transport kernel, one solver call per transport, a number of
 LAPACK calls per trace that does not grow with its nodes, a lean import,
 exports that resolve, no orphaned private helper, an error taxonomy with no
-class that nothing raises, and working corpus timing and accuracy commands."""
+class that nothing raises, and working corpus timing, accuracy and output
+comparison commands."""
 
 import ast
 import importlib
 import json
 import os
 import pkgutil
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -379,3 +381,22 @@ def test_corpus_coverage_lists_the_statements_no_op_runs(tmp_path, monkeypatch):
     listed = {module: {line for line, _ in missed} for module, missed in report.items()}
     assert body("jacobiflow.maslov", "maslov_index") <= listed["jacobiflow.maslov"]
     assert body("jacobiflow.grassmann", "canonicalize").isdisjoint(listed["jacobiflow.grassmann"])
+
+
+def test_compare_outputs_finds_the_ops_that_differ(tmp_path, monkeypatch):
+    # tools/compare_outputs.py runs this tree and another, each in a fresh
+    # interpreter, over the same ops: against itself nothing differs, and
+    # against a copy whose config errors exit 5 exactly the refused ops do:
+    # a regular scenario is traced and counted, and refused by every other verb
+    monkeypatch.syspath_prepend(str(SRC.parent / "tools"))
+    compare = importlib.import_module("compare_outputs")
+    ops = compare.golden_ops([SRC.parent / "tests" / "golden" / "regular_short.json"])
+    assert len(ops) == 12
+    assert compare.differences(SRC.parent, ops, tmp_path / "self") == []
+    other = tmp_path / "other"
+    shutil.copytree(SRC, other / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli_py = other / "src" / "jacobiflow" / "cli.py"
+    cli_py.write_text(cli_py.read_text().replace("EXIT_CONFIG = 2", "EXIT_CONFIG = 5"))
+    assert compare.differences(other, ops, tmp_path / "mutant") == [
+        f"regular_short.{verb}.{fmt}: code, stderr"
+        for verb in cli.VERBS if verb not in ("trace", "maslov") for fmt in ("csv", "json")]
