@@ -31,6 +31,7 @@ with a bare newline.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -62,8 +63,13 @@ from .grassmann import (
 from .maslov import _SpectralFlow, _spectral_flow
 from .series import meval
 from .singular.classify import classify_coefficients, classify_frame
-from .singular.firstjet import _tail_within, first_jet_case, first_jet_continuation
-from .singular.frame import DEFAULT_NTERMS, NormalFormCoefficients, build_normal_frame
+from .singular.firstjet import START_MAX, _tail_within, first_jet_case, first_jet_continuation
+from .singular.frame import (
+    DEFAULT_NTERMS,
+    NormalFormCoefficients,
+    NormalFormFrame,
+    build_normal_frame,
+)
 from .singular.jump import epsilon_family_oracle, jump_operator
 from .symplectic import symplectic_inverse
 
@@ -425,42 +431,18 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
         raise ConfigError(
             "data.b: weight is identically degenerate; this mode treats an isolated zero"
         )
-    frame = build_normal_frame(data, nterms=config.tolerances["nterms"])
-    coeffs = frame.coeffs
-    if coeffs.m == 0:
-        raise ConfigError("data.b: weight does not vanish at the marked instant")
-    report = classify_frame(frame, tol_thresh=config.tolerances["tol_thresh"])
+    frame, summary, window = _local_frame(config, verb)
     columns = _trace_columns(config.n)
-    summary = {**vars(report), "symplectic_residual": frame.symplectic_residual, "events": []}
-    if verb == "classify":
-        return TraceOutput(columns, [], summary)
-
-    if coeffs.k != config.n:
-        raise ConfigError(
-            "n: continuation needs the degenerate block to fill the space "
-            f"(block size {coeffs.k}, n = {config.n})"
-        )
-    x0 = data.x(0.0)
-    jump = jump_operator(config.initial_plane, x0, report, time=0.0)
-    summary["events"] = [vars(jump)]
-    if verb == "jump":
+    if verb in ("classify", "jump"):
         return TraceOutput(columns, [], summary)
 
     grid = config.grid
     rtol = config.tolerances["rtol"]
-    m0 = meval(frame.frame, 0.0)
-    m0_inv = symplectic_inverse(m0)
-    l0_nf = canonicalize(m0_inv @ config.initial_plane)
     # the local theory up to the handover time t_h: the first-jet series window,
     # in normal-form coordinates, for m <= 2, the epsilon family to grid.t0 for m >= 3
-    if coeffs.m <= 2:
-        case = first_jet_case(l0_nf)
-        window = first_jet_continuation(coeffs, case, grid, nterms=config.tolerances["nterms"])
+    if window is not None:
         times = window.curve.times
         _check_radius(frame, float(times[-1]))
-        summary["jet_case"] = case.case
-        summary["series_start"] = window.diagnostics["series_start"]
-        summary["equilibrium"] = window.diagnostics["equilibrium"]
         # M(t) maps the planes back at the nodes up to t_h
         local = canonicalize(meval(frame.frame, times) @ window.curve.planes)
     else:
@@ -474,6 +456,9 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
         # to the pole, up to about 1e6 in size, then move that coordinate alone
         # and do not round the plane away in the others.  Its deepest member is
         # the plane at t_h, and M(t_h)^-1 maps the members back
+        m0 = meval(frame.frame, 0.0)
+        m0_inv = symplectic_inverse(m0)
+        l0_nf = canonicalize(m0_inv @ config.initial_plane)
         at = meval(frame.frame, np.append(eps, times))
         family = m0 @ epsilon_family_oracle(_jacobi_system(data, data.piece_index(0.0), 0, m0_inv),
                                             m0_inv @ at[:-1] @ l0_nf, float(grid[0]), eps,
@@ -495,9 +480,88 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
     return TraceOutput(columns, rows, summary, flow)
 
 
+def _local_frame(config: ScenarioConfig, verb: str):
+    """The normal frame at the series order its summation needs, and what ``verb`` reads of it.
+
+    The frame is built at half the cap, ``nterms // 2`` orders, and kept
+    where the data's piece right of 0 has no coefficient of that order or
+    above, the frame is not refused, its series passes the tail test of
+    ``_tail_within`` at the largest time it is summed at (``START_MAX`` for
+    m <= 2, grid.t0 for m >= 3) and, for a trace with m <= 2, its first-jet
+    window, summed at the frame's length, reaches ``START_MAX``.  Elsewhere
+    the frame is built at the cap, ``nterms``, and everything the verb reads
+    is read of that frame: its summary, ``series_start``, refusals and exit
+    codes are the cap's wherever the half-length frame is not kept.  The top
+    orders of the cap's series buy nothing inside that radius and carry the
+    rounding that the residual checks refuse.
+
+    Returns the frame, the summary of :func:`_local_summary` and, for a
+    trace with m <= 2, the first-jet window (``None`` otherwise).
+    """
+    data, nterms = config.data["piecewise"], config.tolerances["nterms"]
+    frame = _half_frame(data, nterms // 2, float(config.grid[0]))
+    if frame is not None:
+        with contextlib.suppress(RadiusError):
+            summary, window = _local_summary(config, frame, verb)
+            if window is None or window.diagnostics["series_start"] == START_MAX:
+                return frame, summary, window
+    frame = build_normal_frame(data, nterms=nterms)
+    return (frame, *_local_summary(config, frame, verb))
+
+
+def _half_frame(data, half: int, t0: float) -> NormalFormFrame | None:
+    """The normal frame at ``half`` orders where :func:`_local_frame` may keep it, else ``None``."""
+    piece = data.piece_index(0.0)
+    if np.any(data.b_pieces[piece][half:]) or np.any(data.x_pieces[piece][:, half:]):
+        return None
+    try:
+        frame = build_normal_frame(data, nterms=half)
+    except JacobiflowError:
+        return None
+    return frame if _summable(frame, START_MAX if frame.coeffs.m <= 2 else t0) else None
+
+
+def _local_summary(config: ScenarioConfig, frame: NormalFormFrame, verb: str):
+    """The summary ``verb`` reads of the singular instant on ``frame``, and
+    for a trace with m <= 2 the first-jet window, summed at the frame's length."""
+    data = config.data["piecewise"]
+    coeffs = frame.coeffs
+    if coeffs.m == 0:
+        raise ConfigError("data.b: weight does not vanish at the marked instant")
+    report = classify_frame(frame, tol_thresh=config.tolerances["tol_thresh"])
+    summary = {**vars(report), "symplectic_residual": frame.symplectic_residual, "events": []}
+    if verb == "classify":
+        return summary, None
+
+    if coeffs.k != config.n:
+        raise ConfigError(
+            "n: continuation needs the degenerate block to fill the space "
+            f"(block size {coeffs.k}, n = {config.n})"
+        )
+    jump = jump_operator(config.initial_plane, data.x(0.0), report, time=0.0)
+    summary["events"] = [vars(jump)]
+    if verb == "jump" or coeffs.m > 2:
+        return summary, None
+
+    # M(0)'s first column is X(0), so M(0)^-1 maps the jump's post-jump
+    # plane to the extension of the incoming plane by e_1
+    m0_inv = symplectic_inverse(meval(frame.frame, 0.0))
+    case = first_jet_case(canonicalize(m0_inv @ config.initial_plane), m0_inv @ jump.post_plane)
+    window = first_jet_continuation(coeffs, case, config.grid, nterms=len(frame.frame))
+    summary["jet_case"] = case.case
+    summary["series_start"] = window.diagnostics["series_start"]
+    summary["equilibrium"] = window.diagnostics["equilibrium"]
+    return summary, window
+
+
+def _summable(frame: NormalFormFrame, t: float) -> bool:
+    """Whether the frame series' top orders are negligible at ``t``."""
+    return _tail_within(np.linalg.norm(frame.frame, axis=(1, 2)), t)
+
+
 def _check_radius(frame, t: float) -> None:
     """Refuse a handover time ``t`` where the frame series' top orders are not negligible."""
-    if not _tail_within(np.linalg.norm(frame.frame, axis=(1, 2)), t):
+    if not _summable(frame, t):
         raise RadiusError(f"handover time {t} lies past the radius of the normal form series")
 
 

@@ -17,7 +17,8 @@ the post-jump plane is the zero point:
    original data.
 
 The jump itself is :func:`~jacobiflow.singular.jump.jump_operator`'s:
-:func:`first_jet_case` only checks that its chart covers the jump extension.
+:func:`first_jet_case` takes the post-jump plane it gives and only checks
+that its chart covers it.
 
 The transformed block system keeps its pole in the same entry for all three
 transforms, so the conjugation is done numerically order by order instead of
@@ -44,7 +45,6 @@ from ..grassmann import (
     _chart_matrix,
     _pi_chart,
     canonicalize,
-    extend_by_isotropic,
     horizontal_plane,
     intersection_dimension,
     validate_lagrangian,
@@ -79,11 +79,12 @@ ENDPOINT_TOL = 1e-8
 
 @dataclass
 class JetCase:
-    """Chart transform data for one incoming plane.
+    """Chart transform data for one incoming plane and its post-jump plane.
 
-    ``matrix`` is the symplectic transform that sends the post-jump plane to
-    the plane spanned by the momentum directions, and ``minv`` its inverse.
-    In case 1 it is a shear, ``-matrix[3, 1]`` its coefficient.
+    ``matrix`` is the symplectic transform that sends the post-jump plane,
+    handed to :func:`first_jet_case`, to the plane spanned by the momentum
+    directions, and ``minv`` its inverse.  In case 1 it is a shear,
+    ``-matrix[3, 1]`` its coefficient.
     """
 
     case: int
@@ -106,15 +107,19 @@ def _case_matrix(case: int, shear: float) -> np.ndarray:
     return m
 
 
-def first_jet_case(plane: np.ndarray) -> JetCase:
-    """Select the chart transform for an incoming plane.
+def first_jet_case(plane: np.ndarray, post: np.ndarray) -> JetCase:
+    """Select the chart transform for an incoming plane and its jump extension.
 
-    The selection looks at the chart matrix ``S0`` of the plane over the
-    momentum directions (or, failing transversality, at the dimension of the
-    intersection with the span of the position directions) and picks the
-    transform whose chart covers both the plane and its jump extension.
-    With one degree of freedom the jump extension is always the momentum
-    axis, so the identity chart covers every incoming line.
+    ``post`` is any frame of the jump extension of ``plane`` by ``e_1``, the
+    post-jump plane of :func:`~jacobiflow.singular.jump.jump_operator` in the
+    normal-form coordinates, where ``X(0)`` is ``e_1``.  The selection looks
+    at the chart matrix ``S0`` of the plane over the momentum directions (or,
+    failing transversality, at the dimension of the intersection with the
+    span of the position directions) and picks the transform whose chart
+    covers both the plane and ``post``: one chart solve of the two
+    transformed frames checks both.  With one degree of freedom the jump
+    extension is always the momentum axis, so the identity chart covers
+    every incoming line.
 
     Raises
     ------
@@ -134,13 +139,11 @@ def first_jet_case(plane: np.ndarray) -> JetCase:
     chart = _pi_chart(vertical_plane(2))
 
     def chart_s(f):
-        # to_chart(f, sigma, Pi), on one chart basis for all three planes
+        # to_chart(f, sigma, Pi) of a plane or a stack, on one chart basis
         s = _chart_matrix(validate_lagrangian(f), chart)
-        if np.isnan(s).all():
+        if np.isnan(s).all(axis=(-2, -1)).any():
             raise ChartError("plane is not transversal to the chart plane delta")
         return s
-
-    post = extend_by_isotropic(plane, np.eye(4)[0])  # the jump extension by e_1
 
     shear = 0.0
     try:
@@ -165,8 +168,7 @@ def first_jet_case(plane: np.ndarray) -> JetCase:
     mat = _case_matrix(case, shear)
     minv = np.linalg.inv(mat)
     try:
-        chart_s(mat @ plane)
-        res = chart_s(mat @ post)
+        res = chart_s(mat @ np.stack([plane, np.asarray(post, dtype=float)]))[1]
     except ChartError as exc:
         raise ChartError(
             "plane position is outside the chart classes of the continuation transforms"
@@ -385,10 +387,14 @@ def first_jet_continuation(
     """Continue the curve through the singular instant up to the handover time.
 
     ``case`` is the chart transform data of the incoming plane
-    (:func:`first_jet_case`).  The handover time t_h is ``series_start``, or
-    the last grid point if the grid ends first.  The returned curve holds the
-    summed series planes, one stack of canonical frames, at the grid points
-    below t_h and at t_h itself, its last time.
+    (:func:`first_jet_case`).  The block system is conjugated and the
+    blown-up series built at ``nterms`` orders, the series' length; the
+    caller picks it (the CLI tries half its cap first).  The handover time
+    t_h is ``series_start``, or the last grid point if the grid ends first.
+    The returned curve holds the summed series planes at the grid points
+    below t_h and at t_h itself, its last time, as the frames
+    ``minv @ [I; t S1(t)]``, not canonicalised: a caller that maps them on
+    canonicalises once, after its own map.
     """
 
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -407,7 +413,7 @@ def first_jet_continuation(
     # the planes [I; t S1(t)] of the series window, mapped back, as one stack
     frames = np.concatenate([np.broadcast_to(np.eye(kk), (times.size, kk, kk)),
                              times[:, None, None] * meval(stack, times)], axis=1)
-    planes = canonicalize(case.minv @ frames)
+    planes = case.minv @ frames
 
     curve = GrassmannCurve(times=times, planes=planes)
     return JacobiTrace(curve=curve, diagnostics={"series_start": t0, "equilibrium": stack[0]})

@@ -301,6 +301,10 @@ def build_normal_frame(data, *, nterms: int = DEFAULT_NTERMS) -> NormalFormFrame
     ``B(2,2)(0)``, which is ``-sigma(f2'(0), f2(0))``, is not below
     ``-1e-10``, ``f2`` is sheared by ``kappa t e2`` with the ``kappa`` that
     makes it ``-1``, so ``coeffs.b22[0]`` reads ``-1`` to rounding then.
+    The residual checks take the largest coefficient over all ``nterms``
+    orders, and the top orders carry rounding that grows with the order, so
+    the CLI builds at half its cap first and at the cap only where the data
+    reach past that order or that series falls short of its radius.
     """
     b_loc, x = _local_data(data, nterms)
     m = _vanishing_order(b_loc)

@@ -1,6 +1,7 @@
 """Builders shared by the tests: linear Hamiltonian systems from polynomial
 coefficient blocks, random Lagrangian planes, the first-jet continuation
-carried past its series window, the SVD route of the isotropic
+carried past its series window, the chart transform of a plane and its
+jump extension, the SVD route of the isotropic
 extension as the oracle of the rank-one update, and the general spectral
 test of ``C(0) B(0)`` as the oracle of the scalar oscillation rule."""
 
@@ -8,10 +9,10 @@ import numpy as np
 
 from jacobiflow.errors import PoleError, PreconditionError
 from jacobiflow.flows import flow_plane
-from jacobiflow.grassmann import _as_frame, canonicalize
+from jacobiflow.grassmann import _as_frame, canonicalize, extend_by_isotropic
 from jacobiflow.series import meval, strim
 from jacobiflow.singular.classify import NON_OSCILLATING, OSCILLATING, THRESHOLD, TOL_THRESH
-from jacobiflow.singular.firstjet import first_jet_continuation
+from jacobiflow.singular.firstjet import first_jet_case, first_jet_continuation
 from jacobiflow.symplectic import TOL_ISO, TOL_RANK, gram, isotropy_residual
 
 
@@ -58,12 +59,20 @@ def random_lagrangian(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.vstack([np.real(q), np.imag(q)])
 
 
-def continued(coeffs, case, grid):
+def jet_case(plane):
+    """:func:`first_jet_case` of ``plane``, with its jump extension by ``e_1``
+    as the post-jump plane."""
+    plane = np.asarray(plane, dtype=float)
+    return first_jet_case(plane, extend_by_isotropic(plane, np.eye(plane.shape[0])[0]))
+
+
+def continued(coeffs, case, grid, **kwargs):
     """The trace of :func:`first_jet_continuation` on ``grid`` and the planes at
     every grid node: the series window's up to its handover time, then a
     march of the normal-form system from the window's last plane, as an
-    oracle for the transport past the window."""
-    trace = first_jet_continuation(coeffs, case, grid)
+    oracle for the transport past the window.  ``kwargs`` go to
+    :func:`first_jet_continuation`."""
+    trace = first_jet_continuation(coeffs, case, grid, **kwargs)
     times, planes = trace.curve.times, trace.curve.planes
     kept = int(np.count_nonzero(grid <= times[-1]))
     if kept == grid.size:

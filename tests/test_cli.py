@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from helpers import continued, random_lagrangian
+from helpers import continued, jet_case, random_lagrangian
 from jacobiflow import cli, engine, flows
 from jacobiflow.cli import DEFAULT_U0, DEFAULT_V0, main
 from jacobiflow.engine import PiecewiseAnalytic, singular_jacobi_curve
@@ -29,7 +29,7 @@ from jacobiflow.grassmann import (
     vertical_plane,
 )
 from jacobiflow.series import meval
-from jacobiflow.singular.firstjet import _tail_within, first_jet_case
+from jacobiflow.singular.firstjet import _tail_within
 from jacobiflow.singular.frame import build_normal_frame
 from jacobiflow.singular.jump import epsilon_family_oracle
 from jacobiflow.symplectic import symplectic_inverse
@@ -728,17 +728,16 @@ def test_an_overflowing_legendre_sequence_is_one_error_object(tmp_path, capsys):
 GOLDEN_X = np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0.5, 0]], dtype=float)
 
 
-def _normal_form_route(config: cli.ScenarioConfig) -> np.ndarray:
-    """The planes of a degeneracy trace as the normal-form route computes them:
-    the plane moved to grid.t1 in normal-form coordinates (the first-jet
-    window and a march from its end for m <= 2, the epsilon family and a
-    march over the grid for m >= 3), then mapped through the frame M(t) at
-    every node."""
-    frame = build_normal_frame(config.data["piecewise"], nterms=config.tolerances["nterms"])
+def _normal_form_route(config: cli.ScenarioConfig, frame) -> np.ndarray:
+    """The planes of a degeneracy trace as the normal-form route computes them
+    on ``frame``: the plane moved to grid.t1 in normal-form coordinates (the
+    first-jet window at the frame's length and a march from its end for
+    m <= 2, the epsilon family and a march over the grid for m >= 3), then
+    mapped through the frame M(t) at every node."""
     grid = config.grid
     l0 = canonicalize(symplectic_inverse(meval(frame.frame, 0.0)) @ config.initial_plane)
     if frame.coeffs.m <= 2:
-        _, planes = continued(frame.coeffs, first_jet_case(l0), grid)
+        _, planes = continued(frame.coeffs, jet_case(l0), grid, nterms=len(frame.frame))
     else:
         eps = [e for e in config.tolerances["eps_family"] if e < grid[0]]
         start = epsilon_family_oracle(frame.coeffs.system, l0, float(grid[0]), eps)[-1]
@@ -767,31 +766,91 @@ def _cubic(dx, m: int, t1: float, seed: int, eps_family, **tolerances) -> cli.Sc
 @given(st.lists(st.floats(-0.25, 0.25), min_size=16, max_size=16),
        st.sampled_from([2, 3]), st.floats(0.05, 0.5), st.integers(0, 2**32 - 1),
        st.sampled_from([(1e-3,), (1e-3, 1e-4)]))
-# X whose 40-term normal frame is refused: a nonzero diagonal block of the
-# reduced system (1.6e-8), and a frame symplectic residual of 2.5e-5
-@example(_dx({5: 0.25, 15: 0.25}), 2, 0.5, 0, (1e-3,))
+# X whose 40-term normal frame is refused, by a nonzero diagonal block of
+# the reduced system (1.6e-8) and by a frame symplectic residual of 2.5e-5:
+# the top orders carry that rounding.  The order rule keeps their 20-term
+# frames, so both reach the agreement assertion.  The first ends at 0.4: at
+# 0.5 its 20-term series fails the tail test (a bound of 1.5e-9), and the
+# route there would need the refused cap
+@example(_dx({5: 0.25, 15: 0.25}), 2, 0.4, 0, (1e-3,))
 @example(_dx({14: -0.25, 15: 0.1875}), 3, 0.5, 0, (1e-3,))
 # an order-3 family of two members: the second joins the stack at 1e-3
 @example(_dx({}), 3, 0.5, 0, (1e-3, 1e-4))
 def test_handover_trace_agrees_with_the_normal_form_route(dx, m, t1, seed, eps_family):
     # random cubic X around the golden one, where the frame series is summed
     # up to t1: there both routes hold, and the handover changes the planes
-    # by the transport error only.  For m = 3 the trace marches the epsilon
-    # family on the data's own system and the normal-form route on the block
-    # system, so the two families are independent
+    # by the transport error only.  The route sums the frame the trace builds
+    # first, at half the cap, and the cap's only where that is refused.  For
+    # m = 3 the trace marches the epsilon family on the data's own system and
+    # the normal-form route on the block system, so the two families are
+    # independent
     config = _cubic(dx, m, t1, seed, eps_family)
+    data, nterms = config.data["piecewise"], config.tolerances["nterms"]
     try:
-        frame = build_normal_frame(config.data["piecewise"], nterms=config.tolerances["nterms"])
-    except JacobiflowError as exc:
-        # an X the normal form refuses: the trace refuses it the same way
-        with pytest.raises(JacobiflowError) as refused:
-            cli.run(config, "trace")
-        assert type(refused.value) is type(exc)
-        assume(False)
+        frame = build_normal_frame(data, nterms=nterms // 2)
+    except JacobiflowError:
+        try:
+            frame = build_normal_frame(data, nterms=nterms)
+        except JacobiflowError as exc:
+            # an X the normal form refuses at both orders: the trace refuses
+            # it the same way as the cap
+            with pytest.raises(JacobiflowError) as refused:
+                cli.run(config, "trace")
+            assert type(refused.value) is type(exc)
+            assume(False)
     assume(_tail_within(np.linalg.norm(frame.frame, axis=(1, 2)), t1))
     out = cli.run(config, "trace")
     planes = np.array([row[1:9] for row in out.rows]).reshape(-1, 4, 2)
-    assert np.max(plane_distance(planes, _normal_form_route(config))) < 1e-9
+    assert np.max(plane_distance(planes, _normal_form_route(config, frame))) < 1e-9
+
+
+@pytest.mark.parametrize("name, plane, start", [
+    ("degen_m2", [[1, 0], [0, 1], [0.652568, 0.51327], [0.51327, 0.348148]], 0.0262144),
+    ("degen_m1", [[1, 0], [0, 1], [0.383513, -0.46916], [-0.46916, 0.459841]], 0.0512),
+])
+def test_a_short_window_falls_back_to_the_cap(name, plane, start):
+    # start planes of the seed-0 jet round (degen_m2_v12, degen_m1_v18) whose
+    # blown-up series at half the cap's 40 orders ends below START_MAX: the
+    # trace rebuilds the frame and the series at the cap, whose series_start
+    # it reads, as it did when every trace used the cap
+    config = cli.parse_scenario(CORPUS / f"{name}.json")
+    config.initial_plane = np.array(plane, dtype=float)
+    assert cli.run(config, "trace").summary["series_start"] == pytest.approx(start, rel=1e-12)
+    config.tolerances["nterms"] = 20
+    assert cli.run(config, "trace").summary["series_start"] < 0.8 * start
+
+
+@pytest.mark.parametrize("verb, b, top", [
+    # m = 3 and X + t^21 e_1: the frame is summed at grid.t0 = 0.5, where
+    # the order 21 of X moves M(t) by 1e-4, and with it the distances
+    # between the family's members in normal-form coordinates
+    ("trace", [0.0, 0.0, 0.0, -1.0], 1.0),
+    # b = -1e-13 t - t^21 vanishes to order 21 on the scale of its largest
+    # coefficient; cut to 20 orders, it would read order 1
+    ("classify", [0.0, -1e-13] + [0.0] * 19 + [-1.0], 0.0),
+])
+def test_data_past_half_the_cap_are_read_at_the_cap(monkeypatch, verb, b, top):
+    # data with a coefficient of order nterms // 2 or above: the half-length
+    # frame would cut it off, so the trace builds at the cap, as every
+    # trace did before the order rule, and reads what the cap reads
+    x = np.zeros((4, 22))
+    x[:, :4] = GOLDEN_X
+    x[0, 21] = top
+    config = cli.ScenarioConfig(
+        n=2, mode="legendre_degeneracy",
+        data={"piecewise": PiecewiseAnalytic(breakpoints=[-1.0, 1.0], b_pieces=[b],
+                                             x_pieces=[x])},
+        initial_plane=np.array([[1, 0], [0, 1], [0.3, 0.2], [0.2, -0.5]], dtype=float),
+        grid=np.linspace(0.5, 0.9, 5),
+        tolerances=dict(cli.DEFAULT_TOLERANCES, eps_family=(1e-3, 1e-4)), seed=0)
+    out = cli.run(config, verb)
+    build, cap = cli.build_normal_frame, config.tolerances["nterms"]
+    monkeypatch.setattr(cli, "build_normal_frame", lambda data, nterms: build(data, nterms=cap))
+    at_cap = cli.run(config, verb)
+    assert out.rows == at_cap.rows
+    assert ({k: v for k, v in out.summary.items() if k != "events"}
+            == {k: v for k, v in at_cap.summary.items() if k != "events"})
+    assert out.summary["m"] == (3 if verb == "trace" else 21)
 
 
 # order-3 X with X(0) off the coordinate axes, on which the handover test

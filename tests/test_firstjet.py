@@ -2,9 +2,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from helpers import continued
+from helpers import continued, jet_case
 from jacobiflow.errors import (
     ChartError,
     OscillatingError,
@@ -18,20 +20,26 @@ from jacobiflow.flows import flow_plane
 from jacobiflow.grassmann import (
     _chart_basis,
     _chart_matrix,
+    _pi_chart,
     canonicalize,
     extend_by_isotropic,
     horizontal_plane,
+    intersection_dimension,
     isotropy_residual,
     plane_distance,
+    validate_lagrangian,
     vertical_plane,
 )
 from jacobiflow.series import meval
 from jacobiflow.singular.firstjet import (
+    CASE_TOL,
+    ENDPOINT_TOL,
     CaseSystem,
     blowup_equilibrium,
     blowup_series,
     case_system,
     first_jet_case,
+    _case_matrix,
     first_jet_continuation,
     series_start,
 )
@@ -48,7 +56,7 @@ def _graph(s):
 
 def _identity_case(k):
     """The chart transform data of an incoming plane whose transform is the identity."""
-    case = first_jet_case(np.array([[1.0], [0.4]]) if k == 1 else _graph(np.zeros((2, 2))))
+    case = jet_case(np.array([[1.0], [0.4]]) if k == 1 else _graph(np.zeros((2, 2))))
     assert np.array_equal(case.matrix, np.eye(2 * k))
     return case
 
@@ -85,7 +93,7 @@ def _coeffs_k2():
     ],
 )
 def test_case_selection(plane, expected_case, expected_shear):
-    case = first_jet_case(plane)
+    case = jet_case(plane)
     assert case.case == expected_case
     if expected_case == 1:  # the shear by the Schur complement of s0[0, 0]
         assert -case.matrix[3, 1] == pytest.approx(expected_shear, abs=1e-12)
@@ -99,15 +107,104 @@ def test_case_selection(plane, expected_case, expected_shear):
 def test_case_selection_uncovered_position():
     plane = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ChartError, match="outside the chart classes"):
-        first_jet_case(plane)
+        jet_case(plane)
 
 
 def test_case_selection_single_degree():
-    case = first_jet_case(np.array([[1.0], [0.4]]))
+    case = jet_case(np.array([[1.0], [0.4]]))
     assert case.case == 1
     assert np.array_equal(case.matrix, np.eye(2))
     with pytest.raises(PreconditionError):
-        first_jet_case(np.eye(3))
+        first_jet_case(np.eye(3), np.eye(3))
+
+
+def _derived_case(plane):
+    """The chart transform as :func:`first_jet_case` selected it when it derived
+    the jump extension itself, by extending the canonical plane by e_1, and
+    checked each transformed plane by a chart solve of its own."""
+    plane = canonicalize(np.asarray(plane, dtype=float))
+    sigma = horizontal_plane(2)
+    chart = _pi_chart(vertical_plane(2))
+
+    def chart_s(f):
+        s = _chart_matrix(validate_lagrangian(f), chart)
+        if np.isnan(s).all():
+            raise ChartError("plane is not transversal to the chart plane delta")
+        return s
+
+    post = extend_by_isotropic(plane, np.eye(4)[0])
+    shear = 0.0
+    try:
+        s0 = chart_s(plane)
+    except ChartError:
+        s0 = None
+    if s0 is not None:
+        scale = max(1.0, float(np.linalg.norm(s0)))
+        z11 = abs(s0[0, 0]) <= CASE_TOL * scale
+        z12 = abs(s0[0, 1]) <= CASE_TOL * scale
+        z22 = abs(s0[1, 1]) <= CASE_TOL * scale
+        if (not z11) or z12:
+            case = 1
+            shear = float(s0[1, 1]) if z11 else float(s0[1, 1] - s0[0, 1] ** 2 / s0[0, 0])
+        elif not z22:
+            case = 2
+        else:
+            case = 3
+    else:
+        case = 2 if intersection_dimension(plane, sigma) == 1 else 3
+    mat = _case_matrix(case, shear)
+    try:
+        chart_s(mat @ plane)
+        res = chart_s(mat @ post)
+    except ChartError as exc:
+        raise ChartError(
+            "plane position is outside the chart classes of the continuation transforms"
+        ) from exc
+    if np.linalg.norm(res) > ENDPOINT_TOL * max(1.0, abs(shear)) ** 2:
+        raise ChartError(
+            "selected transform does not send the jump extension to the chart origin"
+        )
+    return case, mat, np.linalg.inv(mat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.booleans(), min_size=3, max_size=3),
+       st.lists(st.booleans(), min_size=2, max_size=2))
+# S = 0 with the first degree of freedom swapped: the uncovered position
+@example(0, [True, True, True], [True, False])
+def test_the_given_post_plane_selects_as_the_derived_one(seed, zeros, swaps):
+    # a graph [I; S] over the momentum directions, with the entries s11, s12,
+    # s22 of S zeroed where ``zeros`` says, which reaches the three cases, and
+    # (q_i, p_i) -> (p_i, -q_i) where ``swaps`` says, which reaches the planes
+    # that are not graphs; each frame is handed in times a random invertible
+    # matrix.  Any frame of the jump extension gives the transform that
+    # extending the plane derived, bit for bit, or the same refusal
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=(2, 2))
+    s = s + s.T
+    for (i, j), zero in zip([(0, 0), (0, 1), (1, 1)], zeros):
+        if zero:
+            s[i, j] = s[j, i] = 0.0
+    plane = _graph(s)
+    for i, swap in enumerate(swaps):
+        if swap:
+            plane[[i, 2 + i]] = plane[[2 + i, i]] * [[1.0], [-1.0]]
+
+    def mixed(f):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        return f @ q @ np.diag(rng.uniform(0.5, 2.0, size=2))
+
+    plane = mixed(plane)
+    try:
+        derived = _derived_case(plane)
+    except ChartError as exc:
+        with pytest.raises(ChartError) as refused:
+            first_jet_case(plane, mixed(extend_by_isotropic(plane, np.eye(4)[0])))
+        assert str(refused.value) == str(exc)
+        return
+    case = first_jet_case(plane, mixed(extend_by_isotropic(plane, np.eye(4)[0])))
+    assert case.case == derived[0]
+    assert np.array_equal(case.matrix, derived[1]) and np.array_equal(case.minv, derived[2])
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +220,7 @@ def test_case_system_guards():
         )
     # a transform for the other number of degrees of freedom
     with pytest.raises(PreconditionError, match="does not match"):
-        case_system(_coeffs_c2(), first_jet_case(_graph([[0.0, 1.0], [1.0, 0.5]])))
+        case_system(_coeffs_c2(), jet_case(_graph([[0.0, 1.0], [1.0, 0.5]])))
     with pytest.raises(PreconditionError, match="does not match"):
         case_system(_coeffs_k2(), _identity_case(1))
 
@@ -158,7 +255,7 @@ def test_case_system_blocks_and_root():
 
 def test_case_system_stacks_sum_to_the_conjugated_system():
     # A'(t), C'(t) and G(t) = t^2 B'(t) of the transformed system
-    case = first_jet_case(_graph([[0.0, 1.0], [1.0, 0.5]]))
+    case = jet_case(_graph([[0.0, 1.0], [1.0, 0.5]]))
     system = case_system(_coeffs_k2(), case)
     for t in (0.05, 0.3, 0.9):
         conj = case.matrix @ _coeffs_k2().system(t) @ case.minv
@@ -262,7 +359,7 @@ def test_equilibrium_order_one_is_symmetrized_c():
 
 
 def test_equilibrium_two_block_closed_spectrum():
-    case = first_jet_case(_graph([[1.0, 0.3], [0.3, 2.0]]))
+    case = jet_case(_graph([[1.0, 0.3], [0.3, 2.0]]))
     sys2 = case_system(_coeffs_k2(), case)
     eq = blowup_equilibrium(sys2)
     assert blowup_residual(sys2, eq) < 1e-12
@@ -298,13 +395,13 @@ def _assert_matches_reference(system):
                            c11=[-0.9, 0.1, 0.3], b12=[0.1, 0.2], b22=[-0.4, 0.3], c22=[0.6, -0.5]),
 ], ids=["k2", "m1", "m2"])
 def test_blowup_series_matches_the_order_loop_two_blocks(coeffs, plane):
-    _assert_matches_reference(case_system(coeffs, first_jet_case(plane)))
+    _assert_matches_reference(case_system(coeffs, jet_case(plane)))
 
 
 @pytest.mark.parametrize("name", ["degen_m1", "degen_m2"])
 def test_blowup_series_matches_the_order_loop_on_the_corpus(name):
     coeffs, l0, _ = _corpus_problem(name)
-    _assert_matches_reference(case_system(coeffs, first_jet_case(l0)))
+    _assert_matches_reference(case_system(coeffs, jet_case(l0)))
 
 
 def test_blowup_series_refuses_a_resonant_order():
@@ -363,7 +460,7 @@ def test_continuation_window_ends_with_the_grid(t1):
 
 
 def test_continuation_two_block_stays_lagrangian():
-    case = first_jet_case(_graph([[1.0, 0.3], [0.3, 2.0]]))
+    case = jet_case(_graph([[1.0, 0.3], [0.3, 2.0]]))
     grid = np.linspace(0.05, 0.8, 8)
     trace, planes = continued(_coeffs_k2(), case, grid)
     assert len(planes) == 8
@@ -382,7 +479,7 @@ def _corpus_problem(name):
 def test_continuation_matches_independent_frame_transport(name):
     # the corpus curves leave the blow-up chart before t = 1
     coeffs, l0, grid = _corpus_problem(name)
-    case = first_jet_case(l0)
+    case = jet_case(l0)
     trace, planes = continued(coeffs, case, grid)
     t0 = trace.diagnostics["series_start"]
     s1 = meval(blowup_series(case_system(coeffs, case)), t0)
@@ -398,7 +495,7 @@ def test_continuation_matches_independent_frame_transport(name):
 @pytest.mark.parametrize("name, last_below", [("degen_m1", 0.05), ("degen_m2", 1e-4)])
 def test_epsilon_family_approaches_the_continuation(name, last_below):
     coeffs, l0, _ = _corpus_problem(name)
-    _, planes = continued(coeffs, first_jet_case(l0), np.array([0.5, 1.0]))
+    _, planes = continued(coeffs, jet_case(l0), np.array([0.5, 1.0]))
     family = epsilon_family_oracle(coeffs.system, l0, 1.0, [1e-2, 1e-3, 1e-4, 1e-5])
     dists = [plane_distance(p, planes[-1]) for p in family]
     assert all(b < a for a, b in zip(dists, dists[1:]))
@@ -412,7 +509,7 @@ def test_blowup_values_are_nan_where_the_chart_ends():
     # fixed the transport is the same for every first node, so the root of
     # 1/tr S1 is the time at which the plane leaves the chart.
     coeffs, l0, _ = _corpus_problem("degen_m2")
-    case = first_jet_case(l0)
+    case = jet_case(l0)
     chart = _chart_basis(horizontal_plane(2), vertical_plane(2))
 
     def values(t):

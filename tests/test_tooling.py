@@ -12,6 +12,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
@@ -322,10 +323,13 @@ def test_corpus_timings_script_times_one_op():
     # intervals, three propagators each, and no QR; neither it nor the
     # degen_m3 trace, whose epsilon family marches the data's own system,
     # solves a dense stage system.  The Maslov pass counts 198 of the regular
-    # trace's 199 intervals on the chart and one by the Souriau pass
+    # trace's 199 intervals on the chart and one by the Souriau pass.  The
+    # degeneracy traces add their series orders: the corpus frames and the
+    # degen_m2 blown-up series reach their radius at half the cap's 40
+    # orders, and degen_m3 sums no blown-up series
     script = SRC.parent / "tools" / "corpus_timings.py"
     out = subprocess.run([sys.executable, str(script), "--op", "regular.trace", "--op",
-                          "degen_m3.trace", "--repeat", "1"],
+                          "degen_m2.trace", "--op", "degen_m3.trace", "--repeat", "1"],
                          capture_output=True, text=True, check=True)
     cold, compiled, *lines = out.stdout.splitlines()
     name, seconds, unit = cold.rsplit(None, 2)
@@ -333,15 +337,19 @@ def test_corpus_timings_script_times_one_op():
     name, seconds, unit = compiled.rsplit(None, 2)
     assert name == "compile src/jacobiflow" and float(seconds) > 0.0 and unit == "s"
     rows = {op: fields for op, *fields in (line.split() for line in lines)}
-    assert list(rows) == ["regular.trace", "degen_m3.trace"]
+    assert list(rows) == ["regular.trace", "degen_m2.trace", "degen_m3.trace"]
     assert all(float(fields[0]) > 0.0 and fields[1] == "s" for fields in rows.values())
     work = {op: dict(zip(fields[2::2], map(int, fields[3::2]))) for op, fields in rows.items()}
+    counts = ["batches", "propagators", "dense", "chain_steps", "qrs", "chart_intervals",
+              "souriau_intervals"]
     assert work["regular.trace"] == {"batches": 2, "propagators": 300, "dense": 0,
                                      "chain_steps": 100, "qrs": 0, "chart_intervals": 198,
                                      "souriau_intervals": 1}
-    assert list(work["degen_m3.trace"]) == ["batches", "propagators", "dense", "chain_steps", "qrs",
-                                            "chart_intervals", "souriau_intervals"]
+    orders = ["frame_order", "series_order", "fallback"]
+    assert list(work["degen_m3.trace"]) == counts + orders
     assert work["degen_m3.trace"]["qrs"] > 0 and work["degen_m3.trace"]["dense"] == 0
+    assert [work[op][key] for op in ("degen_m2.trace", "degen_m3.trace") for key in orders] == [
+        20, 20, 0, 20, 0, 0]
 
 
 def test_corpus_accuracy_script_measures_the_chosen_ops():
@@ -400,3 +408,20 @@ def test_compare_outputs_finds_the_ops_that_differ(tmp_path, monkeypatch):
     assert compare.differences(other, ops, tmp_path / "mutant") == [
         f"regular_short.{verb}.{fmt}: code, stderr"
         for verb in cli.VERBS if verb not in ("trace", "maslov") for fmt in ("csv", "json")]
+    # a copy that scales the second column of every emitted frame by 1 + 1e-9,
+    # which moves cells of about 1 by 1e-9 and no plane, and adds a summary
+    # key: each differing file says how far apart it is
+    shutil.rmtree(other / "src")
+    shutil.copytree(SRC, other / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli_py.write_text(cli_py.read_text()
+                      .replace("    planes = curve.planes\n",
+                               "    planes = curve.planes * [1.0, 1.0 + 1e-9]\n")
+                      .replace('summary = {"order_m": seq.first_nonzero,',
+                               'summary = {"added": 0, "order_m": seq.first_nonzero,'))
+    found = compare.differences(other, ops, tmp_path / "scaled")
+    assert [line.split(":")[0] for line in found] == [
+        f"regular_short.{verb}.{fmt}" for verb in ("trace", "maslov") for fmt in ("csv", "json")]
+    for line in found:
+        [(cells, frames)] = re.findall(r"cells (\S+), frames ([^;)]+)", line)
+        assert 0.9e-9 < float(cells) < 1e-6 and float(frames) < 1e-12
+        assert line.count("summary keys added") == 1

@@ -13,8 +13,12 @@ every op in one fresh interpreter, as the in-process call
 ``jacobiflow.cli.main(argv)`` on its own ``src``, with the op's outputs in a
 directory of their own.  An op differs when its exit code, its stderr (with
 the tree's output directory replaced by ``<out>``) or any output file
-differs.  Each such op is printed with what differs; the exit status is 1 if
-any op differs and 0 otherwise.
+differs.  Each such op is printed with what differs, and each differing
+output file with how far apart it is: for rows (a CSV, or a JSON output) the
+largest absolute difference of a cell and the largest gap
+(:func:`~jacobiflow.grassmann.plane_distance`) between the frames of matching
+rows, and for a summary (a summary sidecar, or a JSON output) the keys whose
+values differ.  The exit status is 1 if any op differs and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from corpus_coverage import FORMATS, GOLDEN, ROUND_S
 from corpus_timings import ROOT
@@ -83,16 +89,71 @@ def run_tree(tree: Path, ops: list[tuple[str, list[str], str]], out: Path) -> li
             for (op_id, _, _), (code, stderr) in zip(ops, json.loads(proc.stdout))]
 
 
+def parsed(name: str, data: bytes) -> dict:
+    """The ``columns`` and ``rows`` (a cell left empty reads None) and the
+    ``summary`` that an output file holds: a CSV its rows, a summary sidecar
+    its summary, a JSON output all three; another file nothing."""
+    if name.endswith(".summary.json"):
+        return {"summary": json.loads(data)}
+    if name.endswith(".json"):
+        return json.loads(data)
+    if name.endswith(".csv"):
+        header, *lines = data.decode().splitlines()
+        return {"columns": header.split(","),
+                "rows": [[float(cell) if cell else None for cell in line.split(",")]
+                         for line in lines]}
+    return {}
+
+
+def row_gaps(columns: list[str], mine: list[list], theirs: list[list]) -> str:
+    """``"cells D, frames G"``: the largest absolute cell difference of two
+    tables of one shape and the largest gap between the frames of their
+    matching rows; a cell empty in one table only differs by inf."""
+    a, b = np.array(mine, dtype=float), np.array(theirs, dtype=float)
+    if a.shape != b.shape:
+        return "rows of another shape"
+    cells = np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b))
+    text = f"cells {float(np.nan_to_num(cells, nan=np.inf).max(initial=0.0)):.2g}"
+    frame = [i for i, column in enumerate(columns) if column.startswith("frame_")]
+    if frame and len(a):
+        from jacobiflow.grassmann import plane_distance
+
+        dim = 1 + max(int(columns[i].split("_")[1]) for i in frame)
+        fa, fb = (x[:, frame].reshape(len(x), dim, -1) for x in (a, b))
+        text += f", frames {float(np.max(plane_distance(fa, fb))):.2g}"
+    return text
+
+
+def how_far(name: str, mine: bytes, theirs: bytes) -> str:
+    """How far apart two versions of an output file are: the gaps of their
+    rows and the summary keys whose values differ, as far as the file holds
+    them."""
+    a, b = parsed(name, mine), parsed(name, theirs)
+    parts = []
+    if "rows" in a and "rows" in b:
+        parts.append("columns differ" if a["columns"] != b["columns"]
+                     else row_gaps(a["columns"], a["rows"], b["rows"]))
+    if "summary" in a and "summary" in b:
+        keys = sorted(key for key in set(a["summary"]) | set(b["summary"])
+                      if a["summary"].get(key) != b["summary"].get(key))
+        if keys:
+            parts.append(f"summary keys {' '.join(keys)}")
+    return f" ({'; '.join(parts)})" if parts else ""
+
+
 def differences(other: Path, ops: list[tuple[str, list[str], str]], work: Path) -> list[str]:
     """``"op id: what differs"`` for each op whose results differ between
-    this checkout and ``other``."""
+    this checkout and ``other``; a file that both trees wrote carries how far
+    apart it is (:func:`how_far`)."""
     mine = run_tree(ROOT, ops, work / "this")
     theirs = run_tree(other, ops, work / "other")
     found = []
     for (op_id, _, _), a, b in zip(ops, mine, theirs):
         what = [key for key in ("code", "stderr") if a[key] != b[key]]
-        what += [f"file {name}" for name in sorted(set(a["files"]) | set(b["files"]))
-                 if a["files"].get(name) != b["files"].get(name)]
+        for name in sorted(set(a["files"]) | set(b["files"])):
+            x, y = a["files"].get(name), b["files"].get(name)
+            if x != y:
+                what.append(f"file {name}" + (how_far(name, x, y) if x and y else ""))
         if what:
             found.append(f"{op_id}: {', '.join(what)}")
     return found

@@ -86,7 +86,8 @@ def worst_angles(verb: str, scenario: Path, out: Path) -> tuple[float, float | N
                              (refined, {"rtol": flows._RTOL_MIN}, 4)):
         csv = out / f"{len(runs)}.csv"
         argv = [verb, str(path), "--out", str(csv), "--tol-overrides", json.dumps(tol)]
-        with counted(flows, maslov) as counts, contextlib.redirect_stderr(io.StringIO()) as err:
+        with (counted(flows, maslov, cli) as counts,
+              contextlib.redirect_stderr(io.StringIO()) as err):
             code = cli.main(argv)
         if code != 0:
             raise SystemExit(f"{scenario.stem}.{verb} exited {code}: {err.getvalue().strip()}")

@@ -25,9 +25,13 @@ rank-one system's is four pairings, the steps of its frame chains
 (``flows._chain``) and the frames it orthonormalises by a QR
 (``flows._renormalise``).  Then come the Maslov pass's intervals: those
 counted on the chart (``chart_intervals``) and those counted by the Souriau
-pass (``souriau_intervals``).  These counts do not depend on the host, so
-they show a change of step control or of counting without the noise of the
-timings.
+pass (``souriau_intervals``).  A degeneracy op adds the series orders of its
+singular instant: the order of the normal frame it used (``frame_order``),
+the order of the blown-up series it summed (``series_order``, 0 for m >= 3,
+which sums none) and whether it fell back from half the cap to the cap
+(``fallback``, 1 where it built the frame twice).  These counts do not
+depend on the host, so they show a change of step control, of counting or
+of series order without the noise of the timings.
 """
 
 from __future__ import annotations
@@ -96,12 +100,15 @@ def op_s(cli, op: str, out: Path, repeat: int) -> float:
 
 
 @contextlib.contextmanager
-def counted(flows, maslov):
+def counted(flows, maslov, cli):
     """Count the transport's and the Maslov pass's work while the block runs,
-    by wrapping the kernel and the pass's helpers."""
+    by wrapping the kernel and the pass's helpers, and record the series
+    orders of a degeneracy op, by wrapping the CLI's frame and series
+    builders."""
     counts = dict.fromkeys(COUNTS, 0)
     increments, chain, renormalise = flows._increments, flows._chain, flows._renormalise
     charted, turns = maslov._chart_matrix, maslov._turns
+    build, continuation = cli.build_normal_frame, cli.first_jet_continuation
 
     def evaluated(sys, t, h):
         counts["batches"] += 1
@@ -131,21 +138,37 @@ def counted(flows, maslov):
         counts["souriau_intervals"] += left.size
         return turns(w, left)
 
+    builds, sums = [], []
+
+    def framed(data, *, nterms):  # the frame built last is the one the op used
+        builds.append(nterms)
+        return build(data, nterms=nterms)
+
+    def summed(coeffs, case, grid, *, nterms):
+        sums.append(nterms)
+        return continuation(coeffs, case, grid, nterms=nterms)
+
     flows._increments, flows._chain, flows._renormalise = evaluated, chained, orthonormalised
     maslov._chart_matrix, maslov._turns = nodes, turned
+    cli.build_normal_frame, cli.first_jet_continuation = framed, summed
     try:
         yield counts
     finally:
         flows._increments, flows._chain, flows._renormalise = increments, chain, renormalise
         maslov._chart_matrix, maslov._turns = charted, turns
+        cli.build_normal_frame, cli.first_jet_continuation = build, continuation
+    if builds:
+        counts.update(frame_order=builds[-1], series_order=sums[-1] if sums else 0,
+                      fallback=int(len(builds) > 1))
 
 
 def op_counts(cli, op: str, out: Path) -> dict[str, int]:
-    """The transport's and the Maslov pass's work in one run of a corpus op."""
+    """The transport's and the Maslov pass's work in one run of a corpus op,
+    and the series orders of a degeneracy op."""
     from jacobiflow import flows, maslov
 
     scenario, verb = op.split(".")
-    with counted(flows, maslov) as counts, contextlib.redirect_stderr(io.StringIO()):
+    with counted(flows, maslov, cli) as counts, contextlib.redirect_stderr(io.StringIO()):
         cli.main([verb, str(CORPUS / f"{scenario}.json"), "--out", str(out / f"{op}.csv")])
     return counts
 
