@@ -31,7 +31,6 @@ with a bare newline.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -67,7 +66,6 @@ from .singular.firstjet import START_MAX, _tail_within, first_jet_case, first_je
 from .singular.frame import (
     DEFAULT_NTERMS,
     NormalFormCoefficients,
-    NormalFormFrame,
     build_normal_frame,
 )
 from .singular.jump import epsilon_family_oracle, jump_operator
@@ -431,7 +429,7 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
         raise ConfigError(
             "data.b: weight is identically degenerate; this mode treats an isolated zero"
         )
-    frame, summary, window = _local_frame(config, verb)
+    frame, order, summary, window = _local_frame(config, verb)
     columns = _trace_columns(config.n)
     if verb in ("classify", "jump"):
         return TraceOutput(columns, [], summary)
@@ -440,26 +438,28 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
     rtol = config.tolerances["rtol"]
     # the local theory up to the handover time t_h: the first-jet series window,
     # in normal-form coordinates, for m <= 2, the epsilon family to grid.t0 for m >= 3
-    if window is not None:
-        times = window.curve.times
-        _check_radius(frame, float(times[-1]))
-        # M(t) maps the planes back at the nodes up to t_h
-        local = canonicalize(meval(frame.frame, times) @ window.curve.planes)
-    else:
+    if window is None:
         eps = [e for e in config.tolerances["eps_family"] if e < grid[0]]
         if not eps:
             raise ConfigError("tolerances.eps_family: no entry lies below grid.t0")
-        times = grid[:1]
-        _check_radius(frame, float(times[-1]))
+    times = grid[:1] if window is None else window.curve.times
+    if order is None:
+        raise RadiusError(f"handover time {float(times[-1])} lies past the radius of the "
+                          "normal form series")
+    series = frame.frame[:order]
+    if window is not None:
+        # M(t) maps the planes back at the nodes up to t_h
+        local = canonicalize(meval(series, times) @ window.curve.planes)
+    else:
         # the family marches the data's own system right of 0 from M(eps) L0, in
         # the coordinates M(0)^-1, where X(0) is the first axis: the steps next
         # to the pole, up to about 1e6 in size, then move that coordinate alone
         # and do not round the plane away in the others.  Its deepest member is
         # the plane at t_h, and M(t_h)^-1 maps the members back
-        m0 = meval(frame.frame, 0.0)
+        m0 = meval(series, 0.0)
         m0_inv = symplectic_inverse(m0)
         l0_nf = canonicalize(m0_inv @ config.initial_plane)
-        at = meval(frame.frame, np.append(eps, times))
+        at = meval(series, np.append(eps, times))
         family = m0 @ epsilon_family_oracle(_jacobi_system(data, data.piece_index(0.0), 0, m0_inv),
                                             m0_inv @ at[:-1] @ l0_nf, float(grid[0]), eps,
                                             rtol=rtol)
@@ -481,57 +481,32 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
 
 
 def _local_frame(config: ScenarioConfig, verb: str):
-    """The normal frame at the series order its summation needs, and what ``verb`` reads of it.
+    """The normal frame of the singular instant, the order N its series is
+    summed at, and what ``verb`` reads of them.
 
-    The frame is built at half the cap, ``nterms // 2`` orders, and kept
-    where the data's piece right of 0 has no coefficient of that order or
-    above, the frame is not refused, its series passes the tail test of
-    ``_tail_within`` at the largest time it is summed at (``START_MAX`` for
-    m <= 2, grid.t0 for m >= 3) and, for a trace with m <= 2, its first-jet
-    window, summed at the frame's length, reaches ``START_MAX``.  Elsewhere
-    the frame is built at the cap, ``nterms``, and everything the verb reads
-    is read of that frame: its summary, ``series_start``, refusals and exit
-    codes are the cap's wherever the half-length frame is not kept.  The top
-    orders of the cap's series buy nothing inside that radius and carry the
-    rounding that the residual checks refuse.
-
-    Returns the frame, the summary of :func:`_local_summary` and, for a
-    trace with m <= 2, the first-jet window (``None`` otherwise).
+    The frame is built once, at ``nterms`` orders, and keeps the P orders of
+    its longest prefix that passes the residual checks
+    (:func:`build_normal_frame`).  N is the smallest of its admissible
+    orders whose tail passes ``_tail_within`` at the largest time a trace
+    sums the series at: ``START_MAX`` for m <= 2, grid.t0 for m >= 3.  The
+    summary reads the residual over N orders.  Where no order passes, N is
+    ``None``: a trace then refuses, and classify and jump read all P orders.
+    A trace with m <= 2 solves its blown-up series from the lowest
+    admissible order on, up to P, and returns its first-jet window.
     """
-    data, nterms = config.data["piecewise"], config.tolerances["nterms"]
-    frame = _half_frame(data, nterms // 2, float(config.grid[0]))
-    if frame is not None:
-        with contextlib.suppress(RadiusError):
-            summary, window = _local_summary(config, frame, verb)
-            if window is None or window.diagnostics["series_start"] == START_MAX:
-                return frame, summary, window
-    frame = build_normal_frame(data, nterms=nterms)
-    return (frame, *_local_summary(config, frame, verb))
-
-
-def _half_frame(data, half: int, t0: float) -> NormalFormFrame | None:
-    """The normal frame at ``half`` orders where :func:`_local_frame` may keep it, else ``None``."""
-    piece = data.piece_index(0.0)
-    if np.any(data.b_pieces[piece][half:]) or np.any(data.x_pieces[piece][:, half:]):
-        return None
-    try:
-        frame = build_normal_frame(data, nterms=half)
-    except JacobiflowError:
-        return None
-    return frame if _summable(frame, START_MAX if frame.coeffs.m <= 2 else t0) else None
-
-
-def _local_summary(config: ScenarioConfig, frame: NormalFormFrame, verb: str):
-    """The summary ``verb`` reads of the singular instant on ``frame``, and
-    for a trace with m <= 2 the first-jet window, summed at the frame's length."""
     data = config.data["piecewise"]
+    frame = build_normal_frame(data, nterms=config.tolerances["nterms"])
     coeffs = frame.coeffs
     if coeffs.m == 0:
         raise ConfigError("data.b: weight does not vanish at the marked instant")
+    norms = np.linalg.norm(frame.frame, axis=(1, 2))
+    radius = START_MAX if coeffs.m <= 2 else float(config.grid[0])
+    order = next((n for n in frame.orders if _tail_within(norms[:n], radius)), None)
     report = classify_frame(frame, tol_thresh=config.tolerances["tol_thresh"])
-    summary = {**vars(report), "symplectic_residual": frame.symplectic_residual, "events": []}
+    residual = float(frame.residuals[(order or len(frame.frame)) - 1])
+    summary = {**vars(report), "symplectic_residual": residual, "events": []}
     if verb == "classify":
-        return summary, None
+        return frame, order, summary, None
 
     if coeffs.k != config.n:
         raise ConfigError(
@@ -541,28 +516,18 @@ def _local_summary(config: ScenarioConfig, frame: NormalFormFrame, verb: str):
     jump = jump_operator(config.initial_plane, data.x(0.0), report, time=0.0)
     summary["events"] = [vars(jump)]
     if verb == "jump" or coeffs.m > 2:
-        return summary, None
+        return frame, order, summary, None
 
     # M(0)'s first column is X(0), so M(0)^-1 maps the jump's post-jump
     # plane to the extension of the incoming plane by e_1
     m0_inv = symplectic_inverse(meval(frame.frame, 0.0))
     case = first_jet_case(canonicalize(m0_inv @ config.initial_plane), m0_inv @ jump.post_plane)
-    window = first_jet_continuation(coeffs, case, config.grid, nterms=len(frame.frame))
+    window = first_jet_continuation(coeffs, case, config.grid, nterms=len(frame.frame),
+                                    least=frame.orders[0])
     summary["jet_case"] = case.case
     summary["series_start"] = window.diagnostics["series_start"]
     summary["equilibrium"] = window.diagnostics["equilibrium"]
-    return summary, window
-
-
-def _summable(frame: NormalFormFrame, t: float) -> bool:
-    """Whether the frame series' top orders are negligible at ``t``."""
-    return _tail_within(np.linalg.norm(frame.frame, axis=(1, 2)), t)
-
-
-def _check_radius(frame, t: float) -> None:
-    """Refuse a handover time ``t`` where the frame series' top orders are not negligible."""
-    if not _summable(frame, t):
-        raise RadiusError(f"handover time {t} lies past the radius of the normal form series")
+    return frame, order, summary, window
 
 
 def _run_portrait(config: ScenarioConfig) -> TraceOutput:

@@ -291,7 +291,7 @@ def blowup_equilibrium(system: CaseSystem) -> np.ndarray:
     return np.array([[s11, s12], [s12, s22]])
 
 
-def blowup_series(system: CaseSystem) -> np.ndarray:
+def blowup_series(system: CaseSystem, least: int | None = None) -> np.ndarray:
     """Coefficient stack of the blown-up chart series ``S1(t)``.
 
     Order zero is the fixed point ``S*``.  Order ``k`` collects the products
@@ -299,9 +299,12 @@ def blowup_series(system: CaseSystem) -> np.ndarray:
     rhs`` on ``vec(Y)`` (row-major).  ``G0`` and ``S*`` are symmetric, so the
     operator ``(k+1) I + I (x) (G0 S*)^T + (S* G0) (x) I`` has the same
     eigenvalues as its restriction to symmetric matrices; it is invertible
-    away from the resonant exponent collisions.  The operators are inverted
-    once, from the SVD that checks them, and each Cauchy sum of an order is
-    one matmul of a row of blocks by a column of blocks.
+    away from the resonant exponent collisions.  They are inverted from the
+    SVD that checks them, and each Cauchy sum of an order is one matmul of a
+    row of blocks by a column of blocks.  The solve runs to the system's
+    length or, with ``least`` given, stops at the first length from
+    ``least`` on that passes the tail test at ``START_MAX``; only then are
+    the operators past ``least`` inverted.
     """
 
     ln = system.cprime.shape[0]
@@ -309,15 +312,20 @@ def blowup_series(system: CaseSystem) -> np.ndarray:
     s_star = blowup_equilibrium(system)
     a, c, g = system.aprime, system.cprime, system.g
     eye = np.eye(kk)
-    ops = (np.arange(2.0, ln + 1.0)[:, None, None] * np.eye(kk * kk)
-           + np.kron(eye, (g[0] @ s_star).T) + np.kron(s_star @ g[0], eye))
-    u, sv, vt = np.linalg.svd(ops)
-    singular = sv[:, -1] <= 1e-12 * np.maximum(1.0, sv[:, 0])
-    if singular.any():
-        raise SeriesResonanceError(
-            f"coefficient solve is singular at order {int(np.argmax(singular)) + 1}"
-        )
-    inv = np.swapaxes(vt, 1, 2) / sv[:, None, :] @ np.swapaxes(u, 1, 2)
+    right, left = np.kron(eye, (g[0] @ s_star).T), np.kron(s_star @ g[0], eye)
+
+    def inverses(lo: int, hi: int) -> np.ndarray:
+        """The inverted solve operators of the orders ``lo .. hi - 1``."""
+        ops = np.arange(lo + 1.0, hi + 1.0)[:, None, None] * np.eye(kk * kk) + right + left
+        u, sv, vt = np.linalg.svd(ops)
+        singular = sv[:, -1] <= 1e-12 * np.maximum(1.0, sv[:, 0])
+        if singular.any():
+            raise SeriesResonanceError(
+                f"coefficient solve is singular at order {lo + int(np.argmax(singular))}"
+            )
+        return np.swapaxes(vt, 1, 2) / sv[:, None, :] @ np.swapaxes(u, 1, 2)
+
+    inv = inverses(1, ln if least is None else min(least, ln))
     # rows of blocks [g[0] g[1] ...] and [a[0]^T a[1]^T ...]
     g_row = g.transpose(1, 0, 2).reshape(kk, ln * kk)
     at_row = a.transpose(2, 0, 1).reshape(kk, ln * kk)
@@ -330,6 +338,8 @@ def blowup_series(system: CaseSystem) -> np.ndarray:
     gy[0] = g[0] @ s_star
     rev_col, gy_col = rev.reshape(ln * kk, kk), gy.reshape(ln * kk, kk)
     for k in range(1, ln):
+        if k > len(inv):
+            inv = np.concatenate([inv, inverses(k, ln)])
         known = rev_col[(ln - k) * kk :]  # S1[k-1], ..., S1[0]
         # the order-k part of G S1 without its unknown g[0] S1[k]
         gy_k = g_row[:, kk : (k + 1) * kk] @ known
@@ -339,6 +349,10 @@ def blowup_series(system: CaseSystem) -> np.ndarray:
         y = (inv[k - 1] @ (0.5 * (rhs + rhs.T)).ravel()).reshape(kk, kk)
         rev[ln - 1 - k] = 0.5 * (y + y.T)
         gy[k] = gy_k + g[0] @ rev[ln - 1 - k]
+        if least is not None and k + 1 >= least:
+            solved = rev[ln - 1 - k :][::-1]
+            if _tail_within(np.linalg.norm(solved, axis=(1, 2)), START_MAX):
+                return solved.copy()
     return rev[::-1].copy()
 
 
@@ -364,7 +378,7 @@ def series_start(stack: np.ndarray) -> float:
     Admissible means the tail test of :func:`_tail_within` passes there.
     """
 
-    norms = np.array([np.linalg.norm(c) for c in np.asarray(stack, dtype=float)])
+    norms = np.linalg.norm(np.asarray(stack, dtype=float), axis=(1, 2))
     for j in range(MAX_SHRINKS + 1):
         t0 = START_MAX * 0.8**j
         if _tail_within(norms, t0):
@@ -383,18 +397,20 @@ def first_jet_continuation(
     grid: np.ndarray,
     *,
     nterms: int = DEFAULT_NTERMS,
+    least: int | None = None,
 ) -> JacobiTrace:
     """Continue the curve through the singular instant up to the handover time.
 
     ``case`` is the chart transform data of the incoming plane
-    (:func:`first_jet_case`).  The block system is conjugated and the
-    blown-up series built at ``nterms`` orders, the series' length; the
-    caller picks it (the CLI tries half its cap first).  The handover time
-    t_h is ``series_start``, or the last grid point if the grid ends first.
+    (:func:`first_jet_case`).  The block system is conjugated at ``nterms``
+    orders and the blown-up series solved to that length, or stopped from
+    ``least`` on (:func:`blowup_series`).  The handover time t_h is
+    ``series_start``, or the last grid point if the grid ends first.
     The returned curve holds the summed series planes at the grid points
     below t_h and at t_h itself, its last time, as the frames
     ``minv @ [I; t S1(t)]``, not canonicalised: a caller that maps them on
-    canonicalises once, after its own map.
+    canonicalises once, after its own map.  The diagnostics add the
+    ``equilibrium`` ``S1(0)`` and the series' length ``series_order``.
     """
 
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -405,7 +421,7 @@ def first_jet_continuation(
 
     system = case_system(coeffs, case, nterms=nterms)
     kk = system.k
-    stack = blowup_series(system)
+    stack = blowup_series(system, least)
     t0 = series_start(stack)
 
     t_h = min(t0, float(grid[-1]))
@@ -416,4 +432,5 @@ def first_jet_continuation(
     planes = case.minv @ frames
 
     curve = GrassmannCurve(times=times, planes=planes)
-    return JacobiTrace(curve=curve, diagnostics={"series_start": t0, "equilibrium": stack[0]})
+    return JacobiTrace(curve=curve, diagnostics={"series_start": t0, "equilibrium": stack[0],
+                                                 "series_order": len(stack)})

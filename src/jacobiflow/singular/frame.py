@@ -170,17 +170,21 @@ class NormalFormCoefficients:
 class NormalFormFrame:
     """The one record of the marked instant 0: the series frame and its block system.
 
-    ``frame`` is the ``(L, 2n, 2n)`` coefficient stack of ``M(t)``, evaluated
-    by :func:`~jacobiflow.series.meval`; ``coeffs`` is the block system it
-    gives, and holds the order ``m``, the block size ``k`` and ``b_m``.
-    ``sigma_xxdot`` is ``sigma(X, X')(0)`` and ``symplectic_residual`` the
-    scaled residual of ``M^T J M = J`` over the series.
+    ``frame`` is the ``(P, 2n, 2n)`` coefficient stack of ``M(t)``, evaluated
+    by :func:`~jacobiflow.series.meval`: the P orders of the longest prefix
+    of the build whose residual checks pass.  ``coeffs`` is the block system
+    it gives, and holds the order ``m``, the block size ``k`` and ``b_m``.
+    ``orders`` are the orders the series may be summed at: the passing
+    prefix lengths from the lowest admissible one, N0, up to P.
+    ``residuals[L - 1]`` is the scaled residual of ``M^T J M = J`` over the
+    first ``L`` orders, and ``sigma_xxdot`` is ``sigma(X, X')(0)``.
     """
 
     frame: np.ndarray
     coeffs: NormalFormCoefficients
     sigma_xxdot: float
-    symplectic_residual: float
+    residuals: np.ndarray
+    orders: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +192,19 @@ class NormalFormFrame:
 # ---------------------------------------------------------------------------
 
 
-def _local_data(data, nterms: int) -> tuple[np.ndarray, np.ndarray]:
+def _local_data(data, nterms: int) -> tuple[np.ndarray, np.ndarray, int]:
     """The series of ``b`` and ``X`` of the piece of ``data`` right of 0,
-    padded to ``nterms`` orders; the pieces are polynomials in ``t`` itself."""
+    padded to ``nterms`` orders, and the highest order of a nonzero
+    coefficient of either; the pieces are polynomials in ``t`` itself."""
     piece = data.piece_index(0.0)
-    return _pad(data.b_pieces[piece], nterms), _pad(data.x_pieces[piece].T, nterms)
+    b, x = data.b_pieces[piece], data.x_pieces[piece]
+    degree = max(np.flatnonzero(b).max(initial=0), np.flatnonzero(x.any(axis=0)).max(initial=0))
+    return _pad(b, nterms), _pad(x.T, nterms), int(degree)
+
+
+def _upto(a: np.ndarray) -> np.ndarray:
+    """The largest ``|entry|`` of the stack ``a`` over each prefix of its orders."""
+    return np.maximum.accumulate(np.abs(a).reshape(len(a), -1).max(axis=1, initial=0.0))
 
 
 def _vanishing_order(b_loc: np.ndarray) -> int:
@@ -301,12 +313,16 @@ def build_normal_frame(data, *, nterms: int = DEFAULT_NTERMS) -> NormalFormFrame
     ``B(2,2)(0)``, which is ``-sigma(f2'(0), f2(0))``, is not below
     ``-1e-10``, ``f2`` is sheared by ``kappa t e2`` with the ``kappa`` that
     makes it ``-1``, so ``coeffs.b22[0]`` reads ``-1`` to rounding then.
-    The residual checks take the largest coefficient over all ``nterms``
-    orders, and the top orders carry rounding that grows with the order, so
-    the CLI builds at half its cap first and at the cap only where the data
-    reach past that order or that series falls short of its radius.
+
+    The top orders carry rounding that grows with the order, so each
+    residual check is read over every prefix: the first ``L`` orders of the
+    frame and the first ``L - 1`` of its block system, which an ``L``-order
+    build would check.  N0 is half of ``nterms``, or one past the data's
+    degree where that is more (at most ``nterms``), so no prefix cuts the
+    data.  Where no prefix from N0 on passes, the build is refused with the
+    first check that fails over all ``nterms`` orders.
     """
-    b_loc, x = _local_data(data, nterms)
+    b_loc, x, degree = _local_data(data, nterms)
     m = _vanishing_order(b_loc)
     if m >= 1 and b_loc[m] > 0.0:
         raise SingularityError("leading weight coefficient must be negative")
@@ -335,11 +351,7 @@ def build_normal_frame(data, *, nterms: int = DEFAULT_NTERMS) -> NormalFormFrame
     both = mconv(inv, np.concatenate([frame, _pad(sder(frame), nterms)], axis=2))
     res = both[:, :, :dim]
     res[0] -= np.eye(dim)
-    sym_res = float(np.max(np.abs(res))) / max(1.0, float(np.max(np.abs(frame))) ** 2)
-    if sym_res > SYMPLECTIC_TOL:
-        raise NondegeneracyError(
-            f"frame symplectic residual {sym_res:.2e} exceeds {SYMPLECTIC_TOL:.0e}"
-        )
+    sym = _upto(res) / np.maximum(1.0, _upto(frame)) ** 2
 
     g_mat = -both[: nterms - 1, :, dim:]
     ps = list(range(k))
@@ -347,24 +359,29 @@ def build_normal_frame(data, *, nterms: int = DEFAULT_NTERMS) -> NormalFormFrame
     comp = [i for i in range(dim) if i not in ps + qs]
     b_an = g_mat[:, ps, :][:, :, qs]
     c_blk = g_mat[:, qs, :][:, :, ps]
-    scale = max(1.0, float(np.max(np.abs(b_an))), float(np.max(np.abs(c_blk))))
-    a_res = float(np.max(np.abs(g_mat[:, ps, :][:, :, ps]))) / scale
-    if a_res > BLOCK_TOL:
-        raise NondegeneracyError(f"diagonal block of the reduced system is not zero ({a_res:.2e})")
+    scale = np.maximum(1.0, np.maximum(_upto(b_an), _upto(c_blk)))
+    # (value over the prefixes of 2 .. nterms orders, tolerance, refusal)
+    checks = [(sym[1:], SYMPLECTIC_TOL,
+               f"frame symplectic residual {{:.2e}} exceeds {SYMPLECTIC_TOL:.0e}"),
+              (_upto(g_mat[:, ps, :][:, :, ps]) / scale, BLOCK_TOL,
+               "diagonal block of the reduced system is not zero ({:.2e})")]
     if k == 2:
-        c_off = max(float(np.max(np.abs(c_blk[:, 0, 1]))),
-                    float(np.max(np.abs(c_blk[:, 1, 0])))) / scale
-        if c_off > BLOCK_TOL:
-            raise NondegeneracyError(f"reduced C block is not diagonal ({c_off:.2e})")
-        b_asym = float(np.max(np.abs(b_an[:, 0, 1] - b_an[:, 1, 0]))) / scale
-        if b_asym > BLOCK_TOL:
-            raise NondegeneracyError(f"reduced B block is not symmetric ({b_asym:.2e})")
-    if comp and max(float(np.max(np.abs(g_mat[:, ps + qs, :][:, :, comp]))),
-                    float(np.max(np.abs(g_mat[:, comp, :][:, :, ps + qs])))) / scale > BLOCK_TOL:
-        raise NondegeneracyError(
-            "singular block couples to the skew complement; the derivative span "
-            "of X does not close at this instant"
-        )
+        checks += [(np.maximum(_upto(c_blk[:, 0, 1]), _upto(c_blk[:, 1, 0])) / scale, BLOCK_TOL,
+                    "reduced C block is not diagonal ({:.2e})"),
+                   (_upto(b_an[:, 0, 1] - b_an[:, 1, 0]) / scale, BLOCK_TOL,
+                    "reduced B block is not symmetric ({:.2e})")]
+    checks.append((np.maximum(_upto(g_mat[:, ps + qs, :][:, :, comp]),
+                              _upto(g_mat[:, comp, :][:, :, ps + qs])) / scale, BLOCK_TOL,
+                   "singular block couples to the skew complement; the derivative span "
+                   "of X does not close at this instant"))
+    passed = np.logical_and.reduce([value <= tol for value, tol, _ in checks])
+    least = min(max(nterms // 2, degree + 1), nterms)
+    orders = tuple(int(p) for p in np.flatnonzero(passed[least - 2:]) + least)
+    if not orders:
+        value, _, refusal = next(check for check in checks if not check[0][-1] <= check[1])
+        raise NondegeneracyError(refusal.format(value[-1]))
+    length = orders[-1]
+    frame, b_an, c_blk = frame[:length], b_an[: length - 1], c_blk[: length - 1]
 
     if k == 2:
         coeffs = NormalFormCoefficients(
@@ -385,4 +402,4 @@ def build_normal_frame(data, *, nterms: int = DEFAULT_NTERMS) -> NormalFormFrame
         )
 
     return NormalFormFrame(frame=frame, coeffs=coeffs, sigma_xxdot=float(s1[0]),
-                           symplectic_residual=sym_res)
+                           residuals=sym[:length], orders=orders)

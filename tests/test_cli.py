@@ -1,5 +1,6 @@
 """Exit codes and byte-stable outputs of the command line front end."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -19,7 +20,7 @@ from helpers import continued, jet_case, random_lagrangian
 from jacobiflow import cli, engine, flows
 from jacobiflow.cli import DEFAULT_U0, DEFAULT_V0, main
 from jacobiflow.engine import PiecewiseAnalytic, singular_jacobi_curve
-from jacobiflow.errors import JacobiflowError
+from jacobiflow.errors import JacobiflowError, RadiusError
 from jacobiflow.flows import flow_plane
 from jacobiflow.grassmann import (
     _chart_matrix,
@@ -728,21 +729,29 @@ def test_an_overflowing_legendre_sequence_is_one_error_object(tmp_path, capsys):
 GOLDEN_X = np.array([[1, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0.5, 0]], dtype=float)
 
 
-def _normal_form_route(config: cli.ScenarioConfig, frame) -> np.ndarray:
+def _normal_form_route(config: cli.ScenarioConfig, frame, order: int) -> np.ndarray:
     """The planes of a degeneracy trace as the normal-form route computes them
     on ``frame``: the plane moved to grid.t1 in normal-form coordinates (the
-    first-jet window at the frame's length and a march from its end for
-    m <= 2, the epsilon family and a march over the grid for m >= 3), then
-    mapped through the frame M(t) at every node."""
+    first-jet window the trace solves and a march from its end for m <= 2,
+    the epsilon family and a march over the grid for m >= 3), then mapped
+    through the frame M(t), summed at ``order`` orders, at every node."""
     grid = config.grid
     l0 = canonicalize(symplectic_inverse(meval(frame.frame, 0.0)) @ config.initial_plane)
     if frame.coeffs.m <= 2:
-        _, planes = continued(frame.coeffs, jet_case(l0), grid, nterms=len(frame.frame))
+        _, planes = continued(frame.coeffs, jet_case(l0), grid, nterms=len(frame.frame),
+                              least=frame.orders[0])
     else:
         eps = [e for e in config.tolerances["eps_family"] if e < grid[0]]
         start = epsilon_family_oracle(frame.coeffs.system, l0, float(grid[0]), eps)[-1]
         planes = flow_plane(frame.coeffs.system, start, grid).planes
-    return canonicalize(meval(frame.frame, grid) @ planes)
+    return canonicalize(meval(frame.frame[:order], grid) @ planes)
+
+
+def _summed_order(frame, t: float) -> int | None:
+    """The trace's rule for the order of the frame series summed up to ``t``:
+    the smallest admissible order whose tail passes at ``t``, if any."""
+    norms = np.linalg.norm(frame.frame, axis=(1, 2))
+    return next((n for n in frame.orders if _tail_within(norms[:n], t)), None)
 
 
 def _dx(entries: dict) -> list[float]:
@@ -750,71 +759,123 @@ def _dx(entries: dict) -> list[float]:
     return [entries.get(i, 0.0) for i in range(16)]
 
 
-def _cubic(dx, m: int, t1: float, seed: int, eps_family, **tolerances) -> cli.ScenarioConfig:
+def _cubic(dx, m: int, t1: float, seed: int, eps_family, *, t0: float = 0.01,
+           **tolerances) -> cli.ScenarioConfig:
     """The degeneracy trace of b = -t^m and X = GOLDEN_X + dx from a random plane
-    over 12 nodes from 0.01 to ``t1``."""
+    over 12 nodes from ``t0`` to ``t1``."""
     data = PiecewiseAnalytic(breakpoints=[-1.0, 1.0], b_pieces=[[0.0] * m + [-1.0]],
                              x_pieces=[GOLDEN_X + np.reshape(dx, (4, 4))])
     return cli.ScenarioConfig(
         n=2, mode="legendre_degeneracy", data={"piecewise": data},
         initial_plane=random_lagrangian(np.random.default_rng(seed), 2),
-        grid=np.linspace(0.01, t1, 12),
+        grid=np.linspace(t0, t1, 12),
         tolerances=dict(cli.DEFAULT_TOLERANCES, eps_family=eps_family, **tolerances), seed=0)
+
+
+def _planes(rows) -> np.ndarray:
+    return np.array([row[1:9] for row in rows]).reshape(-1, 4, 2)
+
+
+# X1 and X2 carry rounding in the top orders of their 40-order frames, which
+# the residual checks refuse there (a diagonal block of 1.6e-8, a symplectic
+# residual of 2.5e-5); the checks pass up to 36 and 30 orders
+X1 = _dx({5: 0.25, 15: 0.25})
+X2 = _dx({14: -0.25, 15: 0.1875})
+# a frame whose checks pass at 20 and 21 orders only: its blown-up series does
+# not reach START_MAX at 21 orders.  While a short series rebuilt the frame at
+# the cap for a trace alone, which refused it, classify and jump exited 0 and
+# the trace exited 3
+SHORT = _dx({0: -0.25, 1: -0.25, 2: 0.25, 3: 0.25, 5: 0.25, 6: 0.25, 7: -0.25, 9: 0.25,
+             10: -0.25, 11: 0.25, 13: -0.25, 14: -0.25, 15: -0.25})
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.floats(-0.25, 0.25), min_size=16, max_size=16),
        st.sampled_from([2, 3]), st.floats(0.05, 0.5), st.integers(0, 2**32 - 1),
        st.sampled_from([(1e-3,), (1e-3, 1e-4)]))
-# X whose 40-term normal frame is refused, by a nonzero diagonal block of
-# the reduced system (1.6e-8) and by a frame symplectic residual of 2.5e-5:
-# the top orders carry that rounding.  The order rule keeps their 20-term
-# frames, so both reach the agreement assertion.  The first ends at 0.4: at
-# 0.5 its 20-term series fails the tail test (a bound of 1.5e-9), and the
-# route there would need the refused cap
-@example(_dx({5: 0.25, 15: 0.25}), 2, 0.4, 0, (1e-3,))
-@example(_dx({14: -0.25, 15: 0.1875}), 3, 0.5, 0, (1e-3,))
+# X1 and X2 up to 0.5, where the route sums 22 and 20 orders of their
+# frames, and SHORT up to 0.2, where its 20 orders pass: the frame keeps the
+# orders whose checks pass, so each reaches the agreement assertion
+@example(X1, 2, 0.5, 0, (1e-3,))
+@example(X1, 3, 0.5, 0, (1e-3,))
+@example(X2, 3, 0.5, 0, (1e-3,))
+@example(SHORT, 2, 0.2, 3, (1e-3,))
 # an order-3 family of two members: the second joins the stack at 1e-3
 @example(_dx({}), 3, 0.5, 0, (1e-3, 1e-4))
 def test_handover_trace_agrees_with_the_normal_form_route(dx, m, t1, seed, eps_family):
     # random cubic X around the golden one, where the frame series is summed
     # up to t1: there both routes hold, and the handover changes the planes
-    # by the transport error only.  The route sums the frame the trace builds
-    # first, at half the cap, and the cap's only where that is refused.  For
-    # m = 3 the trace marches the epsilon family on the data's own system and
-    # the normal-form route on the block system, so the two families are
-    # independent
+    # by the transport error only.  The route takes the one frame the trace
+    # builds and sums it at the order the trace's rule picks for t1, the
+    # largest time the route sums it at.  For m = 3 the trace marches the
+    # epsilon family on the data's own system and the normal-form route on
+    # the block system, so the two families are independent
     config = _cubic(dx, m, t1, seed, eps_family)
-    data, nterms = config.data["piecewise"], config.tolerances["nterms"]
     try:
-        frame = build_normal_frame(data, nterms=nterms // 2)
-    except JacobiflowError:
+        frame = build_normal_frame(config.data["piecewise"], nterms=config.tolerances["nterms"])
+    except JacobiflowError as exc:
+        # an X the normal form refuses: the trace refuses it the same way
+        with pytest.raises(JacobiflowError) as refused:
+            cli.run(config, "trace")
+        assert type(refused.value) is type(exc)
+        assume(False)
+    order = _summed_order(frame, t1)
+    assume(order is not None)
+    planes = _planes(cli.run(config, "trace").rows)
+    assert np.max(plane_distance(planes, _normal_form_route(config, frame, order))) < 1e-9
+
+
+@pytest.mark.parametrize("dx, order", [(X1, 22), (X2, 20)])
+def test_an_order_3_grid_from_one_half_sums_the_lowest_order_that_passes(dx, order):
+    # over a grid from 0.5 the frame is summed at 0.5: X1's 20 orders fail the
+    # tail test there and its 40 are refused, so it exited 3 while two build
+    # orders were tried; 22 orders pass.  X2's checks fail above 30 orders
+    # and its tail fails at 22, so it runs at 20, the lowest admissible order.
+    # The route sums the frame at that order up to 0.6, where it is within
+    # 6e-11 of all the orders the frame keeps
+    config = _cubic(dx, 3, 0.6, 0, (1e-3, 1e-4), t0=0.5)
+    frame, summed, _, _ = cli._local_frame(config, "trace")
+    assert summed == order
+    planes = _planes(cli.run(config, "trace").rows)
+    assert np.max(plane_distance(planes, _normal_form_route(config, frame, order))) < 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.floats(-0.25, 0.25), min_size=16, max_size=16),
+       st.sampled_from([1, 2, 3]), st.floats(0.05, 0.5), st.integers(0, 2**32 - 1))
+@example(SHORT, 1, 0.5, 3)
+@example(X1, 3, 0.5, 0)
+def test_classify_jump_and_trace_refuse_alike(dx, m, t1, seed):
+    # every verb reads the one frame of the singular instant, so a config is
+    # refused by all of them or by none, with one error class; only a trace
+    # sums the frame series over the grid, so only a trace refuses its radius
+    config = _cubic(dx, m, t1, seed, (1e-3,))
+
+    def refusal(verb):
         try:
-            frame = build_normal_frame(data, nterms=nterms)
+            cli.run(config, verb)
         except JacobiflowError as exc:
-            # an X the normal form refuses at both orders: the trace refuses
-            # it the same way as the cap
-            with pytest.raises(JacobiflowError) as refused:
-                cli.run(config, "trace")
-            assert type(refused.value) is type(exc)
-            assume(False)
-    assume(_tail_within(np.linalg.norm(frame.frame, axis=(1, 2)), t1))
-    out = cli.run(config, "trace")
-    planes = np.array([row[1:9] for row in out.rows]).reshape(-1, 4, 2)
-    assert np.max(plane_distance(planes, _normal_form_route(config, frame))) < 1e-9
+            return type(exc)
+        return None
+
+    classify, jump, trace = map(refusal, ("classify", "jump", "trace"))
+    assert jump is classify
+    assert trace is classify or (classify is None and trace is RadiusError)
 
 
 @pytest.mark.parametrize("name, plane, start", [
     ("degen_m2", [[1, 0], [0, 1], [0.652568, 0.51327], [0.51327, 0.348148]], 0.0262144),
     ("degen_m1", [[1, 0], [0, 1], [0.383513, -0.46916], [-0.46916, 0.459841]], 0.0512),
 ])
-def test_a_short_window_falls_back_to_the_cap(name, plane, start):
+def test_a_short_window_solves_the_blown_up_series_to_the_frame_length(name, plane, start):
     # start planes of the seed-0 jet round (degen_m2_v12, degen_m1_v18) whose
-    # blown-up series at half the cap's 40 orders ends below START_MAX: the
-    # trace rebuilds the frame and the series at the cap, whose series_start
-    # it reads, as it did when every trace used the cap
+    # blown-up series ends below START_MAX at every length from the lowest
+    # admissible order, 20, on: it is solved to all 40 orders of the frame,
+    # whose series_start the trace reads, as it did when every trace used the cap
     config = cli.parse_scenario(CORPUS / f"{name}.json")
     config.initial_plane = np.array(plane, dtype=float)
+    window = cli._local_frame(config, "trace")[3]
+    assert window.diagnostics["series_order"] == 40
     assert cli.run(config, "trace").summary["series_start"] == pytest.approx(start, rel=1e-12)
     config.tolerances["nterms"] = 20
     assert cli.run(config, "trace").summary["series_start"] < 0.8 * start
@@ -830,9 +891,9 @@ def test_a_short_window_falls_back_to_the_cap(name, plane, start):
     ("classify", [0.0, -1e-13] + [0.0] * 19 + [-1.0], 0.0),
 ])
 def test_data_past_half_the_cap_are_read_at_the_cap(monkeypatch, verb, b, top):
-    # data with a coefficient of order nterms // 2 or above: the half-length
-    # frame would cut it off, so the trace builds at the cap, as every
-    # trace did before the order rule, and reads what the cap reads
+    # data with a coefficient of order nterms // 2 or above: the frame is
+    # built from all of them, and no order below one past their degree is
+    # admissible, so no sum cuts them off
     x = np.zeros((4, 22))
     x[:, :4] = GOLDEN_X
     x[0, 21] = top
@@ -843,16 +904,22 @@ def test_data_past_half_the_cap_are_read_at_the_cap(monkeypatch, verb, b, top):
         initial_plane=np.array([[1, 0], [0, 1], [0.3, 0.2], [0.2, -0.5]], dtype=float),
         grid=np.linspace(0.5, 0.9, 5),
         tolerances=dict(cli.DEFAULT_TOLERANCES, eps_family=(1e-3, 1e-4)), seed=0)
-    out = cli.run(config, verb)
-    build, cap = cli.build_normal_frame, config.tolerances["nterms"]
-    monkeypatch.setattr(cli, "build_normal_frame", lambda data, nterms: build(data, nterms=cap))
-    at_cap = cli.run(config, verb)
-    assert out.rows == at_cap.rows
+    frame, order, summary, _ = cli._local_frame(config, verb)
+    assert frame.orders[0] == 22 and order >= 22
+    if verb == "classify":
+        assert summary["m"] == 21
+        return
+    # the frame has no orders above 23, so its sum at N is its sum at P, all
+    # the orders it keeps: a trace that must sum all of them reads the same
+    # rows and the same summary
+    assert summary["m"] == 3
+    out, build = cli.run(config, "trace"), cli.build_normal_frame
+    monkeypatch.setattr(cli, "build_normal_frame", lambda data, nterms: dataclasses.replace(
+        build(data, nterms=nterms), orders=(len(frame.frame),)))
+    at_p = cli.run(config, "trace")
+    assert out.rows == at_p.rows
     assert ({k: v for k, v in out.summary.items() if k != "events"}
-            == {k: v for k, v in at_cap.summary.items() if k != "events"})
-    assert out.summary["m"] == (3 if verb == "trace" else 21)
-
-
+            == {k: v for k, v in at_p.summary.items() if k != "events"})
 # order-3 X with X(0) off the coordinate axes, on which the handover test
 # above failed while the family marched in the data's coordinates: its steps
 # of size up to 1e6 next to the pole moved every coordinate by their

@@ -324,9 +324,10 @@ def test_corpus_timings_script_times_one_op():
     # degen_m3 trace, whose epsilon family marches the data's own system,
     # solves a dense stage system.  The Maslov pass counts 198 of the regular
     # trace's 199 intervals on the chart and one by the Souriau pass.  The
-    # degeneracy traces add their series orders: the corpus frames and the
-    # degen_m2 blown-up series reach their radius at half the cap's 40
-    # orders, and degen_m3 sums no blown-up series
+    # degeneracy traces add their series orders, read from the record the op
+    # built: each corpus frame keeps all 40 orders of its one build and is
+    # summed at half of them, the lowest admissible order, as is the degen_m2
+    # blown-up series, and degen_m3 sums no blown-up series
     script = SRC.parent / "tools" / "corpus_timings.py"
     out = subprocess.run([sys.executable, str(script), "--op", "regular.trace", "--op",
                           "degen_m2.trace", "--op", "degen_m3.trace", "--repeat", "1"],
@@ -345,11 +346,11 @@ def test_corpus_timings_script_times_one_op():
     assert work["regular.trace"] == {"batches": 2, "propagators": 300, "dense": 0,
                                      "chain_steps": 100, "qrs": 0, "chart_intervals": 198,
                                      "souriau_intervals": 1}
-    orders = ["frame_order", "series_order", "fallback"]
+    orders = ["frame_order", "frame_length", "series_order"]
     assert list(work["degen_m3.trace"]) == counts + orders
     assert work["degen_m3.trace"]["qrs"] > 0 and work["degen_m3.trace"]["dense"] == 0
     assert [work[op][key] for op in ("degen_m2.trace", "degen_m3.trace") for key in orders] == [
-        20, 20, 0, 20, 0, 0]
+        20, 40, 20, 20, 40, 0]
 
 
 def test_corpus_accuracy_script_measures_the_chosen_ops():

@@ -26,12 +26,13 @@ rank-one system's is four pairings, the steps of its frame chains
 (``flows._renormalise``).  Then come the Maslov pass's intervals: those
 counted on the chart (``chart_intervals``) and those counted by the Souriau
 pass (``souriau_intervals``).  A degeneracy op adds the series orders of its
-singular instant: the order of the normal frame it used (``frame_order``),
-the order of the blown-up series it summed (``series_order``, 0 for m >= 3,
-which sums none) and whether it fell back from half the cap to the cap
-(``fallback``, 1 where it built the frame twice).  These counts do not
-depend on the host, so they show a change of step control, of counting or
-of series order without the noise of the timings.
+singular instant, read from the record the op built: the order its normal
+frame series is summed at (``frame_order``, N, 0 where no order is
+admissible), the orders the frame keeps (``frame_length``, P) and the
+length of the blown-up series it summed (``series_order``, 0 for m >= 3,
+which sums none).  These counts do not depend on the host, so they show a
+change of step control, of counting or of series order without the noise
+of the timings.
 """
 
 from __future__ import annotations
@@ -103,12 +104,11 @@ def op_s(cli, op: str, out: Path, repeat: int) -> float:
 def counted(flows, maslov, cli):
     """Count the transport's and the Maslov pass's work while the block runs,
     by wrapping the kernel and the pass's helpers, and record the series
-    orders of a degeneracy op, by wrapping the CLI's frame and series
-    builders."""
+    orders of a degeneracy op from what the CLI's local frame returns."""
     counts = dict.fromkeys(COUNTS, 0)
     increments, chain, renormalise = flows._increments, flows._chain, flows._renormalise
     charted, turns = maslov._chart_matrix, maslov._turns
-    build, continuation = cli.build_normal_frame, cli.first_jet_continuation
+    local_frame = cli._local_frame
 
     def evaluated(sys, t, h):
         counts["batches"] += 1
@@ -138,28 +138,21 @@ def counted(flows, maslov, cli):
         counts["souriau_intervals"] += left.size
         return turns(w, left)
 
-    builds, sums = [], []
-
-    def framed(data, *, nterms):  # the frame built last is the one the op used
-        builds.append(nterms)
-        return build(data, nterms=nterms)
-
-    def summed(coeffs, case, grid, *, nterms):
-        sums.append(nterms)
-        return continuation(coeffs, case, grid, nterms=nterms)
+    def framed(config, verb):
+        frame, order, summary, window = local_frame(config, verb)
+        counts.update(frame_order=order or 0, frame_length=len(frame.frame),
+                      series_order=window.diagnostics["series_order"] if window else 0)
+        return frame, order, summary, window
 
     flows._increments, flows._chain, flows._renormalise = evaluated, chained, orthonormalised
     maslov._chart_matrix, maslov._turns = nodes, turned
-    cli.build_normal_frame, cli.first_jet_continuation = framed, summed
+    cli._local_frame = framed
     try:
         yield counts
     finally:
         flows._increments, flows._chain, flows._renormalise = increments, chain, renormalise
         maslov._chart_matrix, maslov._turns = charted, turns
-        cli.build_normal_frame, cli.first_jet_continuation = build, continuation
-    if builds:
-        counts.update(frame_order=builds[-1], series_order=sums[-1] if sums else 0,
-                      fallback=int(len(builds) > 1))
+        cli._local_frame = local_frame
 
 
 def op_counts(cli, op: str, out: Path) -> dict[str, int]:
