@@ -422,32 +422,57 @@ def _run_bangbang(config: ScenarioConfig) -> TraceOutput:
 
 
 def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
+    """The ladder of the degeneracy verbs, run once: classify, then the block
+    size check, then the jump, then the trace.  Each verb stops on its rung,
+    so a verb refuses what a shorter one refuses, with the same error."""
     data = config.data["piecewise"]
-    bps = data.breakpoints
-    seq = legendre_sequence(data, (float(bps[0]), float(bps[-1])))
+    seq = legendre_sequence(data, (float(data.breakpoints[0]), float(data.breakpoints[-1])))
     if seq.first_nonzero != 0:
         raise ConfigError(
             "data.b: weight is identically degenerate; this mode treats an isolated zero"
         )
-    frame, order, summary, window = _local_frame(config, verb)
+    frame, order, report, summary = _local_frame(config)
     columns = _trace_columns(config.n)
-    if verb in ("classify", "jump"):
+    if verb == "classify":
+        return TraceOutput(columns, [], summary)
+    coeffs = frame.coeffs
+    if coeffs.k != config.n:
+        raise ConfigError(
+            "n: continuation needs the degenerate block to fill the space "
+            f"(block size {coeffs.k}, n = {config.n})"
+        )
+    jump = jump_operator(config.initial_plane, data.x(0.0), report)
+    summary["events"] = [vars(jump)]
+    if verb == "jump":
         return TraceOutput(columns, [], summary)
 
     grid = config.grid
     rtol = config.tolerances["rtol"]
-    # the local theory up to the handover time t_h: the first-jet series window,
-    # in normal-form coordinates, for m <= 2, the epsilon family to grid.t0 for m >= 3
-    if window is None:
+    # M(0)'s first column is X(0), so M(0)^-1 maps the jump's post-jump plane
+    # to the extension of the incoming plane by e_1.  In these normal-form
+    # coordinates the local theory runs up to the handover time t_h: the
+    # first-jet series window for m <= 2, the epsilon family to grid.t0 for m >= 3
+    m0 = frame.frame[0]
+    m0_inv = symplectic_inverse(m0)
+    l0_nf = canonicalize(m0_inv @ config.initial_plane)
+    if coeffs.m <= 2:
+        case = first_jet_case(l0_nf, m0_inv @ jump.post_plane)
+        window = first_jet_continuation(coeffs, case, grid, nterms=len(frame.frame),
+                                        least=frame.orders[0],
+                                        tol_thresh=config.tolerances["tol_thresh"])
+        summary.update(jet_case=case.case, series_start=window.diagnostics["series_start"],
+                       equilibrium=window.diagnostics["equilibrium"])
+        times = window.curve.times
+    else:
         eps = [e for e in config.tolerances["eps_family"] if e < grid[0]]
         if not eps:
             raise ConfigError("tolerances.eps_family: no entry lies below grid.t0")
-    times = grid[:1] if window is None else window.curve.times
+        times = grid[:1]
     if order is None:
         raise RadiusError(f"handover time {float(times[-1])} lies past the radius of the "
                           "normal form series")
     series = frame.frame[:order]
-    if window is not None:
+    if coeffs.m <= 2:
         # M(t) maps the planes back at the nodes up to t_h
         local = canonicalize(meval(series, times) @ window.curve.planes)
     else:
@@ -456,9 +481,6 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
         # to the pole, up to about 1e6 in size, then move that coordinate alone
         # and do not round the plane away in the others.  Its deepest member is
         # the plane at t_h, and M(t_h)^-1 maps the members back
-        m0 = meval(series, 0.0)
-        m0_inv = symplectic_inverse(m0)
-        l0_nf = canonicalize(m0_inv @ config.initial_plane)
         at = meval(series, np.append(eps, times))
         family = m0 @ epsilon_family_oracle(_jacobi_system(data, data.piece_index(0.0), 0, m0_inv),
                                             m0_inv @ at[:-1] @ l0_nf, float(grid[0]), eps,
@@ -480,9 +502,10 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
     return TraceOutput(columns, rows, summary, flow)
 
 
-def _local_frame(config: ScenarioConfig, verb: str):
+def _local_frame(config: ScenarioConfig):
     """The normal frame of the singular instant, the order N its series is
-    summed at, and what ``verb`` reads of them.
+    summed at, its classification report and the summary every degeneracy
+    verb starts from.
 
     The frame is built once, at ``nterms`` orders, and keeps the P orders of
     its longest prefix that passes the residual checks
@@ -491,11 +514,8 @@ def _local_frame(config: ScenarioConfig, verb: str):
     sums the series at: ``START_MAX`` for m <= 2, grid.t0 for m >= 3.  The
     summary reads the residual over N orders.  Where no order passes, N is
     ``None``: a trace then refuses, and classify and jump read all P orders.
-    A trace with m <= 2 solves its blown-up series from the lowest
-    admissible order on, up to P, and returns its first-jet window.
     """
-    data = config.data["piecewise"]
-    frame = build_normal_frame(data, nterms=config.tolerances["nterms"])
+    frame = build_normal_frame(config.data["piecewise"], nterms=config.tolerances["nterms"])
     coeffs = frame.coeffs
     if coeffs.m == 0:
         raise ConfigError("data.b: weight does not vanish at the marked instant")
@@ -505,29 +525,7 @@ def _local_frame(config: ScenarioConfig, verb: str):
     report = classify_frame(frame, tol_thresh=config.tolerances["tol_thresh"])
     residual = float(frame.residuals[(order or len(frame.frame)) - 1])
     summary = {**vars(report), "symplectic_residual": residual, "events": []}
-    if verb == "classify":
-        return frame, order, summary, None
-
-    if coeffs.k != config.n:
-        raise ConfigError(
-            "n: continuation needs the degenerate block to fill the space "
-            f"(block size {coeffs.k}, n = {config.n})"
-        )
-    jump = jump_operator(config.initial_plane, data.x(0.0), report, time=0.0)
-    summary["events"] = [vars(jump)]
-    if verb == "jump" or coeffs.m > 2:
-        return frame, order, summary, None
-
-    # M(0)'s first column is X(0), so M(0)^-1 maps the jump's post-jump
-    # plane to the extension of the incoming plane by e_1
-    m0_inv = symplectic_inverse(meval(frame.frame, 0.0))
-    case = first_jet_case(canonicalize(m0_inv @ config.initial_plane), m0_inv @ jump.post_plane)
-    window = first_jet_continuation(coeffs, case, config.grid, nterms=len(frame.frame),
-                                    least=frame.orders[0])
-    summary["jet_case"] = case.case
-    summary["series_start"] = window.diagnostics["series_start"]
-    summary["equilibrium"] = window.diagnostics["equilibrium"]
-    return frame, order, summary, window
+    return frame, order, report, summary
 
 
 def _run_portrait(config: ScenarioConfig) -> TraceOutput:

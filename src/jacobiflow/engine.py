@@ -45,7 +45,7 @@ from .grassmann import (
     validate_lagrangian,
 )
 from .series import meval, sder, strim, vsigma
-from .symplectic import apply_j, dim_to_n, gram, isotropy_residual
+from .symplectic import TOL_ISO, apply_j, dim_to_n, gram, isotropy_residual
 
 __all__ = [
     "PiecewiseAnalytic",
@@ -345,17 +345,18 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
     if m > n:
         raise NondegeneracyError(f"order {m} exceeds n = {n}; no isotropic Goh span")
 
-    # boundary space
+    # boundary space, from the Goh span at t0: the first frame of the grid's stack
+    goh = goh_subspace(data, grid, m - 1)
+    drifts = _widths(goh) != m
     if m == 0:
         mu0 = l_init.copy()
     else:
-        goh0 = goh_subspace(data, t0, m - 1)
-        if goh0.shape[1] != m:
+        if drifts[0]:
             raise RankDriftError("Goh span has deficient rank at the interval start")
-        if isotropy_residual(goh0) > 1e-8:
+        if isotropy_residual(goh[0]) > TOL_ISO:
             raise PreconditionError("Goh span is not isotropic: order condition violated")
         mu0 = np.linalg.qr(l_init)[0]
-        for x in goh0.T:
+        for x in goh[0].T:
             mu0 = _meet(mu0, x)
         if mu0.shape[1] != n - m:
             raise NondegeneracyError(
@@ -383,9 +384,8 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
 
     # every node at once: the plane is span(Gamma^(m-1)(t), mu(t)); a node
     # fails with the error of the first check it fails, the earliest node first
-    goh = goh_subspace(data, grid, m - 1)
     planes = canonicalize(np.concatenate([goh, frames], axis=-1))
-    drifts, deficient = _widths(goh) != m, _widths(planes) != n
+    deficient = _widths(planes) != n
     if np.any(drifts | deficient):
         k = int(np.argmax(drifts | deficient))
         if drifts[k]:
@@ -430,7 +430,7 @@ def infinite_order_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
         raise PreconditionError("infinite-order arc must not cross breakpoints")
     # span of Taylor coefficients of X at t0 = right limit of the derivative span
     gamma = goh_subspace(data, t0, data.x_pieces[p].shape[1] - 1)
-    if isotropy_residual(gamma) > 1e-8:
+    if isotropy_residual(gamma) > TOL_ISO:
         raise PreconditionError("derivative span is not isotropic")
     plane = extend_by_isotropic(l_init, gamma)
     curve = GrassmannCurve(times=times, planes=np.repeat(plane[None], times.size, axis=0))

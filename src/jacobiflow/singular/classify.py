@@ -12,7 +12,9 @@ In the block normal form ``B(0) = diag(1/b_m, 0)`` and ``C`` is diagonal, so
 A relative band of width ``tol_thresh`` around each critical value (``p`` at
 ``-1/4`` and at 0, ``c11(0)`` at 0, relative to the larger of 1 and the
 ``C(0)`` entries) returns the ``Threshold`` verdict instead of guessing a
-side.
+side.  The first-jet continuation reads this rule too: its blown-up
+exponents are refused, and its ``delta`` taken, by
+:func:`classify_coefficients` (:func:`~jacobiflow.singular.firstjet.case_system`).
 """
 
 from __future__ import annotations

@@ -18,7 +18,9 @@ the post-jump plane is the zero point:
 
 The jump itself is :func:`~jacobiflow.singular.jump.jump_operator`'s:
 :func:`first_jet_case` takes the post-jump plane it gives and only checks
-that its chart covers it.
+that its chart covers it.  The order-two exponents are the classifier's:
+:func:`case_system` refuses by the rule of :mod:`~jacobiflow.singular.classify`
+at the ``tol_thresh`` it is given, as the jump does.
 
 The transformed block system keeps its pole in the same entry for all three
 transforms, so the conjugation is done numerically order by order instead of
@@ -51,6 +53,7 @@ from ..grassmann import (
     vertical_plane,
 )
 from ..series import _pad, meval, srecip
+from .classify import OSCILLATING, THRESHOLD, TOL_THRESH, classify_coefficients
 from .frame import DEFAULT_NTERMS, NormalFormCoefficients
 
 __all__ = [
@@ -65,7 +68,6 @@ __all__ = [
 ]
 
 CASE_TOL = 1e-9
-RESONANCE_TOL = 1e-6
 TAIL_TOL = 1e-10
 START_MAX = 0.1
 MAX_SHRINKS = 60
@@ -192,7 +194,7 @@ class CaseSystem:
     ``aprime``/``cprime`` are coefficient stacks of the analytic blocks,
     ``g`` is the stack of ``G(t) = t**2 * B'(t)`` (analytic for orders one
     and two), and ``b2`` is the leading weight coefficient.  ``d`` is the
-    discriminant root ``sqrt(1 + 4 c'11(0)/b2)`` for order two.
+    classifier's ``delta = sqrt(1 + 4 c11(0)/b2)`` for order two.
     """
 
     m: int
@@ -212,12 +214,15 @@ def case_system(
     case: JetCase,
     *,
     nterms: int = DEFAULT_NTERMS,
+    tol_thresh: float = TOL_THRESH,
 ) -> CaseSystem:
     """Conjugate the block system by the selected chart transform.
 
     The pole entry stays in the same place under all three transforms, so
     only the analytic stack compiled by ``coeffs`` is conjugated (order by
-    order); the pole series is added back into ``G`` afterwards.
+    order); the pole series is added back into ``G`` afterwards.  It refuses
+    by the verdict of ``classify_coefficients(coeffs, tol_thresh=tol_thresh)``:
+    ``Oscillating`` raises :class:`OscillatingError`, ``Threshold`` :class:`ResonanceError`.
     """
 
     kk = coeffs.k
@@ -242,23 +247,15 @@ def case_system(
     shift = 2 - coeffs.m
     g[shift:, 0, 0] += srb[: ln - shift]
 
-    b2 = coeffs.b_m
-    d = None
-    if coeffs.m == 2:
-        disc = 1.0 + 4.0 * cprime[0, 0, 0] / b2
-        if disc < -RESONANCE_TOL:
-            raise OscillatingError(
-                "blow-up discriminant is negative: the curve oscillates into the singularity"
-            )
-        if abs(disc) <= RESONANCE_TOL:
-            raise ResonanceError("blow-up discriminant vanishes to tolerance")
-        d = float(np.sqrt(disc))
-        if abs(d - 1.0) <= RESONANCE_TOL:
-            raise ResonanceError("blow-up exponents collide (discriminant root near one)")
+    report = classify_coefficients(coeffs, tol_thresh=tol_thresh)
+    if report.verdict == OSCILLATING:
+        raise OscillatingError("the curve oscillates into the singularity")
+    if report.verdict == THRESHOLD:
+        raise ResonanceError("blow-up exponents degenerate (threshold band)")
     return CaseSystem(
         m=coeffs.m,
-        b2=b2,
-        d=d,
+        b2=coeffs.b_m,
+        d=report.delta,
         aprime=aprime,
         cprime=cprime,
         g=g,
@@ -398,13 +395,15 @@ def first_jet_continuation(
     *,
     nterms: int = DEFAULT_NTERMS,
     least: int | None = None,
+    tol_thresh: float = TOL_THRESH,
 ) -> JacobiTrace:
     """Continue the curve through the singular instant up to the handover time.
 
     ``case`` is the chart transform data of the incoming plane
     (:func:`first_jet_case`).  The block system is conjugated at ``nterms``
     orders and the blown-up series solved to that length, or stopped from
-    ``least`` on (:func:`blowup_series`).  The handover time t_h is
+    ``least`` on (:func:`blowup_series`); ``tol_thresh`` is
+    :func:`case_system`'s.  The handover time t_h is
     ``series_start``, or the last grid point if the grid ends first.
     The returned curve holds the summed series planes at the grid points
     below t_h and at t_h itself, its last time, as the frames
@@ -419,7 +418,7 @@ def first_jet_continuation(
     if grid[0] <= 0.0 or (grid.size > 1 and not np.all(np.diff(grid) > 0)):
         raise PreconditionError("grid must be strictly increasing and start after zero")
 
-    system = case_system(coeffs, case, nterms=nterms)
+    system = case_system(coeffs, case, nterms=nterms, tol_thresh=tol_thresh)
     kk = system.k
     stack = blowup_series(system, least)
     t0 = series_start(stack)

@@ -174,6 +174,28 @@ def test_golden_jump_branches_are_byte_stable(tmp_path, scenario):
     _assert_golden(tmp_path, "trace", scenario, f"{scenario}.csv", f"{scenario}.csv.summary.json")
 
 
+# the degen_m1 data from M(0) P, P a plane of the normal-form coordinates
+# (p1, p2, q1, q2) that meets Sigma, the q-axes, so it has no chart matrix
+# over the momentum span and first_jet_case reads the dimension of the meet:
+# P = span{e_q2, e_q1 + e_p1 / 2} meets Sigma in a line (case 2), P = Sigma
+# is case 3
+@pytest.mark.parametrize("scenario, case", [("degen_m1_case2_short", 2),
+                                            ("degen_m1_case3_short", 3)])
+def test_golden_non_transversal_jet_cases_are_byte_stable(tmp_path, scenario, case):
+    _assert_golden(tmp_path, "trace", scenario, f"{scenario}.csv", f"{scenario}.csv.summary.json")
+    assert json.loads((GOLDEN / f"{scenario}.csv.summary.json").read_text())["jet_case"] == case
+
+
+def test_golden_start_plane_outside_the_chart_classes_is_refused(tmp_path, capsys):
+    # P = span{e_q1, e_p2} meets Sigma in a line, and the case-2 transform
+    # does not cover it: the measure-zero position no transform covers
+    assert main(["trace", str(GOLDEN / "degen_m1_uncovered_short.json"),
+                 "--out", str(tmp_path / "o.csv")]) == 3
+    [err] = _errors(capsys)
+    assert (err["error"], err["stage"]) == ("ChartError", "run")
+    assert "outside the chart classes" in err["message"]
+
+
 def test_golden_block_smaller_than_the_space_classifies_and_refuses_the_jump(tmp_path, capsys):
     # X = (1, 0, t, 0) spans two dimensions with its derivatives in n = 2: a
     # k = 1 frame completed by the coordinate pool; the classification stands,
@@ -641,10 +663,10 @@ def test_no_trace_evaluates_the_frame_past_the_handover(tmp_path, monkeypatch, n
     t_h = grid["t0"] if summary["m"] >= 3 else min(summary["series_start"], grid["t1"])
     assert max(taus) == t_h
     if summary["m"] >= 3:
-        # M(0) gives the normal-form coordinates, the family marches the data's
-        # own system from M(eps) L0, and M(t_h) maps its members back to
-        # normal-form coordinates: nothing else
-        assert taus == [0.0, 1e-3, t_h]
+        # M(0), the frame's first coefficient, gives the normal-form
+        # coordinates, the family marches the data's own system from M(eps) L0,
+        # and M(t_h) maps its members back to normal-form coordinates: nothing else
+        assert taus == [1e-3, t_h]
     assert len(_frames(out)[0]) == grid["steps"]
 
 
@@ -834,7 +856,7 @@ def test_an_order_3_grid_from_one_half_sums_the_lowest_order_that_passes(dx, ord
     # The route sums the frame at that order up to 0.6, where it is within
     # 6e-11 of all the orders the frame keeps
     config = _cubic(dx, 3, 0.6, 0, (1e-3, 1e-4), t0=0.5)
-    frame, summed, _, _ = cli._local_frame(config, "trace")
+    frame, summed, _, _ = cli._local_frame(config)
     assert summed == order
     planes = _planes(cli.run(config, "trace").rows)
     assert np.max(plane_distance(planes, _normal_form_route(config, frame, order))) < 1e-9
@@ -863,20 +885,59 @@ def test_classify_jump_and_trace_refuse_alike(dx, m, t1, seed):
     assert trace is classify or (classify is None and trace is RadiusError)
 
 
+@pytest.mark.parametrize("c, tolerances, refusal", [
+    # p = c11(0)/b_m = -1/c at b = c t^2: 5e-7, 4e-7 and 3.3e-7 lie outside
+    # the classifier's band |p| <= tol_thresh/4 at p = 0, but inside the band
+    # |delta - 1| <= 1e-6 of the continuation's own rule, which had the trace
+    # raise ResonanceError where classify and jump exited 0
+    (-2e6, {}, None), (-2.5e6, {}, None), (-3e6, {}, None),
+    # p = 2.5e-7 and 2e-7 lie inside the band of both rules
+    (-4e6, {}, "UndecidedError"), (-5e6, {}, "UndecidedError"),
+    # the scenario's tol_thresh widens the band for every verb, and narrows it:
+    # at p = 1e-8 the continuation's fixed 1e-6 refused the trace
+    (-2.5e6, {"tol_thresh": 1e-5}, "UndecidedError"),
+    (-1e8, {"tol_thresh": 1e-9}, None),
+])
+def test_order_two_exponents_are_decided_by_the_classifier_alone(tmp_path, capsys, c,
+                                                                  tolerances, refusal):
+    # the corpus degen_m2 data with b = c t^2: classify reports the verdict,
+    # and jump and trace refuse a Threshold verdict alike at the scenario's
+    # tolerance, or both run
+    raw = json.loads((CORPUS / "degen_m2.json").read_text())
+    raw["data"]["b"] = [[0, 0, c]]
+    raw["tolerances"] = tolerances
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(raw))
+    outcomes = {}
+    for verb in ("classify", "jump", "trace"):
+        code = main([verb, str(path), "--out", str(tmp_path / f"{verb}.csv")])
+        outcomes[verb] = code, [err["error"] for err in _errors(capsys)]
+    assert outcomes["classify"] == (0, [])
+    refused = (0, []) if refusal is None else (3, [refusal])
+    assert outcomes["jump"] == outcomes["trace"] == refused
+
+
 @pytest.mark.parametrize("name, plane, start", [
     ("degen_m2", [[1, 0], [0, 1], [0.652568, 0.51327], [0.51327, 0.348148]], 0.0262144),
     ("degen_m1", [[1, 0], [0, 1], [0.383513, -0.46916], [-0.46916, 0.459841]], 0.0512),
 ])
-def test_a_short_window_solves_the_blown_up_series_to_the_frame_length(name, plane, start):
+def test_a_short_window_solves_the_blown_up_series_to_the_frame_length(monkeypatch, name,
+                                                                       plane, start):
     # start planes of the seed-0 jet round (degen_m2_v12, degen_m1_v18) whose
     # blown-up series ends below START_MAX at every length from the lowest
     # admissible order, 20, on: it is solved to all 40 orders of the frame,
     # whose series_start the trace reads, as it did when every trace used the cap
     config = cli.parse_scenario(CORPUS / f"{name}.json")
     config.initial_plane = np.array(plane, dtype=float)
-    window = cli._local_frame(config, "trace")[3]
-    assert window.diagnostics["series_order"] == 40
+    windows, continuation = [], cli.first_jet_continuation
+
+    def recorded(*args, **kwargs):
+        windows.append(continuation(*args, **kwargs))
+        return windows[-1]
+
+    monkeypatch.setattr(cli, "first_jet_continuation", recorded)
     assert cli.run(config, "trace").summary["series_start"] == pytest.approx(start, rel=1e-12)
+    assert windows[0].diagnostics["series_order"] == 40
     config.tolerances["nterms"] = 20
     assert cli.run(config, "trace").summary["series_start"] < 0.8 * start
 
@@ -904,7 +965,7 @@ def test_data_past_half_the_cap_are_read_at_the_cap(monkeypatch, verb, b, top):
         initial_plane=np.array([[1, 0], [0, 1], [0.3, 0.2], [0.2, -0.5]], dtype=float),
         grid=np.linspace(0.5, 0.9, 5),
         tolerances=dict(cli.DEFAULT_TOLERANCES, eps_family=(1e-3, 1e-4)), seed=0)
-    frame, order, summary, _ = cli._local_frame(config, verb)
+    frame, order, _, summary = cli._local_frame(config)
     assert frame.orders[0] == 22 and order >= 22
     if verb == "classify":
         assert summary["m"] == 21

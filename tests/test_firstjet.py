@@ -31,6 +31,12 @@ from jacobiflow.grassmann import (
     vertical_plane,
 )
 from jacobiflow.series import meval
+from jacobiflow.singular.classify import (
+    NON_OSCILLATING,
+    OSCILLATING,
+    THRESHOLD,
+    classify_coefficients,
+)
 from jacobiflow.singular.firstjet import (
     CASE_TOL,
     ENDPOINT_TOL,
@@ -242,6 +248,32 @@ def test_case_system_order_two_discriminant_gates():
             NormalFormCoefficients(k=1, m=2, b=[0, 0, -1.0], b11=np.zeros(1), c11=[1e-12]),
             _identity_case(1),
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 2]), st.sampled_from([-0.25, 0.0]), st.floats(-2.0, 2.0),
+       st.floats(-9.0, -3.0), st.floats(-3.0, 3.0))
+# p = 4e-7 at tol_thresh 1e-6: outside the classifier's band at p = 0, it
+# was refused by the continuation's own band |delta - 1| <= 1e-6
+@example(1, 0.0, 0.4, -6.0, 0.0)
+def test_case_system_refuses_by_the_classifier_verdict(k, center, r, log_tol, log_b):
+    # order-two data with p = c11(0)/b_m within a few tol_thresh of the
+    # critical values -1/4 and 0: the system refuses exactly what the
+    # classifier does not call NonOscillating, and its root is the delta the
+    # classifier reports, bit for bit
+    tol, b2 = 10.0**log_tol, -(10.0**log_b)
+    coeffs = NormalFormCoefficients(k=k, m=2, b=[0.0, 0.0, b2], b11=[0.3],
+                                    c11=[(center + r * tol) * b2], b12=[0.1], b22=[-0.4],
+                                    c22=[0.6])
+    report = classify_coefficients(coeffs, tol_thresh=tol)
+    refusal = {OSCILLATING: OscillatingError, THRESHOLD: ResonanceError}.get(report.verdict)
+    if refusal is not None:
+        with pytest.raises(refusal):
+            case_system(coeffs, _identity_case(k), tol_thresh=tol)
+        return
+    assert report.verdict == NON_OSCILLATING
+    d = case_system(coeffs, _identity_case(k), tol_thresh=tol).d
+    assert np.float64(d).tobytes() == np.float64(report.delta).tobytes()
 
 
 def test_case_system_blocks_and_root():

@@ -104,11 +104,12 @@ def op_s(cli, op: str, out: Path, repeat: int) -> float:
 def counted(flows, maslov, cli):
     """Count the transport's and the Maslov pass's work while the block runs,
     by wrapping the kernel and the pass's helpers, and record the series
-    orders of a degeneracy op from what the CLI's local frame returns."""
+    orders of a degeneracy op from what the CLI's local frame and first-jet
+    continuation return."""
     counts = dict.fromkeys(COUNTS, 0)
     increments, chain, renormalise = flows._increments, flows._chain, flows._renormalise
     charted, turns = maslov._chart_matrix, maslov._turns
-    local_frame = cli._local_frame
+    local_frame, continuation = cli._local_frame, cli.first_jet_continuation
 
     def evaluated(sys, t, h):
         counts["batches"] += 1
@@ -138,21 +139,25 @@ def counted(flows, maslov, cli):
         counts["souriau_intervals"] += left.size
         return turns(w, left)
 
-    def framed(config, verb):
-        frame, order, summary, window = local_frame(config, verb)
-        counts.update(frame_order=order or 0, frame_length=len(frame.frame),
-                      series_order=window.diagnostics["series_order"] if window else 0)
-        return frame, order, summary, window
+    def framed(config):
+        frame, order, report, summary = local_frame(config)
+        counts.update(frame_order=order or 0, frame_length=len(frame.frame), series_order=0)
+        return frame, order, report, summary
+
+    def continued(*args, **kwargs):
+        window = continuation(*args, **kwargs)
+        counts["series_order"] = window.diagnostics["series_order"]
+        return window
 
     flows._increments, flows._chain, flows._renormalise = evaluated, chained, orthonormalised
     maslov._chart_matrix, maslov._turns = nodes, turned
-    cli._local_frame = framed
+    cli._local_frame, cli.first_jet_continuation = framed, continued
     try:
         yield counts
     finally:
         flows._increments, flows._chain, flows._renormalise = increments, chain, renormalise
         maslov._chart_matrix, maslov._turns = charted, turns
-        cli._local_frame = local_frame
+        cli._local_frame, cli.first_jet_continuation = local_frame, continuation
 
 
 def op_counts(cli, op: str, out: Path) -> dict[str, int]:
