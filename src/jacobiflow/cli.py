@@ -44,6 +44,7 @@ from .engine import (
     D_MAX,
     STEPS_MAX,
     PiecewiseAnalytic,
+    _checked,
     _jacobi_system,
     bang_bang_sequence,
     infinite_order_curve,
@@ -489,6 +490,7 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
         nf_family = symplectic_inverse(at[-1]) @ family
         summary["eps_family"] = list(map(float, eps))
         summary["oracle_distances"] = plane_distance(nf_family[:-1], nf_family[1:]).tolist()
+    _checked(local, times)
     # past t_h the curve solves the order-0 Jacobi equation of the data, one march
     t_h = float(times[-1])
     kept = int(np.count_nonzero(grid <= t_h))

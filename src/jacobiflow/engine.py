@@ -246,6 +246,21 @@ def _widths(frames: np.ndarray) -> np.ndarray:
     return np.count_nonzero(np.any(frames != 0.0, axis=-2), axis=-1)
 
 
+def _checked(planes: np.ndarray, times, drifts=False) -> np.ndarray:
+    """Isotropy residuals of a canonical stack made here.  Its earliest bad node refuses it:
+    first where the Goh span drifts (``drifts``), then width below n, then residual > TOL_ISO."""
+    residuals = isotropy_residual(planes)
+    deficient = _widths(planes) != planes.shape[-2] // 2
+    bad = drifts | deficient | (residuals > TOL_ISO)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if np.ndim(drifts) and drifts[k]:
+            raise RankDriftError(f"Goh span rank drifts at t = {times[k]:.6g}")
+        fault = "rank deficient" if deficient[k] else "not isotropic"
+        raise NondegeneracyError(f"plane {fault} at t = {times[k]:.6g}")
+    return residuals
+
+
 @dataclass
 class JumpEvent:
     """A discontinuity of a curve of planes.
@@ -333,7 +348,8 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
     tolerance ``rtol``.
 
     The pairings ``sigma(mu, X^(i))``, i < m, vanish identically along
-    solutions; their drift is monitored and stored in the diagnostics.
+    solutions; their drift is monitored and stored in the diagnostics.  A
+    plane rank deficient or not isotropic at a node raises NondegeneracyError.
     """
     l_init = validate_lagrangian(np.asarray(l_init, dtype=float))
     grid = np.asarray(grid, dtype=float)
@@ -382,15 +398,9 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
         frames[inside] = marched[1 : 1 + np.count_nonzero(inside)]
         cur = marched[-1]
 
-    # every node at once: the plane is span(Gamma^(m-1)(t), mu(t)); a node
-    # fails with the error of the first check it fails, the earliest node first
-    planes = canonicalize(np.concatenate([goh, frames], axis=-1))
-    deficient = _widths(planes) != n
-    if np.any(drifts | deficient):
-        k = int(np.argmax(drifts | deficient))
-        if drifts[k]:
-            raise RankDriftError(f"Goh span rank drifts at t = {grid[k]:.6g}")
-        raise NondegeneracyError(f"plane rank deficient at t = {grid[k]:.6g}")
+    # every node at once: the plane is span(Gamma^(m-1)(t), mu(t)), for m = n the Goh span
+    planes = canonicalize(np.concatenate([goh, frames], axis=-1)) if mu0.shape[1] else goh
+    residuals = _checked(planes, grid, drifts)
     drift = 0.0
     for i in range(m if mu0.shape[1] else 0):
         xi = data.x(grid, deriv=i)[:, :, None]
@@ -399,13 +409,8 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
         pair = np.abs(gram(xi, frames)).max(axis=(1, 2)) / np.maximum(1.0, norm)
         drift = max(drift, float(pair.max()))
 
-    curve = GrassmannCurve(times=grid, planes=planes)
-    diag = {
-        "order": m,
-        "conservation_drift": drift,
-        "lagrangian_residual": float(np.max(isotropy_residual(planes))),
-    }
-    return JacobiTrace(curve=curve, diagnostics=diag)
+    diag = {"order": m, "conservation_drift": drift, "lagrangian_residual": float(residuals.max())}
+    return JacobiTrace(curve=GrassmannCurve(times=grid, planes=planes), diagnostics=diag)
 
 
 def infinite_order_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
@@ -432,9 +437,9 @@ def infinite_order_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
     gamma = goh_subspace(data, t0, data.x_pieces[p].shape[1] - 1)
     if isotropy_residual(gamma) > TOL_ISO:
         raise PreconditionError("derivative span is not isotropic")
-    plane = extend_by_isotropic(l_init, gamma)
-    curve = GrassmannCurve(times=times, planes=np.repeat(plane[None], times.size, axis=0))
-    return JacobiTrace(curve=curve, diagnostics={"order": None})
+    plane = extend_by_isotropic(l_init, gamma)[None]
+    _checked(plane, times)
+    return JacobiTrace(GrassmannCurve(times, np.repeat(plane, times.size, axis=0)), {"order": None})
 
 
 def bang_bang_sequence(l0: np.ndarray, x_list: Sequence[np.ndarray]) -> np.ndarray:
@@ -448,7 +453,8 @@ def bang_bang_sequence(l0: np.ndarray, x_list: Sequence[np.ndarray]) -> np.ndarr
     plane lies in it, or vanishes, and leaves the frame as it is.  Each X_i
     is first scaled, exactly, by the power of two that brings its largest
     entry into [0.5, 1), so that its norms neither overflow nor underflow.
-    The frames are canonicalised once, as one stack.
+    The frames are canonicalised once, as one stack; a switch whose plane is
+    rank deficient or not isotropic raises :class:`NondegeneracyError`.
     """
     q = np.linalg.qr(validate_lagrangian(np.asarray(l0, dtype=float)))[0]
     xs = np.asarray(x_list, dtype=float).reshape(-1, q.shape[0])
@@ -457,4 +463,6 @@ def bang_bang_sequence(l0: np.ndarray, x_list: Sequence[np.ndarray]) -> np.ndarr
     for x in xs:
         q = _insert(q, x)
         frames.append(q)
-    return canonicalize(np.stack(frames))
+    planes = canonicalize(np.stack(frames))
+    _checked(planes, np.arange(len(planes)))
+    return planes

@@ -6,14 +6,15 @@ up to right multiplication by an invertible matrix; :func:`canonicalize`
 picks the reduced column-echelon representative so planes can be compared
 entry by entry.
 
-The helpers a sampled curve calls at every node (:func:`validate_lagrangian`,
-:func:`canonicalize`, :func:`intersection_dimension`, :func:`plane_distance`
-and the chart solve ``_chart_matrix``) take either one frame or a
-``(K, 2n, k)`` stack of frames, and a stack costs a fixed number of LAPACK
-calls.  There is one code path: a single frame is a stack of one.  numpy's
-``svd``, ``qr``, ``solve`` and ``inv`` run the same LAPACK routine on each
-matrix of a stack, and the stacked Gauss-Jordan makes the same elementwise
-operations, so every frame of a stack gets bit for bit what it gets alone.
+The helpers a sampled curve calls at every node (:func:`canonicalize`,
+:func:`intersection_dimension`, :func:`plane_distance`, the chart solve
+``_chart_matrix``) and :func:`validate_lagrangian`, the check of planes from
+outside, take one frame or a ``(K, 2n, k)`` stack of frames, and a stack
+costs a fixed number of LAPACK calls.  There is one code path: a single
+frame is a stack of one.  numpy's ``svd``, ``qr``, ``solve`` and ``inv`` run
+the same LAPACK routine on each matrix of a stack, and the stacked
+Gauss-Jordan makes the same elementwise operations, so every frame of a
+stack gets bit for bit what it gets alone.
 
 A chart is an ordered pair ``(delta, pi_ref)`` of transversal Lagrangian
 planes.  Every plane transversal to ``delta`` is the graph of a symmetric

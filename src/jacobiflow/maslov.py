@@ -21,7 +21,8 @@ where the plane meets Pi, the index is half the change of signature,
 so a line whose chart matrix moves from -1 to +1 through 0 has index +1.
 
 Counting.  :func:`_spectral_flow` makes one vectorised pass over the nodes
-of a sampled curve.  The stack of nodes is validated in one call, and each
+of a sampled curve, and trusts it: the public counts validate what they are
+handed, and the CLI hands over stacks checked where they were made.  Each
 node gets its chart matrix S in the orthogonal symplectic chart adapted to
 Pi, ``grassmann._pi_chart(Pi)``: ``[[A, -B], [B, A]]`` from the QR frame
 ``[A; B]`` of Pi with a nonnegative R diagonal, which for
@@ -138,18 +139,11 @@ class _SpectralFlow:
         return int(np.sum(self.steps))
 
 
-def _spectral_flow(planes: np.ndarray, pi: np.ndarray) -> _SpectralFlow:
-    """Validate ``pi`` and every node, then count each interval on the chart
-    where it certifies it, and by the Souriau pass elsewhere (see module doc).
-
-    ``planes`` is the ``(K, 2n, n)`` stack of a curve, used as it is; an
-    empty curve's array stands for a stack of no frames over ``pi``.
-    """
-    pi = validate_lagrangian(np.asarray(pi, dtype=float))
-    frames = validate_lagrangian(planes if len(planes) else planes.reshape((0,) + pi.shape))
-    if frames.shape[-2] != pi.shape[0]:
-        raise PreconditionError(
-            f"curve frames have {frames.shape[-2]} rows, the reference plane {pi.shape[0]}")
+def _spectral_flow(frames: np.ndarray, pi: np.ndarray) -> _SpectralFlow:
+    """Count each interval on the chart where it certifies it, and by the
+    Souriau pass elsewhere (see module doc).  The caller has decided the
+    stack: ``frames`` is a Lagrangian ``(K, 2n, n)`` stack and ``pi`` a
+    Lagrangian frame, both used as they are."""
     n = pi.shape[0] // 2
     charts = _chart_matrix(frames, _pi_chart(pi))
     exists = np.isfinite(charts).all(axis=(1, 2))
@@ -182,6 +176,16 @@ def _spectral_flow(planes: np.ndarray, pi: np.ndarray) -> _SpectralFlow:
     return _SpectralFlow(np.min(np.abs(angles), axis=1) < 2.0 * _ON_PI, steps, refused, charts)
 
 
+def _validated_flow(curve: GrassmannCurve, pi: np.ndarray) -> _SpectralFlow:
+    """Validate a curve and a plane from outside, then count (an empty curve has no frames)."""
+    pi = validate_lagrangian(np.asarray(pi, dtype=float))
+    frames = validate_lagrangian(curve.planes if len(curve.planes) else np.empty((0,) + pi.shape))
+    if frames.shape[-2] != pi.shape[0]:
+        raise PreconditionError(
+            f"curve frames have {frames.shape[-2]} rows, the reference plane {pi.shape[0]}")
+    return _spectral_flow(frames, pi)
+
+
 def maslov_index(curve: GrassmannCurve, pi: np.ndarray) -> int:
     """Maslov index of a sampled curve with respect to the plane ``pi``.
 
@@ -189,7 +193,7 @@ def maslov_index(curve: GrassmannCurve, pi: np.ndarray) -> int:
     when a curve endpoint touches ``pi`` and :class:`RefinementError` when
     some step between samples is refused (see the module docstring).
     """
-    return _spectral_flow(curve.planes, pi).index()
+    return _validated_flow(curve, pi).index()
 
 
 def maslov_partial_sums(curve: GrassmannCurve, pi: np.ndarray) -> list[float]:
@@ -200,4 +204,4 @@ def maslov_partial_sums(curve: GrassmannCurve, pi: np.ndarray) -> list[float]:
     (endpoint on pi, refused step) carry ``nan``; subsequent sums resume
     from the last good value.
     """
-    return _spectral_flow(curve.planes, pi).partial_sums()
+    return _validated_flow(curve, pi).partial_sums()

@@ -27,13 +27,8 @@ from .classify import NON_OSCILLATING, THRESHOLD, SingularityReport
 __all__ = ["jump_operator", "epsilon_family_oracle"]
 
 
-def jump_operator(
-    plane: np.ndarray,
-    x0: np.ndarray,
-    report: SingularityReport,
-    time: float = 0.0,
-) -> JumpEvent:
-    """Insert the singular direction into ``plane`` at a vanishing instant.
+def jump_operator(plane: np.ndarray, x0: np.ndarray, report: SingularityReport) -> JumpEvent:
+    """Insert the singular direction into ``plane`` at the marked instant 0.
 
     Refuses to produce a right limit unless the classification verdict is
     non-oscillating: oscillating data admit no limit plane, and threshold
@@ -54,7 +49,7 @@ def jump_operator(
         )
     pre = canonicalize(np.asarray(plane, dtype=float))
     post = extend_by_isotropic(pre, np.asarray(x0, dtype=float))
-    return JumpEvent(time=time, pre_plane=pre, post_plane=post, inserted=np.asarray(x0, dtype=float))
+    return JumpEvent(time=0.0, pre_plane=pre, post_plane=post, inserted=np.asarray(x0, dtype=float))
 
 
 def epsilon_family_oracle(

@@ -17,10 +17,16 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from helpers import continued, jet_case, random_lagrangian
-from jacobiflow import cli, engine, flows
+from jacobiflow import cli, engine, flows, grassmann, maslov, symplectic
 from jacobiflow.cli import DEFAULT_U0, DEFAULT_V0, main
 from jacobiflow.engine import PiecewiseAnalytic, singular_jacobi_curve
-from jacobiflow.errors import JacobiflowError, RadiusError
+from jacobiflow.errors import (
+    ConfigError,
+    JacobiflowError,
+    NondegeneracyError,
+    PreconditionError,
+    RadiusError,
+)
 from jacobiflow.flows import flow_plane
 from jacobiflow.grassmann import (
     _chart_matrix,
@@ -234,6 +240,137 @@ def test_an_order_m_plane_containing_x_is_refused(tmp_path, capsys):
     assert code == 3
     assert (err["error"], err["stage"]) == ("NondegeneracyError", "run")
     assert err["message"] == "boundary space has dimension 2, expected 1"
+
+
+#: the functions of the CLI that make a stack of planes, each one stack a call
+STACK_MAKERS = ("singular_jacobi_curve", "infinite_order_curve", "bang_bang_sequence",
+                "first_jet_continuation", "epsilon_family_oracle")
+
+
+def _record_stack_checks(monkeypatch) -> dict:
+    """From now on, record the 3-D stacks handed to ``validate_lagrangian``,
+    ``np.linalg.matrix_rank`` and, outside ``validate_lagrangian``,
+    ``isotropy_residual``, in every jacobiflow module that binds them, the
+    stacks the CLI counts (``_spectral_flow``) and the calls of the stack
+    makers (``made``)."""
+    seen = {"validate_lagrangian": [], "isotropy_residual": [], "matrix_rank": [],
+            "counted": [], "made": []}
+    validating = []
+
+    def recording(key, fn):
+        def wrapped(f, *a, **k):
+            if np.ndim(f) == 3 and not (key == "isotropy_residual" and any(validating)):
+                seen[key].append(np.array(f))
+            validating.append(key == "validate_lagrangian")
+            try:
+                return fn(f, *a, **k)
+            finally:
+                validating.pop()
+        return wrapped
+
+    for key, fn in (("validate_lagrangian", grassmann.validate_lagrangian),
+                    ("isotropy_residual", symplectic.isotropy_residual)):
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("jacobiflow") and getattr(module, key, None) is fn:
+                monkeypatch.setattr(module, key, recording(key, fn))
+    monkeypatch.setattr(np.linalg, "matrix_rank", recording("matrix_rank", np.linalg.matrix_rank))
+    monkeypatch.setattr(cli, "_spectral_flow", recording("counted", cli._spectral_flow))
+    for name in STACK_MAKERS:
+        def making(*a, _fn=getattr(cli, name), _name=name, **k):
+            seen["made"].append(_name)
+            return _fn(*a, **k)
+        monkeypatch.setattr(cli, name, making)
+    return seen
+
+
+@pytest.mark.parametrize("path", sorted(p for p in GOLDEN.glob("*.json")
+                                         if not p.name.endswith(".summary.json")),
+                         ids=lambda p: p.stem)
+def test_each_counted_stack_is_checked_once_where_it_is_made(monkeypatch, path):
+    # the Maslov pass trusts the stacks the package made: no node it counts
+    # reaches the SVD rank test in a stack, and each stack made gets a single
+    # isotropy residual, from its maker, which covers every node it counts
+    # (first_jet_case validates a stack of two planes of its own, the
+    # incoming plane and its jump in a chart transform)
+    config = cli.parse_scenario(path)
+    seen = _record_stack_checks(monkeypatch)
+    for verb in cli.VERBS:
+        for record in seen.values():
+            record.clear()
+        try:
+            cli.run(config, verb)
+        except JacobiflowError:
+            continue
+        assert len(seen["counted"]) == (verb in ("trace", "maslov", "bangbang")
+                                        and config.mode != "portrait"), verb
+        checked = seen["isotropy_residual"]
+        assert len(checked) == len(seen["made"]), (verb, seen["made"])
+        for stack in seen["counted"]:
+            counted = {frame.tobytes() for frame in stack}
+            for key in ("validate_lagrangian", "matrix_rank"):
+                assert not any(f.tobytes() in counted for arg in seen[key] for f in arg), key
+            made = {frame.tobytes() for arg in checked for frame in arg}
+            assert counted <= made, verb
+
+
+@st.composite
+def _malformed_plane(draw):
+    """A ``(2n, k)`` frame that is not a Lagrangian plane, and the message
+    the Lagrangian check gives it: rank deficient (a column twice another,
+    or zero), not isotropic (a column moved by t J times another, t in
+    [1e-3, 1]), or another column count than n."""
+    n = draw(st.integers(1, 3))
+    frame = random_lagrangian(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    kind = draw(st.sampled_from(("deficient", "leaky", "wide", "narrow") if n > 1
+                                else ("deficient", "wide")))
+    if kind == "deficient":
+        frame[:, -1] = 2.0 * frame[:, 0] if n > 1 else 0.0
+        return n, frame, NondegeneracyError, "Lagrangian frame is rank deficient"
+    if kind == "leaky":
+        frame[:, 0] += draw(st.floats(1e-3, 1.0)) * symplectic.apply_j(frame[:, 1])
+        return n, frame, NondegeneracyError, "frame is not isotropic to tolerance"
+    frame = np.hstack([frame, frame[:, :1]]) if kind == "wide" else frame[:, :-1]
+    return (n, frame, PreconditionError,
+            f"Lagrangian frame must have n={n} columns, got {frame.shape[1]}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_malformed_plane(), st.integers(0, 3))
+def test_a_malformed_plane_from_outside_is_refused_at_each_entry_point(tmp_path_factory, bad,
+                                                                       node):
+    n, frame, error, message = bad
+    rng = np.random.default_rng(node)
+    good = [random_lagrangian(rng, n) for _ in range(4)]
+    x = [[1.0]] + [[0.0]] * (2 * n - 1)
+    data = PiecewiseAnalytic([0.0, 1.0], [[-1.0]], [x])
+    grid = np.linspace(0.0, 1.0, 4)
+
+    def refuses(call, *args, kind=error, text=message):
+        with pytest.raises(kind) as caught:
+            call(*args)
+        assert type(caught.value) is kind and str(caught.value) == text
+
+    path = tmp_path_factory.mktemp("plane") / "s.json"
+    raw = {"n": n, "mode": "regular", "initial_plane": good[0].tolist(),
+           "data": {"breakpoints": [0, 1], "b": [[-1]], "x": [x]},
+           "grid": {"t0": 0, "t1": 1, "steps": 3}}
+    path.write_text(json.dumps(raw))
+    assert cli.parse_scenario(path).n == n
+    raw["initial_plane"] = frame.tolist()
+    path.write_text(json.dumps(raw))
+    parsed = (f"initial_plane[0]: expected {n} columns" if error is PreconditionError
+              else f"initial_plane: columns must span a Lagrangian plane ({message})")
+    refuses(cli.parse_scenario, path, kind=ConfigError, text=parsed)
+    refuses(engine.singular_jacobi_curve, data, frame, grid)
+    refuses(engine.infinite_order_curve, data, frame, grid)
+    refuses(engine.bang_bang_sequence, frame, [x])
+    # a curve counted over a malformed Pi, and a malformed curve counted over
+    # a Lagrangian Pi: one bad node, or every node of another shape
+    nodes = ([frame] * 4 if error is PreconditionError
+             else good[:node] + [frame] + good[node + 1:])
+    for count in (maslov.maslov_index, maslov.maslov_partial_sums):
+        refuses(count, grassmann.GrassmannCurve(times=grid, planes=good), frame)
+        refuses(count, grassmann.GrassmannCurve(times=grid, planes=nodes), vertical_plane(n))
 
 
 @settings(max_examples=10, deadline=None)

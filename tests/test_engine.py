@@ -387,6 +387,39 @@ def test_goh_rank_drift_names_the_first_node_where_the_rank_drops(roots, monkeyp
         singular_jacobi_curve(data, horizontal_plane(2), grid)
 
 
+def test_an_order_n_curve_is_its_canonical_goh_stack():
+    data = _data_m2()
+    grid = np.linspace(0.0, 1.0, 6)
+    planes = singular_jacobi_curve(data, horizontal_plane(2), grid).curve.planes
+    goh = goh_subspace(data, grid, 1)
+    assert np.array_equal(planes, goh) and np.array_equal(canonicalize(goh), goh)
+
+
+def test_a_stack_made_here_is_refused_at_its_earliest_bad_node():
+    rng = np.random.default_rng(7)
+    planes = canonicalize(np.stack([random_lagrangian(rng, 2) for _ in range(5)]))
+    times = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(engine._checked(planes, times), isotropy_residual(planes))
+    # node 3 loses a column; node 2 keeps its echelon form, but a coordinate
+    # off the pivots moves, and sigma of its two columns with it
+    deficient = planes.copy()
+    deficient[3, :, 1] = 0.0
+    leaky = deficient.copy()
+    leaky[2, 3, 0] += 1e-3
+    assert isotropy_residual(leaky[2]) > 1e-6
+    with pytest.raises(NondegeneracyError, match="^plane rank deficient at t = 0.75$"):
+        engine._checked(deficient, times)
+    with pytest.raises(NondegeneracyError, match="^plane not isotropic at t = 0.5$"):
+        engine._checked(leaky, times)
+    # a drifting Goh span is named first at its node, and the earliest node
+    # fails first whatever its check
+    drifts = np.arange(5) == 3
+    with pytest.raises(RankDriftError, match="^Goh span rank drifts at t = 0.75$"):
+        engine._checked(deficient, times, drifts)
+    with pytest.raises(NondegeneracyError, match="not isotropic at t = 0.5$"):
+        engine._checked(leaky, times, drifts)
+
+
 def test_evaluation_at_an_array_of_times_is_the_scalar_calls():
     rng = np.random.default_rng(4)
     data = PiecewiseAnalytic(breakpoints=np.array([-1.0, 0.0, 1.0]),

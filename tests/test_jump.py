@@ -36,8 +36,8 @@ def _report(verdict, sigma=1.0):
 def test_jump_inserts_singular_direction():
     plane = canonicalize(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.3]]))
     x0 = np.array([1.0, 0.0, 0.0, 0.0])
-    event = jump_operator(plane, x0, _report("NonOscillating"), time=0.25)
-    assert event.time == 0.25
+    event = jump_operator(plane, x0, _report("NonOscillating"))
+    assert event.time == 0.0
     assert plane_distance(event.pre_plane, plane) < 1e-14
     assert np.array_equal(event.inserted, x0)
     # x0 spans inside the post plane
