@@ -5,6 +5,11 @@ them under linear Hamiltonian systems, counts Maslov-type intersection
 indices, builds the jump curves of degenerate problems, and continues the
 curve through isolated singular instants of the control weight (see the
 :mod:`jacobiflow.singular` subpackage).
+
+Input from outside is checked once, where it enters: at ``cli.parse_scenario``,
+``cli.run`` and ``cli.main``, and in the public functions of ``__all__`` here
+and in :mod:`jacobiflow.singular`.  The CLI hands what it checked to private
+cores, which trust it and say so.
 """
 
 from . import engine, errors, flows, grassmann, maslov, series, singular, symplectic

@@ -44,12 +44,12 @@ from .engine import (
     D_MAX,
     STEPS_MAX,
     PiecewiseAnalytic,
+    _bang_bang,
     _checked,
+    _infinite_curve,
+    _jacobi_curve,
     _jacobi_system,
-    bang_bang_sequence,
-    infinite_order_curve,
     legendre_sequence,
-    singular_jacobi_curve,
 )
 from .errors import ConfigError, JacobiflowError, MathError, NondegeneracyError, RadiusError
 from .flows import flow_plane
@@ -63,7 +63,7 @@ from .grassmann import (
 from .maslov import _SpectralFlow, _spectral_flow
 from .series import meval
 from .singular.classify import classify_coefficients, classify_frame
-from .singular.firstjet import START_MAX, _tail_within, first_jet_case, first_jet_continuation
+from .singular.firstjet import START_MAX, _jet_case, _tail_within, first_jet_continuation
 from .singular.frame import (
     DEFAULT_NTERMS,
     NormalFormCoefficients,
@@ -247,7 +247,7 @@ def parse_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"scenario: file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too many digits
         raise ConfigError(f"scenario: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("scenario: top level must be a JSON object")
@@ -399,10 +399,9 @@ def _run_interval_mode(config: ScenarioConfig) -> TraceOutput:
     if config.mode == "infinite":
         if seq.first_nonzero is not None:
             raise ConfigError("mode: sequence has a nonzero entry; the order is finite")
-        trace = infinite_order_curve(data, config.initial_plane, grid)
+        trace = _infinite_curve(data, config.initial_plane, grid)
     else:
-        trace = singular_jacobi_curve(data, config.initial_plane, grid,
-                                      rtol=config.tolerances["rtol"])
+        trace = _jacobi_curve(data, config.initial_plane, grid, config.tolerances["rtol"], seq)
     summary = {"order_m": seq.first_nonzero, "events": [], "diagnostics": trace.diagnostics}
     rows, flow = _trace_rows(trace.curve, config.n, [])
     return TraceOutput(_trace_columns(config.n), rows, summary, flow)
@@ -410,7 +409,7 @@ def _run_interval_mode(config: ScenarioConfig) -> TraceOutput:
 
 def _run_bangbang(config: ScenarioConfig) -> TraceOutput:
     x_list = config.data["x_list"]
-    planes = bang_bang_sequence(config.initial_plane, x_list)
+    planes = _bang_bang(config.initial_plane, x_list)
     # switch i moves the plane exactly where X_i pairs with it, and only there
     # does the recursion change the frame: the event is its node i + 1
     events = (np.flatnonzero((planes[:-1] != planes[1:]).any(axis=(1, 2))) + 1).tolist()
@@ -457,7 +456,7 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
     m0_inv = symplectic_inverse(m0)
     l0_nf = canonicalize(m0_inv @ config.initial_plane)
     if coeffs.m <= 2:
-        case = first_jet_case(l0_nf, m0_inv @ jump.post_plane)
+        case = _jet_case(l0_nf, m0_inv @ jump.post_plane)
         window = first_jet_continuation(coeffs, case, grid, nterms=len(frame.frame),
                                         least=frame.orders[0],
                                         tol_thresh=config.tolerances["tol_thresh"])
@@ -496,8 +495,7 @@ def _run_degeneracy(config: ScenarioConfig, verb: str) -> TraceOutput:
     kept = int(np.count_nonzero(grid <= t_h))
     planes = local[:kept]
     if kept < grid.size:
-        past = singular_jacobi_curve(data, local[-1], np.append(t_h, grid[kept:]),
-                                     rtol=rtol).curve
+        past = _jacobi_curve(data, local[-1], np.append(t_h, grid[kept:]), rtol).curve
         planes = np.concatenate([planes, past.planes[1:]])
     # the jump at t = 0 lies before the first node, since grid.t0 > 0
     rows, flow = _trace_rows(GrassmannCurve(times=grid, planes=planes), config.n, [])
@@ -742,7 +740,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.tol_overrides:
             try:
                 overrides = json.loads(args.tol_overrides)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ConfigError(f"--tol-overrides: invalid JSON: {exc}") from exc
             if not isinstance(overrides, dict):
                 raise ConfigError("--tol-overrides: expected a JSON object")

@@ -38,10 +38,10 @@ from .errors import (
 from .flows import _integrate
 from .grassmann import (
     GrassmannCurve,
+    _extend,
     _insert,
     _meet,
     canonicalize,
-    extend_by_isotropic,
     validate_lagrangian,
 )
 from .series import meval, sder, strim, vsigma
@@ -351,13 +351,19 @@ def singular_jacobi_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
     solutions; their drift is monitored and stored in the diagnostics.  A
     plane rank deficient or not isotropic at a node raises NondegeneracyError.
     """
-    l_init = validate_lagrangian(np.asarray(l_init, dtype=float))
+    return _jacobi_curve(data, validate_lagrangian(np.asarray(l_init, dtype=float)), grid, rtol)
+
+
+def _jacobi_curve(data, l_init, grid, rtol, seq=None) -> JacobiTrace:
+    """:func:`singular_jacobi_curve` on an ``l_init`` it trusts to be Lagrangian, as the
+    CLI parsed it or a stack check passed it; ``seq``, when given, is the sequence of
+    the grid's window."""
     grid = np.asarray(grid, dtype=float)
     if not np.all(np.diff(grid) > 0):
         raise PreconditionError("grid must increase strictly")
     t0, t1 = float(grid[0]), float(grid[-1])
     n = data.n
-    m = _order_and_check_sign(legendre_sequence(data, (t0, t1)))
+    m = _order_and_check_sign(seq or legendre_sequence(data, (t0, t1)))
     if m > n:
         raise NondegeneracyError(f"order {m} exceeds n = {n}; no isotropic Goh span")
 
@@ -424,12 +430,19 @@ def infinite_order_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
     """
     l_init = validate_lagrangian(np.asarray(l_init, dtype=float))
     times = np.asarray(grid, dtype=float)
-    t0, t1 = float(times[0]), float(times[-1])
-    seq = legendre_sequence(data, (t0, t1))
+    seq = legendre_sequence(data, (float(times[0]), float(times[-1])))
     if seq.first_nonzero is not None:
         raise PreconditionError(
             f"sequence entry b^{seq.first_nonzero} is nonzero: not an infinite-order arc"
         )
+    return _infinite_curve(data, l_init, times)
+
+
+def _infinite_curve(data, l_init, times) -> JacobiTrace:
+    """:func:`infinite_order_curve` on a Lagrangian ``l_init`` and a window whose
+    sequence vanishes, both trusted.  The derivative span's isotropy is tested
+    here, once, so :func:`~jacobiflow.grassmann._extend` takes it as it is."""
+    t0, t1 = float(times[0]), float(times[-1])
     p = data.piece_index(t0)
     if data.breakpoints[p + 1] < t1:
         raise PreconditionError("infinite-order arc must not cross breakpoints")
@@ -437,7 +450,7 @@ def infinite_order_curve(data: PiecewiseAnalytic, l_init: np.ndarray,
     gamma = goh_subspace(data, t0, data.x_pieces[p].shape[1] - 1)
     if isotropy_residual(gamma) > TOL_ISO:
         raise PreconditionError("derivative span is not isotropic")
-    plane = extend_by_isotropic(l_init, gamma)[None]
+    plane = _extend(l_init, gamma)[None]
     _checked(plane, times)
     return JacobiTrace(GrassmannCurve(times, np.repeat(plane, times.size, axis=0)), {"order": None})
 
@@ -456,7 +469,12 @@ def bang_bang_sequence(l0: np.ndarray, x_list: Sequence[np.ndarray]) -> np.ndarr
     The frames are canonicalised once, as one stack; a switch whose plane is
     rank deficient or not isotropic raises :class:`NondegeneracyError`.
     """
-    q = np.linalg.qr(validate_lagrangian(np.asarray(l0, dtype=float)))[0]
+    return _bang_bang(validate_lagrangian(np.asarray(l0, dtype=float)), x_list)
+
+
+def _bang_bang(l0, x_list) -> np.ndarray:
+    """:func:`bang_bang_sequence` from an ``l0`` it trusts to be Lagrangian (the CLI parsed it)."""
+    q = np.linalg.qr(l0)[0]
     xs = np.asarray(x_list, dtype=float).reshape(-1, q.shape[0])
     xs = np.ldexp(xs, -np.frexp(np.max(np.abs(xs), axis=1, initial=0.0))[1][:, None])
     frames = [q]

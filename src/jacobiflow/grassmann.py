@@ -340,6 +340,11 @@ def extend_by_isotropic(plane: np.ndarray, g: np.ndarray) -> np.ndarray:
         raise PreconditionError("frames live in different ambient spaces")
     if isotropy_residual(g) > TOL_ISO:
         raise PreconditionError("extension frame is not isotropic to tolerance")
+    return _extend(plane, g)
+
+
+def _extend(plane: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """:func:`extend_by_isotropic` of frames it trusts: one ambient space, g isotropic."""
     q = _basis(plane)
     for x in _basis(g).T:
         q = _insert(q, x)

@@ -67,6 +67,9 @@ had it for orthonormal frames (singular values sqrt(1 +- cos theta_j)).
 :func:`maslov_index` refuses a curve whose endpoints meet Pi
 (:class:`PreconditionError`) and counts across interior nodes on Pi, while
 the partial sums carry ``nan`` on both intervals at such a node.
+
+On the bang-bang recursion no path joins the planes, so there the
+shortest-path count is the definition of the index, not an approximation.
 """
 
 from __future__ import annotations

@@ -129,8 +129,12 @@ def first_jet_case(plane: np.ndarray, post: np.ndarray) -> JetCase:
         If the plane sits in a position none of the three transforms covers
         (possible only on a measure-zero set of non-transversal positions).
     """
+    return _jet_case(canonicalize(np.asarray(plane, dtype=float)), post, validate_lagrangian)
 
-    plane = canonicalize(np.asarray(plane, dtype=float))
+
+def _jet_case(plane: np.ndarray, post: np.ndarray, check=np.asarray) -> JetCase:
+    """:func:`first_jet_case` of a canonical ``plane``; ``check`` is applied to the frames
+    it charts.  The CLI trusts them, as symplectic images of its parsed plane and its jump."""
     if plane.shape == (2, 1):
         return JetCase(case=1, matrix=np.eye(2), minv=np.eye(2))
     if plane.shape != (4, 2):
@@ -142,7 +146,7 @@ def first_jet_case(plane: np.ndarray, post: np.ndarray) -> JetCase:
 
     def chart_s(f):
         # to_chart(f, sigma, Pi) of a plane or a stack, on one chart basis
-        s = _chart_matrix(validate_lagrangian(f), chart)
+        s = _chart_matrix(check(f), chart)
         if np.isnan(s).all(axis=(-2, -1)).any():
             raise ChartError("plane is not transversal to the chart plane delta")
         return s

@@ -1,6 +1,8 @@
 """Exit codes and byte-stable outputs of the command line front end."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import shutil
@@ -243,7 +245,7 @@ def test_an_order_m_plane_containing_x_is_refused(tmp_path, capsys):
 
 
 #: the functions of the CLI that make a stack of planes, each one stack a call
-STACK_MAKERS = ("singular_jacobi_curve", "infinite_order_curve", "bang_bang_sequence",
+STACK_MAKERS = ("_jacobi_curve", "_infinite_curve", "_bang_bang",
                 "first_jet_continuation", "epsilon_family_oracle")
 
 
@@ -290,8 +292,6 @@ def test_each_counted_stack_is_checked_once_where_it_is_made(monkeypatch, path):
     # the Maslov pass trusts the stacks the package made: no node it counts
     # reaches the SVD rank test in a stack, and each stack made gets a single
     # isotropy residual, from its maker, which covers every node it counts
-    # (first_jet_case validates a stack of two planes of its own, the
-    # incoming plane and its jump in a chart transform)
     config = cli.parse_scenario(path)
     seen = _record_stack_checks(monkeypatch)
     for verb in cli.VERBS:
@@ -727,11 +727,11 @@ def test_corpus_degen_m2_plane_matches_a_30_digit_march(monkeypatch):
     # its canonicalisation put the emitted plane 1.25e-13 from this march
     handed = {}
 
-    def recorded(data, l_init, grid, **kw):
+    def recorded(data, l_init, grid, *a):
         handed.update(plane=l_init, t_h=grid[0])
-        return singular_jacobi_curve(data, l_init, grid, **kw)
+        return engine._jacobi_curve(data, l_init, grid, *a)
 
-    monkeypatch.setattr(cli, "singular_jacobi_curve", recorded)
+    monkeypatch.setattr(cli, "_jacobi_curve", recorded)
     config = cli.parse_scenario(CORPUS / "degen_m2.json")
     rows = cli.run(config, "trace").rows
     k = int(np.argmin(np.abs(config.grid - 0.7761)))
@@ -1151,3 +1151,142 @@ def test_non_lagrangian_initial_plane_is_a_config_error(tmp_path, capsys, scenar
     assert code == 2
     assert (err["error"], err["stage"]) == ("ConfigError", "parse")
     assert err["message"].startswith("initial_plane:")
+
+
+def _record_boundary_checks(monkeypatch) -> dict:
+    """From now on, record each ``validate_lagrangian`` call, by whether it
+    runs inside ``parse_scenario``, and the window of each
+    ``legendre_sequence`` call, in every jacobiflow module that binds them."""
+    seen = {"parse": 0, "run": 0, "windows": []}
+    parsing = []
+    validate, sequence, parse = (grassmann.validate_lagrangian, engine.legendre_sequence,
+                                 cli.parse_scenario)
+
+    def validating(f, *a):
+        seen["parse" if parsing else "run"] += 1
+        return validate(f, *a)
+
+    def windowed(data, interval):
+        seen["windows"].append((id(data), tuple(map(float, interval))))
+        return sequence(data, interval)
+
+    def parsed(path):
+        parsing.append(1)
+        try:
+            return parse(path)
+        finally:
+            parsing.pop()
+
+    for key, fn, wrapped in (("validate_lagrangian", validate, validating),
+                             ("legendre_sequence", sequence, windowed)):
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("jacobiflow") and getattr(module, key, None) is fn:
+                monkeypatch.setattr(module, key, wrapped)
+    monkeypatch.setattr(cli, "parse_scenario", parsed)
+    return seen
+
+
+def _one_round_ops(directory: Path, workload: str) -> list[list[str]]:
+    sys.path.insert(0, str(CORPUS.parent))
+    try:
+        import scenarios
+    finally:
+        sys.path.remove(str(CORPUS.parent))
+    return [[op.verb, str(directory / f"{op.scenario}.json")]
+            for op in scenarios.write_scenarios(workload, 0, scenarios.blocks_for(workload, 30),
+                                                directory)]
+
+
+@pytest.mark.parametrize("workload, plane_checks, windows", [
+    ("golden", None, None), ("curve", 37, 36), ("pole", None, None), ("jet", 54, None)])
+def test_each_input_is_checked_once_at_the_boundary(tmp_path, monkeypatch, workload,
+                                                      plane_checks, windows):
+    # a plane from outside is validated once per op, by parse_scenario, and
+    # never again by run; each window gets one Legendre sequence per op (a
+    # degeneracy trace has two windows: the data's and the one past t_h)
+    if workload == "golden":
+        ops = [[verb, str(p)] for p in sorted(GOLDEN.glob("*.json"))
+               if not p.name.endswith(".summary.json") for verb in cli.VERBS]
+    else:
+        ops = _one_round_ops(tmp_path, workload)
+    seen = _record_boundary_checks(monkeypatch)
+    totals = {"parse": 0, "windows": 0}
+    with contextlib.redirect_stderr(io.StringIO()):
+        for argv in ops:
+            seen.update(parse=0, run=0, windows=[])
+            main(argv + ["--out", str(tmp_path / "o.csv")])
+            planes = json.loads(Path(argv[1]).read_text())["mode"] != "portrait"
+            assert seen["parse"] == planes and seen["run"] == 0, argv
+            assert len(set(seen["windows"])) == len(seen["windows"]), argv
+            totals["parse"] += seen["parse"]
+            totals["windows"] += len(seen["windows"])
+    if plane_checks is not None:
+        assert totals["parse"] == plane_checks
+    if windows is not None:
+        assert totals["windows"] == windows
+
+
+#: malformed scenario bytes that once escaped the error taxonomy as tracebacks
+MALFORMED = {
+    "not-utf8": b'{"n": 1\xff}',
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+    "digits": b'{"n": ' + b"1" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_scenario_bytes_are_config_errors(tmp_path, capsys, name):
+    path = tmp_path / "s.json"
+    path.write_bytes(MALFORMED[name])
+    assert main(["trace", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    [err] = _errors(capsys)
+    assert (err["error"], err["stage"]) == ("ConfigError", "parse")
+    assert err["message"].startswith("scenario: invalid JSON: ")
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_tol_overrides_are_config_errors(tmp_path, capsys, name):
+    # argv holds text: bytes that are not UTF-8 arrive surrogate-escaped
+    text = MALFORMED[name].decode("utf-8", "surrogateescape")
+    code = main(["trace", str(SCENARIO), "--out", str(tmp_path / "o.csv"),
+                 "--tol-overrides", text])
+    assert code == 2
+    [err] = _errors(capsys)
+    assert (err["error"], err["stage"]) == ("ConfigError", "parse")
+    assert err["message"].startswith("--tol-overrides: invalid JSON: ")
+
+
+@st.composite
+def _mutated_scenario(draw):
+    """The bytes of a corpus scenario cut short, with bytes flipped, or nested deep."""
+    data = draw(st.sampled_from(sorted(CORPUS.glob("*.json")))).read_bytes()
+    kind = draw(st.sampled_from(("cut", "flip", "nest")))
+    if kind == "cut":
+        return data[: draw(st.integers(0, len(data)))]
+    if kind == "nest":
+        depth = draw(st.integers(1, 5000))
+        return b"[" * depth + data + b"]" * depth
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
+    return bytes(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mutated_scenario())
+@example(MALFORMED["not-utf8"])
+@example(MALFORMED["deep"])
+@example(MALFORMED["digits"])
+def test_main_routes_any_scenario_bytes_through_the_taxonomy(tmp_path_factory, raw):
+    # classify runs the parser on every mode and computes only the cheap
+    # normal frame, so a mutation that parses cannot start a long march
+    path = tmp_path_factory.mktemp("mutated") / "s.json"
+    path.write_bytes(raw)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["classify", str(path), "--out", str(path.with_suffix(".csv"))])
+    assert code in (0, 2, 3, 4)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (code != 0)
+    for line in lines:
+        assert set(json.loads(line)) == {"code", "stage", "error", "message", "scenario"}

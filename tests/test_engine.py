@@ -522,13 +522,12 @@ def test_bang_bang_sequence_matches_the_per_switch_extension(n, kinds, seed):
 
 
 def test_bang_bang_verb_makes_no_general_extension(tmp_path, monkeypatch):
-    # every switch is a rank-one update; extend_by_isotropic serves the
-    # jump operator, the infinite-order curve and the first-jet case only
+    # every switch is a rank-one update; the extension serves the jump
+    # operator and the infinite-order curve only
     calls = []
-    extend = grassmann.extend_by_isotropic
+    extend = grassmann._extend
     for module in (grassmann, engine):
-        monkeypatch.setattr(module, "extend_by_isotropic",
-                            lambda *a: calls.append(a) or extend(*a))
+        monkeypatch.setattr(module, "_extend", lambda *a: calls.append(a) or extend(*a))
     scenario = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "bangbang.json"
     assert cli.main(["bangbang", str(scenario), "--out", str(tmp_path / "b.csv")]) == 0
     assert calls == []

@@ -162,7 +162,7 @@ def test_the_epsilon_family_is_one_stack_march_not_a_plane_per_member():
     # transports by flow_plane, so the family cannot fall back to one march
     # per member
     assert _call_sites("_integrate") == [
-        "jacobiflow.engine.singular_jacobi_curve",
+        "jacobiflow.engine._jacobi_curve",
         "jacobiflow.flows.flow_plane", "jacobiflow.singular.jump.epsilon_family_oracle",
     ]
     assert _call_sites("flow_plane") == ["jacobiflow.cli._run_portrait"]
@@ -249,7 +249,7 @@ def _count_lapack(monkeypatch) -> Counter:
 
         monkeypatch.setattr(np.linalg, name, counted)
     for attr, fn in (("_integrate", flows._integrate),
-                     ("bang_bang_sequence", engine.bang_bang_sequence)):
+                     ("_bang_bang", engine._bang_bang)):
         def pausing(*a, _fn=fn, **k):
             paused.append(1)
             try:
@@ -426,3 +426,20 @@ def test_compare_outputs_finds_the_ops_that_differ(tmp_path, monkeypatch):
         [(cells, frames)] = re.findall(r"cells (\S+), frames ([^;)]+)", line)
         assert 0.9e-9 < float(cells) < 1e-6 and float(frames) < 1e-12
         assert line.count("summary keys added") == 1
+
+
+def test_ab_pairs_runs_one_alternating_pair(tmp_path):
+    # tools/ab_pairs.py runs the benchmark on a copy of each tree and prints,
+    # per end-to-end metric, both medians, the parent's IQR and the pairs won
+    script = SRC.parent / "tools" / "ab_pairs.py"
+    out = tmp_path / "runs.json"
+    proc = subprocess.run([sys.executable, str(script), str(SRC.parent), "--workload", "curve",
+                           "--pairs", "1", "--seconds", "1", "--json", str(out)],
+                          capture_output=True, text=True, check=True)
+    head, *lines = proc.stdout.splitlines()
+    assert head == "curve seed 0, 1 pairs"
+    assert [line.split()[0] for line in lines] == ["setup_s", "trace_s", "ops_per_s", "ok_ratio",
+                                                   "peak_rss_mb"]
+    assert all(line.endswith("of 1") for line in lines)
+    [pair] = json.loads(out.read_text())["curve-seed0"]
+    assert pair["parent"]["ok_ratio"] == pair["change"]["ok_ratio"] == 1.0
